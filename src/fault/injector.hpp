@@ -1,13 +1,13 @@
 // FaultInjector — the run-time side of a FaultPlan, plus the knobs and
 // counters of every mitigation the serving stack applies under it.
 //
-// One injector is owned per serving run (Server or ShardedServer) and
+// One injector is owned per serving run (by serve::Backend) and
 // threaded by pointer into the layers that pay fault costs:
 //   BatchScheduler : transfer slowdown scaling + transient dispatch
 //                    failures answered with bounded exponential-backoff
 //                    retries (shed after the retry budget);
-//   EpochUpdater / ShardedServer::run_epoch :
-//                    resync corruption injection, CRC32 audit, re-image;
+//   EpochUpdater   : epoch image transfers — slowdown stretch, resync
+//                    corruption injection, CRC32 audit, re-image;
 //   ShardedServer  : shard-lost fencing, CPU-oracle degraded serving,
 //                    timed restore + re-image;
 //   ShardedIndex   : straggler hedging in the scatter/gather batch path.

@@ -44,14 +44,24 @@ struct UpdateStats {
   bool rebuilt = false;
   double apply_seconds = 0.0;
   double rebuild_seconds = 0.0;
-  /// Filled by the serving epoch paths (src/serve/), not by apply():
-  /// modeled PCIe seconds to upload the rebuilt device image, and how
-  /// long a staged image waited at a batch boundary for its atomic swap
-  /// (0 in quiesce mode, where the device is held through the upload).
-  /// Kept separate from apply/rebuild so the E13 sweep can attribute
-  /// epoch cost stage by stage: build | upload | swap.
-  double upload_seconds = 0.0;
-  double swap_wait_seconds = 0.0;
+
+  /// Merges another batch's stats (shards applied one after another on
+  /// one host CPU): counts and wall times add, `rebuilt` ORs.
+  UpdateStats& operator+=(const UpdateStats& o) {
+    updates += o.updates;
+    inserts += o.inserts;
+    deletes += o.deletes;
+    failed += o.failed;
+    fine_path_ops += o.fine_path_ops;
+    coarse_path_ops += o.coarse_path_ops;
+    coarse_retries += o.coarse_retries;
+    aux_nodes += o.aux_nodes;
+    moved_slots += o.moved_slots;
+    rebuilt = rebuilt || o.rebuilt;
+    apply_seconds += o.apply_seconds;
+    rebuild_seconds += o.rebuild_seconds;
+    return *this;
+  }
 
   std::uint64_t total_ops() const { return updates + inserts + deletes; }
   double ops_per_second() const {

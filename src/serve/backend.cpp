@@ -150,15 +150,56 @@ void ServerReport::check_invariants() const {
                          << " != 1 + migrations=" << migrations);
 }
 
-void Backend::init_tuning(const ServeOptions& config) {
-  tuner_ = config.tuner;
-  tunables_ = Tunables::from(config);
-  tune_obs_ = config.obs;
-  if (tune_obs_.metrics != nullptr) {
-    obs::MetricsRegistry& m = *tune_obs_.metrics;
-    tune_applied_ = &m.counter("serve_tune_applied_total");
-    tune_vetoed_ = &m.counter("serve_tune_vetoed_total");
-    tune_rolled_back_ = &m.counter("serve_tune_rolled_back_total");
+Backend::Backend(const ServeOptions& config,
+                 const std::vector<HarmoniaIndex*>& shards)
+    : config_(config),
+      injector_(config.faults, config.mitigation,
+                static_cast<unsigned>(shards.size()), config.replicas),
+      admission_(config.qos) {
+  const auto n = static_cast<unsigned>(shards.size());
+  config_.validate(n);
+  tuner_ = config_.tuner;
+  tunables_ = Tunables::from(config_);
+  if (config_.durability != nullptr)
+    HARMONIA_CHECK(config_.durability->num_shards() == n);
+  const obs::Observer& obs = config_.obs;
+  for (unsigned s = 0; s < n; ++s) {
+    sched_.push_back(std::make_unique<BatchScheduler>(*shards[s], config_.link,
+                                                      config_.batch, config_.qos));
+    engines_.push_back(
+        std::make_unique<EpochUpdater>(*shards[s], config_.link, config_.epoch));
+    if (injector_.active()) {
+      sched_[s]->set_fault_context(&injector_, s);
+      engines_[s]->set_fault_context(&injector_, s);
+    }
+    if (config_.durability != nullptr)
+      engines_[s]->set_durability(config_.durability->shard(s));
+    if (obs.active()) {
+      sched_[s]->set_observer(obs, s);
+      engines_[s]->set_observer(obs, s);
+    }
+  }
+  if (obs.active()) injector_.set_observer(obs);
+  if (obs.metrics == nullptr) return;
+  obs::MetricsRegistry& m = *obs.metrics;
+  const auto edges = obs::LatencyHistogram::exponential_edges(1e-7, 1.0, 28);
+  for (std::size_t c = 0; c < qos::kNumClasses; ++c) {
+    const std::string labels =
+        std::string{"{class=\""} + qos::to_string(qos::priority_at(c)) + "\"}";
+    class_metrics_[c].completed = &m.counter("serve_class_completed_total" + labels);
+    class_metrics_[c].shed = &m.counter("serve_class_shed_total" + labels);
+    class_metrics_[c].dropped = &m.counter("serve_class_dropped_total" + labels);
+    class_metrics_[c].throttled = &m.counter("serve_class_throttled_total" + labels);
+    class_metrics_[c].latency =
+        &m.histogram("serve_class_latency_seconds" + labels, edges);
+  }
+  tune_applied_ = &m.counter("serve_tune_applied_total");
+  tune_vetoed_ = &m.counter("serve_tune_vetoed_total");
+  tune_rolled_back_ = &m.counter("serve_tune_rolled_back_total");
+  if (n > 1) {
+    epochs_total_ = &m.counter("serve_epochs_total");
+    swap_wait_hist_ = &m.histogram("serve_epoch_swap_wait_seconds", edges);
+    stall_hist_ = &m.histogram("serve_epoch_stall_seconds", edges);
   }
 }
 
@@ -168,18 +209,408 @@ void Backend::note_tune(TuneAction action, const std::string& note, double now) 
                     : action == TuneAction::kVeto ? tune_vetoed_
                                                   : tune_rolled_back_;
   if (c != nullptr) c->inc();
-  if (tune_obs_.trace != nullptr) {
-    tune_obs_.trace->annotate(now, obs::TraceRecorder::kNoShard,
-                              std::string{"tune "} + to_string(action) +
-                                  (note.empty() ? "" : " ") + note);
+  if (config_.obs.trace != nullptr) {
+    config_.obs.trace->annotate(now, obs::TraceRecorder::kNoShard,
+                                std::string{"tune "} + to_string(action) +
+                                    (note.empty() ? "" : " ") + note);
   }
 }
 
-void Backend::apply_tunables(const Tunables& t, double now) {
-  // The subclass hook validates against its construction-time config and
-  // throws before mutating anything; adoption happens only on success.
-  install_tunables(t, now);
+void Backend::apply_tunables(const Tunables& t, double /*now*/) {
+  // Validate against the construction-time config before touching
+  // anything; adoption happens only on success.
+  t.validate(config_);
+  // Scheduler knobs install between dispatches on every shard — formed
+  // batches are immutable, so this is always safe. An in-flight staged
+  // build already computed its cost, so apply_threads affects only
+  // epochs triggered afterwards.
+  for (auto& sched : sched_) sched->set_batch_knobs(t.max_batch, t.max_wait);
+  for (auto& engine : engines_) engine->set_apply_threads(t.apply_threads);
+  if (inflight_.has_value() || staging_busy()) {
+    // Swap-boundary latch: shards swap staggered inside an epoch (and a
+    // migration rebuilds two shards), so installing image/PSA knobs now
+    // would let queries admitted under the old image — or replicas and
+    // straddling fan-outs — observe mixed values. They land at the
+    // fleet-wide boundary instead.
+    pending_query_ = t;
+  } else {
+    pending_query_.reset();
+    install_query_knobs(t);
+  }
   tunables_ = t;
+}
+
+void Backend::install_query_knobs(const Tunables& t) {
+  for (auto& sched : sched_) sched->set_query_knobs(t.group_size, t.sort_bits);
+}
+
+void Backend::at_fleet_swap_boundary(double now) {
+  if (pending_query_.has_value()) {
+    install_query_knobs(*pending_query_);
+    pending_query_.reset();
+  }
+  if (tuner_ != nullptr) {
+    const auto rec = engines_[0]->index().recommend_query_knobs();
+    tuner_->observe_profile(now, rec.group_size, rec.sort_bits);
+  }
+}
+
+void Backend::deliver(Response resp, RequestSource& source, ServerReport& report) {
+  const std::size_t c = qos::index(resp.klass);
+  if (resp.dropped) {
+    // A fault mitigation or QoS eviction gave up on this admitted query:
+    // a shed, not an admission drop.
+    ++report.shed;
+    ++report.class_shed[c];
+    if (class_metrics_[c].shed != nullptr) class_metrics_[c].shed->inc();
+  } else {
+    ++report.completed;
+    report.latency.add(resp.latency());
+    report.queue_delay.add(resp.queue_delay());
+    ++report.class_completed[c];
+    report.class_latency[c].add(resp.latency());
+    if (class_metrics_[c].completed != nullptr) {
+      class_metrics_[c].completed->inc();
+      class_metrics_[c].latency->observe(resp.latency());
+    }
+  }
+  if (config_.obs.trace != nullptr) {
+    config_.obs.trace->stamp(resp.id, obs::Stage::kReply, resp.completion,
+                             fleet_shard(), resp.dropped ? "shed" : std::string{});
+  }
+  report.makespan = std::max(report.makespan, resp.completion);
+  source.on_complete(resp);
+  report.responses.push_back(std::move(resp));
+}
+
+void Backend::answer_dropped(const Request& r, double now, unsigned epoch,
+                             unsigned shard, const char* note,
+                             RequestSource& source, ServerReport& report) {
+  Response resp = response_to(r);
+  resp.dropped = true;
+  resp.epoch = epoch;
+  resp.dispatch = resp.completion = now;
+  if (config_.obs.trace != nullptr)
+    config_.obs.trace->stamp(resp.id, obs::Stage::kReply, resp.completion, shard, note);
+  report.makespan = std::max(report.makespan, resp.completion);
+  source.on_complete(resp);
+  report.responses.push_back(std::move(resp));
+}
+
+void Backend::reject(const Request& r, unsigned epoch, unsigned shard,
+                     const char* note, RequestSource& source,
+                     ServerReport& report) {
+  const std::size_t c = qos::index(r.klass);
+  ++report.dropped;
+  ++report.class_dropped[c];
+  if (class_metrics_[c].dropped != nullptr) class_metrics_[c].dropped->inc();
+  answer_dropped(r, r.arrival, epoch, shard, note, source, report);
+}
+
+bool Backend::throttle(const Request& r, unsigned epoch, unsigned shard,
+                       RequestSource& source, ServerReport& report) {
+  if (!admission_.throttling() || admission_.admit(r.tenant, r.arrival)) return false;
+  const std::size_t c = qos::index(r.klass);
+  ++report.throttled;
+  ++report.class_throttled[c];
+  if (class_metrics_[c].throttled != nullptr) class_metrics_[c].throttled->inc();
+  reject(r, epoch, shard, "throttled", source, report);
+  return true;
+}
+
+void Backend::book_shed(const Request& r, ServerReport& report) {
+  const std::size_t c = qos::index(r.klass);
+  ++report.shed;
+  ++report.class_shed[c];
+  if (class_metrics_[c].shed != nullptr) class_metrics_[c].shed->inc();
+}
+
+void Backend::buffer_update(const Request& r) {
+  pending_updates_.push_back(r);
+  if (config_.obs.trace != nullptr)
+    config_.obs.trace->stamp(r.id, obs::Stage::kQueueEnter, r.arrival,
+                             fleet_shard(), "update");
+}
+
+double Backend::next_epoch_time(double now) const {
+  if (pending_updates_.empty()) return kNever;
+  // A migration owns the staging machinery (and the plan is about to
+  // move under the op scatter): updates buffer until the flip.
+  if (staging_busy()) return kNever;
+  // One staging buffer: in the overlapped modes the next epoch cannot
+  // start to build (or patch) until every shard swapped the in-flight one.
+  if (config_.epoch.mode != EpochMode::kQuiesce && inflight_.has_value())
+    return kNever;
+  return pending_updates_.size() >= config_.epoch.max_buffered
+             ? now
+             : pending_updates_.front().arrival + config_.epoch.max_wait;
+}
+
+void Backend::epoch_begin(double now, RequestSource& source, ServerReport& report) {
+  if (config_.epoch.mode == EpochMode::kQuiesce)
+    run_quiesce(now, source, report);
+  else
+    begin_staged(now);
+}
+
+std::vector<std::vector<queries::UpdateOp>> Backend::scatter(
+    const std::vector<Request>& requests) const {
+  // Ops commute across shards (disjoint key ranges) but not within one:
+  // each shard keeps arrival order.
+  std::vector<std::vector<queries::UpdateOp>> per_shard(num_shards());
+  for (const Request& r : requests)
+    per_shard[shard_of(r.key)].push_back({r.op, r.key, r.value});
+  return per_shard;
+}
+
+void Backend::book_epoch(const UpdateStats& stats, double build, double upload,
+                         bool patch, ServerReport& report) {
+  ++report.epochs;
+  if (epochs_total_ != nullptr) epochs_total_->inc();
+  report.updates_applied += stats.total_ops();
+  report.updates_failed += stats.failed;
+  report.epoch_build_seconds += build;
+  report.epoch_upload_seconds += upload;
+  if (patch) {
+    ++report.patch_epochs;
+    report.epoch_patch_build_seconds += build;
+    report.epoch_patch_upload_seconds += upload;
+  } else {
+    ++report.compaction_epochs;
+    report.epoch_compaction_build_seconds += build;
+    report.epoch_compaction_upload_seconds += upload;
+  }
+}
+
+void Backend::answer_updates(const std::vector<Request>& requests, double dispatch,
+                             double completion, const std::string& note,
+                             RequestSource& source, ServerReport& report) {
+  for (const Request& r : requests) {
+    Response resp = response_to(r);
+    resp.epoch = epochs_;
+    resp.dispatch = dispatch;
+    resp.completion = completion;
+    if (config_.obs.trace != nullptr) {
+      config_.obs.trace->stamp(resp.id, obs::Stage::kDispatch, dispatch,
+                               fleet_shard(), note);
+      config_.obs.trace->stamp(resp.id, obs::Stage::kReply, completion,
+                               fleet_shard());
+    }
+    report.makespan = std::max(report.makespan, resp.completion);
+    source.on_complete(resp);
+    report.responses.push_back(std::move(resp));
+  }
+}
+
+void Backend::run_quiesce(double at, RequestSource& source, ServerReport& report) {
+  drain_queries(at, source, report);
+
+  // Barrier: the epoch starts when the slowest device drains (every
+  // replica slot — a lost slot's stale timeline is harmlessly past).
+  const std::span<double> devices = device_timelines();
+  double start = at;
+  for (const double f : devices) start = std::max(start, f);
+  for (const double f : devices) report.barrier_wait_seconds += start - std::max(at, f);
+  const bool fleet = num_shards() > 1;
+  if (fleet && config_.obs.trace != nullptr) {
+    config_.obs.trace->annotate(
+        start, obs::TraceRecorder::kNoShard,
+        "epoch barrier epoch=" + std::to_string(epochs_ + 1) +
+            " updates=" + std::to_string(pending_updates_.size()));
+  }
+
+  // Each touched shard write-ahead logs and applies its sub-batch; a
+  // lone device logs at the trigger, a fleet at the barrier. One host
+  // CPU applies shard after shard, so the charged ops sum; the touched
+  // images then resync concurrently over their own links, so the upload
+  // charge is the slowest shard's.
+  const auto per_shard = scatter(pending_updates_);
+  const unsigned n = num_shards();
+  std::vector<EpochUpdater::Work> work(n);
+  std::vector<double> uploads(n, 0.0);
+  std::uint64_t charged = 0;
+  UpdateStats stats;
+  for (unsigned s = 0; s < n; ++s) {
+    if (per_shard[s].empty()) continue;
+    work[s] = engines_[s]->apply(epochs_ + 1, per_shard[s], fleet ? start : at);
+    charged += work[s].fold_ops;
+    stats += work[s].stats;
+  }
+  const double build = static_cast<double>(charged) * config_.epoch.seconds_per_op;
+  double upload = 0.0;
+  for (unsigned s = 0; s < n; ++s) {
+    if (per_shard[s].empty()) continue;
+    uploads[s] = engines_[s]->resync(start + build);
+    upload = std::max(upload, uploads[s]);
+  }
+  const double finish = start + build + upload;
+
+  ++epochs_;
+  // A quiesce epoch rebuilds and re-uploads full images: by definition a
+  // compaction, never a patch (incremental final drains land here too).
+  book_epoch(stats, build, upload, /*patch=*/false, report);
+  // Every device is held through the epoch: admission reopens on all
+  // shards at the same instant (the atomicity the stress tests pin).
+  // Replicas stall alongside — each holds a full image copy.
+  const double stall = (finish - start) * static_cast<double>(devices.size());
+  report.epoch_stall_seconds += stall;
+  report.busy_seconds += stall;
+  if (stall_hist_ != nullptr) stall_hist_->observe(stall);
+  for (double& f : devices) f = finish;
+  for (unsigned s = 0; s < n; ++s) {
+    on_swapped(s, epochs_, per_shard[s].size());
+    if (per_shard[s].empty()) continue;
+    engines_[s]->snapshot(epochs_, /*compaction=*/true, finish);
+    engines_[s]->observe(work[s], uploads[s], 0.0, finish - start);
+  }
+  answer_updates(pending_updates_, start, finish, "epoch=" + std::to_string(epochs_),
+                 source, report);
+  pending_updates_.clear();
+  at_fleet_swap_boundary(finish);  // a quiesce epoch is a fleet boundary
+}
+
+void Backend::begin_staged(double now) {
+  const unsigned n = num_shards();
+  InflightEpoch ep;
+  ep.ordinal = epochs_ + 1;
+  ep.trigger = now;
+  ep.requests = std::move(pending_updates_);
+  pending_updates_.clear();
+  ep.shards.resize(n);
+  ep.remaining = n;
+
+  // One host CPU works the touched shards back to back (the build charge
+  // sums in shard order), then the touched images upload concurrently
+  // over their own links. Each shard logs at the trigger, then patches in
+  // place or stages a shadow build (a shard that may not patch, or whose
+  // gaps/overlay exhaust, compacts).
+  const auto per_shard = scatter(ep.requests);
+  for (unsigned s = 0; s < n; ++s) {
+    if (per_shard[s].empty()) continue;
+    ShardStage& st = ep.shards[s];
+    st.staged = true;
+    st.work = engines_[s]->stage(ep.ordinal, per_shard[s], now, may_patch(s));
+    ep.build_seconds += st.work.patch_seconds;
+    ep.build_seconds += st.work.fold_seconds;
+    ep.patch = ep.patch && st.work.patch;
+    ep.stats += st.work.stats;
+  }
+  ep.build_done = now + ep.build_seconds;
+
+  if (config_.obs.trace != nullptr)
+    config_.obs.trace->annotate(now, fleet_shard(),
+                                "epoch build start epoch=" + std::to_string(ep.ordinal) +
+                                    " ops=" + std::to_string(ep.requests.size()) +
+                                    (ep.patch ? " patch" : ""));
+  for (unsigned s = 0; s < n; ++s) {
+    ShardStage& st = ep.shards[s];
+    if (st.staged) st.upload_seconds = engines_[s]->upload(ep.build_done);
+    // An untouched shard has nothing to upload: it swaps (a version
+    // bump) as soon as the build finishes and its fence is clear.
+    st.ready = ep.build_done + st.upload_seconds;
+  }
+  inflight_ = std::move(ep);
+}
+
+bool Backend::swap_pending(double now) const {
+  if (!inflight_.has_value()) return false;
+  for (const ShardStage& st : inflight_->shards) {
+    if (!st.swapped && st.ready <= now) return true;
+  }
+  return false;
+}
+
+double Backend::next_swap_time() const {
+  if (!inflight_.has_value()) return kNever;
+  double t = kNever;
+  for (unsigned s = 0; s < num_shards(); ++s) {
+    const ShardStage& st = inflight_->shards[s];
+    if (!st.swapped) t = std::min(t, swap_time(s, st.ready));
+  }
+  return t;
+}
+
+void Backend::epoch_commit(double now, RequestSource& source, ServerReport& report) {
+  HARMONIA_CHECK(inflight_.has_value());
+  // The due shard: earliest swap time among unswapped, unblocked shards
+  // (ties break to the lowest id — deterministic stagger order).
+  unsigned best = 0;
+  double bt = kNever;
+  for (unsigned s = 0; s < num_shards(); ++s) {
+    const ShardStage& st = inflight_->shards[s];
+    if (st.swapped) continue;
+    const double t = swap_time(s, st.ready);
+    if (t < bt) {
+      bt = t;
+      best = s;
+    }
+  }
+  HARMONIA_CHECK(bt < kNever);
+  commit_shard(best, now, report);
+  if (inflight_->remaining == 0) finish_staged(now, source, report);
+}
+
+void Backend::commit_shard(unsigned s, double now, ServerReport& report) {
+  InflightEpoch& ep = *inflight_;
+  ShardStage& st = ep.shards[s];
+  // The swap is a pointer flip (or a flush of the queued patch writes):
+  // no device time beyond the instant — the upload already happened in
+  // the background.
+  if (st.staged) engines_[s]->commit();
+  st.swapped = true;
+  on_swapped(s, ep.ordinal, st.work.ops);
+  const double wait = now - st.ready;
+  report.epoch_swap_wait_seconds += wait;
+  if (swap_wait_hist_ != nullptr) swap_wait_hist_->observe(wait);
+  if (st.staged) {
+    engines_[s]->snapshot(ep.ordinal, !st.work.patch, now);
+    engines_[s]->observe(st.work, st.upload_seconds, wait, 0.0);
+  }
+  if (config_.obs.trace != nullptr)
+    config_.obs.trace->annotate(now, s,
+                                "epoch swap epoch=" + std::to_string(ep.ordinal) +
+                                    (st.work.patch ? " patch" : ""));
+  HARMONIA_CHECK(ep.remaining > 0);
+  --ep.remaining;
+}
+
+void Backend::finish_staged(double now, RequestSource& source, ServerReport& report) {
+  InflightEpoch ep = std::move(*inflight_);
+  inflight_.reset();
+  ++epochs_;
+  HARMONIA_CHECK(epochs_ == ep.ordinal);
+  // Touched images uploaded concurrently: the wall charge is the
+  // slowest. An epoch books as "patch" only when every staged shard
+  // patched in place; one compacting shard tips it into compaction.
+  double upload = 0.0;
+  for (const ShardStage& st : ep.shards) upload = std::max(upload, st.upload_seconds);
+  book_epoch(ep.stats, ep.build_seconds, upload, ep.patch, report);
+  // The update requests complete at the last shard swap: only then is
+  // the epoch observable everywhere.
+  answer_updates(ep.requests, ep.trigger, now,
+                 "epoch=" + std::to_string(epochs_) + " staged", source, report);
+  at_fleet_swap_boundary(now);
+  after_staged_epoch(now, source, report);
+}
+
+void Backend::finish_run(ServerReport& report) {
+  report.faults = injector_.report();
+  obs::MetricsRegistry* m = config_.obs.metrics;
+  if (config_.durability != nullptr) {
+    for (unsigned s = 0; s < num_shards(); ++s) {
+      report.log_batches += config_.durability->shard(s)->log_batches();
+      report.snapshots_written += config_.durability->shard(s)->snapshots_written();
+    }
+    if (m != nullptr) {
+      m->gauge("persist_log_batches").set(static_cast<double>(report.log_batches));
+      m->gauge("persist_snapshots_written")
+          .set(static_cast<double>(report.snapshots_written));
+    }
+  }
+  if (m != nullptr) {
+    m->gauge("serve_makespan_seconds").set(report.makespan);
+    m->gauge("serve_busy_seconds").set(report.busy_seconds);
+  }
 }
 
 void Backend::run_tune_tick(double now) {

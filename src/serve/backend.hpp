@@ -7,25 +7,38 @@
 // the earliest of (arrival, batch trigger, epoch trigger, staged image
 // swap), with fault/restore events cutting ahead of same-instant work —
 // and the subclasses supply the topology-specific hooks (submit a query,
-// dispatch the most urgent batch, begin/commit an epoch, drain).
+// dispatch the most urgent batch, gate a swap, drain).
+//
+// Backend also owns what every topology shares: one BatchScheduler and
+// one EpochUpdater (the per-shard epoch engine) per shard, the fault
+// injector, the update buffer and epoch trigger, the cross-shard epoch
+// composition (barrier, scatter, summed build, max upload, staggered
+// swaps), the update and query response accounting, and the tunables
+// swap-boundary latch. `Server` is that composition over one shard.
 //
 // Callers hold a Backend&, run a stream, and read one ServerReport; the
 // per-shard vectors are simply empty on a single-device topology. See
 // the migration note in docs/serving.md.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <limits>
+#include <memory>
+#include <optional>
 #include <span>
+#include <string>
 #include <utility>
 #include <vector>
-
-#include <array>
 
 #include "common/stats.hpp"
 #include "fault/injector.hpp"
 #include "obs/observer.hpp"
+#include "qos/admission.hpp"
 #include "qos/priority.hpp"
+#include "serve/batch_scheduler.hpp"
+#include "serve/epoch_updater.hpp"
+#include "serve/options.hpp"
 #include "serve/request.hpp"
 #include "serve/tunables.hpp"
 #include "serve/workload.hpp"
@@ -202,7 +215,7 @@ class Backend {
   /// Open-loop convenience: serve a pre-built, arrival-sorted stream.
   ServerReport run(std::span<const Request> requests);
 
-  virtual unsigned num_shards() const = 0;
+  unsigned num_shards() const { return static_cast<unsigned>(engines_.size()); }
 
   /// The currently adopted runtime snapshot (docs/serving.md#autotuner).
   /// Inside a staged-epoch window this is the *target*: the image/PSA
@@ -215,19 +228,29 @@ class Backend {
   /// formation, apply_threads at the next epoch trigger; the image/PSA
   /// knobs (group_size/sort_bits) install immediately when every shard
   /// serves one committed image, otherwise they latch and land at the
-  /// epoch-swap boundary (the last shard's swap). Throws
-  /// ContractViolation (nothing adopted) on an invalid snapshot.
+  /// epoch-swap boundary (the last shard's swap, or a migration's plan
+  /// flip). Throws ContractViolation (nothing adopted) on an invalid
+  /// snapshot.
   void apply_tunables(const Tunables& t, double now);
 
   /// The (group_size, sort_bits) pair dispatches are using right now —
   /// equals tunables()'s pair except while a snapshot is latched for a
-  /// swap boundary. The swap stress tests pin that window.
-  virtual std::pair<unsigned, unsigned> effective_query_knobs() const {
-    return {tunables_.group_size, tunables_.sort_bits};
+  /// swap boundary. Knobs install fleet-wide, so shard 0 speaks for every
+  /// scheduler. The swap stress tests pin that window.
+  std::pair<unsigned, unsigned> effective_query_knobs() const {
+    return {sched_[0]->group_size(), sched_[0]->sort_bits()};
   }
 
  protected:
   static constexpr double kNever = std::numeric_limits<double>::infinity();
+
+  /// Validates `config` against the topology and builds one scheduler
+  /// and one epoch engine per shard index (every shard must hold keys),
+  /// wired to the fault injector, the durability domain and the
+  /// observer; registers the per-class and tuning metrics.
+  Backend(const ServeOptions& config, const std::vector<HarmoniaIndex*>& shards);
+
+  // ---- Topology hooks ----
 
   /// Called once before the loop (size per-shard report vectors, ...).
   virtual void begin_run(ServerReport& /*report*/) {}
@@ -241,23 +264,42 @@ class Backend {
                                     ServerReport& report) = 0;
 
   /// Routes one query arrival (updates never reach this hook — the loop
-  /// buffers them via buffer_update). Accounts admitted/dropped itself.
+  /// buffers them for the next epoch). Accounts admitted/dropped itself.
   virtual void submit(const Request& r, RequestSource& source,
                       ServerReport& report) = 0;
-  /// Buffers one update request toward the next epoch.
-  virtual void buffer_update(const Request& r) = 0;
 
-  /// Next epoch trigger; kNever when nothing is buffered (or, in overlap
-  /// mode, while a staged epoch is still in flight).
-  virtual double next_epoch_time(double now) const = 0;
-  /// Quiesce+apply (kQuiesce) or start the staged build (kOverlap).
-  virtual void epoch_begin(double now, RequestSource& source,
-                           ServerReport& report) = 0;
+  /// The shard owning `key` (the update scatter routes by it).
+  virtual unsigned shard_of(Key /*key*/) const { return 0; }
+  /// Quiesce epochs: serves every queued query batch at `at` so
+  /// everything admitted before the trigger sees the pre-epoch images.
+  virtual void drain_queries(double at, RequestSource& source,
+                             ServerReport& report) = 0;
+  /// Every device timeline (replicas included) a quiesce barrier waits
+  /// for and then holds through the epoch.
+  virtual std::span<double> device_timelines() = 0;
+  /// Earliest instant shard `s` can swap a staged image that is ready at
+  /// `ready` (a batch boundary on its devices); kNever while blocked.
+  virtual double swap_time(unsigned s, double ready) const = 0;
+  /// Whether shard `s` may patch its live image in place this epoch.
+  virtual bool may_patch(unsigned /*s*/) const { return true; }
+  /// Shard `s` now serves epoch `epoch`, having absorbed `ops` client
+  /// ops in it (0 for an untouched shard).
+  virtual void on_swapped(unsigned /*s*/, unsigned /*epoch*/,
+                          std::uint64_t /*ops*/) {}
+  /// True while a topology change owns the staging machinery (a live
+  /// migration): updates keep buffering and image knobs keep latching.
+  virtual bool staging_busy() const { return false; }
+  /// Runs after the last swap of a staged epoch, once its update
+  /// responses are out (re-admits parked straddlers).
+  virtual void after_staged_epoch(double /*now*/, RequestSource& /*source*/,
+                                  ServerReport& /*report*/) {}
+
   /// Next atomic image swap; kNever when no staged epoch is swap-ready.
-  virtual double next_swap_time() const { return kNever; }
-  /// Commits (part of) a staged epoch at `now`, a batch boundary.
-  virtual void epoch_commit(double /*now*/, RequestSource& /*source*/,
-                            ServerReport& /*report*/) {}
+  virtual double next_swap_time() const;
+  /// Commits the due shard of the staged epoch at `now`, a batch
+  /// boundary; the last shard's swap completes the epoch.
+  virtual void epoch_commit(double now, RequestSource& source,
+                            ServerReport& report);
 
   /// Fault hooks: arm times of the next injected fault / due restore.
   /// They cut ahead of same-instant work. Inert by default.
@@ -271,38 +313,145 @@ class Backend {
   /// commit any staged epoch, apply leftover updates as a last epoch.
   virtual void final_drain(double now, RequestSource& source,
                            ServerReport& report) = 0;
-  /// After the loop: attach the fault report, export end-of-run gauges,
-  /// assert internal state fully drained.
-  virtual void finish_run(ServerReport& report) = 0;
+  /// After the loop: attach the fault report and durability tallies,
+  /// export end-of-run gauges. Overrides assert their state drained.
+  virtual void finish_run(ServerReport& report);
 
-  /// Wires the runtime-tunables surface from the (already validated)
-  /// options: the initial snapshot, the optional controller, and the
-  /// serve_tune_*_total counters. Subclass ctors call this once.
-  void init_tuning(const ServeOptions& config);
+  // ---- Shared machinery ----
 
-  /// Subclass hook behind apply_tunables: validate `t` against the
-  /// construction-time config (throw before touching anything), then
-  /// install each knob at its safe point — scheduler knobs now,
-  /// image/PSA knobs now or latched until the next swap boundary.
-  virtual void install_tunables(const Tunables& /*t*/, double /*now*/) {}
+  /// A quiesce epoch triggered at `at`: drain, barrier on every device,
+  /// apply each shard's ops on one host CPU, resync the touched images
+  /// concurrently, reopen every device at the same instant.
+  void run_quiesce(double at, RequestSource& source, ServerReport& report);
+  bool updates_pending() const { return !pending_updates_.empty(); }
+  bool epoch_inflight() const { return inflight_.has_value(); }
+  /// True while shards disagree on their epoch version (between the
+  /// first and last swap of a staged epoch): new straddlers must park.
+  bool mixed_version() const {
+    return inflight_.has_value() && inflight_->remaining < num_shards();
+  }
+  /// True once any unswapped shard's staged image is ready at `now`: a
+  /// swap is due, so new straddlers must park instead of pinning the
+  /// shard's snapshot again (otherwise the swap starves).
+  bool swap_pending(double now) const;
+  /// Fully committed epochs (every shard swapped / quiesce applied).
+  unsigned epochs() const { return epochs_; }
+
+  /// Fleet-wide swap boundary (a staged epoch's last swap, a quiesce
+  /// epoch, a committed migration): installs a latched tunables snapshot
+  /// and feeds the controller shard 0's re-profiled knobs.
+  void at_fleet_swap_boundary(double now);
+
+  /// Books a completed or shed query response and answers it.
+  void deliver(Response resp, RequestSource& source, ServerReport& report);
+  /// Answers `r` dropped at `now` without dispatching it; the caller has
+  /// booked the counters. `note` goes to the trace reply stamp on `shard`.
+  void answer_dropped(const Request& r, double now, unsigned epoch,
+                      unsigned shard, const char* note, RequestSource& source,
+                      ServerReport& report);
+  /// An admission drop: books dropped (per class) and answers it.
+  void reject(const Request& r, unsigned epoch, unsigned shard,
+              const char* note, RequestSource& source, ServerReport& report);
+  /// Per-tenant token-bucket gate at the queue edge: a tenant past its
+  /// provisioned rate is booked throttled and rejected (true).
+  bool throttle(const Request& r, unsigned epoch, unsigned shard,
+                RequestSource& source, ServerReport& report);
+  /// Books an admitted request that QoS overload policy evicted: a shed.
+  void book_shed(const Request& r, ServerReport& report);
+
+  /// The shard fleet-level trace events (update lifecycle, replies, epoch
+  /// build start) are stamped with: the device itself on one shard, no
+  /// shard across several.
+  unsigned fleet_shard() const {
+    return num_shards() > 1 ? obs::TraceRecorder::kNoShard : 0;
+  }
 
   /// Books one controller decision: bumps the matching counter and
   /// annotates the trace ("tune <action> <note>"). kNone is silent.
   void note_tune(TuneAction action, const std::string& note, double now);
 
-  /// The wired controller (null without one) — subclasses feed it
-  /// re-profile observations at swap boundaries.
+  /// The wired controller (null without one).
   TuneController* tuner() const { return tuner_; }
 
+  ServeOptions config_;
+  fault::FaultInjector injector_;
+  std::vector<std::unique_ptr<BatchScheduler>> sched_;
+  std::vector<std::unique_ptr<EpochUpdater>> engines_;
+
  private:
+  /// One shard's share of the staged epoch in flight.
+  struct ShardStage {
+    bool staged = false;   // this shard has ops
+    bool swapped = false;  // image N+1 already installed
+    double ready = 0.0;    // staged image uploaded + audited
+    double upload_seconds = 0.0;
+    EpochUpdater::Work work;
+  };
+
+  /// The one staged epoch in flight between its trigger and the last
+  /// per-shard swap (single staging buffer).
+  struct InflightEpoch {
+    unsigned ordinal = 0;  // epoch number every shard will swap to
+    double trigger = 0.0;
+    double build_seconds = 0.0;
+    double build_done = 0.0;
+    /// True when every staged shard patched in place (the epoch books as
+    /// a patch epoch); any shadow build makes it a compaction epoch.
+    bool patch = true;
+    UpdateStats stats;  // summed over shards
+    std::vector<Request> requests;
+    std::vector<ShardStage> shards;
+    unsigned remaining = 0;  // shards not yet swapped
+  };
+
+  /// Per-class cached metric handles (null when unobserved).
+  struct ClassMetrics {
+    obs::Counter* completed = nullptr;
+    obs::Counter* shed = nullptr;
+    obs::Counter* dropped = nullptr;
+    obs::Counter* throttled = nullptr;
+    obs::LatencyHistogram* latency = nullptr;
+  };
+
+  void buffer_update(const Request& r);
+  double next_epoch_time(double now) const;
+  void epoch_begin(double now, RequestSource& source, ServerReport& report);
+  /// Overlap/incremental trigger: stages every touched shard's epoch.
+  void begin_staged(double now);
+  /// Installs the staged epoch on shard `s` at `now`.
+  void commit_shard(unsigned s, double now, ServerReport& report);
+  /// Books the staged epoch after its last swap and answers its updates.
+  void finish_staged(double now, RequestSource& source, ServerReport& report);
+  /// The buffered ops scattered by shard, in arrival order within each.
+  std::vector<std::vector<queries::UpdateOp>> scatter(
+      const std::vector<Request>& requests) const;
+  void book_epoch(const UpdateStats& stats, double build, double upload,
+                  bool patch, ServerReport& report);
+  void answer_updates(const std::vector<Request>& requests, double dispatch,
+                      double completion, const std::string& note,
+                      RequestSource& source, ServerReport& report);
+  void install_query_knobs(const Tunables& t);
   void run_tune_tick(double now);
 
+  /// Per-tenant token-bucket throttling at the admission edge.
+  qos::AdmissionController admission_;
+  std::vector<Request> pending_updates_;
+  unsigned epochs_ = 0;
+  std::optional<InflightEpoch> inflight_;
+  /// Image/PSA knobs latched while a staged epoch (or migration) is in
+  /// flight; they install fleet-wide at the next swap boundary.
+  std::optional<Tunables> pending_query_;
   TuneController* tuner_ = nullptr;
   Tunables tunables_;
-  obs::Observer tune_obs_;
+  std::array<ClassMetrics, qos::kNumClasses> class_metrics_{};
   obs::Counter* tune_applied_ = nullptr;
   obs::Counter* tune_vetoed_ = nullptr;
   obs::Counter* tune_rolled_back_ = nullptr;
+  /// Fleet-level epoch metrics, registered only across several shards
+  /// (one shard's engine metrics already describe its whole fleet).
+  obs::Counter* epochs_total_ = nullptr;
+  obs::LatencyHistogram* swap_wait_hist_ = nullptr;
+  obs::LatencyHistogram* stall_hist_ = nullptr;
 };
 
 }  // namespace harmonia::serve

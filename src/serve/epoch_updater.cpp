@@ -1,10 +1,8 @@
 #include "serve/epoch_updater.hpp"
 
-#include <algorithm>
 #include <string>
 #include <utility>
-
-#include "common/expect.hpp"
+#include <vector>
 
 namespace harmonia::serve {
 
@@ -13,17 +11,12 @@ EpochUpdater::EpochUpdater(HarmoniaIndex& index, const TransferModel& link,
     : index_(index), link_(link), config_(config) {
   HARMONIA_CHECK(config_.max_buffered > 0);
   HARMONIA_CHECK(config_.apply_threads > 0);
+  // Incremental mode needs the device overlay arrays (only grow — a
+  // caller may have pre-sized a larger bound).
   if (config_.mode == EpochMode::kIncremental &&
       index_.overlay_capacity() < config_.overlay_capacity) {
     index_.set_overlay_capacity(config_.overlay_capacity);
   }
-}
-
-void EpochUpdater::buffer(const Request& r) {
-  HARMONIA_CHECK(r.kind == RequestKind::kUpdate);
-  pending_.push_back(r);
-  if (obs_.trace != nullptr)
-    obs_.trace->stamp(r.id, obs::Stage::kQueueEnter, r.arrival, shard_, "update");
 }
 
 void EpochUpdater::set_observer(const obs::Observer& obs, unsigned shard) {
@@ -48,246 +41,167 @@ void EpochUpdater::set_observer(const obs::Observer& obs, unsigned shard) {
       &m.histogram("serve_epoch_compaction_upload_seconds" + sl, edges);
 }
 
-double EpochUpdater::next_deadline() const {
-  if (pending_.empty()) return std::numeric_limits<double>::infinity();
-  return pending_.front().arrival + config_.max_wait;
+void EpochUpdater::charge(Work& w) const {
+  w.patch_seconds = static_cast<double>(w.patch_ops) * config_.seconds_per_patch_op;
+  w.fold_seconds = static_cast<double>(w.fold_ops) * config_.seconds_per_op;
 }
 
-std::vector<queries::UpdateOp> EpochUpdater::drain_ops(
-    const std::vector<Request>& from) const {
-  std::vector<queries::UpdateOp> ops;
-  ops.reserve(from.size());
-  for (const Request& r : from) ops.push_back({r.op, r.key, r.value});
-  return ops;
-}
-
-void EpochUpdater::observe_epoch(const EpochResult& e) {
-  if (obs_.metrics == nullptr) return;
-  epochs_total_->inc();
-  ops_total_->inc(e.stats.total_ops());
-  ops_failed_->inc(e.stats.failed);
-  apply_hist_->observe(e.apply_seconds);
-  resync_hist_->observe(e.resync_seconds);
-  swap_wait_hist_->observe(e.swap_wait_seconds);
-  stall_hist_->observe(e.stall_seconds);
-  if (e.patch) {
-    patch_build_hist_->observe(e.apply_seconds);
-    patch_upload_hist_->observe(e.resync_seconds);
-  } else {
-    compaction_build_hist_->observe(e.apply_seconds);
-    compaction_upload_hist_->observe(e.resync_seconds);
-  }
-}
-
-Response EpochUpdater::make_update_response(const Request& r,
-                                            const EpochResult& e) const {
-  Response resp = response_to(r);
-  resp.epoch = e.epoch;
-  resp.dispatch = e.start;
-  resp.completion = e.finish;
-  return resp;
-}
-
-EpochUpdater::EpochResult EpochUpdater::apply(double at, double device_free) {
-  HARMONIA_CHECK(!pending_.empty());
-  HARMONIA_CHECK_MSG(!inflight(),
+EpochUpdater::Work EpochUpdater::apply(std::uint64_t epoch,
+                                       std::span<const queries::UpdateOp> ops,
+                                       double log_at) {
+  HARMONIA_CHECK(!ops.empty());
+  HARMONIA_CHECK_MSG(!inflight_,
                      "quiesce apply with a staged epoch in flight — commit it first");
-
-  const std::vector<queries::UpdateOp> ops = drain_ops(pending_);
   // Write-ahead: the batch reaches the log before it touches the index,
   // so a crash after this line replays it, and a crash during the append
   // loses at most this (unapplied, unacknowledged) batch's tail record.
-  if (durability_ != nullptr) durability_->log_batch(epochs_ + 1, ops, at);
+  if (durability_ != nullptr) durability_->log_batch(epoch, ops, log_at);
 
   // A live overlay (incremental-mode leftovers) folds into the batch:
   // update_batch replays it ahead of `ops`. The replays are real CPU work
-  // (charged below) but not client ops — back them out of the stats so
-  // updates_applied counts each request exactly once (replays never fail:
-  // a live entry re-inserts, a tombstone deletes a key still in the base).
+  // (charged) but not client ops — back them out of the stats (replays
+  // never fail: a live entry re-inserts, a tombstone deletes a key still
+  // in the base).
   const std::uint64_t replay_live = index_.overlay_live_count();
   const std::uint64_t replay_tomb = index_.overlay_tombstone_count();
-
-  EpochResult e;
-  e.stats = index_.update_batch(ops, config_.apply_threads);
-  HARMONIA_CHECK(e.stats.inserts >= replay_live && e.stats.deletes >= replay_tomb);
-  e.stats.inserts -= replay_live;
-  e.stats.deletes -= replay_tomb;
-  e.epoch = ++epochs_;
-  e.start = std::max(at, device_free);
-  e.apply_seconds =
-      static_cast<double>(ops.size() + replay_live + replay_tomb) *
-      config_.seconds_per_op;
-  e.resync_seconds = image_resync_seconds(index_.tree(), link_);
-  if (injector_ != nullptr && injector_->active()) {
-    // The resync is a PCIe transfer like any other: active slowdown
-    // windows stretch it. Then any armed corruption event hits the fresh
-    // image, and the audit catches it — the re-image cost (also under
-    // the slowdown) lands on the device timeline before admission reopens.
-    const double resync_end = e.start + e.apply_seconds + e.resync_seconds;
-    const double factor = injector_->transfer_factor(shard_, resync_end);
-    e.resync_seconds *= factor;
-    if (injector_->maybe_corrupt_resync(shard_, index_, resync_end))
-      e.resync_seconds +=
-          factor * injector_->audit_and_repair(shard_, index_, link_, resync_end);
-  }
-  e.finish = e.start + e.apply_seconds + e.resync_seconds;
-  e.stall_seconds = e.finish - e.start;
-  e.stats.upload_seconds = e.resync_seconds;
-
-  observe_epoch(e);
-  e.responses.reserve(pending_.size());
-  for (const Request& r : pending_) {
-    if (obs_.trace != nullptr) {
-      obs_.trace->stamp(r.id, obs::Stage::kDispatch, e.start, shard_,
-                        "epoch=" + std::to_string(e.epoch));
-      obs_.trace->stamp(r.id, obs::Stage::kReply, e.finish, shard_);
-    }
-    e.responses.push_back(make_update_response(r, e));
-  }
-  pending_.clear();
-  return e;
+  Work w;
+  w.ops = ops.size();
+  w.fold_ops = ops.size() + replay_live + replay_tomb;
+  w.stats = index_.update_batch(ops, config_.apply_threads);
+  HARMONIA_CHECK(w.stats.inserts >= replay_live && w.stats.deletes >= replay_tomb);
+  w.stats.inserts -= replay_live;
+  w.stats.deletes -= replay_tomb;
+  charge(w);
+  return w;
 }
 
-const EpochUpdater::Staged& EpochUpdater::stage(double at) {
-  HARMONIA_CHECK(!inflight());
-  HARMONIA_CHECK(!pending_.empty());
+double EpochUpdater::resync(double build_done) {
+  double seconds = image_resync_seconds(index_.tree(), link_);
+  if (injector_ != nullptr && injector_->active()) {
+    const double end = build_done + seconds;
+    const double factor = injector_->transfer_factor(shard_, end);
+    seconds *= factor;
+    if (injector_->maybe_corrupt_resync(shard_, index_, end))
+      seconds += factor * injector_->audit_and_repair(shard_, index_, link_, end);
+  }
+  return seconds;
+}
 
-  const std::vector<queries::UpdateOp> ops = drain_ops(pending_);
+EpochUpdater::Work EpochUpdater::stage(std::uint64_t epoch,
+                                       std::span<const queries::UpdateOp> ops,
+                                       double log_at, bool may_patch) {
+  HARMONIA_CHECK(!inflight_);
+  HARMONIA_CHECK(!ops.empty());
   // Write-ahead, same contract as the quiesce path: log before stage.
-  if (durability_ != nullptr) durability_->log_batch(epochs_ + 1, ops, at);
+  if (durability_ != nullptr) durability_->log_batch(epoch, ops, log_at);
+  inflight_ = true;
+  epoch_ = epoch;
 
-  Staged s;
-  s.epoch = epochs_ + 1;
-  s.trigger = at;
-
-  double patch_attempt_seconds = 0.0;
-  std::vector<queries::UpdateOp> fold;
-  UpdateStats prefix_stats;
-  std::uint64_t replay_live = 0;
-  std::uint64_t replay_tomb = 0;
-  if (config_.mode == EpochMode::kIncremental) {
+  Work w;
+  w.ops = ops.size();
+  std::size_t absorbed = 0;
+  if (config_.mode == EpochMode::kIncremental && may_patch) {
     const auto pr = index_.patch_update(ops);
+    w.stats = pr.stats;
     if (!pr.exhausted) {
       // Patch epoch: the host tree + overlay mirror are already updated;
       // commit flushes only the queued leaf records and overlay arrays —
       // pr.patch_bytes on the link instead of a full image upload, and no
       // shadow-tree build at all.
-      s.patch = true;
-      s.build_seconds =
-          static_cast<double>(ops.size()) * config_.seconds_per_patch_op;
-      s.build_done = at + s.build_seconds;
-      s.upload_seconds = link_.seconds(pr.patch_bytes);
-      patch_stats_ = pr.stats;
-    } else {
-      // Gaps/overlay exhausted: compaction fallback. The absorbed prefix
-      // is already in the host tree (the shadow copy carries it); the
-      // overlay replays ahead of the unabsorbed tail so the rebuilt image
-      // subsumes it. Replays are charged as build work but backed out of
-      // the stats — they are not client ops and never fail.
-      patch_attempt_seconds =
-          static_cast<double>(pr.absorbed) * config_.seconds_per_patch_op;
-      replay_live = index_.overlay_live_count();
-      replay_tomb = index_.overlay_tombstone_count();
-      fold = index_.overlay_as_ops();
-      fold.insert(fold.end(), ops.begin() + static_cast<std::ptrdiff_t>(pr.absorbed),
-                  ops.end());
-      index_.discard_patch();
-      prefix_stats = pr.stats;
+      patch_ = w.patch = true;
+      patch_bytes_ = pr.patch_bytes;
+      w.patch_ops = ops.size();
+      charge(w);
+      return w;
     }
-  } else {
-    fold = ops;
+    // Gaps/overlay exhausted: compaction fallback. The absorbed prefix
+    // is already in the host tree (the shadow copy carries it) and its
+    // patch work is charged; the rest folds into a shadow build.
+    w.patch_ops = pr.absorbed;
+    absorbed = pr.absorbed;
   }
-
-  if (!s.patch) {
-    staged_update_ = index_.stage_update(fold, config_.apply_threads);
-    HARMONIA_CHECK(staged_update_.stats.inserts >= replay_live &&
-                   staged_update_.stats.deletes >= replay_tomb);
-    staged_update_.stats.inserts -= replay_live;
-    staged_update_.stats.deletes -= replay_tomb;
-    staged_update_.stats.updates += prefix_stats.updates;
-    staged_update_.stats.inserts += prefix_stats.inserts;
-    staged_update_.stats.deletes += prefix_stats.deletes;
-    staged_update_.stats.failed += prefix_stats.failed;
-    s.build_seconds =
-        patch_attempt_seconds +
-        static_cast<double>(fold.size()) * config_.seconds_per_op;
-    s.build_done = at + s.build_seconds;
-    s.upload_seconds = image_resync_seconds(staged_update_.tree(), link_);
-  }
-  if (injector_ != nullptr && injector_->active()) {
-    // The background upload is a PCIe transfer too: slowdown windows
-    // stretch it, and the pre-swap CRC32 audit turns an armed corruption
-    // into one extra (re-)upload — never a served corrupt image.
-    const double upload_end = s.build_done + s.upload_seconds;
-    const double factor = injector_->transfer_factor(shard_, upload_end);
-    s.upload_seconds *= factor;
-    s.upload_seconds +=
-        injector_->audit_staged(shard_, s.upload_seconds, s.build_done + s.upload_seconds);
-  }
-  s.ready = s.build_done + s.upload_seconds;
-
-  if (obs_.trace != nullptr) {
-    const std::string tag =
-        " epoch=" + std::to_string(s.epoch) + (s.patch ? " patch" : "");
-    obs_.trace->annotate(s.trigger, shard_,
-                         "epoch build start" + tag +
-                             " ops=" + std::to_string(ops.size()));
-    obs_.trace->annotate(s.build_done, shard_, "epoch upload start" + tag);
-    obs_.trace->annotate(s.ready, shard_, "epoch staged ready" + tag);
-  }
-
-  staged_requests_ = std::move(pending_);
-  pending_.clear();
-  staged_meta_ = s;
-  return *staged_meta_;
+  stage_fold(ops, absorbed, w);
+  charge(w);
+  return w;
 }
 
-EpochUpdater::EpochResult EpochUpdater::commit(double swap_at) {
-  HARMONIA_CHECK(inflight());
-  const Staged s = *staged_meta_;
-  HARMONIA_CHECK_MSG(swap_at >= s.ready,
-                     "epoch swap at " << swap_at << " before the staged image is "
-                                      << "ready at " << s.ready);
+void EpochUpdater::stage_fold(std::span<const queries::UpdateOp> ops,
+                              std::size_t absorbed, Work& w) {
+  // The committed overlay replays ahead of the unabsorbed tail so the
+  // rebuilt image subsumes it (commit_staged clears the overlay). Outside
+  // incremental mode the overlay is empty and this is a plain build.
+  patch_ = false;
+  const std::uint64_t replay_live = index_.overlay_live_count();
+  const std::uint64_t replay_tomb = index_.overlay_tombstone_count();
+  std::vector<queries::UpdateOp> fold = index_.overlay_as_ops();
+  fold.insert(fold.end(), ops.begin() + static_cast<std::ptrdiff_t>(absorbed),
+              ops.end());
+  index_.discard_patch();
+  staged_update_ = index_.stage_update(fold, config_.apply_threads);
+  UpdateStats& st = staged_update_.stats;
+  HARMONIA_CHECK(st.inserts >= replay_live && st.deletes >= replay_tomb);
+  st.inserts -= replay_live;
+  st.deletes -= replay_tomb;
+  w.stats += st;
+  w.fold_ops = fold.size();
+}
 
-  EpochResult e;
-  e.patch = s.patch;
-  if (s.patch) {
-    // Flush the queued leaf/overlay writes into the live image; like the
-    // staged swap this lands whole at the boundary the caller picked.
-    e.stats = patch_stats_;
+double EpochUpdater::staged_transfer(double seconds, double start) {
+  if (injector_ == nullptr || !injector_->active()) return seconds;
+  seconds *= injector_->transfer_factor(shard_, start + seconds);
+  return seconds + injector_->audit_staged(shard_, seconds, start + seconds);
+}
+
+double EpochUpdater::upload(double build_done) {
+  HARMONIA_CHECK(inflight_);
+  const double seconds = staged_transfer(
+      patch_ ? link_.seconds(patch_bytes_)
+             : image_resync_seconds(staged_update_.tree(), link_),
+      build_done);
+  if (obs_.trace != nullptr) {
+    const std::string tag =
+        " epoch=" + std::to_string(epoch_) + (patch_ ? " patch" : "");
+    obs_.trace->annotate(build_done, shard_, "epoch upload start" + tag);
+    obs_.trace->annotate(build_done + seconds, shard_, "epoch staged ready" + tag);
+  }
+  return seconds;
+}
+
+void EpochUpdater::commit() {
+  HARMONIA_CHECK(inflight_);
+  // Either way the change lands whole at the batch boundary the caller
+  // picked.
+  if (patch_)
     index_.commit_patch();
-  } else {
-    e.stats = staged_update_.stats;
+  else
     index_.commit_staged(std::move(staged_update_));
-  }
-  e.epoch = ++epochs_;
-  HARMONIA_CHECK(e.epoch == s.epoch);
-  e.start = s.trigger;
-  e.finish = swap_at;
-  e.apply_seconds = s.build_seconds;
-  e.resync_seconds = s.upload_seconds;
-  e.swap_wait_seconds = swap_at - s.ready;
-  e.stall_seconds = 0.0;  // the device served straight through
-  e.stats.upload_seconds = s.upload_seconds;
-  e.stats.swap_wait_seconds = e.swap_wait_seconds;
+  inflight_ = false;
+}
 
-  observe_epoch(e);
-  if (obs_.trace != nullptr)
-    obs_.trace->annotate(swap_at, shard_,
-                         "epoch swap epoch=" + std::to_string(e.epoch) +
-                             (e.patch ? " patch" : ""));
-  e.responses.reserve(staged_requests_.size());
-  for (const Request& r : staged_requests_) {
-    if (obs_.trace != nullptr) {
-      obs_.trace->stamp(r.id, obs::Stage::kDispatch, e.start, shard_,
-                        "epoch=" + std::to_string(e.epoch) + " staged");
-      obs_.trace->stamp(r.id, obs::Stage::kReply, e.finish, shard_);
-    }
-    e.responses.push_back(make_update_response(r, e));
+void EpochUpdater::snapshot(std::uint64_t epoch, bool compaction, double at) {
+  if (durability_ == nullptr) return;
+  const bool force = config_.mode == EpochMode::kIncremental && compaction;
+  durability_->maybe_snapshot(epoch, index_, force, at);
+}
+
+void EpochUpdater::observe(const Work& w, double upload_seconds,
+                           double swap_wait, double stall) {
+  if (obs_.metrics == nullptr) return;
+  const double build = w.build_seconds();
+  epochs_total_->inc();
+  ops_total_->inc(w.stats.total_ops());
+  ops_failed_->inc(w.stats.failed);
+  apply_hist_->observe(build);
+  resync_hist_->observe(upload_seconds);
+  swap_wait_hist_->observe(swap_wait);
+  stall_hist_->observe(stall);
+  if (w.patch) {
+    patch_build_hist_->observe(build);
+    patch_upload_hist_->observe(upload_seconds);
+  } else {
+    compaction_build_hist_->observe(build);
+    compaction_upload_hist_->observe(upload_seconds);
   }
-  staged_requests_.clear();
-  staged_meta_.reset();
-  return e;
 }
 
 }  // namespace harmonia::serve

@@ -1,22 +1,25 @@
-// Epoch-based updates: the serving-side wrapper around the paper's
-// phase-based usage model (§3.2), in one of two modes.
+// The per-shard epoch engine: the serving-side wrapper around the paper's
+// phase-based usage model (§3.2), on one shard's index, in one of three
+// modes. It works on ops, not requests: the backend (serve/backend.hpp)
+// buffers update requests, scatters each epoch's ops across its shards,
+// and composes the per-shard charges into one epoch on the virtual clock
+// — one shard for `Server`, N for `ShardedServer`.
 //
-// Quiesce (the original path): online update requests are buffered; when
-// the buffer reaches max_buffered (or its oldest update has waited
-// max_wait), the server *quiesces* — flushes every pending query batch —
-// and the updater applies the whole buffer through the Algorithm-1 CPU
-// updater (`HarmoniaIndex::update_batch`), which also rebuilds the device
-// image. The device is held through the CPU apply and the PCIe resync.
+// Quiesce (the original path): the backend drains every pending query
+// batch, and the engine applies the shard's ops through the Algorithm-1
+// CPU updater (`HarmoniaIndex::update_batch`), which also rebuilds the
+// device image. The device is held through the CPU apply and the PCIe
+// resync.
 //
 // Overlap (the double-buffered epoch pipeline, docs/serving.md): the
-// trigger instead *stages* the epoch — the batch is applied to a shadow
+// engine instead *stages* the epoch — the ops are applied to a shadow
 // copy of the host tree and the resulting image N+1 uploads in the
 // background — while queries keep dispatching against live image N. When
 // the staged image is ready, an atomic swap at a batch boundary retires
 // image N; the device never stalls for the build or the upload.
 //
 // Incremental (--epoch-mode delta, docs/serving.md#epoch-pipeline): the
-// trigger first tries to *patch* the committed image in place — value
+// engine first tries to *patch* the committed image in place — value
 // updates and gap-absorbed inserts edit leaf records, structural ops land
 // in the bounded device-side delta overlay — so only the dirty leaf
 // records and overlay arrays cross PCIe at the swap instant. When gaps or
@@ -31,8 +34,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <optional>
-#include <vector>
+#include <span>
 
 #include "common/expect.hpp"
 #include "fault/injector.hpp"
@@ -40,7 +42,7 @@
 #include "harmonia/pipeline.hpp"
 #include "obs/observer.hpp"
 #include "persist/durability.hpp"
-#include "serve/request.hpp"
+#include "queries/batch.hpp"
 
 namespace harmonia::serve {
 
@@ -89,74 +91,79 @@ class EpochUpdater {
   EpochUpdater(HarmoniaIndex& index, const TransferModel& link,
                const EpochConfig& config);
 
-  void buffer(const Request& r);
-  std::size_t buffered() const { return pending_.size(); }
-  bool size_ready() const { return pending_.size() >= config_.max_buffered; }
-  /// +inf when nothing is buffered or max_wait is +inf.
-  double next_deadline() const;
+  HarmoniaIndex& index() { return index_; }
 
-  /// Update epochs applied (committed) so far.
-  unsigned epochs() const { return epochs_; }
-
-  struct EpochResult {
-    std::vector<Response> responses;  // one per buffered update
-    unsigned epoch = 0;               // 1-based ordinal of this epoch
-    double start = 0.0;
-    double finish = 0.0;
-    double apply_seconds = 0.0;   // modeled CPU build (Algorithm-1 apply)
-    double resync_seconds = 0.0;  // modeled PCIe image (re-)upload
-    /// Staged-ready to swap instant (0 in quiesce mode — there is no
-    /// separate swap; admission reopens when the resync completes).
-    double swap_wait_seconds = 0.0;
-    /// Device time lost to this epoch: apply+resync in quiesce mode, 0 in
-    /// overlap mode (the device serves through build and upload).
-    double stall_seconds = 0.0;
-    /// True when this epoch patched the committed image in place
-    /// (incremental mode, gaps/overlay absorbed everything); false for
-    /// every full-image epoch — quiesce, overlap, and incremental-mode
-    /// compaction fallbacks alike.
+  /// One shard's host work in an epoch. The build charge comes back both
+  /// as charged-op counts and as the matching patch and fold addends, so
+  /// the backend fixes the floating-point order of the fleet sum: staged
+  /// epochs add each shard's two addends in shard order, quiesce epochs
+  /// multiply the summed fold counts once.
+  struct Work {
+    /// Client ops this shard absorbed (the replica catch-up ledger entry).
+    std::uint64_t ops = 0;
+    /// Ops charged at seconds_per_patch_op: the in-place patch, or the
+    /// absorbed prefix of one that exhausted the gaps/overlay.
+    std::uint64_t patch_ops = 0;
+    /// Ops charged at seconds_per_op: the Algorithm-1 apply or shadow
+    /// build, overlay replays included.
+    std::uint64_t fold_ops = 0;
+    double patch_seconds = 0.0;
+    double fold_seconds = 0.0;
+    /// True when the epoch patched the committed image in place; false
+    /// for every full-image epoch (quiesce, overlap, compaction).
     bool patch = false;
+    /// Client ops only: overlay replays are real build work but are
+    /// backed out here, so updates_applied counts each request once.
     UpdateStats stats;
+
+    double build_seconds() const { return patch_seconds + fold_seconds; }
   };
 
-  /// Quiesce mode: applies every buffered update as one epoch. The caller
-  /// must have drained all pending query batches first; the epoch
-  /// occupies [max(at, device_free), finish] on the device timeline.
-  EpochResult apply(double at, double device_free);
+  /// Quiesce: appends `ops` to the write-ahead log at `log_at`, then
+  /// applies them in place (Algorithm 1 + device image rebuild), folding
+  /// any committed overlay ahead of them. Requires !inflight().
+  Work apply(std::uint64_t epoch, std::span<const queries::UpdateOp> ops,
+             double log_at);
+  /// The PCIe resync of the image apply() just rebuilt, starting at
+  /// `build_done`: slowdown windows live at the transfer's end stretch
+  /// it, and an armed corruption hits the fresh image there — the CRC32
+  /// audit catches it and the re-image (also stretched) is charged here.
+  double resync(double build_done);
 
-  /// Overlap mode: a staged epoch in flight between stage() and commit().
-  struct Staged {
-    unsigned epoch = 0;          // ordinal this epoch will commit as
-    double trigger = 0.0;        // build start (the epoch trigger)
-    double build_done = 0.0;     // CPU apply done; background upload starts
-    double ready = 0.0;          // image uploaded + audited, swap-eligible
-    double build_seconds = 0.0;
-    double upload_seconds = 0.0;
-    /// Incremental mode: this epoch is an in-place patch (commit flushes
-    /// the queued leaf/overlay writes instead of swapping a new image).
-    bool patch = false;
-  };
+  /// Overlap/incremental: appends `ops` to the write-ahead log at
+  /// `log_at`, then stages the epoch — an in-place patch when the mode is
+  /// incremental, `may_patch` holds and the gaps/overlay absorb every op;
+  /// otherwise a shadow build of image N+1 that folds the committed
+  /// overlay ahead of the unabsorbed ops. Requires !inflight().
+  Work stage(std::uint64_t epoch, std::span<const queries::UpdateOp> ops,
+             double log_at, bool may_patch);
+  /// Background upload of the staged epoch starting at `build_done` (the
+  /// patch bytes, or the full image) through staged_transfer(); annotates
+  /// upload start and staged-ready on the trace.
+  double upload(double build_done);
+  /// Fault charge of a staged transfer of `seconds` starting at `start`:
+  /// slowdown windows live at its end stretch it, and the pre-swap CRC32
+  /// audit turns an armed corruption into one re-upload — never a served
+  /// corrupt image. Live migrations charge their staged images here too.
+  double staged_transfer(double seconds, double start);
+  /// Atomic swap at a batch boundary: flushes the queued leaf/overlay
+  /// writes (patch) or installs the shadow tree and staged image.
+  void commit();
+  bool inflight() const { return inflight_; }
 
-  bool inflight() const { return staged_meta_.has_value(); }
-  const Staged& staged() const { return *staged_meta_; }
+  /// Snapshot point after epoch `epoch` committed at `at`: a delta-mode
+  /// compaction forces one (the full image was just rebuilt — the natural
+  /// snapshot); otherwise the durability cadence decides. Modeled as an
+  /// async background write: no device time is charged.
+  void snapshot(std::uint64_t epoch, bool compaction, double at);
 
-  /// Starts the background pipeline for every buffered update: Algorithm-1
-  /// apply on a shadow tree, then the staged image upload (slowdown
-  /// windows stretch it; an armed corruption is caught by the pre-swap
-  /// audit and costs one re-upload — the live image keeps serving either
-  /// way). New updates arriving while this epoch is in flight buffer
-  /// toward the next one. Requires !inflight() and buffered() > 0.
-  const Staged& stage(double at);
+  /// Books one committed epoch into this shard's serve_epoch_*{shard}
+  /// metrics: op counters and the build/upload/swap-wait/stall
+  /// histograms, with build/upload split by patch vs compaction.
+  void observe(const Work& w, double upload_seconds, double swap_wait,
+               double stall);
 
-  /// Atomic swap at `swap_at` (a batch boundary >= ready): installs the
-  /// shadow tree and staged image as the live snapshot and answers the
-  /// staged updates. The caller charges no device time — the swap is a
-  /// pointer flip; the upload already happened in the background.
-  EpochResult commit(double swap_at);
-
-  /// Arms the fault path for the epoch image transfer (quiesce resync or
-  /// staged background upload): slowdown windows scale it, armed
-  /// corruption events trigger the CRC32 audit + re-image/re-upload.
+  /// Arms the fault path for the epoch image transfers.
   void set_fault_context(fault::FaultInjector* injector, unsigned shard) {
     injector_ = injector;
     shard_ = shard;
@@ -171,37 +178,31 @@ class EpochUpdater {
   }
   unsigned apply_threads() const { return config_.apply_threads; }
 
-  /// Attaches the write-ahead durability sink: each epoch's batch is
-  /// appended to `shard`'s update log at the trigger instant, *before*
-  /// the apply/stage touches the in-memory index, so the on-disk log is
-  /// never behind the committed state. Null (the default) = no logging.
+  /// Attaches the write-ahead durability sink. Null (the default) = no
+  /// logging and no snapshots.
   void set_durability(persist::ShardDurability* durability) { durability_ = durability; }
 
-  /// Attaches metrics + tracing: each epoch bumps the epoch/op counters
-  /// and observes build/upload/swap-wait/stall durations; every buffered
-  /// update is stamped at queue-enter (on buffer) and dispatch/reply (on
-  /// apply or commit). Overlap epochs additionally annotate build-start,
-  /// upload-start, staged-ready, and the swap instant.
+  /// Attaches metrics + tracing for shard `shard`.
   void set_observer(const obs::Observer& obs, unsigned shard);
 
  private:
-  std::vector<queries::UpdateOp> drain_ops(const std::vector<Request>& from) const;
-  void observe_epoch(const EpochResult& e);
-  Response make_update_response(const Request& r, const EpochResult& e) const;
+  /// Stages a shadow build of ops[absorbed..] behind the committed
+  /// overlay; replays are charged as fold ops but backed out of w.stats.
+  void stage_fold(std::span<const queries::UpdateOp> ops, std::size_t absorbed,
+                  Work& w);
+  void charge(Work& w) const;
 
   HarmoniaIndex& index_;
   TransferModel link_;
   EpochConfig config_;
-  std::vector<Request> pending_;
-  unsigned epochs_ = 0;
-  /// Overlap mode: the epoch being built/uploaded in the background, and
-  /// the update requests it will answer at the swap.
-  std::optional<Staged> staged_meta_;
+  /// The staged epoch between stage() and commit(): its ordinal, whether
+  /// it patches in place (the queued writes live inside the index until
+  /// commit_patch) or swaps in the shadow build.
+  bool inflight_ = false;
+  bool patch_ = false;
+  std::uint64_t epoch_ = 0;
+  std::uint64_t patch_bytes_ = 0;
   HarmoniaIndex::StagedUpdate staged_update_;
-  /// Incremental mode: stats of the in-flight patch epoch (the queued
-  /// writes live inside the index until commit_patch).
-  UpdateStats patch_stats_;
-  std::vector<Request> staged_requests_;
   fault::FaultInjector* injector_ = nullptr;
   unsigned shard_ = 0;
   persist::ShardDurability* durability_ = nullptr;

@@ -1,53 +1,11 @@
 #include "serve/server.hpp"
 
 #include <algorithm>
-#include <limits>
-#include <string>
-
-#include "common/expect.hpp"
 
 namespace harmonia::serve {
 
 Server::Server(HarmoniaIndex& index, const ServeOptions& config)
-    : index_(index),
-      config_(config),
-      scheduler_(index, config.link, config.batch, config.qos),
-      updater_(index, config.link, config.epoch),
-      injector_(config.faults, config.mitigation, 1),
-      admission_(config.qos) {
-  config_.validate(1);
-  init_tuning(config_);
-  if (injector_.active()) {
-    scheduler_.set_fault_context(&injector_, 0);
-    updater_.set_fault_context(&injector_, 0);
-  }
-  if (config_.durability != nullptr) {
-    durability_ = config_.durability->shard(0);
-    updater_.set_durability(durability_);
-  }
-  if (config_.obs.active()) {
-    scheduler_.set_observer(config_.obs, 0);
-    updater_.set_observer(config_.obs, 0);
-    injector_.set_observer(config_.obs);
-  }
-  if (config_.obs.metrics != nullptr) {
-    obs::MetricsRegistry& m = *config_.obs.metrics;
-    for (std::size_t c = 0; c < qos::kNumClasses; ++c) {
-      const std::string labels =
-          std::string{"{class=\""} + qos::to_string(qos::priority_at(c)) + "\"}";
-      class_metrics_[c].completed =
-          &m.counter("serve_class_completed_total" + labels);
-      class_metrics_[c].shed = &m.counter("serve_class_shed_total" + labels);
-      class_metrics_[c].dropped =
-          &m.counter("serve_class_dropped_total" + labels);
-      class_metrics_[c].throttled =
-          &m.counter("serve_class_throttled_total" + labels);
-      class_metrics_[c].latency = &m.histogram(
-          "serve_class_latency_seconds" + labels,
-          obs::LatencyHistogram::exponential_edges(1e-7, 1.0, 28));
-    }
-  }
-}
+    : Backend(config, {&index}), scheduler_(*sched_[0]) {}
 
 void Server::handle_dispatch(BatchScheduler::Dispatch d, RequestSource& source,
                              ServerReport& report) {
@@ -55,81 +13,16 @@ void Server::handle_dispatch(BatchScheduler::Dispatch d, RequestSource& source,
   ++report.batches;
   report.batch_size.add(static_cast<double>(d.batch_size));
   report.busy_seconds += d.service_seconds();
-  for (Response& resp : d.responses) {
-    const std::size_t c = qos::index(resp.klass);
-    if (resp.dropped) {
-      ++report.shed;  // retry budget exhausted: admitted but not served
-      ++report.class_shed[c];
-      if (class_metrics_[c].shed != nullptr) class_metrics_[c].shed->inc();
-    } else {
-      ++report.completed;
-      report.latency.add(resp.latency());
-      report.queue_delay.add(resp.queue_delay());
-      ++report.class_completed[c];
-      report.class_latency[c].add(resp.latency());
-      if (class_metrics_[c].completed != nullptr) {
-        class_metrics_[c].completed->inc();
-        class_metrics_[c].latency->observe(resp.latency());
-      }
-    }
-    if (config_.obs.trace != nullptr) {
-      config_.obs.trace->stamp(resp.id, obs::Stage::kReply, resp.completion, 0,
-                               resp.dropped ? "shed" : std::string{});
-    }
-    report.makespan = std::max(report.makespan, resp.completion);
-    source.on_complete(resp);
-    report.responses.push_back(std::move(resp));
-  }
+  for (Response& resp : d.responses) deliver(std::move(resp), source, report);
 }
 
-void Server::account_epoch(const EpochUpdater::EpochResult& e,
-                           RequestSource& source, ServerReport& report) {
-  ++report.epochs;
-  report.updates_applied += e.stats.total_ops();
-  report.updates_failed += e.stats.failed;
-  report.epoch_build_seconds += e.apply_seconds;
-  report.epoch_upload_seconds += e.resync_seconds;
-  report.epoch_swap_wait_seconds += e.swap_wait_seconds;
-  report.epoch_stall_seconds += e.stall_seconds;
-  if (e.patch) {
-    ++report.patch_epochs;
-    report.epoch_patch_build_seconds += e.apply_seconds;
-    report.epoch_patch_upload_seconds += e.resync_seconds;
-  } else {
-    ++report.compaction_epochs;
-    report.epoch_compaction_build_seconds += e.apply_seconds;
-    report.epoch_compaction_upload_seconds += e.resync_seconds;
-  }
-  for (const Response& resp : e.responses) {
-    report.makespan = std::max(report.makespan, resp.completion);
-    source.on_complete(resp);
-    report.responses.push_back(resp);
-  }
-  if (durability_ != nullptr) {
-    // Snapshot point: the epoch just committed, so the image on disk is
-    // a whole number of epochs. A delta-mode compaction forces one (the
-    // full image was just rebuilt anyway — the natural snapshot);
-    // otherwise the cadence decides. Modeled as an async background
-    // write: no device/serving time is charged.
-    const bool force =
-        config_.epoch.mode == EpochMode::kIncremental && !e.patch;
-    durability_->maybe_snapshot(e.epoch, index_, force, e.finish);
-  }
-}
-
-void Server::run_epoch(double at, RequestSource& source, ServerReport& report) {
-  // Quiesce: every batch admitted before the epoch trigger is served by
-  // the pre-epoch tree. (They dispatch now; the device serializes them
-  // ahead of the update application.)
-  while (!scheduler_.empty()) {
-    handle_dispatch(scheduler_.dispatch_ready(at, device_free_, updater_.epochs()),
-                    source, report);
-  }
-  const auto e = updater_.apply(at, device_free_);
-  device_free_ = e.finish;
-  report.busy_seconds += e.finish - e.start;
-  account_epoch(e, source, report);
-  at_swap_boundary(e.finish);  // a quiesce epoch is its own swap boundary
+void Server::drain_queries(double at, RequestSource& source, ServerReport& report) {
+  // Every batch admitted before the epoch trigger is served by the
+  // pre-epoch tree: they dispatch now, and the device serializes them
+  // ahead of the update application.
+  while (!scheduler_.empty())
+    handle_dispatch(scheduler_.dispatch_ready(at, device_free_, epochs()), source,
+                    report);
 }
 
 double Server::next_batch_time(double now) const {
@@ -141,134 +34,28 @@ double Server::next_batch_time(double now) const {
 
 void Server::dispatch_ready_batch(double now, RequestSource& source,
                                   ServerReport& report) {
-  handle_dispatch(scheduler_.dispatch_ready(now, device_free_, updater_.epochs()),
-                  source, report);
-}
-
-void Server::answer_dropped(const Request& r, double now, const char* note,
-                            RequestSource& source, ServerReport& report) {
-  Response resp = response_to(r);
-  resp.dropped = true;
-  resp.epoch = updater_.epochs();
-  resp.dispatch = resp.completion = now;
-  if (config_.obs.trace != nullptr) {
-    config_.obs.trace->stamp(resp.id, obs::Stage::kReply, resp.completion, 0,
-                             note);
-  }
-  report.makespan = std::max(report.makespan, resp.completion);
-  source.on_complete(resp);
-  report.responses.push_back(std::move(resp));
+  handle_dispatch(scheduler_.dispatch_ready(now, device_free_, epochs()), source,
+                  report);
 }
 
 void Server::submit(const Request& r, RequestSource& source,
                     ServerReport& report) {
   report.queue_depth.add(static_cast<double>(scheduler_.depth()));
-  const std::size_t c = qos::index(r.klass);
-
-  // Per-tenant token buckets gate the queue: a tenant pushing past its
-  // provisioned rate is answered dropped before it can displace anyone.
-  if (admission_.throttling() && !admission_.admit(r.tenant, r.arrival)) {
-    ++report.dropped;
-    ++report.throttled;
-    ++report.class_dropped[c];
-    ++report.class_throttled[c];
-    if (class_metrics_[c].dropped != nullptr) {
-      class_metrics_[c].dropped->inc();
-      class_metrics_[c].throttled->inc();
-    }
-    answer_dropped(r, r.arrival, "throttled", source, report);
-    return;
-  }
+  if (throttle(r, epochs(), 0, source, report)) return;
 
   const BatchScheduler::Admit a = scheduler_.admit(r);
-  if (a) {
-    ++report.admitted;
-    ++report.class_admitted[c];
-    if (a.evicted.has_value()) {
-      // The evicted request *was* admitted (its admission already
-      // counted); overload policy now answers it dropped — that is a
-      // shed, keeping arrivals == admitted + dropped intact.
-      const std::size_t ec = qos::index(a.evicted->klass);
-      ++report.shed;
-      ++report.class_shed[ec];
-      if (class_metrics_[ec].shed != nullptr) class_metrics_[ec].shed->inc();
-      answer_dropped(*a.evicted, r.arrival, "evicted", source, report);
-    }
+  if (!a) {
+    reject(r, epochs(), 0, "rejected", source, report);
     return;
   }
-  ++report.dropped;
-  ++report.class_dropped[c];
-  if (class_metrics_[c].dropped != nullptr) class_metrics_[c].dropped->inc();
-  answer_dropped(r, r.arrival, "rejected", source, report);
-}
-
-double Server::next_epoch_time(double now) const {
-  if (updater_.buffered() == 0) return kNever;
-  // One staging buffer: in the overlapped modes the next epoch cannot
-  // start to build (or patch) until the in-flight one commits.
-  if (config_.epoch.mode != EpochMode::kQuiesce && updater_.inflight())
-    return kNever;
-  return updater_.size_ready() ? now : updater_.next_deadline();
-}
-
-void Server::epoch_begin(double now, RequestSource& source,
-                         ServerReport& report) {
-  if (config_.epoch.mode == EpochMode::kQuiesce) {
-    run_epoch(now, source, report);
-    return;
-  }
-  // Overlap/incremental: start the background build (or in-place patch);
-  // queries keep flowing against the live image until the commit.
-  updater_.stage(now);
-}
-
-double Server::next_swap_time() const {
-  if (!updater_.inflight()) return kNever;
-  // The swap lands on a batch boundary: the earliest instant the staged
-  // image is uploaded AND the device is between batches.
-  return std::max(updater_.staged().ready, device_free_);
-}
-
-void Server::epoch_commit(double now, RequestSource& source,
-                          ServerReport& report) {
-  // The swap itself is a pointer flip on the device: no device time
-  // beyond the instant — that is the whole point of the double buffer.
-  account_epoch(updater_.commit(now), source, report);
-  at_swap_boundary(now);
-}
-
-std::pair<unsigned, unsigned> Server::effective_query_knobs() const {
-  return {scheduler_.group_size(), scheduler_.sort_bits()};
-}
-
-void Server::install_query_knobs(const Tunables& t) {
-  scheduler_.set_query_knobs(t.group_size, t.sort_bits);
-}
-
-void Server::install_tunables(const Tunables& t, double now) {
-  t.validate(config_);
-  scheduler_.set_batch_knobs(t.max_batch, t.max_wait);
-  updater_.set_apply_threads(t.apply_threads);
-  if (updater_.inflight()) {
-    // Swap-boundary contract: the in-flight epoch's queries must keep
-    // dispatching with the knobs they were admitted under; the image
-    // knobs land with its commit.
-    pending_query_ = t;
-  } else {
-    pending_query_.reset();
-    install_query_knobs(t);
-  }
-  (void)now;
-}
-
-void Server::at_swap_boundary(double now) {
-  if (pending_query_.has_value()) {
-    install_query_knobs(*pending_query_);
-    pending_query_.reset();
-  }
-  if (tuner() != nullptr) {
-    const auto rec = index_.recommend_query_knobs();
-    tuner()->observe_profile(now, rec.group_size, rec.sort_bits);
+  ++report.admitted;
+  ++report.class_admitted[qos::index(r.klass)];
+  if (a.evicted.has_value()) {
+    // The evicted request *was* admitted (its admission already
+    // counted); overload policy now answers it dropped — that is a shed,
+    // keeping arrivals == admitted + dropped intact.
+    book_shed(*a.evicted, report);
+    answer_dropped(*a.evicted, r.arrival, epochs(), 0, "evicted", source, report);
   }
 }
 
@@ -276,36 +63,13 @@ void Server::final_drain(double now, RequestSource& source,
                          ServerReport& report) {
   while (!scheduler_.empty()) {
     handle_dispatch(scheduler_.dispatch_ready(std::max(now, device_free_),
-                                              device_free_, updater_.epochs()),
+                                              device_free_, epochs()),
                     source, report);
   }
-  if (updater_.inflight()) {
-    const double swap_at =
-        std::max({now, updater_.staged().ready, device_free_});
-    epoch_commit(swap_at, source, report);
-  }
+  if (epoch_inflight()) epoch_commit(std::max(now, next_swap_time()), source, report);
   // Leftover updates at stream end: nothing is left to overlap with, so
-  // both modes close out with a quiesce-style final epoch.
-  if (updater_.buffered() > 0)
-    run_epoch(std::max(now, device_free_), source, report);
-}
-
-void Server::finish_run(ServerReport& report) {
-  report.faults = injector_.report();
-  if (durability_ != nullptr) {
-    report.log_batches = durability_->log_batches();
-    report.snapshots_written = durability_->snapshots_written();
-    if (config_.obs.metrics != nullptr) {
-      config_.obs.metrics->gauge("persist_log_batches").set(
-          static_cast<double>(report.log_batches));
-      config_.obs.metrics->gauge("persist_snapshots_written").set(
-          static_cast<double>(report.snapshots_written));
-    }
-  }
-  if (config_.obs.metrics != nullptr) {
-    config_.obs.metrics->gauge("serve_makespan_seconds").set(report.makespan);
-    config_.obs.metrics->gauge("serve_busy_seconds").set(report.busy_seconds);
-  }
+  // every mode closes out with a quiesce-style final epoch.
+  if (updates_pending()) run_quiesce(std::max(now, device_free_), source, report);
 }
 
 }  // namespace harmonia::serve

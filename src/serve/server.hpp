@@ -1,6 +1,7 @@
 // The online query-serving front end over a single HarmoniaIndex/device:
-// the Backend hooks that compose the bounded admission queue, the
-// deadline-driven batch scheduler, and the epoch updater.
+// the Backend composition (serve/backend.hpp) over one shard — one
+// bounded admission queue + deadline-driven batch scheduler and one
+// epoch engine, on one device timeline.
 //
 // Event order is deterministic (see serve/backend.hpp): the next event is
 // the earliest of (next arrival, oldest batch deadline, oldest update
@@ -13,13 +14,10 @@
 // and each response records which epoch count it observed.
 #pragma once
 
-#include <optional>
+#include <algorithm>
 
 #include "harmonia/index.hpp"
-#include "qos/admission.hpp"
 #include "serve/backend.hpp"
-#include "serve/batch_scheduler.hpp"
-#include "serve/epoch_updater.hpp"
 #include "serve/options.hpp"
 
 namespace harmonia::serve {
@@ -28,75 +26,29 @@ class Server : public Backend {
  public:
   Server(HarmoniaIndex& index, const ServeOptions& config);
 
-  unsigned num_shards() const override { return 1; }
-
-  /// The image/PSA knobs dispatches are using right now: the scheduler's
-  /// live values, which lag tunables() while a snapshot is latched for
-  /// the in-flight epoch's swap boundary.
-  std::pair<unsigned, unsigned> effective_query_knobs() const override;
-
  protected:
   double next_batch_time(double now) const override;
   void dispatch_ready_batch(double now, RequestSource& source,
                             ServerReport& report) override;
   void submit(const Request& r, RequestSource& source,
               ServerReport& report) override;
-  void buffer_update(const Request& r) override { updater_.buffer(r); }
-  double next_epoch_time(double now) const override;
-  void epoch_begin(double now, RequestSource& source,
-                   ServerReport& report) override;
-  double next_swap_time() const override;
-  void epoch_commit(double now, RequestSource& source,
-                    ServerReport& report) override;
+  void drain_queries(double at, RequestSource& source,
+                     ServerReport& report) override;
+  std::span<double> device_timelines() override { return {&device_free_, 1}; }
+  /// The swap lands on a batch boundary: the staged image is uploaded AND
+  /// the device is between batches.
+  double swap_time(unsigned /*s*/, double ready) const override {
+    return std::max(ready, device_free_);
+  }
   void final_drain(double now, RequestSource& source,
                    ServerReport& report) override;
-  void finish_run(ServerReport& report) override;
-  void install_tunables(const Tunables& t, double now) override;
 
  private:
   void handle_dispatch(BatchScheduler::Dispatch d, RequestSource& source,
                        ServerReport& report);
-  /// Answers `r` dropped at `now` without dispatching it. The caller has
-  /// already booked the drop/shed counters; `note` goes to the trace
-  /// ("rejected" / "throttled" / "evicted").
-  void answer_dropped(const Request& r, double now, const char* note,
-                      RequestSource& source, ServerReport& report);
-  /// Quiesce-mode epoch: drain, then apply + resync on the device clock.
-  void run_epoch(double at, RequestSource& source, ServerReport& report);
-  /// Books one finished epoch (either mode) into the report.
-  void account_epoch(const EpochUpdater::EpochResult& e, RequestSource& source,
-                     ServerReport& report);
-  /// Pushes a snapshot's image/PSA knobs into the dispatch path — called
-  /// only at safe points (no staged epoch in flight, or its commit).
-  void install_query_knobs(const Tunables& t);
-  /// Swap-boundary bookkeeping shared by epoch_commit and final_drain:
-  /// installs a latched snapshot and feeds the controller the freshly
-  /// re-profiled GS / Eq.2 bits of the just-committed image.
-  void at_swap_boundary(double now);
 
-  /// Per-class cached metric handles (null when unobserved).
-  struct ClassMetrics {
-    obs::Counter* completed = nullptr;
-    obs::Counter* shed = nullptr;
-    obs::Counter* dropped = nullptr;
-    obs::Counter* throttled = nullptr;
-    obs::LatencyHistogram* latency = nullptr;
-  };
-
-  HarmoniaIndex& index_;
-  ServeOptions config_;
-  BatchScheduler scheduler_;
-  EpochUpdater updater_;
-  fault::FaultInjector injector_;
-  /// Per-tenant token-bucket throttling at the admission edge.
-  qos::AdmissionController admission_;
-  /// Shard 0 of the wired durability domain (null = no persistence).
-  persist::ShardDurability* durability_ = nullptr;
-  std::array<ClassMetrics, qos::kNumClasses> class_metrics_{};
+  BatchScheduler& scheduler_;
   double device_free_ = 0.0;
-  /// Image/PSA knobs latched while a staged epoch is in flight; they
-  /// install at its swap boundary (apply_tunables contract).
-  std::optional<Tunables> pending_query_;
 };
 
 }  // namespace harmonia::serve

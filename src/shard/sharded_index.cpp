@@ -105,7 +105,6 @@ void ShardedIndex::set_observer(const obs::Observer& obs) {
   }
   search_batches_ = &m.counter("shard_search_batches_total");
   straddling_ = &m.counter("shard_straddling_ranges_total");
-  update_ops_ = &m.counter("shard_update_ops_total");
   hedges_issued_ = &m.counter("fault_hedges_issued_total");
   hedges_won_ = &m.counter("fault_hedges_won_total");
 }
@@ -349,36 +348,17 @@ UpdateStats ShardedIndex::update_batch(std::span<const queries::UpdateOp> ops,
   // shards (disjoint key ranges) but not within one.
   std::vector<std::vector<queries::UpdateOp>> per_shard(num_shards());
   for (const auto& op : ops) per_shard[plan_.shard_of(op.key)].push_back(op);
-  if (update_ops_ != nullptr) update_ops_->inc(ops.size());
 
+  // One host CPU applies shard after shard, so the stats (wall apply
+  // time included) sum.
   UpdateStats agg;
-  last_resync_seconds_ = 0.0;
   for (unsigned s = 0; s < num_shards(); ++s) {
     if (per_shard[s].empty()) continue;
     if (!shards_[s].index) {
       apply_to_empty_shard(s, per_shard[s], agg);
       continue;
     }
-    const UpdateStats st = shards_[s].index->update_batch(per_shard[s], threads);
-    agg.updates += st.updates;
-    agg.inserts += st.inserts;
-    agg.deletes += st.deletes;
-    agg.failed += st.failed;
-    agg.fine_path_ops += st.fine_path_ops;
-    agg.coarse_path_ops += st.coarse_path_ops;
-    agg.coarse_retries += st.coarse_retries;
-    agg.aux_nodes += st.aux_nodes;
-    agg.moved_slots += st.moved_slots;
-    agg.rebuilt = agg.rebuilt || st.rebuilt;
-    // One host CPU applies shard after shard; wall apply time sums.
-    agg.apply_seconds += st.apply_seconds;
-    agg.rebuild_seconds += st.rebuild_seconds;
-    // Each device resyncs over its own link; resyncs overlap. Charge the
-    // modeled PCIe cost, not measured wall time — the virtual clock must
-    // stay deterministic for a fixed op stream.
-    last_resync_seconds_ =
-        std::max(last_resync_seconds_,
-                 image_resync_seconds(shards_[s].index->tree(), options_.link));
+    agg += shards_[s].index->update_batch(per_shard[s], threads);
   }
   return agg;
 }
@@ -414,9 +394,6 @@ void ShardedIndex::apply_to_empty_shard(unsigned s,
   entries.reserve(m.size());
   for (const auto& [k, v] : m) entries.push_back({k, v});
   build_shard(s, entries);
-  last_resync_seconds_ =
-      std::max(last_resync_seconds_,
-               image_resync_seconds(shards_[s].index->tree(), options_.link));
 }
 
 std::optional<Value> ShardedIndex::search_host(Key key) const {

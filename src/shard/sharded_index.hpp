@@ -152,10 +152,6 @@ class ShardedIndex {
   UpdateStats update_batch(std::span<const queries::UpdateOp> ops,
                            unsigned threads = 1);
 
-  /// Modeled seconds of the last update's image resyncs: max over touched
-  /// shards (each device re-uploads over its own link, concurrently).
-  double last_resync_seconds() const { return last_resync_seconds_; }
-
   /// Host-side reference lookups (tests, oracles).
   std::optional<Value> search_host(Key key) const;
   std::vector<btree::Entry> range_host(Key lo, Key hi, std::size_t limit = 0) const;
@@ -180,14 +176,12 @@ class ShardedIndex {
   ShardPlan plan_;
   ShardedOptions options_;
   std::vector<Shard> shards_;
-  double last_resync_seconds_ = 0.0;
   obs::Observer obs_;
   /// Cached metric handles (null when unobserved). Routed counters are
   /// per shard, resolved once at set_observer.
   std::vector<obs::Counter*> routed_;
   obs::Counter* search_batches_ = nullptr;
   obs::Counter* straddling_ = nullptr;
-  obs::Counter* update_ops_ = nullptr;
   obs::Counter* hedges_issued_ = nullptr;
   obs::Counter* hedges_won_ = nullptr;
 };

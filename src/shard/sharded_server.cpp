@@ -11,7 +11,6 @@
 namespace harmonia::shard {
 
 using serve::BatchScheduler;
-using serve::EpochMode;
 using serve::Request;
 using serve::RequestKind;
 using serve::RequestSource;
@@ -21,30 +20,22 @@ using serve::ServerReport;
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-void accumulate(UpdateStats& agg, const UpdateStats& st) {
-  agg.updates += st.updates;
-  agg.inserts += st.inserts;
-  agg.deletes += st.deletes;
-  agg.failed += st.failed;
-  agg.fine_path_ops += st.fine_path_ops;
-  agg.coarse_path_ops += st.coarse_path_ops;
-  agg.coarse_retries += st.coarse_retries;
-  agg.aux_nodes += st.aux_nodes;
-  agg.moved_slots += st.moved_slots;
-  agg.rebuilt = agg.rebuilt || st.rebuilt;
-  agg.apply_seconds += st.apply_seconds;
-  agg.rebuild_seconds += st.rebuild_seconds;
+std::vector<HarmoniaIndex*> shard_indexes(ShardedIndex& index) {
+  std::vector<HarmoniaIndex*> shards;
+  for (unsigned s = 0; s < index.num_shards(); ++s) {
+    HARMONIA_CHECK_MSG(index.shard(s) != nullptr,
+                       "shard " << s << " holds no keys — plan the partition "
+                                << "from the served keys (sample_balanced)");
+    shards.push_back(index.shard(s));
+  }
+  return shards;
 }
 }  // namespace
 
 ShardedServer::ShardedServer(ShardedIndex& index,
                              const serve::ServeOptions& config)
-    : index_(index),
-      config_(config),
-      injector_(config.faults, config.mitigation, index.num_shards(),
-                config.replicas),
-      admission_(config.qos),
-      sched_(index.num_shards()),
+    : Backend(config, shard_indexes(index)),
+      index_(index),
       replicas_(config.replicas),
       replica_free_(std::size_t{index.num_shards()} * config.replicas, 0.0),
       groups_(index.num_shards(), ReplicaGroup(config.replicas)),
@@ -59,56 +50,13 @@ ShardedServer::ShardedServer(ShardedIndex& index,
       shard_epoch_(index.num_shards(), 0),
       fence_depth_(index.num_shards(), 0),
       window_routed_(index.num_shards(), 0) {
-  config_.validate(index_.num_shards());
-  init_tuning(config_);
-  if (config_.durability != nullptr) {
-    HARMONIA_CHECK(config_.durability->num_shards() == index_.num_shards());
-    durability_.resize(index_.num_shards());
-    for (unsigned s = 0; s < index_.num_shards(); ++s)
-      durability_[s] = config_.durability->shard(s);
-  }
-  for (unsigned s = 0; s < index_.num_shards(); ++s) {
-    HARMONIA_CHECK_MSG(index_.shard(s) != nullptr,
-                       "shard " << s << " holds no keys — plan the partition "
-                                << "from the served keys (sample_balanced)");
-    sched_[s] = std::make_unique<BatchScheduler>(*index_.shard(s), config_.link,
-                                                 config_.batch, config_.qos);
-    if (injector_.active()) sched_[s]->set_fault_context(&injector_, s);
-    if (config_.obs.active()) sched_[s]->set_observer(config_.obs, s);
-    // Incremental mode: every shard needs its own device overlay arrays
-    // (only grow — a caller may have pre-sized a larger bound).
-    if (config_.epoch.mode == EpochMode::kIncremental &&
-        index_.shard(s)->overlay_capacity() < config_.epoch.overlay_capacity) {
-      index_.shard(s)->set_overlay_capacity(config_.epoch.overlay_capacity);
-    }
-  }
-  if (config_.obs.active()) {
-    injector_.set_observer(config_.obs);
-    index_.set_observer(config_.obs);
-    if (config_.obs.metrics != nullptr) {
-      obs::MetricsRegistry& m = *config_.obs.metrics;
-      split_ranges_total_ = &m.counter("shard_split_ranges_total");
-      split_scans_total_ = &m.counter("shard_split_scans_total");
-      degraded_total_ = &m.counter("shard_degraded_requests_total");
-      epochs_total_ = &m.counter("serve_epochs_total");
-      for (std::size_t c = 0; c < qos::kNumClasses; ++c) {
-        const std::string labels = std::string{"{class=\""} +
-                                   qos::to_string(qos::priority_at(c)) + "\"}";
-        class_metrics_[c].completed =
-            &m.counter("serve_class_completed_total" + labels);
-        class_metrics_[c].shed = &m.counter("serve_class_shed_total" + labels);
-        class_metrics_[c].dropped =
-            &m.counter("serve_class_dropped_total" + labels);
-        class_metrics_[c].throttled =
-            &m.counter("serve_class_throttled_total" + labels);
-        class_metrics_[c].latency = &m.histogram(
-            "serve_class_latency_seconds" + labels,
-            obs::LatencyHistogram::exponential_edges(1e-7, 1.0, 28));
-      }
-      const auto edges = obs::LatencyHistogram::exponential_edges(1e-7, 1.0, 28);
-      swap_wait_hist_ = &m.histogram("serve_epoch_swap_wait_seconds", edges);
-      stall_hist_ = &m.histogram("serve_epoch_stall_seconds", edges);
-    }
+  if (!config_.obs.active()) return;
+  index_.set_observer(config_.obs);
+  if (config_.obs.metrics != nullptr) {
+    obs::MetricsRegistry& m = *config_.obs.metrics;
+    split_ranges_total_ = &m.counter("shard_split_ranges_total");
+    split_scans_total_ = &m.counter("shard_split_scans_total");
+    degraded_total_ = &m.counter("shard_degraded_requests_total");
   }
 }
 
@@ -129,22 +77,8 @@ void ShardedServer::begin_run(ServerReport& report) {
 
 void ShardedServer::drop(const Request& r, unsigned shard, RequestSource& source,
                          ServerReport& report, const char* note) {
-  ++report.dropped;
   ++report.shard_dropped[shard];
-  const std::size_t c = qos::index(r.klass);
-  ++report.class_dropped[c];
-  if (class_metrics_[c].dropped != nullptr) class_metrics_[c].dropped->inc();
-  Response resp = serve::response_to(r);
-  resp.dropped = true;
-  resp.epoch = shard_epoch_[shard];
-  resp.dispatch = resp.completion = r.arrival;
-  if (config_.obs.trace != nullptr) {
-    config_.obs.trace->stamp(resp.id, obs::Stage::kReply, resp.completion, shard,
-                             note);
-  }
-  report.makespan = std::max(report.makespan, resp.completion);
-  source.on_complete(resp);
-  report.responses.push_back(std::move(resp));
+  reject(r, shard_epoch_[shard], shard, note, source, report);
 }
 
 std::uint32_t ShardedServer::clamped_scan_n(const Request& r) const {
@@ -170,13 +104,9 @@ void ShardedServer::submit(const Request& r, RequestSource& source,
   // Per-tenant token buckets gate everything shard routing would see: a
   // tenant pushing past its provisioned rate is answered dropped before
   // it can displace anyone. Booked against the owner/first shard.
-  if (admission_.throttling() && !admission_.admit(r.tenant, r.arrival)) {
-    ++report.throttled;
-    const std::size_t c = qos::index(r.klass);
-    ++report.class_throttled[c];
-    if (class_metrics_[c].throttled != nullptr)
-      class_metrics_[c].throttled->inc();
-    drop(r, index_.plan().shard_of(r.key), source, report, "throttled");
+  const unsigned owner = index_.plan().shard_of(r.key);
+  if (throttle(r, shard_epoch_[owner], owner, source, report)) {
+    ++report.shard_dropped[owner];
     return;
   }
 
@@ -207,13 +137,6 @@ void ShardedServer::submit(const Request& r, RequestSource& source,
     return;
   }
   admit_query(r, r.arrival, source, report);
-}
-
-void ShardedServer::buffer_update(const Request& r) {
-  pending_updates_.push_back(r);
-  if (config_.obs.trace != nullptr)
-    config_.obs.trace->stamp(r.id, obs::Stage::kQueueEnter, r.arrival,
-                             obs::TraceRecorder::kNoShard, "update");
 }
 
 void ShardedServer::handle_evicted(unsigned s, Request victim, double now,
@@ -338,36 +261,6 @@ void ShardedServer::admit_query(const Request& r, double now,
   }
 }
 
-void ShardedServer::deliver(Response resp, RequestSource& source,
-                            ServerReport& report) {
-  const std::size_t c = qos::index(resp.klass);
-  if (resp.dropped) {
-    // A fault mitigation or QoS eviction gave up on this admitted query:
-    // a shed, not an admission drop.
-    ++report.shed;
-    ++report.class_shed[c];
-    if (class_metrics_[c].shed != nullptr) class_metrics_[c].shed->inc();
-  } else {
-    ++report.completed;
-    report.latency.add(resp.latency());
-    report.queue_delay.add(resp.queue_delay());
-    ++report.class_completed[c];
-    report.class_latency[c].add(resp.latency());
-    if (class_metrics_[c].completed != nullptr) {
-      class_metrics_[c].completed->inc();
-      class_metrics_[c].latency->observe(resp.latency());
-    }
-  }
-  if (config_.obs.trace != nullptr) {
-    config_.obs.trace->stamp(resp.id, obs::Stage::kReply, resp.completion,
-                             obs::TraceRecorder::kNoShard,
-                             resp.dropped ? "shed" : std::string{});
-  }
-  report.makespan = std::max(report.makespan, resp.completion);
-  source.on_complete(resp);
-  report.responses.push_back(std::move(resp));
-}
-
 void ShardedServer::finish(unsigned s, Response resp, RequestSource& source,
                            ServerReport& report) {
   if (resp.id < kSubIdBase) {
@@ -391,7 +284,7 @@ void ShardedServer::finish(unsigned s, Response resp, RequestSource& source,
   std::sort(merge.parts.begin(), merge.parts.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
   Response merged = serve::response_to(merge.original);
-  merged.epoch = epochs_;
+  merged.epoch = epochs();
   merged.dispatch = kInf;
   bool seen_live = false;
   for (const auto& [shard_ord, part] : merge.parts) {
@@ -493,34 +386,8 @@ void ShardedServer::dispatch_ready_batch(double now, RequestSource& source,
                   source, report);
 }
 
-double ShardedServer::next_epoch_time(double now) const {
-  if (pending_updates_.empty()) return kNever;
-  // A migration owns the staging machinery (and the plan is about to
-  // move under the op scatter): updates buffer until the flip.
-  if (migration_.has_value()) return kNever;
-  // One staging buffer: in the overlapped modes the next epoch cannot
-  // start to build (or patch) until every shard has swapped the
-  // in-flight one.
-  if (config_.epoch.mode != EpochMode::kQuiesce && inflight_.has_value())
-    return kNever;
-  return pending_updates_.size() >= config_.epoch.max_buffered
-             ? now
-             : pending_updates_.front().arrival + config_.epoch.max_wait;
-}
-
-void ShardedServer::epoch_begin(double now, RequestSource& source,
-                                ServerReport& report) {
-  if (config_.epoch.mode == EpochMode::kQuiesce) {
-    run_epoch(now, source, report);
-    return;
-  }
-  begin_overlap_epoch(now, report);
-}
-
-void ShardedServer::run_epoch(double at, RequestSource& source,
-                              ServerReport& report) {
-  // Quiesce: flush every shard's pending query batches so everything
-  // admitted before the trigger is served by pre-epoch trees.
+void ShardedServer::drain_queries(double at, RequestSource& source,
+                                  ServerReport& report) {
   for (unsigned s = 0; s < sched_.size(); ++s) {
     while (!sched_[s]->empty()) {
       const unsigned r = groups_[s].pick(group_span(s));
@@ -529,298 +396,28 @@ void ShardedServer::run_epoch(double at, RequestSource& source,
           source, report);
     }
   }
+}
 
-  // Barrier: the epoch starts when the slowest device drains (every
-  // replica slot — a lost slot's stale timeline is harmlessly past).
-  double start = at;
-  for (const double f : replica_free_) start = std::max(start, f);
-  for (const double f : replica_free_)
-    report.barrier_wait_seconds += start - std::max(at, f);
-  if (config_.obs.trace != nullptr) {
-    config_.obs.trace->annotate(
-        start, obs::TraceRecorder::kNoShard,
-        "epoch barrier epoch=" + std::to_string(epochs_ + 1) +
-            " updates=" + std::to_string(pending_updates_.size()));
-  }
+double ShardedServer::swap_time(unsigned s, double ready) const {
+  // Queued fan-out pieces pin the shard's snapshot. A fenced (lost) shard
+  // is not serving: its host-side swap needs no batch boundary. A live
+  // shard swaps when its whole replica group is between batches (the
+  // staged image ships to every member; a lost member never holds the
+  // swap — catch-up covers it on rejoin).
+  if (fence_depth_[s] > 0) return kNever;
+  return fenced_[s] ? ready : std::max(ready, group_free(s));
+}
 
-  std::vector<queries::UpdateOp> ops;
-  ops.reserve(pending_updates_.size());
-  for (const Request& r : pending_updates_) ops.push_back({r.op, r.key, r.value});
-  std::vector<char> touched(index_.num_shards(), 0);
-  for (const auto& op : ops) touched[index_.plan().shard_of(op.key)] = 1;
-
-  // Write-ahead: each touched shard logs its sub-batch at the barrier,
-  // before the apply mutates any in-memory tree — the on-disk log is
-  // never behind the committed state.
-  if (!durability_.empty()) {
-    std::vector<std::vector<queries::UpdateOp>> log_split(index_.num_shards());
-    for (const auto& op : ops)
-      log_split[index_.plan().shard_of(op.key)].push_back(op);
-    for (unsigned s = 0; s < index_.num_shards(); ++s) {
-      if (!log_split[s].empty())
-        durability_[s]->log_batch(epochs_ + 1, log_split[s], start);
-    }
-  }
-
-  // Incremental leftovers: each touched shard's update_batch replays its
-  // committed overlay ahead of the batch (untouched shards keep theirs).
-  // The replays are real CPU work (charged below) but not client ops —
-  // back them out of the stats so updates_applied counts each request
-  // exactly once (replays never fail: a live entry re-inserts, a
-  // tombstone deletes a key still in the base).
-  std::uint64_t replay_live = 0;
-  std::uint64_t replay_tomb = 0;
-  for (unsigned s = 0; s < index_.num_shards(); ++s) {
-    if (!touched[s] || index_.shard(s) == nullptr) continue;
-    replay_live += index_.shard(s)->overlay_live_count();
-    replay_tomb += index_.shard(s)->overlay_tombstone_count();
-  }
-  UpdateStats stats = index_.update_batch(ops, config_.epoch.apply_threads);
-  HARMONIA_CHECK(stats.inserts >= replay_live && stats.deletes >= replay_tomb);
-  stats.inserts -= replay_live;
-  stats.deletes -= replay_tomb;
-
-  // One host CPU applies the whole epoch; per-shard image resyncs overlap
-  // on their own links, so the resync charge is the slowest shard's.
-  const double apply_seconds =
-      static_cast<double>(ops.size() + replay_live + replay_tomb) *
-      config_.epoch.seconds_per_op;
-  double resync_seconds = index_.last_resync_seconds();
-  if (injector_.active()) {
-    // Recompute the resync charge per touched shard so each pays its own
-    // slowdown windows, and give armed corruption events their shot at
-    // the fresh images — the CRC32 audit catches and re-images before
-    // admission reopens, so a corrupt image is never served.
-    resync_seconds = 0.0;
-    const double resync_at = start + apply_seconds;
-    for (unsigned s = 0; s < index_.num_shards(); ++s) {
-      if (!touched[s] || index_.shard(s) == nullptr) continue;
-      const double factor = injector_.transfer_factor(s, resync_at);
-      double rs = factor *
-                  image_resync_seconds(index_.shard(s)->tree(), config_.link);
-      if (injector_.maybe_corrupt_resync(s, *index_.shard(s), resync_at))
-        rs += factor * injector_.audit_and_repair(s, *index_.shard(s),
-                                                  config_.link, resync_at);
-      resync_seconds = std::max(resync_seconds, rs);
-    }
-  }
-  const double finish_t = start + apply_seconds + resync_seconds;
-
-  ++epochs_;
-  ++report.epochs;
-  if (epochs_total_ != nullptr) epochs_total_->inc();
-  for (unsigned& v : shard_epoch_) v = epochs_;
+void ShardedServer::on_swapped(unsigned s, unsigned epoch, std::uint64_t ops) {
+  shard_epoch_[s] = epoch;
   // Catch-up ledger: a lost replica rejoining later replays exactly the
   // per-shard op counts recorded here (mirrors the WAL's granularity).
-  if (replicas_ > 1) {
-    std::vector<std::uint64_t> cnt(index_.num_shards(), 0);
-    for (const auto& op : ops) ++cnt[index_.plan().shard_of(op.key)];
-    for (unsigned s = 0; s < index_.num_shards(); ++s)
-      if (cnt[s] > 0) epoch_ops_[s].emplace_back(epochs_, cnt[s]);
-  }
-  report.updates_applied += stats.total_ops();
-  report.updates_failed += stats.failed;
-  report.epoch_build_seconds += apply_seconds;
-  report.epoch_upload_seconds += resync_seconds;
-  // A quiesce epoch rebuilds and re-uploads full images: by definition a
-  // compaction, never a patch (incremental final drains land here too).
-  ++report.compaction_epochs;
-  report.epoch_compaction_build_seconds += apply_seconds;
-  report.epoch_compaction_upload_seconds += resync_seconds;
-  // Every device is held through the epoch: admission reopens on all
-  // shards at the same instant (the atomicity the stress tests pin).
-  // Replicas stall alongside — each holds a full image copy.
-  const double stall =
-      (finish_t - start) * static_cast<double>(replica_free_.size());
-  report.epoch_stall_seconds += stall;
-  if (stall_hist_ != nullptr) stall_hist_->observe(stall);
-  report.busy_seconds += stall;
-  for (double& f : replica_free_) f = finish_t;
-
-  // Snapshot points: a quiesce epoch rebuilt every touched shard's full
-  // image, so in delta mode (where these are the rare compactions) each
-  // forces a snapshot; otherwise the per-shard cadence decides. Modeled
-  // as async background writes — no device time is charged.
-  if (!durability_.empty()) {
-    const bool force = config_.epoch.mode == EpochMode::kIncremental;
-    for (unsigned s = 0; s < index_.num_shards(); ++s) {
-      if (touched[s] && index_.shard(s) != nullptr)
-        durability_[s]->maybe_snapshot(epochs_, *index_.shard(s), force,
-                                       finish_t);
-    }
-  }
-
-  for (const Request& r : pending_updates_) {
-    Response resp = serve::response_to(r);
-    resp.epoch = epochs_;
-    resp.dispatch = start;
-    resp.completion = finish_t;
-    if (config_.obs.trace != nullptr) {
-      config_.obs.trace->stamp(resp.id, obs::Stage::kDispatch, start,
-                               obs::TraceRecorder::kNoShard,
-                               "epoch=" + std::to_string(epochs_));
-      config_.obs.trace->stamp(resp.id, obs::Stage::kReply, finish_t,
-                               obs::TraceRecorder::kNoShard);
-    }
-    report.makespan = std::max(report.makespan, resp.completion);
-    source.on_complete(resp);
-    report.responses.push_back(std::move(resp));
-  }
-  pending_updates_.clear();
-  at_fleet_swap_boundary(finish_t);  // a quiesce epoch is a fleet boundary
-}
-
-void ShardedServer::stage_with_fold(unsigned s,
-                                    std::span<const queries::UpdateOp> ops,
-                                    std::size_t absorbed,
-                                    const UpdateStats& prefix,
-                                    InflightEpoch& ep) {
-  HarmoniaIndex& idx = *index_.shard(s);
-  ShardStage& st = ep.shards[s];
-  ep.patch = false;
-  // The shard's committed overlay replays ahead of the unabsorbed tail so
-  // the rebuilt image subsumes it (commit_staged clears the overlay).
-  // Replays are real build work (charged by the caller via fold.size())
-  // but not client ops — back them out of the stats so updates_applied
-  // counts each request exactly once (replays never fail: a live entry
-  // re-inserts, a tombstone deletes a key still in the base).
-  const std::uint64_t replay_live = idx.overlay_live_count();
-  const std::uint64_t replay_tomb = idx.overlay_tombstone_count();
-  std::vector<queries::UpdateOp> fold = idx.overlay_as_ops();
-  fold.insert(fold.end(), ops.begin() + static_cast<std::ptrdiff_t>(absorbed),
-              ops.end());
-  idx.discard_patch();
-  st.update = idx.stage_update(fold, config_.epoch.apply_threads);
-  HARMONIA_CHECK(st.update.stats.inserts >= replay_live &&
-                 st.update.stats.deletes >= replay_tomb);
-  st.update.stats.inserts -= replay_live;
-  st.update.stats.deletes -= replay_tomb;
-  st.update.stats.updates += prefix.updates;
-  st.update.stats.inserts += prefix.inserts;
-  st.update.stats.deletes += prefix.deletes;
-  st.update.stats.failed += prefix.failed;
-  accumulate(ep.stats, st.update.stats);
-  ep.build_seconds +=
-      static_cast<double>(fold.size()) * config_.epoch.seconds_per_op;
-}
-
-void ShardedServer::begin_overlap_epoch(double now, ServerReport& report) {
-  (void)report;
-  const unsigned n = index_.num_shards();
-  const bool incremental = config_.epoch.mode == EpochMode::kIncremental;
-  InflightEpoch ep;
-  ep.ordinal = epochs_ + 1;
-  ep.trigger = now;
-  ep.requests = std::move(pending_updates_);
-  pending_updates_.clear();
-
-  // Scatter preserving arrival order within each shard: ops commute
-  // across shards (disjoint key ranges) but not within one.
-  std::vector<std::vector<queries::UpdateOp>> per_shard(n);
-  for (const Request& r : ep.requests)
-    per_shard[index_.plan().shard_of(r.key)].push_back({r.op, r.key, r.value});
-
-  // Write-ahead: each touched shard logs its sub-batch at the trigger,
-  // before any patch or shadow build mutates in-memory state.
-  if (!durability_.empty()) {
-    for (unsigned s = 0; s < n; ++s) {
-      if (!per_shard[s].empty())
-        durability_[s]->log_batch(ep.ordinal, per_shard[s], now);
-    }
-  }
-
-  ep.shards.resize(n);
-  ep.remaining = n;
-  ep.patch = true;  // stage_with_fold clears it on any shadow build
-
-  // One host CPU works the touched shards back to back (the build charge
-  // sums), then the touched images upload concurrently over their own
-  // links. In incremental mode the per-shard cost depends on the path it
-  // took: in-place patch ops are much cheaper than an Algorithm-1 shadow
-  // build, and a shard that exhausts its gaps/overlay pays its absorbed
-  // patch prefix plus the fold-compaction build.
-  for (unsigned s = 0; s < n; ++s) {
-    if (per_shard[s].empty()) continue;
-    ShardStage& st = ep.shards[s];
-    st.staged = true;
-    st.ops = static_cast<std::uint64_t>(per_shard[s].size());
-    if (incremental && !fenced_[s]) {
-      const auto pr = index_.shard(s)->patch_update(per_shard[s]);
-      if (!pr.exhausted) {
-        st.patched = true;
-        st.patch_bytes = pr.patch_bytes;
-        accumulate(ep.stats, pr.stats);
-        ep.build_seconds += static_cast<double>(per_shard[s].size()) *
-                            config_.epoch.seconds_per_patch_op;
-        continue;
-      }
-      // This shard's gaps/overlay are exhausted: compaction fallback.
-      ep.build_seconds += static_cast<double>(pr.absorbed) *
-                          config_.epoch.seconds_per_patch_op;
-      stage_with_fold(s, per_shard[s], pr.absorbed, pr.stats, ep);
-      continue;
-    }
-    // Plain staged build: overlap mode, or a fenced shard (its device is
-    // gone — no image to patch; the host-side rebuild still folds any
-    // committed overlay, which is empty outside incremental mode).
-    stage_with_fold(s, per_shard[s], 0, UpdateStats{}, ep);
-  }
-  ep.build_done = now + ep.build_seconds;
-
-  if (config_.obs.trace != nullptr)
-    config_.obs.trace->annotate(
-        now, obs::TraceRecorder::kNoShard,
-        "epoch build start epoch=" + std::to_string(ep.ordinal) +
-            " ops=" + std::to_string(ep.requests.size()) +
-            (ep.patch ? " patch" : ""));
-  for (unsigned s = 0; s < n; ++s) {
-    ShardStage& st = ep.shards[s];
-    if (!st.staged) {
-      // Untouched shard: nothing to upload — it swaps (a version bump)
-      // as soon as the build finishes and its fence is clear.
-      st.ready = ep.build_done;
-      continue;
-    }
-    double upload = st.patched
-                        ? config_.link.seconds(st.patch_bytes)
-                        : image_resync_seconds(st.update.tree(), config_.link);
-    if (injector_.active()) {
-      upload *= injector_.transfer_factor(s, ep.build_done + upload);
-      // The staged image (or patch burst) is audited (CRC32) before it
-      // may commit; a hit re-uploads while the old image keeps serving.
-      upload += injector_.audit_staged(s, upload, ep.build_done + upload);
-    }
-    st.upload_seconds = upload;
-    st.ready = ep.build_done + upload;
-    if (config_.obs.trace != nullptr) {
-      const std::string tag = "epoch=" + std::to_string(ep.ordinal) +
-                              (st.patched ? " patch" : "");
-      config_.obs.trace->annotate(ep.build_done, s, "epoch upload start " + tag);
-      config_.obs.trace->annotate(st.ready, s, "epoch staged ready " + tag);
-    }
-  }
-  inflight_ = std::move(ep);
-}
-
-double ShardedServer::swap_time_for(unsigned s) const {
-  const ShardStage& st = inflight_->shards[s];
-  // A fenced (lost) shard is not serving: its host-side swap needs no
-  // batch boundary. A live shard swaps when its whole replica group is
-  // between batches (the staged image ships to every member; a lost
-  // member never holds the swap — catch-up covers it on rejoin).
-  return fenced_[s] ? st.ready : std::max(st.ready, group_free(s));
+  if (replicas_ > 1 && ops > 0) epoch_ops_[s].emplace_back(epoch, ops);
 }
 
 double ShardedServer::next_swap_time() const {
   if (migration_.has_value()) return migration_swap_time();
-  if (!inflight_.has_value()) return kNever;
-  double t = kNever;
-  for (unsigned s = 0; s < inflight_->shards.size(); ++s) {
-    if (inflight_->shards[s].swapped) continue;
-    if (fence_depth_[s] > 0) continue;  // fan-out pieces pin the snapshot
-    t = std::min(t, swap_time_for(s));
-  }
-  return t;
+  return Backend::next_swap_time();
 }
 
 void ShardedServer::epoch_commit(double now, RequestSource& source,
@@ -831,109 +428,16 @@ void ShardedServer::epoch_commit(double now, RequestSource& source,
     commit_migration(now, source, report);
     return;
   }
-  HARMONIA_CHECK(inflight_.has_value());
-  // The due shard: earliest swap time among unswapped, unfenced shards
-  // (ties break to the lowest id — deterministic stagger order).
-  unsigned best = 0;
-  double bt = kInf;
-  for (unsigned s = 0; s < inflight_->shards.size(); ++s) {
-    if (inflight_->shards[s].swapped || fence_depth_[s] > 0) continue;
-    const double t = swap_time_for(s);
-    if (t < bt) {
-      bt = t;
-      best = s;
-    }
-  }
-  HARMONIA_CHECK(bt < kInf);
-  ShardStage& st = inflight_->shards[best];
-  if (st.staged) {
-    // Patched shards flush their queued leaf/overlay writes into the live
-    // image; compacted shards swap in the shadow tree. Either way the
-    // change lands whole at this batch boundary.
-    if (st.patched)
-      index_.shard(best)->commit_patch();
-    else
-      index_.shard(best)->commit_staged(std::move(st.update));
-  }
-  st.swapped = true;
-  shard_epoch_[best] = inflight_->ordinal;
-  if (replicas_ > 1 && st.ops > 0)
-    epoch_ops_[best].emplace_back(inflight_->ordinal, st.ops);
-  if (!durability_.empty() && st.staged) {
-    // Snapshot point after this shard's swap. A delta-mode compaction
-    // forces one (the shard's image was just rebuilt — the natural
-    // snapshot); patch commits and plain overlap swaps follow the
-    // per-shard cadence. Async background write: no device time charged.
-    const bool force =
-        config_.epoch.mode == EpochMode::kIncremental && !st.patched;
-    durability_[best]->maybe_snapshot(inflight_->ordinal, *index_.shard(best),
-                                      force, now);
-  }
-  const double wait = now - st.ready;
-  report.epoch_swap_wait_seconds += wait;
-  if (swap_wait_hist_ != nullptr) swap_wait_hist_->observe(wait);
-  if (config_.obs.trace != nullptr)
-    config_.obs.trace->annotate(now, best,
-                                "epoch swap epoch=" +
-                                    std::to_string(inflight_->ordinal) +
-                                    (st.patched ? " patch" : ""));
-  HARMONIA_CHECK(inflight_->remaining > 0);
-  if (--inflight_->remaining == 0) finish_overlap_epoch(now, source, report);
+  Backend::epoch_commit(now, source, report);
 }
 
-void ShardedServer::finish_overlap_epoch(double now, RequestSource& source,
-                                         ServerReport& report) {
-  InflightEpoch ep = std::move(*inflight_);
-  inflight_.reset();
-  ++epochs_;
-  HARMONIA_CHECK(epochs_ == ep.ordinal);
-  ++report.epochs;
-  if (epochs_total_ != nullptr) epochs_total_->inc();
-  report.updates_applied += ep.stats.total_ops();
-  report.updates_failed += ep.stats.failed;
-  report.epoch_build_seconds += ep.build_seconds;
-  // Touched images upload concurrently: the wall charge is the slowest.
-  double upload_max = 0.0;
-  for (const ShardStage& st : ep.shards)
-    upload_max = std::max(upload_max, st.upload_seconds);
-  report.epoch_upload_seconds += upload_max;
-  // An epoch books as "patch" only when every staged shard patched in
-  // place; one compacting shard dominates the cost, so it tips the whole
-  // epoch into the compaction bucket.
-  if (ep.patch) {
-    ++report.patch_epochs;
-    report.epoch_patch_build_seconds += ep.build_seconds;
-    report.epoch_patch_upload_seconds += upload_max;
-  } else {
-    ++report.compaction_epochs;
-    report.epoch_compaction_build_seconds += ep.build_seconds;
-    report.epoch_compaction_upload_seconds += upload_max;
-  }
+void ShardedServer::after_staged_epoch(double now, RequestSource& source,
+                                       ServerReport& report) {
+  release_parked(now, source, report);
+}
 
-  // The update requests complete at the last shard swap: only then is the
-  // epoch observable everywhere.
-  for (const Request& r : ep.requests) {
-    Response resp = serve::response_to(r);
-    resp.epoch = epochs_;
-    resp.dispatch = ep.trigger;
-    resp.completion = now;
-    if (config_.obs.trace != nullptr) {
-      config_.obs.trace->stamp(resp.id, obs::Stage::kDispatch, ep.trigger,
-                               obs::TraceRecorder::kNoShard,
-                               "epoch=" + std::to_string(epochs_) + " staged");
-      config_.obs.trace->stamp(resp.id, obs::Stage::kReply, now,
-                               obs::TraceRecorder::kNoShard);
-    }
-    report.makespan = std::max(report.makespan, resp.completion);
-    source.on_complete(resp);
-    report.responses.push_back(std::move(resp));
-  }
-
-  // Versions are uniform again: install any latched tunables snapshot
-  // before new work is admitted, then re-admit the straddlers that
-  // arrived mid-window (original arrival kept, so their deadlines are
-  // already urgent).
-  at_fleet_swap_boundary(now);
+void ShardedServer::release_parked(double now, RequestSource& source,
+                                   ServerReport& report) {
   std::vector<Request> parked = std::move(parked_);
   parked_.clear();
   for (const Request& r : parked) admit_query(r, now, source, report);
@@ -1108,8 +612,8 @@ void ShardedServer::rejoin_replica(double now, ServerReport& report) {
     // the tail comes off the real on-disk log; otherwise the in-memory
     // ledger stands in with the same per-epoch op counts.
     const std::uint64_t after = g.lost_epoch(r);
-    if (!durability_.empty()) {
-      const persist::LogReplay tail = durability_[s]->tail_since(after);
+    if (config_.durability != nullptr) {
+      const persist::LogReplay tail = config_.durability->shard(s)->tail_since(after);
       batches = tail.batches.size();
       ops = tail.ops;
     } else {
@@ -1210,7 +714,7 @@ void ShardedServer::maybe_start_migration(double now) {
     window[s] = window_routed_[s] + sched_[s]->depth();
   std::fill(window_routed_.begin(), window_routed_.end(), 0);
 
-  if (migration_.has_value() || inflight_.has_value()) return;
+  if (migration_.has_value() || epoch_inflight()) return;
   if (migrations_done_ >= config_.reshard.max_migrations) return;
 
   unsigned h = 0;
@@ -1278,10 +782,10 @@ void ShardedServer::start_migration(unsigned donor, unsigned receiver,
   }
   m.moved_keys = moved.size();
 
-  // Stage both post-split images through the same double-buffered
-  // machinery as overlap epochs: the old plan keeps serving off the
-  // committed images until the flip. Migration ops are bookkeeping, not
-  // client updates — their stats never reach updates_applied.
+  // Stage both post-split images on shadow trees, like overlap epochs:
+  // the old plan keeps serving off the committed images until the flip.
+  // Migration ops are bookkeeping, not client updates — nothing is
+  // logged and their stats never reach updates_applied.
   std::vector<queries::UpdateOp> del;
   std::vector<queries::UpdateOp> ins;
   del.reserve(moved.size());
@@ -1290,31 +794,27 @@ void ShardedServer::start_migration(unsigned donor, unsigned receiver,
     del.push_back({queries::OpKind::kDelete, e.key, 0});
     ins.push_back({queries::OpKind::kInsert, e.key, e.value});
   }
-  const auto stage_side = [&](HarmoniaIndex& idx,
-                              std::span<const queries::UpdateOp> ops,
-                              ShardStage& st) {
+  const auto stage_side = [&](unsigned s, std::span<const queries::UpdateOp> ops,
+                              MigrationSide& side) {
+    HarmoniaIndex& idx = *index_.shard(s);
     idx.discard_patch();
-    st.staged = true;
-    st.update = idx.stage_update(ops, config_.epoch.apply_threads);
+    side.update = idx.stage_update(ops, engines_[s]->apply_threads());
     m.build_seconds +=
         static_cast<double>(ops.size()) * config_.epoch.seconds_per_op;
   };
-  stage_side(didx, del, m.donor_stage);
-  stage_side(ridx, ins, m.receiver_stage);
+  stage_side(donor, del, m.donor_side);
+  stage_side(receiver, ins, m.receiver_side);
   m.build_done = now + m.build_seconds;
 
-  // The two fresh images upload concurrently over their own links.
-  const auto upload_side = [&](unsigned s, ShardStage& st) {
-    double up = image_resync_seconds(st.update.tree(), config_.link);
-    if (injector_.active()) {
-      up *= injector_.transfer_factor(s, m.build_done + up);
-      up += injector_.audit_staged(s, up, m.build_done + up);
-    }
-    st.upload_seconds = up;
-    st.ready = m.build_done + up;
+  // The two fresh images upload concurrently over their own links,
+  // charged (slowdown stretch, pre-swap audit) by the shards' engines.
+  const auto upload_side = [&](unsigned s, MigrationSide& side) {
+    side.upload_seconds = engines_[s]->staged_transfer(
+        image_resync_seconds(side.update.tree(), config_.link), m.build_done);
+    side.ready = m.build_done + side.upload_seconds;
   };
-  upload_side(donor, m.donor_stage);
-  upload_side(receiver, m.receiver_stage);
+  upload_side(donor, m.donor_side);
+  upload_side(receiver, m.receiver_side);
 
   if (config_.obs.trace != nullptr)
     config_.obs.trace->annotate(
@@ -1326,8 +826,8 @@ void ShardedServer::start_migration(unsigned donor, unsigned receiver,
 }
 
 bool ShardedServer::migration_swap_pending(double now) const {
-  return migration_.has_value() && migration_->donor_stage.ready <= now &&
-         migration_->receiver_stage.ready <= now;
+  return migration_.has_value() && migration_->donor_side.ready <= now &&
+         migration_->receiver_side.ready <= now;
 }
 
 bool ShardedServer::touches_migration(const serve::Request& r) const {
@@ -1352,8 +852,8 @@ double ShardedServer::migration_swap_time() const {
   // drain converges.
   if (!sched_[d]->empty() || !sched_[v]->empty()) return kNever;
   if (fence_depth_[d] > 0 || fence_depth_[v] > 0) return kNever;
-  double t = std::max(migration_->donor_stage.ready,
-                      migration_->receiver_stage.ready);
+  double t = std::max(migration_->donor_side.ready,
+                      migration_->receiver_side.ready);
   t = std::max(t, group_free(d));
   t = std::max(t, group_free(v));
   return t;
@@ -1369,8 +869,8 @@ void ShardedServer::commit_migration(double now, RequestSource& source,
 
   // The atomic flip: both post-split images install and the plan moves
   // in one event — no instant exists where routing and images disagree.
-  index_.shard(m.donor)->commit_staged(std::move(m.donor_stage.update));
-  index_.shard(m.receiver)->commit_staged(std::move(m.receiver_stage.update));
+  index_.shard(m.donor)->commit_staged(std::move(m.donor_side.update));
+  index_.shard(m.receiver)->commit_staged(std::move(m.receiver_side.update));
   index_.set_plan(ShardPlan::from_bounds(m.new_lo));
   ++plan_version_;
   ++migrations_done_;
@@ -1379,17 +879,16 @@ void ShardedServer::commit_migration(double now, RequestSource& source,
   report.migrated_keys += m.moved_keys;
   report.migration_build_seconds += m.build_seconds;
   report.migration_upload_seconds +=
-      std::max(m.donor_stage.upload_seconds, m.receiver_stage.upload_seconds);
+      std::max(m.donor_side.upload_seconds, m.receiver_side.upload_seconds);
   report.plan_version = plan_version_;
 
   // The moved keys now live in the receiver's durability domain: force a
   // snapshot of both sides so a crash after the flip recovers the new
   // placement instead of replaying ops against the old one.
-  if (!durability_.empty()) {
-    durability_[m.donor]->maybe_snapshot(epochs_, *index_.shard(m.donor),
-                                         /*force=*/true, now);
-    durability_[m.receiver]->maybe_snapshot(epochs_, *index_.shard(m.receiver),
-                                            /*force=*/true, now);
+  if (config_.durability != nullptr) {
+    for (const unsigned s : {m.donor, m.receiver})
+      config_.durability->shard(s)->maybe_snapshot(epochs(), *index_.shard(s),
+                                                   /*force=*/true, now);
   }
 
   if (config_.obs.active()) {
@@ -1410,9 +909,7 @@ void ShardedServer::commit_migration(double now, RequestSource& source,
   // then re-admit the parked requests under the new plan (original
   // arrivals kept, so their deadlines stay urgent).
   at_fleet_swap_boundary(now);
-  std::vector<Request> parked = std::move(parked_);
-  parked_.clear();
-  for (const Request& r : parked) admit_query(r, now, source, report);
+  release_parked(now, source, report);
 }
 
 void ShardedServer::final_drain(double now, RequestSource& source,
@@ -1444,7 +941,7 @@ void ShardedServer::final_drain(double now, RequestSource& source,
       commit_migration(now, source, report);
       continue;
     }
-    if (inflight_.has_value()) {
+    if (epoch_inflight()) {
       // Queues are drained, so every fence is clear: take the remaining
       // staggered swaps in order. The last one re-admits any parked
       // straddlers, which refill the schedulers — hence the outer loop.
@@ -1458,71 +955,16 @@ void ShardedServer::final_drain(double now, RequestSource& source,
   }
   // Leftover updates at stream end: nothing is left to overlap with, so
   // both modes close out with a quiesce-style final epoch.
-  if (!pending_updates_.empty()) run_epoch(now, source, report);
-}
-
-std::pair<unsigned, unsigned> ShardedServer::effective_query_knobs() const {
-  return {sched_[0]->group_size(), sched_[0]->sort_bits()};
-}
-
-void ShardedServer::install_query_knobs(const serve::Tunables& t) {
-  for (auto& sched : sched_) sched->set_query_knobs(t.group_size, t.sort_bits);
-}
-
-void ShardedServer::install_tunables(const serve::Tunables& t, double now) {
-  t.validate(config_);
-  // Scheduler knobs install between dispatches on every shard — each
-  // shard's formed batches are immutable, so this is always safe.
-  for (auto& sched : sched_) sched->set_batch_knobs(t.max_batch, t.max_wait);
-  // The sharded epoch paths read config_.epoch.apply_threads directly;
-  // in-flight staged builds already computed their cost, so the change
-  // affects only epochs triggered afterwards.
-  config_.epoch.apply_threads = t.apply_threads;
-  if (inflight_.has_value() || migration_.has_value()) {
-    // Fenced latch: shards swap staggered inside an epoch (and a
-    // migration rebuilds two shards), so installing image/PSA knobs now
-    // would let replicas and straddling fan-outs observe mixed values.
-    // They land at the fleet-wide boundary instead.
-    pending_query_ = t;
-  } else {
-    pending_query_.reset();
-    install_query_knobs(t);
-  }
-  (void)now;
-}
-
-void ShardedServer::at_fleet_swap_boundary(double now) {
-  if (pending_query_.has_value()) {
-    install_query_knobs(*pending_query_);
-    pending_query_.reset();
-  }
-  if (tuner() != nullptr && index_.shard(0) != nullptr) {
-    const auto rec = index_.shard(0)->recommend_query_knobs();
-    tuner()->observe_profile(now, rec.group_size, rec.sort_bits);
-  }
+  if (updates_pending()) run_quiesce(now, source, report);
 }
 
 void ShardedServer::finish_run(ServerReport& report) {
   HARMONIA_CHECK(merges_.empty());  // every fan-out reassembled
-  HARMONIA_CHECK(!inflight_.has_value());
+  HARMONIA_CHECK(!epoch_inflight());
   HARMONIA_CHECK(!migration_.has_value());
   HARMONIA_CHECK(parked_.empty());
   report.plan_version = plan_version_;
-  report.faults = injector_.report();
-  for (persist::ShardDurability* d : durability_) {
-    report.log_batches += d->log_batches();
-    report.snapshots_written += d->snapshots_written();
-  }
-  if (!durability_.empty() && config_.obs.metrics != nullptr) {
-    config_.obs.metrics->gauge("persist_log_batches")
-        .set(static_cast<double>(report.log_batches));
-    config_.obs.metrics->gauge("persist_snapshots_written")
-        .set(static_cast<double>(report.snapshots_written));
-  }
-  if (config_.obs.metrics != nullptr) {
-    config_.obs.metrics->gauge("serve_makespan_seconds").set(report.makespan);
-    config_.obs.metrics->gauge("serve_busy_seconds").set(report.busy_seconds);
-  }
+  Backend::finish_run(report);
 }
 
 }  // namespace harmonia::shard

@@ -1,9 +1,10 @@
 // Online serving over a range-sharded, multi-device index: the Backend
-// hooks (serve/backend.hpp) over a per-shard copy of the serving
-// machinery. Every shard gets its own bounded admission queues and
-// deadline-driven batch scheduler (src/serve/), and its own device
-// timeline, so shards batch and dispatch independently — the whole point
-// of sharding the serving path.
+// hooks (serve/backend.hpp) over per-shard serving machinery. Every shard
+// gets its own bounded admission queues and deadline-driven batch
+// scheduler, its own epoch engine (serve::EpochUpdater), and its own
+// device timeline, so shards batch and dispatch independently — the
+// whole point of sharding the serving path. Backend composes the
+// engines into fleet epochs; this class supplies the topology hooks.
 //
 // Three pieces are genuinely cross-shard:
 //   Range fan-out  : a range query whose span straddles a partition
@@ -67,10 +68,7 @@
 #include <span>
 #include <vector>
 
-#include "qos/admission.hpp"
 #include "serve/backend.hpp"
-#include "serve/batch_scheduler.hpp"
-#include "serve/options.hpp"
 #include "shard/replica_group.hpp"
 #include "shard/sharded_index.hpp"
 
@@ -85,13 +83,6 @@ class ShardedServer : public serve::Backend {
   /// the unified serve::ServerReport, whose shard_* vectors it fills.
   ShardedServer(ShardedIndex& index, const serve::ServeOptions& config);
 
-  unsigned num_shards() const override { return index_.num_shards(); }
-
-  /// The image/PSA knobs dispatches are using right now. Tunables install
-  /// fleet-wide at fenced boundaries, so every shard's scheduler holds
-  /// the same values — shard 0 speaks for the fleet.
-  std::pair<unsigned, unsigned> effective_query_knobs() const override;
-
  protected:
   void begin_run(serve::ServerReport& report) override;
   double next_batch_time(double now) const override;
@@ -99,10 +90,17 @@ class ShardedServer : public serve::Backend {
                             serve::ServerReport& report) override;
   void submit(const serve::Request& r, serve::RequestSource& source,
               serve::ServerReport& report) override;
-  void buffer_update(const serve::Request& r) override;
-  double next_epoch_time(double now) const override;
-  void epoch_begin(double now, serve::RequestSource& source,
-                   serve::ServerReport& report) override;
+  unsigned shard_of(Key key) const override { return index_.plan().shard_of(key); }
+  void drain_queries(double at, serve::RequestSource& source,
+                     serve::ServerReport& report) override;
+  std::span<double> device_timelines() override { return replica_free_; }
+  double swap_time(unsigned s, double ready) const override;
+  /// A fenced (lost) shard has no live image to patch: it compacts.
+  bool may_patch(unsigned s) const override { return !fenced_[s]; }
+  void on_swapped(unsigned s, unsigned epoch, std::uint64_t ops) override;
+  bool staging_busy() const override { return migration_.has_value(); }
+  void after_staged_epoch(double now, serve::RequestSource& source,
+                          serve::ServerReport& report) override;
   double next_swap_time() const override;
   void epoch_commit(double now, serve::RequestSource& source,
                     serve::ServerReport& report) override;
@@ -114,7 +112,6 @@ class ShardedServer : public serve::Backend {
   void final_drain(double now, serve::RequestSource& source,
                    serve::ServerReport& report) override;
   void finish_run(serve::ServerReport& report) override;
-  void install_tunables(const serve::Tunables& t, double now) override;
 
  private:
   /// Sub-request ids live above this bit so they can never collide with
@@ -128,43 +125,21 @@ class ShardedServer : public serve::Backend {
     serve::Request original;
   };
 
-  /// One shard's half-open state inside a staged (overlap-mode) epoch.
-  struct ShardStage {
-    bool staged = false;   // this shard has ops (and a shadow tree)
-    bool patched = false;  // incremental: in-place patch, no shadow tree
-    bool swapped = false;  // image N+1 already installed
-    double ready = 0.0;    // staged image uploaded + audited
+  /// One side (donor or receiver) of a live migration: its post-split
+  /// image staged on a shadow tree.
+  struct MigrationSide {
+    double ready = 0.0;  // staged image uploaded + audited
     double upload_seconds = 0.0;
-    /// Device bytes the patch commit will move (patched shards only).
-    std::uint64_t patch_bytes = 0;
-    /// Client ops this shard absorbed in the epoch (the catch-up ledger
-    /// entry a lost replica will need; 0 for migration stages).
-    std::uint64_t ops = 0;
     HarmoniaIndex::StagedUpdate update;
   };
 
-  /// The one staged epoch in flight between epoch_begin and the last
-  /// per-shard swap (single staging buffer, like the single-device path).
-  struct InflightEpoch {
-    unsigned ordinal = 0;  // epoch number every shard will swap to
-    double trigger = 0.0;
-    double build_seconds = 0.0;
-    double build_done = 0.0;
-    /// True when every staged shard patched in place (the epoch books as
-    /// a patch epoch); any shadow build makes it a compaction epoch.
-    bool patch = false;
-    UpdateStats stats;  // summed over shards
-    std::vector<serve::Request> requests;
-    std::vector<ShardStage> shards;
-    unsigned remaining = 0;  // shards not yet swapped
-  };
-
   /// One live migration between a hot donor and its adjacent receiver:
-  /// both post-split images stage through the double-buffered machinery
-  /// while the old plan keeps serving, then the plan flips at a swap
-  /// boundary (docs/sharding.md#live-resharding). Mutually exclusive
-  /// with a staged epoch — updates buffer while a migration is in
-  /// flight and trigger right after the flip.
+  /// both post-split images stage on shadow trees while the old plan
+  /// keeps serving, then the plan flips at a swap boundary
+  /// (docs/sharding.md#live-resharding). Mutually exclusive with a
+  /// staged epoch — updates buffer while a migration is in flight and
+  /// trigger right after the flip. It logs nothing and books no client
+  /// stats, so it stages directly instead of through the epoch engines.
   struct InflightMigration {
     unsigned donor = 0;
     unsigned receiver = 0;
@@ -175,8 +150,8 @@ class ShardedServer : public serve::Backend {
     /// The post-flip partition (ShardPlan has no default ctor, so the
     /// bounds travel raw and from_bounds runs at commit).
     std::vector<Key> new_lo;
-    ShardStage donor_stage;
-    ShardStage receiver_stage;
+    MigrationSide donor_side;
+    MigrationSide receiver_side;
   };
 
   void admit_query(const serve::Request& r, double now,
@@ -200,44 +175,10 @@ class ShardedServer : public serve::Backend {
   /// slot until the fan-out completes; whole responses go to the report.
   void finish(unsigned s, serve::Response resp, serve::RequestSource& source,
               serve::ServerReport& report);
-  void deliver(serve::Response resp, serve::RequestSource& source,
-               serve::ServerReport& report);
-  /// Quiesce-mode epoch: drain every shard, barrier, apply, resync.
-  void run_epoch(double at, serve::RequestSource& source,
-                 serve::ServerReport& report);
-  /// Overlap-mode trigger: stage every touched shard's image N+1. In
-  /// incremental mode each touched shard patches in place when its gaps
-  /// and overlay suffice, else falls back to a staged compaction build.
-  void begin_overlap_epoch(double now, serve::ServerReport& report);
-  /// Compaction build for shard `s`: folds the shard's committed overlay
-  /// ahead of ops[absorbed..] into one staged shadow build, backs the
-  /// replays out of the stats, and merges `prefix` (the stats of an
-  /// absorbed in-place patch prefix, zero when no patch was attempted).
-  void stage_with_fold(unsigned s, std::span<const queries::UpdateOp> ops,
-                       std::size_t absorbed, const UpdateStats& prefix,
-                       InflightEpoch& ep);
-  /// Instant shard `s` (unswapped, fence clear) can take its swap.
-  double swap_time_for(unsigned s) const;
-  /// Books the finished staged epoch and re-admits parked straddlers.
-  void finish_overlap_epoch(double now, serve::RequestSource& source,
-                            serve::ServerReport& report);
-  /// True while shards disagree on their epoch version (between the
-  /// first and last swap of a staged epoch): new straddling ranges park.
-  bool mixed_version() const {
-    return inflight_.has_value() && inflight_->remaining < index_.num_shards();
-  }
-  /// True once any unswapped shard's staged image is ready at `now`: a
-  /// swap is due, so new straddling ranges must park instead of raising
-  /// the version fence again. Without this the fence never drains under
-  /// a sustained straddler stream and the swap starves (liveness, not
-  /// just consistency).
-  bool swap_pending(double now) const {
-    if (!inflight_.has_value()) return false;
-    for (const ShardStage& st : inflight_->shards) {
-      if (!st.swapped && st.ready <= now) return true;
-    }
-    return false;
-  }
+  /// Re-admits the requests parked across a swap window or plan flip
+  /// (original arrivals kept, so their deadlines are already urgent).
+  void release_parked(double now, serve::RequestSource& source,
+                      serve::ServerReport& report);
 
   /// Whole-shard fencing (the last healthy replica died): queued work
   /// re-routes to the CPU oracle, the key range serves degraded while
@@ -276,15 +217,6 @@ class ShardedServer : public serve::Backend {
 
   std::size_t total_depth() const;
 
-  /// Pushes a snapshot's image/PSA knobs into every shard's dispatch
-  /// path — called only when no staged epoch or migration is in flight
-  /// (so replicas and straddling fan-outs never observe mixed values).
-  void install_query_knobs(const serve::Tunables& t);
-  /// Fleet-wide swap boundary (the last per-shard swap of a staged epoch,
-  /// or a committed migration/quiesce epoch): installs a latched snapshot
-  /// and feeds the controller shard 0's re-profiled knobs.
-  void at_fleet_swap_boundary(double now);
-
   /// Flattened replica-timeline accessors (slot(s, r) = s * K + r).
   std::size_t slot(unsigned s, unsigned r) const {
     return std::size_t{s} * replicas_ + r;
@@ -305,27 +237,7 @@ class ShardedServer : public serve::Backend {
     return groups_[s].max_free(group_span(s));
   }
 
-  /// Per-class cached metric handles (null when unobserved).
-  struct ClassMetrics {
-    obs::Counter* completed = nullptr;
-    obs::Counter* shed = nullptr;
-    obs::Counter* dropped = nullptr;
-    obs::Counter* throttled = nullptr;
-    obs::LatencyHistogram* latency = nullptr;
-  };
-
   ShardedIndex& index_;
-  serve::ServeOptions config_;
-  fault::FaultInjector injector_;
-  /// Per-shard durability writers (empty = no persistence): each shard
-  /// write-ahead logs its own epoch sub-batches and snapshots on its own
-  /// cadence, so shards recover independently.
-  std::vector<persist::ShardDurability*> durability_;
-  /// Per-tenant token-bucket throttling at the admission edge (stream
-  /// level: one bucket per tenant, not per shard).
-  qos::AdmissionController admission_;
-  /// One scheduler per shard.
-  std::vector<std::unique_ptr<serve::BatchScheduler>> sched_;
   /// Replica group size K (config.replicas; 1 = unreplicated).
   unsigned replicas_ = 1;
   /// Per-replica device timelines, flattened shard-major: slot(s, r) =
@@ -351,11 +263,8 @@ class ShardedServer : public serve::Backend {
   std::vector<double> fence_start_;
   std::vector<double> restore_at_;
   std::vector<double> cpu_free_;
-  std::vector<serve::Request> pending_updates_;
-  /// Fully committed epochs (every shard swapped / quiesce applied).
-  unsigned epochs_ = 0;
-  /// Per-shard epoch version: equals epochs_ outside a swap window; the
-  /// shards that already took their staggered swap sit at epochs_ + 1.
+  /// Per-shard epoch version: equals epochs() outside a swap window; the
+  /// shards that already took their staggered swap sit at epochs() + 1.
   /// Stamped into every response the shard serves (device or degraded).
   std::vector<unsigned> shard_epoch_;
   /// Cross-shard version fence: queued fan-out sub-requests per shard.
@@ -366,12 +275,7 @@ class ShardedServer : public serve::Backend {
   /// Straddling ranges that arrived during a mixed-version window; they
   /// re-admit (original arrival kept) right after the last swap.
   std::vector<serve::Request> parked_;
-  std::optional<InflightEpoch> inflight_;
   std::optional<InflightMigration> migration_;
-  /// Image/PSA knobs latched while a staged epoch or migration is in
-  /// flight; they install fleet-wide at its last swap (apply_tunables
-  /// contract, fenced so shards never dispatch with mixed values).
-  std::optional<serve::Tunables> pending_query_;
   /// Bumps once per committed migration; starts (and stays, without
   /// split_hot) at 1 — the report invariant plan_version == 1 +
   /// migrations pins it.
@@ -389,11 +293,7 @@ class ShardedServer : public serve::Backend {
   /// Cached metric handles (null when unobserved).
   obs::Counter* split_ranges_total_ = nullptr;
   obs::Counter* split_scans_total_ = nullptr;
-  std::array<ClassMetrics, qos::kNumClasses> class_metrics_{};
   obs::Counter* degraded_total_ = nullptr;
-  obs::Counter* epochs_total_ = nullptr;
-  obs::LatencyHistogram* swap_wait_hist_ = nullptr;
-  obs::LatencyHistogram* stall_hist_ = nullptr;
 };
 
 }  // namespace harmonia::shard

@@ -56,7 +56,7 @@ struct AutotunerConfig {
 
   // Bounds for the climb. The caller must keep max_batch within the
   // server's construction-time queue capacity — Tunables::validate
-  // rejects a decision past it, and install_tunables throws.
+  // rejects a decision past it, and apply_tunables throws.
   std::size_t min_batch = 64;
   std::size_t max_batch = 1 << 14;
   double min_wait = 25e-6;

@@ -224,5 +224,44 @@ TEST(BatchUpdater, StatsTimingsPopulated) {
   EXPECT_GT(stats.ops_per_second(), 0.0);
 }
 
+// Shards apply one after another on one host CPU, so merged stats must
+// sum every count and wall time and OR the rebuilt flag.
+TEST(UpdateStats, PlusEqualsMergesEveryField) {
+  UpdateStats a;
+  a.updates = 1;
+  a.inserts = 2;
+  a.deletes = 3;
+  a.failed = 4;
+  a.fine_path_ops = 5;
+  a.coarse_path_ops = 6;
+  a.coarse_retries = 7;
+  a.aux_nodes = 8;
+  a.moved_slots = 9;
+  a.apply_seconds = 0.5;
+  a.rebuild_seconds = 0.25;
+  UpdateStats b = a;
+  b.rebuilt = true;
+
+  UpdateStats sum;
+  (sum += a) += b;
+  EXPECT_EQ(sum.updates, 2u);
+  EXPECT_EQ(sum.inserts, 4u);
+  EXPECT_EQ(sum.deletes, 6u);
+  EXPECT_EQ(sum.failed, 8u);
+  EXPECT_EQ(sum.fine_path_ops, 10u);
+  EXPECT_EQ(sum.coarse_path_ops, 12u);
+  EXPECT_EQ(sum.coarse_retries, 14u);
+  EXPECT_EQ(sum.aux_nodes, 16u);
+  EXPECT_EQ(sum.moved_slots, 18u);
+  EXPECT_TRUE(sum.rebuilt);
+  EXPECT_DOUBLE_EQ(sum.apply_seconds, 1.0);
+  EXPECT_DOUBLE_EQ(sum.rebuild_seconds, 0.5);
+  EXPECT_EQ(sum.total_ops(), a.total_ops() + b.total_ops());
+
+  UpdateStats fresh;
+  fresh += a;
+  EXPECT_FALSE(fresh.rebuilt);  // false OR false
+}
+
 }  // namespace
 }  // namespace harmonia

@@ -32,6 +32,7 @@
 #include "persist/recovery.hpp"
 #include "queries/batch.hpp"
 #include "queries/workload.hpp"
+#include "test_dir.hpp"
 
 namespace harmonia::persist {
 namespace {
@@ -326,8 +327,7 @@ void device_sweep(const Scenario& sc, std::uint64_t recovered_epoch,
 }
 
 TEST(RecoveryFuzz, DifferentialCrashSweep) {
-  const auto dir =
-      std::filesystem::temp_directory_path() / "harmonia_recovery_fuzz";
+  const auto dir = testing_support::unique_test_dir();
   std::filesystem::remove_all(dir);
 
   // (torn bytes, tear newest image) variants per crash instant. Batches
@@ -368,8 +368,7 @@ TEST(RecoveryFuzz, DifferentialCrashSweep) {
 }
 
 TEST(RecoveryFuzz, DeviceImageMatchesOracleAfterRecovery) {
-  const auto dir =
-      std::filesystem::temp_directory_path() / "harmonia_recovery_fuzz_dev";
+  const auto dir = testing_support::unique_test_dir();
   std::filesystem::remove_all(dir);
 
   for (std::uint64_t seed = 0; seed < 3; ++seed) {

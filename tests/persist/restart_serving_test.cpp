@@ -19,6 +19,7 @@
 #include "serve/workload.hpp"
 #include "shard/backend_factory.hpp"
 #include "shard/restart_harness.hpp"
+#include "test_dir.hpp"
 
 namespace harmonia::shard {
 namespace {
@@ -55,7 +56,7 @@ std::vector<serve::Request> update_heavy_stream(const TopologySpec& topo,
 class RestartServingTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "harmonia_restart_serving";
+    dir_ = testing_support::unique_test_dir();
     std::filesystem::remove_all(dir_);
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }

@@ -14,6 +14,7 @@
 #include "harmonia/tree.hpp"
 #include "persist/snapshot_store.hpp"
 #include "queries/workload.hpp"
+#include "test_dir.hpp"
 
 namespace harmonia::persist {
 namespace {
@@ -36,7 +37,7 @@ std::string read_file(const std::filesystem::path& path) {
 class SnapshotStoreTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "harmonia_snapshot_store_test";
+    dir_ = testing_support::unique_test_dir();
     std::filesystem::remove_all(dir_);
     std::filesystem::create_directories(dir_);
   }

@@ -14,6 +14,7 @@
 #include "fault/checksum.hpp"
 #include "persist/update_log.hpp"
 #include "queries/batch.hpp"
+#include "test_dir.hpp"
 
 namespace harmonia::persist {
 namespace {
@@ -27,7 +28,7 @@ constexpr std::size_t kOpBytes = 17;            // kind+key+value, packed
 class UpdateLogTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "harmonia_update_log_test";
+    dir_ = testing_support::unique_test_dir();
     std::filesystem::remove_all(dir_);
     std::filesystem::create_directories(dir_);
     path_ = dir_ / "update.log";

@@ -192,41 +192,45 @@ TEST(BatchScheduler, ScanLaneMatchesHostOracle) {
 TEST(EpochUpdater, AppliesBufferAndChargesResync) {
   ServeFixture f;
   EpochConfig cfg;
-  cfg.max_buffered = 4;
   cfg.seconds_per_op = 1e-6;
   EpochUpdater u(f.index, f.link, cfg);
 
-  EXPECT_EQ(u.next_deadline(), kInf);  // size-only by default
-  for (std::uint64_t i = 0; i < 4; ++i) {
-    Request r;
-    r.id = 100 + i;
-    r.kind = RequestKind::kUpdate;
-    r.arrival = 1e-6 * static_cast<double>(i);
-    r.op = queries::OpKind::kUpdate;
-    r.key = f.keys[i];
-    r.value = 7000 + i;
-    u.buffer(r);
-  }
-  EXPECT_TRUE(u.size_ready());
+  const auto batch = [&](Value base) {
+    std::vector<queries::UpdateOp> ops;
+    for (std::uint64_t i = 0; i < 4; ++i)
+      ops.push_back({queries::OpKind::kUpdate, f.keys[i], base + i});
+    return ops;
+  };
 
-  const auto e = u.apply(10e-6, 2e-6);
-  EXPECT_EQ(e.epoch, 1u);
-  EXPECT_EQ(u.epochs(), 1u);
-  EXPECT_EQ(u.buffered(), 0u);
-  EXPECT_EQ(e.stats.total_ops(), 4u);
-  EXPECT_DOUBLE_EQ(e.start, 10e-6);  // device was free earlier
-  EXPECT_DOUBLE_EQ(e.apply_seconds, 4e-6);
-  EXPECT_DOUBLE_EQ(e.resync_seconds, image_resync_seconds(f.index.tree(), f.link));
-  EXPECT_GT(e.resync_seconds, 0.0);
-  EXPECT_DOUBLE_EQ(e.finish, e.start + e.apply_seconds + e.resync_seconds);
-
-  // The updates are visible to subsequent searches.
+  // Quiesce: applied in place, charged as fold ops at seconds_per_op.
+  const auto w = u.apply(1, batch(7000), 10e-6);
+  EXPECT_FALSE(u.inflight());
+  EXPECT_FALSE(w.patch);
+  EXPECT_EQ(w.ops, 4u);
+  EXPECT_EQ(w.fold_ops, 4u);
+  EXPECT_EQ(w.patch_ops, 0u);
+  EXPECT_EQ(w.stats.total_ops(), 4u);
+  EXPECT_DOUBLE_EQ(w.fold_seconds, 4e-6);
+  EXPECT_DOUBLE_EQ(w.build_seconds(), 4e-6);
+  const double resync = u.resync(10e-6 + w.build_seconds());
+  EXPECT_GT(resync, 0.0);
+  EXPECT_DOUBLE_EQ(resync, image_resync_seconds(f.index.tree(), f.link));
   for (std::uint64_t i = 0; i < 4; ++i) {
     EXPECT_EQ(f.index.search_host(f.keys[i]).value_or(kNotFound), 7000 + i);
   }
-  for (const auto& resp : e.responses) {
-    EXPECT_EQ(resp.epoch, 1u);
-    EXPECT_DOUBLE_EQ(resp.completion, e.finish);
+
+  // Staged: the shadow build is invisible until commit swaps it in.
+  const auto staged = u.stage(2, batch(9000), 20e-6, /*may_patch=*/true);
+  EXPECT_TRUE(u.inflight());
+  EXPECT_FALSE(staged.patch);  // quiesce config never patches in place
+  EXPECT_EQ(staged.fold_ops, 4u);
+  EXPECT_EQ(staged.stats.total_ops(), 4u);
+  EXPECT_GT(u.upload(20e-6 + staged.build_seconds()), 0.0);
+  EXPECT_EQ(f.index.search_host(f.keys[0]).value_or(kNotFound), 7000u);
+  u.commit();
+  EXPECT_FALSE(u.inflight());
+  for (std::uint64_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(f.index.search_host(f.keys[i]).value_or(kNotFound), 9000 + i);
   }
 }
 
