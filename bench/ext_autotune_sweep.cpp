@@ -150,10 +150,16 @@ int main(int argc, char** argv) {
   tune::AutotunerConfig::add_flags(cli);
   if (!cli.parse(argc, argv)) return 1;
 
-  const double rate = cli.get_double("rate-mqs", 8.0) * 1e6;
-  const std::uint64_t per_phase = cli.get_uint("per-phase", 8000);
-  const auto batches = parse_uint_list(cli.get_string("grid-batches", ""));
-  const auto waits = parse_uint_list(cli.get_string("grid-waits-us", ""));
+  const double rate = cli.get_double("rate-mqs", 30.0) * 1e6;
+  const std::uint64_t per_phase = cli.get_uint("per-phase", 60000);
+  const auto batches =
+      parse_uint_list(cli.get_string("grid-batches", "256,1024,4096"));
+  const auto waits = parse_uint_list(cli.get_string("grid-waits-us", "50,200"));
+  if (batches.empty() || waits.empty()) {
+    std::cerr << "error: --grid-batches and --grid-waits-us each need at "
+                 "least one value\n";
+    return 1;
+  }
   const bool check = cli.get_bool("check", false);
   const double gate = cli.get_double("gate", 0.9);
 
@@ -169,7 +175,7 @@ int main(int argc, char** argv) {
 
   auto base_config = [&] {
     serve::ServeOptions cfg;
-    cfg.batch.queue_capacity = cli.get_uint("queue-cap", 16384);
+    cfg.batch.queue_capacity = cli.get_uint("queue-cap", 4096);
     cfg.epoch.max_buffered = cli.get_uint("epoch-updates", 1024);
     cfg.epoch.mode = serve::EpochMode::kOverlap;
     return cfg;

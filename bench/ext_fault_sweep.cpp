@@ -2,9 +2,9 @@
 //
 // Seeded random fault schedules (FaultPlan::random) at increasing event
 // rates replay against the sharded serving stack twice per rate: once
-// with the full mitigation suite (bounded retry, straggler hedging,
-// CPU-oracle degraded serving) and once with every mitigation disabled
-// (one dispatch attempt, no hedging, zero degraded backlog). Both runs
+// with the full mitigation suite (bounded retry, CPU-oracle degraded
+// serving) and once with every mitigation disabled (one dispatch
+// attempt, zero degraded backlog). Both runs
 // see the *same* fault schedule, so the delta in shed/completed/latency
 // is exactly the value of mitigation. Answers are never wrong in either
 // mode — the stack sheds visibly instead of serving corrupted data —
@@ -78,9 +78,8 @@ int main(int argc, char** argv) {
   topo.seed = seed;
   topo.device = hb::bench_spec();
 
-  Table table({"faults/s", "mitigation", "injected", "retries", "hedges won",
-               "degraded", "shed", "dropped", "completed", "p99 (us)",
-               "achieved (Mq/s)"});
+  Table table({"faults/s", "mitigation", "injected", "retries", "degraded",
+               "shed", "dropped", "completed", "p99 (us)", "achieved (Mq/s)"});
 
   for (unsigned fault_rate : fault_rates) {
     // One schedule per rate, shared by both mitigation modes.
@@ -101,7 +100,6 @@ int main(int argc, char** argv) {
       cfg.faults = plan;
       if (!mitigate) {
         cfg.mitigation.retry.max_attempts = 1;   // first failure sheds
-        cfg.mitigation.hedge.enabled = false;    // stragglers run out
         cfg.mitigation.degraded.max_backlog = 0; // fenced range sheds
       }
       if (observe && mitigate) cfg.obs.metrics = &metrics;
@@ -121,8 +119,7 @@ int main(int argc, char** argv) {
       table.add(fault_rate, mitigate ? "on" : "off",
                 fr.slowdown_windows + fr.dispatch_failures + fr.corruptions +
                     fr.shards_lost,
-                fr.retries, fr.hedges_won,
-                fr.degraded_points + fr.degraded_ranges, rep.shed, rep.dropped,
+                fr.retries, fr.degraded_points + fr.degraded_ranges, rep.shed, rep.dropped,
                 rep.completed, rep.latency.percentile(99) * 1e6,
                 rep.query_throughput() / 1e6);
     }

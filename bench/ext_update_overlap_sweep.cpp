@@ -48,7 +48,7 @@ int main(int argc, char** argv) {
   cli.flag("size", "log2 tree size", "18")
       .flag("requests", "requests per run", "20000")
       .flag("rate", "arrival rate (Mq/s)", "5")
-      .flag("updates", "comma list of update fractions", "0,0.05,0.1,0.2,0.5")
+      .flag("updates", "comma list of update fractions", "0,0.05,0.1,0.2")
       .flag("shards", "simulated devices (1 = single-device server)", "1")
       .flag("max-batch", "batch size trigger", "4096")
       .flag("queue-cap", "admission queue capacity", "16384")

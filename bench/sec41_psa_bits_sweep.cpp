@@ -17,8 +17,8 @@ using namespace harmonia;
 
 int main(int argc, char** argv) {
   Cli cli;
-  cli.flag("size", "log2 tree size (paper: 23)", "20")
-      .flag("queries", "log2 query batch", "17")
+  cli.flag("size", "log2 tree size (paper: 23)", "20 (23 with --full)")
+      .flag("queries", "log2 query batch", "17 (20 with --full)")
       .flag("fanout", "tree fanout", "64")
       .flag("seed", "workload seed", "1")
       .flag("full", "paper-scale tree (2^23)", "false");

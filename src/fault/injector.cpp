@@ -23,7 +23,7 @@ std::string fmt_factor(double factor) {
 const char* FaultReport::csv_header() {
   return "slowdown_windows,dispatch_failures,corruptions,shards_lost,"
          "audits,checksum_mismatches,retries,retry_shed_batches,"
-         "retry_shed_requests,reimages,hedges_issued,hedges_won,"
+         "retry_shed_requests,reimages,"
          "degraded_points,degraded_ranges,degraded_shed,shards_restored,"
          "replicas_lost,replicas_rejoined,catchup_ops,catchup_us,"
          "backoff_us,reimage_us,degraded_us,fenced_us,"
@@ -35,7 +35,7 @@ std::string FaultReport::csv_row() const {
   std::snprintf(
       buf, sizeof buf,
       "%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,"
-      "%llu,%llu,%llu,%llu,%llu,%.3f,%.3f,%.3f,%.3f,%.3f,%llu,%llu,%llu",
+      "%llu,%llu,%llu,%.3f,%.3f,%.3f,%.3f,%.3f,%llu,%llu,%llu",
       static_cast<unsigned long long>(slowdown_windows),
       static_cast<unsigned long long>(dispatch_failures),
       static_cast<unsigned long long>(corruptions),
@@ -46,8 +46,6 @@ std::string FaultReport::csv_row() const {
       static_cast<unsigned long long>(retry_shed_batches),
       static_cast<unsigned long long>(retry_shed_requests),
       static_cast<unsigned long long>(reimages),
-      static_cast<unsigned long long>(hedges_issued),
-      static_cast<unsigned long long>(hedges_won),
       static_cast<unsigned long long>(degraded_points),
       static_cast<unsigned long long>(degraded_ranges),
       static_cast<unsigned long long>(degraded_shed),
@@ -73,7 +71,6 @@ FaultInjector::FaultInjector(FaultPlan plan, const MitigationConfig& mitigation,
   HARMONIA_CHECK(num_replicas_ > 0);
   HARMONIA_CHECK(mitigation_.retry.max_attempts > 0);
   HARMONIA_CHECK(mitigation_.retry.backoff >= 0.0);
-  HARMONIA_CHECK(mitigation_.hedge.multiplier > 1.0);
   events_.reserve(plan.events.size());
   for (const FaultEvent& e : plan.events) {
     HARMONIA_CHECK_MSG(e.shard < num_shards_,

@@ -9,8 +9,7 @@
 //   EpochUpdater   : epoch image transfers — slowdown stretch, resync
 //                    corruption injection, CRC32 audit, re-image;
 //   ShardedServer  : shard-lost fencing, CPU-oracle degraded serving,
-//                    timed restore + re-image;
-//   ShardedIndex   : straggler hedging in the scatter/gather batch path.
+//                    timed restore + re-image.
 //
 // Everything is deterministic: the plan decides *what* fails and *when*;
 // the injector only tracks which events have been consumed and tallies a
@@ -52,19 +51,9 @@ struct DegradedPolicy {
   double max_backlog = 2e-3;
 };
 
-/// Hedged re-dispatch for the scatter/gather batch path: when one shard's
-/// pipeline runs `multiplier`x slower than the median shard, the straggler
-/// sub-batch is re-issued at that detection point on an unimpaired link
-/// and the earlier finisher wins.
-struct HedgePolicy {
-  bool enabled = true;
-  double multiplier = 3.0;
-};
-
 struct MitigationConfig {
   RetryPolicy retry;
   DegradedPolicy degraded;
-  HedgePolicy hedge;
 };
 
 /// Typed counters of everything injected, detected, and mitigated.
@@ -87,8 +76,6 @@ struct FaultReport {
   /// (single-class lanes: a shed batch charges exactly one class).
   std::array<std::uint64_t, qos::kNumClasses> retry_shed_by_class{};
   std::uint64_t reimages = 0;
-  std::uint64_t hedges_issued = 0;
-  std::uint64_t hedges_won = 0;
   std::uint64_t degraded_points = 0;
   std::uint64_t degraded_ranges = 0;
   std::uint64_t degraded_shed = 0;
@@ -112,8 +99,8 @@ struct FaultReport {
 
 class FaultInjector {
  public:
-  /// `num_shards` bounds the shard ids events may target (shard 0 for a
-  /// single-device Server) and `num_replicas` the replica slots a
+  /// `num_shards` bounds the shard ids events may target (only shard 0
+  /// on a single device) and `num_replicas` the replica slots a
   /// lose/replica-lost event may name (1 for unreplicated topologies —
   /// `replica-lost` events then require num_replicas > 1). Throws on an
   /// out-of-range event.

@@ -196,11 +196,9 @@ Backend::Backend(const ServeOptions& config,
   tune_applied_ = &m.counter("serve_tune_applied_total");
   tune_vetoed_ = &m.counter("serve_tune_vetoed_total");
   tune_rolled_back_ = &m.counter("serve_tune_rolled_back_total");
-  if (n > 1) {
-    epochs_total_ = &m.counter("serve_epochs_total");
-    swap_wait_hist_ = &m.histogram("serve_epoch_swap_wait_seconds", edges);
-    stall_hist_ = &m.histogram("serve_epoch_stall_seconds", edges);
-  }
+  epochs_total_ = &m.counter("serve_epochs_total");
+  swap_wait_hist_ = &m.histogram("serve_epoch_swap_wait_seconds", edges);
+  stall_hist_ = &m.histogram("serve_epoch_stall_seconds", edges);
 }
 
 void Backend::note_tune(TuneAction action, const std::string& note, double now) {
@@ -276,7 +274,8 @@ void Backend::deliver(Response resp, RequestSource& source, ServerReport& report
   }
   if (config_.obs.trace != nullptr) {
     config_.obs.trace->stamp(resp.id, obs::Stage::kReply, resp.completion,
-                             fleet_shard(), resp.dropped ? "shed" : std::string{});
+                             obs::TraceRecorder::kNoShard,
+                             resp.dropped ? "shed" : std::string{});
   }
   report.makespan = std::max(report.makespan, resp.completion);
   source.on_complete(resp);
@@ -318,18 +317,11 @@ bool Backend::throttle(const Request& r, unsigned epoch, unsigned shard,
   return true;
 }
 
-void Backend::book_shed(const Request& r, ServerReport& report) {
-  const std::size_t c = qos::index(r.klass);
-  ++report.shed;
-  ++report.class_shed[c];
-  if (class_metrics_[c].shed != nullptr) class_metrics_[c].shed->inc();
-}
-
 void Backend::buffer_update(const Request& r) {
   pending_updates_.push_back(r);
   if (config_.obs.trace != nullptr)
     config_.obs.trace->stamp(r.id, obs::Stage::kQueueEnter, r.arrival,
-                             fleet_shard(), "update");
+                             obs::TraceRecorder::kNoShard, "update");
 }
 
 double Backend::next_epoch_time(double now) const {
@@ -392,9 +384,9 @@ void Backend::answer_updates(const std::vector<Request>& requests, double dispat
     resp.completion = completion;
     if (config_.obs.trace != nullptr) {
       config_.obs.trace->stamp(resp.id, obs::Stage::kDispatch, dispatch,
-                               fleet_shard(), note);
+                               obs::TraceRecorder::kNoShard, note);
       config_.obs.trace->stamp(resp.id, obs::Stage::kReply, completion,
-                               fleet_shard());
+                               obs::TraceRecorder::kNoShard);
     }
     report.makespan = std::max(report.makespan, resp.completion);
     source.on_complete(resp);
@@ -411,19 +403,17 @@ void Backend::run_quiesce(double at, RequestSource& source, ServerReport& report
   double start = at;
   for (const double f : devices) start = std::max(start, f);
   for (const double f : devices) report.barrier_wait_seconds += start - std::max(at, f);
-  const bool fleet = num_shards() > 1;
-  if (fleet && config_.obs.trace != nullptr) {
+  if (config_.obs.trace != nullptr) {
     config_.obs.trace->annotate(
         start, obs::TraceRecorder::kNoShard,
         "epoch barrier epoch=" + std::to_string(epochs_ + 1) +
             " updates=" + std::to_string(pending_updates_.size()));
   }
 
-  // Each touched shard write-ahead logs and applies its sub-batch; a
-  // lone device logs at the trigger, a fleet at the barrier. One host
-  // CPU applies shard after shard, so the charged ops sum; the touched
-  // images then resync concurrently over their own links, so the upload
-  // charge is the slowest shard's.
+  // Each touched shard write-ahead logs and applies its sub-batch at the
+  // barrier. One host CPU applies shard after shard, so the charged ops
+  // sum; the touched images then resync concurrently over their own
+  // links, so the upload charge is the slowest shard's.
   const auto per_shard = scatter(pending_updates_);
   const unsigned n = num_shards();
   std::vector<EpochUpdater::Work> work(n);
@@ -432,7 +422,7 @@ void Backend::run_quiesce(double at, RequestSource& source, ServerReport& report
   UpdateStats stats;
   for (unsigned s = 0; s < n; ++s) {
     if (per_shard[s].empty()) continue;
-    work[s] = engines_[s]->apply(epochs_ + 1, per_shard[s], fleet ? start : at);
+    work[s] = engines_[s]->apply(epochs_ + 1, per_shard[s], start);
     charged += work[s].fold_ops;
     stats += work[s].stats;
   }
@@ -498,7 +488,7 @@ void Backend::begin_staged(double now) {
   ep.build_done = now + ep.build_seconds;
 
   if (config_.obs.trace != nullptr)
-    config_.obs.trace->annotate(now, fleet_shard(),
+    config_.obs.trace->annotate(now, obs::TraceRecorder::kNoShard,
                                 "epoch build start epoch=" + std::to_string(ep.ordinal) +
                                     " ops=" + std::to_string(ep.requests.size()) +
                                     (ep.patch ? " patch" : ""));

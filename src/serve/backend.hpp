@@ -1,23 +1,21 @@
 // serve::Backend — the one serving interface over any topology.
 //
-// `Server` (one device) and `ShardedServer` (range-sharded devices) had
-// drifted into parallel, incompatible surfaces that every tool and bench
-// special-cased. Backend unifies them as a template method: the base
-// class owns the deterministic virtual-clock event loop — next event is
-// the earliest of (arrival, batch trigger, epoch trigger, staged image
-// swap), with fault/restore events cutting ahead of same-instant work —
-// and the subclasses supply the topology-specific hooks (submit a query,
-// dispatch the most urgent batch, gate a swap, drain).
+// Backend is a template method: the base class owns the deterministic
+// virtual-clock event loop — next event is the earliest of (arrival,
+// batch trigger, epoch trigger, staged image swap), with fault/restore
+// events cutting ahead of same-instant work — and the implementation
+// (shard::ShardedServer, which serves every shard count including one)
+// supplies the topology hooks (submit a query, dispatch the most urgent
+// batch, gate a swap, drain).
 //
 // Backend also owns what every topology shares: one BatchScheduler and
 // one EpochUpdater (the per-shard epoch engine) per shard, the fault
 // injector, the update buffer and epoch trigger, the cross-shard epoch
 // composition (barrier, scatter, summed build, max upload, staggered
 // swaps), the update and query response accounting, and the tunables
-// swap-boundary latch. `Server` is that composition over one shard.
+// swap-boundary latch.
 //
-// Callers hold a Backend&, run a stream, and read one ServerReport; the
-// per-shard vectors are simply empty on a single-device topology. See
+// Callers hold a Backend&, run a stream, and read one ServerReport. See
 // the migration note in docs/serving.md.
 #pragma once
 
@@ -130,7 +128,7 @@ struct ServerReport {
   /// Injection/detection/mitigation tallies (all zero on fault-free runs).
   fault::FaultReport faults;
 
-  // Sharded-topology extras; all empty/zero on a single-device backend.
+  // Per-shard extras (one entry per shard, a single one on one device).
 
   /// Query batches dispatched / queries served per shard.
   std::vector<std::uint64_t> shard_batches;
@@ -153,14 +151,14 @@ struct ServerReport {
   double barrier_wait_seconds = 0.0;
 
   /// Replica-group extras (docs/sharding.md#replica-groups): batches per
-  /// replica slot, flattened shard-major ([shard * K + replica]). Empty
-  /// on a single-device backend; sums to `batches` when populated, and
-  /// each shard's K slots sum to its shard_batches entry.
+  /// replica slot, flattened shard-major ([shard * K + replica]). Sums
+  /// to `batches`, and each shard's K slots sum to its shard_batches
+  /// entry.
   std::vector<std::uint64_t> replica_batches;
 
   /// Live-resharding extras (docs/sharding.md#live-resharding). The plan
-  /// version starts at 1 on a sharded backend (0 = unsharded) and bumps
-  /// once per committed migration, so plan_version == 1 + migrations.
+  /// version starts at 1 and bumps once per committed migration, so
+  /// plan_version == 1 + migrations.
   unsigned plan_version = 1;
   std::uint64_t migrations = 0;
   /// Keys moved across the split boundary, summed over migrations.
@@ -193,7 +191,7 @@ struct ServerReport {
   ///   class_shed[c] + class_update_requests[c];
   ///   class_latency[c].count() == class_completed[c];
   ///   class_throttled[c] <= class_dropped[c]
-  /// and, when the backend is sharded (shard vectors non-empty):
+  /// and, once the shard vectors are filled (every run fills them):
   ///   sum(shard_admitted) + update_requests == admitted
   ///   sum(shard_dropped) == dropped
   ///   sum(shard_batches) == batches
@@ -253,7 +251,7 @@ class Backend {
   // ---- Topology hooks ----
 
   /// Called once before the loop (size per-shard report vectors, ...).
-  virtual void begin_run(ServerReport& /*report*/) {}
+  virtual void begin_run(ServerReport& report) = 0;
 
   /// Earliest instant a closed batch can start on a free device; kNever
   /// when every scheduler is idle.
@@ -269,7 +267,7 @@ class Backend {
                       ServerReport& report) = 0;
 
   /// The shard owning `key` (the update scatter routes by it).
-  virtual unsigned shard_of(Key /*key*/) const { return 0; }
+  virtual unsigned shard_of(Key key) const = 0;
   /// Quiesce epochs: serves every queued query batch at `at` so
   /// everything admitted before the trigger sees the pre-epoch images.
   virtual void drain_queries(double at, RequestSource& source,
@@ -281,18 +279,17 @@ class Backend {
   /// `ready` (a batch boundary on its devices); kNever while blocked.
   virtual double swap_time(unsigned s, double ready) const = 0;
   /// Whether shard `s` may patch its live image in place this epoch.
-  virtual bool may_patch(unsigned /*s*/) const { return true; }
+  virtual bool may_patch(unsigned s) const = 0;
   /// Shard `s` now serves epoch `epoch`, having absorbed `ops` client
   /// ops in it (0 for an untouched shard).
-  virtual void on_swapped(unsigned /*s*/, unsigned /*epoch*/,
-                          std::uint64_t /*ops*/) {}
+  virtual void on_swapped(unsigned s, unsigned epoch, std::uint64_t ops) = 0;
   /// True while a topology change owns the staging machinery (a live
   /// migration): updates keep buffering and image knobs keep latching.
-  virtual bool staging_busy() const { return false; }
+  virtual bool staging_busy() const = 0;
   /// Runs after the last swap of a staged epoch, once its update
   /// responses are out (re-admits parked straddlers).
-  virtual void after_staged_epoch(double /*now*/, RequestSource& /*source*/,
-                                  ServerReport& /*report*/) {}
+  virtual void after_staged_epoch(double now, RequestSource& source,
+                                  ServerReport& report) = 0;
 
   /// Next atomic image swap; kNever when no staged epoch is swap-ready.
   virtual double next_swap_time() const;
@@ -301,13 +298,13 @@ class Backend {
   virtual void epoch_commit(double now, RequestSource& source,
                             ServerReport& report);
 
-  /// Fault hooks: arm times of the next injected fault / due restore.
-  /// They cut ahead of same-instant work. Inert by default.
-  virtual double next_fault_time() const { return kNever; }
-  virtual void handle_fault(double /*now*/, RequestSource& /*source*/,
-                            ServerReport& /*report*/) {}
-  virtual double next_restore_time() const { return kNever; }
-  virtual void handle_restore(double /*now*/, ServerReport& /*report*/) {}
+  /// Fault hooks: arm times of the next injected fault / due restore
+  /// (kNever when none). They cut ahead of same-instant work.
+  virtual double next_fault_time() const = 0;
+  virtual void handle_fault(double now, RequestSource& source,
+                            ServerReport& report) = 0;
+  virtual double next_restore_time() const = 0;
+  virtual void handle_restore(double now, ServerReport& report) = 0;
 
   /// Stream exhausted with no armed trigger: flush remaining batches,
   /// commit any staged epoch, apply leftover updates as a last epoch.
@@ -356,15 +353,6 @@ class Backend {
   /// provisioned rate is booked throttled and rejected (true).
   bool throttle(const Request& r, unsigned epoch, unsigned shard,
                 RequestSource& source, ServerReport& report);
-  /// Books an admitted request that QoS overload policy evicted: a shed.
-  void book_shed(const Request& r, ServerReport& report);
-
-  /// The shard fleet-level trace events (update lifecycle, replies, epoch
-  /// build start) are stamped with: the device itself on one shard, no
-  /// shard across several.
-  unsigned fleet_shard() const {
-    return num_shards() > 1 ? obs::TraceRecorder::kNoShard : 0;
-  }
 
   /// Books one controller decision: bumps the matching counter and
   /// annotates the trace ("tune <action> <note>"). kNone is silent.
@@ -447,8 +435,7 @@ class Backend {
   obs::Counter* tune_applied_ = nullptr;
   obs::Counter* tune_vetoed_ = nullptr;
   obs::Counter* tune_rolled_back_ = nullptr;
-  /// Fleet-level epoch metrics, registered only across several shards
-  /// (one shard's engine metrics already describe its whole fleet).
+  /// Fleet-level epoch metrics (the engines' are per shard).
   obs::Counter* epochs_total_ = nullptr;
   obs::LatencyHistogram* swap_wait_hist_ = nullptr;
   obs::LatencyHistogram* stall_hist_ = nullptr;

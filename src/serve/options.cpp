@@ -92,8 +92,6 @@ void ServeOptions::validate(unsigned num_shards) const {
                      "mitigation.retry backoffs may not be negative");
   HARMONIA_CHECK_MSG(mitigation.retry.backoff_multiplier >= 1.0,
                      "mitigation.retry.backoff_multiplier must be >= 1");
-  HARMONIA_CHECK_MSG(!mitigation.hedge.enabled || mitigation.hedge.multiplier > 1.0,
-                     "mitigation.hedge.multiplier must exceed 1 when hedging");
   HARMONIA_CHECK_MSG(mitigation.degraded.seconds_per_point >= 0.0 &&
                          mitigation.degraded.seconds_per_range >= 0.0 &&
                          mitigation.degraded.seconds_per_result >= 0.0 &&

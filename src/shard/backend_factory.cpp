@@ -5,7 +5,6 @@
 #include "btree/btree.hpp"
 #include "common/expect.hpp"
 #include "queries/workload.hpp"
-#include "serve/server.hpp"
 #include "shard/plan.hpp"
 
 namespace harmonia::shard {
@@ -21,77 +20,40 @@ ServingStack::ServingStack(const TopologySpec& topo,
   for (Key k : keys_) entries.push_back({k, btree::value_for_key(k)});
 
   serve::ServeOptions opts = options;
-  // The durability domain is wired after any recovery below: its
-  // per-shard writers seed their retained-snapshot lists from disk, and
-  // recovery rewrites the disk (the checkpoint) as its final step.
-  const auto wire_durability = [&] {
-    if (opts.persist.enabled()) {
-      durability_ = std::make_unique<persist::DurabilityDomain>(opts.persist,
-                                                                topo.shards);
-      opts.durability = durability_.get();
-    }
-  };
-
-  if (topo.shards == 1) {
-    gpusim::DeviceSpec spec = topo.device;
-    spec.global_mem_bytes = topo.device_global_bytes;
-    device_ = std::make_unique<gpusim::Device>(spec);
-    const auto bulk_build = [&] {
-      btree::BTree builder(topo.fanout);
-      builder.bulk_load(entries, 0.69);
-      return std::make_unique<HarmoniaIndex>(
-          *device_, HarmoniaTree::from_btree(builder),
-          HarmoniaIndex::Options{.fanout = topo.fanout});
-    };
-    if (opts.persist.recover) {
-      persist::RecoveryManager rm(opts.persist);
-      persist::RecoveryManager::Materials mat = rm.load_shard(0);
-      if (mat.snapshot.has_value()) {
-        // The snapshot's base tree becomes the live index; its sidecar
-        // fill factor keeps the gapped-leaf geometry of the crashed
-        // generation, so later compactions re-gap identically.
-        index_ = std::make_unique<HarmoniaIndex>(
-            *device_, std::move(mat.snapshot->tree),
-            HarmoniaIndex::Options{
-                .fanout = topo.fanout,
-                .fill_factor = mat.snapshot->extras.fill_factor});
-      } else {
-        index_ = bulk_build();
-      }
-      recoveries_.push_back(
-          rm.finish(std::move(mat), *index_, opts.link, keys_.size()));
-    } else {
-      index_ = bulk_build();
-    }
-    wire_durability();
-    backend_ = std::make_unique<serve::Server>(*index_, opts);
-    return;
-  }
-
   ShardedOptions shopts;
   shopts.index.fanout = topo.fanout;
   shopts.device = topo.device;
   shopts.device_global_bytes = topo.device_global_bytes;
   shopts.link = opts.link;
-  // Balanced partition over the served keys: every shard is populated,
-  // which the sharded serving path requires.
+  // Balanced partition over the served keys (one shard for one device):
+  // every shard is populated, which the serving path requires.
   sharded_ = std::make_unique<ShardedIndex>(
       entries, ShardPlan::sample_balanced(keys_, topo.shards), shopts);
   if (opts.persist.recover) {
     // Shards recover independently: each cold-starts from its own
     // directory's newest-valid snapshot + log, falling back to the bulk
     // build above (already in place) for a shard with nothing decodable.
+    // A snapshot's sidecar fill factor keeps the gapped-leaf geometry of
+    // the crashed generation, so later compactions re-gap identically.
     persist::RecoveryManager rm(opts.persist);
     for (unsigned s = 0; s < topo.shards; ++s) {
       persist::RecoveryManager::Materials mat = rm.load_shard(s);
       const std::uint64_t rebuild_keys = sharded_->shard_key_count(s);
       if (mat.snapshot.has_value())
-        sharded_->install_shard(s, std::move(mat.snapshot->tree));
+        sharded_->install_shard(s, std::move(mat.snapshot->tree),
+                                mat.snapshot->extras.fill_factor);
       recoveries_.push_back(rm.finish(std::move(mat), *sharded_->shard(s),
                                       opts.link, rebuild_keys));
     }
   }
-  wire_durability();
+  // The durability domain is wired after any recovery: its per-shard
+  // writers seed their retained-snapshot lists from disk, and recovery
+  // rewrites the disk (the checkpoint) as its final step.
+  if (opts.persist.enabled()) {
+    durability_ =
+        std::make_unique<persist::DurabilityDomain>(opts.persist, topo.shards);
+    opts.durability = durability_.get();
+  }
   backend_ = std::make_unique<ShardedServer>(*sharded_, opts);
 }
 

@@ -2,10 +2,10 @@
 //
 // Callers (the server-sim tool, the serving benches) describe the
 // topology — key count, fanout, shard count, device preset — and get back
-// a serve::Backend& plus the served keys; whether that is a single-device
-// Server or a range-sharded ShardedServer is decided here, inside src/,
-// so no tool or bench ever branches on the shard count again (the API
-// redesign's contract, docs/serving.md#migration).
+// a serve::Backend& plus the served keys. Every shard count, one
+// included, is a ShardedServer over a sample-balanced ShardedIndex, so
+// no tool or bench branches on the shard count
+// (docs/serving.md#migration).
 #pragma once
 
 #include <cstdint>
@@ -27,8 +27,8 @@ struct TopologySpec {
   /// log2 of the key count; keys come from queries::make_tree_keys(seed).
   std::uint64_t log2_keys = 18;
   unsigned fanout = 64;
-  /// 1 = single-device serve::Server; >1 = range-sharded ShardedServer
-  /// over a sample_balanced partition of the served keys.
+  /// Devices, each serving one shard of a sample_balanced partition of
+  /// the served keys (1 = a single device).
   unsigned shards = 1;
   std::uint64_t seed = 1;
   /// Device preset for every simulated device in the topology.
@@ -67,10 +67,6 @@ class ServingStack {
 
  private:
   std::vector<Key> keys_;
-  // Single-device topology (null when sharded).
-  std::unique_ptr<gpusim::Device> device_;
-  std::unique_ptr<HarmoniaIndex> index_;
-  // Sharded topology (null when single-device).
   std::unique_ptr<ShardedIndex> sharded_;
   std::unique_ptr<persist::DurabilityDomain> durability_;
   std::vector<persist::RecoveryReport> recoveries_;

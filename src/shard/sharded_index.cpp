@@ -24,35 +24,39 @@ ShardedIndex::ShardedIndex(std::span<const btree::Entry> entries, ShardPlan plan
   }
 }
 
+ShardedIndex::ShardedIndex(HarmoniaIndex& index)
+    : plan_(ShardPlan::from_bounds({0})), shards_(1) {
+  options_.index = index.options();
+  shards_[0].index = &index;
+}
+
 void ShardedIndex::build_shard(unsigned s, std::span<const btree::Entry> entries) {
+  btree::BTree builder(options_.index.fanout);
+  builder.bulk_load(entries, options_.index.fill_factor);
+  adopt_tree(s, HarmoniaTree::from_btree(builder), options_.index);
+}
+
+void ShardedIndex::adopt_tree(unsigned s, HarmoniaTree tree,
+                              const IndexOptions& options) {
   auto spec = options_.device;
   spec.global_mem_bytes = options_.device_global_bytes;
   spec.name = options_.device.name + " shard" + std::to_string(s);
   shards_[s].device = std::make_unique<gpusim::Device>(spec);
-  shards_[s].index = std::make_unique<HarmoniaIndex>(
-      *shards_[s].device,
-      [&] {
-        btree::BTree builder(options_.index.fanout);
-        builder.bulk_load(entries, options_.index.fill_factor);
-        return HarmoniaTree::from_btree(builder);
-      }(),
-      options_.index);
+  shards_[s].owned =
+      std::make_unique<HarmoniaIndex>(*shards_[s].device, std::move(tree), options);
+  shards_[s].index = shards_[s].owned.get();
 }
 
-void ShardedIndex::install_shard(unsigned s, HarmoniaTree tree) {
+void ShardedIndex::install_shard(unsigned s, HarmoniaTree tree, double fill_factor) {
   HARMONIA_CHECK(s < shards_.size());
   // shard_of is monotone over contiguous planned ranges, so counting the
   // entries inside [lo(s), hi(s)] catches any out-of-range key.
   HARMONIA_CHECK_MSG(
       tree.range(plan_.lo(s), plan_.hi(s)).size() == tree.num_keys(),
       "recovered tree holds keys outside shard " << s << "'s range");
-  auto spec = options_.device;
-  spec.global_mem_bytes = options_.device_global_bytes;
-  spec.name = options_.device.name + " shard" + std::to_string(s);
-  shards_[s].device = std::make_unique<gpusim::Device>(spec);
-  shards_[s].index = std::make_unique<HarmoniaIndex>(*shards_[s].device,
-                                                     std::move(tree),
-                                                     options_.index);
+  IndexOptions options = options_.index;
+  options.fill_factor = fill_factor;
+  adopt_tree(s, std::move(tree), options);
 }
 
 void ShardedIndex::set_plan(ShardPlan plan) {
@@ -62,7 +66,7 @@ void ShardedIndex::set_plan(ShardPlan plan) {
                          << plan_.num_shards() << " -> " << plan.num_shards()
                          << ")");
   for (unsigned s = 0; s < num_shards(); ++s) {
-    const HarmoniaIndex* idx = shards_[s].index.get();
+    const HarmoniaIndex* idx = shards_[s].index;
     if (idx == nullptr) continue;
     HARMONIA_CHECK_MSG(
         idx->tree().range(plan.lo(s), plan.hi(s)).size() ==
@@ -75,12 +79,12 @@ void ShardedIndex::set_plan(ShardPlan plan) {
 
 HarmoniaIndex* ShardedIndex::shard(unsigned s) {
   HARMONIA_CHECK(s < shards_.size());
-  return shards_[s].index.get();
+  return shards_[s].index;
 }
 
 const HarmoniaIndex* ShardedIndex::shard(unsigned s) const {
   HARMONIA_CHECK(s < shards_.size());
-  return shards_[s].index.get();
+  return shards_[s].index;
 }
 
 std::uint64_t ShardedIndex::shard_key_count(unsigned s) const {
@@ -105,19 +109,10 @@ void ShardedIndex::set_observer(const obs::Observer& obs) {
   }
   search_batches_ = &m.counter("shard_search_batches_total");
   straddling_ = &m.counter("shard_straddling_ranges_total");
-  hedges_issued_ = &m.counter("fault_hedges_issued_total");
-  hedges_won_ = &m.counter("fault_hedges_won_total");
 }
 
 ShardedIndex::SearchResult ShardedIndex::search(std::span<const Key> batch) {
-  return search(batch, nullptr, 0.0);
-}
-
-ShardedIndex::SearchResult ShardedIndex::search(std::span<const Key> batch,
-                                                fault::FaultInjector* injector,
-                                                double now) {
   HARMONIA_CHECK(!batch.empty());
-  const bool faulty = injector != nullptr && injector->active();
   SearchResult result;
   result.values.assign(batch.size(), kNotFound);
   result.per_shard.assign(num_shards(), 0);
@@ -137,11 +132,6 @@ ShardedIndex::SearchResult ShardedIndex::search(std::span<const Key> batch,
       if (result.per_shard[s] > 0) routed_[s]->inc(result.per_shard[s]);
   }
 
-  // Per-shard times, kept apart so the hedging pass below can compare
-  // shards against each other before the final aggregation.
-  std::vector<double> shard_seconds(num_shards(), 0.0);
-  std::vector<double> clean_seconds(num_shards(), 0.0);
-  std::vector<bool> ran(num_shards(), false);
   for (unsigned s = 0; s < num_shards(); ++s) {
     if (keys[s].empty()) continue;
     // A deviceless shard holds no keys: its queries stay kNotFound.
@@ -150,58 +140,13 @@ ShardedIndex::SearchResult ShardedIndex::search(std::span<const Key> batch,
                                         options_.pipeline);
     for (std::size_t j = 0; j < slots[s].size(); ++j)
       result.values[slots[s][j]] = piped.values[j];
-    ran[s] = true;
-    clean_seconds[s] = piped.total_seconds;
-    shard_seconds[s] = piped.total_seconds;
-    if (faulty) {
-      const double factor = injector->transfer_factor(s, now);
-      shard_seconds[s] +=
-          (factor - 1.0) * (piped.upload_seconds + piped.download_seconds);
-    }
-  }
-
-  // Hedged re-dispatch: a shard still running at `multiplier`x the median
-  // shard time is treated as a straggler — its sub-batch is re-issued at
-  // that detection point on an unimpaired link, and whichever copy
-  // finishes first answers. (Results are identical either way; only the
-  // timeline changes, so this stays deterministic.)
-  if (faulty && injector->mitigation().hedge.enabled) {
-    std::vector<double> active;
-    for (unsigned s = 0; s < num_shards(); ++s)
-      if (ran[s]) active.push_back(shard_seconds[s]);
-    if (active.size() >= 2) {
-      std::sort(active.begin(), active.end());
-      const double median = active[(active.size() - 1) / 2];
-      const double cutoff = injector->mitigation().hedge.multiplier * median;
-      for (unsigned s = 0; s < num_shards(); ++s) {
-        if (!ran[s] || shard_seconds[s] <= cutoff) continue;
-        ++result.hedges_issued;
-        ++injector->report().hedges_issued;
-        if (hedges_issued_ != nullptr) hedges_issued_->inc();
-        if (obs_.trace != nullptr) {
-          obs_.trace->annotate(now, s,
-                               "hedged straggler sub-batch (" +
-                                   std::to_string(keys[s].size()) + " queries)");
-        }
-        const double hedged = cutoff + clean_seconds[s];
-        if (hedged < shard_seconds[s]) {
-          shard_seconds[s] = hedged;
-          ++result.hedges_won;
-          ++injector->report().hedges_won;
-          if (hedges_won_ != nullptr) hedges_won_->inc();
-        }
-      }
-    }
-  }
-
-  for (unsigned s = 0; s < num_shards(); ++s) {
-    if (!ran[s]) continue;
-    result.device_seconds += shard_seconds[s];
-    if (shard_seconds[s] > result.total_seconds) {
-      result.total_seconds = shard_seconds[s];
+    result.device_seconds += piped.total_seconds;
+    if (piped.total_seconds > result.total_seconds) {
+      result.total_seconds = piped.total_seconds;
       result.bottleneck_shard = s;
     }
   }
+
   return result;
 }
 

@@ -29,7 +29,6 @@
 #include <span>
 #include <vector>
 
-#include "fault/injector.hpp"
 #include "gpusim/device.hpp"
 #include "harmonia/index.hpp"
 #include "harmonia/pipeline.hpp"
@@ -59,6 +58,10 @@ class ShardedIndex {
   ShardedIndex(std::span<const btree::Entry> entries, ShardPlan plan,
                const ShardedOptions& options = {});
 
+  /// A one-shard fleet over the caller's index, covering the whole key
+  /// domain. Non-owning: `index` and its device must outlive this object.
+  explicit ShardedIndex(HarmoniaIndex& index);
+
   const ShardPlan& plan() const { return plan_; }
   unsigned num_shards() const { return plan_.num_shards(); }
   const ShardedOptions& options() const { return options_; }
@@ -66,7 +69,9 @@ class ShardedIndex {
   /// Replaces shard `s` with a fresh device imaged from `tree` (recovery:
   /// a snapshot-loaded host tree becomes the shard's live index). Every
   /// key of `tree` must fall inside the shard's planned range.
-  void install_shard(unsigned s, HarmoniaTree tree);
+  /// `fill_factor` is the snapshot's gapped-leaf geometry, so later
+  /// compactions re-gap like the generation that wrote it.
+  void install_shard(unsigned s, HarmoniaTree tree, double fill_factor);
 
   /// Atomically adopts a new partition plan (live resharding: the caller
   /// has already re-imaged the shards whose ranges moved through the
@@ -91,10 +96,6 @@ class ShardedIndex {
     /// Summed device-occupied time across shards (work, not wall).
     double device_seconds = 0.0;
     unsigned bottleneck_shard = 0;
-    /// Straggler sub-batches re-issued / re-issues that finished first
-    /// (always zero without an active fault injector).
-    unsigned hedges_issued = 0;
-    unsigned hedges_won = 0;
 
     double throughput() const {
       return total_seconds > 0.0
@@ -106,14 +107,6 @@ class ShardedIndex {
   /// Scatter -> per-shard PCIe pipeline -> gather. Results are identical
   /// to a single-device index over the same entries.
   SearchResult search(std::span<const Key> batch);
-
-  /// Fault-aware scatter/gather at virtual time `now`: each shard's
-  /// pipeline pays its active slowdown windows, and a shard running past
-  /// `hedge.multiplier`x the median shard time gets its sub-batch
-  /// re-issued at that detection point on an unimpaired link — the
-  /// earlier finisher wins. A null/inactive injector is the plain path.
-  SearchResult search(std::span<const Key> batch, fault::FaultInjector* injector,
-                      double now);
 
   struct RangeResult {
     /// values[i]: ascending values of keys in [los[i], his[i]], truncated
@@ -157,17 +150,21 @@ class ShardedIndex {
   std::vector<btree::Entry> range_host(Key lo, Key hi, std::size_t limit = 0) const;
 
   /// Attaches metrics: scatter/gather batches bump routing counters
-  /// (per-shard query routing, straddling fan-outs, hedges). Null = no
-  /// overhead; results never change either way.
+  /// (per-shard query routing, straddling fan-outs). Null = no overhead;
+  /// results never change either way.
   void set_observer(const obs::Observer& obs);
 
  private:
   struct Shard {
     std::unique_ptr<gpusim::Device> device;
-    std::unique_ptr<HarmoniaIndex> index;
+    std::unique_ptr<HarmoniaIndex> owned;
+    /// `owned`, or the caller's index in the one-shard wrapper.
+    HarmoniaIndex* index = nullptr;
   };
 
   void build_shard(unsigned s, std::span<const btree::Entry> entries);
+  /// Images `tree` onto a fresh device as shard `s`.
+  void adopt_tree(unsigned s, HarmoniaTree tree, const IndexOptions& options);
   /// Updates routed at a deviceless shard: replayed on a host map, then
   /// the shard is built from whatever survived.
   void apply_to_empty_shard(unsigned s, std::span<const queries::UpdateOp> ops,
@@ -182,8 +179,6 @@ class ShardedIndex {
   std::vector<obs::Counter*> routed_;
   obs::Counter* search_batches_ = nullptr;
   obs::Counter* straddling_ = nullptr;
-  obs::Counter* hedges_issued_ = nullptr;
-  obs::Counter* hedges_won_ = nullptr;
 };
 
 }  // namespace harmonia::shard

@@ -60,6 +60,16 @@ ShardedServer::ShardedServer(ShardedIndex& index,
   }
 }
 
+ShardedServer::ShardedServer(HarmoniaIndex& index,
+                             const serve::ServeOptions& config)
+    : ShardedServer(std::make_unique<ShardedIndex>(index), config) {}
+
+ShardedServer::ShardedServer(std::unique_ptr<ShardedIndex> owned,
+                             const serve::ServeOptions& config)
+    : ShardedServer(*owned, config) {
+  owned_index_ = std::move(owned);
+}
+
 std::size_t ShardedServer::total_depth() const {
   std::size_t n = 0;
   for (const auto& s : sched_) n += s->depth();

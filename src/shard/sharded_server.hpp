@@ -1,5 +1,6 @@
-// Online serving over a range-sharded, multi-device index: the Backend
-// hooks (serve/backend.hpp) over per-shard serving machinery. Every shard
+// Online serving over a range-sharded index of one or more devices: the
+// one Backend (serve/backend.hpp), whose hooks drive per-shard serving
+// machinery. A single device is a one-shard fleet. Every shard
 // gets its own bounded admission queues and deadline-driven batch
 // scheduler, its own epoch engine (serve::EpochUpdater), and its own
 // device timeline, so shards batch and dispatch independently — the
@@ -82,6 +83,9 @@ class ShardedServer : public serve::Backend {
   /// shares serve::ServeOptions (batch/epoch configs are per shard) and
   /// the unified serve::ServerReport, whose shard_* vectors it fills.
   ShardedServer(ShardedIndex& index, const serve::ServeOptions& config);
+  /// One device: serves the caller's index as a one-shard fleet (the
+  /// server keeps the wrapping ShardedIndex; `index` must outlive it).
+  ShardedServer(HarmoniaIndex& index, const serve::ServeOptions& config);
 
  protected:
   void begin_run(serve::ServerReport& report) override;
@@ -117,6 +121,9 @@ class ShardedServer : public serve::Backend {
   /// Sub-request ids live above this bit so they can never collide with
   /// stream ids (which count up from 0).
   static constexpr std::uint64_t kSubIdBase = 1ULL << 63;
+
+  ShardedServer(std::unique_ptr<ShardedIndex> owned,
+                const serve::ServeOptions& config);
 
   struct PendingMerge {
     std::size_t parts_expected = 0;
@@ -238,6 +245,9 @@ class ShardedServer : public serve::Backend {
   }
 
   ShardedIndex& index_;
+  /// The one-shard wrapper index_ refers to, when built over a bare
+  /// HarmoniaIndex (null otherwise).
+  std::unique_ptr<ShardedIndex> owned_index_;
   /// Replica group size K (config.replicas; 1 = unreplicated).
   unsigned replicas_ = 1;
   /// Per-replica device timelines, flattened shard-major: slot(s, r) =

@@ -6,6 +6,7 @@
 // metrics and traces (the in-code twin of the CI determinism gate).
 #include <gtest/gtest.h>
 
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -16,6 +17,7 @@
 #include "queries/workload.hpp"
 #include "serve/server.hpp"
 #include "serve/workload.hpp"
+#include "shard/backend_factory.hpp"
 #include "shard/sharded_server.hpp"
 
 namespace harmonia {
@@ -209,6 +211,53 @@ TEST(Observability, MetricsAgreeWithReport) {
   for (const auto& e : trace.events())
     if (e.stage == obs::Stage::kReply) ++replies;
   EXPECT_EQ(replies, report.arrivals);
+}
+
+/// The registered series of a Prometheus dump with label values
+/// stripped: `x{kind="a",shard="0"} 3` -> `x{kind,shard}`.
+std::set<std::string> metric_families(const std::string& dump) {
+  std::set<std::string> out;
+  std::istringstream in(dump);
+  for (std::string line; std::getline(in, line);) {
+    if (line.empty() || line[0] == '#') continue;
+    const std::string series = line.substr(0, line.find(' '));
+    std::string family;
+    bool in_value = false;
+    for (const char c : series) {
+      if (c == '"') {
+        in_value = !in_value;
+      } else if (!in_value && c != '=') {
+        family += c;
+      }
+    }
+    out.insert(family);
+  }
+  return out;
+}
+
+// Every topology emits the same metric set: one device registers the
+// shard_* routing families and the unlabelled fleet epoch series exactly
+// like a two-shard fleet does on the same stream.
+TEST(Observability, MetricFamiliesMatchAcrossShardCounts) {
+  const auto families = [](unsigned shards) {
+    shard::TopologySpec topo;
+    topo.log2_keys = 12;
+    topo.fanout = 16;
+    topo.shards = shards;
+    topo.device = test_spec();
+    topo.device_global_bytes = 256 << 20;
+    serve::ServeOptions cfg = server_config();
+    cfg.epoch.mode = serve::EpochMode::kOverlap;
+    obs::MetricsRegistry metrics;
+    cfg.obs = {&metrics, nullptr};
+    shard::ServingStack stack(topo, cfg);
+    stack.backend().run(test_stream(stack.keys(), 5));
+    return metric_families(metrics.prometheus_text());
+  };
+  const std::set<std::string> one = families(1);
+  EXPECT_EQ(one.count("serve_epochs_total"), 1u);
+  EXPECT_EQ(one.count("shard_routed_queries_total{shard}"), 1u);
+  EXPECT_EQ(one, families(2));
 }
 
 // The property test the accounting bugs motivated: for a sweep of seeds

@@ -421,12 +421,6 @@ TEST(ServeOptionsValidate, RejectsInconsistentCombinations) {
     EXPECT_THROW(opts.validate(1), ContractViolation);
   }
   {
-    ServeOptions opts;
-    opts.mitigation.hedge.enabled = true;
-    opts.mitigation.hedge.multiplier = 1.0;  // hedge would fire instantly
-    EXPECT_THROW(opts.validate(1), ContractViolation);
-  }
-  {
     // A fault event must target an existing shard.
     ServeOptions opts;
     fault::FaultEvent e;

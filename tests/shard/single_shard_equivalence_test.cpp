@@ -1,9 +1,10 @@
-// Differential test: ShardedServer over a one-shard ShardedIndex (K = 1)
-// against the single-device Server, on the same keys and the same
-// stream. Both are the serve::Backend composition over one epoch engine
-// per shard, so at N = 1 they must agree byte for byte: every response,
-// every ServerReport field both backends fill, the metrics dump (minus
-// the sharded-only routing families) and the request trace. The matrix
+// Differential test of the two ways one device gets served: a
+// ShardedServer built over a bare HarmoniaIndex (serve::Server, which
+// wraps the index in a non-owning one-shard ShardedIndex) against a
+// ShardedServer over a ShardedIndex built from a one-shard
+// sample_balanced plan (what ServingStack builds), on the same keys and
+// the same stream. They must agree byte for byte: every response, every
+// ServerReport field, the metrics dump and the request trace. The matrix
 // covers the three epoch modes (delta with a small overlay cap so
 // compactions occur), persistence off and on, and a fault plan with
 // transfer slowdowns and resync corruptions.
@@ -65,21 +66,6 @@ struct RunResult {
   std::string metrics;
   std::string trace;
 };
-
-/// Drops the families only the sharded backend registers (routing,
-/// fan-out and hedging counters), which never move at N = 1.
-std::string without_sharded_families(const std::string& dump) {
-  std::istringstream in(dump);
-  std::string out;
-  for (std::string line; std::getline(in, line);) {
-    const std::string name =
-        line.rfind("# TYPE ", 0) == 0 ? line.substr(7) : line;
-    if (name.rfind("shard_", 0) == 0 || name.rfind("fault_hedges_", 0) == 0)
-      continue;
-    out += line + "\n";
-  }
-  return out;
-}
 
 class SingleShardEquivalence : public testing::TestWithParam<Case> {
  protected:
@@ -218,6 +204,12 @@ void expect_same_report(const serve::ServerReport& a, const serve::ServerReport&
   EXPECT_EQ(a.log_batches, b.log_batches);
   EXPECT_EQ(a.snapshots_written, b.snapshots_written);
   EXPECT_EQ(a.barrier_wait_seconds, b.barrier_wait_seconds);
+  EXPECT_EQ(a.shard_batches, b.shard_batches);
+  EXPECT_EQ(a.shard_queries, b.shard_queries);
+  EXPECT_EQ(a.shard_admitted, b.shard_admitted);
+  EXPECT_EQ(a.shard_dropped, b.shard_dropped);
+  EXPECT_EQ(a.replica_batches, b.replica_batches);
+  EXPECT_EQ(a.plan_version, b.plan_version);
   EXPECT_TRUE(a.faults == b.faults)
       << a.faults.csv_row() << "\nvs\n" << b.faults.csv_row();
 }
@@ -254,7 +246,7 @@ TEST_P(SingleShardEquivalence, ShardedAtOneShardMatchesServer) {
   }
 
   expect_same_report(s.report, k.report);
-  EXPECT_EQ(s.metrics, without_sharded_families(k.metrics));
+  EXPECT_EQ(s.metrics, k.metrics);
   EXPECT_EQ(s.trace, k.trace);
 }
 

@@ -279,12 +279,10 @@ void print_report(const serve::ServerReport& rep) {
     std::printf("detection       : %llu audits, %llu checksum mismatches\n",
                 static_cast<unsigned long long>(f.audits),
                 static_cast<unsigned long long>(f.checksum_mismatches));
-    std::printf("mitigation      : %llu retries, %llu reimages, %llu hedges "
-                "(%llu won), %llu/%llu/%llu degraded pt/rg/shed\n",
+    std::printf("mitigation      : %llu retries, %llu reimages, "
+                "%llu/%llu/%llu degraded pt/rg/shed\n",
                 static_cast<unsigned long long>(f.retries),
                 static_cast<unsigned long long>(f.reimages),
-                static_cast<unsigned long long>(f.hedges_issued),
-                static_cast<unsigned long long>(f.hedges_won),
                 static_cast<unsigned long long>(f.degraded_points),
                 static_cast<unsigned long long>(f.degraded_ranges),
                 static_cast<unsigned long long>(f.degraded_shed));
