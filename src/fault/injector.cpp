@@ -246,19 +246,21 @@ std::optional<FaultEvent> FaultInjector::take_shard_lost(double now) {
       continue;
     if (s.remaining == 0 || s.ev.at > now) continue;
     s.remaining = 0;
-    if (s.ev.kind == FaultKind::kReplicaLost) {
-      ++report_.replicas_lost;
-      if (obs_.active()) {
-        note_event(replica_losses_, now, s.ev.shard,
-                   "replica lost slot=" + std::to_string(s.ev.replica));
-      }
-    } else {
-      ++report_.shards_lost;
-      if (obs_.active()) note_event(losses_, now, s.ev.shard, "shard lost");
-    }
     return s.ev;
   }
   return std::nullopt;
+}
+
+void FaultInjector::book_loss(const FaultEvent& ev, bool fenced, double now) {
+  if (fenced) {
+    ++report_.shards_lost;
+    if (obs_.active()) note_event(losses_, now, ev.shard, "shard lost");
+  } else {
+    ++report_.replicas_lost;
+    if (obs_.active())
+      note_event(replica_losses_, now, ev.shard,
+                 "replica lost slot=" + std::to_string(ev.replica));
+  }
 }
 
 double FaultInjector::next_shard_lost_time() const {

@@ -1,7 +1,7 @@
 // FaultInjector — the run-time side of a FaultPlan, plus the knobs and
 // counters of every mitigation the serving stack applies under it.
 //
-// One injector is owned per serving run (by serve::Backend) and
+// One injector is owned per serving run (by shard::ShardedServer) and
 // threaded by pointer into the layers that pay fault costs:
 //   BatchScheduler : transfer slowdown scaling + transient dispatch
 //                    failures answered with bounded exponential-backoff
@@ -145,12 +145,16 @@ class FaultInjector {
   /// the staged image is swap-ready; 0.0 when the audit comes back clean.
   double audit_staged(unsigned shard, double upload_seconds, double now);
 
-  /// Earliest armed, unconsumed loss event (`lose` or `replica-lost`) at
-  /// or before `now`. The caller reads `kind`/`replica` off the returned
-  /// event to decide between replica failover and full-shard fencing;
-  /// the injector only tallies the per-kind injected counter
-  /// (shards_lost / replicas_lost).
+  /// Consumes the earliest armed loss event (`lose` or `replica-lost`)
+  /// at or before `now`. The caller decides between replica failover and
+  /// full-shard fencing, then books the outcome with book_loss.
   std::optional<FaultEvent> take_shard_lost(double now);
+
+  /// Books one fired loss by its outcome, exactly once: `fenced` (the
+  /// shard serves degraded) tallies shards_lost, an absorbed loss (the
+  /// group's survivors keep serving) replicas_lost — report, metric
+  /// counter and trace note alike.
+  void book_loss(const FaultEvent& ev, bool fenced, double now);
 
   /// Arm time of the next unconsumed loss event (+inf when none):
   /// the extra wakeup the sharded event loop schedules.

@@ -1,9 +1,8 @@
 // The per-shard epoch engine: the serving-side wrapper around the paper's
 // phase-based usage model (§3.2), on one shard's index, in one of three
-// modes. It works on ops, not requests: the backend (serve/backend.hpp)
-// buffers update requests, scatters each epoch's ops across its shards,
-// and composes the per-shard charges into one epoch on the virtual clock
-// — one shard for `Server`, N for `ShardedServer`.
+// modes. It works on ops, not requests: shard::ShardedServer buffers
+// update requests, scatters each epoch's ops across its shards, and
+// composes the per-shard charges into one epoch on the virtual clock.
 //
 // Quiesce (the original path): the backend drains every pending query
 // batch, and the engine applies the shard's ops through the Algorithm-1

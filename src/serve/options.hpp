@@ -10,7 +10,7 @@
 //
 // ServeOptions holds the construction-time half of the surface; the
 // runtime-adjustable knobs additionally travel as a serve::Tunables
-// snapshot (serve/tunables.hpp) that Backend exposes via
+// snapshot (serve/tunables.hpp) that shard::ShardedServer exposes via
 // tunables()/apply_tunables() — see docs/serving.md#autotuner.
 #pragma once
 

@@ -1,7 +1,7 @@
-// serve::Server is shard::ShardedServer: one device is a one-shard fleet,
-// and ShardedServer(HarmoniaIndex&, ServeOptions) serves it. The alias
-// only keeps the end-to-end benchmark (bench_e2e/topology.cpp) compiling
-// unchanged; delete it at the next change to that benchmark.
+// Kept only so the end-to-end benchmark (bench_e2e/) compiles unchanged:
+// Server is shard::ShardedServer, the one serving class (one device is a
+// one-shard fleet). Delete this header at the next change to that
+// benchmark.
 #pragma once
 
 #include "shard/sharded_server.hpp"

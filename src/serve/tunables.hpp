@@ -6,7 +6,8 @@
 // fault plans) stays in ServeOptions, while the five knobs a controller
 // may legitimately move online — batch size/deadline, epoch apply
 // threads, NTG group size, PSA sort bits — travel as a validated
-// snapshot that Backend exposes via tunables()/apply_tunables().
+// snapshot that shard::ShardedServer exposes via
+// tunables()/apply_tunables().
 //
 // Safe points (docs/serving.md#autotuner): scheduler knobs install
 // between dispatches (the next batch formation); apply_threads affects

@@ -1,8 +1,8 @@
-// The one place that turns "how many devices" into a serving Backend.
+// The one place that turns "how many devices" into a serving stack.
 //
 // Callers (the server-sim tool, the serving benches) describe the
 // topology — key count, fanout, shard count, device preset — and get back
-// a serve::Backend& plus the served keys. Every shard count, one
+// a ShardedServer& plus the served keys. Every shard count, one
 // included, is a ShardedServer over a sample-balanced ShardedIndex, so
 // no tool or bench branches on the shard count
 // (docs/serving.md#migration).
@@ -16,7 +16,6 @@
 #include "harmonia/index.hpp"
 #include "persist/durability.hpp"
 #include "persist/recovery.hpp"
-#include "serve/backend.hpp"
 #include "serve/options.hpp"
 #include "shard/sharded_index.hpp"
 #include "shard/sharded_server.hpp"
@@ -37,7 +36,7 @@ struct TopologySpec {
 };
 
 /// Owns the whole serving topology — keys, device(s), index(es), the
-/// optional durability domain, and the Backend over them — with the
+/// optional durability domain, and the ShardedServer over them — with the
 /// lifetimes in the right order. Build one, then drive `backend()` with
 /// a request stream.
 ///
@@ -53,7 +52,7 @@ class ServingStack {
  public:
   ServingStack(const TopologySpec& topo, const serve::ServeOptions& options);
 
-  serve::Backend& backend() { return *backend_; }
+  ShardedServer& backend() { return *backend_; }
   const std::vector<Key>& keys() const { return keys_; }
   unsigned num_shards() const { return backend_->num_shards(); }
 
@@ -70,7 +69,7 @@ class ServingStack {
   std::unique_ptr<ShardedIndex> sharded_;
   std::unique_ptr<persist::DurabilityDomain> durability_;
   std::vector<persist::RecoveryReport> recoveries_;
-  std::unique_ptr<serve::Backend> backend_;
+  std::unique_ptr<ShardedServer> backend_;
 };
 
 }  // namespace harmonia::shard

@@ -27,7 +27,7 @@
 
 #include "fault/fault_plan.hpp"
 #include "persist/recovery.hpp"
-#include "serve/backend.hpp"
+#include "serve/report.hpp"
 #include "serve/options.hpp"
 #include "shard/backend_factory.hpp"
 

@@ -1,7 +1,6 @@
 #include "shard/sharded_server.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <string>
 
 #include "common/expect.hpp"
@@ -17,47 +16,78 @@ using serve::RequestSource;
 using serve::Response;
 using serve::ServerReport;
 
-namespace {
-constexpr double kInf = std::numeric_limits<double>::infinity();
-
-std::vector<HarmoniaIndex*> shard_indexes(ShardedIndex& index) {
-  std::vector<HarmoniaIndex*> shards;
-  for (unsigned s = 0; s < index.num_shards(); ++s) {
-    HARMONIA_CHECK_MSG(index.shard(s) != nullptr,
-                       "shard " << s << " holds no keys — plan the partition "
-                                << "from the served keys (sample_balanced)");
-    shards.push_back(index.shard(s));
-  }
-  return shards;
-}
-}  // namespace
-
 ShardedServer::ShardedServer(ShardedIndex& index,
                              const serve::ServeOptions& config)
-    : Backend(config, shard_indexes(index)),
+    : config_(config),
+      injector_(config.faults, config.mitigation, index.num_shards(),
+                config.replicas),
+      admission_(config.qos),
+      tuner_(config.tuner),
+      tunables_(serve::Tunables::from(config)),
       index_(index),
       replicas_(config.replicas),
       replica_free_(std::size_t{index.num_shards()} * config.replicas, 0.0),
       groups_(index.num_shards(), ReplicaGroup(config.replicas)),
-      rejoin_at_(std::size_t{index.num_shards()} * config.replicas, kInf),
+      rejoin_at_(std::size_t{index.num_shards()} * config.replicas, kNever),
       lost_plan_(std::size_t{index.num_shards()} * config.replicas, 0),
       fence_replica_(index.num_shards(), 0),
       epoch_ops_(index.num_shards()),
       fenced_(index.num_shards(), 0),
       fence_start_(index.num_shards(), 0.0),
-      restore_at_(index.num_shards(), kInf),
+      restore_at_(index.num_shards(), kNever),
       cpu_free_(index.num_shards(), 0.0),
       shard_epoch_(index.num_shards(), 0),
       fence_depth_(index.num_shards(), 0),
       window_routed_(index.num_shards(), 0) {
-  if (!config_.obs.active()) return;
-  index_.set_observer(config_.obs);
-  if (config_.obs.metrics != nullptr) {
-    obs::MetricsRegistry& m = *config_.obs.metrics;
-    split_ranges_total_ = &m.counter("shard_split_ranges_total");
-    split_scans_total_ = &m.counter("shard_split_scans_total");
-    degraded_total_ = &m.counter("shard_degraded_requests_total");
+  const unsigned n = index.num_shards();
+  config_.validate(n);
+  if (config_.durability != nullptr)
+    HARMONIA_CHECK(config_.durability->num_shards() == n);
+  const obs::Observer& obs = config_.obs;
+  for (unsigned s = 0; s < n; ++s) {
+    HARMONIA_CHECK_MSG(index.shard(s) != nullptr,
+                       "shard " << s << " holds no keys — plan the partition "
+                                << "from the served keys (sample_balanced)");
+    sched_.push_back(std::make_unique<BatchScheduler>(
+        *index.shard(s), config_.link, config_.batch, config_.qos));
+    engines_.push_back(std::make_unique<serve::EpochUpdater>(
+        *index.shard(s), config_.link, config_.epoch));
+    if (injector_.active()) {
+      sched_[s]->set_fault_context(&injector_, s);
+      engines_[s]->set_fault_context(&injector_, s);
+    }
+    if (config_.durability != nullptr)
+      engines_[s]->set_durability(config_.durability->shard(s));
+    if (obs.active()) {
+      sched_[s]->set_observer(obs, s);
+      engines_[s]->set_observer(obs, s);
+    }
   }
+  if (!obs.active()) return;
+  injector_.set_observer(obs);
+  index_.set_observer(obs);
+  if (obs.metrics == nullptr) return;
+  obs::MetricsRegistry& m = *obs.metrics;
+  const auto edges = obs::LatencyHistogram::exponential_edges(1e-7, 1.0, 28);
+  for (std::size_t c = 0; c < qos::kNumClasses; ++c) {
+    const std::string labels =
+        std::string{"{class=\""} + qos::to_string(qos::priority_at(c)) + "\"}";
+    class_metrics_[c].completed = &m.counter("serve_class_completed_total" + labels);
+    class_metrics_[c].shed = &m.counter("serve_class_shed_total" + labels);
+    class_metrics_[c].dropped = &m.counter("serve_class_dropped_total" + labels);
+    class_metrics_[c].throttled = &m.counter("serve_class_throttled_total" + labels);
+    class_metrics_[c].latency =
+        &m.histogram("serve_class_latency_seconds" + labels, edges);
+  }
+  tune_applied_ = &m.counter("serve_tune_applied_total");
+  tune_vetoed_ = &m.counter("serve_tune_vetoed_total");
+  tune_rolled_back_ = &m.counter("serve_tune_rolled_back_total");
+  epochs_total_ = &m.counter("serve_epochs_total");
+  swap_wait_hist_ = &m.histogram("serve_epoch_swap_wait_seconds", edges);
+  stall_hist_ = &m.histogram("serve_epoch_stall_seconds", edges);
+  split_ranges_total_ = &m.counter("shard_split_ranges_total");
+  split_scans_total_ = &m.counter("shard_split_scans_total");
+  degraded_total_ = &m.counter("shard_degraded_requests_total");
 }
 
 ShardedServer::ShardedServer(HarmoniaIndex& index,
@@ -76,15 +106,6 @@ std::size_t ShardedServer::total_depth() const {
   return n;
 }
 
-void ShardedServer::begin_run(ServerReport& report) {
-  report.shard_batches.assign(index_.num_shards(), 0);
-  report.shard_queries.assign(index_.num_shards(), 0);
-  report.shard_admitted.assign(index_.num_shards(), 0);
-  report.shard_dropped.assign(index_.num_shards(), 0);
-  report.replica_batches.assign(std::size_t{index_.num_shards()} * replicas_, 0);
-  report.plan_version = plan_version_;
-}
-
 void ShardedServer::drop(const Request& r, unsigned shard, RequestSource& source,
                          ServerReport& report, const char* note) {
   ++report.shard_dropped[shard];
@@ -96,19 +117,23 @@ std::uint32_t ShardedServer::clamped_scan_n(const Request& r) const {
                                  config_.batch.max_range_results);
 }
 
-bool ShardedServer::straddles(const Request& r) const {
-  if (r.kind == RequestKind::kRange)
-    return index_.plan().shard_of(r.key) != index_.plan().shard_of(r.hi);
+std::pair<unsigned, unsigned> ShardedServer::span_of(const Request& r) const {
+  const unsigned s0 = index_.plan().shard_of(r.key);
+  if (r.kind == RequestKind::kRange) return {s0, index_.plan().shard_of(r.hi)};
   if (r.kind == RequestKind::kScan)
-    return index_.scan_end_shard(r.key, clamped_scan_n(r)) !=
-           index_.plan().shard_of(r.key);
-  return false;
+    return {s0, index_.scan_end_shard(r.key, clamped_scan_n(r))};
+  return {s0, s0};
+}
+
+bool ShardedServer::straddles(const Request& r) const {
+  const auto [s0, s1] = span_of(r);
+  return s0 != s1;
 }
 
 void ShardedServer::submit(const Request& r, RequestSource& source,
                            ServerReport& report) {
   // Hot-range detection rides the arrival clock (queries only — updates
-  // never reach this hook), so the cadence needs no extra event source.
+  // never get here), so the cadence needs no extra event source.
   maybe_start_migration(r.arrival);
 
   // Per-tenant token buckets gate everything shard routing would see: a
@@ -177,16 +202,8 @@ void ShardedServer::admit_query(const Request& r, double now,
   Request q = r;
   if (q.kind == RequestKind::kScan) q.scan_n = clamped_scan_n(q);
 
-  // Resolve the request's shard span: one shard for points, the bounds'
-  // shards for ranges, the count-based coverage for scans.
-  unsigned s0 = index_.plan().shard_of(q.key);
-  unsigned s1 = s0;
-  if (q.kind == RequestKind::kRange) {
-    HARMONIA_CHECK(q.key <= q.hi);
-    s1 = index_.plan().shard_of(q.hi);
-  } else if (q.kind == RequestKind::kScan) {
-    s1 = index_.scan_end_shard(q.key, q.scan_n);
-  }
+  if (q.kind == RequestKind::kRange) HARMONIA_CHECK(q.key <= q.hi);
+  const auto [s0, s1] = span_of(q);
 
   // Hotness window: every shard the query's span touches is load it
   // routes there (parked requests count once, at re-admission).
@@ -294,8 +311,8 @@ void ShardedServer::finish(unsigned s, Response resp, RequestSource& source,
   std::sort(merge.parts.begin(), merge.parts.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
   Response merged = serve::response_to(merge.original);
-  merged.epoch = epochs();
-  merged.dispatch = kInf;
+  merged.epoch = epochs_;
+  merged.dispatch = kNever;
   bool seen_live = false;
   for (const auto& [shard_ord, part] : merge.parts) {
     (void)shard_ord;
@@ -362,90 +379,6 @@ void ShardedServer::handle_dispatch(unsigned s, unsigned r,
   }
 }
 
-double ShardedServer::next_batch_time(double now) const {
-  double t_batch = kInf;
-  for (unsigned s = 0; s < sched_.size(); ++s) {
-    if (sched_[s]->empty()) continue;
-    const double trigger =
-        sched_[s]->size_ready() ? now : sched_[s]->next_deadline();
-    t_batch = std::min(t_batch, std::max(trigger, shard_min_free(s)));
-  }
-  return t_batch;
-}
-
-void ShardedServer::dispatch_ready_batch(double now, RequestSource& source,
-                                         ServerReport& report) {
-  // Re-derive the earliest shard at `now` (ties break to the lowest id).
-  unsigned best = 0;
-  double bt = kInf;
-  for (unsigned s = 0; s < sched_.size(); ++s) {
-    if (sched_[s]->empty()) continue;
-    const double trigger =
-        sched_[s]->size_ready() ? now : sched_[s]->next_deadline();
-    const double t = std::max(trigger, shard_min_free(s));
-    if (t < bt) {
-      bt = t;
-      best = s;
-    }
-  }
-  HARMONIA_CHECK(bt < kInf);
-  const unsigned r = groups_[best].pick(group_span(best));
-  handle_dispatch(best, r,
-                  sched_[best]->dispatch_ready(now, rfree(best, r),
-                                               shard_epoch_[best]),
-                  source, report);
-}
-
-void ShardedServer::drain_queries(double at, RequestSource& source,
-                                  ServerReport& report) {
-  for (unsigned s = 0; s < sched_.size(); ++s) {
-    while (!sched_[s]->empty()) {
-      const unsigned r = groups_[s].pick(group_span(s));
-      handle_dispatch(
-          s, r, sched_[s]->dispatch_ready(at, rfree(s, r), shard_epoch_[s]),
-          source, report);
-    }
-  }
-}
-
-double ShardedServer::swap_time(unsigned s, double ready) const {
-  // Queued fan-out pieces pin the shard's snapshot. A fenced (lost) shard
-  // is not serving: its host-side swap needs no batch boundary. A live
-  // shard swaps when its whole replica group is between batches (the
-  // staged image ships to every member; a lost member never holds the
-  // swap — catch-up covers it on rejoin).
-  if (fence_depth_[s] > 0) return kNever;
-  return fenced_[s] ? ready : std::max(ready, group_free(s));
-}
-
-void ShardedServer::on_swapped(unsigned s, unsigned epoch, std::uint64_t ops) {
-  shard_epoch_[s] = epoch;
-  // Catch-up ledger: a lost replica rejoining later replays exactly the
-  // per-shard op counts recorded here (mirrors the WAL's granularity).
-  if (replicas_ > 1 && ops > 0) epoch_ops_[s].emplace_back(epoch, ops);
-}
-
-double ShardedServer::next_swap_time() const {
-  if (migration_.has_value()) return migration_swap_time();
-  return Backend::next_swap_time();
-}
-
-void ShardedServer::epoch_commit(double now, RequestSource& source,
-                                 ServerReport& report) {
-  // A due migration flip arrives through the same swap hook (migrations
-  // and staged epochs are mutually exclusive, so no ambiguity).
-  if (migration_.has_value()) {
-    commit_migration(now, source, report);
-    return;
-  }
-  Backend::epoch_commit(now, source, report);
-}
-
-void ShardedServer::after_staged_epoch(double now, RequestSource& source,
-                                       ServerReport& report) {
-  release_parked(now, source, report);
-}
-
 void ShardedServer::release_parked(double now, RequestSource& source,
                                    ServerReport& report) {
   std::vector<Request> parked = std::move(parked_);
@@ -475,31 +408,31 @@ void ShardedServer::fence_shard(unsigned s, unsigned replica, double now,
   }
 }
 
-double ShardedServer::next_fault_time() const {
-  return injector_.active() ? injector_.next_shard_lost_time() : kNever;
-}
-
 void ShardedServer::handle_fault(double now, RequestSource& source,
                                  ServerReport& report) {
   const auto ev = injector_.take_shard_lost(now);
   HARMONIA_CHECK(ev.has_value());
   const unsigned s = ev->shard;
   const unsigned r = ev->replica;
-  HARMONIA_CHECK_MSG(!fenced_[s],
-                     "shard " << s << " lost twice without a restore between");
   ReplicaGroup& g = groups_[s];
-  fault::FaultReport& rep = injector_.report();
+  // The loss books by its outcome, not its kind: shards_lost counts the
+  // losses that fence a shard (or hit one already fenced), replicas_lost
+  // the losses a group absorbed.
+  const bool absorbed = !fenced_[s] && (g.healthy_count() > 1 || !g.is_healthy(r));
+  injector_.book_loss(*ev, /*fenced=*/!absorbed, now);
+
+  if (fenced_[s]) {
+    // Already fenced: the new hit extends the outage to the later repair
+    // (the replacement device is still down; one restore re-images it).
+    restore_at_[s] = std::max(restore_at_[s], now + ev->duration);
+    if (config_.obs.trace != nullptr)
+      config_.obs.trace->annotate(now, s, "shard outage extended");
+    return;
+  }
 
   // Failover: survivors keep serving the whole range from the device
-  // path — no fence, no degraded queries. The tallies are outcome-based
-  // (shards_lost counts whole-shard fences, replicas_lost the losses a
-  // group absorbed), so a `lose` absorbed by K > 1 reclassifies.
-  if (g.healthy_count() > 1 || !g.is_healthy(r)) {
-    if (ev->kind == fault::FaultKind::kShardLost) {
-      HARMONIA_CHECK(rep.shards_lost > 0);
-      --rep.shards_lost;
-      ++rep.replicas_lost;
-    }
+  // path — no fence, no degraded queries.
+  if (absorbed) {
     if (!g.is_healthy(r)) {
       // The slot is already down: the new hit extends its outage.
       rejoin_at_[slot(s, r)] =
@@ -521,13 +454,7 @@ void ShardedServer::handle_fault(double now, RequestSource& source,
   }
 
   // Last healthy member: the whole-shard fence + degraded serving (the
-  // only path at K = 1). A replica-lost event that lands here is in
-  // outcome a shard loss — reclassify the other way.
-  if (ev->kind == fault::FaultKind::kReplicaLost) {
-    HARMONIA_CHECK(rep.replicas_lost > 0);
-    --rep.replicas_lost;
-    ++rep.shards_lost;
-  }
+  // only path at K = 1).
   fence_shard(s, r, now, ev->duration, source, report);
 }
 
@@ -535,8 +462,8 @@ void ShardedServer::restore_shard(double now, ServerReport& report) {
   unsigned s = 0;
   for (unsigned i = 1; i < restore_at_.size(); ++i)
     if (restore_at_[i] < restore_at_[s]) s = i;
-  HARMONIA_CHECK(restore_at_[s] < kInf && fenced_[s]);
-  restore_at_[s] = kInf;
+  HARMONIA_CHECK(restore_at_[s] < kNever && fenced_[s]);
+  restore_at_[s] = kNever;
 
   // The replacement device comes up empty: re-image it from the host
   // tree (the source of truth), audit the fresh image, and rejoin. The
@@ -567,16 +494,16 @@ void ShardedServer::restore_shard(double now, ServerReport& report) {
 }
 
 double ShardedServer::next_restore_time() const {
-  double t = kInf;
+  double t = kNever;
   for (const double r : restore_at_) t = std::min(t, r);
   for (const double r : rejoin_at_) t = std::min(t, r);
   return t;
 }
 
 void ShardedServer::handle_restore(double now, ServerReport& report) {
-  double tr = kInf;
+  double tr = kNever;
   for (const double t : restore_at_) tr = std::min(tr, t);
-  double tj = kInf;
+  double tj = kNever;
   for (const double t : rejoin_at_) tj = std::min(tj, t);
   // Fence restores win ties: a rejoin deferred behind its shard's fence
   // re-arms at the restore instant and must run second.
@@ -590,7 +517,7 @@ void ShardedServer::rejoin_replica(double now, ServerReport& report) {
   std::size_t best = 0;
   for (std::size_t i = 1; i < rejoin_at_.size(); ++i)
     if (rejoin_at_[i] < rejoin_at_[best]) best = i;
-  HARMONIA_CHECK(rejoin_at_[best] < kInf);
+  HARMONIA_CHECK(rejoin_at_[best] < kNever);
   const unsigned s = static_cast<unsigned>(best / replicas_);
   const unsigned r = static_cast<unsigned>(best % replicas_);
   ReplicaGroup& g = groups_[s];
@@ -602,7 +529,7 @@ void ShardedServer::rejoin_replica(double now, ServerReport& report) {
     rejoin_at_[best] = restore_at_[s];
     return;
   }
-  rejoin_at_[best] = kInf;
+  rejoin_at_[best] = kNever;
 
   fault::FaultReport& rep = injector_.report();
   std::uint64_t ops = 0;
@@ -724,7 +651,7 @@ void ShardedServer::maybe_start_migration(double now) {
     window[s] = window_routed_[s] + sched_[s]->depth();
   std::fill(window_routed_.begin(), window_routed_.end(), 0);
 
-  if (migration_.has_value() || epoch_inflight()) return;
+  if (migration_.has_value() || inflight_.has_value()) return;
   if (migrations_done_ >= config_.reshard.max_migrations) return;
 
   unsigned h = 0;
@@ -841,15 +768,9 @@ bool ShardedServer::migration_swap_pending(double now) const {
 }
 
 bool ShardedServer::touches_migration(const serve::Request& r) const {
-  const unsigned a = std::min(migration_->donor, migration_->receiver);
-  const unsigned b = std::max(migration_->donor, migration_->receiver);
-  unsigned s0 = index_.plan().shard_of(r.key);
-  unsigned s1 = s0;
-  if (r.kind == RequestKind::kRange)
-    s1 = index_.plan().shard_of(r.hi);
-  else if (r.kind == RequestKind::kScan)
-    s1 = index_.scan_end_shard(r.key, clamped_scan_n(r));
-  return s0 <= b && s1 >= a;
+  const auto [s0, s1] = span_of(r);
+  return s0 <= std::max(migration_->donor, migration_->receiver) &&
+         s1 >= std::min(migration_->donor, migration_->receiver);
 }
 
 double ShardedServer::migration_swap_time() const {
@@ -897,7 +818,7 @@ void ShardedServer::commit_migration(double now, RequestSource& source,
   // placement instead of replaying ops against the old one.
   if (config_.durability != nullptr) {
     for (const unsigned s : {m.donor, m.receiver})
-      config_.durability->shard(s)->maybe_snapshot(epochs(), *index_.shard(s),
+      config_.durability->shard(s)->maybe_snapshot(epochs_, *index_.shard(s),
                                                    /*force=*/true, now);
   }
 
@@ -920,61 +841,6 @@ void ShardedServer::commit_migration(double now, RequestSource& source,
   // arrivals kept, so their deadlines stay urgent).
   at_fleet_swap_boundary(now);
   release_parked(now, source, report);
-}
-
-void ShardedServer::final_drain(double now, RequestSource& source,
-                                ServerReport& report) {
-  // Pending restores and replica rejoins complete first (lose events not
-  // yet fired are inert past stream end).
-  while (next_restore_time() < kInf) {
-    now = std::max(now, next_restore_time());
-    handle_restore(now, report);
-  }
-  while (true) {
-    for (unsigned s = 0; s < sched_.size(); ++s) {
-      while (!sched_[s]->empty()) {
-        const unsigned r = groups_[s].pick(group_span(s));
-        handle_dispatch(s, r,
-                        sched_[s]->dispatch_ready(std::max(now, rfree(s, r)),
-                                                  rfree(s, r),
-                                                  shard_epoch_[s]),
-                        source, report);
-      }
-    }
-    if (migration_.has_value()) {
-      // Queues drained and fences clear: the flip is unconditionally due
-      // (its swap time is finite now). The re-admitted parked requests
-      // refill the schedulers — hence the outer loop.
-      const double t = migration_swap_time();
-      HARMONIA_CHECK(t < kNever);
-      now = std::max(now, t);
-      commit_migration(now, source, report);
-      continue;
-    }
-    if (epoch_inflight()) {
-      // Queues are drained, so every fence is clear: take the remaining
-      // staggered swaps in order. The last one re-admits any parked
-      // straddlers, which refill the schedulers — hence the outer loop.
-      const double t = next_swap_time();
-      HARMONIA_CHECK(t < kNever);
-      now = std::max(now, t);
-      epoch_commit(now, source, report);
-      continue;
-    }
-    break;
-  }
-  // Leftover updates at stream end: nothing is left to overlap with, so
-  // both modes close out with a quiesce-style final epoch.
-  if (updates_pending()) run_quiesce(now, source, report);
-}
-
-void ShardedServer::finish_run(ServerReport& report) {
-  HARMONIA_CHECK(merges_.empty());  // every fan-out reassembled
-  HARMONIA_CHECK(!epoch_inflight());
-  HARMONIA_CHECK(!migration_.has_value());
-  HARMONIA_CHECK(parked_.empty());
-  report.plan_version = plan_version_;
-  Backend::finish_run(report);
 }
 
 }  // namespace harmonia::shard

@@ -1,11 +1,16 @@
-// Online serving over a range-sharded index of one or more devices: the
-// one Backend (serve/backend.hpp), whose hooks drive per-shard serving
-// machinery. A single device is a one-shard fleet. Every shard
-// gets its own bounded admission queues and deadline-driven batch
-// scheduler, its own epoch engine (serve::EpochUpdater), and its own
-// device timeline, so shards batch and dispatch independently — the
-// whole point of sharding the serving path. Backend composes the
-// engines into fleet epochs; this class supplies the topology hooks.
+// shard::ShardedServer — the one serving class, for every shard count (a
+// single device is a one-shard fleet). It owns the deterministic
+// virtual-clock event loop: the next event is the earliest of (arrival,
+// batch trigger, epoch trigger, staged swap), with fault/restore events
+// cutting ahead of same-instant work. Every shard gets its own bounded
+// admission queues and deadline-driven batch scheduler, its own epoch
+// engine (serve::EpochUpdater), and its own device timeline, so shards
+// batch and dispatch independently — the whole point of sharding the
+// serving path. The server composes the engines into fleet epochs
+// (update buffer, barrier, scatter, summed build, max upload, staggered
+// swaps) and owns the response accounting, the tunables swap-boundary
+// latch and the fleet metrics. Callers run a stream and read one
+// serve::ServerReport (docs/serving.md#one-engine-one-composition).
 //
 // Three pieces are genuinely cross-shard:
 //   Range fan-out  : a range query whose span straddles a partition
@@ -62,68 +67,116 @@
 // bumps once per committed migration).
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
 #include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
-#include "serve/backend.hpp"
+#include "fault/injector.hpp"
+#include "qos/admission.hpp"
+#include "serve/batch_scheduler.hpp"
+#include "serve/epoch_updater.hpp"
+#include "serve/options.hpp"
+#include "serve/report.hpp"
+#include "serve/tunables.hpp"
+#include "serve/workload.hpp"
 #include "shard/replica_group.hpp"
 #include "shard/sharded_index.hpp"
 
 namespace harmonia::shard {
 
-class ShardedServer : public serve::Backend {
+class ShardedServer {
  public:
   /// Every shard of `index` must hold keys (plan the partition from the
   /// served keys, e.g. ShardPlan::sample_balanced) so each shard has a
-  /// live device and scheduler for the whole run. The sharded stack
-  /// shares serve::ServeOptions (batch/epoch configs are per shard) and
-  /// the unified serve::ServerReport, whose shard_* vectors it fills.
+  /// live device and scheduler for the whole run. Batch/epoch configs
+  /// are per shard; the report's shard_* vectors hold one entry each.
   ShardedServer(ShardedIndex& index, const serve::ServeOptions& config);
   /// One device: serves the caller's index as a one-shard fleet (the
   /// server keeps the wrapping ShardedIndex; `index` must outlive it).
   ShardedServer(HarmoniaIndex& index, const serve::ServeOptions& config);
 
- protected:
-  void begin_run(serve::ServerReport& report) override;
-  double next_batch_time(double now) const override;
-  void dispatch_ready_batch(double now, serve::RequestSource& source,
-                            serve::ServerReport& report) override;
-  void submit(const serve::Request& r, serve::RequestSource& source,
-              serve::ServerReport& report) override;
-  unsigned shard_of(Key key) const override { return index_.plan().shard_of(key); }
-  void drain_queries(double at, serve::RequestSource& source,
-                     serve::ServerReport& report) override;
-  std::span<double> device_timelines() override { return replica_free_; }
-  double swap_time(unsigned s, double ready) const override;
-  /// A fenced (lost) shard has no live image to patch: it compacts.
-  bool may_patch(unsigned s) const override { return !fenced_[s]; }
-  void on_swapped(unsigned s, unsigned epoch, std::uint64_t ops) override;
-  bool staging_busy() const override { return migration_.has_value(); }
-  void after_staged_epoch(double now, serve::RequestSource& source,
-                          serve::ServerReport& report) override;
-  double next_swap_time() const override;
-  void epoch_commit(double now, serve::RequestSource& source,
-                    serve::ServerReport& report) override;
-  double next_fault_time() const override;
-  void handle_fault(double now, serve::RequestSource& source,
-                    serve::ServerReport& report) override;
-  double next_restore_time() const override;
-  void handle_restore(double now, serve::ServerReport& report) override;
-  void final_drain(double now, serve::RequestSource& source,
-                   serve::ServerReport& report) override;
-  void finish_run(serve::ServerReport& report) override;
+  /// Runs the stream to completion (drains all lanes, commits any staged
+  /// epoch, applies leftover updates) and returns the aggregate report
+  /// with its invariants checked.
+  serve::ServerReport run(serve::RequestSource& source);
+  /// Open-loop convenience: serve a pre-built, arrival-sorted stream.
+  serve::ServerReport run(std::span<const serve::Request> requests);
+
+  unsigned num_shards() const { return static_cast<unsigned>(engines_.size()); }
+
+  /// The currently adopted runtime snapshot (docs/serving.md#autotuner).
+  /// Inside a staged-epoch window this is the *target*: the image/PSA
+  /// knobs may still be latched — effective_query_knobs() reports what
+  /// the dispatch path is actually using.
+  const serve::Tunables& tunables() const { return tunables_; }
+
+  /// Validates `t` against the construction-time options and adopts it.
+  /// Scheduler knobs (max_batch/max_wait) take effect at the next batch
+  /// formation, apply_threads at the next epoch trigger; the image/PSA
+  /// knobs (group_size/sort_bits) install immediately when every shard
+  /// serves one committed image, otherwise they latch and land at the
+  /// epoch-swap boundary (the last shard's swap, or a migration's plan
+  /// flip). Throws ContractViolation (nothing adopted) on an invalid
+  /// snapshot.
+  void apply_tunables(const serve::Tunables& t, double now);
+
+  /// The (group_size, sort_bits) pair dispatches are using right now —
+  /// equals tunables()'s pair except while a snapshot is latched for a
+  /// swap boundary. Knobs install fleet-wide, so shard 0 speaks for every
+  /// scheduler. The swap stress tests pin that window.
+  std::pair<unsigned, unsigned> effective_query_knobs() const {
+    return {sched_[0]->group_size(), sched_[0]->sort_bits()};
+  }
 
  private:
+  static constexpr double kNever = std::numeric_limits<double>::infinity();
   /// Sub-request ids live above this bit so they can never collide with
   /// stream ids (which count up from 0).
   static constexpr std::uint64_t kSubIdBase = 1ULL << 63;
 
   ShardedServer(std::unique_ptr<ShardedIndex> owned,
                 const serve::ServeOptions& config);
+
+  /// One shard's share of the staged epoch in flight.
+  struct ShardStage {
+    bool staged = false;   // this shard has ops
+    bool swapped = false;  // image N+1 already installed
+    double ready = 0.0;    // staged image uploaded + audited
+    double upload_seconds = 0.0;
+    serve::EpochUpdater::Work work;
+  };
+
+  /// The one staged epoch in flight between its trigger and the last
+  /// per-shard swap (single staging buffer).
+  struct InflightEpoch {
+    unsigned ordinal = 0;  // epoch number every shard will swap to
+    double trigger = 0.0;
+    double build_seconds = 0.0;
+    double build_done = 0.0;
+    /// True when every staged shard patched in place (the epoch books as
+    /// a patch epoch); any shadow build makes it a compaction epoch.
+    bool patch = true;
+    UpdateStats stats;  // summed over shards
+    std::vector<serve::Request> requests;
+    std::vector<ShardStage> shards;
+    unsigned remaining = 0;  // shards not yet swapped
+  };
+
+  /// Per-class cached metric handles (null when unobserved).
+  struct ClassMetrics {
+    obs::Counter* completed = nullptr;
+    obs::Counter* shed = nullptr;
+    obs::Counter* dropped = nullptr;
+    obs::Counter* throttled = nullptr;
+    obs::LatencyHistogram* latency = nullptr;
+  };
 
   struct PendingMerge {
     std::size_t parts_expected = 0;
@@ -161,6 +214,108 @@ class ShardedServer : public serve::Backend {
     MigrationSide receiver_side;
   };
 
+  // ---- Event loop and epoch composition (serving_loop.cpp) ----
+
+  /// Earliest instant a closed batch can start on a free device; kNever
+  /// when every scheduler is idle.
+  double next_batch_time(double now) const;
+  /// Dispatches the most urgent ready batch at `now` (the instant
+  /// next_batch_time returned).
+  void dispatch_ready_batch(double now, serve::RequestSource& source,
+                            serve::ServerReport& report);
+  void buffer_update(const serve::Request& r);
+  double next_epoch_time(double now) const;
+  void epoch_begin(double now, serve::RequestSource& source,
+                   serve::ServerReport& report);
+  /// A quiesce epoch triggered at `at`: drain, barrier on every device,
+  /// apply each shard's ops on one host CPU, resync the touched images
+  /// concurrently, reopen every device at the same instant.
+  void run_quiesce(double at, serve::RequestSource& source,
+                   serve::ServerReport& report);
+  /// Quiesce epochs: serves every queued query batch at `at` so
+  /// everything admitted before the trigger sees the pre-epoch images.
+  void drain_queries(double at, serve::RequestSource& source,
+                     serve::ServerReport& report);
+  /// Overlap/incremental trigger: stages every touched shard's epoch.
+  void begin_staged(double now);
+  /// True while shards disagree on their epoch version (between the
+  /// first and last swap of a staged epoch): new straddlers must park.
+  bool mixed_version() const {
+    return inflight_.has_value() && inflight_->remaining < num_shards();
+  }
+  /// True once any unswapped shard's staged image is ready at `now`: a
+  /// swap is due, so new straddlers must park instead of pinning the
+  /// shard's snapshot again (otherwise the swap starves).
+  bool swap_pending(double now) const;
+  /// Earliest instant shard `s` can swap a staged image that is ready at
+  /// `ready` (a batch boundary on its devices); kNever while blocked.
+  double swap_time(unsigned s, double ready) const;
+  /// Next atomic image swap or migration flip; kNever when none is due.
+  double next_swap_time() const;
+  /// Commits the due migration flip, or the due shard of the staged
+  /// epoch, at `now` (a batch boundary); the last shard's swap completes
+  /// the epoch.
+  void epoch_commit(double now, serve::RequestSource& source,
+                    serve::ServerReport& report);
+  /// Installs the staged epoch on shard `s` at `now`.
+  void commit_shard(unsigned s, double now, serve::ServerReport& report);
+  /// Shard `s` now serves epoch `epoch`, having absorbed `ops` client
+  /// ops in it (0 for an untouched shard).
+  void on_swapped(unsigned s, unsigned epoch, std::uint64_t ops);
+  /// Books the staged epoch after its last swap, answers its updates and
+  /// re-admits the parked straddlers.
+  void finish_staged(double now, serve::RequestSource& source,
+                     serve::ServerReport& report);
+  /// The buffered ops scattered by shard, in arrival order within each.
+  std::vector<std::vector<queries::UpdateOp>> scatter(
+      const std::vector<serve::Request>& requests) const;
+  void book_epoch(const UpdateStats& stats, double build, double upload,
+                  bool patch, serve::ServerReport& report);
+  void answer_updates(const std::vector<serve::Request>& requests,
+                      double dispatch, double completion, const std::string& note,
+                      serve::RequestSource& source, serve::ServerReport& report);
+  /// Stream exhausted with no armed trigger: flush remaining batches,
+  /// commit any staged epoch or migration, apply leftover updates as a
+  /// last epoch.
+  void final_drain(double now, serve::RequestSource& source,
+                   serve::ServerReport& report);
+  /// After the loop: asserts everything drained, attaches the fault
+  /// report and durability tallies, exports end-of-run gauges.
+  void finish_run(serve::ServerReport& report);
+
+  /// Fleet-wide swap boundary (a staged epoch's last swap, a quiesce
+  /// epoch, a committed migration): installs a latched tunables snapshot
+  /// and feeds the controller shard 0's re-profiled knobs.
+  void at_fleet_swap_boundary(double now);
+  void install_query_knobs(const serve::Tunables& t);
+  void run_tune_tick(double now);
+  /// Books one controller decision: bumps the matching counter and
+  /// annotates the trace ("tune <action> <note>"). kNone is silent.
+  void note_tune(serve::TuneAction action, const std::string& note, double now);
+
+  /// Books a completed or shed query response and answers it.
+  void deliver(serve::Response resp, serve::RequestSource& source,
+               serve::ServerReport& report);
+  /// Answers `r` dropped at `now` without dispatching it; the caller has
+  /// booked the counters. `note` goes to the trace reply stamp on `shard`.
+  void answer_dropped(const serve::Request& r, double now, unsigned epoch,
+                      unsigned shard, const char* note,
+                      serve::RequestSource& source, serve::ServerReport& report);
+  /// An admission drop: books dropped (per class) and answers it.
+  void reject(const serve::Request& r, unsigned epoch, unsigned shard,
+              const char* note, serve::RequestSource& source,
+              serve::ServerReport& report);
+  /// Per-tenant token-bucket gate at the queue edge: a tenant past its
+  /// provisioned rate is booked throttled and rejected (true).
+  bool throttle(const serve::Request& r, unsigned epoch, unsigned shard,
+                serve::RequestSource& source, serve::ServerReport& report);
+
+  // ---- Routing, replicas, faults, migrations (sharded_server.cpp) ----
+
+  /// Routes one query arrival (updates never get here — the loop buffers
+  /// them for the next epoch). Accounts admitted/dropped itself.
+  void submit(const serve::Request& r, serve::RequestSource& source,
+              serve::ServerReport& report);
   void admit_query(const serve::Request& r, double now,
                    serve::RequestSource& source, serve::ServerReport& report);
   void drop(const serve::Request& r, unsigned shard, serve::RequestSource& source,
@@ -173,8 +328,12 @@ class ShardedServer : public serve::Backend {
   /// A scan's cap, clamped like the scheduler clamps it (so fan-out span,
   /// merge truncation, and the device all agree on one n).
   std::uint32_t clamped_scan_n(const serve::Request& r) const;
-  /// True when the request's span/coverage crosses a shard boundary (the
-  /// parking predicate for mixed-version windows).
+  /// The first and last shard the request's span touches under the
+  /// current plan: the owner for points, the bounds' shards for ranges,
+  /// the count-based coverage for scans.
+  std::pair<unsigned, unsigned> span_of(const serve::Request& r) const;
+  /// True when the request's span crosses a shard boundary (the parking
+  /// predicate for mixed-version windows).
   bool straddles(const serve::Request& r) const;
   void handle_dispatch(unsigned s, unsigned r, serve::BatchScheduler::Dispatch d,
                        serve::RequestSource& source, serve::ServerReport& report);
@@ -195,6 +354,14 @@ class ShardedServer : public serve::Backend {
   void fence_shard(unsigned s, unsigned replica, double now, double repair,
                    serve::RequestSource& source, serve::ServerReport& report);
   void restore_shard(double now, serve::ServerReport& report);
+  /// Fires the due loss event: extends a fenced shard's outage or a down
+  /// slot's, fails over to the survivors, or fences the shard when the
+  /// last healthy member dies. Books the loss by that outcome.
+  void handle_fault(double now, serve::RequestSource& source,
+                    serve::ServerReport& report);
+  /// Earliest due fence restore or replica rejoin (kNever when none).
+  double next_restore_time() const;
+  void handle_restore(double now, serve::ServerReport& report);
   /// Brings the earliest due lost replica back: it catches up by
   /// replaying the group's update-log tail (epochs after the one it last
   /// applied), or by a full re-image when the plan changed since it was
@@ -244,6 +411,22 @@ class ShardedServer : public serve::Backend {
     return groups_[s].max_free(group_span(s));
   }
 
+  serve::ServeOptions config_;
+  fault::FaultInjector injector_;
+  /// Per-tenant token-bucket throttling at the admission edge.
+  qos::AdmissionController admission_;
+  std::vector<std::unique_ptr<serve::BatchScheduler>> sched_;
+  std::vector<std::unique_ptr<serve::EpochUpdater>> engines_;
+  std::vector<serve::Request> pending_updates_;
+  /// Fully committed epochs (every shard swapped / quiesce applied).
+  unsigned epochs_ = 0;
+  std::optional<InflightEpoch> inflight_;
+  /// Image/PSA knobs latched while a staged epoch (or migration) is in
+  /// flight; they install fleet-wide at the next swap boundary.
+  std::optional<serve::Tunables> pending_query_;
+  serve::TuneController* tuner_ = nullptr;
+  serve::Tunables tunables_;
+
   ShardedIndex& index_;
   /// The one-shard wrapper index_ refers to, when built over a bare
   /// HarmoniaIndex (null otherwise).
@@ -256,7 +439,7 @@ class ShardedServer : public serve::Backend {
   /// Health + catch-up cursor per shard's group.
   std::vector<ReplicaGroup> groups_;
   /// Flattened per-slot rejoin instants for losses absorbed by failover
-  /// (kInf = slot healthy or fenced-path, which uses restore_at_).
+  /// (kNever = slot healthy or fenced-path, which uses restore_at_).
   std::vector<double> rejoin_at_;
   /// Plan version at the instant each slot was lost: a rejoin whose
   /// shard plan moved since must full-re-image instead of log catch-up.
@@ -273,8 +456,8 @@ class ShardedServer : public serve::Backend {
   std::vector<double> fence_start_;
   std::vector<double> restore_at_;
   std::vector<double> cpu_free_;
-  /// Per-shard epoch version: equals epochs() outside a swap window; the
-  /// shards that already took their staggered swap sit at epochs() + 1.
+  /// Per-shard epoch version: equals epochs_ outside a swap window; the
+  /// shards that already took their staggered swap sit at epochs_ + 1.
   /// Stamped into every response the shard serves (device or degraded).
   std::vector<unsigned> shard_epoch_;
   /// Cross-shard version fence: queued fan-out sub-requests per shard.
@@ -301,6 +484,14 @@ class ShardedServer : public serve::Backend {
   /// Parent request id -> fan-out reassembly state.
   std::map<std::uint64_t, PendingMerge> merges_;
   /// Cached metric handles (null when unobserved).
+  std::array<ClassMetrics, qos::kNumClasses> class_metrics_{};
+  obs::Counter* tune_applied_ = nullptr;
+  obs::Counter* tune_vetoed_ = nullptr;
+  obs::Counter* tune_rolled_back_ = nullptr;
+  /// Fleet-level epoch metrics (the engines' are per shard).
+  obs::Counter* epochs_total_ = nullptr;
+  obs::LatencyHistogram* swap_wait_hist_ = nullptr;
+  obs::LatencyHistogram* stall_hist_ = nullptr;
   obs::Counter* split_ranges_total_ = nullptr;
   obs::Counter* split_scans_total_ = nullptr;
   obs::Counter* degraded_total_ = nullptr;

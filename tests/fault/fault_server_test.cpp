@@ -10,8 +10,8 @@
 #include "common/expect.hpp"
 #include "fault/checksum.hpp"
 #include "queries/workload.hpp"
-#include "serve/server.hpp"
 #include "serve/workload.hpp"
+#include "shard/sharded_server.hpp"
 
 namespace harmonia::serve {
 namespace {
@@ -72,7 +72,7 @@ TEST(FaultServer, ArmedButIdlePlanIsBitIdentical) {
     const auto stream = query_stream(f, 3000, 42);
     ServeOptions cfg = base_config();
     if (!spec.empty()) cfg.faults = fault::FaultPlan::parse(spec);
-    Server server(f.index, cfg);
+    shard::ShardedServer server(f.index, cfg);
     return server.run(stream);
   };
 
@@ -99,7 +99,7 @@ TEST(FaultServer, SlowdownStretchesTheClockNotTheAnswers) {
     const auto stream = query_stream(f, 3000, 42);
     ServeOptions cfg = base_config();
     if (!spec.empty()) cfg.faults = fault::FaultPlan::parse(spec);
-    Server server(f.index, cfg);
+    shard::ShardedServer server(f.index, cfg);
     auto rep = server.run(stream);
     expect_points_match_tree(rep, stream, f.index);
     return rep;
@@ -120,7 +120,7 @@ TEST(FaultServer, TransientFailuresAreRetriedWithinBudget) {
   const auto stream = query_stream(f, 2000, 7);
   ServeOptions cfg = base_config();
   cfg.faults = fault::FaultPlan::parse("fail@0:shard=0,count=2");
-  Server server(f.index, cfg);
+  shard::ShardedServer server(f.index, cfg);
   const auto rep = server.run(stream);
 
   EXPECT_EQ(rep.faults.dispatch_failures, 2u);
@@ -139,7 +139,7 @@ TEST(FaultServer, ExhaustedRetryBudgetShedsTheBatchVisibly) {
   // More consecutive failures than any retry budget: some batch dies.
   cfg.faults = fault::FaultPlan::parse("fail@0:shard=0,count=64");
   cfg.mitigation.retry.max_attempts = 3;
-  Server server(f.index, cfg);
+  shard::ShardedServer server(f.index, cfg);
   const auto rep = server.run(stream);
 
   EXPECT_GT(rep.faults.retry_shed_batches, 0u);
@@ -199,7 +199,7 @@ TEST(FaultServer, ResyncCorruptionIsDetectedAndRepaired) {
     if (buffered > 0) snapshots.push_back(oracle);
   }
 
-  Server server(f.index, cfg);
+  shard::ShardedServer server(f.index, cfg);
   const auto rep = server.run(stream);
 
   EXPECT_EQ(rep.faults.corruptions, 1u);
@@ -225,7 +225,7 @@ TEST(FaultServer, RejectsShardLostOnSingleDevice) {
   ServerFixture f;
   ServeOptions cfg = base_config();
   cfg.faults = fault::FaultPlan::parse("lose@0:shard=0,repair=0.001");
-  EXPECT_THROW(Server(f.index, cfg), ContractViolation);
+  EXPECT_THROW(shard::ShardedServer(f.index, cfg), ContractViolation);
 }
 
 }  // namespace

@@ -187,6 +187,48 @@ TEST(FaultShard, LostShardServesDegradedThenRestores) {
   }
 }
 
+// A second `lose` on a shard that is still fenced extends the outage to
+// the later repair instead of aborting the run: one restore re-images
+// the shard at the later instant, both losses book as shard losses, and
+// every answer stays epoch-exact.
+TEST(FaultShard, OverlappingLoseExtendsTheFence) {
+  ShardedFixture f(2);
+
+  serve::OpenLoopSpec spec;
+  spec.arrivals_per_second = 4e6;
+  spec.count = 6000;
+  spec.update_fraction = 0.20;
+  spec.range_fraction = 0.10;
+  spec.range_span = 64;
+  spec.seed = 17;
+  const auto stream = serve::make_open_loop(f.keys, spec);
+
+  serve::ServeOptions cfg;
+  cfg.batch.max_batch = 128;
+  cfg.batch.max_wait = 80e-6;
+  cfg.batch.queue_capacity = 1 << 14;
+  cfg.batch.max_range_results = 16;
+  cfg.epoch.max_buffered = 300;
+  // Fenced 0.0004 -> 0.0008 by the first loss; the second lands inside
+  // that window and pushes the restore out to 0.0012.
+  cfg.faults = fault::FaultPlan::parse(
+      "lose@0.0004:shard=1,repair=0.0004;lose@0.0006:shard=1,repair=0.0006");
+
+  const auto snapshots = make_snapshots(f.keys, stream, cfg.epoch.max_buffered);
+  ShardedServer server(f.index, cfg);
+  const auto rep = server.run(stream);
+
+  EXPECT_EQ(rep.faults.shards_lost, 2u);
+  EXPECT_EQ(rep.faults.shards_restored, 1u);
+  EXPECT_NEAR(rep.faults.fenced_seconds, 0.0008, 1e-12);
+  EXPECT_GT(rep.faults.degraded_points, 0u);
+  EXPECT_EQ(rep.epochs + 1, snapshots.size());
+  check_answered_against_oracle(rep, stream, snapshots,
+                                cfg.batch.max_range_results);
+  ASSERT_NE(f.index.shard(1), nullptr);
+  EXPECT_TRUE(fault::verify_image(*f.index.shard(1)));
+}
+
 // The CI replay gate in code: the same seeded random plan over the same
 // stream must reproduce byte-identical FaultReport CSV rows and
 // identical responses.
@@ -195,8 +237,7 @@ TEST(FaultShard, SeededRandomPlanReplaysByteIdentically) {
   rspec.horizon = 1.2e-3;
   rspec.events_per_second = 4000;
   rspec.num_shards = 4;
-  // Shard losses are exercised above; random back-to-back losses on one
-  // shard would (correctly) trip the no-relost-while-fenced contract.
+  // Shard losses are exercised above.
   rspec.weights[static_cast<int>(fault::FaultKind::kShardLost)] = 0.0;
 
   auto run_once = [&] {

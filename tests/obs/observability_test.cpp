@@ -15,7 +15,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "queries/workload.hpp"
-#include "serve/server.hpp"
 #include "serve/workload.hpp"
 #include "shard/backend_factory.hpp"
 #include "shard/sharded_server.hpp"
@@ -88,8 +87,7 @@ fault::FaultPlan random_plan(unsigned shards, std::uint64_t seed,
   rspec.horizon = 1.2e-3;
   rspec.events_per_second = 4000;
   rspec.num_shards = shards;
-  // Random back-to-back losses on one shard would (correctly) trip the
-  // no-relost-while-fenced contract; losses are exercised separately.
+  // Losses are exercised separately (with_losses).
   if (!with_losses)
     rspec.weights[static_cast<int>(fault::FaultKind::kShardLost)] = 0.0;
   return fault::FaultPlan::random(rspec, seed);
@@ -127,7 +125,7 @@ TEST(Observability, ObserverDoesNotPerturbSingleDeviceRun) {
     obs::MetricsRegistry metrics;
     obs::TraceRecorder trace;
     if (observed) cfg.obs = {&metrics, &trace};
-    serve::Server server(f.index, cfg);
+    shard::ShardedServer server(f.index, cfg);
     auto report = server.run(test_stream(f.keys, 9));
     if (observed) {
       EXPECT_GT(metrics.prometheus_text().size(), 0u);
@@ -288,13 +286,13 @@ TEST(Observability, InvariantsHoldOverRandomFaultPlans) {
                 report.completed + report.shed + report.update_requests);
     }
   }
-  // Single-device Server under its own random plans.
+  // Single-device ShardedServer under its own random plans.
   for (const std::uint64_t seed : {11u, 12u}) {
     SCOPED_TRACE(testing::Message() << "single device, seed " << seed);
     SingleFixture f;
     serve::ServeOptions cfg = server_config();
     cfg.faults = random_plan(1, seed);
-    serve::Server server(f.index, cfg);
+    shard::ShardedServer server(f.index, cfg);
     const auto report = server.run(test_stream(f.keys, seed));
     ASSERT_NO_THROW(report.check_invariants());
     EXPECT_EQ(report.arrivals, report.admitted + report.dropped);

@@ -195,7 +195,7 @@ TEST_F(RestartServingTest, RestartExactlyOnEpochSwapBoundary) {
 
   // The swap instant, read straight off the stream: the arrival that
   // fills the epoch buffer to max_buffered is when the quiesce epoch
-  // triggers (serve::Backend::next_epoch_time returns `now` once
+  // triggers (ShardedServer::next_epoch_time returns `now` once
   // size_ready). No probe run needed — arrivals are deterministic.
   std::size_t updates = 0;
   double swap_at = -1.0;

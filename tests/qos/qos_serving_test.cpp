@@ -9,8 +9,8 @@
 #include <cstdint>
 
 #include "queries/workload.hpp"
-#include "serve/server.hpp"
 #include "serve/workload.hpp"
+#include "shard/sharded_server.hpp"
 
 namespace harmonia::serve {
 namespace {
@@ -99,7 +99,7 @@ TEST(QosServing, TokenBucketThrottlesPerTenant) {
   cfg.qos.tenant_rate = 3e5;  // under each tenant's ~0.7 Mq/s share
   cfg.qos.tenant_burst = 16.0;
 
-  Server server(f.index, cfg);
+  shard::ShardedServer server(f.index, cfg);
   const auto rep = server.run(stream);
 
   EXPECT_GT(rep.throttled, 0u);
@@ -119,7 +119,7 @@ TEST(QosServing, TokenBucketThrottlesPerTenant) {
   ServeOptions open = cfg;
   open.qos.tenant_rate = 0.0;
   ServerFixture f2;
-  Server server2(f2.index, open);
+  shard::ShardedServer server2(f2.index, open);
   const auto rep2 = server2.run(make_open_loop(f2.keys, spec));
   EXPECT_EQ(rep2.throttled, 0u);
   EXPECT_EQ(rep2.dropped, 0u);
@@ -145,7 +145,7 @@ TEST(QosServing, OverloadShedsLowestClassFirst) {
   cfg.batch.queue_capacity = 512;  // small budget: evictions must happen
   cfg.qos = three_class_qos();
 
-  Server server(f.index, cfg);
+  shard::ShardedServer server(f.index, cfg);
   const auto rep = server.run(stream);
 
   ASSERT_GT(rep.shed + rep.dropped, 0u) << "not an overload";
@@ -179,7 +179,7 @@ TEST(QosServing, WeightedFairFavoursGoldUnderSaturation) {
   cfg.batch.queue_capacity = 4096;
   cfg.qos = three_class_qos();
 
-  Server server(f.index, cfg);
+  shard::ShardedServer server(f.index, cfg);
   const auto rep = server.run(stream);
 
   ASSERT_GT(rep.class_latency[0].count(), 100u);
@@ -211,7 +211,7 @@ TEST(QosServing, DisabledQosStillKeepsClassLedger) {
   cfg.epoch.max_buffered = 200;
   ASSERT_FALSE(cfg.qos.enabled);
 
-  Server server(f.index, cfg);
+  shard::ShardedServer server(f.index, cfg);
   const auto rep = server.run(stream);
   EXPECT_GT(rep.class_arrivals[1], 0u);  // tenants really spanned classes
   EXPECT_GT(rep.class_arrivals[2], 0u);
@@ -236,7 +236,7 @@ TEST(QosServing, DeterministicReplayWithQosOn) {
     cfg.batch.queue_capacity = 512;
     cfg.qos = three_class_qos();
     cfg.qos.tenant_rate = 2e6;
-    Server server(f.index, cfg);
+    shard::ShardedServer server(f.index, cfg);
     return server.run(make_open_loop(f.keys, spec));
   };
 

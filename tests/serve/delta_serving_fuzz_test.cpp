@@ -1,9 +1,9 @@
 // Differential fuzz of the incremental (delta) epoch pipeline through
 // the full serving stack: a seeded mixed point/range/scan/update stream
-// runs against an incremental-mode Server whose deliberately tiny
-// overlay bound forces it to alternate between in-place patch commits
-// and compaction fallbacks, and every response is checked against the
-// snapshot for the epoch it reports — the same response-derived oracle
+// runs against an incremental-mode one-device ShardedServer whose
+// deliberately tiny overlay bound forces it to alternate between
+// in-place patch commits and compaction fallbacks, and every response is
+// checked against the snapshot for the epoch it reports — the same response-derived oracle
 // as epoch_pipeline_test.cpp (update responses carry the 1-based epoch
 // ordinal that applied them; apply_threads stays 1 so the arrival-order
 // map oracle is exact). The runs cross >= 1000 patch/compaction/swap
@@ -19,8 +19,8 @@
 #include "common/expect.hpp"
 #include "queries/workload.hpp"
 #include "serve/options.hpp"
-#include "serve/server.hpp"
 #include "serve/workload.hpp"
+#include "shard/sharded_server.hpp"
 
 namespace harmonia::serve {
 namespace {
@@ -179,7 +179,7 @@ TEST(DeltaServingFuzz, DifferentialOracleAcrossThousandEpochBoundaries) {
   cfg.epoch.seconds_per_patch_op = 0.0;
   cfg.link.gigabytes_per_second = 100.0;
   cfg.link.latency_seconds = 1e-6;
-  Server server(f.index, cfg);
+  shard::ShardedServer server(f.index, cfg);
   const auto rep = server.run(stream);
 
   ASSERT_EQ(rep.dropped, 0u);
@@ -224,7 +224,7 @@ TEST(DeltaServingFuzz, DeterministicReplay) {
     ServerFixture f;
     const auto stream = make_open_loop(f.keys, spec);
     const ServeOptions cfg = delta_config(/*max_buffered=*/16, /*overlay_cap=*/32);
-    Server server(f.index, cfg);
+    shard::ShardedServer server(f.index, cfg);
     out = server.run(stream);
   };
 
@@ -266,7 +266,7 @@ TEST(DeltaServingFuzz, PatchUploadsUndercutFullImageUploads) {
     const auto stream = make_open_loop(f.keys, spec);
     ServeOptions cfg = delta_config(/*max_buffered=*/64, /*overlay_cap=*/1024);
     cfg.epoch.mode = mode;
-    Server server(f.index, cfg);
+    shard::ShardedServer server(f.index, cfg);
     return server.run(stream);
   };
 

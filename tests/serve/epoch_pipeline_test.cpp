@@ -23,8 +23,8 @@
 #include "common/expect.hpp"
 #include "queries/workload.hpp"
 #include "serve/options.hpp"
-#include "serve/server.hpp"
 #include "serve/workload.hpp"
+#include "shard/sharded_server.hpp"
 
 namespace harmonia::serve {
 namespace {
@@ -111,7 +111,7 @@ TEST(EpochPipeline, OverlapDifferentialOracleAcrossEpochs) {
   cfg.epoch.max_buffered = 400;
   cfg.epoch.mode = EpochMode::kOverlap;
 
-  Server server(f.index, cfg);
+  shard::ShardedServer server(f.index, cfg);
   const auto rep = server.run(stream);
 
   ASSERT_EQ(rep.dropped, 0u);
@@ -200,7 +200,7 @@ TEST(EpochPipeline, ReportAttributesStallAndSwapPerMode) {
     cfg.batch.max_batch = 256;
     cfg.epoch.max_buffered = 200;
     cfg.epoch.mode = mode;
-    Server server(f.index, cfg);
+    shard::ShardedServer server(f.index, cfg);
     return server.run(stream);
   };
 
@@ -246,7 +246,7 @@ TEST(EpochPipeline, ZeroUpdateStreamIdenticalAcrossModes) {
     ServeOptions cfg;
     cfg.batch.max_batch = 128;
     cfg.epoch.mode = mode;
-    Server server(f.index, cfg);
+    shard::ShardedServer server(f.index, cfg);
     return server.run(stream);
   };
 
@@ -293,7 +293,7 @@ TEST(EpochPipeline, ThousandsOfBackToBackSwapsStayMonotonic) {
   cfg.link.gigabytes_per_second = 100.0;
   cfg.link.latency_seconds = 1e-6;
 
-  Server server(f.index, cfg);
+  shard::ShardedServer server(f.index, cfg);
   const auto rep = server.run(stream);
 
   ASSERT_EQ(rep.dropped, 0u);
@@ -335,7 +335,7 @@ TEST(EpochPipeline, ThousandsOfBackToBackSwapsStayMonotonic) {
   ServerFixture f1;
   ServeOptions cfg1 = cfg;
   cfg1.epoch.apply_threads = 1;
-  Server serial(f1.index, cfg1);
+  shard::ShardedServer serial(f1.index, cfg1);
   const auto rep1 = serial.run(stream);
   EXPECT_GE(rep1.epochs, 1500u);
   f1.index.tree().validate();
@@ -363,7 +363,7 @@ TEST(EpochPipeline, DeterministicReplayWithThreadedApply) {
     cfg.epoch.max_buffered = 100;
     cfg.epoch.apply_threads = 2;
     cfg.epoch.mode = EpochMode::kOverlap;
-    Server server(f.index, cfg);
+    shard::ShardedServer server(f.index, cfg);
     return server.run(stream);
   };
 

@@ -7,8 +7,8 @@
 #include <map>
 
 #include "queries/workload.hpp"
-#include "serve/server.hpp"
 #include "serve/workload.hpp"
+#include "shard/sharded_server.hpp"
 
 namespace harmonia::serve {
 namespace {
@@ -90,7 +90,7 @@ TEST(Server, DifferentialOracleAcrossEpochs) {
   }
   ASSERT_GE(snapshots.size(), 4u) << "workload must span >= 3 update epochs";
 
-  Server server(f.index, cfg);
+  shard::ShardedServer server(f.index, cfg);
   const auto rep = server.run(stream);
 
   ASSERT_EQ(rep.dropped, 0u);
@@ -172,7 +172,7 @@ TEST(Server, DeadlineBoundsTailQueueingDelay) {
     ServeOptions cfg;
     cfg.batch.max_batch = 4096;  // size trigger out of the way
     cfg.batch.max_wait = max_wait;
-    Server server(f.index, cfg);
+    shard::ShardedServer server(f.index, cfg);
     return server.run(stream);
   };
 
@@ -204,7 +204,7 @@ TEST(Server, OverloadShedsLoadInsteadOfGrowingQueue) {
   cfg.batch.max_batch = 256;
   cfg.batch.max_wait = 50e-6;
   cfg.batch.queue_capacity = 1024;
-  Server server(f.index, cfg);
+  shard::ShardedServer server(f.index, cfg);
   const auto rep = server.run(stream);
 
   EXPECT_GT(rep.dropped, 0u);
@@ -221,7 +221,7 @@ TEST(Server, OverloadShedsLoadInsteadOfGrowingQueue) {
   longer.count = 2 * spec.count;
   const auto stream2 = make_open_loop(f.keys, longer);
   ServerFixture f2;
-  Server server2(f2.index, cfg);
+  shard::ShardedServer server2(f2.index, cfg);
   const auto rep2 = server2.run(stream2);
   EXPECT_GT(rep2.dropped, rep.dropped);  // shedding scales with the stream
   EXPECT_LE(rep2.queue_delay.max(), rep.queue_delay.max() * 1.25);
@@ -239,7 +239,7 @@ TEST(Server, ClosedLoopNeverOverflowsClientPopulation) {
   ServeOptions cfg;
   cfg.batch.max_batch = 64;
   cfg.batch.max_wait = 30e-6;
-  Server server(f.index, cfg);
+  shard::ShardedServer server(f.index, cfg);
   const auto rep = server.run(source);
 
   EXPECT_EQ(source.issued(), 2000u);
@@ -267,7 +267,7 @@ TEST(Server, DeterministicReplay) {
     cfg.batch.max_batch = 128;
     cfg.batch.max_wait = 80e-6;
     cfg.epoch.max_buffered = 100;
-    Server server(f.index, cfg);
+    shard::ShardedServer server(f.index, cfg);
     return server.run(stream);
   };
 

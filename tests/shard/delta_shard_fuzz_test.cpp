@@ -190,10 +190,7 @@ TEST(DeltaShardFuzz, DifferentialOracleAcrossThousandShardBoundaries) {
   cfg.link.gigabytes_per_second = 100.0;
   cfg.link.latency_seconds = 1e-6;
   ShardedServer server(f.index, cfg);
-  // Run through the unified interface, exactly what a tool holding a
-  // serve::Backend& would drive.
-  serve::Backend& backend = server;
-  const auto rep = backend.run(stream);
+  const auto rep = server.run(stream);
 
   ASSERT_EQ(rep.dropped, 0u);
   ASSERT_EQ(rep.responses.size(), stream.size());

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/expect.hpp"
+#include "obs/metrics.hpp"
 #include "queries/workload.hpp"
 #include "serve/workload.hpp"
 #include "shard/sharded_server.hpp"
@@ -193,9 +194,17 @@ TEST(ReplicaFailover, LostReplicaServesFromSurvivorsZeroDegraded) {
                                 cfg.batch.max_range_results);
 }
 
+// The loss counters book by outcome in the report and the metrics alike.
+void expect_loss_metrics_match(obs::MetricsRegistry& metrics,
+                               const fault::FaultReport& faults) {
+  EXPECT_EQ(metrics.counter("fault_shards_lost_total").value(), faults.shards_lost);
+  EXPECT_EQ(metrics.counter("fault_replicas_lost_total").value(),
+            faults.replicas_lost);
+}
+
 // A whole-shard `lose` event aimed at a replicated group is absorbed the
-// same way: one slot goes down, the survivors serve, and the outcome
-// tally reclassifies the loss from shard to replica.
+// same way: one slot goes down, the survivors serve, and the loss books
+// as a replica loss (its outcome), not a shard loss (its kind).
 TEST(ReplicaFailover, WholeShardLoseAbsorbedByGroup) {
   ShardedFixture f(4);
 
@@ -208,6 +217,8 @@ TEST(ReplicaFailover, WholeShardLoseAbsorbedByGroup) {
 
   auto cfg = replicated_config(2);
   cfg.faults = fault::FaultPlan::parse("lose@0.0004:shard=2,repair=0.0005");
+  obs::MetricsRegistry metrics;
+  cfg.obs = {&metrics, nullptr};
 
   const auto snapshots = make_snapshots(f.keys, stream, cfg.epoch.max_buffered);
   ShardedServer server(f.index, cfg);
@@ -215,6 +226,7 @@ TEST(ReplicaFailover, WholeShardLoseAbsorbedByGroup) {
 
   EXPECT_EQ(rep.faults.shards_lost, 0u);
   EXPECT_EQ(rep.faults.replicas_lost, 1u);
+  expect_loss_metrics_match(metrics, rep.faults);
   EXPECT_EQ(rep.faults.replicas_rejoined, 1u);
   EXPECT_EQ(rep.faults.degraded_points, 0u);
   EXPECT_EQ(rep.shed, 0u);
@@ -240,6 +252,8 @@ TEST(ReplicaFailover, LastHealthyReplicaLossFencesShard) {
   cfg.faults = fault::FaultPlan::parse(
       "replica-lost@0.0003:shard=1,replica=0,repair=0.0009;"
       "replica-lost@0.0005:shard=1,replica=1,repair=0.0004");
+  obs::MetricsRegistry metrics;
+  cfg.obs = {&metrics, nullptr};
 
   const auto snapshots = make_snapshots(f.keys, stream, cfg.epoch.max_buffered);
   ShardedServer server(f.index, cfg);
@@ -247,6 +261,7 @@ TEST(ReplicaFailover, LastHealthyReplicaLossFencesShard) {
 
   EXPECT_EQ(rep.faults.replicas_lost, 1u);
   EXPECT_EQ(rep.faults.shards_lost, 1u);
+  expect_loss_metrics_match(metrics, rep.faults);
   EXPECT_EQ(rep.faults.shards_restored, 1u);
   EXPECT_GT(rep.faults.degraded_points, 0u);
   EXPECT_GT(rep.faults.fenced_seconds, 0.0);

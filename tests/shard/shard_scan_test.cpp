@@ -228,8 +228,7 @@ TEST(ShardScan, OnlineScansMatchSnapshotOracleAcrossOverlapSwaps) {
   cfg.epoch.mode = serve::EpochMode::kOverlap;
 
   ShardedServer server(f.sharded, cfg);
-  serve::Backend& backend = server;
-  const auto rep = backend.run(stream);
+  const auto rep = server.run(stream);
 
   ASSERT_EQ(rep.dropped, 0u);
   ASSERT_EQ(rep.responses.size(), stream.size());

@@ -5,8 +5,7 @@
 // must still match one whole-epoch snapshot, never a mix of two. Also
 // pins: per-response epochs monotone in completion order, the fence
 // under a high swap frequency (the TSan stress), the pre-swap CRC32
-// audit catching staged-image corruption without ever serving it, and
-// the whole path running polymorphically through serve::Backend.
+// audit catching staged-image corruption without ever serving it.
 //
 // Epoch membership comes from the update responses (an inflight epoch
 // lets the buffer outgrow max_buffered, so fixed-size blocks would
@@ -219,10 +218,7 @@ TEST(ShardSwap, StaggeredSwapsNeverMixSnapshots) {
   cfg.epoch.mode = serve::EpochMode::kOverlap;
 
   ShardedServer server(f.index, cfg);
-  // Run through the unified interface: the whole test drives exactly
-  // what a tool holding a serve::Backend& would.
-  serve::Backend& backend = server;
-  const auto rep = backend.run(stream);
+  const auto rep = server.run(stream);
 
   ASSERT_EQ(rep.dropped, 0u);
   ASSERT_EQ(rep.responses.size(), stream.size());

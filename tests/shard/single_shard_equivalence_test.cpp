@@ -1,6 +1,5 @@
 // Differential test of the two ways one device gets served: a
-// ShardedServer built over a bare HarmoniaIndex (serve::Server, which
-// wraps the index in a non-owning one-shard ShardedIndex) against a
+// ShardedServer built over a bare HarmoniaIndex (which wraps the index in a non-owning one-shard ShardedIndex) against a
 // ShardedServer over a ShardedIndex built from a one-shard
 // sample_balanced plan (what ServingStack builds), on the same keys and
 // the same stream. They must agree byte for byte: every response, every
@@ -20,7 +19,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "queries/workload.hpp"
-#include "serve/server.hpp"
 #include "serve/workload.hpp"
 #include "shard/sharded_server.hpp"
 #include "test_dir.hpp"
@@ -225,7 +223,7 @@ TEST_P(SingleShardEquivalence, ShardedAtOneShardMatchesServer) {
   ShardedIndex sharded(entries_, ShardPlan::sample_balanced(keys_, 1), shopts);
 
   const RunResult s = run("server", [&](const serve::ServeOptions& o) {
-    return std::make_unique<serve::Server>(single, o);
+    return std::make_unique<shard::ShardedServer>(single, o);
   });
   const RunResult k = run("sharded", [&](const serve::ServeOptions& o) {
     return std::make_unique<ShardedServer>(sharded, o);

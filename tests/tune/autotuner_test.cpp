@@ -1,15 +1,15 @@
 // Unit + integration tests of the closed-loop autotuner (src/tune/) and
-// the runtime-Tunables contract it drives through serve::Backend.
+// the runtime-Tunables contract it drives through shard::ShardedServer.
 //
 // The unit half feeds the controller hand-rolled metric windows and
 // checks the control-loop guard rails one by one: warmup, bounded step,
 // keep-on-gain, one-step rollback, p99 band, SLO veto, cooldown, and
 // bit-identical decision replay. The integration half runs a real
-// Server under a saturating stream and asserts the API redesign's
-// observable contract: tune decisions land in the metrics counters and
-// the trace, and the image/PSA knobs never change off an epoch-swap
-// boundary (a scripted controller samples effective_query_knobs()
-// between its own ticks to prove the latch).
+// one-device ShardedServer under a saturating stream and asserts the API
+// redesign's observable contract: tune decisions land in the metrics
+// counters and the trace, and the image/PSA knobs never change off an
+// epoch-swap boundary (a scripted controller samples
+// effective_query_knobs() between its own ticks to prove the latch).
 #include "tune/autotuner.hpp"
 
 #include <gtest/gtest.h>
@@ -20,8 +20,8 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "queries/workload.hpp"
-#include "serve/server.hpp"
 #include "serve/workload.hpp"
+#include "shard/sharded_server.hpp"
 
 namespace harmonia::tune {
 namespace {
@@ -282,7 +282,7 @@ TEST(AutotunerServingTest, DecisionsLandInMetricsAndTrace) {
   opts.obs = {&metrics, &trace};
   opts.tuner = &tuner;
 
-  serve::Server server(f.index, opts);
+  shard::ShardedServer server(f.index, opts);
   const auto rep = server.run(make_open_loop(f.keys, saturating_spec(30000)));
   rep.check_invariants();
 
@@ -315,7 +315,7 @@ class LatchProbe : public serve::TuneController {
   LatchProbe(double tick_every, double apply_after)
       : tick_every_(tick_every), apply_after_(apply_after) {}
 
-  void attach(const serve::Backend* backend) { backend_ = backend; }
+  void attach(const shard::ShardedServer* backend) { backend_ = backend; }
 
   double next_tick() const override { return next_; }
 
@@ -341,7 +341,7 @@ class LatchProbe : public serve::TuneController {
   double apply_after_;
   double next_ = 0.0;
   double apply_at_ = -1.0;
-  const serve::Backend* backend_ = nullptr;
+  const shard::ShardedServer* backend_ = nullptr;
   std::vector<std::pair<double, unsigned>> tick_samples_;
   std::vector<std::pair<double, unsigned>> boundary_samples_;
 };
@@ -364,7 +364,7 @@ TEST(AutotunerServingTest, ImageKnobsOnlyChangeAtSwapBoundaries) {
   LatchProbe probe(/*tick_every=*/50e-6, /*apply_after=*/1e-3);
   opts.tuner = &probe;
 
-  serve::Server server(f.index, opts);
+  shard::ShardedServer server(f.index, opts);
   probe.attach(&server);
 
   serve::OpenLoopSpec spec = saturating_spec(40000);

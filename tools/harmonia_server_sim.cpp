@@ -7,7 +7,7 @@
 //
 // The topology is just a flag: --shards=1 serves from one device,
 // --shards=N range-shards the key space over N devices — either way the
-// run goes through the same serve::Backend (shard/backend_factory.hpp),
+// run goes through the same shard::ShardedServer (shard/backend_factory.hpp),
 // and --epoch-mode picks quiesce, the double-buffered overlap pipeline,
 // or delta (in-place patches with a compaction fallback).
 //
@@ -137,7 +137,7 @@ std::optional<tune::Autotuner> maybe_autotune(const Cli& cli, ObsSink& sink,
 }
 
 void print_tune_summary(const std::optional<tune::Autotuner>& tuner,
-                        const serve::Backend* backend) {
+                        const shard::ShardedServer* backend) {
   if (!tuner.has_value()) return;
   std::printf("autotuner       : %llu moves tried, %llu rollbacks, "
               "%llu vetoes\n",
