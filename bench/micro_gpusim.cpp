@@ -19,7 +19,9 @@ void BM_CoalesceSequential(benchmark::State& state) {
   std::array<std::uint64_t, 32> addrs{};
   for (unsigned i = 0; i < 32; ++i) addrs[i] = 4096 + i * 8;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(coalesce(addrs, full_mask(32), 8, 128));
+    const LineSet lines = coalesce(addrs, full_mask(32), 8, 128);
+    benchmark::DoNotOptimize(lines.size());
+    benchmark::DoNotOptimize(lines[0]);
   }
 }
 BENCHMARK(BM_CoalesceSequential);
@@ -29,7 +31,9 @@ void BM_CoalesceScattered(benchmark::State& state) {
   std::array<std::uint64_t, 32> addrs{};
   for (auto& a : addrs) a = rng.next() % (1 << 28);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(coalesce(addrs, full_mask(32), 8, 128));
+    const LineSet lines = coalesce(addrs, full_mask(32), 8, 128);
+    benchmark::DoNotOptimize(lines.size());
+    benchmark::DoNotOptimize(lines[0]);
   }
 }
 BENCHMARK(BM_CoalesceScattered);
@@ -55,21 +59,45 @@ void BM_CacheAccessMissStream(benchmark::State& state) {
 }
 BENCHMARK(BM_CacheAccessMissStream);
 
+/// Lane address patterns for BM_WarpGather (u64 loads, 128 B lines).
+enum GatherPattern : std::int64_t {
+  kConsecutive,  ///< lane i reads element offset+i: 2 lines
+  kStrided,      ///< lane i reads element offset+64i: 32 distinct lines
+  kScattered,    ///< random elements: 32 distinct lines, no order
+  kStraddling,   ///< every lane's 8 B crosses a line boundary: 64 lines
+};
+
 void BM_WarpGather(benchmark::State& state) {
   auto spec = titan_v();
   spec.num_sms = 4;
   spec.global_mem_bytes = 64 << 20;
   Device dev(spec);
-  auto data = dev.memory().malloc<std::uint64_t>(1 << 20);
-  const auto span_size = static_cast<std::uint64_t>(state.range(0));
+  constexpr std::uint64_t kElems = 1 << 20;
+  auto data = dev.memory().malloc<std::uint64_t>(kElems + 64);
+  const auto pattern = state.range(0);
+  Xoshiro256 rng(1);
   std::uint64_t offset = 0;
   for (auto _ : state) {
-    dev.launch(1, [&](WarpCtx& w) {
-      std::array<std::uint64_t, 32> addrs{};
-      std::array<std::uint64_t, 32> out{};
-      for (unsigned i = 0; i < 32; ++i) {
-        addrs[i] = data.element_addr((offset + i * span_size) % (1 << 20));
+    std::array<std::uint64_t, 32> addrs{};
+    for (std::uint64_t i = 0; i < 32; ++i) {
+      switch (pattern) {
+        case kConsecutive:
+          addrs[i] = data.element_addr((offset + i) % kElems);
+          break;
+        case kStrided:
+          addrs[i] = data.element_addr((offset + i * 64) % kElems);
+          break;
+        case kScattered:
+          addrs[i] = data.element_addr(rng.next_below(kElems));
+          break;
+        default: {  // the last 4 bytes of every other line
+          const std::uint64_t line = (offset + 2 * i) % (kElems * 8 / 128);
+          addrs[i] = data.addr + line * 128 + 124;
+        }
       }
+    }
+    dev.launch(1, [&](WarpCtx& w) {
+      std::array<std::uint64_t, 32> out{};
       w.gather<std::uint64_t>(full_mask(32), addrs, out);
       benchmark::DoNotOptimize(out);
     });
@@ -77,7 +105,12 @@ void BM_WarpGather(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 32);
 }
-BENCHMARK(BM_WarpGather)->Arg(1)->Arg(64);
+BENCHMARK(BM_WarpGather)
+    ->ArgName("pattern")
+    ->Arg(kConsecutive)
+    ->Arg(kStrided)
+    ->Arg(kScattered)
+    ->Arg(kStraddling);
 
 void BM_KernelLaunch(benchmark::State& state) {
   auto spec = titan_v();

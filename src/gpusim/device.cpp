@@ -90,7 +90,7 @@ std::uint64_t WarpCtx::account_access(LaneMask active, std::span<const std::uint
   KernelMetrics& m = *device_.active_metrics_;
   const DeviceSpec& spec = device_.spec_;
 
-  const auto lines = coalesce(addrs, active, bytes_per_lane, spec.line_bytes);
+  const LineSet lines = coalesce(addrs, active, bytes_per_lane, spec.line_bytes);
   HARMONIA_DCHECK(!lines.empty());
 
   ++m.loads;

@@ -46,10 +46,12 @@ void Memory::free_all() {
 void Memory::read_bytes(std::uint64_t addr, void* out, std::size_t n) const {
   if (is_const_address(addr)) {
     const std::uint64_t off = addr - kConstBase;
-    HARMONIA_CHECK_MSG(off + n <= const_.size(), "constant read out of bounds at " << off);
+    HARMONIA_CHECK_MSG(off <= const_.size() && n <= const_.size() - off,
+                       "constant read out of bounds at " << off);
     std::memcpy(out, const_.data() + off, n);
   } else {
-    HARMONIA_CHECK_MSG(addr + n <= global_.size(), "global read out of bounds at " << addr);
+    HARMONIA_CHECK_MSG(addr <= global_.size() && n <= global_.size() - addr,
+                       "global read out of bounds at " << addr);
     std::memcpy(out, global_.data() + addr, n);
   }
 }
@@ -57,10 +59,12 @@ void Memory::read_bytes(std::uint64_t addr, void* out, std::size_t n) const {
 void Memory::write_bytes(std::uint64_t addr, const void* in, std::size_t n) {
   if (is_const_address(addr)) {
     const std::uint64_t off = addr - kConstBase;
-    HARMONIA_CHECK_MSG(off + n <= const_.size(), "constant write out of bounds at " << off);
+    HARMONIA_CHECK_MSG(off <= const_.size() && n <= const_.size() - off,
+                       "constant write out of bounds at " << off);
     std::memcpy(const_.data() + off, in, n);
   } else {
-    HARMONIA_CHECK_MSG(addr + n <= global_.size(), "global write out of bounds at " << addr);
+    HARMONIA_CHECK_MSG(addr <= global_.size() && n <= global_.size() - addr,
+                       "global write out of bounds at " << addr);
     std::memcpy(global_.data() + addr, in, n);
   }
 }

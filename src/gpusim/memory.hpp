@@ -62,16 +62,28 @@ class Memory {
   }
 
   /// Simulator-side typed load (used by warp gather after accounting).
+  /// An in-bounds global address is served inline; every other address
+  /// (constant segment, out of bounds) goes through the checked
+  /// read_bytes, so out-of-bounds still throws ContractViolation.
   template <typename T>
   T read(std::uint64_t addr) const {
     T out;
-    read_bytes(addr, &out, sizeof(T));
+    if (in_global(addr, sizeof(T))) {
+      std::memcpy(&out, global_.data() + addr, sizeof(T));
+    } else {
+      read_bytes(addr, &out, sizeof(T));
+    }
     return out;
   }
 
+  /// Typed store; same routing as read().
   template <typename T>
   void write(std::uint64_t addr, const T& value) {
-    write_bytes(addr, &value, sizeof(T));
+    if (in_global(addr, sizeof(T))) {
+      std::memcpy(global_.data() + addr, &value, sizeof(T));
+    } else {
+      write_bytes(addr, &value, sizeof(T));
+    }
   }
 
   std::uint64_t global_used() const { return global_used_; }
@@ -84,6 +96,12 @@ class Memory {
 
  private:
   std::uint64_t alloc_bytes(std::uint64_t bytes, bool constant);
+
+  /// True iff [addr, addr+n) lies inside the committed global segment.
+  /// The kConstBase test also rules out addr+n wrapping around.
+  bool in_global(std::uint64_t addr, std::size_t n) const {
+    return addr < kConstBase && addr + n <= global_.size();
+  }
 
   /// Host backing store for the global segment grows on demand (the
   /// simulated device "has" global_capacity_ bytes, but the host only

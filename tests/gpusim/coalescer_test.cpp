@@ -4,6 +4,8 @@
 
 #include <array>
 
+#include "common/expect.hpp"
+
 namespace harmonia::gpusim {
 namespace {
 
@@ -59,6 +61,38 @@ TEST(Coalescer, SameLineUnorderedStillOneTransaction) {
   // even though the addresses are not ascending.
   std::array<std::uint64_t, 4> addrs{1024 + 24, 1024, 1024 + 8, 1024 + 16};
   EXPECT_EQ(coalesce(addrs, full_mask(4), 8, kLine).size(), 1u);
+}
+
+// The preconditions that bound LineSet's fixed buffer are always on.
+TEST(Coalescer, RejectsMoreThan32Lanes) {
+  std::array<std::uint64_t, 33> addrs{};
+  EXPECT_THROW(coalesce(addrs, full_mask(32), 8, kLine), ContractViolation);
+}
+
+TEST(Coalescer, RejectsZeroBytesPerLane) {
+  std::array<std::uint64_t, 4> addrs{};
+  EXPECT_THROW(coalesce(addrs, full_mask(4), 0, kLine), ContractViolation);
+}
+
+TEST(Coalescer, RejectsAccessWiderThanALine) {
+  std::array<std::uint64_t, 4> addrs{};
+  EXPECT_NO_THROW(coalesce(addrs, full_mask(4), kLine, kLine));
+  EXPECT_THROW(coalesce(addrs, full_mask(4), kLine + 1, kLine), ContractViolation);
+}
+
+TEST(Coalescer, RejectsNonPowerOfTwoLine) {
+  std::array<std::uint64_t, 4> addrs{};
+  EXPECT_THROW(coalesce(addrs, full_mask(4), 8, 96), ContractViolation);
+  EXPECT_THROW(coalesce(addrs, full_mask(4), 8, 0), ContractViolation);
+}
+
+TEST(Coalescer, EveryLaneStraddlingFillsTheBuffer) {
+  // 32 lanes, each straddling its own pair of lines: the 64-line worst case.
+  std::array<std::uint64_t, 32> addrs{};
+  for (unsigned i = 0; i < 32; ++i) addrs[i] = (2 * i + 1) * kLine - 4;
+  const auto lines = coalesce(addrs, full_mask(32), 8, kLine);
+  ASSERT_EQ(lines.size(), LineSet::kCapacity);
+  for (unsigned i = 0; i < lines.size(); ++i) EXPECT_EQ(lines[i], i);
 }
 
 }  // namespace

@@ -90,5 +90,48 @@ TEST(Memory, ConstAndGlobalSpacesDisjoint) {
   EXPECT_EQ(mem.read<std::uint64_t>(c.element_addr(0)), 222u);
 }
 
+// Typed reads and writes take an inline path for in-bounds global
+// addresses; the bounds must sit exactly where the checked path puts them.
+TEST(Memory, TypedAccessAtTheLastGlobalByte) {
+  Memory mem(1 << 20, 64 << 10);
+  auto p = mem.malloc<std::uint8_t>(1000);
+  const std::uint64_t end = p.addr + 1000;
+  ASSERT_EQ(mem.global_used(), end);
+  mem.write(end - 8, std::uint64_t{0x0123456789abcdef});
+  EXPECT_EQ(mem.read<std::uint64_t>(end - 8), 0x0123456789abcdefu);
+  mem.write(end - 1, std::uint8_t{7});
+  EXPECT_EQ(mem.read<std::uint8_t>(end - 1), 7u);
+}
+
+TEST(Memory, TypedAccessOneBytePastGlobalEndThrows) {
+  Memory mem(1 << 20, 64 << 10);
+  auto p = mem.malloc<std::uint8_t>(1000);
+  const std::uint64_t end = p.addr + 1000;
+  EXPECT_THROW(mem.read<std::uint64_t>(end - 7), ContractViolation);
+  EXPECT_THROW(mem.write(end - 7, std::uint64_t{1}), ContractViolation);
+  EXPECT_THROW(mem.read<std::uint8_t>(end), ContractViolation);
+  EXPECT_THROW(mem.write(end, std::uint8_t{1}), ContractViolation);
+}
+
+TEST(Memory, TypedAccessAtTheLastConstantByte) {
+  Memory mem(1 << 20, 1 << 10);
+  mem.const_malloc<std::uint8_t>(1 << 10);
+  const std::uint64_t end = kConstBase + mem.const_capacity();
+  mem.write(end - 4, std::uint32_t{0xfeedbeef});
+  EXPECT_EQ(mem.read<std::uint32_t>(end - 4), 0xfeedbeefu);
+  EXPECT_THROW(mem.read<std::uint32_t>(end - 3), ContractViolation);
+  EXPECT_THROW(mem.write(end - 3, std::uint32_t{1}), ContractViolation);
+  EXPECT_THROW(mem.read<std::uint8_t>(end), ContractViolation);
+  EXPECT_THROW(mem.write(end, std::uint8_t{1}), ContractViolation);
+}
+
+TEST(Memory, AddressesNearTheTopOfTheSpaceThrow) {
+  // addr + sizeof(T) wraps around here; the check must not.
+  Memory mem(1 << 20, 64 << 10);
+  const std::uint64_t top = ~std::uint64_t{0} - 3;
+  EXPECT_THROW(mem.read<std::uint64_t>(top), ContractViolation);
+  EXPECT_THROW(mem.write(top, std::uint64_t{1}), ContractViolation);
+}
+
 }  // namespace
 }  // namespace harmonia::gpusim

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <array>
+#include <set>
 
 #include "common/rng.hpp"
 #include "gpusim/cache.hpp"
@@ -49,6 +50,44 @@ TEST_P(CoalescerProperties, SubsetNeverNeedsMore) {
   const LaneMask sub = static_cast<LaneMask>(rng.next()) & full;
   if (sub == 0) return;
   EXPECT_LE(coalesce(addrs, sub, 8, 128).size(), coalesce(addrs, full, 8, 128).size());
+}
+
+TEST_P(CoalescerProperties, MatchesOrderedSetReference) {
+  // Differential check of the fixed-capacity coalescer against a
+  // std::set: same lines, same (ascending) order, element by element.
+  // Lane counts 1-32, masks with bits above the lane count, widths
+  // 1-128 B, and a mix of straddling, clustered and scattered addresses.
+  constexpr unsigned kLine = 128;
+  Xoshiro256 rng(GetParam() + 300);
+  for (int trial = 0; trial < 400; ++trial) {
+    const auto lanes = static_cast<std::size_t>(1 + rng.next_below(32));
+    const auto bytes = static_cast<unsigned>(1 + rng.next_below(kLine));
+    const std::uint64_t cluster = rng.next_below(1 << 16) * kLine;
+    std::array<std::uint64_t, 32> addrs{};
+    for (std::size_t l = 0; l < lanes; ++l) {
+      const std::uint64_t line_start = rng.next_below(1 << 20) * kLine;
+      switch (rng.next_below(3)) {
+        case 0:  // ends past the line: straddles unless it starts the next one
+          addrs[l] = line_start + kLine - rng.next_below(bytes);
+          break;
+        case 1:  // within a few lines of a shared base
+          addrs[l] = cluster + rng.next_below(4 * kLine);
+          break;
+        default:
+          addrs[l] = line_start + rng.next_below(kLine);
+      }
+    }
+    const auto mask = static_cast<LaneMask>(rng.next());
+    std::set<std::uint64_t> want;
+    for (std::size_t l = 0; l < lanes; ++l) {
+      if (!lane_active(mask, static_cast<unsigned>(l))) continue;
+      for (std::uint64_t a = addrs[l]; a < addrs[l] + bytes; ++a) want.insert(a / kLine);
+    }
+    const auto got = coalesce(std::span(addrs.data(), lanes), mask, bytes, kLine);
+    ASSERT_EQ(got.size(), want.size()) << "trial " << trial;
+    ASSERT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end()))
+        << "trial " << trial;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CoalescerProperties,
