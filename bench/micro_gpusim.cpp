@@ -1,6 +1,6 @@
 // Microbenchmarks of the GPU-simulator primitives (host cost of the
 // simulation itself, not simulated GPU time): coalescer, cache probes,
-// warp gathers, kernel launch.
+// warp gathers, kernel launch (empty and gather-plus-compute kernels).
 #include <benchmark/benchmark.h>
 
 #include <array>
@@ -125,6 +125,39 @@ void BM_KernelLaunch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(warps));
 }
 BENCHMARK(BM_KernelLaunch)->Arg(64)->Arg(1024);
+
+/// A launch of `warps` warps, each doing 8 rounds of a 32-lane gather of
+/// scattered u64s plus a compute step: how small launches (64 warps, a
+/// serving batch) pay for the launch machinery and how big ones scale
+/// over host threads.
+void BM_KernelLaunchGather(benchmark::State& state) {
+  auto spec = titan_v();
+  spec.num_sms = 8;
+  spec.global_mem_bytes = 64 << 20;
+  Device dev(spec);
+  constexpr std::uint64_t kElems = 1 << 20;
+  auto data = dev.memory().malloc<std::uint64_t>(kElems);
+  const auto warps = static_cast<std::uint64_t>(state.range(0));
+  for (auto _ : state) {
+    const auto metrics = dev.launch(warps, [&](WarpCtx& w) {
+      std::array<std::uint64_t, 32> addrs{};
+      std::array<std::uint64_t, 32> out{};
+      std::uint64_t h = w.warp_id() * 0x9e3779b97f4a7c15ULL;
+      for (unsigned round = 0; round < 8; ++round) {
+        for (auto& a : addrs) {
+          h = h * 6364136223846793005ULL + 1442695040888963407ULL;
+          a = data.element_addr((h >> 20) % kElems);
+        }
+        w.gather<std::uint64_t>(full_mask(32), addrs, out);
+        w.compute(full_mask(32));
+      }
+      benchmark::DoNotOptimize(out);
+    });
+    benchmark::DoNotOptimize(metrics);
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(warps));
+}
+BENCHMARK(BM_KernelLaunchGather)->Arg(64)->Arg(2048)->Arg(65536)->UseRealTime();
 
 }  // namespace
 

@@ -1,13 +1,295 @@
 #include "gpusim/device.hpp"
 
 #include <algorithm>
+#include <array>
+#include <atomic>
+#include <condition_variable>
+#include <exception>
+#include <memory>
+#include <mutex>
+#include <thread>
+#include <utility>
+
+#ifdef __linux__
+#include <sched.h>
+#endif
+#ifndef NDEBUG
+#include <unordered_map>
+#endif
 
 namespace harmonia::gpusim {
 
+/// One warp's functional run, kept for the serial cache replay: the
+/// counters that do not depend on the caches, then its accesses in
+/// program order.
+struct WarpLog {
+  struct Record {
+    TraceEventKind kind;
+    LaneMask mask;
+    /// A load/store's line count (its lines are the next `count` entries
+    /// of `lines`), or a compute record's steps.
+    std::uint32_t count;
+  };
+
+  std::uint64_t steps = 0;
+  std::uint64_t coherent_steps = 0;
+  std::uint64_t loads = 0;
+  std::uint64_t divergent_loads = 0;
+  std::uint64_t transactions = 0;
+  std::uint64_t compute_cycles = 0;
+  /// Loads and stores; compute steps only while tracing.
+  std::vector<Record> records;
+  /// Every access's LineSet, back to back.
+  std::vector<std::uint64_t> lines;
+  /// What the kernel threw, if anything.
+  std::exception_ptr error;
+#ifndef NDEBUG
+  /// Active lanes' byte ranges (address, bytes), for the contract check.
+  std::vector<std::pair<std::uint64_t, unsigned>> reads;
+  std::vector<std::pair<std::uint64_t, unsigned>> writes;
+#endif
+
+  void reset() {
+    steps = coherent_steps = loads = divergent_loads = transactions = compute_cycles = 0;
+    records.clear();
+    lines.clear();
+    error = nullptr;
+#ifndef NDEBUG
+    reads.clear();
+    writes.clear();
+#endif
+  }
+};
+
 namespace {
+
 /// Constant caches are small; 2 KiB per SM models the 8 KiB broadcast
 /// cache conservatively sliced for our working set.
 constexpr std::uint64_t kConstCacheBytes = 2 << 10;
+
+/// Warps whose functional phase runs before their block is replayed.
+constexpr std::uint64_t kBlockWarps = 512;
+/// Warps a pool thread claims at a time.
+constexpr std::uint64_t kGrainWarps = 8;
+
+/// CPUs in this process's affinity mask (`taskset -c 0` gives 1).
+unsigned affinity_cpus() {
+#ifdef __linux__
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) == 0) {
+    return static_cast<unsigned>(std::max(1, CPU_COUNT(&set)));
+  }
+#endif
+  return std::max(1u, std::thread::hardware_concurrency());
+}
+
+/// The process-wide host pool that runs the functional phase. It has one
+/// worker per CPU of the affinity mask, less one for the launching thread,
+/// which claims grains too once it has replayed the previous block.
+class HostPool {
+ public:
+  static HostPool& instance() {
+    static HostPool pool(affinity_cpus());
+    return pool;
+  }
+
+  /// Threads a block runs on, the launching thread included.
+  unsigned size() const { return static_cast<unsigned>(workers_.size()) + 1; }
+
+  /// One launching thread holds the pool at a time.
+  bool try_acquire() { return !held_.exchange(true, std::memory_order_acquire); }
+  void release() { held_.store(false, std::memory_order_release); }
+
+  /// Hands grains [0, grains) of `fn` to the workers and returns.
+  void start(std::function<void(std::uint64_t)> fn, std::uint64_t grains) {
+    auto job = std::make_shared<Job>(std::move(fn), grains);
+    {
+      std::lock_guard lock(mutex_);
+      job_ = std::move(job);
+      ++generation_;
+    }
+    work_cv_.notify_all();
+  }
+
+  /// Runs the grains no worker has claimed yet, then waits until every
+  /// grain is done. A worker that wakes late finds nothing left to claim;
+  /// the caller never waits for it.
+  void finish() {
+    std::shared_ptr<Job> job = job_;  // only the holder writes job_
+    run(*job);
+    std::unique_lock lock(mutex_);
+    done_cv_.wait(lock, [&] { return job->finished; });
+  }
+
+  HostPool(const HostPool&) = delete;
+  HostPool& operator=(const HostPool&) = delete;
+
+ private:
+  struct Job {
+    Job(std::function<void(std::uint64_t)> f, std::uint64_t g) : fn(std::move(f)), grains(g) {}
+    std::function<void(std::uint64_t)> fn;
+    std::uint64_t grains;
+    std::atomic<std::uint64_t> next{0};
+    std::atomic<std::uint64_t> done{0};
+    bool finished = false;  // guarded by mutex_
+  };
+
+  explicit HostPool(unsigned threads) {
+    for (unsigned i = 1; i < threads; ++i) workers_.emplace_back([this] { work(); });
+  }
+
+  ~HostPool() {
+    {
+      std::lock_guard lock(mutex_);
+      stop_ = true;
+    }
+    work_cv_.notify_all();
+    for (auto& t : workers_) t.join();
+  }
+
+  void run(Job& job) {
+    for (std::uint64_t g;
+         (g = job.next.fetch_add(1, std::memory_order_relaxed)) < job.grains;) {
+      job.fn(g);
+      if (job.done.fetch_add(1, std::memory_order_acq_rel) + 1 == job.grains) {
+        std::lock_guard lock(mutex_);
+        job.finished = true;
+        done_cv_.notify_all();
+      }
+    }
+  }
+
+  void work() {
+    std::uint64_t seen = 0;
+    for (;;) {
+      std::shared_ptr<Job> job;
+      {
+        std::unique_lock lock(mutex_);
+        work_cv_.wait(lock, [&] { return stop_ || generation_ != seen; });
+        if (stop_) return;
+        seen = generation_;
+        job = job_;
+      }
+      run(*job);
+    }
+  }
+
+  std::atomic<bool> held_{false};
+  std::mutex mutex_;
+  std::condition_variable work_cv_;
+  std::condition_variable done_cv_;
+  // Guarded by mutex_.
+  bool stop_ = false;
+  std::uint64_t generation_ = 0;
+  std::shared_ptr<Job> job_;
+  // Last: the workers use every member above.
+  std::vector<std::thread> workers_;
+};
+
+/// Runs one launch's blocks: on the pool when the launch has more than one
+/// grain and the pool is free, otherwise every grain on the caller (a
+/// small launch, or one made while another thread holds the pool).
+class BlockRunner {
+ public:
+  explicit BlockRunner(std::uint64_t num_warps) {
+    if (num_warps <= kGrainWarps) return;
+    HostPool& pool = HostPool::instance();
+    if (pool.size() > 1 && pool.try_acquire()) pool_ = &pool;
+  }
+
+  BlockRunner(const BlockRunner&) = delete;
+  BlockRunner& operator=(const BlockRunner&) = delete;
+
+  /// Waits for a block still in flight (a replay threw) before letting go.
+  ~BlockRunner() {
+    if (pool_ == nullptr) return;
+    if (in_flight_) pool_->finish();
+    pool_->release();
+  }
+
+  void start(std::function<void(std::uint64_t)> job, std::uint64_t grains) {
+    if (pool_ != nullptr) {
+      pool_->start(std::move(job), grains);
+    } else {
+      job_ = std::move(job);
+      grains_ = grains;
+    }
+    in_flight_ = true;
+  }
+
+  void finish() {
+    if (pool_ != nullptr) {
+      pool_->finish();
+    } else {
+      for (std::uint64_t g = 0; g < grains_; ++g) job_(g);
+    }
+    in_flight_ = false;
+  }
+
+ private:
+  HostPool* pool_ = nullptr;
+  std::function<void(std::uint64_t)> job_;
+  std::uint64_t grains_ = 0;
+  bool in_flight_ = false;
+};
+
+#ifndef NDEBUG
+/// Debug builds: the launch's scatter write set, by 8-byte word. A load
+/// of bytes that another warp of the launch stored breaks the kernel
+/// contract. The set takes each block's stores before its loads are
+/// checked, so it catches every cross-warp overlap within a block (where
+/// warps run concurrently) and every load of an earlier block's store.
+class ContractCheck {
+ public:
+  void check_block(const std::vector<WarpLog>& logs, std::uint64_t first,
+                   std::uint64_t count) {
+    for (std::uint64_t i = 0; i < count; ++i) {
+      for (const auto& [addr, bytes] : logs[i].writes) {
+        for_words(addr, bytes, [&](std::uint64_t word, std::uint8_t mask) {
+          auto [it, fresh] = written_.try_emplace(word, Writer{first + i, mask});
+          if (fresh) return;
+          if (it->second.warp != first + i) it->second.warp = kSeveral;
+          it->second.bytes = static_cast<std::uint8_t>(it->second.bytes | mask);
+        });
+      }
+    }
+    for (std::uint64_t i = 0; i < count; ++i) {
+      const std::uint64_t warp = first + i;
+      for (const auto& [addr, bytes] : logs[i].reads) {
+        for_words(addr, bytes, [&](std::uint64_t word, std::uint8_t mask) {
+          const auto it = written_.find(word);
+          HARMONIA_CHECK_MSG(it == written_.end() || (it->second.bytes & mask) == 0 ||
+                                 it->second.warp == warp,
+                             "warp " << warp << " loads address " << addr
+                                     << ", which another warp of the same launch stores");
+        });
+      }
+    }
+  }
+
+ private:
+  static constexpr std::uint64_t kSeveral = ~std::uint64_t{0};
+  struct Writer {
+    std::uint64_t warp;
+    std::uint8_t bytes;
+  };
+
+  template <typename F>
+  static void for_words(std::uint64_t addr, unsigned bytes, F&& f) {
+    for (std::uint64_t b = addr; b < addr + bytes;) {
+      const std::uint64_t word = b / 8;
+      const std::uint64_t end = std::min(addr + bytes, (word + 1) * 8);
+      std::uint8_t mask = 0;
+      for (; b < end; ++b) mask = static_cast<std::uint8_t>(mask | (1u << (b % 8)));
+      f(word, mask);
+    }
+  }
+
+  std::unordered_map<std::uint64_t, Writer> written_;
+};
+#endif
+
 }  // namespace
 
 Device::Device(DeviceSpec spec)
@@ -45,20 +327,143 @@ KernelMetrics Device::launch(std::uint64_t num_warps, const WarpKernel& kernel) 
   metrics.sm_compute_cycles.assign(spec_.num_sms, 0);
   metrics.sm_mem_cycles.assign(spec_.num_sms, 0);
   metrics.sm_resident_warps.assign(spec_.num_sms, 0);
-  active_metrics_ = &metrics;
 
-  for (std::uint64_t w = 0; w < num_warps; ++w) {
-    const auto sm = static_cast<unsigned>(w % spec_.num_sms);
-    WarpCtx ctx(*this, w, sm);
+  // The logs of two blocks: one replays while the next one runs. They
+  // live for one launch only; logs kept across launches stay scattered
+  // over the heap and raised the peak RSS of later allocations.
+  std::array<std::vector<WarpLog>, 2> arena;
+  arena[0].resize(std::min(num_warps, kBlockWarps));
+  if (num_warps > kBlockWarps) arena[1].resize(kBlockWarps);
+  const std::uint64_t num_blocks = (num_warps + kBlockWarps - 1) / kBlockWarps;
+  auto block_warps = [&](std::uint64_t b) {
+    return std::min(kBlockWarps, num_warps - b * kBlockWarps);
+  };
+#ifndef NDEBUG
+  ContractCheck contract;
+#endif
+
+  // Block b runs while block b-1 replays, so each iteration starts one
+  // block, replays the one before it, and then waits for the started one.
+  BlockRunner runner(num_warps);
+  for (std::uint64_t b = 0; b <= num_blocks; ++b) {
+    if (b < num_blocks) {
+      WarpLog* logs = arena[b % 2].data();
+      const std::uint64_t first = b * kBlockWarps;
+      const std::uint64_t count = block_warps(b);
+      runner.start(
+          [this, &kernel, logs, first, count](std::uint64_t grain) {
+            const std::uint64_t end = std::min(count, (grain + 1) * kGrainWarps);
+            for (std::uint64_t i = grain * kGrainWarps; i < end; ++i) {
+              run_warp(kernel, first + i, logs[i]);
+            }
+          },
+          (count + kGrainWarps - 1) / kGrainWarps);
+    }
+    if (b > 0) {
+      const auto& logs = arena[(b - 1) % 2];
+      const std::uint64_t first = (b - 1) * kBlockWarps;
+#ifndef NDEBUG
+      contract.check_block(logs, first, block_warps(b - 1));
+#endif
+      for (std::uint64_t i = 0; i < block_warps(b - 1); ++i) {
+        replay(logs[i], first + i, metrics);
+      }
+    }
+    if (b < num_blocks) {
+      runner.finish();
+      // A throwing warp ends the launch. The warps before it, and its own
+      // accesses up to the throw, still reach the caches and the trace,
+      // as when warps ran one at a time.
+      const auto& logs = arena[b % 2];
+      for (std::uint64_t i = 0; i < block_warps(b); ++i) {
+        if (!logs[i].error) continue;
+        for (std::uint64_t j = 0; j <= i; ++j) replay(logs[j], b * kBlockWarps + j, metrics);
+        std::rethrow_exception(logs[i].error);
+      }
+    }
+  }
+  return metrics;
+}
+
+void Device::run_warp(const WarpKernel& kernel, std::uint64_t warp, WarpLog& log) {
+  log.reset();
+  WarpCtx ctx(*this, warp, static_cast<unsigned>(warp % spec_.num_sms), log);
+  try {
     kernel(ctx);
-    metrics.sm_compute_cycles[sm] += ctx.compute_cycles_;
-    metrics.sm_mem_cycles[sm] += ctx.mem_cycles_;
-    metrics.sm_resident_warps[sm] += 1;
-    ++metrics.warps;
+  } catch (...) {
+    log.error = std::current_exception();
+  }
+}
+
+void Device::replay(const WarpLog& log, std::uint64_t warp, KernelMetrics& m) {
+  const auto sm = static_cast<unsigned>(warp % spec_.num_sms);
+  m.steps += log.steps;
+  m.coherent_steps += log.coherent_steps;
+  m.loads += log.loads;
+  m.divergent_loads += log.divergent_loads;
+  m.transactions += log.transactions;
+
+  std::uint64_t mem_cycles = 0;
+  const std::uint64_t* line = log.lines.data();
+  for (const WarpLog::Record& r : log.records) {
+    if (r.kind == TraceEventKind::kCompute) {
+      trace_.record({warp, sm, r.kind, r.mask, 0, ServedBy::kNone,
+                     static_cast<std::uint64_t>(r.count) * spec_.cycles_per_compute_step});
+      continue;
+    }
+    // The warp's access completes when its slowest line is served;
+    // additional transactions serialize in the load/store unit.
+    std::uint64_t worst_latency = 0;
+    ServedBy worst_level = ServedBy::kNone;
+    for (const std::uint64_t* end = line + r.count; line != end; ++line) {
+      std::uint64_t lat;
+      ServedBy level;
+      // Line addresses of constant space retain the kConstBase tag, so the
+      // two spaces never alias in the shared L2.
+      if (*line >= kConstBase / spec_.line_bytes) {
+        if (const_[sm].access(*line)) {
+          ++m.const_hits;
+          lat = spec_.lat_const;
+          level = ServedBy::kConst;
+        } else if (l2_.access(*line)) {
+          ++m.l2_hits;
+          lat = spec_.lat_l2;
+          level = ServedBy::kL2;
+        } else {
+          ++m.dram_transactions;
+          lat = spec_.lat_dram;
+          level = ServedBy::kDram;
+        }
+      } else {
+        if (readonly_[sm].access(*line)) {
+          ++m.readonly_hits;
+          lat = spec_.lat_readonly;
+          level = ServedBy::kReadOnly;
+        } else if (l2_.access(*line)) {
+          ++m.l2_hits;
+          lat = spec_.lat_l2;
+          level = ServedBy::kL2;
+        } else {
+          ++m.dram_transactions;
+          lat = spec_.lat_dram;
+          level = ServedBy::kDram;
+        }
+      }
+      if (lat >= worst_latency) {
+        worst_latency = lat;
+        worst_level = level;
+      }
+    }
+    const std::uint64_t cycles =
+        worst_latency + static_cast<std::uint64_t>(r.count - 1) * spec_.txn_issue_cycles;
+    mem_cycles += cycles;
+    trace_.record({warp, sm, r.kind, r.mask, r.count, worst_level, cycles});
   }
 
-  active_metrics_ = nullptr;
-  return metrics;
+  m.sm_compute_cycles[sm] += log.compute_cycles;
+  m.sm_mem_cycles[sm] += mem_cycles;
+  m.sm_resident_warps[sm] += 1;
+  ++m.warps;
 }
 
 unsigned WarpCtx::warp_size() const { return device_.spec_.warp_size; }
@@ -67,89 +472,37 @@ const DeviceSpec& WarpCtx::spec() const { return device_.spec_; }
 
 void WarpCtx::compute(LaneMask active, unsigned steps) {
   HARMONIA_DCHECK(active != 0);
-  KernelMetrics& m = *device_.active_metrics_;
-  m.steps += steps;
-  if (active == full_mask(warp_size())) m.coherent_steps += steps;
-  const std::uint64_t cycles =
+  log_.steps += steps;
+  if (active == full_mask(warp_size())) log_.coherent_steps += steps;
+  log_.compute_cycles +=
       static_cast<std::uint64_t>(steps) * device_.spec_.cycles_per_compute_step;
-  compute_cycles_ += cycles;
   if (device_.trace_.enabled()) {
-    device_.trace_.record({warp_id_, sm_id_, TraceEventKind::kCompute, active, 0,
-                           ServedBy::kNone, cycles});
+    log_.records.push_back({TraceEventKind::kCompute, active, steps});
   }
 }
 
 void WarpCtx::touch(LaneMask active, std::span<const std::uint64_t> addrs,
                     unsigned bytes_per_lane) {
-  mem_cycles_ += account_access(active, addrs, bytes_per_lane, TraceEventKind::kLoad);
+  account_access(active, addrs, bytes_per_lane, TraceEventKind::kLoad);
 }
 
-std::uint64_t WarpCtx::account_access(LaneMask active, std::span<const std::uint64_t> addrs,
-                                      unsigned bytes_per_lane, TraceEventKind kind) {
-  if (active == 0) return 0;
-  KernelMetrics& m = *device_.active_metrics_;
-  const DeviceSpec& spec = device_.spec_;
-
-  const LineSet lines = coalesce(addrs, active, bytes_per_lane, spec.line_bytes);
+void WarpCtx::account_access(LaneMask active, std::span<const std::uint64_t> addrs,
+                             unsigned bytes_per_lane, TraceEventKind kind) {
+  if (active == 0) return;
+  const LineSet lines = coalesce(addrs, active, bytes_per_lane, device_.spec_.line_bytes);
   HARMONIA_DCHECK(!lines.empty());
 
-  ++m.loads;
-  if (lines.size() > 1) ++m.divergent_loads;
-  m.transactions += lines.size();
-
-  // The warp's load completes when its slowest line is served; additional
-  // transactions serialize in the load/store unit.
-  std::uint64_t worst_latency = 0;
-  ServedBy worst_level = ServedBy::kNone;
-  auto slower = [&](std::uint64_t lat, ServedBy level) {
-    if (lat >= worst_latency) {
-      worst_latency = lat;
-      worst_level = level;
-    }
-  };
-  for (std::uint64_t line : lines) {
-    std::uint64_t lat;
-    ServedBy level;
-    // Line addresses of constant space retain the kConstBase tag, so the
-    // two spaces never alias in the shared L2.
-    if (line >= kConstBase / spec.line_bytes) {
-      if (device_.const_[sm_id_].access(line)) {
-        ++m.const_hits;
-        lat = spec.lat_const;
-        level = ServedBy::kConst;
-      } else if (device_.l2_.access(line)) {
-        ++m.l2_hits;
-        lat = spec.lat_l2;
-        level = ServedBy::kL2;
-      } else {
-        ++m.dram_transactions;
-        lat = spec.lat_dram;
-        level = ServedBy::kDram;
-      }
-    } else {
-      if (device_.readonly_[sm_id_].access(line)) {
-        ++m.readonly_hits;
-        lat = spec.lat_readonly;
-        level = ServedBy::kReadOnly;
-      } else if (device_.l2_.access(line)) {
-        ++m.l2_hits;
-        lat = spec.lat_l2;
-        level = ServedBy::kL2;
-      } else {
-        ++m.dram_transactions;
-        lat = spec.lat_dram;
-        level = ServedBy::kDram;
-      }
-    }
-    slower(lat, level);
+  ++log_.loads;
+  if (lines.size() > 1) ++log_.divergent_loads;
+  log_.transactions += lines.size();
+  log_.records.push_back({kind, active, static_cast<std::uint32_t>(lines.size())});
+  log_.lines.insert(log_.lines.end(), lines.begin(), lines.end());
+#ifndef NDEBUG
+  auto& ranges = kind == TraceEventKind::kStore ? log_.writes : log_.reads;
+  for (unsigned lane = 0; lane < addrs.size(); ++lane) {
+    if (lane_active(active, lane)) ranges.emplace_back(addrs[lane], bytes_per_lane);
   }
-  const std::uint64_t cycles =
-      worst_latency + static_cast<std::uint64_t>(lines.size() - 1) * spec.txn_issue_cycles;
-  if (device_.trace_.enabled()) {
-    device_.trace_.record({warp_id_, sm_id_, kind, active,
-                           static_cast<std::uint32_t>(lines.size()), worst_level, cycles});
-  }
-  return cycles;
+#endif
 }
 
 }  // namespace harmonia::gpusim

@@ -2,7 +2,7 @@
 //
 // Kernels are written as per-warp C++ callables against WarpCtx, a
 // warp-synchronous API: every data access goes through gather()/touch()
-// (which runs the coalescer and the cache hierarchy and charges cycles),
+// (which runs the coalescer and logs the lines for the cache hierarchy),
 // and every instruction issue goes through compute() with an explicit
 // active-lane mask (which feeds the warp-coherence metric). This keeps
 // simulated kernels structurally identical to their CUDA counterparts
@@ -26,6 +26,7 @@
 namespace harmonia::gpusim {
 
 class Device;
+struct WarpLog;
 
 /// Execution context handed to a kernel, one per warp. Not copyable; only
 /// Device::launch creates these.
@@ -43,9 +44,9 @@ class WarpCtx {
   /// A step is coherent iff every lane of the warp is active.
   void compute(LaneMask active, unsigned steps = 1);
 
-  /// Warp-wide load: coalesces the active lanes' addresses, walks the
-  /// cache hierarchy per line, charges memory cycles, and reads the data
-  /// into `out[lane]` for each active lane (inactive lanes untouched).
+  /// Warp-wide load: coalesces the active lanes' addresses, logs the lines
+  /// for the cache replay (which charges the memory cycles), and reads the
+  /// data into `out[lane]` for each active lane (inactive lanes untouched).
   template <typename T>
   void gather(LaneMask active, std::span<const std::uint64_t> addrs, std::span<T> out);
 
@@ -60,18 +61,17 @@ class WarpCtx {
 
  private:
   friend class Device;
-  WarpCtx(Device& device, std::uint64_t warp_id, unsigned sm_id)
-      : device_(device), warp_id_(warp_id), sm_id_(sm_id) {}
+  WarpCtx(Device& device, std::uint64_t warp_id, unsigned sm_id, WarpLog& log)
+      : device_(device), warp_id_(warp_id), sm_id_(sm_id), log_(log) {}
 
-  /// Runs a warp access through the coalescer + caches; returns cycles.
-  std::uint64_t account_access(LaneMask active, std::span<const std::uint64_t> addrs,
-                               unsigned bytes_per_lane, TraceEventKind kind);
+  /// Coalesces a warp access and appends its lines to this warp's log.
+  void account_access(LaneMask active, std::span<const std::uint64_t> addrs,
+                      unsigned bytes_per_lane, TraceEventKind kind);
 
   Device& device_;
   std::uint64_t warp_id_;
   unsigned sm_id_;
-  std::uint64_t compute_cycles_ = 0;
-  std::uint64_t mem_cycles_ = 0;
+  WarpLog& log_;
 };
 
 using WarpKernel = std::function<void(WarpCtx&)>;
@@ -84,9 +84,15 @@ class Device {
   Memory& memory() { return memory_; }
   const Memory& memory() const { return memory_; }
 
-  /// Runs `kernel` once per warp. Warps are assigned to SMs round-robin
-  /// and executed sequentially (the cycle model, not execution order,
-  /// supplies concurrency — see DESIGN.md §5).
+  /// Runs `kernel` once per warp. Warps are assigned to SMs round-robin.
+  /// They run in blocks on a process-wide pool of host threads, so the
+  /// kernel may be called from several threads at once: within one launch
+  /// no warp may read what another warp wrote, and host state the kernel
+  /// captures by reference must be written per warp. The caches are then
+  /// probed serially in warp-id order, so metrics, cache state and trace
+  /// equal a one-warp-at-a-time run (the cycle model, not execution order,
+  /// supplies concurrency — see DESIGN.md §5 and docs/gpusim.md). If warps
+  /// throw, the exception of the lowest warp id is rethrown.
   KernelMetrics launch(std::uint64_t num_warps, const WarpKernel& kernel);
 
   /// Empties all caches (between unrelated experiments).
@@ -102,13 +108,18 @@ class Device {
  private:
   friend class WarpCtx;
 
+  /// Functional phase of one warp: runs the kernel into `log`.
+  void run_warp(const WarpKernel& kernel, std::uint64_t warp, WarpLog& log);
+  /// Replay phase of one warp: probes the caches with its logged lines and
+  /// adds its counters, cycles and trace events to `metrics`.
+  void replay(const WarpLog& log, std::uint64_t warp, KernelMetrics& metrics);
+
   DeviceSpec spec_;
   Memory memory_;
   Cache l2_;
   std::vector<Cache> readonly_;  // one per SM
   std::vector<Cache> const_;     // one per SM
   Trace trace_;
-  KernelMetrics* active_metrics_ = nullptr;
 };
 
 // ---- template implementations ----
@@ -118,7 +129,7 @@ void WarpCtx::gather(LaneMask active, std::span<const std::uint64_t> addrs,
                      std::span<T> out) {
   HARMONIA_DCHECK(addrs.size() <= warp_size());
   HARMONIA_DCHECK(out.size() >= addrs.size());
-  mem_cycles_ += account_access(active, addrs, sizeof(T), TraceEventKind::kLoad);
+  account_access(active, addrs, sizeof(T), TraceEventKind::kLoad);
   for (unsigned lane = 0; lane < addrs.size(); ++lane) {
     if (lane_active(active, lane)) out[lane] = device_.memory().read<T>(addrs[lane]);
   }
@@ -128,7 +139,7 @@ template <typename T>
 void WarpCtx::scatter(LaneMask active, std::span<const std::uint64_t> addrs,
                       std::span<const T> values) {
   HARMONIA_DCHECK(addrs.size() <= warp_size());
-  mem_cycles_ += account_access(active, addrs, sizeof(T), TraceEventKind::kStore);
+  account_access(active, addrs, sizeof(T), TraceEventKind::kStore);
   for (unsigned lane = 0; lane < addrs.size(); ++lane) {
     if (lane_active(active, lane)) device_.memory().write<T>(addrs[lane], values[lane]);
   }

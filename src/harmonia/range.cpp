@@ -1,6 +1,8 @@
 #include "harmonia/range.hpp"
 
 #include <array>
+#include <numeric>
+#include <vector>
 
 #include "common/expect.hpp"
 
@@ -17,7 +19,8 @@ RangeStats range_batch(gpusim::Device& device, const HarmoniaDeviceImage& image,
   HARMONIA_CHECK(config.max_results > 0);
   const unsigned warp = device.spec().warp_size;
   const unsigned kpn = image.keys_per_node();
-  std::uint64_t total_results = 0;
+  // Warps may run on several host threads: each writes only its own slot.
+  std::vector<std::uint32_t> results(n);
 
   auto kernel = [&](gpusim::WarpCtx& w) {
     const std::uint64_t q = w.warp_id();
@@ -129,7 +132,6 @@ RangeStats range_batch(gpusim::Device& device, const HarmoniaDeviceImage& image,
       out_buf[buffered] = v;
       ++buffered;
       ++count;
-      ++total_results;
       if (buffered == warp) flush_out();
     };
 
@@ -206,6 +208,7 @@ RangeStats range_batch(gpusim::Device& device, const HarmoniaDeviceImage& image,
     std::array<std::uint32_t, 32> cnt_val{};
     cnt_addr[0] = out_counts.element_addr(q);
     cnt_val[0] = count;
+    results[q] = count;
     w.scatter<std::uint32_t>(gpusim::lane_bit(0), std::span(cnt_addr.data(), warp),
                              std::span<const std::uint32_t>(cnt_val.data(), warp));
   };
@@ -213,7 +216,7 @@ RangeStats range_batch(gpusim::Device& device, const HarmoniaDeviceImage& image,
   RangeStats stats;
   stats.metrics = device.launch(n, kernel);
   stats.queries = n;
-  stats.results = total_results;
+  stats.results = std::accumulate(results.begin(), results.end(), std::uint64_t{0});
   return stats;
 }
 

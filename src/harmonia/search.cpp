@@ -1,8 +1,9 @@
 #include "harmonia/search.hpp"
 
 #include <array>
-#include <atomic>
 #include <bit>
+#include <numeric>
+#include <vector>
 
 #include "common/expect.hpp"
 
@@ -35,10 +36,12 @@ SearchStats search_batch(gpusim::Device& device, const HarmoniaDeviceImage& imag
   const unsigned chunks_per_node = (kpn + gs - 1) / gs;
   const std::uint64_t num_warps = (n + qpw - 1) / qpw;
 
-  std::uint64_t chunk_steps_total = 0;
+  // Warps may run on several host threads: each writes only its own slot.
+  std::vector<std::uint32_t> chunk_steps(num_warps);
 
   auto kernel = [&](gpusim::WarpCtx& w) {
     const std::uint64_t base = w.warp_id() * qpw;
+    std::uint32_t warp_chunk_steps = 0;
     const unsigned nq = static_cast<unsigned>(std::min<std::uint64_t>(qpw, n - base));
 
     std::array<std::uint64_t, 32> addrs{};
@@ -171,7 +174,7 @@ SearchStats search_batch(gpusim::Device& device, const HarmoniaDeviceImage& imag
         if (mask == 0) break;
         w.gather<Key>(mask, std::span(addrs.data(), warp), lane_keys);
         w.compute(mask);  // the SIMT comparison step
-        ++chunk_steps_total;
+        ++warp_chunk_steps;
 
         for (unsigned g = 0; g < nq; ++g) {
           if (resolved[g] || (config.early_exit && group_done[g])) continue;
@@ -252,13 +255,15 @@ SearchStats search_batch(gpusim::Device& device, const HarmoniaDeviceImage& imag
     }
     w.scatter<Value>(out_mask, std::span(addrs.data(), warp),
                      std::span<const Value>(out_vals.data(), warp));
+    chunk_steps[w.warp_id()] = warp_chunk_steps;
   };
 
   SearchStats stats;
   stats.metrics = device.launch(num_warps, kernel);
   stats.queries = n;
   stats.warps = num_warps;
-  stats.chunk_steps = chunk_steps_total;
+  stats.chunk_steps =
+      std::accumulate(chunk_steps.begin(), chunk_steps.end(), std::uint64_t{0});
   return stats;
 }
 

@@ -3,6 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <atomic>
+#include <sstream>
+#include <stdexcept>
+#include <string>
+
+#include "common/rng.hpp"
 
 namespace harmonia::gpusim {
 namespace {
@@ -16,7 +22,7 @@ DeviceSpec tiny_spec() {
 
 TEST(Device, LaunchRunsKernelPerWarp) {
   Device dev(tiny_spec());
-  std::uint64_t ran = 0;
+  std::atomic<std::uint64_t> ran = 0;  // warps may run on several host threads
   const auto metrics = dev.launch(10, [&](WarpCtx& w) {
     ++ran;
     w.compute(full_mask(w.warp_size()));
@@ -172,6 +178,131 @@ TEST(Device, InactiveLanesUntouchedByGather) {
   });
   EXPECT_EQ(got[0], 5u);
   EXPECT_EQ(got[1], 999u);  // inactive lane untouched
+}
+
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t h = 14695981039346656037ULL;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+// A launch spanning several blocks of the launch engine (512 warps each):
+// random gathers that conflict in small caches, constant-space touches,
+// partial-mask compute, and a store to each warp's own slot. Counters,
+// per-SM vectors and the full trace were recorded with the warps run one
+// after another on one host thread.
+TEST(Device, MultiBlockLaunchGolden) {
+  DeviceSpec spec = tiny_spec();
+  spec.cache_ways = 2;
+  spec.l2_bytes = 16 << 10;
+  spec.readonly_cache_bytes_per_sm = 1 << 10;
+  Device dev(spec);
+  auto& mem = dev.memory();
+  constexpr std::uint64_t kWarps = 5000;
+  constexpr std::uint64_t kElems = 1 << 14;
+  auto data = mem.malloc<std::uint64_t>(kElems);
+  auto table = mem.const_malloc<std::uint32_t>(256);
+  auto out = mem.malloc<std::uint64_t>(kWarps);
+  std::vector<std::uint64_t> host(kElems);
+  for (std::uint64_t i = 0; i < kElems; ++i) host[i] = i * 3 + 1;
+  mem.copy_to_device(data, std::span<const std::uint64_t>(host));
+
+  dev.trace().enable();
+  const auto m = dev.launch(kWarps, [&](WarpCtx& w) {
+    Xoshiro256 rng(w.warp_id());
+    std::array<std::uint64_t, 32> addrs{};
+    std::array<std::uint64_t, 32> vals{};
+    const auto active = static_cast<unsigned>(1 + rng.next_below(32));
+    for (unsigned i = 0; i < 32; ++i) addrs[i] = data.element_addr(rng.next_below(kElems));
+    w.gather<std::uint64_t>(full_mask(active), addrs, vals);
+    w.compute(full_mask(active), 2);
+    for (unsigned i = 0; i < 32; ++i) addrs[i] = table.element_addr((w.warp_id() + i) % 256);
+    w.touch(full_mask(32), addrs, 4);
+    w.compute(full_mask(32));
+    std::uint64_t sum = 0;
+    for (unsigned i = 0; i < active; ++i) sum += vals[i];
+    std::array<std::uint64_t, 32> out_addr{};
+    std::array<std::uint64_t, 32> out_val{};
+    out_addr[0] = out.element_addr(w.warp_id());
+    out_val[0] = sum;
+    w.scatter<std::uint64_t>(lane_bit(0), out_addr,
+                             std::span<const std::uint64_t>(out_val.data(), 32));
+  });
+
+  EXPECT_EQ(m.warps, kWarps);
+  EXPECT_EQ(m.steps, 15000u);
+  EXPECT_EQ(m.coherent_steps, 5366u);
+  EXPECT_EQ(m.loads, 15000u);
+  EXPECT_EQ(m.divergent_loads, 9693u);
+  EXPECT_EQ(m.transactions, 96698u);
+  EXPECT_EQ(m.dram_transactions, 72871u);
+  EXPECT_EQ(m.l2_hits, 13141u);
+  EXPECT_EQ(m.readonly_hits, 875u);
+  EXPECT_EQ(m.const_hits, 9811u);
+  EXPECT_EQ(m.sm_compute_cycles, (std::vector<std::uint64_t>{15000, 15000, 15000, 15000}));
+  EXPECT_EQ(m.sm_mem_cycles, (std::vector<std::uint64_t>{880276, 817624, 817006, 818974}));
+  EXPECT_EQ(m.sm_resident_warps, (std::vector<std::uint64_t>{1250, 1250, 1250, 1250}));
+  EXPECT_EQ(dev.trace().dropped(), 0u);
+  EXPECT_EQ(dev.trace().events().size(), 25000u);
+  std::ostringstream dump;
+  dev.trace().dump(dump);
+  EXPECT_EQ(fnv1a(dump.str()), 3793805222970622915u);
+  std::uint64_t checksum = 0;
+  for (std::uint64_t i = 0; i < kWarps; ++i) {
+    checksum = checksum * 31 + mem.read<std::uint64_t>(out.element_addr(i));
+  }
+  EXPECT_EQ(checksum, 15509099559872559855u);
+}
+
+// Warps 5 and 200 share a launch block (and may run on different host
+// threads); warp 4000 is in a later block.
+TEST(Device, LowestThrowingWarpWins) {
+  Device dev(tiny_spec());
+  try {
+    dev.launch(6000, [](WarpCtx& w) {
+      w.compute(full_mask(32));
+      if (w.warp_id() == 5 || w.warp_id() == 200 || w.warp_id() == 4000) {
+        throw std::runtime_error("warp " + std::to_string(w.warp_id()));
+      }
+    });
+    FAIL() << "launch did not rethrow";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "warp 5");
+  }
+}
+
+// Warps of one launch may run concurrently, so a warp must not load what
+// another warp of the launch stores. Debug builds check it.
+TEST(Device, CrossWarpReadAfterWriteBreaksTheContract) {
+#ifdef NDEBUG
+  GTEST_SKIP() << "the kernel contract is checked in debug builds only";
+#else
+  Device dev(tiny_spec());
+  auto slot = dev.memory().malloc<std::uint64_t>(1);
+  std::array<std::uint64_t, 32> addrs{};
+  addrs[0] = slot.element_addr(0);
+  const auto kernel = [&](WarpCtx& w) {
+    std::array<std::uint64_t, 32> vals{};
+    if (w.warp_id() == 3) {
+      w.scatter<std::uint64_t>(lane_bit(0), addrs,
+                               std::span<const std::uint64_t>(vals.data(), 32));
+    } else if (w.warp_id() == 20) {
+      w.gather<std::uint64_t>(lane_bit(0), addrs, vals);
+    }
+  };
+  EXPECT_THROW(dev.launch(64, kernel), ContractViolation);
+  // A warp may load what it stored itself.
+  EXPECT_NO_THROW(dev.launch(64, [&](WarpCtx& w) {
+    std::array<std::uint64_t, 32> vals{};
+    if (w.warp_id() != 3) return;
+    w.scatter<std::uint64_t>(lane_bit(0), addrs,
+                             std::span<const std::uint64_t>(vals.data(), 32));
+    w.gather<std::uint64_t>(lane_bit(0), addrs, vals);
+  }));
+#endif
 }
 
 TEST(DeviceSpecValidation, PresetsAreValid) {

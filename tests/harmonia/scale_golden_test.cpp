@@ -14,10 +14,13 @@
 #include <gtest/gtest.h>
 
 #include <ostream>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "btree/btree.hpp"
 #include "harmonia/index.hpp"
+#include "hbtree/index.hpp"
 #include "queries/batch.hpp"
 #include "queries/workload.hpp"
 
@@ -81,6 +84,19 @@ bool operator==(const Pinned& a, const Pinned& b) {
          a.l2_hits == b.l2_hits && a.readonly_hits == b.readonly_hits &&
          a.const_hits == b.const_hits && a.sm_compute_cycles == b.sm_compute_cycles &&
          a.sm_mem_cycles == b.sm_mem_cycles && a.sm_resident_warps == b.sm_resident_warps;
+}
+
+/// 64-bit FNV-1a of a trace dump: pins every event's warp, SM, kind, mask,
+/// transactions, serving level and cycles, in order.
+std::uint64_t trace_digest(const gpusim::Trace& trace) {
+  std::ostringstream os;
+  trace.dump(os);
+  std::uint64_t h = 14695981039346656037ULL;
+  for (const char c : os.str()) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ULL;
+  }
+  return h;
 }
 
 /// A 20k-key fanout-32 tree with no leaf gaps, so fresh inserts land in
@@ -173,6 +189,53 @@ TEST(ScaleGolden, RangeBatch) {
                     {515540, 501820, 507040, 510580},
                     {128, 128, 128, 128}};
   EXPECT_EQ(pin(r.metrics), want);
+}
+
+// The launches below span several blocks of the launch engine (512
+// warps each; at least three even at 2048), so the serial cache replay
+// crosses block boundaries. The counters, the per-SM vectors and the full trace were
+// recorded with the warps run one after another on one host thread.
+constexpr std::uint64_t kMultiBlockQueries = 5000;
+
+TEST(ScaleGolden, MultiBlockSearchLaunch) {
+  ScaleFixture f;
+  const auto batch =
+      queries::make_queries(f.keys, kMultiBlockQueries, queries::Distribution::kUniform, 13);
+  QueryOptions opts;
+  opts.auto_ntg = false;
+  opts.group_size = 32;  // one query per warp
+  f.dev.trace().enable(1 << 20);
+  const auto r = f.index.search(batch, opts);
+  EXPECT_EQ(r.search.warps, kMultiBlockQueries);
+  EXPECT_EQ(f.dev.trace().dropped(), 0u);
+  EXPECT_EQ(f.dev.trace().events().size(), 146875u);
+  EXPECT_EQ(trace_digest(f.dev.trace()), 10895364211487715504u);
+  const Pinned want{5000, 68447, 0, 78428, 15000, 102320, 4864, 62473, 24987, 9996,
+                    {68460, 68436, 68464, 68428},
+                    {2719552, 2586594, 2586156, 2579894},
+                    {1250, 1250, 1250, 1250}};
+  EXPECT_EQ(pin(r.search.metrics), want);
+}
+
+TEST(ScaleGolden, MultiBlockHbSearchLaunch) {
+  gpusim::Device dev{small_cache_spec()};
+  const auto keys = queries::make_tree_keys(20000, 3);
+  std::vector<btree::Entry> entries;
+  for (Key k : keys) entries.push_back({k, btree::value_for_key(k)});
+  auto hb = hbtree::HBTreeIndex::build(dev, entries, 32);
+  const auto batch =
+      queries::make_queries(keys, kMultiBlockQueries, queries::Distribution::kUniform, 17);
+  dev.trace().enable(1 << 20);
+  const auto r = hb.search(batch);
+  EXPECT_EQ(r.search.warps, kMultiBlockQueries);
+  EXPECT_EQ(dev.trace().dropped(), 0u);
+  EXPECT_EQ(dev.trace().events().size(), 90000u);
+  EXPECT_EQ(trace_digest(dev.trace()), 7883826217886029831u);
+  const Pinned want{5000, 40000, 0, 50000, 20000, 83886, 34329, 40173, 9384, 0,
+                    {40000, 40000, 40000, 40000},
+                    {3097898, 2991762, 3004432, 2981772},
+                    {1250, 1250, 1250, 1250}};
+  EXPECT_EQ(pin(r.search.metrics), want);
 }
 
 }  // namespace
