@@ -329,8 +329,7 @@ KernelMetrics Device::launch(std::uint64_t num_warps, const WarpKernel& kernel) 
   metrics.sm_resident_warps.assign(spec_.num_sms, 0);
 
   // The logs of two blocks: one replays while the next one runs. They
-  // live for one launch only; logs kept across launches stay scattered
-  // over the heap and raised the peak RSS of later allocations.
+  // live for this launch only, so no log memory is held between launches.
   std::array<std::vector<WarpLog>, 2> arena;
   arena[0].resize(std::min(num_warps, kBlockWarps));
   if (num_warps > kBlockWarps) arena[1].resize(kBlockWarps);
