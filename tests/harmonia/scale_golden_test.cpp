@@ -193,8 +193,9 @@ TEST(ScaleGolden, RangeBatch) {
 
 // The launches below span several blocks of the launch engine (512
 // warps each; at least three even at 2048), so the serial cache replay
-// crosses block boundaries. The counters, the per-SM vectors and the full trace were
-// recorded with the warps run one after another on one host thread.
+// crosses block boundaries. The counters, the per-SM vectors and the
+// full trace were recorded with the warps run one after another on one
+// host thread.
 constexpr std::uint64_t kMultiBlockQueries = 5000;
 
 TEST(ScaleGolden, MultiBlockSearchLaunch) {
