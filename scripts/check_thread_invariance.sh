@@ -1,11 +1,13 @@
 #!/usr/bin/env bash
-# Thread invariance of the simulator: gpusim runs a launch's warps on a
-# pool sized by the process's CPU affinity mask, and the result must not
-# depend on that size. Every workload of the end-to-end benchmark runs
-# traced at smoke scale twice, once pinned to one CPU (a pool of one
-# thread) and once on every CPU of the mask. Every metric that is not on
-# the wall clock must match byte for byte, and so must the Prometheus
-# metrics dump.
+# Thread invariance of the simulator: gpusim runs the warps of a launch
+# of 4096 warps or more on a pool sized by the process's CPU affinity
+# mask, and the result must not depend on that size. Every workload of
+# the end-to-end benchmark runs traced at smoke scale twice, once pinned
+# to one CPU (a pool of one thread) and once on every CPU of the mask.
+# No smoke-scale launch is that large, so batch_lookup also runs at full
+# scale (launches of 32768 warps). Every metric that is not on the wall
+# clock must match byte for byte, and so must the Prometheus metrics
+# dump.
 #
 # Usage: scripts/check_thread_invariance.sh [path/to/harmonia_e2e]
 # The default binary is build-bench/harmonia_e2e, from
@@ -25,14 +27,17 @@ if ((cpus < 2)); then
 fi
 
 status=0
-for w in batch_lookup serve_read serve_mixed_sharded serve_write_heavy; do
+for case in batch_lookup:smoke serve_read:smoke serve_mixed_sharded:smoke \
+  serve_write_heavy:smoke batch_lookup:full; do
+  w=${case%:*}
+  scale=${case#*:}
   for run in one all; do
     pin=()
     [[ $run == one ]] && pin=(taskset -c "$first_cpu")
-    "${pin[@]}" "$bin" --workload="$w" --seed=1 --scale=smoke --scratch="$work/tmp" \
-      --trace="$work/trace-$run" | tail -n 1 > "$work/$w-$run.json"
+    "${pin[@]}" "$bin" --workload="$w" --seed=1 --scale="$scale" --scratch="$work/tmp" \
+      --trace="$work/trace-$run-$scale" | tail -n 1 > "$work/$case-$run.json"
   done
-  if ! python3 - "$w" "$work/$w-one.json" "$work/$w-all.json" <<'EOF'
+  if ! python3 - "$case" "$work/$case-one.json" "$work/$case-all.json" <<'EOF'
 import json
 import sys
 
@@ -54,8 +59,9 @@ EOF
   then
     status=1
   fi
-  if ! cmp -s "$work/trace-one/metrics_$w.prom" "$work/trace-all/metrics_$w.prom"; then
-    echo "FAIL $w: metrics_$w.prom differs between 1 and all CPUs" >&2
+  if ! cmp -s "$work/trace-one-$scale/metrics_$w.prom" "$work/trace-all-$scale/metrics_$w.prom"
+  then
+    echo "FAIL $case: metrics_$w.prom differs between 1 and all CPUs" >&2
     status=1
   fi
 done

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
-#include <condition_variable>
 #include <exception>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -20,8 +20,9 @@
 namespace harmonia::gpusim {
 
 /// One warp's functional run, kept for the serial cache replay: the
-/// counters that do not depend on the caches, then its accesses in
-/// program order.
+/// counters that do not depend on the caches, then, for a warp run on the
+/// pool, its accesses in program order. A warp run on the launching
+/// thread has probed the caches already and logs no access.
 struct WarpLog {
   struct Record {
     TraceEventKind kind;
@@ -37,6 +38,8 @@ struct WarpLog {
   std::uint64_t divergent_loads = 0;
   std::uint64_t transactions = 0;
   std::uint64_t compute_cycles = 0;
+  /// Memory cycles of the accesses probed as they ran.
+  std::uint64_t mem_cycles = 0;
   /// Loads and stores; compute steps only while tracing.
   std::vector<Record> records;
   /// Every access's LineSet, back to back.
@@ -51,6 +54,7 @@ struct WarpLog {
 
   void reset() {
     steps = coherent_steps = loads = divergent_loads = transactions = compute_cycles = 0;
+    mem_cycles = 0;
     records.clear();
     lines.clear();
     error = nullptr;
@@ -69,8 +73,22 @@ constexpr std::uint64_t kConstCacheBytes = 2 << 10;
 
 /// Warps whose functional phase runs before their block is replayed.
 constexpr std::uint64_t kBlockWarps = 512;
-/// Warps a pool thread claims at a time.
+/// Warps a thread claims at a time.
 constexpr std::uint64_t kGrainWarps = 8;
+constexpr std::uint64_t kBlockGrains = kBlockWarps / kGrainWarps;
+/// Log buffers: the functional phase runs at most this many blocks ahead
+/// of the replay.
+constexpr std::uint64_t kBuffers = 2;
+/// The smallest launch handed to the pool. Every pooled launch wakes the
+/// workers, fills and drains the pipeline and ends waiting for the last
+/// grain; on a shared host each of these waits depends on when the host
+/// runs the workers' CPUs. Over launches of a few blocks they made the
+/// wall time swing by more than 2x from run to run, so such a launch (a
+/// serving batch at the default `max_batch` is at most 2048 warps) runs
+/// on the calling thread, one warp at a time, and the pool takes launches
+/// long enough to amortize them (a paper-size batch is 32768 warps or
+/// more).
+constexpr std::uint64_t kPoolMinWarps = 8 * kBlockWarps;
 
 /// CPUs in this process's affinity mask (`taskset -c 0` gives 1).
 unsigned affinity_cpus() {
@@ -84,9 +102,96 @@ unsigned affinity_cpus() {
   return std::max(1u, std::thread::hardware_concurrency());
 }
 
+/// One launch's functional phase. Grains are claimed in warp order, and
+/// a grain may run only once its block's log buffer is free, that is,
+/// once the block kBuffers before it has been replayed. Pool threads and
+/// the launching thread share it; the pool threads keep it alive past the
+/// launch, but call `run_grain` only for a grain they claimed.
+class Job {
+ public:
+  Job(std::function<void(std::uint64_t)> run_grain, std::uint64_t num_warps)
+      : run_grain_(std::move(run_grain)),
+        num_warps_(num_warps),
+        grains_((num_warps + kGrainWarps - 1) / kGrainWarps),
+        done_(std::make_unique<std::atomic<std::uint32_t>[]>(blocks())) {}
+
+  std::uint64_t blocks() const { return (num_warps_ + kBlockWarps - 1) / kBlockWarps; }
+  std::uint64_t block_warps(std::uint64_t b) const {
+    return std::min(kBlockWarps, num_warps_ - b * kBlockWarps);
+  }
+
+  /// A pool thread's share: claims and runs grains until none is left,
+  /// waiting for the replay while both buffers are full.
+  void work() {
+    for (;;) {
+      const std::uint32_t replayed = replayed_.load(std::memory_order_acquire);
+      if (run_one(replayed)) continue;
+      if (next_.load(std::memory_order_relaxed) >= grains_) return;
+      replayed_.wait(replayed, std::memory_order_acquire);
+    }
+  }
+
+  /// The launching thread's share before it replays block `b`: runs
+  /// grains (of block b or later) until every grain of block b is done.
+  void complete(std::uint64_t b) {
+    const auto need =
+        static_cast<std::uint32_t>((block_warps(b) + kGrainWarps - 1) / kGrainWarps);
+    for (;;) {
+      const std::uint32_t done = done_[b].load(std::memory_order_acquire);
+      if (done == need) return;
+      if (!run_one(static_cast<std::uint32_t>(b))) {
+        done_[b].wait(done, std::memory_order_acquire);
+      }
+    }
+  }
+
+  /// Frees block `b`'s buffer once the launching thread has replayed it.
+  void replayed(std::uint64_t b) {
+    replayed_.store(static_cast<std::uint32_t>(b + 1), std::memory_order_release);
+    replayed_.notify_all();
+  }
+
+  /// Stops the claiming and waits for the grains already claimed, so that
+  /// no thread runs the kernel once the launch returns.
+  void drain() {
+    const std::uint64_t claimed = std::min(next_.exchange(grains_), grains_);
+    replayed_.fetch_add(1, std::memory_order_release);
+    replayed_.notify_all();
+    while (completed_.load(std::memory_order_acquire) < claimed) std::this_thread::yield();
+  }
+
+ private:
+  /// Claims and runs the next grain if its block's buffer is free.
+  bool run_one(std::uint32_t replayed) {
+    const std::uint64_t limit = std::min(grains_, (replayed + kBuffers) * kBlockGrains);
+    std::uint64_t g = next_.load(std::memory_order_relaxed);
+    do {
+      if (g >= limit) return false;
+    } while (!next_.compare_exchange_weak(g, g + 1, std::memory_order_relaxed));
+    run_grain_(g);
+    std::atomic<std::uint32_t>& done = done_[g / kBlockGrains];
+    done.fetch_add(1, std::memory_order_release);
+    done.notify_all();
+    completed_.fetch_add(1, std::memory_order_release);
+    return true;
+  }
+
+  std::function<void(std::uint64_t)> run_grain_;
+  std::uint64_t num_warps_;
+  std::uint64_t grains_;
+  std::atomic<std::uint64_t> next_{0};
+  std::atomic<std::uint64_t> completed_{0};
+  /// Blocks replayed so far.
+  std::atomic<std::uint32_t> replayed_{0};
+  /// Grains done, per block.
+  std::unique_ptr<std::atomic<std::uint32_t>[]> done_;
+};
+
 /// The process-wide host pool that runs the functional phase. It has one
 /// worker per CPU of the affinity mask, less one for the launching thread,
-/// which claims grains too once it has replayed the previous block.
+/// which claims grains too. Workers sleep between launches and are woken
+/// once per launch; a launch never waits for a worker that has not
+/// claimed a grain.
 class HostPool {
  public:
   static HostPool& instance() {
@@ -94,186 +199,154 @@ class HostPool {
     return pool;
   }
 
-  /// Threads a block runs on, the launching thread included.
+  /// Threads a launch runs on, the launching thread included.
   unsigned size() const { return static_cast<unsigned>(workers_.size()) + 1; }
 
   /// One launching thread holds the pool at a time.
   bool try_acquire() { return !held_.exchange(true, std::memory_order_acquire); }
   void release() { held_.store(false, std::memory_order_release); }
 
-  /// Hands grains [0, grains) of `fn` to the workers and returns.
-  void start(std::function<void(std::uint64_t)> fn, std::uint64_t grains) {
-    auto job = std::make_shared<Job>(std::move(fn), grains);
+  /// Hands `job` to the workers and returns.
+  void start(std::shared_ptr<Job> job) {
     {
       std::lock_guard lock(mutex_);
       job_ = std::move(job);
-      ++generation_;
     }
-    work_cv_.notify_all();
-  }
-
-  /// Runs the grains no worker has claimed yet, then waits until every
-  /// grain is done. A worker that wakes late finds nothing left to claim;
-  /// the caller never waits for it.
-  void finish() {
-    std::shared_ptr<Job> job = job_;  // only the holder writes job_
-    run(*job);
-    std::unique_lock lock(mutex_);
-    done_cv_.wait(lock, [&] { return job->finished; });
+    generation_.fetch_add(1, std::memory_order_release);
+    generation_.notify_all();
   }
 
   HostPool(const HostPool&) = delete;
   HostPool& operator=(const HostPool&) = delete;
 
  private:
-  struct Job {
-    Job(std::function<void(std::uint64_t)> f, std::uint64_t g) : fn(std::move(f)), grains(g) {}
-    std::function<void(std::uint64_t)> fn;
-    std::uint64_t grains;
-    std::atomic<std::uint64_t> next{0};
-    std::atomic<std::uint64_t> done{0};
-    bool finished = false;  // guarded by mutex_
-  };
-
   explicit HostPool(unsigned threads) {
     for (unsigned i = 1; i < threads; ++i) workers_.emplace_back([this] { work(); });
   }
 
   ~HostPool() {
-    {
-      std::lock_guard lock(mutex_);
-      stop_ = true;
-    }
-    work_cv_.notify_all();
+    stop_.store(true);
+    generation_.fetch_add(1, std::memory_order_release);
+    generation_.notify_all();
     for (auto& t : workers_) t.join();
   }
 
-  void run(Job& job) {
-    for (std::uint64_t g;
-         (g = job.next.fetch_add(1, std::memory_order_relaxed)) < job.grains;) {
-      job.fn(g);
-      if (job.done.fetch_add(1, std::memory_order_acq_rel) + 1 == job.grains) {
-        std::lock_guard lock(mutex_);
-        job.finished = true;
-        done_cv_.notify_all();
-      }
-    }
-  }
-
   void work() {
-    std::uint64_t seen = 0;
+    std::uint32_t seen = 0;
     for (;;) {
+      generation_.wait(seen, std::memory_order_acquire);
+      seen = generation_.load(std::memory_order_acquire);
+      if (stop_.load()) return;
       std::shared_ptr<Job> job;
       {
-        std::unique_lock lock(mutex_);
-        work_cv_.wait(lock, [&] { return stop_ || generation_ != seen; });
-        if (stop_) return;
-        seen = generation_;
+        std::lock_guard lock(mutex_);
         job = job_;
       }
-      run(*job);
+      if (job) job->work();
     }
   }
 
   std::atomic<bool> held_{false};
+  std::atomic<bool> stop_{false};
+  /// Bumped once per launch handed to the workers.
+  std::atomic<std::uint32_t> generation_{0};
   std::mutex mutex_;
-  std::condition_variable work_cv_;
-  std::condition_variable done_cv_;
-  // Guarded by mutex_.
-  bool stop_ = false;
-  std::uint64_t generation_ = 0;
-  std::shared_ptr<Job> job_;
+  std::shared_ptr<Job> job_;  // guarded by mutex_
   // Last: the workers use every member above.
   std::vector<std::thread> workers_;
 };
 
-/// Runs one launch's blocks: on the pool when the launch has more than one
-/// grain and the pool is free, otherwise every grain on the caller (a
-/// small launch, or one made while another thread holds the pool).
-class BlockRunner {
+/// Holds the pool for one launch of at least kPoolMinWarps warps, if the
+/// pool has workers and no other thread holds it. Otherwise the launching
+/// thread runs the launch itself: a small launch, or one made while
+/// another thread holds the pool.
+class PoolLease {
  public:
-  explicit BlockRunner(std::uint64_t num_warps) {
-    if (num_warps <= kGrainWarps) return;
+  explicit PoolLease(std::uint64_t num_warps) {
+    if (num_warps < kPoolMinWarps) return;
     HostPool& pool = HostPool::instance();
     if (pool.size() > 1 && pool.try_acquire()) pool_ = &pool;
   }
-
-  BlockRunner(const BlockRunner&) = delete;
-  BlockRunner& operator=(const BlockRunner&) = delete;
-
-  /// Waits for a block still in flight (a replay threw) before letting go.
-  ~BlockRunner() {
-    if (pool_ == nullptr) return;
-    if (in_flight_) pool_->finish();
-    pool_->release();
+  ~PoolLease() {
+    if (pool_ != nullptr) pool_->release();
   }
+  PoolLease(const PoolLease&) = delete;
+  PoolLease& operator=(const PoolLease&) = delete;
 
-  void start(std::function<void(std::uint64_t)> job, std::uint64_t grains) {
-    if (pool_ != nullptr) {
-      pool_->start(std::move(job), grains);
-    } else {
-      job_ = std::move(job);
-      grains_ = grains;
-    }
-    in_flight_ = true;
-  }
-
-  void finish() {
-    if (pool_ != nullptr) {
-      pool_->finish();
-    } else {
-      for (std::uint64_t g = 0; g < grains_; ++g) job_(g);
-    }
-    in_flight_ = false;
-  }
+  /// The pool, if this launch holds it.
+  HostPool* pool() const { return pool_; }
 
  private:
   HostPool* pool_ = nullptr;
-  std::function<void(std::uint64_t)> job_;
-  std::uint64_t grains_ = 0;
-  bool in_flight_ = false;
 };
 
+/// The log buffers of the launches made on this thread, kept from launch
+/// to launch so that the logs' vectors keep their capacity.
+std::array<std::vector<WarpLog>, kBuffers>& log_buffers() {
+  thread_local std::array<std::vector<WarpLog>, kBuffers> buffers;
+  return buffers;
+}
+
 #ifndef NDEBUG
-/// Debug builds: the launch's scatter write set, by 8-byte word. A load
-/// of bytes that another warp of the launch stored breaks the kernel
-/// contract. The set takes each block's stores before its loads are
-/// checked, so it catches every cross-warp overlap within a block (where
-/// warps run concurrently) and every load of an earlier block's store.
+/// Debug builds: the launch's stored and loaded bytes, by 8-byte word. A
+/// load of bytes that another warp of the launch stores, before or after
+/// it, breaks the kernel contract. Each block's stores are checked
+/// against the loads of earlier blocks and then added; its loads are then
+/// checked against every store so far, which catches every cross-warp
+/// overlap within the launch, whichever warp runs first.
 class ContractCheck {
  public:
-  void check_block(const std::vector<WarpLog>& logs, std::uint64_t first,
-                   std::uint64_t count) {
+  void check_block(const WarpLog* logs, std::uint64_t first, std::uint64_t count) {
     for (std::uint64_t i = 0; i < count; ++i) {
+      const std::uint64_t warp = first + i;
       for (const auto& [addr, bytes] : logs[i].writes) {
         for_words(addr, bytes, [&](std::uint64_t word, std::uint8_t mask) {
-          auto [it, fresh] = written_.try_emplace(word, Writer{first + i, mask});
-          if (fresh) return;
-          if (it->second.warp != first + i) it->second.warp = kSeveral;
-          it->second.bytes = static_cast<std::uint8_t>(it->second.bytes | mask);
+          HARMONIA_CHECK_MSG(!touched_by_other(read_, word, mask, warp),
+                             "warp " << warp << " stores address " << addr
+                                     << ", which another warp of the same launch loads");
         });
       }
+    }
+    for (std::uint64_t i = 0; i < count; ++i) {
+      for (const auto& [addr, bytes] : logs[i].writes) add(written_, addr, bytes, first + i);
     }
     for (std::uint64_t i = 0; i < count; ++i) {
       const std::uint64_t warp = first + i;
       for (const auto& [addr, bytes] : logs[i].reads) {
         for_words(addr, bytes, [&](std::uint64_t word, std::uint8_t mask) {
-          const auto it = written_.find(word);
-          HARMONIA_CHECK_MSG(it == written_.end() || (it->second.bytes & mask) == 0 ||
-                                 it->second.warp == warp,
+          HARMONIA_CHECK_MSG(!touched_by_other(written_, word, mask, warp),
                              "warp " << warp << " loads address " << addr
                                      << ", which another warp of the same launch stores");
         });
+        add(read_, addr, bytes, warp);
       }
     }
   }
 
  private:
   static constexpr std::uint64_t kSeveral = ~std::uint64_t{0};
-  struct Writer {
+  /// The warp that touched a word (kSeveral if more than one) and the
+  /// bytes touched.
+  struct Toucher {
     std::uint64_t warp;
     std::uint8_t bytes;
   };
+  using Words = std::unordered_map<std::uint64_t, Toucher>;
+
+  static bool touched_by_other(const Words& words, std::uint64_t word, std::uint8_t mask,
+                               std::uint64_t warp) {
+    const auto it = words.find(word);
+    return it != words.end() && (it->second.bytes & mask) != 0 && it->second.warp != warp;
+  }
+
+  static void add(Words& words, std::uint64_t addr, unsigned bytes, std::uint64_t warp) {
+    for_words(addr, bytes, [&](std::uint64_t word, std::uint8_t mask) {
+      auto [it, fresh] = words.try_emplace(word, Toucher{warp, mask});
+      if (fresh) return;
+      if (it->second.warp != warp) it->second.warp = kSeveral;
+      it->second.bytes = static_cast<std::uint8_t>(it->second.bytes | mask);
+    });
+  }
 
   template <typename F>
   static void for_words(std::uint64_t addr, unsigned bytes, F&& f) {
@@ -286,7 +359,8 @@ class ContractCheck {
     }
   }
 
-  std::unordered_map<std::uint64_t, Writer> written_;
+  Words written_;
+  Words read_;
 };
 #endif
 
@@ -327,66 +401,75 @@ KernelMetrics Device::launch(std::uint64_t num_warps, const WarpKernel& kernel) 
   metrics.sm_compute_cycles.assign(spec_.num_sms, 0);
   metrics.sm_mem_cycles.assign(spec_.num_sms, 0);
   metrics.sm_resident_warps.assign(spec_.num_sms, 0);
-
-  // The logs of two blocks: one replays while the next one runs. They
-  // live for this launch only, so no log memory is held between launches.
-  std::array<std::vector<WarpLog>, 2> arena;
-  arena[0].resize(std::min(num_warps, kBlockWarps));
-  if (num_warps > kBlockWarps) arena[1].resize(kBlockWarps);
-  const std::uint64_t num_blocks = (num_warps + kBlockWarps - 1) / kBlockWarps;
-  auto block_warps = [&](std::uint64_t b) {
-    return std::min(kBlockWarps, num_warps - b * kBlockWarps);
-  };
 #ifndef NDEBUG
   ContractCheck contract;
 #endif
-
-  // Block b runs while block b-1 replays, so each iteration starts one
-  // block, replays the one before it, and then waits for the started one.
-  BlockRunner runner(num_warps);
-  for (std::uint64_t b = 0; b <= num_blocks; ++b) {
-    if (b < num_blocks) {
-      WarpLog* logs = arena[b % 2].data();
-      const std::uint64_t first = b * kBlockWarps;
-      const std::uint64_t count = block_warps(b);
-      runner.start(
-          [this, &kernel, logs, first, count](std::uint64_t grain) {
-            const std::uint64_t end = std::min(count, (grain + 1) * kGrainWarps);
-            for (std::uint64_t i = grain * kGrainWarps; i < end; ++i) {
-              run_warp(kernel, first + i, logs[i]);
-            }
-          },
-          (count + kGrainWarps - 1) / kGrainWarps);
+  // Replays the logs of warps [first, first + count). A throwing warp
+  // ends the launch. The warps before it, and its own accesses up to the
+  // throw, still reach the caches and the trace, as when warps ran one
+  // at a time.
+  auto replay_logs = [&](const WarpLog* logs, std::uint64_t first, std::uint64_t count) {
+    for (std::uint64_t i = 0; i < count; ++i) {
+      if (!logs[i].error) continue;
+      for (std::uint64_t j = 0; j <= i; ++j) replay(logs[j], first + j, metrics);
+      std::rethrow_exception(logs[i].error);
     }
-    if (b > 0) {
-      const auto& logs = arena[(b - 1) % 2];
-      const std::uint64_t first = (b - 1) * kBlockWarps;
 #ifndef NDEBUG
-      contract.check_block(logs, first, block_warps(b - 1));
+    contract.check_block(logs, first, count);
 #endif
-      for (std::uint64_t i = 0; i < block_warps(b - 1); ++i) {
-        replay(logs[i], first + i, metrics);
-      }
+    for (std::uint64_t i = 0; i < count; ++i) replay(logs[i], first + i, metrics);
+  };
+
+  auto& buffers = log_buffers();
+  PoolLease lease(num_warps);
+  if (lease.pool() == nullptr) {
+    // One warp at a time, probing the caches as the warp runs; the replay
+    // then adds only the warp's counters.
+    if (buffers[0].empty()) buffers[0].resize(1);
+    WarpLog& log = buffers[0][0];
+    for (std::uint64_t w = 0; w < num_warps; ++w) {
+      run_warp(kernel, w, log, &metrics);
+      replay_logs(&log, w, 1);
     }
-    if (b < num_blocks) {
-      runner.finish();
-      // A throwing warp ends the launch. The warps before it, and its own
-      // accesses up to the throw, still reach the caches and the trace,
-      // as when warps ran one at a time.
-      const auto& logs = arena[b % 2];
-      for (std::uint64_t i = 0; i < block_warps(b); ++i) {
-        if (!logs[i].error) continue;
-        for (std::uint64_t j = 0; j <= i; ++j) replay(logs[j], b * kBlockWarps + j, metrics);
-        std::rethrow_exception(logs[i].error);
-      }
-    }
+    return metrics;
+  }
+
+  for (auto& logs : buffers) {
+    if (logs.size() < kBlockWarps) logs.resize(kBlockWarps);
+  }
+  WarpLog* const buffer_data[kBuffers] = {buffers[0].data(), buffers[1].data()};
+  auto job = std::make_shared<Job>(
+      [this, &kernel, &buffer_data, num_warps](std::uint64_t grain) {
+        const std::uint64_t block = grain / kBlockGrains;
+        WarpLog* logs = buffer_data[block % kBuffers];
+        const std::uint64_t end = std::min(num_warps, (grain + 1) * kGrainWarps);
+        for (std::uint64_t w = grain * kGrainWarps; w < end; ++w) {
+          run_warp(kernel, w, logs[w - block * kBlockWarps], nullptr);
+        }
+      },
+      num_warps);
+  // However the launch ends, no thread runs the kernel after it.
+  struct Drain {
+    Job& job;
+    ~Drain() { job.drain(); }
+  } drain{*job};
+  lease.pool()->start(job);
+
+  // The pool runs ahead by at most one block while the launching thread
+  // replays, and the launching thread helps with the functional phase of
+  // block b before it replays b.
+  for (std::uint64_t b = 0; b < job->blocks(); ++b) {
+    job->complete(b);
+    replay_logs(buffer_data[b % kBuffers], b * kBlockWarps, job->block_warps(b));
+    job->replayed(b);
   }
   return metrics;
 }
 
-void Device::run_warp(const WarpKernel& kernel, std::uint64_t warp, WarpLog& log) {
+void Device::run_warp(const WarpKernel& kernel, std::uint64_t warp, WarpLog& log,
+                      KernelMetrics* probe_now) {
   log.reset();
-  WarpCtx ctx(*this, warp, static_cast<unsigned>(warp % spec_.num_sms), log);
+  WarpCtx ctx(*this, warp, static_cast<unsigned>(warp % spec_.num_sms), log, probe_now);
   try {
     kernel(ctx);
   } catch (...) {
@@ -402,7 +485,7 @@ void Device::replay(const WarpLog& log, std::uint64_t warp, KernelMetrics& m) {
   m.divergent_loads += log.divergent_loads;
   m.transactions += log.transactions;
 
-  std::uint64_t mem_cycles = 0;
+  std::uint64_t mem_cycles = log.mem_cycles;
   const std::uint64_t* line = log.lines.data();
   for (const WarpLog::Record& r : log.records) {
     if (r.kind == TraceEventKind::kCompute) {
@@ -410,59 +493,66 @@ void Device::replay(const WarpLog& log, std::uint64_t warp, KernelMetrics& m) {
                      static_cast<std::uint64_t>(r.count) * spec_.cycles_per_compute_step});
       continue;
     }
-    // The warp's access completes when its slowest line is served;
-    // additional transactions serialize in the load/store unit.
-    std::uint64_t worst_latency = 0;
-    ServedBy worst_level = ServedBy::kNone;
-    for (const std::uint64_t* end = line + r.count; line != end; ++line) {
-      std::uint64_t lat;
-      ServedBy level;
-      // Line addresses of constant space retain the kConstBase tag, so the
-      // two spaces never alias in the shared L2.
-      if (*line >= kConstBase / spec_.line_bytes) {
-        if (const_[sm].access(*line)) {
-          ++m.const_hits;
-          lat = spec_.lat_const;
-          level = ServedBy::kConst;
-        } else if (l2_.access(*line)) {
-          ++m.l2_hits;
-          lat = spec_.lat_l2;
-          level = ServedBy::kL2;
-        } else {
-          ++m.dram_transactions;
-          lat = spec_.lat_dram;
-          level = ServedBy::kDram;
-        }
-      } else {
-        if (readonly_[sm].access(*line)) {
-          ++m.readonly_hits;
-          lat = spec_.lat_readonly;
-          level = ServedBy::kReadOnly;
-        } else if (l2_.access(*line)) {
-          ++m.l2_hits;
-          lat = spec_.lat_l2;
-          level = ServedBy::kL2;
-        } else {
-          ++m.dram_transactions;
-          lat = spec_.lat_dram;
-          level = ServedBy::kDram;
-        }
-      }
-      if (lat >= worst_latency) {
-        worst_latency = lat;
-        worst_level = level;
-      }
-    }
-    const std::uint64_t cycles =
-        worst_latency + static_cast<std::uint64_t>(r.count - 1) * spec_.txn_issue_cycles;
-    mem_cycles += cycles;
-    trace_.record({warp, sm, r.kind, r.mask, r.count, worst_level, cycles});
+    mem_cycles += probe(warp, sm, r.kind, r.mask, line, r.count, m);
+    line += r.count;
   }
 
   m.sm_compute_cycles[sm] += log.compute_cycles;
   m.sm_mem_cycles[sm] += mem_cycles;
   m.sm_resident_warps[sm] += 1;
   ++m.warps;
+}
+
+std::uint64_t Device::probe(std::uint64_t warp, unsigned sm, TraceEventKind kind,
+                            LaneMask mask, const std::uint64_t* lines, std::uint32_t count,
+                            KernelMetrics& m) {
+  // The warp's access completes when its slowest line is served;
+  // additional transactions serialize in the load/store unit.
+  std::uint64_t worst_latency = 0;
+  ServedBy worst_level = ServedBy::kNone;
+  for (const std::uint64_t* line = lines; line != lines + count; ++line) {
+    std::uint64_t lat;
+    ServedBy level;
+    // Line addresses of constant space retain the kConstBase tag, so the
+    // two spaces never alias in the shared L2.
+    if (*line >= kConstBase / spec_.line_bytes) {
+      if (const_[sm].access(*line)) {
+        ++m.const_hits;
+        lat = spec_.lat_const;
+        level = ServedBy::kConst;
+      } else if (l2_.access(*line)) {
+        ++m.l2_hits;
+        lat = spec_.lat_l2;
+        level = ServedBy::kL2;
+      } else {
+        ++m.dram_transactions;
+        lat = spec_.lat_dram;
+        level = ServedBy::kDram;
+      }
+    } else {
+      if (readonly_[sm].access(*line)) {
+        ++m.readonly_hits;
+        lat = spec_.lat_readonly;
+        level = ServedBy::kReadOnly;
+      } else if (l2_.access(*line)) {
+        ++m.l2_hits;
+        lat = spec_.lat_l2;
+        level = ServedBy::kL2;
+      } else {
+        ++m.dram_transactions;
+        lat = spec_.lat_dram;
+        level = ServedBy::kDram;
+      }
+    }
+    if (lat >= worst_latency) {
+      worst_latency = lat;
+      worst_level = level;
+    }
+  }
+  const std::uint64_t cycles =
+      worst_latency + static_cast<std::uint64_t>(count - 1) * spec_.txn_issue_cycles;
+  if (trace_.enabled()) trace_.record({warp, sm, kind, mask, count, worst_level, cycles});
+  return cycles;
 }
 
 unsigned WarpCtx::warp_size() const { return device_.spec_.warp_size; }
@@ -473,9 +563,14 @@ void WarpCtx::compute(LaneMask active, unsigned steps) {
   HARMONIA_DCHECK(active != 0);
   log_.steps += steps;
   if (active == full_mask(warp_size())) log_.coherent_steps += steps;
-  log_.compute_cycles +=
+  const std::uint64_t cycles =
       static_cast<std::uint64_t>(steps) * device_.spec_.cycles_per_compute_step;
-  if (device_.trace_.enabled()) {
+  log_.compute_cycles += cycles;
+  if (!device_.trace_.enabled()) return;
+  if (probe_now_ != nullptr) {
+    device_.trace_.record(
+        {warp_id_, sm_id_, TraceEventKind::kCompute, active, 0, ServedBy::kNone, cycles});
+  } else {
     log_.records.push_back({TraceEventKind::kCompute, active, steps});
   }
 }
@@ -494,8 +589,14 @@ void WarpCtx::account_access(LaneMask active, std::span<const std::uint64_t> add
   ++log_.loads;
   if (lines.size() > 1) ++log_.divergent_loads;
   log_.transactions += lines.size();
-  log_.records.push_back({kind, active, static_cast<std::uint32_t>(lines.size())});
-  log_.lines.insert(log_.lines.end(), lines.begin(), lines.end());
+  const auto count = static_cast<std::uint32_t>(lines.size());
+  if (probe_now_ != nullptr) {
+    log_.mem_cycles +=
+        device_.probe(warp_id_, sm_id_, kind, active, lines.begin(), count, *probe_now_);
+  } else {
+    log_.records.push_back({kind, active, count});
+    log_.lines.insert(log_.lines.end(), lines.begin(), lines.end());
+  }
 #ifndef NDEBUG
   auto& ranges = kind == TraceEventKind::kStore ? log_.writes : log_.reads;
   for (unsigned lane = 0; lane < addrs.size(); ++lane) {

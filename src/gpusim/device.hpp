@@ -2,7 +2,7 @@
 //
 // Kernels are written as per-warp C++ callables against WarpCtx, a
 // warp-synchronous API: every data access goes through gather()/touch()
-// (which runs the coalescer and logs the lines for the cache hierarchy),
+// (which runs the coalescer and feeds the lines to the cache hierarchy),
 // and every instruction issue goes through compute() with an explicit
 // active-lane mask (which feeds the warp-coherence metric). This keeps
 // simulated kernels structurally identical to their CUDA counterparts
@@ -44,9 +44,11 @@ class WarpCtx {
   /// A step is coherent iff every lane of the warp is active.
   void compute(LaneMask active, unsigned steps = 1);
 
-  /// Warp-wide load: coalesces the active lanes' addresses, logs the lines
-  /// for the cache replay (which charges the memory cycles), and reads the
-  /// data into `out[lane]` for each active lane (inactive lanes untouched).
+  /// Warp-wide load: coalesces the active lanes' addresses, probes the
+  /// caches with the lines (at once when the launch runs on the calling
+  /// thread, else in the replay; either charges the memory cycles), and
+  /// reads the data into `out[lane]` for each active lane (inactive lanes
+  /// untouched).
   template <typename T>
   void gather(LaneMask active, std::span<const std::uint64_t> addrs, std::span<T> out);
 
@@ -61,10 +63,12 @@ class WarpCtx {
 
  private:
   friend class Device;
-  WarpCtx(Device& device, std::uint64_t warp_id, unsigned sm_id, WarpLog& log)
-      : device_(device), warp_id_(warp_id), sm_id_(sm_id), log_(log) {}
+  WarpCtx(Device& device, std::uint64_t warp_id, unsigned sm_id, WarpLog& log,
+          KernelMetrics* probe_now)
+      : device_(device), warp_id_(warp_id), sm_id_(sm_id), log_(log), probe_now_(probe_now) {}
 
-  /// Coalesces a warp access and appends its lines to this warp's log.
+  /// Coalesces a warp access and probes the caches with its lines now, or
+  /// appends them to this warp's log for the replay.
   void account_access(LaneMask active, std::span<const std::uint64_t> addrs,
                       unsigned bytes_per_lane, TraceEventKind kind);
 
@@ -72,6 +76,9 @@ class WarpCtx {
   std::uint64_t warp_id_;
   unsigned sm_id_;
   WarpLog& log_;
+  /// Set when warps run one at a time on the launching thread: accesses
+  /// then probe the caches (and trace) as they happen, into these metrics.
+  KernelMetrics* probe_now_;
 };
 
 using WarpKernel = std::function<void(WarpCtx&)>;
@@ -85,8 +92,9 @@ class Device {
   const Memory& memory() const { return memory_; }
 
   /// Runs `kernel` once per warp. Warps are assigned to SMs round-robin.
-  /// They run in blocks on a process-wide pool of host threads, so the
-  /// kernel may be called from several threads at once: within one launch
+  /// A launch of 4096 warps or more runs in blocks on a process-wide pool
+  /// of host threads, so the kernel may be called from several threads at
+  /// once (a smaller launch runs on the calling thread): within one launch
   /// no warp may read what another warp wrote, and host state the kernel
   /// captures by reference must be written per warp. The caches are then
   /// probed serially in warp-id order, so metrics, cache state and trace
@@ -108,11 +116,18 @@ class Device {
  private:
   friend class WarpCtx;
 
-  /// Functional phase of one warp: runs the kernel into `log`.
-  void run_warp(const WarpKernel& kernel, std::uint64_t warp, WarpLog& log);
+  /// Functional phase of one warp: runs the kernel into `log`, probing
+  /// the caches at once if `probe_now` is set.
+  void run_warp(const WarpKernel& kernel, std::uint64_t warp, WarpLog& log,
+                KernelMetrics* probe_now);
   /// Replay phase of one warp: probes the caches with its logged lines and
   /// adds its counters, cycles and trace events to `metrics`.
   void replay(const WarpLog& log, std::uint64_t warp, KernelMetrics& metrics);
+  /// Probes the caches with one access's lines, in order, counts the hits
+  /// and DRAM transactions, records the trace event and returns the
+  /// access's cycles.
+  std::uint64_t probe(std::uint64_t warp, unsigned sm, TraceEventKind kind, LaneMask mask,
+                      const std::uint64_t* lines, std::uint32_t count, KernelMetrics& metrics);
 
   DeviceSpec spec_;
   Memory memory_;

@@ -305,6 +305,31 @@ TEST(Device, CrossWarpReadAfterWriteBreaksTheContract) {
 #endif
 }
 
+TEST(Device, LoadBeforeAnotherWarpsStoreBreaksTheContract) {
+#ifdef NDEBUG
+  GTEST_SKIP() << "the kernel contract is checked in debug builds only";
+#else
+  // Warp 3 loads what warp 600, a later block's warp, stores: the two may
+  // run at the same time, so the load may see either value.
+  Device dev(tiny_spec());
+  auto slot = dev.memory().malloc<std::uint64_t>(1);
+  std::array<std::uint64_t, 32> addrs{};
+  addrs[0] = slot.element_addr(0);
+  EXPECT_THROW(dev.launch(1024,
+                          [&](WarpCtx& w) {
+                            std::array<std::uint64_t, 32> vals{};
+                            if (w.warp_id() == 3) {
+                              w.gather<std::uint64_t>(lane_bit(0), addrs, vals);
+                            } else if (w.warp_id() == 600) {
+                              w.scatter<std::uint64_t>(
+                                  lane_bit(0), addrs,
+                                  std::span<const std::uint64_t>(vals.data(), 32));
+                            }
+                          }),
+               ContractViolation);
+#endif
+}
+
 TEST(DeviceSpecValidation, PresetsAreValid) {
   EXPECT_NO_THROW(titan_v().validate());
   EXPECT_NO_THROW(tesla_k80().validate());
