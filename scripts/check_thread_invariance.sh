@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Thread invariance of the simulator: gpusim runs the warps of a launch
-# of 4096 warps or more on a pool sized by the process's CPU affinity
+# of 4096 warps or more on a pool sized from the process's CPU affinity
 # mask, and the result must not depend on that size. Every workload of
 # the end-to-end benchmark runs traced at smoke scale twice, once pinned
 # to one CPU (a pool of one thread) and once on every CPU of the mask.

@@ -102,6 +102,18 @@ unsigned affinity_cpus() {
   return std::max(1u, std::thread::hardware_concurrency());
 }
 
+/// Threads a pooled launch runs on, the launching thread included: half
+/// the CPUs of the affinity mask, and two when there are two or three.
+/// The wall time of a pooled launch varies from run to run in proportion
+/// to its speed, by about 8% on a shared 4-vCPU host whatever the pool
+/// size, so with every CPU (3.5x on `batch_lookup`) the run-to-run spread
+/// exceeded a quarter of the one-thread median, while with half (1.9x) it
+/// stayed well inside it.
+unsigned pool_threads() {
+  const unsigned cpus = affinity_cpus();
+  return cpus < 2 ? 1 : std::max(2u, cpus / 2);
+}
+
 /// One launch's functional phase. Grains are claimed in warp order, and
 /// a grain may run only once its block's log buffer is free, that is,
 /// once the block kBuffers before it has been replayed. Pool threads and
@@ -187,15 +199,15 @@ class Job {
   std::unique_ptr<std::atomic<std::uint32_t>[]> done_;
 };
 
-/// The process-wide host pool that runs the functional phase. It has one
-/// worker per CPU of the affinity mask, less one for the launching thread,
-/// which claims grains too. Workers sleep between launches and are woken
+/// The process-wide host pool that runs the functional phase. It has
+/// pool_threads() workers less one for the launching thread, which claims
+/// grains too. Workers sleep between launches and are woken
 /// once per launch; a launch never waits for a worker that has not
 /// claimed a grain.
 class HostPool {
  public:
   static HostPool& instance() {
-    static HostPool pool(affinity_cpus());
+    static HostPool pool(pool_threads());
     return pool;
   }
 
