@@ -43,7 +43,7 @@ void EpochUpdater::set_observer(const obs::Observer& obs, unsigned shard) {
 
 void EpochUpdater::charge(Work& w) const {
   w.patch_seconds = static_cast<double>(w.patch_ops) * config_.seconds_per_patch_op;
-  w.fold_seconds = static_cast<double>(w.fold_ops) * config_.seconds_per_op;
+  w.fold_seconds = apply_seconds(w.fold_ops);
 }
 
 EpochUpdater::Work EpochUpdater::apply(std::uint64_t epoch,

@@ -138,17 +138,20 @@ class EpochUpdater {
              double log_at, bool may_patch);
   /// Background upload of the staged epoch starting at `build_done` (the
   /// patch bytes, or the full image) through staged_transfer(); annotates
-  /// upload start and staged-ready on the trace.
+  /// upload start and staged-ready on the trace. Live migrations upload
+  /// their staged images here too.
   double upload(double build_done);
-  /// Fault charge of a staged transfer of `seconds` starting at `start`:
-  /// slowdown windows live at its end stretch it, and the pre-swap CRC32
-  /// audit turns an armed corruption into one re-upload — never a served
-  /// corrupt image. Live migrations charge their staged images here too.
-  double staged_transfer(double seconds, double start);
   /// Atomic swap at a batch boundary: flushes the queued leaf/overlay
   /// writes (patch) or installs the shadow tree and staged image.
   void commit();
   bool inflight() const { return inflight_; }
+
+  /// Modeled host CPU time to apply `ops` ops at seconds_per_op — the one
+  /// place that prices the Algorithm-1 apply: quiesce and staged builds,
+  /// live migrations and replica catch-up all charge through it.
+  double apply_seconds(std::uint64_t ops) const {
+    return static_cast<double>(ops) * config_.seconds_per_op;
+  }
 
   /// Snapshot point after epoch `epoch` committed at `at`: a delta-mode
   /// compaction forces one (the full image was just rebuilt — the natural
@@ -190,6 +193,11 @@ class EpochUpdater {
   void stage_fold(std::span<const queries::UpdateOp> ops, std::size_t absorbed,
                   Work& w);
   void charge(Work& w) const;
+  /// Fault charge of a staged transfer of `seconds` starting at `start`:
+  /// slowdown windows live at its end stretch it, and the pre-swap CRC32
+  /// audit turns an armed corruption into one re-upload — never a served
+  /// corrupt image.
+  double staged_transfer(double seconds, double start);
 
   HarmoniaIndex& index_;
   TransferModel link_;

@@ -55,6 +55,10 @@ void ServeOptions::validate(unsigned num_shards) const {
     HARMONIA_CHECK_MSG(num_shards >= 2,
                        "hot-range splitting moves a partition boundary between "
                        "adjacent shards — it needs >= 2 shards");
+    HARMONIA_CHECK_MSG(!persist.enabled() && durability == nullptr,
+                       "hot-range splitting moves keys between shards but the "
+                       "shard plan is not persisted, so a run that migrated "
+                       "cannot recover — --split-hot excludes --snapshot-dir");
   }
 
   HARMONIA_CHECK_MSG(batch.max_batch > 0, "batch.max_batch must be positive");

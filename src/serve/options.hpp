@@ -91,8 +91,10 @@ struct ServeOptions {
   /// non-positive link bandwidth or negative latency; a mitigation with
   /// no retry budget, negative backoffs, or degraded costs; a replica
   /// group outside [1, 8] or without the sharded path to ride; hot-range
-  /// splitting with a non-positive cadence, a hot factor <= 1, or fewer
-  /// than 2 shards; the QoS policy's own validate(); persistence
+  /// splitting with a non-positive cadence, a hot factor <= 1, fewer
+  /// than 2 shards, or persistence (the shard plan is not persisted, so
+  /// a run that migrated could not recover); the QoS policy's own
+  /// validate(); persistence
   /// recovery without a snapshot directory or zero retention; the
   /// initial tunables snapshot (group size / sort bits bounds); and
   /// fault events that do not fit the topology (every event's shard must

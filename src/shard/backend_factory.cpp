@@ -14,6 +14,9 @@ ServingStack::ServingStack(const TopologySpec& topo,
   HARMONIA_CHECK_MSG(topo.shards >= 1 && topo.shards <= ShardPlan::kMaxShards,
                      "shards must lie in [1, " << ShardPlan::kMaxShards
                                                << "], got " << topo.shards);
+  // Reject a bad option set before recovery or the durability domain
+  // touches the snapshot directory.
+  options.validate(topo.shards);
   keys_ = queries::make_tree_keys(1ULL << topo.log2_keys, topo.seed);
   std::vector<btree::Entry> entries;
   entries.reserve(keys_.size());

@@ -43,9 +43,9 @@ void ShardedServer::apply_tunables(const Tunables& t, double /*now*/) {
   // epochs triggered afterwards.
   for (auto& sched : sched_) sched->set_batch_knobs(t.max_batch, t.max_wait);
   for (auto& engine : engines_) engine->set_apply_threads(t.apply_threads);
-  if (inflight_.has_value() || migration_.has_value()) {
+  if (inflight_.has_value()) {
     // Swap-boundary latch: shards swap staggered inside an epoch (and a
-    // migration rebuilds two shards), so installing image/PSA knobs now
+    // plan flip rebuilds two shards), so installing image/PSA knobs now
     // would let queries admitted under the old image — or replicas and
     // straddling fan-outs — observe mixed values. They land at the
     // fleet-wide boundary instead.
@@ -146,13 +146,10 @@ void ShardedServer::buffer_update(const Request& r) {
 
 double ShardedServer::next_epoch_time(double now) const {
   if (pending_updates_.empty()) return kNever;
-  // A migration owns the staging machinery (and the plan is about to
-  // move under the op scatter): updates buffer until the flip.
-  if (migration_.has_value()) return kNever;
-  // One staging buffer: in the overlapped modes the next epoch cannot
-  // start to build (or patch) until every shard swapped the in-flight one.
-  if (config_.epoch.mode != EpochMode::kQuiesce && inflight_.has_value())
-    return kNever;
+  // One staging buffer: the next epoch cannot start to build (or patch)
+  // until every shard swapped the in-flight one, or until a plan flip
+  // moved the op scatter. In quiesce mode only a flip is ever in flight.
+  if (inflight_.has_value()) return kNever;
   return pending_updates_.size() >= config_.epoch.max_buffered
              ? now
              : pending_updates_.front().arrival + config_.epoch.max_wait;
@@ -261,7 +258,7 @@ void ShardedServer::run_quiesce(double at, RequestSource& source,
     charged += work[s].fold_ops;
     stats += work[s].stats;
   }
-  const double build = static_cast<double>(charged) * config_.epoch.seconds_per_op;
+  const double build = engines_[0]->apply_seconds(charged);
   double upload = 0.0;
   for (unsigned s = 0; s < n; ++s) {
     if (per_shard[s].empty()) continue;
@@ -339,6 +336,9 @@ void ShardedServer::begin_staged(double now) {
 
 bool ShardedServer::swap_pending(double now) const {
   if (!inflight_.has_value()) return false;
+  if (const auto& f = inflight_->flip)
+    return inflight_->shards[f->donor].ready <= now &&
+           inflight_->shards[f->receiver].ready <= now;
   for (const ShardStage& st : inflight_->shards) {
     if (!st.swapped && st.ready <= now) return true;
   }
@@ -356,8 +356,19 @@ double ShardedServer::swap_time(unsigned s, double ready) const {
 }
 
 double ShardedServer::next_swap_time() const {
-  if (migration_.has_value()) return migration_swap_time();
   if (!inflight_.has_value()) return kNever;
+  if (const auto& f = inflight_->flip) {
+    // The flip needs both shards fully drained: empty queues, no fan-out
+    // pieces pinning a snapshot, groups idle between batches. New work
+    // touching the pair parks once the staged sides are ready, so the
+    // drain converges.
+    double t = 0.0;
+    for (const unsigned s : {f->donor, f->receiver}) {
+      if (!sched_[s]->empty() || fence_depth_[s] > 0) return kNever;
+      t = std::max({t, inflight_->shards[s].ready, group_free(s)});
+    }
+    return t;
+  }
   double t = kNever;
   for (unsigned s = 0; s < num_shards(); ++s) {
     const ShardStage& st = inflight_->shards[s];
@@ -368,13 +379,11 @@ double ShardedServer::next_swap_time() const {
 
 void ShardedServer::epoch_commit(double now, RequestSource& source,
                                  ServerReport& report) {
-  // A due migration flip arrives through the same swap event (migrations
-  // and staged epochs are mutually exclusive, so no ambiguity).
-  if (migration_.has_value()) {
+  HARMONIA_CHECK(inflight_.has_value());
+  if (inflight_->flip.has_value()) {
     commit_migration(now, source, report);
     return;
   }
-  HARMONIA_CHECK(inflight_.has_value());
   // The due shard: earliest swap time among unswapped, unblocked shards
   // (ties break to the lowest id — deterministic stagger order).
   unsigned best = 0;
@@ -497,8 +506,8 @@ void ShardedServer::final_drain(double now, RequestSource& source,
                         source, report);
       }
     }
-    if (migration_.has_value() || inflight_.has_value()) {
-      // Queues are drained, so every fence is clear: the migration flip,
+    if (inflight_.has_value()) {
+      // Queues are drained, so every fence is clear: the plan flip,
       // or the remaining staggered swaps in order, are unconditionally
       // due. The flip and the last swap re-admit parked requests, which
       // refill the schedulers — hence the outer loop.
@@ -518,7 +527,6 @@ void ShardedServer::final_drain(double now, RequestSource& source,
 void ShardedServer::finish_run(ServerReport& report) {
   HARMONIA_CHECK(merges_.empty());  // every fan-out reassembled
   HARMONIA_CHECK(!inflight_.has_value());
-  HARMONIA_CHECK(!migration_.has_value());
   HARMONIA_CHECK(parked_.empty());
   report.plan_version = plan_version_;
   report.faults = injector_.report();

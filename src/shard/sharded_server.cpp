@@ -125,8 +125,16 @@ std::pair<unsigned, unsigned> ShardedServer::span_of(const Request& r) const {
   return {s0, s0};
 }
 
-bool ShardedServer::straddles(const Request& r) const {
+bool ShardedServer::parks(const Request& r) const {
+  if (!inflight_.has_value()) return false;
+  // Shards disagree on their epoch version between the first and last
+  // staggered swap (a flip swaps nothing before it commits).
+  const bool mixed_version = inflight_->remaining < num_shards();
+  if (!mixed_version && !swap_pending(r.arrival)) return false;
   const auto [s0, s1] = span_of(r);
+  if (const auto& f = inflight_->flip)
+    return s0 <= std::max(f->donor, f->receiver) &&
+           s1 >= std::min(f->donor, f->receiver);
   return s0 != s1;
 }
 
@@ -145,29 +153,18 @@ void ShardedServer::submit(const Request& r, RequestSource& source,
     return;
   }
 
-  // While the shards disagree on their epoch version (between the first
-  // and last staggered swap of a staged epoch), a straddling range or
-  // scan has no single snapshot to read: park it and re-admit after the
-  // last swap. Parking starts as soon as a staged image is swap-ready:
-  // admitting more fan-outs then would keep re-raising the version fence
-  // and starve the swap under a sustained straddler stream.
-  if ((mixed_version() || swap_pending(r.arrival)) && straddles(r)) {
+  // A straddler has no single snapshot to read while a staged epoch's
+  // shards disagree on their version, and a request touching a due plan
+  // flip's pair is about to be re-routed: park it and re-admit after the
+  // commit. Parking starts as soon as a swap is due — admitting more
+  // fan-outs then would keep re-raising the version fence and starve the
+  // swap under a sustained straddler stream.
+  if (parks(r)) {
     if (config_.obs.trace != nullptr)
       config_.obs.trace->stamp(r.id, obs::Stage::kQueueEnter, r.arrival,
                                obs::TraceRecorder::kNoShard,
-                               "parked: shards mid-swap");
-    parked_.push_back(r);
-    return;
-  }
-
-  // A migration ready to flip drains its pair the same way: requests
-  // touching the donor/receiver span park until the plan commits (their
-  // routing is about to change), everything else admits normally.
-  if (migration_swap_pending(r.arrival) && touches_migration(r)) {
-    if (config_.obs.trace != nullptr)
-      config_.obs.trace->stamp(r.id, obs::Stage::kQueueEnter, r.arrival,
-                               obs::TraceRecorder::kNoShard,
-                               "parked: plan flip pending");
+                               inflight_->flip ? "parked: plan flip pending"
+                                               : "parked: shards mid-swap");
     parked_.push_back(r);
     return;
   }
@@ -565,7 +562,7 @@ void ShardedServer::rejoin_replica(double now, ServerReport& report) {
     // replica applies the ops at the epoch updater's per-op rate.
     const std::uint64_t bytes = batches * persist::UpdateLog::kRecordFixedBytes +
                                 ops * persist::UpdateLog::kOpBytes;
-    catchup = static_cast<double>(ops) * config_.epoch.seconds_per_op;
+    catchup = engines_[s]->apply_seconds(ops);
     if (ops > 0) catchup += config_.link.seconds(bytes);
   }
   g.rejoin(r);
@@ -651,7 +648,7 @@ void ShardedServer::maybe_start_migration(double now) {
     window[s] = window_routed_[s] + sched_[s]->depth();
   std::fill(window_routed_.begin(), window_routed_.end(), 0);
 
-  if (migration_.has_value() || inflight_.has_value()) return;
+  if (inflight_.has_value()) return;
   if (migrations_done_ >= config_.reshard.max_migrations) return;
 
   unsigned h = 0;
@@ -694,35 +691,38 @@ void ShardedServer::start_migration(unsigned donor, unsigned receiver,
     return;
   const std::uint64_t keys = didx.tree().num_keys();
   if (keys < 2) return;
-
-  InflightMigration m;
-  m.donor = donor;
-  m.receiver = receiver;
-  m.trigger = now;
+  // The plan is not persisted, so ServeOptions::validate rejects
+  // split_hot with persistence: the engines' write-ahead append in
+  // stage() below never logs a migration's bookkeeping ops.
+  HARMONIA_CHECK(config_.durability == nullptr);
 
   // Cut the hot range at its median key and hand the half adjacent to
   // the receiver across the boundary.
+  PlanFlip flip;
+  flip.donor = donor;
+  flip.receiver = receiver;
   const auto entries =
       index_.range_host(index_.plan().lo(donor), index_.plan().hi(donor));
   HARMONIA_CHECK(entries.size() == keys);
   const std::size_t mid = entries.size() / 2;
   const Key split_key = entries[mid].key;
   const std::span<const Key> bounds = index_.plan().lower_bounds();
-  m.new_lo.assign(bounds.begin(), bounds.end());
+  flip.new_lo.assign(bounds.begin(), bounds.end());
   std::span<const btree::Entry> moved;
   if (receiver > donor) {
     moved = std::span<const btree::Entry>(entries).subspan(mid);
-    m.new_lo[receiver] = split_key;
+    flip.new_lo[receiver] = split_key;
   } else {
     moved = std::span<const btree::Entry>(entries).subspan(0, mid);
-    m.new_lo[donor] = split_key;
+    flip.new_lo[donor] = split_key;
   }
-  m.moved_keys = moved.size();
+  flip.moved_keys = moved.size();
 
-  // Stage both post-split images on shadow trees, like overlap epochs:
-  // the old plan keeps serving off the committed images until the flip.
-  // Migration ops are bookkeeping, not client updates — nothing is
-  // logged and their stats never reach updates_applied.
+  // Both post-split images stage through the shards' engines like an
+  // overlap epoch (shadow builds — the overlays are empty — then
+  // background uploads), while the old plan keeps serving off the
+  // committed images. Migration ops are bookkeeping, not client updates:
+  // their stats never reach updates_applied.
   std::vector<queries::UpdateOp> del;
   std::vector<queries::UpdateOp> ins;
   del.reserve(moved.size());
@@ -731,96 +731,60 @@ void ShardedServer::start_migration(unsigned donor, unsigned receiver,
     del.push_back({queries::OpKind::kDelete, e.key, 0});
     ins.push_back({queries::OpKind::kInsert, e.key, e.value});
   }
-  const auto stage_side = [&](unsigned s, std::span<const queries::UpdateOp> ops,
-                              MigrationSide& side) {
-    HarmoniaIndex& idx = *index_.shard(s);
-    idx.discard_patch();
-    side.update = idx.stage_update(ops, engines_[s]->apply_threads());
-    m.build_seconds +=
-        static_cast<double>(ops.size()) * config_.epoch.seconds_per_op;
-  };
-  stage_side(donor, del, m.donor_side);
-  stage_side(receiver, ins, m.receiver_side);
-  m.build_done = now + m.build_seconds;
-
-  // The two fresh images upload concurrently over their own links,
-  // charged (slowdown stretch, pre-swap audit) by the shards' engines.
-  const auto upload_side = [&](unsigned s, MigrationSide& side) {
-    side.upload_seconds = engines_[s]->staged_transfer(
-        image_resync_seconds(side.update.tree(), config_.link), m.build_done);
-    side.ready = m.build_done + side.upload_seconds;
-  };
-  upload_side(donor, m.donor_side);
-  upload_side(receiver, m.receiver_side);
+  InflightEpoch ep;
+  ep.ordinal = epochs_;  // a flip commits no epoch
+  ep.trigger = now;
+  ep.shards.resize(num_shards());
+  ep.remaining = num_shards();  // nothing swaps before the flip
+  const std::pair<unsigned, std::span<const queries::UpdateOp>> sides[] = {
+      {donor, del}, {receiver, ins}};
+  for (const auto& [s, ops] : sides) {
+    ShardStage& st = ep.shards[s];
+    st.staged = true;
+    st.work = engines_[s]->stage(ep.ordinal, ops, now, /*may_patch=*/false);
+    ep.build_seconds += st.work.patch_seconds;
+    ep.build_seconds += st.work.fold_seconds;
+  }
+  ep.build_done = now + ep.build_seconds;
+  // The two fresh images upload concurrently over their own links.
+  for (const auto& [s, ops] : sides) {
+    ShardStage& st = ep.shards[s];
+    st.upload_seconds = engines_[s]->upload(ep.build_done);
+    st.ready = ep.build_done + st.upload_seconds;
+  }
 
   if (config_.obs.trace != nullptr)
     config_.obs.trace->annotate(
         now, donor,
-        "reshard start: hot shard cedes " + std::to_string(m.moved_keys) +
+        "reshard start: hot shard cedes " + std::to_string(flip.moved_keys) +
             " keys to shard " + std::to_string(receiver) + " at key " +
             std::to_string(split_key));
-  migration_ = std::move(m);
-}
-
-bool ShardedServer::migration_swap_pending(double now) const {
-  return migration_.has_value() && migration_->donor_side.ready <= now &&
-         migration_->receiver_side.ready <= now;
-}
-
-bool ShardedServer::touches_migration(const serve::Request& r) const {
-  const auto [s0, s1] = span_of(r);
-  return s0 <= std::max(migration_->donor, migration_->receiver) &&
-         s1 >= std::min(migration_->donor, migration_->receiver);
-}
-
-double ShardedServer::migration_swap_time() const {
-  if (!migration_.has_value()) return kNever;
-  const unsigned d = migration_->donor;
-  const unsigned v = migration_->receiver;
-  // The flip needs both shards fully drained: empty queues, no fan-out
-  // pieces pinning a snapshot, groups idle between batches. New work
-  // touching the pair parks once the staged sides are ready, so the
-  // drain converges.
-  if (!sched_[d]->empty() || !sched_[v]->empty()) return kNever;
-  if (fence_depth_[d] > 0 || fence_depth_[v] > 0) return kNever;
-  double t = std::max(migration_->donor_side.ready,
-                      migration_->receiver_side.ready);
-  t = std::max(t, group_free(d));
-  t = std::max(t, group_free(v));
-  return t;
+  ep.flip = std::move(flip);
+  inflight_ = std::move(ep);
 }
 
 void ShardedServer::commit_migration(double now, RequestSource& source,
                                      ServerReport& report) {
-  HARMONIA_CHECK(migration_.has_value());
-  InflightMigration m = std::move(*migration_);
-  migration_.reset();
-  HARMONIA_CHECK(sched_[m.donor]->empty() && sched_[m.receiver]->empty());
-  HARMONIA_CHECK(fence_depth_[m.donor] == 0 && fence_depth_[m.receiver] == 0);
+  InflightEpoch ep = std::move(*inflight_);
+  inflight_.reset();
+  const PlanFlip& f = ep.flip.value();
+  HARMONIA_CHECK(sched_[f.donor]->empty() && sched_[f.receiver]->empty());
+  HARMONIA_CHECK(fence_depth_[f.donor] == 0 && fence_depth_[f.receiver] == 0);
 
   // The atomic flip: both post-split images install and the plan moves
   // in one event — no instant exists where routing and images disagree.
-  index_.shard(m.donor)->commit_staged(std::move(m.donor_side.update));
-  index_.shard(m.receiver)->commit_staged(std::move(m.receiver_side.update));
-  index_.set_plan(ShardPlan::from_bounds(m.new_lo));
+  engines_[f.donor]->commit();
+  engines_[f.receiver]->commit();
+  index_.set_plan(ShardPlan::from_bounds(f.new_lo));
   ++plan_version_;
   ++migrations_done_;
 
   ++report.migrations;
-  report.migrated_keys += m.moved_keys;
-  report.migration_build_seconds += m.build_seconds;
-  report.migration_upload_seconds +=
-      std::max(m.donor_side.upload_seconds, m.receiver_side.upload_seconds);
+  report.migrated_keys += f.moved_keys;
+  report.migration_build_seconds += ep.build_seconds;
+  report.migration_upload_seconds += std::max(ep.shards[f.donor].upload_seconds,
+                                              ep.shards[f.receiver].upload_seconds);
   report.plan_version = plan_version_;
-
-  // The moved keys now live in the receiver's durability domain: force a
-  // snapshot of both sides so a crash after the flip recovers the new
-  // placement instead of replaying ops against the old one.
-  if (config_.durability != nullptr) {
-    for (const unsigned s : {m.donor, m.receiver})
-      config_.durability->shard(s)->maybe_snapshot(epochs_, *index_.shard(s),
-                                                   /*force=*/true, now);
-  }
 
   if (config_.obs.active()) {
     if (config_.obs.metrics != nullptr) {
@@ -830,9 +794,9 @@ void ShardedServer::commit_migration(double now, RequestSource& source,
     }
     if (config_.obs.trace != nullptr)
       config_.obs.trace->annotate(
-          now, m.donor,
-          "reshard commit: moved " + std::to_string(m.moved_keys) +
-              " keys to shard " + std::to_string(m.receiver) +
+          now, f.donor,
+          "reshard commit: moved " + std::to_string(f.moved_keys) +
+              " keys to shard " + std::to_string(f.receiver) +
               " plan_version=" + std::to_string(plan_version_));
   }
 

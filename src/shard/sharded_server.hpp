@@ -59,12 +59,13 @@
 //
 // Hot-range splitting (config.reshard.split_hot): per-shard routed-query
 // windows are sampled on a virtual-time cadence; a shard running hotter
-// than hot_factor x the fleet mean triggers a live migration — the hot
-// range is cut at its median key, both post-split images build through
-// the same double-buffered staging as overlap epochs while the old plan
-// keeps serving, and the epoch-versioned ShardPlan flips at a swap
-// boundary with in-flight fan-outs parked on the fence (plan_version
-// bumps once per committed migration).
+// than hot_factor x the fleet mean triggers a live migration. A migration
+// is a two-shard staged epoch that flips the plan: the hot range is cut
+// at its median key, the donor's engine stages the moved keys' deletes
+// and the receiver's their inserts while the old plan keeps serving, and
+// both commit together with the epoch-versioned ShardPlan in one event,
+// with only requests touching the pair parked (plan_version bumps once
+// per committed migration; the epoch count does not move).
 #pragma once
 
 #include <array>
@@ -153,8 +154,21 @@ class ShardedServer {
     serve::EpochUpdater::Work work;
   };
 
+  /// A live migration's plan flip (docs/sharding.md#live-resharding): the
+  /// donor cedes `moved_keys` keys to its adjacent receiver, and the
+  /// plan's lower bounds become `new_lo` (ShardPlan has no default ctor,
+  /// so the bounds travel raw and from_bounds runs at commit).
+  struct PlanFlip {
+    unsigned donor = 0;
+    unsigned receiver = 0;
+    std::uint64_t moved_keys = 0;
+    std::vector<Key> new_lo;
+  };
+
   /// The one staged epoch in flight between its trigger and the last
-  /// per-shard swap (single staging buffer).
+  /// per-shard swap (single staging buffer). With a plan flip it stages
+  /// only the migrating pair, which commits in one event without an epoch
+  /// bump or booking.
   struct InflightEpoch {
     unsigned ordinal = 0;  // epoch number every shard will swap to
     double trigger = 0.0;
@@ -167,6 +181,7 @@ class ShardedServer {
     std::vector<serve::Request> requests;
     std::vector<ShardStage> shards;
     unsigned remaining = 0;  // shards not yet swapped
+    std::optional<PlanFlip> flip;
   };
 
   /// Per-class cached metric handles (null when unobserved).
@@ -183,35 +198,6 @@ class ShardedServer {
     /// (shard, part) pairs; merged in shard order on completion.
     std::vector<std::pair<unsigned, serve::Response>> parts;
     serve::Request original;
-  };
-
-  /// One side (donor or receiver) of a live migration: its post-split
-  /// image staged on a shadow tree.
-  struct MigrationSide {
-    double ready = 0.0;  // staged image uploaded + audited
-    double upload_seconds = 0.0;
-    HarmoniaIndex::StagedUpdate update;
-  };
-
-  /// One live migration between a hot donor and its adjacent receiver:
-  /// both post-split images stage on shadow trees while the old plan
-  /// keeps serving, then the plan flips at a swap boundary
-  /// (docs/sharding.md#live-resharding). Mutually exclusive with a
-  /// staged epoch — updates buffer while a migration is in flight and
-  /// trigger right after the flip. It logs nothing and books no client
-  /// stats, so it stages directly instead of through the epoch engines.
-  struct InflightMigration {
-    unsigned donor = 0;
-    unsigned receiver = 0;
-    double trigger = 0.0;
-    double build_seconds = 0.0;
-    double build_done = 0.0;
-    std::uint64_t moved_keys = 0;
-    /// The post-flip partition (ShardPlan has no default ctor, so the
-    /// bounds travel raw and from_bounds runs at commit).
-    std::vector<Key> new_lo;
-    MigrationSide donor_side;
-    MigrationSide receiver_side;
   };
 
   // ---- Event loop and epoch composition (serving_loop.cpp) ----
@@ -238,23 +224,20 @@ class ShardedServer {
                      serve::ServerReport& report);
   /// Overlap/incremental trigger: stages every touched shard's epoch.
   void begin_staged(double now);
-  /// True while shards disagree on their epoch version (between the
-  /// first and last swap of a staged epoch): new straddlers must park.
-  bool mixed_version() const {
-    return inflight_.has_value() && inflight_->remaining < num_shards();
-  }
-  /// True once any unswapped shard's staged image is ready at `now`: a
-  /// swap is due, so new straddlers must park instead of pinning the
-  /// shard's snapshot again (otherwise the swap starves).
+  /// True once any unswapped shard's staged image is ready at `now` (for
+  /// a plan flip: both sides' images): a swap is due, so new straddlers
+  /// (or requests touching the migrating pair) must park instead of
+  /// pinning a snapshot again (otherwise the swap starves).
   bool swap_pending(double now) const;
   /// Earliest instant shard `s` can swap a staged image that is ready at
   /// `ready` (a batch boundary on its devices); kNever while blocked.
   double swap_time(unsigned s, double ready) const;
-  /// Next atomic image swap or migration flip; kNever when none is due.
+  /// Next atomic image swap, or the plan flip: both staged sides ready
+  /// AND both shards fully drained (queues empty, fences clear, groups
+  /// idle); kNever when none is due.
   double next_swap_time() const;
-  /// Commits the due migration flip, or the due shard of the staged
-  /// epoch, at `now` (a batch boundary); the last shard's swap completes
-  /// the epoch.
+  /// Commits the due plan flip, or the due shard of the staged epoch, at
+  /// `now` (a batch boundary); the last shard's swap completes the epoch.
   void epoch_commit(double now, serve::RequestSource& source,
                     serve::ServerReport& report);
   /// Installs the staged epoch on shard `s` at `now`.
@@ -332,9 +315,11 @@ class ShardedServer {
   /// current plan: the owner for points, the bounds' shards for ranges,
   /// the count-based coverage for scans.
   std::pair<unsigned, unsigned> span_of(const serve::Request& r) const;
-  /// True when the request's span crosses a shard boundary (the parking
-  /// predicate for mixed-version windows).
-  bool straddles(const serve::Request& r) const;
+  /// True when `r` must park until the in-flight epoch commits: a
+  /// straddler while the shards disagree on their epoch version or a swap
+  /// is due, or, once a plan flip is due, any request touching the
+  /// migrating pair (its routing is about to change).
+  bool parks(const serve::Request& r) const;
   void handle_dispatch(unsigned s, unsigned r, serve::BatchScheduler::Dispatch d,
                        serve::RequestSource& source, serve::ServerReport& report);
   /// Routes one finished response: sub-responses park in their merge
@@ -368,20 +353,13 @@ class ShardedServer {
   /// lost — a migration's boundary move never reaches the update log.
   void rejoin_replica(double now, serve::ServerReport& report);
 
-  /// Hot-range detection on the virtual-time cadence; arms migration_
+  /// Hot-range detection on the virtual-time cadence; starts a migration
   /// when a shard runs hotter than hot_factor x the fleet-mean window.
   void maybe_start_migration(double now);
+  /// Stages a plan flip as the in-flight epoch: the donor's engine stages
+  /// the moved keys' deletes, the receiver's their inserts.
   void start_migration(unsigned donor, unsigned receiver, double now);
-  /// Instant the armed migration can flip the plan: both staged sides
-  /// ready AND both shards fully drained (queues empty, fences clear,
-  /// groups idle); kNever until then.
-  double migration_swap_time() const;
-  /// True once both staged sides are uploadable at `now`: new arrivals
-  /// touching the donor/receiver span park so the drain converges.
-  bool migration_swap_pending(double now) const;
-  /// True when the request's current-plan span intersects the migrating
-  /// pair (the parking predicate while a flip is pending).
-  bool touches_migration(const serve::Request& r) const;
+  /// The plan flip: both sides commit and the plan moves in one event.
   void commit_migration(double now, serve::RequestSource& source,
                         serve::ServerReport& report);
   /// Serves one request of a fenced shard's range from the host tree on
@@ -421,7 +399,7 @@ class ShardedServer {
   /// Fully committed epochs (every shard swapped / quiesce applied).
   unsigned epochs_ = 0;
   std::optional<InflightEpoch> inflight_;
-  /// Image/PSA knobs latched while a staged epoch (or migration) is in
+  /// Image/PSA knobs latched while a staged epoch (or plan flip) is in
   /// flight; they install fleet-wide at the next swap boundary.
   std::optional<serve::Tunables> pending_query_;
   serve::TuneController* tuner_ = nullptr;
@@ -468,7 +446,6 @@ class ShardedServer {
   /// Straddling ranges that arrived during a mixed-version window; they
   /// re-admit (original arrival kept) right after the last swap.
   std::vector<serve::Request> parked_;
-  std::optional<InflightMigration> migration_;
   /// Bumps once per committed migration; starts (and stays, without
   /// split_hot) at 1 — the report invariant plan_version == 1 +
   /// migrations pins it.

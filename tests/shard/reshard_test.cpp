@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <cstring>
 #include <map>
 #include <vector>
 
@@ -61,23 +63,28 @@ void apply_to_oracle(std::map<Key, Value>& oracle, const serve::Request& r) {
   }
 }
 
-std::vector<std::map<Key, Value>> make_snapshots(
+/// Rebuilds the snapshots the run served from: group the stream's
+/// updates by the epoch ordinal their response reports, apply groups in
+/// epoch order (arrival order within a group). Updates buffer while a
+/// migration is in flight, so epochs are not cut at max_buffered.
+std::vector<std::map<Key, Value>> snapshots_from_responses(
     const std::vector<Key>& keys, const std::vector<serve::Request>& stream,
-    std::size_t max_buffered) {
+    const serve::ServerReport& rep) {
+  std::vector<unsigned> epoch_of(stream.size(), 0);
+  for (const serve::Response& resp : rep.responses) {
+    if (resp.kind == serve::RequestKind::kUpdate) epoch_of[resp.id] = resp.epoch;
+  }
   std::vector<std::map<Key, Value>> snapshots;
   std::map<Key, Value> oracle;
   for (Key k : keys) oracle[k] = btree::value_for_key(k);
   snapshots.push_back(oracle);
-  std::size_t buffered = 0;
-  for (const serve::Request& r : stream) {
-    if (r.kind != serve::RequestKind::kUpdate) continue;
-    apply_to_oracle(oracle, r);
-    if (++buffered == max_buffered) {
-      snapshots.push_back(oracle);
-      buffered = 0;
+  for (unsigned e = 1; e <= rep.epochs; ++e) {
+    for (const serve::Request& r : stream) {
+      if (r.kind == serve::RequestKind::kUpdate && epoch_of[r.id] == e)
+        apply_to_oracle(oracle, r);
     }
+    snapshots.push_back(oracle);
   }
-  if (buffered > 0) snapshots.push_back(oracle);
   return snapshots;
 }
 
@@ -144,13 +151,7 @@ serve::ServeOptions reshard_config() {
   return cfg;
 }
 
-// A zipfian stream concentrates load on the low-key shard; detection
-// must trigger a split, the plan must flip exactly once per committed
-// migration, key conservation must hold across the boundary move, and
-// every answered response must still match a whole-epoch snapshot.
-TEST(Reshard, HotShardSplitsAndStaysOracleExact) {
-  ShardedFixture f(4);
-
+serve::OpenLoopSpec zipfian_spec() {
   serve::OpenLoopSpec spec;
   spec.arrivals_per_second = 6e6;
   spec.count = 16000;
@@ -158,42 +159,51 @@ TEST(Reshard, HotShardSplitsAndStaysOracleExact) {
   spec.range_fraction = 0.05;
   spec.dist = queries::Distribution::kZipfian;
   spec.seed = 17;
-  const auto stream = serve::make_open_loop(f.keys, spec);
+  return spec;
+}
 
-  const auto cfg = reshard_config();
-  const auto snapshots = make_snapshots(f.keys, stream, cfg.epoch.max_buffered);
-  const std::uint64_t keys_before = f.index.num_keys();
+// A zipfian stream concentrates load on the low-key shard; detection
+// must trigger a split, the plan must flip exactly once per committed
+// migration, key conservation must hold across the boundary move, and
+// every answered response must still match a whole-epoch snapshot — in
+// every epoch mode. (Delta mode defers a split while its overlays are
+// live; on this stream its detections still find them compacted.)
+TEST(Reshard, HotShardSplitsAndStaysOracleExact) {
+  for (const serve::EpochMode mode :
+       {serve::EpochMode::kQuiesce, serve::EpochMode::kOverlap,
+        serve::EpochMode::kIncremental}) {
+    SCOPED_TRACE(static_cast<int>(mode));
+    ShardedFixture f(4);
+    const auto stream = serve::make_open_loop(f.keys, zipfian_spec());
+    auto cfg = reshard_config();
+    cfg.epoch.mode = mode;
 
-  ShardedServer server(f.index, cfg);
-  const auto rep = server.run(stream);
+    ShardedServer server(f.index, cfg);
+    const auto rep = server.run(stream);
 
-  ASSERT_GE(rep.migrations, 1u);
-  EXPECT_EQ(rep.plan_version, 1u + rep.migrations);
-  EXPECT_GT(rep.migrated_keys, 0u);
-  EXPECT_GT(rep.migration_build_seconds, 0.0);
-  EXPECT_GT(rep.migration_upload_seconds, 0.0);
+    ASSERT_GE(rep.migrations, 1u);
+    EXPECT_GT(rep.migrated_keys, 0u);
+    EXPECT_GT(rep.migration_build_seconds, 0.0);
+    EXPECT_GT(rep.migration_upload_seconds, 0.0);
+    EXPECT_EQ(rep.plan_version, 1u + rep.migrations);
+    EXPECT_EQ(rep.admitted + rep.dropped, rep.arrivals);
+    const auto snapshots = snapshots_from_responses(f.keys, stream, rep);
+    check_answered_against_oracle(rep, stream, snapshots,
+                                  cfg.batch.max_range_results);
 
-  // Conservation: a split moves keys between shards, never creates or
-  // destroys them (modulo the stream's own inserts/deletes, which the
-  // oracle check below accounts for).
-  std::uint64_t keys_after = 0;
-  for (unsigned s = 0; s < 4; ++s) {
-    ASSERT_NE(f.index.shard(s), nullptr);
-    keys_after += f.index.shard(s)->tree().num_keys();
-  }
-  EXPECT_EQ(keys_after, f.index.num_keys());
-  (void)keys_before;  // the oracle reconciles stream-driven size drift
-
-  EXPECT_EQ(rep.admitted + rep.dropped, rep.arrivals);
-  check_answered_against_oracle(rep, stream, snapshots,
-                                cfg.batch.max_range_results);
-
-  // Post-flip routing agrees with the moved boundary: every key answers
-  // identically via the sharded host path and the per-shard trees.
-  for (unsigned s = 0; s < 4; ++s) {
-    const auto span =
-        f.index.shard(s)->tree().range(f.index.plan().lo(s), f.index.plan().hi(s));
-    EXPECT_EQ(span.size(), f.index.shard(s)->tree().num_keys()) << "shard " << s;
+    // Conservation: a split moves keys between shards, never creates or
+    // destroys them — the shards together hold exactly the final
+    // snapshot, and each holds only keys its post-flip range owns.
+    std::uint64_t keys_after = 0;
+    for (unsigned s = 0; s < 4; ++s) {
+      ASSERT_NE(f.index.shard(s), nullptr);
+      const auto& tree = f.index.shard(s)->tree();
+      keys_after += tree.num_keys();
+      EXPECT_EQ(tree.range(f.index.plan().lo(s), f.index.plan().hi(s)).size(),
+                tree.num_keys())
+          << "shard " << s;
+    }
+    EXPECT_EQ(keys_after, snapshots.back().size());
   }
 }
 
@@ -254,9 +264,9 @@ TEST(Reshard, SplitComposesWithReplicaGroups) {
   auto cfg = reshard_config();
   cfg.replicas = 2;
 
-  const auto snapshots = make_snapshots(f.keys, stream, cfg.epoch.max_buffered);
   ShardedServer server(f.index, cfg);
   const auto rep = server.run(stream);
+  const auto snapshots = snapshots_from_responses(f.keys, stream, rep);
 
   ASSERT_GE(rep.migrations, 1u);
   EXPECT_EQ(rep.plan_version, 1u + rep.migrations);
@@ -296,6 +306,76 @@ TEST(Reshard, SplitReplaysDeterministically) {
     EXPECT_DOUBLE_EQ(a.responses[i].completion, b.responses[i].completion);
   }
   EXPECT_DOUBLE_EQ(a.makespan, b.makespan);
+}
+
+/// 64-bit FNV-1a over every response's (id, value, range_values, epoch,
+/// dispatch, completion), in delivery order.
+std::uint64_t response_digest(const serve::ServerReport& rep) {
+  std::uint64_t h = 14695981039346656037ULL;
+  const auto mix = [&h](const auto& v) {
+    unsigned char bytes[sizeof v];
+    std::memcpy(bytes, &v, sizeof v);
+    for (const unsigned char b : bytes) {
+      h ^= b;
+      h *= 1099511628211ULL;
+    }
+  };
+  for (const serve::Response& r : rep.responses) {
+    mix(r.id);
+    mix(r.value);
+    mix(r.range_values.size());
+    for (const Value v : r.range_values) mix(v);
+    mix(r.epoch);
+    mix(r.dispatch);
+    mix(r.completion);
+  }
+  return h;
+}
+
+// Golden replay of the split path: the migration counters, its modeled
+// build/upload charges, the makespan and a digest of every response are
+// pinned for a quiesce run and for an overlap run whose small epochs
+// alternate with migrations. Any change to when a split stages, what it
+// charges, or when the plan flips moves one of these numbers.
+TEST(Reshard, SplitGolden) {
+  struct Golden {
+    serve::EpochMode mode;
+    std::size_t max_buffered;
+    std::uint64_t migrations;
+    std::uint64_t migrated_keys;
+    unsigned plan_version;
+    std::uint64_t epochs;
+    double build_seconds;
+    double upload_seconds;
+    double makespan;
+    std::uint64_t digest;
+  };
+  const Golden cases[] = {
+      {serve::EpochMode::kQuiesce, 400, 1, 512, 2, 3, 0x1.0c6f7a0b5ed8dp-12,
+       0x1.1766f42525a3bp-15, 0x1.7ea04ff5f06b1p-9, 12182229272302752846ULL},
+      {serve::EpochMode::kOverlap, 64, 1, 513, 2, 11, 0x1.0cf5b1c864884p-12,
+       0x1.1766f42525a3bp-15, 0x1.72760223d53a5p-9, 2650181833416213995ULL},
+  };
+  for (const Golden& g : cases) {
+    SCOPED_TRACE(static_cast<int>(g.mode));
+    ShardedFixture f(4);
+    const auto stream = serve::make_open_loop(f.keys, zipfian_spec());
+    auto cfg = reshard_config();
+    cfg.epoch.mode = g.mode;
+    cfg.epoch.max_buffered = g.max_buffered;
+
+    ShardedServer server(f.index, cfg);
+    const auto rep = server.run(stream);
+
+    EXPECT_EQ(rep.migrations, g.migrations);
+    EXPECT_EQ(rep.migrated_keys, g.migrated_keys);
+    EXPECT_EQ(rep.plan_version, g.plan_version);
+    EXPECT_EQ(rep.epochs, g.epochs);
+    EXPECT_EQ(rep.migration_build_seconds, g.build_seconds);
+    EXPECT_EQ(rep.migration_upload_seconds, g.upload_seconds);
+    EXPECT_EQ(rep.makespan, g.makespan);
+    EXPECT_EQ(response_digest(rep), g.digest);
+  }
 }
 
 }  // namespace
