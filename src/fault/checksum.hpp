@@ -17,7 +17,8 @@
 
 namespace harmonia::fault {
 
-/// Plain table-driven CRC32 (IEEE 802.3 polynomial, reflected).
+/// Table-driven CRC32 (IEEE 802.3 polynomial, reflected), eight bytes
+/// per step (slice-by-8).
 /// `seed` chains incremental computations: crc32(b, crc32(a)) ==
 /// crc32(a+b).
 std::uint32_t crc32(const void* data, std::size_t n, std::uint32_t seed = 0);

@@ -40,27 +40,43 @@ ShardDurability::ShardDurability(const DurabilityConfig& config, unsigned shard,
   }
 }
 
-bool ShardDurability::durable_write(const std::filesystem::path& path, const std::string& bytes,
-                                    bool append, double at) {
+namespace {
+
+/// A durable_write writer for an already-encoded log record or manifest.
+auto bytes_writer(const std::string& bytes) {
+  return [&bytes](std::ostream& os) {
+    os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  };
+}
+
+std::uint64_t size_of(const std::filesystem::path& path) {
+  std::error_code ec;
+  const auto size = std::filesystem::file_size(path, ec);
+  return ec ? 0 : size;
+}
+
+}  // namespace
+
+bool ShardDurability::durable_write(const std::filesystem::path& path, bool append, double at,
+                                    const std::function<void(std::ostream&)>& writer) {
   if (crash_ != nullptr && crash_->dead(at)) return false;  // process is gone
-  std::uint64_t offset = 0;
-  if (append) {
-    std::error_code ec;
-    const auto size = std::filesystem::file_size(path, ec);
-    if (!ec) offset = size;
-  }
+  const std::uint64_t offset = append ? size_of(path) : 0;
   std::ofstream os(path, std::ios::binary | (append ? std::ios::app : std::ios::trunc));
   HARMONIA_CHECK_MSG(os.good(), "cannot open " << path.string());
-  os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  writer(os);
   os.flush();
   HARMONIA_CHECK_MSG(os.good(), "write failure on " << path.string());
-  last_write_ = {path, offset, bytes.size()};
+  // The file's growth is what this call wrote. (Under std::ios::app the
+  // standard does not make tellp() the end of the file before the first
+  // write, so the stream's position is not used.)
+  last_write_ = {path, offset, size_of(path) - offset};
   return true;
 }
 
 void ShardDurability::log_batch(std::uint64_t epoch, std::span<const queries::UpdateOp> ops,
                                 double at) {
-  if (!durable_write(log_path_, UpdateLog::encode(epoch, ops), /*append=*/true, at)) return;
+  const std::string record = UpdateLog::encode(epoch, ops);
+  if (!durable_write(log_path_, /*append=*/true, at, bytes_writer(record))) return;
   ++log_batches_;
   log_ops_ += ops.size();
   ++logged_since_snapshot_;
@@ -72,8 +88,9 @@ bool ShardDurability::maybe_snapshot(std::uint64_t epoch, const HarmoniaIndex& i
       config_.snapshot_every > 0 && logged_since_snapshot_ >= config_.snapshot_every;
   if (!force && !due) return false;
   if (logged_since_snapshot_ == 0 && !retained_.empty()) return false;  // nothing new to capture
-  const std::string image = SnapshotStore::encode(index.tree(), index.snapshot_extras());
-  if (!durable_write(store_.path_for(epoch), image, /*append=*/false, at)) return false;
+  // The image streams from the tree into the file: no in-memory copy.
+  const auto save = [&](std::ostream& os) { index.tree().save(os, index.snapshot_extras()); };
+  if (!durable_write(store_.path_for(epoch), /*append=*/false, at, save)) return false;
   ++snapshots_;
   logged_since_snapshot_ = 0;
   retained_.insert(retained_.begin(), epoch);
@@ -84,8 +101,8 @@ bool ShardDurability::maybe_snapshot(std::uint64_t epoch, const HarmoniaIndex& i
   // prune (which re-asserts the manifest-before-delete order itself)
   // never deletes an image a surviving manifest still names.
   if (crash_ == nullptr || !crash_->dead(at)) {
-    durable_write(store_.manifest_path(), Manifest::encode({shard_, retained_}),
-                  /*append=*/false, at);
+    const std::string manifest = Manifest::encode({shard_, retained_});
+    durable_write(store_.manifest_path(), /*append=*/false, at, bytes_writer(manifest));
     store_.prune(config_.retain);
   }
   return true;

@@ -18,8 +18,10 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <functional>
 #include <limits>
 #include <memory>
+#include <ostream>
 #include <span>
 #include <string>
 #include <vector>
@@ -98,10 +100,11 @@ class ShardDurability {
   void apply_tear(std::uint64_t torn_bytes);
 
  private:
-  /// Writes `bytes` to `path` (append or truncate), unless the crash
-  /// instant has passed. Records the write for apply_tear.
-  bool durable_write(const std::filesystem::path& path, const std::string& bytes, bool append,
-                     double at);
+  /// Opens `path` (append or truncate) and lets `writer` stream the
+  /// bytes into it, unless the crash instant has passed. Records the
+  /// write's offset and size for apply_tear.
+  bool durable_write(const std::filesystem::path& path, bool append, double at,
+                     const std::function<void(std::ostream&)>& writer);
 
   const DurabilityConfig& config_;
   unsigned shard_;

@@ -94,10 +94,9 @@ std::string SnapshotStore::encode(const HarmoniaTree& tree, const TreeSnapshotEx
 void SnapshotStore::write(std::uint64_t epoch, const HarmoniaTree& tree,
                           const TreeSnapshotExtras& extras) {
   std::filesystem::create_directories(dir_);
-  const std::string bytes = encode(tree, extras);
   std::ofstream os(path_for(epoch), std::ios::binary | std::ios::trunc);
   HARMONIA_CHECK_MSG(os.good(), "cannot open snapshot " << path_for(epoch).string());
-  os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  tree.save(os, extras);
   os.flush();
   HARMONIA_CHECK_MSG(os.good(), "write failure on snapshot " << path_for(epoch).string());
 }

@@ -44,12 +44,15 @@ class SnapshotStore {
   std::filesystem::path manifest_path() const { return dir_ / "MANIFEST"; }
   std::filesystem::path path_for(std::uint64_t epoch) const;
 
-  /// The serialized v2 image (what a snapshot file holds).
+  /// The serialized v2 image (what a snapshot file holds) as a string,
+  /// for tests and benches; the write paths stream save() into the
+  /// file instead.
   static std::string encode(const HarmoniaTree& tree, const TreeSnapshotExtras& extras);
 
-  /// Writes `snap-<epoch>.img` directly (whole file, flushed). Direct
-  /// path for tests/benches; the serving layer writes encode()d images
-  /// through its crash-aware ShardDurability instead.
+  /// Writes `snap-<epoch>.img` directly, streaming the image into the
+  /// file (whole file, flushed). Direct path for tests, benches and the
+  /// recovery checkpoint; the serving layer streams through its
+  /// crash-aware ShardDurability instead.
   void write(std::uint64_t epoch, const HarmoniaTree& tree, const TreeSnapshotExtras& extras);
 
   /// Snapshot epochs on disk, newest first. Prefers the manifest; falls

@@ -28,6 +28,40 @@ TEST(Crc32, ChainsIncrementally) {
   EXPECT_NE(crc32(s, n - 1), whole);
 }
 
+/// The textbook one-byte-at-a-time CRC32, as the reference the
+/// slice-by-8 routine must match.
+std::uint32_t bytewise_crc32(const std::uint8_t* p, std::size_t n, std::uint32_t seed) {
+  std::uint32_t c = seed ^ 0xffffffffu;
+  for (std::size_t i = 0; i < n; ++i) {
+    c ^= p[i];
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xffffffffu;
+}
+
+TEST(Crc32, MatchesBytewiseReferenceAtEveryLengthAndAlignment) {
+  std::vector<std::uint8_t> buf((1 << 20) + 16);
+  std::uint64_t x = 0x9e3779b97f4a7c15ull;
+  for (auto& b : buf) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    b = static_cast<std::uint8_t>(x);
+  }
+  const std::uint32_t seeds[] = {0u, 1u, 0xdeadbeefu, 0xffffffffu};
+  for (std::size_t start = 0; start < 8; ++start) {
+    for (const std::uint32_t seed : seeds) {
+      for (std::size_t n = 0; n <= 64; ++n) {
+        ASSERT_EQ(crc32(buf.data() + start, n, seed), bytewise_crc32(buf.data() + start, n, seed))
+            << "start " << start << " length " << n << " seed " << seed;
+      }
+      const std::size_t big = 1 << 20;
+      ASSERT_EQ(crc32(buf.data() + start, big, seed), bytewise_crc32(buf.data() + start, big, seed))
+          << "start " << start << " 1 MB, seed " << seed;
+    }
+  }
+}
+
 struct ImageFixture {
   ImageFixture() : keys(queries::make_tree_keys(1 << 10, 1)), index([&] {
     std::vector<btree::Entry> entries;

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -134,6 +135,25 @@ TEST_F(SnapshotStoreTest, LoadNewestRoundTripsTreeAndExtras) {
   EXPECT_EQ(loaded->extras.overlay[1].tombstone, 1);
   EXPECT_EQ(loaded->tree.num_keys(), tree.num_keys());
   loaded->tree.validate();
+}
+
+// The v2 format is frozen: a fixed tree's image keeps its length and
+// FNV-1a trailer whatever the writer does (values from the in-memory
+// encoder before snapshots were streamed into the file).
+TEST_F(SnapshotStoreTest, ImageLengthAndTrailerArePinned) {
+  TreeSnapshotExtras extras;
+  extras.fill_factor = 0.77;
+  extras.overlay = {{5, 99, 0}, {11, 0, 1}};
+  const auto tree = sample_tree(120, 3);
+  const std::string image = SnapshotStore::encode(tree, extras);
+  ASSERT_EQ(image.size(), 3218u);
+  std::uint64_t trailer = 0;
+  std::memcpy(&trailer, image.data() + image.size() - sizeof trailer, sizeof trailer);
+  EXPECT_EQ(trailer, 0x2a0d3433c381b0ebull);
+
+  SnapshotStore store(dir_);
+  store.write(1, tree, extras);
+  EXPECT_EQ(read_file(store.path_for(1)), image);
 }
 
 TEST_F(SnapshotStoreTest, LoadNewestWalksPastTornImage) {
