@@ -2,6 +2,9 @@
 // B+tree ops, Harmonia serialization and host search, batch-update apply.
 #include <benchmark/benchmark.h>
 
+#include <sstream>
+#include <string>
+
 #include "btree/btree.hpp"
 #include "common/rng.hpp"
 #include "harmonia/tree.hpp"
@@ -90,6 +93,38 @@ void BM_BatchUpdateApply(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(ops.size()));
 }
 BENCHMARK(BM_BatchUpdateApply);
+
+/// A serving-scale tree: 2^21 keys at fanout 64 (an image of about 50 MB).
+HarmoniaTree image_tree() {
+  return HarmoniaTree::from_btree(btree::make_tree(queries::make_tree_keys(1 << 21, 10), 64));
+}
+
+void BM_ImageSave(benchmark::State& state) {
+  const auto tree = image_tree();
+  std::int64_t bytes = 0;
+  for (auto _ : state) {
+    std::stringstream buf;
+    tree.save(buf);
+    bytes = static_cast<std::int64_t>(buf.tellp());
+    benchmark::DoNotOptimize(bytes);
+  }
+  state.SetBytesProcessed(state.iterations() * bytes);
+}
+BENCHMARK(BM_ImageSave)->Unit(benchmark::kMillisecond);
+
+void BM_ImageLoad(benchmark::State& state) {
+  std::stringstream saved;
+  image_tree().save(saved);
+  const std::string image = saved.str();
+  for (auto _ : state) {
+    state.PauseTiming();
+    std::stringstream buf(image);
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(HarmoniaTree::load(buf).num_keys());
+  }
+  state.SetBytesProcessed(state.iterations() * static_cast<std::int64_t>(image.size()));
+}
+BENCHMARK(BM_ImageLoad)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -195,7 +195,7 @@ class HarmoniaIndex {
   /// the rebuilt image subsumes the overlay; commit_staged then clears it.
   std::vector<queries::UpdateOp> overlay_as_ops() const;
 
-  /// The v2 persistence sidecar for this index: fill target + current
+  /// The image persistence sidecar for this index: fill target + current
   /// overlay contents. Paired with tree() it captures everything a cold
   /// start needs to resume serving this exact logical state.
   TreeSnapshotExtras snapshot_extras() const;

@@ -7,6 +7,7 @@
 #include <ostream>
 
 #include "common/expect.hpp"
+#include "common/xxhash64.hpp"
 
 namespace harmonia {
 
@@ -315,7 +316,9 @@ std::vector<btree::Entry> HarmoniaTree::leaf_entries(std::uint32_t leaf) const {
 namespace {
 
 constexpr std::uint32_t kMagic = 0x484D5254;  // "HMRT"
-constexpr std::uint32_t kFormatVersion = 2;
+/// The version save writes. v1 (no extras) and v2 images are sealed by
+/// FNV-1a and still load; v3 is the v2 layout sealed by XXH64.
+constexpr std::uint32_t kFormatVersion = 3;
 
 /// FNV-1a over a byte range, accumulated into `h`.
 void fnv1a(std::uint64_t& h, const void* data, std::size_t n) {
@@ -326,26 +329,53 @@ void fnv1a(std::uint64_t& h, const void* data, std::size_t n) {
   }
 }
 
+/// The running checksum of an image being read: FNV-1a 64 for versions
+/// 1 and 2, XXH64 (seed 0) from version 3 on.
+class ImageChecksum {
+ public:
+  explicit ImageChecksum(std::uint32_t version) : fnv_(version < 3) {}
+
+  void update(const void* data, std::size_t n) {
+    if (fnv_) {
+      fnv1a(fnv_hash_, data, n);
+    } else {
+      xxh_.update(data, n);
+    }
+  }
+  std::uint64_t digest() const { return fnv_ ? fnv_hash_ : xxh_.digest(); }
+
+ private:
+  bool fnv_;
+  std::uint64_t fnv_hash_ = 0xcbf29ce484222325ULL;  // FNV offset basis
+  Xxh64 xxh_;
+};
+
 template <typename T>
-void write_pod(std::ostream& os, std::uint64_t& h, const T& v) {
+void write_pod(std::ostream& os, Xxh64& h, const T& v) {
   os.write(reinterpret_cast<const char*>(&v), sizeof v);
-  fnv1a(h, &v, sizeof v);
+  h.update(&v, sizeof v);
 }
 
 template <typename T>
-void write_vec(std::ostream& os, std::uint64_t& h, const std::vector<T>& v) {
+void write_vec(std::ostream& os, Xxh64& h, const std::vector<T>& v) {
   write_pod(os, h, static_cast<std::uint64_t>(v.size()));
   os.write(reinterpret_cast<const char*>(v.data()),
            static_cast<std::streamsize>(v.size() * sizeof(T)));
-  fnv1a(h, v.data(), v.size() * sizeof(T));
+  h.update(v.data(), v.size() * sizeof(T));
 }
 
 template <typename T>
-T read_pod(std::istream& is, std::uint64_t& h) {
+T read_raw(std::istream& is) {
   T v;
   is.read(reinterpret_cast<char*>(&v), sizeof v);
   HARMONIA_CHECK_MSG(is.good(), "truncated Harmonia image");
-  fnv1a(h, &v, sizeof v);
+  return v;
+}
+
+template <typename T>
+T read_pod(std::istream& is, ImageChecksum& h) {
+  const T v = read_raw<T>(is);
+  h.update(&v, sizeof v);
   return v;
 }
 
@@ -354,7 +384,7 @@ T read_pod(std::istream& is, std::uint64_t& h) {
 /// from a bit-flipped image would otherwise drive a huge allocation
 /// instead of a clean ContractViolation.
 template <typename T>
-std::vector<T> read_vec_expect(std::istream& is, std::uint64_t& h, std::uint64_t expect,
+std::vector<T> read_vec_expect(std::istream& is, ImageChecksum& h, std::uint64_t expect,
                                const char* what) {
   const auto n = read_pod<std::uint64_t>(is, h);
   HARMONIA_CHECK_MSG(n == expect, "corrupt Harmonia image: " << what << " holds " << n
@@ -362,7 +392,7 @@ std::vector<T> read_vec_expect(std::istream& is, std::uint64_t& h, std::uint64_t
   std::vector<T> v(n);
   is.read(reinterpret_cast<char*>(v.data()), static_cast<std::streamsize>(n * sizeof(T)));
   HARMONIA_CHECK_MSG(is.good(), "truncated Harmonia image");
-  fnv1a(h, v.data(), v.size() * sizeof(T));
+  h.update(v.data(), v.size() * sizeof(T));
   return v;
 }
 
@@ -371,7 +401,7 @@ std::vector<T> read_vec_expect(std::istream& is, std::uint64_t& h, std::uint64_t
 void HarmoniaTree::save(std::ostream& os) const { save(os, TreeSnapshotExtras{}); }
 
 void HarmoniaTree::save(std::ostream& os, const TreeSnapshotExtras& extras) const {
-  std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV offset basis
+  Xxh64 h;
   write_pod(os, h, kMagic);
   write_pod(os, h, kFormatVersion);
   write_pod(os, h, fanout_);
@@ -382,7 +412,7 @@ void HarmoniaTree::save(std::ostream& os, const TreeSnapshotExtras& extras) cons
   write_vec(os, h, key_region_);
   write_vec(os, h, prefix_sum_);
   write_vec(os, h, value_region_);
-  // v2 extras section, under the same running checksum. Overlay records
+  // Extras section, under the same running checksum. Overlay records
   // are written field by field so the on-disk layout is packed (17 bytes
   // per record) and independent of struct padding.
   write_pod(os, h, extras.fill_factor);
@@ -392,17 +422,22 @@ void HarmoniaTree::save(std::ostream& os, const TreeSnapshotExtras& extras) cons
     write_pod(os, h, rec.value);
     write_pod(os, h, rec.tombstone);
   }
-  os.write(reinterpret_cast<const char*>(&h), sizeof h);  // checksum trailer
+  const std::uint64_t trailer = h.digest();
+  os.write(reinterpret_cast<const char*>(&trailer), sizeof trailer);
   HARMONIA_CHECK_MSG(os.good(), "write failure while saving Harmonia image");
 }
 
 HarmoniaTree HarmoniaTree::load(std::istream& is, TreeSnapshotExtras* extras) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  HARMONIA_CHECK_MSG(read_pod<std::uint32_t>(is, h) == kMagic,
-                     "not a Harmonia tree image (bad magic)");
-  const auto version = read_pod<std::uint32_t>(is, h);
-  HARMONIA_CHECK_MSG(version == 1 || version == kFormatVersion,
+  // Magic and version come first: the version picks the checksum that
+  // covers them and every byte after them.
+  const auto magic = read_raw<std::uint32_t>(is);
+  HARMONIA_CHECK_MSG(magic == kMagic, "not a Harmonia tree image (bad magic)");
+  const auto version = read_raw<std::uint32_t>(is);
+  HARMONIA_CHECK_MSG(version >= 1 && version <= kFormatVersion,
                      "unsupported Harmonia image version " << version);
+  ImageChecksum h(version);
+  h.update(&magic, sizeof magic);
+  h.update(&version, sizeof version);
   HarmoniaTree out;
   out.fanout_ = read_pod<unsigned>(is, h);
   out.num_nodes_ = read_pod<std::uint32_t>(is, h);
@@ -427,7 +462,7 @@ HarmoniaTree HarmoniaTree::load(std::istream& is, TreeSnapshotExtras* extras) {
   is.read(reinterpret_cast<char*>(out.level_start_.data()),
           static_cast<std::streamsize>(levels * sizeof(std::uint32_t)));
   HARMONIA_CHECK_MSG(is.good(), "truncated Harmonia image");
-  fnv1a(h, out.level_start_.data(), levels * sizeof(std::uint32_t));
+  h.update(out.level_start_.data(), levels * sizeof(std::uint32_t));
   out.key_region_ = read_vec_expect<Key>(is, h, out.num_nodes_ * kpn, "key region");
   out.prefix_sum_ = read_vec_expect<std::uint32_t>(is, h, out.num_nodes_ + std::uint64_t{1},
                                                    "prefix-sum region");
@@ -459,7 +494,7 @@ HarmoniaTree HarmoniaTree::load(std::istream& is, TreeSnapshotExtras* extras) {
   std::uint64_t stored = 0;
   is.read(reinterpret_cast<char*>(&stored), sizeof stored);
   HARMONIA_CHECK_MSG(is.good(), "truncated Harmonia image (missing checksum)");
-  HARMONIA_CHECK_MSG(stored == h, "Harmonia image checksum mismatch");
+  HARMONIA_CHECK_MSG(stored == h.digest(), "Harmonia image checksum mismatch");
   out.validate();  // never trust bytes from disk
   if (extras != nullptr) *extras = std::move(ex);
   return out;

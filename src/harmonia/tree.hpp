@@ -35,7 +35,7 @@ using Value = std::uint64_t;
 /// never count as "separator <= target" and never match an equality probe.
 inline constexpr Key kPadKey = ~Key{0};
 
-/// Serving-layer sidecar carried by a v2 tree image: everything beyond
+/// Serving-layer sidecar carried by a v2/v3 tree image: everything beyond
 /// the raw regions a cold start must restore to resume serving exactly
 /// where the crashed process stopped — the bulk-load/compaction fill
 /// target (the gapped key region's headroom) and the delta-overlay
@@ -124,11 +124,13 @@ class HarmoniaTree {
   // --- Persistence: versioned binary image with a checksum trailer.
   // A database/file-system index must survive restarts; the format stores
   // the regions verbatim, so load is one validate() away from use.
-  // Format v2 (docs/persistence_format.md) appends a TreeSnapshotExtras
-  // section under the same FNV checksum; v1 images still load (extras
-  // take their defaults). Every header field and section length is
-  // validated before use, so a truncated or bit-flipped image always
-  // throws ContractViolation — load never partially constructs a tree. ---
+  // save writes format v3 (docs/persistence_format.md): the regions, then
+  // a TreeSnapshotExtras section, sealed by an XXH64 trailer. v2 images
+  // (the same layout under an FNV-1a trailer) and v1 images (no extras
+  // section; extras take their defaults) still load, and re-save as v3.
+  // Every header field and section length is validated before use, so a
+  // truncated or bit-flipped image always throws ContractViolation —
+  // load never partially constructs a tree. ---
   void save(std::ostream& os) const;
   void save(std::ostream& os, const TreeSnapshotExtras& extras) const;
   static HarmoniaTree load(std::istream& is, TreeSnapshotExtras* extras = nullptr);

@@ -173,6 +173,7 @@ void SnapshotStore::write_manifest(unsigned shard, std::vector<std::uint64_t> sn
   std::ofstream os(manifest_path(), std::ios::binary | std::ios::trunc);
   HARMONIA_CHECK_MSG(os.good(), "cannot open manifest " << manifest_path().string());
   os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  os.flush();  // a manifest fits the stream buffer: only the flush reaches the file
   HARMONIA_CHECK_MSG(os.good(), "write failure on manifest " << manifest_path().string());
 }
 

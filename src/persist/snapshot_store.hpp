@@ -1,8 +1,9 @@
 // SnapshotStore — committed epoch images on disk, newest-valid wins.
 //
-// A snapshot is one committed epoch's full state: the v2 HarmoniaTree
-// image (FNV-checksummed, carrying the fill target and delta-overlay
-// sidecar) written to `snap-<epoch>.img` inside a per-shard directory.
+// A snapshot is one committed epoch's full state: the HarmoniaTree
+// image (format v3, XXH64-sealed, carrying the fill target and
+// delta-overlay sidecar; v1/v2 images written earlier still load)
+// written to `snap-<epoch>.img` inside a per-shard directory.
 // Snapshots are written whole-file; a crash mid-write leaves a torn
 // image that load() rejects via the tree format's own checksum, which
 // is exactly what makes the newest-valid fallback chain safe: recovery
@@ -44,7 +45,7 @@ class SnapshotStore {
   std::filesystem::path manifest_path() const { return dir_ / "MANIFEST"; }
   std::filesystem::path path_for(std::uint64_t epoch) const;
 
-  /// The serialized v2 image (what a snapshot file holds) as a string,
+  /// The serialized image (what a snapshot file holds) as a string,
   /// for tests and benches; the write paths stream save() into the
   /// file instead.
   static std::string encode(const HarmoniaTree& tree, const TreeSnapshotExtras& extras);

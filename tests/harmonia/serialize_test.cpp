@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <sstream>
 #include <string>
@@ -7,6 +8,7 @@
 #include "btree/btree.hpp"
 #include "common/expect.hpp"
 #include "harmonia/tree.hpp"
+#include "image_fixtures.hpp"
 #include "queries/workload.hpp"
 
 namespace harmonia {
@@ -24,8 +26,9 @@ std::string image_bytes(const HarmoniaTree& tree,
   return buf.str();
 }
 
-/// FNV-1a 64 over `data`, matching the image trailer (re-implemented
-/// here so the v1-compat test can seal a hand-built v1 image).
+/// FNV-1a 64 over `data`, matching the v1/v2 image trailer
+/// (re-implemented here so the v1-compat test can seal a hand-built v1
+/// image).
 std::uint64_t fnv64(const std::string& data) {
   std::uint64_t h = 0xcbf29ce484222325ULL;
   for (const char c : data) {
@@ -98,6 +101,28 @@ TEST(Serialize, SingleLeafTree) {
   EXPECT_EQ(loaded.height(), 1u);
 }
 
+/// Every strict prefix of `bytes` must throw; the whole image loads.
+void expect_every_prefix_throws(const std::string& bytes) {
+  for (std::size_t len = 0; len < bytes.size(); ++len) {
+    std::stringstream truncated(bytes.substr(0, len));
+    EXPECT_THROW(HarmoniaTree::load(truncated), ContractViolation)
+        << "prefix of " << len << "/" << bytes.size() << " bytes loaded";
+  }
+  std::stringstream whole(bytes);
+  EXPECT_NO_THROW(HarmoniaTree::load(whole));
+}
+
+/// A flip at any byte of `bytes` must throw.
+void expect_every_flip_throws(const std::string& bytes) {
+  for (std::size_t pos = 0; pos < bytes.size(); ++pos) {
+    std::string flipped = bytes;
+    flipped[pos] = static_cast<char>(flipped[pos] ^ 0x10);
+    std::stringstream corrupted(flipped);
+    EXPECT_THROW(HarmoniaTree::load(corrupted), ContractViolation)
+        << "flip at byte " << pos << " loaded";
+  }
+}
+
 // Exhaustive torn-write model: a crash can cut the image at any byte.
 // Every strict prefix must throw — across every field boundary (magic,
 // version, header counts, each region's length word and payload, the
@@ -107,14 +132,7 @@ TEST(Serialize, TruncationAtEveryByteThrows) {
   TreeSnapshotExtras extras;
   extras.fill_factor = 0.8;
   extras.overlay = {{3, 7, 0}, {9, 0, 1}};
-  const std::string bytes = image_bytes(sample_tree(40, 8), extras);
-  for (std::size_t len = 0; len < bytes.size(); ++len) {
-    std::stringstream truncated(bytes.substr(0, len));
-    EXPECT_THROW(HarmoniaTree::load(truncated), ContractViolation)
-        << "prefix of " << len << "/" << bytes.size() << " bytes loaded";
-  }
-  std::stringstream whole(bytes);
-  EXPECT_NO_THROW(HarmoniaTree::load(whole));
+  expect_every_prefix_throws(image_bytes(sample_tree(40, 8), extras));
 }
 
 // Exhaustive corruption model: a flip anywhere — header, counts, region
@@ -125,14 +143,17 @@ TEST(Serialize, BitFlipAtEveryByteThrows) {
   TreeSnapshotExtras extras;
   extras.fill_factor = 0.8;
   extras.overlay = {{3, 7, 0}, {9, 0, 1}};
-  const std::string bytes = image_bytes(sample_tree(40, 8), extras);
-  for (std::size_t pos = 0; pos < bytes.size(); ++pos) {
-    std::string flipped = bytes;
-    flipped[pos] = static_cast<char>(flipped[pos] ^ 0x10);
-    std::stringstream corrupted(flipped);
-    EXPECT_THROW(HarmoniaTree::load(corrupted), ContractViolation)
-        << "flip at byte " << pos << " loaded";
-  }
+  expect_every_flip_throws(image_bytes(sample_tree(40, 8), extras));
+}
+
+// The same sweeps over a committed v2 image keep the FNV-1a read path
+// covered now that save writes v3.
+TEST(Serialize, V2FixtureTruncationAtEveryByteThrows) {
+  expect_every_prefix_throws(testing_support::v2_sample_image());
+}
+
+TEST(Serialize, V2FixtureBitFlipAtEveryByteThrows) {
+  expect_every_flip_throws(testing_support::v2_sample_image());
 }
 
 TEST(Serialize, FailedLoadNeverTouchesExtrasOut) {
@@ -170,15 +191,15 @@ TEST(Serialize, ExtrasRoundTrip) {
 }
 
 TEST(Serialize, V1ImageLoadsWithDefaultExtras) {
-  // A v1 image is the v2 layout minus the extras section, sealed with
-  // its own checksum. Build one from a v2 image: strip extras (16 bytes
+  // A v1 image is the v2/v3 layout minus the extras section, sealed
+  // with FNV-1a. Build one from a fresh image: strip extras (16 bytes
   // for fill + empty-overlay count) and the trailer, set version = 1,
   // reseal. v1 archives written before the extras section must keep
   // loading forever.
   const auto tree = sample_tree(120, 8);
-  const std::string v2 = image_bytes(tree);
-  ASSERT_GT(v2.size(), 24u);
-  std::string v1 = v2.substr(0, v2.size() - 24);  // drop extras + trailer
+  const std::string v3 = image_bytes(tree);
+  ASSERT_GT(v3.size(), 24u);
+  std::string v1 = v3.substr(0, v3.size() - 24);  // drop extras + trailer
   const std::uint32_t version = 1;
   std::memcpy(v1.data() + 4, &version, sizeof version);  // after the magic
   const std::uint64_t h = fnv64(v1);
@@ -191,6 +212,73 @@ TEST(Serialize, V1ImageLoadsWithDefaultExtras) {
   EXPECT_EQ(loaded.num_keys(), tree.num_keys());
   EXPECT_DOUBLE_EQ(extras.fill_factor, 0.69);  // v1 default
   EXPECT_TRUE(extras.overlay.empty());
+  // The exact tree: with the default extras it re-saves to the v3 image.
+  EXPECT_EQ(image_bytes(loaded, TreeSnapshotExtras{}), v3);
+}
+
+/// The version word, right after the magic.
+std::uint32_t version_of(const std::string& image) {
+  std::uint32_t version = 0;
+  std::memcpy(&version, image.data() + 4, sizeof version);
+  return version;
+}
+
+// v2 archives load forever: the committed v2 image yields exactly the
+// tree and extras it was written from.
+TEST(Serialize, V2FixtureLoadsItsTreeAndExtras) {
+  const std::string v2 = testing_support::v2_sample_image();
+  ASSERT_EQ(version_of(v2), 2u);
+  const auto tree = testing_support::v2_sample_tree();
+  const auto want = testing_support::v2_sample_extras();
+  std::stringstream is(v2);
+  TreeSnapshotExtras extras;
+  const auto loaded = HarmoniaTree::load(is, &extras);
+  EXPECT_EQ(loaded.fanout(), tree.fanout());
+  EXPECT_EQ(loaded.num_nodes(), tree.num_nodes());
+  EXPECT_EQ(loaded.first_leaf_index(), tree.first_leaf_index());
+  EXPECT_EQ(loaded.num_keys(), tree.num_keys());
+  ASSERT_EQ(loaded.height(), tree.height());
+  for (unsigned level = 0; level < tree.height(); ++level) {
+    EXPECT_EQ(loaded.level_start(level), tree.level_start(level));
+  }
+  EXPECT_TRUE(std::ranges::equal(loaded.key_region(), tree.key_region()));
+  EXPECT_TRUE(std::ranges::equal(loaded.prefix_sum(), tree.prefix_sum()));
+  EXPECT_TRUE(std::ranges::equal(loaded.value_region(), tree.value_region()));
+  EXPECT_DOUBLE_EQ(extras.fill_factor, want.fill_factor);
+  ASSERT_EQ(extras.overlay.size(), want.overlay.size());
+  for (std::size_t i = 0; i < want.overlay.size(); ++i) {
+    EXPECT_EQ(extras.overlay[i].key, want.overlay[i].key);
+    EXPECT_EQ(extras.overlay[i].value, want.overlay[i].value);
+    EXPECT_EQ(extras.overlay[i].tombstone, want.overlay[i].tombstone);
+  }
+}
+
+// save writes only v3, and v3 is the v2 layout with a new version word
+// and a new trailer: a loaded v2 image re-saves to the same length and
+// the same bytes between the two, and equals a fresh save of its tree.
+TEST(Serialize, V2FixtureResavesAsV3) {
+  const std::string v2 = testing_support::v2_sample_image();
+  std::stringstream is(v2);
+  TreeSnapshotExtras extras;
+  const auto loaded = HarmoniaTree::load(is, &extras);
+  const std::string v3 = image_bytes(loaded, extras);
+  EXPECT_EQ(version_of(v3), 3u);
+  ASSERT_EQ(v3.size(), v2.size());
+  EXPECT_EQ(v3.substr(0, 4), v2.substr(0, 4));
+  EXPECT_EQ(v3.substr(8, v3.size() - 16), v2.substr(8, v2.size() - 16));
+  EXPECT_NE(v3.substr(v3.size() - 8), v2.substr(v2.size() - 8));
+  EXPECT_EQ(v3, image_bytes(testing_support::v2_sample_tree(),
+                            testing_support::v2_sample_extras()));
+}
+
+TEST(Serialize, UnknownVersionsThrow) {
+  const std::string image = image_bytes(sample_tree(60, 8));
+  for (const std::uint32_t version : {0u, 4u, 0xffffffffu}) {
+    std::string bad = image;
+    std::memcpy(bad.data() + 4, &version, sizeof version);
+    std::stringstream is(bad);
+    EXPECT_THROW(HarmoniaTree::load(is), ContractViolation) << "version " << version;
+  }
 }
 
 TEST(Serialize, RejectsMalformedExtras) {

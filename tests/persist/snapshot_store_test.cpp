@@ -12,7 +12,9 @@
 #include <vector>
 
 #include "btree/btree.hpp"
+#include "common/expect.hpp"
 #include "harmonia/tree.hpp"
+#include "image_fixtures.hpp"
 #include "persist/snapshot_store.hpp"
 #include "queries/workload.hpp"
 #include "test_dir.hpp"
@@ -137,23 +139,74 @@ TEST_F(SnapshotStoreTest, LoadNewestRoundTripsTreeAndExtras) {
   loaded->tree.validate();
 }
 
-// The v2 format is frozen: a fixed tree's image keeps its length and
-// FNV-1a trailer whatever the writer does (values from the in-memory
-// encoder before snapshots were streamed into the file).
-TEST_F(SnapshotStoreTest, ImageLengthAndTrailerArePinned) {
-  TreeSnapshotExtras extras;
-  extras.fill_factor = 0.77;
-  extras.overlay = {{5, 99, 0}, {11, 0, 1}};
-  const auto tree = sample_tree(120, 3);
-  const std::string image = SnapshotStore::encode(tree, extras);
-  ASSERT_EQ(image.size(), 3218u);
+std::uint64_t trailer_of(const std::string& image) {
   std::uint64_t trailer = 0;
   std::memcpy(&trailer, image.data() + image.size() - sizeof trailer, sizeof trailer);
-  EXPECT_EQ(trailer, 0x2a0d3433c381b0ebull);
+  return trailer;
+}
 
+// Formats are frozen once written. The v2 pin sits on the committed v2
+// image (the writer now emits v3): its length and FNV-1a trailer are the
+// values the v2 writer produced, and it still loads as a snapshot. The
+// v3 pin covers the same tree: v3 is v2 with a new version word and an
+// XXH64 trailer, so the length is unchanged.
+TEST_F(SnapshotStoreTest, ImageLengthAndTrailerArePinned) {
+  const auto tree = testing_support::v2_sample_tree();
+  const auto extras = testing_support::v2_sample_extras();
+
+  const std::string v2 = testing_support::v2_sample_image();
+  ASSERT_EQ(v2.size(), 3218u);
+  EXPECT_EQ(trailer_of(v2), 0x2a0d3433c381b0ebull);
   SnapshotStore store(dir_);
-  store.write(1, tree, extras);
-  EXPECT_EQ(read_file(store.path_for(1)), image);
+  write_file(store.path_for(1), v2);
+  const auto loaded = store.load_newest();
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(loaded->epoch, 1u);
+  EXPECT_EQ(loaded->discarded, 0u);
+  EXPECT_EQ(SnapshotStore::encode(loaded->tree, loaded->extras),
+            SnapshotStore::encode(tree, extras));
+
+  const std::string v3 = SnapshotStore::encode(tree, extras);
+  ASSERT_EQ(v3.size(), 3218u);
+  EXPECT_EQ(trailer_of(v3), 0x347645c120dd558bull);
+  store.write(2, tree, extras);
+  EXPECT_EQ(read_file(store.path_for(2)), v3);
+}
+
+// A shard directory written across the format change holds v2 and v3
+// images side by side; recovery walks them as one fallback chain.
+TEST_F(SnapshotStoreTest, MixedVersionDirectoryRecoversNewestThenFallsBack) {
+  SnapshotStore store(dir_);
+  write_file(store.path_for(1), testing_support::v2_sample_image());
+  const auto newer = sample_tree(90, 2);
+  store.write(2, newer, {});
+  store.write_manifest(0, {2, 1});
+
+  auto loaded = store.load_newest();
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(loaded->epoch, 2u);
+  EXPECT_EQ(loaded->discarded, 0u);
+  EXPECT_EQ(loaded->tree.num_keys(), newer.num_keys());
+
+  const std::string bytes = read_file(store.path_for(2));
+  write_file(store.path_for(2), bytes.substr(0, bytes.size() / 2));
+  loaded = store.load_newest();
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(loaded->epoch, 1u);
+  EXPECT_EQ(loaded->discarded, 1u);
+  EXPECT_EQ(loaded->tree.num_keys(), testing_support::v2_sample_tree().num_keys());
+  EXPECT_DOUBLE_EQ(loaded->extras.fill_factor, 0.77);
+  EXPECT_EQ(loaded->extras.overlay.size(), 2u);
+}
+
+// A manifest is small enough to sit in the stream buffer until the file
+// closes; a failed write (here: no space left) must still throw rather
+// than vanish in the destructor and leave recovery a torn manifest.
+TEST_F(SnapshotStoreTest, ManifestWriteFailureThrows) {
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  SnapshotStore store(dir_);
+  std::filesystem::create_symlink("/dev/full", store.manifest_path());
+  EXPECT_THROW(store.write_manifest(0, {3, 1}), ContractViolation);
 }
 
 TEST_F(SnapshotStoreTest, LoadNewestWalksPastTornImage) {

@@ -15,6 +15,7 @@
 #include <string>
 
 #include "common/cli.hpp"
+#include "common/expect.hpp"
 #include "common/units.hpp"
 #include "harmonia/index.hpp"
 #include "queries/workload.hpp"
@@ -45,7 +46,16 @@ void save_index(const HarmoniaTree& tree, const std::string& path) {
     std::fprintf(stderr, "cannot write index file: %s\n", path.c_str());
     std::exit(1);
   }
-  tree.save(out);
+  try {
+    tree.save(out);
+    out.flush();  // the image's tail may still sit in the stream buffer
+  } catch (const ContractViolation&) {
+    if (out) throw;  // save only throws on its own after a stream failure
+  }
+  if (!out) {
+    std::fprintf(stderr, "write failure on index file: %s\n", path.c_str());
+    std::exit(1);
+  }
 }
 
 int cmd_build(int argc, const char* const* argv) {
