@@ -26,6 +26,7 @@
 #include "persist/durability.hpp"
 #include "persist/recovery.hpp"
 #include "queries/batch.hpp"
+#include "serve/epoch_updater.hpp"
 
 namespace hb = harmonia::bench;
 using namespace harmonia;
@@ -66,7 +67,7 @@ int main(int argc, char** argv) {
       .flag("epochs", "update epochs served before the crash window", "12")
       .flag("ops", "update ops per epoch", "512")
       .flag("snapshot-every", "logged epochs between cadence snapshots", "4")
-      .flag("retain", "snapshots retained per shard", "2")
+      .flag("retain", "snapshots retained per shard (at least 2)", "2")
       .flag("torn", "bytes torn off the last durable write at the crash", "32")
       .flag("disk", "modeled sequential disk read bandwidth in GB/s", "2.0")
       .flag("pcie", "link bandwidth in GB/s", "12.0")
@@ -139,7 +140,7 @@ int main(int argc, char** argv) {
     domain.apply_crash(0, torn);
 
     // Cold-start a fresh stack from the crashed directory.
-    persist::RecoveryManager rm(cfg);
+    persist::RecoveryManager rm(cfg, serve::EpochConfig{}.seconds_per_op);
     persist::RecoveryManager::Materials mat = rm.load_shard(0);
     gpusim::Device dev2(hb::bench_spec());
     std::unique_ptr<HarmoniaIndex> recovered;

@@ -24,11 +24,9 @@ ShardDurability::ShardDurability(const DurabilityConfig& config, unsigned shard,
       log_path_(dir_ / "update.log") {
   std::filesystem::create_directories(dir_);
   if (config.recover) {
-    // Post-recovery restart: seed the retained list from the checkpoint
-    // the RecoveryManager just wrote, so pruning and the manifest stay
-    // accurate across generations.
-    retained_ = store_.list();
-    if (retained_.size() > config_.retain) retained_.resize(config_.retain);
+    // Post-recovery restart: the checkpoint the RecoveryManager just
+    // wrote already captures the served state.
+    has_snapshot_ = !store_.list().empty();
   } else {
     // Fresh start (bulk build): stale on-disk state from an earlier run
     // does not describe this generation's base — wipe the shard's
@@ -36,18 +34,10 @@ ShardDurability::ShardDurability(const DurabilityConfig& config, unsigned shard,
     // (and a repeated run is bit-identical).
     std::filesystem::remove(log_path_);
     store_.prune(0);
-    std::filesystem::remove(store_.manifest_path());
   }
 }
 
 namespace {
-
-/// A durable_write writer for an already-encoded log record or manifest.
-auto bytes_writer(const std::string& bytes) {
-  return [&bytes](std::ostream& os) {
-    os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  };
-}
 
 std::uint64_t size_of(const std::filesystem::path& path) {
   std::error_code ec;
@@ -76,7 +66,10 @@ bool ShardDurability::durable_write(const std::filesystem::path& path, bool appe
 void ShardDurability::log_batch(std::uint64_t epoch, std::span<const queries::UpdateOp> ops,
                                 double at) {
   const std::string record = UpdateLog::encode(epoch, ops);
-  if (!durable_write(log_path_, /*append=*/true, at, bytes_writer(record))) return;
+  const auto append = [&record](std::ostream& os) {
+    os.write(record.data(), static_cast<std::streamsize>(record.size()));
+  };
+  if (!durable_write(log_path_, /*append=*/true, at, append)) return;
   ++log_batches_;
   log_ops_ += ops.size();
   ++logged_since_snapshot_;
@@ -87,24 +80,14 @@ bool ShardDurability::maybe_snapshot(std::uint64_t epoch, const HarmoniaIndex& i
   const bool due =
       config_.snapshot_every > 0 && logged_since_snapshot_ >= config_.snapshot_every;
   if (!force && !due) return false;
-  if (logged_since_snapshot_ == 0 && !retained_.empty()) return false;  // nothing new to capture
+  if (logged_since_snapshot_ == 0 && has_snapshot_) return false;  // nothing new to capture
   // The image streams from the tree into the file: no in-memory copy.
   const auto save = [&](std::ostream& os) { index.tree().save(os, index.snapshot_extras()); };
   if (!durable_write(store_.path_for(epoch), /*append=*/false, at, save)) return false;
   ++snapshots_;
   logged_since_snapshot_ = 0;
-  retained_.insert(retained_.begin(), epoch);
-  if (retained_.size() > config_.retain) retained_.resize(config_.retain);
-  // Manifest and prune ride the same crash filter: a crash right after
-  // the image write leaves a stale manifest, which the recovery path's
-  // directory-scan fallback covers. The manifest write comes first so
-  // prune (which re-asserts the manifest-before-delete order itself)
-  // never deletes an image a surviving manifest still names.
-  if (crash_ == nullptr || !crash_->dead(at)) {
-    const std::string manifest = Manifest::encode({shard_, retained_});
-    durable_write(store_.manifest_path(), /*append=*/false, at, bytes_writer(manifest));
-    store_.prune(config_.retain);
-  }
+  has_snapshot_ = true;
+  store_.prune(config_.retain);
   return true;
 }
 
@@ -121,6 +104,9 @@ DurabilityDomain::DurabilityDomain(DurabilityConfig config, unsigned num_shards)
     : config_(std::move(config)) {
   HARMONIA_CHECK_MSG(config_.enabled(), "durability domain needs a non-empty directory");
   HARMONIA_CHECK_MSG(num_shards > 0, "durability domain needs at least one shard");
+  HARMONIA_CHECK_MSG(config_.retain >= 2,
+                     "durability domain needs retain >= 2 (a torn newest image must "
+                     "leave an intact predecessor), got " << config_.retain);
   shards_.reserve(num_shards);
   for (unsigned s = 0; s < num_shards; ++s) {
     shards_.push_back(std::make_unique<ShardDurability>(config_, s, &crash_));

@@ -2,18 +2,22 @@
 // to disk, with deterministic crash injection built in.
 //
 // Each shard owns one directory (`<dir>/shard-0000/...`) holding its
-// append-only update log, its retained snapshots, and a CRC-sealed
-// manifest; shards never share files, so they recover independently.
+// append-only update log and its retained snapshot images; shards never
+// share files, so they recover independently.
 //
 // Crash injection rides the simulation's virtual clock: every durable
 // write carries the virtual instant it happens at, and once the armed
 // crash time is reached the write is silently dropped — the process is
 // dead, nothing after the crash instant reaches disk. apply_crash()
 // then models the torn write: it chops the configured number of bytes
-// off the victim shard's *last surviving* write (log record, snapshot
-// image, or manifest — whichever happened to be in flight), which is
+// off the victim shard's *last surviving* write (a log record or a
+// snapshot image, whichever happened to be in flight), which is
 // exactly the mid-log-append / mid-snapshot-write state the recovery
-// path must survive.
+// path must survive. A snapshot image is the last write of its
+// instant, so a tear there damages the newest image; at least two
+// retained images (retain >= 2) guarantee an intact predecessor.
+// Crashes during recovery itself are not modeled: only serving writes
+// pass through the crash filter.
 #pragma once
 
 #include <cstdint>
@@ -38,8 +42,6 @@ namespace harmonia::persist {
 struct RecoveryTiming {
   /// Sequential read bandwidth for snapshot + log bytes.
   double disk_gigabytes_per_second = 2.0;
-  /// CPU cost per replayed log/overlay op (Algorithm-1 apply).
-  double seconds_per_replay_op = 250e-9;
   /// CPU cost per key of a full bulk rebuild (the fallback path).
   double seconds_per_rebuild_key = 250e-9;
 };
@@ -50,7 +52,8 @@ struct DurabilityConfig {
   /// Logged epochs between cadence snapshots; 0 = only forced
   /// (compaction-triggered) snapshots.
   std::uint64_t snapshot_every = 8;
-  /// Snapshots retained per shard (the fallback chain's depth).
+  /// Snapshots retained per shard (the fallback chain's depth). At
+  /// least 2: a torn newest image must leave an intact predecessor.
   std::size_t retain = 2;
   /// Cold-start from `dir` (newest-valid snapshot + log replay) instead
   /// of bulk building.
@@ -81,8 +84,8 @@ class ShardDurability {
   /// Snapshot point after epoch `epoch` committed: writes an image when
   /// the cadence is due or `force` is set (delta-mode fold-compactions
   /// force — the freshly rebuilt image is the natural snapshot). Also
-  /// rewrites the manifest and prunes beyond the retain bound. Returns
-  /// true when an image was written.
+  /// prunes beyond the retain bound. Returns true when an image was
+  /// written.
   bool maybe_snapshot(std::uint64_t epoch, const HarmoniaIndex& index, bool force, double at);
 
   std::uint64_t log_batches() const { return log_batches_; }
@@ -117,7 +120,9 @@ class ShardDurability {
   std::uint64_t log_ops_ = 0;
   std::uint64_t snapshots_ = 0;
   std::uint64_t logged_since_snapshot_ = 0;
-  std::vector<std::uint64_t> retained_;  // newest first
+  /// An image of this generation's state is on disk (the recovery
+  /// checkpoint counts).
+  bool has_snapshot_ = false;
 
   struct LastWrite {
     std::filesystem::path path;

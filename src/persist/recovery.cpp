@@ -8,7 +8,7 @@
 namespace harmonia::persist {
 
 std::string RecoveryReport::csv_header() {
-  return "shard,from_snapshot,snapshot_epoch,snapshots_discarded,manifest_fallback,"
+  return "shard,from_snapshot,snapshot_epoch,snapshots_discarded,"
          "overlay_replayed,batches_replayed,ops_replayed,log_torn_tail,rebuilt,"
          "snapshot_bytes,log_bytes,recovered_epoch,modeled_ms";
 }
@@ -16,12 +16,12 @@ std::string RecoveryReport::csv_header() {
 std::string RecoveryReport::csv_row() const {
   char buf[256];
   std::snprintf(buf, sizeof buf,
-                "%u,%d,%" PRIu64 ",%u,%d,%" PRIu64 ",%" PRIu64 ",%" PRIu64 ",%d,%d,%" PRIu64
+                "%u,%d,%" PRIu64 ",%u,%" PRIu64 ",%" PRIu64 ",%" PRIu64 ",%d,%d,%" PRIu64
                 ",%" PRIu64 ",%" PRIu64 ",%.6f",
                 shard, from_snapshot ? 1 : 0, snapshot_epoch, snapshots_discarded,
-                manifest_fallback ? 1 : 0, overlay_replayed, batches_replayed, ops_replayed,
-                log_torn_tail ? 1 : 0, rebuilt ? 1 : 0, snapshot_bytes, log_bytes,
-                recovered_epoch, modeled_seconds * 1e3);
+                overlay_replayed, batches_replayed, ops_replayed, log_torn_tail ? 1 : 0,
+                rebuilt ? 1 : 0, snapshot_bytes, log_bytes, recovered_epoch,
+                modeled_seconds * 1e3);
   return buf;
 }
 
@@ -35,13 +35,10 @@ RecoveryManager::Materials RecoveryManager::load_shard(unsigned shard) const {
     m.report.from_snapshot = true;
     m.report.snapshot_epoch = m.snapshot->epoch;
     m.report.snapshots_discarded = m.snapshot->discarded;
-    m.report.manifest_fallback = m.snapshot->manifest_fallback;
     m.report.snapshot_bytes = m.snapshot->bytes;
   } else {
     m.report.rebuilt = true;
-    bool fallback = false;
-    m.report.snapshots_discarded = static_cast<unsigned>(store.list(&fallback).size());
-    m.report.manifest_fallback = fallback;
+    m.report.snapshots_discarded = static_cast<unsigned>(store.list().size());
   }
   m.log = UpdateLog::replay(dir / "update.log");
   m.report.log_torn_tail = m.log.torn_tail;
@@ -85,26 +82,25 @@ RecoveryReport RecoveryManager::finish(Materials&& materials, HarmoniaIndex& ind
   const RecoveryTiming& t = config_.timing;
   const double disk_bytes =
       static_cast<double>(report.snapshot_bytes) + static_cast<double>(report.log_bytes);
-  report.modeled_seconds = disk_bytes / (t.disk_gigabytes_per_second * 1e9) +
-                           static_cast<double>(report.overlay_replayed + report.ops_replayed) *
-                               t.seconds_per_replay_op +
-                           image_resync_seconds(index.tree(), link);
+  report.modeled_seconds =
+      disk_bytes / (t.disk_gigabytes_per_second * 1e9) +
+      static_cast<double>(report.overlay_replayed + report.ops_replayed) * seconds_per_op_ +
+      image_resync_seconds(index.tree(), link);
   if (report.rebuilt) {
     report.modeled_seconds +=
         static_cast<double>(rebuild_keys) * t.seconds_per_rebuild_key;
   }
 
-  // Step 4: checkpoint the recovered state as a new generation — a
-  // fresh epoch-0 image, a reset log, older snapshots pruned — so the
-  // restarted server's epoch numbering (which begins again at 1) can
-  // never collide with stale on-disk records.
+  // Step 4: checkpoint the recovered state as a new generation — every
+  // image of the crashed generation deleted, a reset log, a fresh
+  // epoch-0 image — so the restarted server's epoch numbering (which
+  // begins again at 1) can never collide with stale on-disk state.
   const std::filesystem::path dir = config_.shard_dir(report.shard);
   SnapshotStore store(dir);
   std::filesystem::create_directories(dir);
+  store.prune(0);
   UpdateLog::truncate(dir / "update.log", 0);
   store.write(0, index.tree(), index.snapshot_extras());
-  store.prune(1);
-  store.write_manifest(report.shard, {0});
   return report;
 }
 

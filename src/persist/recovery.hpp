@@ -2,9 +2,9 @@
 //
 // Per shard, the recovery flow is:
 //
-//   1. newest-valid snapshot: walk the retained images newest-first
-//      (manifest order, directory scan when the manifest is torn) and
-//      take the first one whose checksum + structural validate pass.
+//   1. newest-valid snapshot: walk the `snap-*.img` images in the
+//      shard directory newest-first and take the first one whose
+//      checksum + structural validate pass.
 //   2. overlay fold: the snapshot's delta-overlay sidecar replays as
 //      one op batch through the normal stage_update/commit_staged path,
 //      so the recovered base subsumes it exactly like a fold-compaction
@@ -13,16 +13,20 @@
 //      replays in order through the same stage/commit path; the torn
 //      tail (a crash mid-append) is truncated away.
 //   4. checkpoint: the recovered state is written back as a fresh
-//      epoch-0 snapshot and the log is reset, so the next generation's
-//      epoch numbering (restarting at 1) can never collide with stale
-//      records.
+//      epoch-0 snapshot, every other image is deleted and the log is
+//      reset. The directory then holds exactly `snap-000000000000.img`
+//      and an empty `update.log`, so the next generation's epoch
+//      numbering (restarting at 1) can never collide with stale images
+//      or records.
 //
 // When no snapshot decodes at all, the caller's bulk-rebuilt tree is
 // the base (rebuilt = true) and the full log replays over it.
 //
-// All recovery cost is *modeled* (RecoveryTiming + the PCIe link), in
-// keeping with the repo's virtual-clock discipline: reports carry
-// deterministic modeled seconds, never wall-clock.
+// All recovery cost is *modeled* (RecoveryTiming, the serving apply
+// price per replayed op, and the PCIe link), in keeping with the repo's
+// virtual-clock discipline: reports carry deterministic modeled
+// seconds, never wall-clock. Crashes during recovery itself are not
+// modeled.
 #pragma once
 
 #include <cstdint>
@@ -44,8 +48,6 @@ struct RecoveryReport {
   std::uint64_t snapshot_epoch = 0;
   /// Newer snapshots discarded because they failed checksum/validate.
   unsigned snapshots_discarded = 0;
-  /// Manifest was missing/torn and the directory scan took over.
-  bool manifest_fallback = false;
   /// Overlay records folded out of the snapshot sidecar.
   std::uint64_t overlay_replayed = 0;
   std::uint64_t batches_replayed = 0;
@@ -69,7 +71,10 @@ struct RecoveryReport {
 
 class RecoveryManager {
  public:
-  explicit RecoveryManager(const DurabilityConfig& config) : config_(config) {}
+  /// `seconds_per_op` prices one replayed op (stage_update +
+  /// commit_staged): the serving stack's EpochConfig::seconds_per_op.
+  RecoveryManager(const DurabilityConfig& config, double seconds_per_op)
+      : config_(config), seconds_per_op_(seconds_per_op) {}
 
   struct Materials {
     std::optional<SnapshotStore::Loaded> snapshot;
@@ -94,6 +99,7 @@ class RecoveryManager {
 
  private:
   DurabilityConfig config_;
+  double seconds_per_op_;
 };
 
 }  // namespace harmonia::persist

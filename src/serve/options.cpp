@@ -111,7 +111,9 @@ void ServeOptions::validate(unsigned num_shards) const {
 
   HARMONIA_CHECK_MSG(!persist.recover || persist.enabled(),
                      "persist.recover needs persist.dir (--snapshot-dir) set");
-  HARMONIA_CHECK_MSG(persist.retain >= 1, "persist.retain must be >= 1");
+  HARMONIA_CHECK_MSG(persist.retain >= 2,
+                     "persist.retain must be >= 2 (a torn newest snapshot must leave an "
+                     "intact predecessor)");
 
   for (std::size_t i = 0; i < faults.events.size(); ++i) {
     const fault::FaultEvent& e = faults.events[i];
@@ -184,7 +186,7 @@ void ServeOptions::add_flags(Cli& cli) {
                             "(empty = persistence off)", "")
       .flag("snapshot-every", "logged epochs between cadence snapshots "
                               "(0 = only compaction-forced snapshots)", "8")
-      .flag("snapshot-retain", "snapshots retained per shard", "2")
+      .flag("snapshot-retain", "snapshots retained per shard (at least 2)", "2")
       .flag("recover", "cold-start from --snapshot-dir (newest valid "
                        "snapshot + log replay) instead of bulk building",
             "false");

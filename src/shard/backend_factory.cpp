@@ -38,7 +38,7 @@ ServingStack::ServingStack(const TopologySpec& topo,
     // build above (already in place) for a shard with nothing decodable.
     // A snapshot's sidecar fill factor keeps the gapped-leaf geometry of
     // the crashed generation, so later compactions re-gap identically.
-    persist::RecoveryManager rm(opts.persist);
+    persist::RecoveryManager rm(opts.persist, opts.epoch.seconds_per_op);
     for (unsigned s = 0; s < topo.shards; ++s) {
       persist::RecoveryManager::Materials mat = rm.load_shard(s);
       const std::uint64_t rebuild_keys = sharded_->shard_key_count(s);
@@ -50,7 +50,7 @@ ServingStack::ServingStack(const TopologySpec& topo,
     }
   }
   // The durability domain is wired after any recovery: its per-shard
-  // writers seed their retained-snapshot lists from disk, and recovery
+  // writers read from disk whether a snapshot exists, and recovery
   // rewrites the disk (the checkpoint) as its final step.
   if (opts.persist.enabled()) {
     durability_ =

@@ -6,18 +6,20 @@
 //   1. serve the stream up to the crash instant on a live stack whose
 //      durability domain drops every durable write at/after the crash;
 //   2. seal the crash: tear the configured bytes off the victim shard's
-//      last surviving durable write (a torn log append, a half-written
-//      snapshot, or a torn manifest — whichever was in flight);
+//      last surviving durable write (a torn log append or a half-written
+//      snapshot image — whichever was in flight);
 //   3. cold-start a fresh stack from the same directories
 //      (ServingStack's recover path: newest-valid snapshot + overlay
-//      fold + log replay + checkpoint) and charge the modeled recovery
-//      seconds plus the event's down time;
+//      fold + log replay + checkpoint, which leaves each directory
+//      holding only the epoch-0 image and an empty log) and charge the
+//      modeled recovery seconds plus the event's down time;
 //   4. resume the stream — arrivals that landed while the process was
 //      down are admitted the instant it comes back — and record the
 //      recovered generation's time-to-first-reply.
 //
 // Multiple restart events chain: each generation serves its slice of
 // the stream and the next recovers from whatever the crash left behind.
+// Crashes land only on serving writes; recovery itself never crashes.
 // Everything runs on the shared absolute virtual clock, so a
 // (stream, topology, plan) triple replays bit-identically.
 #pragma once

@@ -65,7 +65,6 @@ ShardedServer::ShardedServer(ShardedIndex& index,
   }
   if (!obs.active()) return;
   injector_.set_observer(obs);
-  index_.set_observer(obs);
   if (obs.metrics == nullptr) return;
   obs::MetricsRegistry& m = *obs.metrics;
   const auto edges = obs::LatencyHistogram::exponential_edges(1e-7, 1.0, 28);
@@ -85,6 +84,10 @@ ShardedServer::ShardedServer(ShardedIndex& index,
   epochs_total_ = &m.counter("serve_epochs_total");
   swap_wait_hist_ = &m.histogram("serve_epoch_swap_wait_seconds", edges);
   stall_hist_ = &m.histogram("serve_epoch_stall_seconds", edges);
+  for (unsigned s = 0; s < n; ++s) {
+    routed_total_.push_back(
+        &m.counter("shard_routed_queries_total{shard=\"" + std::to_string(s) + "\"}"));
+  }
   split_ranges_total_ = &m.counter("shard_split_ranges_total");
   split_scans_total_ = &m.counter("shard_split_scans_total");
   degraded_total_ = &m.counter("shard_degraded_requests_total");
@@ -363,6 +366,7 @@ void ShardedServer::handle_dispatch(unsigned s, unsigned r,
   ++report.shard_batches[s];
   ++report.replica_batches[slot(s, r)];
   report.shard_queries[s] += d.batch_size;
+  if (!routed_total_.empty()) routed_total_[s]->inc(d.batch_size);
   report.batch_size.add(static_cast<double>(d.batch_size));
   report.busy_seconds += d.service_seconds();
   for (Response& resp : d.responses) {

@@ -469,6 +469,9 @@ class ShardedServer {
   obs::Counter* epochs_total_ = nullptr;
   obs::LatencyHistogram* swap_wait_hist_ = nullptr;
   obs::LatencyHistogram* stall_hist_ = nullptr;
+  /// Per shard: the queries its dispatched batches carried (empty when
+  /// unobserved).
+  std::vector<obs::Counter*> routed_total_;
   obs::Counter* split_ranges_total_ = nullptr;
   obs::Counter* split_scans_total_ = nullptr;
   obs::Counter* degraded_total_ = nullptr;

@@ -211,6 +211,38 @@ TEST(Observability, MetricsAgreeWithReport) {
   EXPECT_EQ(replies, report.arrivals);
 }
 
+// Serving books shard routing where the report does: each shard's
+// routed-query counter equals ServerReport::shard_queries for it, so the
+// per-shard sum equals the report's total too. The offline-only
+// ShardedIndex families are not registered by a server.
+TEST(Observability, RoutedQueriesMatchShardQueries) {
+  ShardedFixture f(4);
+  serve::ServeOptions cfg;
+  cfg.batch.max_batch = 128;
+  cfg.batch.max_wait = 80e-6;
+  cfg.epoch.max_buffered = 250;
+  obs::MetricsRegistry metrics;
+  cfg.obs = {&metrics, nullptr};
+  shard::ShardedServer server(f.index, cfg);
+  const auto report = server.run(test_stream(f.keys, 21, 6000));
+
+  std::uint64_t routed = 0;
+  std::uint64_t queries = 0;
+  for (unsigned s = 0; s < 4; ++s) {
+    const std::uint64_t got =
+        metrics.counter("shard_routed_queries_total{shard=\"" + std::to_string(s) + "\"}")
+            .value();
+    EXPECT_EQ(got, report.shard_queries[s]) << "shard " << s;
+    routed += got;
+    queries += report.shard_queries[s];
+  }
+  EXPECT_GT(routed, 0u);
+  EXPECT_EQ(routed, queries);
+  const std::string dump = metrics.prometheus_text();
+  EXPECT_EQ(dump.find("shard_search_batches_total"), std::string::npos);
+  EXPECT_EQ(dump.find("shard_straddling_ranges_total"), std::string::npos);
+}
+
 /// The registered series of a Prometheus dump with label values
 /// stripped: `x{kind="a",shard="0"} 3` -> `x{kind,shard}`.
 std::set<std::string> metric_families(const std::string& dump) {

@@ -1,9 +1,10 @@
 // ShardDurability's write path: what it puts on disk and what a torn
 // write takes off. Snapshot images stream from the tree into the file,
 // so the file must hold exactly the bytes SnapshotStore::encode builds
-// in memory, overlay sidecar included; and apply_tear must chop only
-// the last write, whether that was a truncating manifest rewrite or an
-// append to the log.
+// in memory, overlay sidecar included; apply_tear must chop only the
+// last write, whether that was a truncating image write or an append
+// to the log; and the recovery checkpoint must leave the shard
+// directory holding exactly one epoch-0 image and an empty log.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,11 +17,15 @@
 #include "btree/btree.hpp"
 #include "gpusim/device.hpp"
 #include "harmonia/index.hpp"
+#include "common/expect.hpp"
+#include "harmonia/pipeline.hpp"
 #include "persist/durability.hpp"
+#include "persist/recovery.hpp"
 #include "persist/snapshot_store.hpp"
 #include "persist/update_log.hpp"
 #include "queries/batch.hpp"
 #include "queries/workload.hpp"
+#include "serve/epoch_updater.hpp"
 #include "test_dir.hpp"
 
 namespace harmonia::persist {
@@ -99,12 +104,12 @@ TEST_F(DurabilityTest, SnapshotFileEqualsEncodedImage) {
   const SnapshotStore store(dur.dir());
   EXPECT_EQ(read_file(store.path_for(2)), SnapshotStore::encode(index.tree(), extras));
   EXPECT_EQ(read_file(dur.dir() / "update.log"), log);
-  EXPECT_EQ(read_file(store.manifest_path()), Manifest::encode({0, {2}}));
+  EXPECT_EQ(store.list(), (std::vector<std::uint64_t>{2}));
 }
 
-// A snapshot's last write is its manifest rewrite (truncating, offset
-// 0): a tear shortens the manifest by exactly k and leaves the image
-// whole.
+// A snapshot's last write is its image (truncating, offset 0): a tear
+// shortens the newest image by exactly k, and load_newest falls back to
+// the intact one before it.
 TEST_F(DurabilityTest, TearAfterSnapshotShortensItsLastWrite) {
   const auto keys = queries::make_tree_keys(200, 3);
   gpusim::Device dev(test_spec());
@@ -114,16 +119,73 @@ TEST_F(DurabilityTest, TearAfterSnapshotShortensItsLastWrite) {
 
   DurabilityDomain domain(cfg_, 1);
   ShardDurability& dur = *domain.shard(0);
-  dur.log_batch(1, batch_for(keys, 1), 1.0);
-  ASSERT_TRUE(dur.maybe_snapshot(1, index, /*force=*/true, 1.5));
+  for (std::uint64_t e = 1; e <= 2; ++e) {
+    const auto batch = batch_for(keys, e);
+    dur.log_batch(e, batch, static_cast<double>(e));
+    index.commit_staged(index.stage_update(batch));
+    ASSERT_TRUE(dur.maybe_snapshot(e, index, /*force=*/true, static_cast<double>(e) + 0.5));
+  }
 
   const SnapshotStore store(dur.dir());
-  const auto image_size = std::filesystem::file_size(store.path_for(1));
-  const auto manifest_size = std::filesystem::file_size(store.manifest_path());
+  const auto older_size = std::filesystem::file_size(store.path_for(1));
+  const auto newest_size = std::filesystem::file_size(store.path_for(2));
   domain.apply_crash(0, 5);
-  EXPECT_EQ(std::filesystem::file_size(store.manifest_path()), manifest_size - 5);
-  EXPECT_EQ(std::filesystem::file_size(store.path_for(1)), image_size);
-  EXPECT_FALSE(Manifest::parse_file(store.manifest_path()).has_value());
+  EXPECT_EQ(std::filesystem::file_size(store.path_for(2)), newest_size - 5);
+  EXPECT_EQ(std::filesystem::file_size(store.path_for(1)), older_size);
+  const auto loaded = store.load_newest();
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(loaded->epoch, 1u);
+  EXPECT_EQ(loaded->discarded, 1u);
+}
+
+// One retained image would leave a torn newest snapshot nothing to fall
+// back to.
+TEST_F(DurabilityTest, RetainBelowTwoIsRejected) {
+  cfg_.retain = 1;
+  EXPECT_THROW(DurabilityDomain(cfg_, 1), ContractViolation);
+}
+
+// The checkpoint is a new generation's whole catalogue: whatever images
+// the crashed generation left (here epochs 2 and 4, both newer than 0),
+// recovery leaves exactly `snap-000000000000.img` and an empty log.
+TEST_F(DurabilityTest, RecoveryCheckpointLeavesOnlyEpochZero) {
+  const auto keys = queries::make_tree_keys(200, 9);
+  std::vector<btree::Entry> entries;
+  for (Key k : keys) entries.push_back({k, btree::value_for_key(k)});
+  {
+    gpusim::Device dev(test_spec());
+    HarmoniaIndex index = HarmoniaIndex::build(dev, entries, {.fanout = 8});
+    DurabilityDomain domain(cfg_, 1);
+    ShardDurability& dur = *domain.shard(0);
+    for (std::uint64_t e = 1; e <= 5; ++e) {
+      const auto batch = batch_for(keys, e);
+      dur.log_batch(e, batch, static_cast<double>(e));
+      index.commit_staged(index.stage_update(batch));
+      dur.maybe_snapshot(e, index, /*force=*/false, static_cast<double>(e) + 0.5);
+    }
+    ASSERT_EQ(SnapshotStore(dur.dir()).list(), (std::vector<std::uint64_t>{4, 2}));
+  }
+
+  cfg_.recover = true;
+  const RecoveryManager rm(cfg_, serve::EpochConfig{}.seconds_per_op);
+  RecoveryManager::Materials mat = rm.load_shard(0);
+  ASSERT_TRUE(mat.snapshot.has_value());
+  gpusim::Device dev2(test_spec());
+  HarmoniaIndex index2(dev2, std::move(mat.snapshot->tree), {.fanout = 8});
+  const RecoveryReport rep = rm.finish(std::move(mat), index2, TransferModel{}, keys.size());
+  EXPECT_EQ(rep.snapshot_epoch, 4u);
+  EXPECT_EQ(rep.recovered_epoch, 5u);
+
+  std::vector<std::string> files;
+  for (const auto& entry : std::filesystem::directory_iterator(cfg_.shard_dir(0)))
+    files.push_back(entry.path().filename().string());
+  std::sort(files.begin(), files.end());
+  EXPECT_EQ(files, (std::vector<std::string>{"snap-000000000000.img", "update.log"}));
+  EXPECT_EQ(std::filesystem::file_size(cfg_.shard_dir(0) / "update.log"), 0u);
+  const auto loaded = SnapshotStore(cfg_.shard_dir(0)).load_newest();
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(loaded->epoch, 0u);
+  EXPECT_EQ(loaded->discarded, 0u);
 }
 
 TEST_F(DurabilityTest, TearAfterLogAppendCutsOnlyTheLastRecord) {

@@ -10,9 +10,11 @@
 //
 // The sweep covers > 1000 distinct seeded crash points: crashes before
 // an epoch's log append, between the append and the snapshot (torn
-// mid-log-append), after the snapshot (torn manifest), plus variants
-// that additionally tear the newest snapshot image (crash during a
-// background image write), with clean-cut (torn=0) and torn variants.
+// mid-log-append), after the snapshot (torn image: recovery discards it
+// and falls back to the previous image plus a log replay), plus
+// variants that tear the newest snapshot image after the fact (crash
+// during a background image write), with clean-cut (torn=0) and torn
+// variants.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -32,6 +34,7 @@
 #include "persist/recovery.hpp"
 #include "queries/batch.hpp"
 #include "queries/workload.hpp"
+#include "serve/epoch_updater.hpp"
 #include "test_dir.hpp"
 
 namespace harmonia::persist {
@@ -124,10 +127,10 @@ Scenario make_scenario(std::uint64_t seed) {
 }
 
 /// Mirror of ShardDurability's durable-write sequence: which writes hit
-/// disk before the crash, in order. kImage is never last (the manifest
-/// rides the same instant), so only log records and manifests tear.
+/// disk before the crash, in order. The last one is what a torn crash
+/// damages: a log record or a snapshot image.
 struct MirrorWrite {
-  enum Kind { kLog, kImage, kManifest } kind;
+  enum Kind { kLog, kImage } kind;
   std::uint64_t epoch;
 };
 
@@ -135,13 +138,14 @@ struct Expected {
   bool from_snapshot = false;
   std::uint64_t snapshot_epoch = 0;  // s*
   std::uint64_t recovered_epoch = 0;  // k* = max(s*, last intact log epoch)
+  unsigned discarded = 0;  // damaged images newer than s*
 };
 
 struct RunStats {
   int from_snapshot = 0;
   int rebuilt = 0;
   int log_torn = 0;
-  int manifest_fallback = 0;
+  int torn_image_fallback = 0;
   int snapshots_discarded = 0;
   int overlay_folded = 0;
 };
@@ -205,7 +209,6 @@ void run_one(const Scenario& sc, std::uint64_t seed, double crash,
     if ((compacted || due) && !(m_since == 0 && !m_retained.empty()) &&
         t_snap < crash) {
       writes.push_back({MirrorWrite::kImage, static_cast<std::uint64_t>(e)});
-      writes.push_back({MirrorWrite::kManifest, static_cast<std::uint64_t>(e)});
       m_since = 0;
       m_retained.insert(m_retained.begin(), static_cast<std::uint64_t>(e));
       if (m_retained.size() > cfg.retain) m_retained.resize(cfg.retain);
@@ -219,25 +222,21 @@ void run_one(const Scenario& sc, std::uint64_t seed, double crash,
     if (w.kind == MirrorWrite::kLog) valid_log.insert(w.epoch);
   }
   std::set<std::uint64_t> invalid_images;
+  bool torn_image = false;
   if (torn > 0 && !writes.empty()) {
     const MirrorWrite& last = writes.back();
-    ASSERT_NE(last.kind, MirrorWrite::kImage)
-        << "manifest rides the image's instant, an image is never last";
     if (last.kind == MirrorWrite::kLog) valid_log.erase(last.epoch);
-    // A torn manifest only costs the manifest (directory-scan fallback).
-  }
-  SnapshotStore store(cfg.shard_dir(0));
-  // Prune coverage: whatever instant the crash hit — including between a
-  // snapshot's manifest rewrite and its prune deletions — a manifest that
-  // parses may only name images still on disk. (prune writes the
-  // survivor manifest before deleting, so no crash point can violate
-  // this.)
-  if (const auto m = Manifest::parse_file(store.manifest_path())) {
-    for (const std::uint64_t e : m->snapshots) {
-      ASSERT_TRUE(std::filesystem::exists(store.path_for(e)))
-          << "manifest pins pruned epoch " << e;
+    // The image is the last write of its instant: the retention prune
+    // already ran, so the fallback is the previous retained image.
+    if (last.kind == MirrorWrite::kImage) {
+      invalid_images.insert(last.epoch);
+      torn_image = true;
     }
   }
+  SnapshotStore store(cfg.shard_dir(0));
+  // Prune coverage: the directory is the catalogue, so it must hold
+  // exactly the retained images, whatever instant the crash hit.
+  ASSERT_EQ(store.list(), m_retained);
   if (tear_image && !m_retained.empty()) {
     // Crash during a background image write: the newest image is torn.
     const std::uint64_t victim = m_retained.front();
@@ -255,6 +254,7 @@ void run_one(const Scenario& sc, std::uint64_t seed, double crash,
       want.snapshot_epoch = e;
       break;
     }
+    ++want.discarded;
   }
   want.recovered_epoch = want.snapshot_epoch;
   if (!valid_log.empty())
@@ -262,7 +262,7 @@ void run_one(const Scenario& sc, std::uint64_t seed, double crash,
   const auto& oracle = sc.model_after[want.recovered_epoch];
 
   // --- Cold-start a fresh stack from the crashed directory.
-  RecoveryManager rm(cfg);
+  RecoveryManager rm(cfg, serve::EpochConfig{}.seconds_per_op);
   RecoveryManager::Materials mat = rm.load_shard(0);
   gpusim::Device dev2(test_spec());
   std::unique_ptr<HarmoniaIndex> index2;
@@ -284,6 +284,7 @@ void run_one(const Scenario& sc, std::uint64_t seed, double crash,
   ASSERT_EQ(rep.from_snapshot, want.from_snapshot);
   ASSERT_EQ(rep.rebuilt, !want.from_snapshot);
   ASSERT_EQ(rep.snapshot_epoch, want.snapshot_epoch);
+  ASSERT_EQ(rep.snapshots_discarded, want.discarded);
   ASSERT_EQ(rep.recovered_epoch, want.recovered_epoch);
   ASSERT_GT(rep.modeled_seconds, 0.0);
 
@@ -302,7 +303,10 @@ void run_one(const Scenario& sc, std::uint64_t seed, double crash,
   stats.from_snapshot += rep.from_snapshot ? 1 : 0;
   stats.rebuilt += rep.rebuilt ? 1 : 0;
   stats.log_torn += rep.log_torn_tail ? 1 : 0;
-  stats.manifest_fallback += rep.manifest_fallback ? 1 : 0;
+  // Reached only when the recovered state matched the oracle above: the
+  // torn newest image was discarded for the previous one plus the log.
+  stats.torn_image_fallback +=
+      torn_image && rep.from_snapshot && rep.snapshots_discarded > 0 ? 1 : 0;
   stats.snapshots_discarded += rep.snapshots_discarded > 0 ? 1 : 0;
   stats.overlay_folded += rep.overlay_replayed > 0 ? 1 : 0;
 }
@@ -344,7 +348,7 @@ TEST(RecoveryFuzz, DifferentialCrashSweep) {
     const Scenario sc = make_scenario(seed);
     for (int e = 1; e <= kEpochs; ++e) {
       // Before the epoch's log append; between append and snapshot
-      // (mid-log-append tear); after the snapshot (manifest tear).
+      // (mid-log-append tear); after the snapshot (image tear).
       for (const double crash : {e - 0.25, e + 0.25, e + 0.75}) {
         for (const auto& v : kVariants) {
           ASSERT_NO_FATAL_FAILURE(
@@ -362,7 +366,8 @@ TEST(RecoveryFuzz, DifferentialCrashSweep) {
   EXPECT_GT(stats.from_snapshot, 0);
   EXPECT_GT(stats.rebuilt, 0);
   EXPECT_GT(stats.log_torn, 0) << "no mid-log-append tear was exercised";
-  EXPECT_GT(stats.manifest_fallback, 0) << "no torn manifest was exercised";
+  EXPECT_GT(stats.torn_image_fallback, 0)
+      << "no crash point tore the newest image and still recovered the oracle state";
   EXPECT_GT(stats.snapshots_discarded, 0) << "no torn image was exercised";
   EXPECT_GT(stats.overlay_folded, 0) << "no snapshot carried a live overlay";
 }
@@ -396,7 +401,7 @@ TEST(RecoveryFuzz, DeviceImageMatchesOracleAfterRecovery) {
     }
     domain.apply_crash(0, 32);
 
-    RecoveryManager rm(cfg);
+    RecoveryManager rm(cfg, serve::EpochConfig{}.seconds_per_op);
     RecoveryManager::Materials mat = rm.load_shard(0);
     gpusim::Device dev2(test_spec());
     std::unique_ptr<HarmoniaIndex> index2;

@@ -159,6 +159,33 @@ TEST_F(RestartServingTest, MultiRestartChainRecoversEachGeneration) {
   EXPECT_EQ(arrivals, stream.size());
 }
 
+// A middle generation too short to reach its first cadence snapshot
+// leaves only the first recovery's checkpoint (epoch 0) plus its log.
+// The second recovery must start from that checkpoint: the crashed
+// generation's stale, higher-numbered images are gone, so nothing can
+// shadow it, and no update of the first generation is lost to a rebuild.
+TEST_F(RestartServingTest, SecondRestartRecoversTheCheckpoint) {
+  const auto topo = small_topo();
+  auto opts = serving_options(dir_.string());
+  opts.faults = fault::FaultPlan::parse(
+      "restart@0.004:down=0.0005,torn=0;restart@0.0052:down=0.0005,torn=0");
+  const auto stream = update_heavy_stream(topo);
+
+  const RestartReport report = run_with_restarts(topo, opts, stream);
+  ASSERT_EQ(report.segments.size(), 3u);
+  ASSERT_EQ(report.cycles.size(), 2u);
+  const persist::RecoveryReport& first = report.cycles[0].recoveries.at(0);
+  EXPECT_TRUE(first.from_snapshot);
+  EXPECT_GT(first.snapshot_epoch, 0u) << "the first generation wrote no snapshot";
+  EXPECT_EQ(report.segments[1].snapshots_written, 0u) << "the middle generation is too long";
+
+  const persist::RecoveryReport& second = report.cycles[1].recoveries.at(0);
+  EXPECT_TRUE(second.from_snapshot);
+  EXPECT_EQ(second.snapshot_epoch, 0u);
+  EXPECT_FALSE(second.rebuilt);
+  EXPECT_EQ(second.snapshots_discarded, 0u);
+}
+
 TEST_F(RestartServingTest, ShardedShardsRecoverIndependently) {
   const auto topo = small_topo(/*shards=*/2);
   auto opts = serving_options(dir_.string());

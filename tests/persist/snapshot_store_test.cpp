@@ -1,7 +1,7 @@
-// SnapshotStore + Manifest: the newest-valid fallback chain. A torn or
-// bit-flipped image must never load; a torn manifest must fall back to
-// the directory scan; load_newest must walk past damaged epochs and
-// land on the newest image that decodes cleanly.
+// SnapshotStore: the newest-valid fallback chain over a directory scan.
+// A torn or bit-flipped image must never load; load_newest must walk
+// past damaged epochs and land on the newest image that decodes
+// cleanly.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -49,70 +49,12 @@ class SnapshotStoreTest : public ::testing::Test {
   std::filesystem::path dir_;
 };
 
-TEST_F(SnapshotStoreTest, ManifestEncodeParseRoundTrip) {
-  Manifest m;
-  m.shard = 3;
-  m.snapshots = {17, 9, 4};
-  write_file(dir_ / "MANIFEST", Manifest::encode(m));
-  const auto parsed = Manifest::parse_file(dir_ / "MANIFEST");
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(parsed->shard, 3u);
-  EXPECT_EQ(parsed->snapshots, (std::vector<std::uint64_t>{17, 9, 4}));
-}
-
-TEST_F(SnapshotStoreTest, ManifestMissingIsNullopt) {
-  EXPECT_FALSE(Manifest::parse_file(dir_ / "MANIFEST").has_value());
-}
-
-// Every strict prefix of a manifest — the on-disk state a crash mid-
-// rewrite leaves behind — must fail to parse, never yield a stale or
-// partial snapshot list.
-TEST_F(SnapshotStoreTest, ManifestTornAtEveryByteIsNullopt) {
-  Manifest m;
-  m.shard = 1;
-  m.snapshots = {12, 8};
-  const std::string bytes = Manifest::encode(m);
-  for (std::size_t len = 0; len < bytes.size(); ++len) {
-    write_file(dir_ / "MANIFEST", bytes.substr(0, len));
-    EXPECT_FALSE(Manifest::parse_file(dir_ / "MANIFEST").has_value())
-        << "prefix of " << len << " bytes parsed";
-  }
-}
-
-TEST_F(SnapshotStoreTest, ManifestBitFlipAtEveryByteIsNullopt) {
-  Manifest m;
-  m.shard = 0;
-  m.snapshots = {5};
-  const std::string bytes = Manifest::encode(m);
-  for (std::size_t pos = 0; pos < bytes.size(); ++pos) {
-    std::string flipped = bytes;
-    flipped[pos] = static_cast<char>(flipped[pos] ^ 0x08);
-    write_file(dir_ / "MANIFEST", flipped);
-    EXPECT_FALSE(Manifest::parse_file(dir_ / "MANIFEST").has_value())
-        << "flip at byte " << pos << " parsed";
-  }
-}
-
-TEST_F(SnapshotStoreTest, ListPrefersManifestOrder) {
+TEST_F(SnapshotStoreTest, ListIsADirectoryScanNewestFirst) {
   SnapshotStore store(dir_);
   store.write(4, sample_tree(50, 1), {});
+  store.write(12, sample_tree(50, 3), {});
   store.write(9, sample_tree(50, 2), {});
-  store.write_manifest(0, {9, 4});
-  bool fallback = true;
-  const auto epochs = store.list(&fallback);
-  EXPECT_FALSE(fallback);
-  EXPECT_EQ(epochs, (std::vector<std::uint64_t>{9, 4}));
-}
-
-TEST_F(SnapshotStoreTest, ListFallsBackToDirectoryScanOnTornManifest) {
-  SnapshotStore store(dir_);
-  store.write(4, sample_tree(50, 1), {});
-  store.write(9, sample_tree(50, 2), {});
-  write_file(store.manifest_path(), "harmonia-shard-manifest v1\nsha");  // torn
-  bool fallback = false;
-  const auto epochs = store.list(&fallback);
-  EXPECT_TRUE(fallback);
-  EXPECT_EQ(epochs, (std::vector<std::uint64_t>{9, 4}));
+  EXPECT_EQ(store.list(), (std::vector<std::uint64_t>{12, 9, 4}));
 }
 
 TEST_F(SnapshotStoreTest, LoadNewestRoundTripsTreeAndExtras) {
@@ -122,13 +64,11 @@ TEST_F(SnapshotStoreTest, LoadNewestRoundTripsTreeAndExtras) {
   extras.overlay = {{5, 99, 0}, {11, 0, 1}};
   SnapshotStore store(dir_);
   store.write(6, tree, extras);
-  store.write_manifest(2, {6});
 
   const auto loaded = store.load_newest();
   ASSERT_TRUE(loaded.has_value());
   EXPECT_EQ(loaded->epoch, 6u);
   EXPECT_EQ(loaded->discarded, 0u);
-  EXPECT_FALSE(loaded->manifest_fallback);
   EXPECT_GT(loaded->bytes, 0u);
   EXPECT_DOUBLE_EQ(loaded->extras.fill_factor, 0.77);
   ASSERT_EQ(loaded->extras.overlay.size(), 2u);
@@ -180,7 +120,6 @@ TEST_F(SnapshotStoreTest, MixedVersionDirectoryRecoversNewestThenFallsBack) {
   write_file(store.path_for(1), testing_support::v2_sample_image());
   const auto newer = sample_tree(90, 2);
   store.write(2, newer, {});
-  store.write_manifest(0, {2, 1});
 
   auto loaded = store.load_newest();
   ASSERT_TRUE(loaded.has_value());
@@ -199,21 +138,19 @@ TEST_F(SnapshotStoreTest, MixedVersionDirectoryRecoversNewestThenFallsBack) {
   EXPECT_EQ(loaded->extras.overlay.size(), 2u);
 }
 
-// A manifest is small enough to sit in the stream buffer until the file
-// closes; a failed write (here: no space left) must still throw rather
-// than vanish in the destructor and leave recovery a torn manifest.
-TEST_F(SnapshotStoreTest, ManifestWriteFailureThrows) {
+// An image write that fails (here: no space left) must throw rather
+// than leave a short file behind as if it had finished.
+TEST_F(SnapshotStoreTest, ImageWriteFailureThrows) {
   if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
   SnapshotStore store(dir_);
-  std::filesystem::create_symlink("/dev/full", store.manifest_path());
-  EXPECT_THROW(store.write_manifest(0, {3, 1}), ContractViolation);
+  std::filesystem::create_symlink("/dev/full", store.path_for(3));
+  EXPECT_THROW(store.write(3, sample_tree(40, 1), {}), ContractViolation);
 }
 
 TEST_F(SnapshotStoreTest, LoadNewestWalksPastTornImage) {
   SnapshotStore store(dir_);
   store.write(3, sample_tree(80, 1), {});
   store.write(7, sample_tree(90, 2), {});
-  store.write_manifest(0, {7, 3});
   // Tear the newest image mid-write.
   const std::string bytes = read_file(store.path_for(7));
   write_file(store.path_for(7), bytes.substr(0, bytes.size() / 3));
@@ -225,12 +162,12 @@ TEST_F(SnapshotStoreTest, LoadNewestWalksPastTornImage) {
   EXPECT_EQ(loaded->tree.num_keys(), 80u);
 }
 
-TEST_F(SnapshotStoreTest, LoadNewestWalksPastMissingManifestEntry) {
-  // Manifest names an epoch whose image never finished (crash between
-  // manifest write and a later prune, or a deleted file): skip it.
+TEST_F(SnapshotStoreTest, LoadNewestWalksPastEmptyImage) {
+  // A crash right after the newest image's file was created leaves an
+  // empty `snap-*.img`: the scan lists it, the load discards it.
   SnapshotStore store(dir_);
   store.write(2, sample_tree(60, 1), {});
-  store.write_manifest(0, {8, 2});
+  write_file(store.path_for(8), "");
   const auto loaded = store.load_newest();
   ASSERT_TRUE(loaded.has_value());
   EXPECT_EQ(loaded->epoch, 2u);
@@ -241,7 +178,6 @@ TEST_F(SnapshotStoreTest, AllImagesTornIsNullopt) {
   SnapshotStore store(dir_);
   store.write(1, sample_tree(60, 1), {});
   store.write(2, sample_tree(60, 2), {});
-  store.write_manifest(0, {2, 1});
   for (const std::uint64_t e : {std::uint64_t{1}, std::uint64_t{2}}) {
     const std::string bytes = read_file(store.path_for(e));
     write_file(store.path_for(e), bytes.substr(0, bytes.size() - 5));
@@ -269,62 +205,29 @@ TEST_F(SnapshotStoreTest, PruneKeepsNewestByDirectoryScan) {
   EXPECT_FALSE(std::filesystem::exists(store.path_for(5)));
 }
 
-TEST_F(SnapshotStoreTest, PruneRewritesManifestBeforeDeleting) {
-  // Regression: prune used to delete image files and leave the manifest
-  // naming them — a crash between the two left recovery preferring a
-  // manifest that pins deleted snapshots. Pruning must first shrink the
-  // manifest to the survivors.
-  SnapshotStore store(dir_);
-  for (std::uint64_t e = 1; e <= 5; ++e) store.write(e, sample_tree(40, e), {});
-  store.write_manifest(3, {5, 4, 3, 2, 1});
-  store.prune(2);
-  const auto m = Manifest::parse_file(store.manifest_path());
-  ASSERT_TRUE(m.has_value());
-  EXPECT_EQ(m->shard, 3u);  // prune preserves the manifest's shard id
-  EXPECT_EQ(m->snapshots, (std::vector<std::uint64_t>{5, 4}));
-  // Every epoch the manifest names still exists on disk.
-  for (const std::uint64_t e : m->snapshots) {
-    EXPECT_TRUE(std::filesystem::exists(store.path_for(e))) << "epoch " << e;
-  }
-  // A prune that deletes nothing leaves the manifest untouched.
-  const std::string before = read_file(store.manifest_path());
-  store.prune(2);
-  EXPECT_EQ(read_file(store.manifest_path()), before);
-}
-
 TEST_F(SnapshotStoreTest, CrashMidPruneNeverPinsDeletedSnapshot) {
-  // Walk every intermediate on-disk state of prune(keep=2)'s write
-  // sequence — manifest rewrite, then one deletion at a time — and
-  // require recovery (load_newest) to land on the newest surviving
-  // image at each point. This is exactly the set of states a crash at
-  // any instant mid-prune can leave behind.
-  for (int steps = 0; steps <= 4; ++steps) {
+  // Walk every intermediate on-disk state of prune(keep=2) — one
+  // deletion at a time — and require recovery (load_newest) to land on
+  // the newest image at each point. This is exactly the set of states a
+  // crash at any instant mid-prune can leave behind; the scan lists
+  // only files that exist, so none names a deleted snapshot.
+  for (int steps = 0; steps <= 3; ++steps) {
     SCOPED_TRACE(::testing::Message() << "crash after step " << steps);
     std::filesystem::remove_all(dir_);
     std::filesystem::create_directories(dir_);
     SnapshotStore store(dir_);
-    for (std::uint64_t e = 1; e <= 5; ++e)
-      store.write(e, sample_tree(40 + e, e), {});
-    store.write_manifest(0, {5, 4, 3, 2, 1});
+    for (std::uint64_t e = 1; e <= 5; ++e) store.write(e, sample_tree(40 + e, e), {});
 
-    // Replay prune's sequence, stopping after `steps` mutations.
-    int done = 0;
-    if (done++ < steps) store.write_manifest(0, {5, 4});
-    for (const std::uint64_t victim : {3u, 2u, 1u}) {
-      if (done++ < steps) std::filesystem::remove(store.path_for(victim));
-    }
+    // Replay prune's deletions, stopping after `steps` of them.
+    const std::uint64_t victims[] = {3, 2, 1};
+    for (int i = 0; i < steps; ++i) std::filesystem::remove(store.path_for(victims[i]));
 
-    const auto m = Manifest::parse_file(store.manifest_path());
-    ASSERT_TRUE(m.has_value());
-    for (const std::uint64_t e : m->snapshots) {
-      EXPECT_TRUE(std::filesystem::exists(store.path_for(e)))
-          << "manifest pins deleted epoch " << e;
-    }
+    EXPECT_EQ(store.list().size(), 5u - static_cast<std::size_t>(steps));
     const auto loaded = store.load_newest();
     ASSERT_TRUE(loaded.has_value());
     EXPECT_EQ(loaded->epoch, 5u);
     EXPECT_EQ(loaded->discarded, 0u);
-    EXPECT_FALSE(loaded->manifest_fallback);
+    EXPECT_EQ(loaded->tree.num_keys(), 45u);
   }
 }
 

@@ -421,6 +421,15 @@ TEST(ServeOptionsValidate, RejectsInconsistentCombinations) {
     EXPECT_THROW(opts.validate(1), ContractViolation);
   }
   {
+    // One retained snapshot leaves a torn newest image no predecessor.
+    ServeOptions opts;
+    opts.persist.dir = "unused";
+    opts.persist.retain = 1;
+    EXPECT_THROW(opts.validate(1), ContractViolation);
+    opts.persist.retain = 2;
+    EXPECT_NO_THROW(opts.validate(1));
+  }
+  {
     // A fault event must target an existing shard.
     ServeOptions opts;
     fault::FaultEvent e;

@@ -1,6 +1,6 @@
 # Byte-compares two persistence directories: both must hold the same
-# set of files (every shard's update.log, MANIFEST and retained
-# snap-*.img), and each pair must be identical. Two runs of one seeded
+# set of files (every shard's update.log and retained snap-*.img), and
+# each pair must be identical. Two runs of one seeded
 # config write the same bytes, so any difference is a determinism bug
 # in the write path.
 #

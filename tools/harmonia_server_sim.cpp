@@ -302,13 +302,12 @@ void print_report(const serve::ServerReport& rep) {
 
 void print_recoveries(const std::vector<persist::RecoveryReport>& recs) {
   for (const auto& r : recs) {
-    std::printf("recovery shard %-2u: %s epoch %llu%s%s | replayed %llu overlay "
+    std::printf("recovery shard %-2u: %s epoch %llu%s | replayed %llu overlay "
                 "+ %llu log ops (%llu batches)%s | %llu + %llu bytes | "
                 "modeled %.3f ms\n",
                 r.shard, r.rebuilt ? "rebuilt to" : "snapshot at",
                 static_cast<unsigned long long>(r.snapshot_epoch),
                 r.snapshots_discarded > 0 ? " (discarded newer)" : "",
-                r.manifest_fallback ? " (manifest torn, dir scan)" : "",
                 static_cast<unsigned long long>(r.overlay_replayed),
                 static_cast<unsigned long long>(r.ops_replayed),
                 static_cast<unsigned long long>(r.batches_replayed),
