@@ -1,14 +1,20 @@
 // Microbenchmarks of the GPU-simulator primitives (host cost of the
 // simulation itself, not simulated GPU time): coalescer, cache probes,
-// warp gathers, kernel launch (empty and gather-plus-compute kernels).
+// warp gathers, kernel launch (empty and gather-plus-compute kernels),
+// and device memory (image resync, per-batch buffers after an image).
 #include <benchmark/benchmark.h>
 
 #include <array>
+#include <vector>
 
+#include "btree/btree.hpp"
 #include "common/rng.hpp"
 #include "gpusim/cache.hpp"
 #include "gpusim/coalescer.hpp"
 #include "gpusim/device.hpp"
+#include "harmonia/device_image.hpp"
+#include "harmonia/tree.hpp"
+#include "queries/workload.hpp"
 
 namespace {
 
@@ -158,6 +164,54 @@ void BM_KernelLaunchGather(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(warps));
 }
 BENCHMARK(BM_KernelLaunchGather)->Arg(64)->Arg(2048)->Arg(65536)->UseRealTime();
+
+/// The 2^20-key, fanout-64 tree of the memory benches.
+const HarmoniaTree& image_tree() {
+  static const HarmoniaTree tree =
+      HarmoniaTree::from_btree(btree::make_tree(queries::make_tree_keys(1 << 20, 7), 64));
+  return tree;
+}
+
+/// Device-image resync as an epoch commit does it: release everything,
+/// then upload the whole tree again.
+void BM_ImageResync(benchmark::State& state) {
+  Device dev(titan_v());
+  const HarmoniaTree& tree = image_tree();
+  HarmoniaDeviceImage::upload(dev, tree);
+  const auto image_bytes = static_cast<std::int64_t>(dev.memory().global_used());
+  for (auto _ : state) {
+    dev.memory().free_all();
+    const auto image = HarmoniaDeviceImage::upload(dev, tree);
+    benchmark::DoNotOptimize(image.num_nodes);
+  }
+  state.SetBytesProcessed(state.iterations() * image_bytes);
+}
+BENCHMARK(BM_ImageResync)->Unit(benchmark::kMillisecond);
+
+/// 512 query batches after a fresh image: each batch allocates its 2048
+/// keys and results and uploads the keys, the way HarmoniaIndex::search
+/// does. Items are batches.
+void BM_BatchMallocAfterImage(benchmark::State& state) {
+  constexpr std::uint64_t kBatch = 2048;
+  constexpr int kBatches = 512;
+  Device dev(titan_v());
+  const HarmoniaTree& tree = image_tree();
+  const std::vector<Key> keys(kBatch, 1);
+  auto& mem = dev.memory();
+  for (auto _ : state) {
+    state.PauseTiming();
+    mem.free_all();
+    HarmoniaDeviceImage::upload(dev, tree);
+    state.ResumeTiming();
+    for (int b = 0; b < kBatches; ++b) {
+      const auto d_keys = mem.malloc<Key>(kBatch);
+      mem.copy_to_device(d_keys, std::span<const Key>(keys));
+      benchmark::DoNotOptimize(mem.malloc<Value>(kBatch));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * kBatches);
+}
+BENCHMARK(BM_BatchMallocAfterImage)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

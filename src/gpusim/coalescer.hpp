@@ -31,7 +31,8 @@ class LineSet {
  private:
   friend LineSet coalesce(std::span<const std::uint64_t>, LaneMask, unsigned, unsigned);
 
-  std::array<std::uint64_t, kCapacity> lines_{};  // only [0, size_) is meaningful
+  // Only [0, size_) is written: no zero-fill on every warp access.
+  std::array<std::uint64_t, kCapacity> lines_;
   std::size_t size_ = 0;
 };
 

@@ -1,5 +1,12 @@
 #include "gpusim/memory.hpp"
 
+#include <sys/mman.h>
+
+#include <algorithm>
+#include <cerrno>
+#include <system_error>
+#include <utility>
+
 namespace harmonia::gpusim {
 
 namespace {
@@ -12,8 +19,48 @@ std::uint64_t round_up(std::uint64_t v, std::uint64_t align) {
 
 Memory::Memory(std::uint64_t global_bytes, std::uint64_t const_bytes)
     : const_(const_bytes), global_capacity_(global_bytes) {
-  // Address 0 acts as the null device pointer: burn the first alignment unit.
+  // MAP_NORESERVE: the reservation is address space only; the host commits
+  // (zeroed) pages as they are first touched. The mapping is whole pages,
+  // so the null unit below is addressable even on a tiny segment.
+  void* base = ::mmap(nullptr, global_capacity_, PROT_READ | PROT_WRITE,
+                      MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  if (base == MAP_FAILED) {
+    throw std::system_error(errno, std::generic_category(),
+                            "cannot reserve simulated global memory");
+  }
+  global_ = static_cast<std::uint8_t*>(base);
+  // Address 0 acts as the null device pointer: burn the first alignment
+  // unit. It is addressable, so count it as possibly written.
   global_used_ = kAlign;
+  global_dirty_ = kAlign;
+}
+
+Memory::~Memory() {
+  if (global_ != nullptr) ::munmap(global_, global_capacity_);
+}
+
+Memory::Memory(Memory&& other) noexcept
+    : global_(std::exchange(other.global_, nullptr)),
+      const_(std::move(other.const_)),
+      global_capacity_(std::exchange(other.global_capacity_, 0)),
+      global_used_(std::exchange(other.global_used_, 0)),
+      global_dirty_(std::exchange(other.global_dirty_, 0)),
+      const_used_(std::exchange(other.const_used_, 0)) {
+  other.const_.clear();
+}
+
+Memory& Memory::operator=(Memory&& other) noexcept {
+  if (this != &other) {
+    if (global_ != nullptr) ::munmap(global_, global_capacity_);
+    global_ = std::exchange(other.global_, nullptr);
+    const_ = std::move(other.const_);
+    other.const_.clear();
+    global_capacity_ = std::exchange(other.global_capacity_, 0);
+    global_used_ = std::exchange(other.global_used_, 0);
+    global_dirty_ = std::exchange(other.global_dirty_, 0);
+    const_used_ = std::exchange(other.const_used_, 0);
+  }
+  return *this;
 }
 
 std::uint64_t Memory::alloc_bytes(std::uint64_t bytes, bool constant) {
@@ -30,17 +77,23 @@ std::uint64_t Memory::alloc_bytes(std::uint64_t bytes, bool constant) {
   HARMONIA_CHECK_MSG(base + bytes <= global_capacity_,
                      "global segment overflow: need " << bytes << " B at offset " << base
                                                       << ", capacity " << global_capacity_);
-  global_used_ = base + bytes;
-  if (global_.size() < global_used_) global_.resize(global_used_);
+  // Everything past the previous allocation reads as zero, alignment gap
+  // included. Bytes beyond the high-water mark were never written.
+  const std::uint64_t end = base + bytes;
+  if (global_used_ < global_dirty_) {
+    std::memset(global_ + global_used_, 0,
+                static_cast<std::size_t>(std::min(end, global_dirty_) - global_used_));
+  }
+  global_used_ = end;
+  global_dirty_ = std::max(global_dirty_, end);
   return base;
 }
 
 void Memory::free_all() {
+  HARMONIA_CHECK_MSG(global_ != nullptr, "free_all on a moved-from Memory");
   global_used_ = kAlign;
   const_used_ = 0;
-  global_.clear();
-  global_.shrink_to_fit();
-  global_.resize(kAlign);
+  std::memset(global_, 0, kAlign);
 }
 
 void Memory::read_bytes(std::uint64_t addr, void* out, std::size_t n) const {
@@ -50,9 +103,9 @@ void Memory::read_bytes(std::uint64_t addr, void* out, std::size_t n) const {
                        "constant read out of bounds at " << off);
     std::memcpy(out, const_.data() + off, n);
   } else {
-    HARMONIA_CHECK_MSG(addr <= global_.size() && n <= global_.size() - addr,
+    HARMONIA_CHECK_MSG(addr <= global_used_ && n <= global_used_ - addr,
                        "global read out of bounds at " << addr);
-    std::memcpy(out, global_.data() + addr, n);
+    std::memcpy(out, global_ + addr, n);
   }
 }
 
@@ -63,9 +116,9 @@ void Memory::write_bytes(std::uint64_t addr, const void* in, std::size_t n) {
                        "constant write out of bounds at " << off);
     std::memcpy(const_.data() + off, in, n);
   } else {
-    HARMONIA_CHECK_MSG(addr <= global_.size() && n <= global_.size() - addr,
+    HARMONIA_CHECK_MSG(addr <= global_used_ && n <= global_used_ - addr,
                        "global write out of bounds at " << addr);
-    std::memcpy(global_.data() + addr, in, n);
+    std::memcpy(global_ + addr, in, n);
   }
 }
 

@@ -4,6 +4,13 @@
 // the constant segment lives at kConstBase so the warp-load path can route
 // accesses to the constant cache by address alone, the way real hardware
 // routes `__constant__` accesses through the constant cache.
+//
+// The global segment is one reservation per device: an anonymous host
+// mapping of the device's whole global capacity, made at construction.
+// The host commits only the pages that allocations touch (peak RSS counts
+// touched pages, not the capacity), a fresh allocation always reads as
+// zero, and free_all() keeps the pages, so re-uploading an image of the
+// same size neither reallocates nor faults it in again.
 #pragma once
 
 #include <cstdint>
@@ -35,8 +42,14 @@ struct DevPtr {
 class Memory {
  public:
   Memory(std::uint64_t global_bytes, std::uint64_t const_bytes);
+  ~Memory();
+  Memory(Memory&& other) noexcept;
+  Memory& operator=(Memory&& other) noexcept;
+  Memory(const Memory&) = delete;
+  Memory& operator=(const Memory&) = delete;
 
   /// Bump-allocates `count` elements in global memory, 256 B aligned.
+  /// The new bytes read as zero.
   template <typename T>
   DevPtr<T> malloc(std::uint64_t count) {
     return DevPtr<T>{alloc_bytes(count * sizeof(T), /*constant=*/false)};
@@ -48,7 +61,8 @@ class Memory {
     return DevPtr<T>{alloc_bytes(count * sizeof(T), /*constant=*/true)};
   }
 
-  /// Releases everything allocated so far (both segments).
+  /// Releases everything allocated so far (both segments). The global
+  /// segment's host pages stay committed for the next allocations.
   void free_all();
 
   template <typename T>
@@ -69,7 +83,7 @@ class Memory {
   T read(std::uint64_t addr) const {
     T out;
     if (in_global(addr, sizeof(T))) {
-      std::memcpy(&out, global_.data() + addr, sizeof(T));
+      std::memcpy(&out, global_ + addr, sizeof(T));
     } else {
       read_bytes(addr, &out, sizeof(T));
     }
@@ -80,7 +94,7 @@ class Memory {
   template <typename T>
   void write(std::uint64_t addr, const T& value) {
     if (in_global(addr, sizeof(T))) {
-      std::memcpy(global_.data() + addr, &value, sizeof(T));
+      std::memcpy(global_ + addr, &value, sizeof(T));
     } else {
       write_bytes(addr, &value, sizeof(T));
     }
@@ -97,19 +111,22 @@ class Memory {
  private:
   std::uint64_t alloc_bytes(std::uint64_t bytes, bool constant);
 
-  /// True iff [addr, addr+n) lies inside the committed global segment.
+  /// True iff [addr, addr+n) lies inside the allocated global segment.
   /// The kConstBase test also rules out addr+n wrapping around.
   bool in_global(std::uint64_t addr, std::size_t n) const {
-    return addr < kConstBase && addr + n <= global_.size();
+    return addr < kConstBase && addr + n <= global_used_;
   }
 
-  /// Host backing store for the global segment grows on demand (the
-  /// simulated device "has" global_capacity_ bytes, but the host only
-  /// commits what allocations actually touch).
-  std::vector<std::uint8_t> global_;
+  /// Host mapping of the whole global segment. A moved-from Memory has
+  /// none (capacity 0, every access throws) and may only be destroyed or
+  /// assigned to.
+  std::uint8_t* global_ = nullptr;
   std::vector<std::uint8_t> const_;
   std::uint64_t global_capacity_ = 0;
   std::uint64_t global_used_ = 0;
+  /// High-water mark of global_used_: only [0, global_dirty_) can hold
+  /// bytes written since the mapping was made.
+  std::uint64_t global_dirty_ = 0;
   std::uint64_t const_used_ = 0;
 };
 

@@ -24,8 +24,8 @@ RangeStats range_batch(gpusim::Device& device, const HarmoniaDeviceImage& image,
 
   auto kernel = [&](gpusim::WarpCtx& w) {
     const std::uint64_t q = w.warp_id();
-    std::array<std::uint64_t, 32> addrs{};
-    std::array<Key, 32> keys{};
+    std::array<std::uint64_t, 32> addrs;
+    std::array<Key, 32> keys;
 
     // Lane 0 loads the bounds; broadcast.
     addrs[0] = los.element_addr(q);
@@ -61,6 +61,7 @@ RangeStats range_batch(gpusim::Device& device, const HarmoniaDeviceImage& image,
           }
         }
       }
+      // Zeroed only because GCC cannot see that the gather fills lane 0.
       std::array<std::uint32_t, 32> ps{};
       addrs[0] = image.ps_addr(node);
       w.gather<std::uint32_t>(gpusim::lane_bit(0), std::span(addrs.data(), warp), ps);
@@ -80,7 +81,7 @@ RangeStats range_batch(gpusim::Device& device, const HarmoniaDeviceImage& image,
     Value oval = 0;
     std::uint8_t otomb = 0;
     bool ohave = false;
-    std::array<Key, 32> okeys{};
+    std::array<Key, 32> okeys{};  // zeroed for GCC, as `ps` above
     if (oend > 0) {
       std::uint32_t blo = 0;
       std::uint32_t bhi = oend;
@@ -114,12 +115,12 @@ RangeStats range_batch(gpusim::Device& device, const HarmoniaDeviceImage& image,
     const std::uint64_t leaf_base = static_cast<std::uint64_t>(node) * kpn;
     const std::uint64_t region_end = static_cast<std::uint64_t>(image.num_nodes) * kpn;
     std::uint32_t count = 0;
-    std::array<std::uint64_t, 32> val_addrs{};
-    std::array<Value, 32> vals{};
+    std::array<std::uint64_t, 32> val_addrs;
+    std::array<Value, 32> vals;
     // Merged results stage in compact lanes and scatter a warp at a time
     // (output addresses are contiguous, so the writes stay coalesced).
-    std::array<std::uint64_t, 32> out_addrs{};
-    std::array<Value, 32> out_buf{};
+    std::array<std::uint64_t, 32> out_addrs;
+    std::array<Value, 32> out_buf;
     unsigned buffered = 0;
     const auto flush_out = [&] {
       if (buffered == 0) return;
@@ -204,8 +205,8 @@ RangeStats range_batch(gpusim::Device& device, const HarmoniaDeviceImage& image,
     flush_out();
 
     // Lane 0 writes the count.
-    std::array<std::uint64_t, 32> cnt_addr{};
-    std::array<std::uint32_t, 32> cnt_val{};
+    std::array<std::uint64_t, 32> cnt_addr;
+    std::array<std::uint32_t, 32> cnt_val;
     cnt_addr[0] = out_counts.element_addr(q);
     cnt_val[0] = count;
     results[q] = count;

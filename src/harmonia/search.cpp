@@ -44,15 +44,17 @@ SearchStats search_batch(gpusim::Device& device, const HarmoniaDeviceImage& imag
     std::uint32_t warp_chunk_steps = 0;
     const unsigned nq = static_cast<unsigned>(std::min<std::uint64_t>(qpw, n - base));
 
-    std::array<std::uint64_t, 32> addrs{};
-    std::array<Key, 32> lane_keys{};
-    std::array<Key, 32> target{};          // per group
-    std::array<std::uint32_t, 32> node{};  // per group, BFS index
-    std::array<std::uint32_t, 32> ps{};    // per group, prefix-sum value
-    std::array<unsigned, 32> sep_leq{};    // per group, separators <= target
-    std::array<bool, 32> group_done{};
+    // Per-warp scratch is written before it is read (no lane outside a
+    // gather's mask is read back), so only `found` and `resolved` start zeroed.
+    std::array<std::uint64_t, 32> addrs;
+    std::array<Key, 32> lane_keys;
+    std::array<Key, 32> target;          // per group
+    std::array<std::uint32_t, 32> node;  // per group, BFS index
+    std::array<std::uint32_t, 32> ps;    // per group, prefix-sum value
+    std::array<unsigned, 32> sep_leq;    // per group, separators <= target
+    std::array<bool, 32> group_done;
     std::array<bool, 32> found{};
-    std::array<unsigned, 32> found_slot{};
+    std::array<unsigned, 32> found_slot;
 
     // Load this warp's queries: the leader lane of each group issues the
     // read; the values then broadcast within the group (register shuffle).
@@ -62,7 +64,7 @@ SearchStats search_batch(gpusim::Device& device, const HarmoniaDeviceImage& imag
       addrs[g * gs] = queries.element_addr(base + g);
     }
     {
-      std::array<Key, 32> qvals{};
+      std::array<Key, 32> qvals;
       if (config.account_query_load) {
         w.gather<Key>(leader_mask, std::span(addrs.data(), warp), qvals);
       } else {
@@ -82,11 +84,11 @@ SearchStats search_batch(gpusim::Device& device, const HarmoniaDeviceImage& imag
     // steps. A hit resolves the query right here (live entry -> its
     // value, tombstone -> not-found) and the group skips the tree walk.
     std::array<bool, 32> resolved{};
-    std::array<Value, 32> res_val{};
+    std::array<Value, 32> res_val;
     const DeltaOverlayImage& ov = image.overlay;
     if (ov.count > 0) {
-      std::array<std::uint32_t, 32> olo{};
-      std::array<std::uint32_t, 32> ohi{};
+      std::array<std::uint32_t, 32> olo;
+      std::array<std::uint32_t, 32> ohi;
       for (unsigned g = 0; g < nq; ++g) {
         olo[g] = 0;
         ohi[g] = ov.count;
@@ -129,7 +131,7 @@ SearchStats search_batch(gpusim::Device& device, const HarmoniaDeviceImage& imag
           addrs[g * gs] = ov.tombstone_addr(olo[g]);
         }
         if (hitm != 0) {
-          std::array<std::uint8_t, 32> tombs{};
+          std::array<std::uint8_t, 32> tombs;
           w.gather<std::uint8_t>(hitm, std::span(addrs.data(), warp), tombs);
           LaneMask livem = 0;
           for (unsigned g = 0; g < nq; ++g) {
@@ -137,7 +139,7 @@ SearchStats search_batch(gpusim::Device& device, const HarmoniaDeviceImage& imag
             livem |= gpusim::lane_bit(g * gs);
             addrs[g * gs] = ov.value_addr(olo[g]);
           }
-          std::array<Value, 32> ovals{};
+          std::array<Value, 32> ovals;
           if (livem != 0) {
             w.gather<Value>(livem, std::span(addrs.data(), warp), ovals);
           }
@@ -220,7 +222,7 @@ SearchStats search_batch(gpusim::Device& device, const HarmoniaDeviceImage& imag
           addrs[g * gs] = image.ps_addr(node[g]);
         }
         if (mask != 0) {
-          std::array<std::uint32_t, 32> ps_vals{};
+          std::array<std::uint32_t, 32> ps_vals;
           w.gather<std::uint32_t>(mask, std::span(addrs.data(), warp), ps_vals);
           w.compute(mask);  // index arithmetic
           for (unsigned g = 0; g < nq; ++g) {
@@ -234,7 +236,7 @@ SearchStats search_batch(gpusim::Device& device, const HarmoniaDeviceImage& imag
 
     // Fetch values for hits and write results.
     LaneMask hit_mask = 0;
-    std::array<Value, 32> vals{};
+    std::array<Value, 32> vals;
     for (unsigned g = 0; g < nq; ++g) {
       if (found[g]) {
         hit_mask |= gpusim::lane_bit(g * gs);
@@ -245,7 +247,7 @@ SearchStats search_batch(gpusim::Device& device, const HarmoniaDeviceImage& imag
       w.gather<Value>(hit_mask, std::span(addrs.data(), warp), vals);
     }
     LaneMask out_mask = 0;
-    std::array<Value, 32> out_vals{};
+    std::array<Value, 32> out_vals;
     for (unsigned g = 0; g < nq; ++g) {
       const unsigned lane = g * gs;
       out_mask |= gpusim::lane_bit(lane);

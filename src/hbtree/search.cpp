@@ -25,13 +25,15 @@ HBSearchStats hb_search_batch(gpusim::Device& device, const HBTreeDeviceImage& i
     const std::uint64_t base = w.warp_id() * qpw;
     const unsigned nq = static_cast<unsigned>(std::min<std::uint64_t>(qpw, n - base));
 
-    std::array<std::uint64_t, 32> addrs{};
-    std::array<Key, 32> lane_keys{};
-    std::array<Key, 32> target{};
+    // Scratch is written before it is read; `node` (the root) and `found`
+    // start zeroed.
+    std::array<std::uint64_t, 32> addrs;
+    std::array<Key, 32> lane_keys;
+    std::array<Key, 32> target;
     std::array<std::uint32_t, 32> node{};
-    std::array<unsigned, 32> sep_leq{};
+    std::array<unsigned, 32> sep_leq;
     std::array<bool, 32> found{};
-    std::array<unsigned, 32> found_slot{};
+    std::array<unsigned, 32> found_slot;
 
     LaneMask leader_mask = 0;
     for (unsigned g = 0; g < nq; ++g) {
@@ -39,7 +41,7 @@ HBSearchStats hb_search_batch(gpusim::Device& device, const HBTreeDeviceImage& i
       addrs[g * gs] = queries.element_addr(base + g);
     }
     {
-      std::array<Key, 32> qvals{};
+      std::array<Key, 32> qvals;
       w.gather<Key>(leader_mask, std::span(addrs.data(), warp), qvals);
       for (unsigned g = 0; g < nq; ++g) target[g] = qvals[g * gs];
       w.compute(leader_mask);
@@ -90,7 +92,7 @@ HBSearchStats hb_search_batch(gpusim::Device& device, const HBTreeDeviceImage& i
           mask |= gpusim::lane_bit(g * gs);
           addrs[g * gs] = image.child_ref_addr(node[g], sep_leq[g]);
         }
-        std::array<std::uint32_t, 32> refs{};
+        std::array<std::uint32_t, 32> refs;
         w.gather<std::uint32_t>(mask, std::span(addrs.data(), warp), refs);
         w.compute(mask);
         for (unsigned g = 0; g < nq; ++g) node[g] = refs[g * gs];
@@ -98,7 +100,7 @@ HBSearchStats hb_search_batch(gpusim::Device& device, const HBTreeDeviceImage& i
     }
 
     LaneMask hit_mask = 0;
-    std::array<Value, 32> vals{};
+    std::array<Value, 32> vals;
     for (unsigned g = 0; g < nq; ++g) {
       if (found[g]) {
         hit_mask |= gpusim::lane_bit(g * gs);
@@ -109,7 +111,7 @@ HBSearchStats hb_search_batch(gpusim::Device& device, const HBTreeDeviceImage& i
       w.gather<Value>(hit_mask, std::span(addrs.data(), warp), vals);
     }
     LaneMask out_mask = 0;
-    std::array<Value, 32> out_vals{};
+    std::array<Value, 32> out_vals;
     for (unsigned g = 0; g < nq; ++g) {
       const unsigned lane = g * gs;
       out_mask |= gpusim::lane_bit(lane);

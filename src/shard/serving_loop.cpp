@@ -532,10 +532,8 @@ void ShardedServer::finish_run(ServerReport& report) {
   report.faults = injector_.report();
   obs::MetricsRegistry* m = config_.obs.metrics;
   if (config_.durability != nullptr) {
-    for (unsigned s = 0; s < num_shards(); ++s) {
-      report.log_batches += config_.durability->shard(s)->log_batches();
-      report.snapshots_written += config_.durability->shard(s)->snapshots_written();
-    }
+    report.log_batches += config_.durability->total_log_batches();
+    report.snapshots_written += config_.durability->total_snapshots_written();
     if (m != nullptr) {
       m->gauge("persist_log_batches").set(static_cast<double>(report.log_batches));
       m->gauge("persist_snapshots_written")

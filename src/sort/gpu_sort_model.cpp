@@ -12,9 +12,9 @@ unsigned psa_bits(unsigned key_bits, std::uint64_t tree_size, unsigned keys_per_
   HARMONIA_CHECK(key_bits >= 1 && key_bits <= 64);
   HARMONIA_CHECK(tree_size > 0);
   HARMONIA_CHECK(keys_per_line > 0);
-  // N = B - log2(2^B / T * K). With log2: N = log2(T) - log2(K), clamped
-  // to [0, key_bits]. Using ceil(log2 T) keeps the conservative reading of
-  // the paper's analysis ("the key value is full in its space").
+  // N = B - log2(2^B / T * K). With log2: N = log2(T) - log2(K), rounded
+  // to the nearest integer (std::lround, halves away from zero) and
+  // clamped to [0, key_bits]; it is 0 when T <= K.
   const double log_t = std::log2(static_cast<double>(tree_size));
   const double log_k = std::log2(static_cast<double>(keys_per_line));
   const double n = log_t - log_k;

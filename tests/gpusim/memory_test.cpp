@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "common/expect.hpp"
+#include "gpusim/device.hpp"
+#include "gpusim/device_spec.hpp"
 
 namespace harmonia::gpusim {
 namespace {
@@ -131,6 +135,91 @@ TEST(Memory, AddressesNearTheTopOfTheSpaceThrow) {
   const std::uint64_t top = ~std::uint64_t{0} - 3;
   EXPECT_THROW(mem.read<std::uint64_t>(top), ContractViolation);
   EXPECT_THROW(mem.write(top, std::uint64_t{1}), ContractViolation);
+}
+
+// Every global byte in [0, global_used) read back through the checked path.
+std::vector<std::uint8_t> global_bytes(const Memory& mem) {
+  std::vector<std::uint8_t> out(mem.global_used());
+  mem.read_bytes(0, out.data(), out.size());
+  return out;
+}
+
+bool all_zero(const std::vector<std::uint8_t>& bytes) {
+  return std::all_of(bytes.begin(), bytes.end(), [](std::uint8_t b) { return b == 0; });
+}
+
+TEST(Memory, FreshAllocationAfterFreeAllReadsZero) {
+  Memory mem(1 << 20, 64 << 10);
+  // Odd sizes leave alignment gaps; the pattern covers every allocated byte.
+  const auto a = mem.malloc<std::uint8_t>(1000);
+  const auto b = mem.malloc<std::uint8_t>(5000);
+  const std::vector<std::uint8_t> pattern(5000, 0xab);
+  mem.copy_to_device(a, std::span<const std::uint8_t>(pattern.data(), 1000));
+  mem.copy_to_device(b, std::span<const std::uint8_t>(pattern));
+  mem.write(std::uint64_t{0}, std::uint64_t{0x0123456789abcdef});  // the null unit too
+  ASSERT_FALSE(all_zero(global_bytes(mem)));
+
+  mem.free_all();
+  const auto same = mem.malloc<std::uint8_t>(1000);
+  EXPECT_EQ(same.addr, a.addr);
+  EXPECT_TRUE(all_zero(global_bytes(mem)));
+  // Reaches past the old high-water mark: dirty bytes, then never-touched ones.
+  const auto larger = mem.malloc<std::uint8_t>(6000);
+  EXPECT_EQ(larger.addr, b.addr);
+  EXPECT_GT(mem.global_used(), b.addr + 5000);
+  EXPECT_TRUE(all_zero(global_bytes(mem)));
+}
+
+TEST(Memory, ReadPastUsedAfterFreeAllThrows) {
+  Memory mem(1 << 20, 64 << 10);
+  const auto p = mem.malloc<std::uint64_t>(512);
+  const std::uint64_t addr = p.element_addr(300);
+  mem.write(addr, std::uint64_t{42});
+  ASSERT_EQ(mem.read<std::uint64_t>(addr), 42u);
+
+  mem.free_all();
+  std::uint64_t out = 0;
+  EXPECT_THROW(mem.read_bytes(addr, &out, sizeof out), ContractViolation);
+  EXPECT_THROW(mem.read<std::uint64_t>(addr), ContractViolation);
+  EXPECT_THROW(mem.write(addr, std::uint64_t{1}), ContractViolation);
+}
+
+TEST(Memory, MoveTransfersTheReservation) {
+  Memory a(1 << 20, 64 << 10);
+  const auto g = a.malloc<std::uint64_t>(4);
+  const auto c = a.const_malloc<std::uint64_t>(4);
+  a.write(g.element_addr(1), std::uint64_t{7});
+  a.write(c.element_addr(1), std::uint64_t{9});
+  const std::uint64_t used = a.global_used();
+
+  Memory b(std::move(a));
+  EXPECT_EQ(b.global_capacity(), 1u << 20);
+  EXPECT_EQ(b.global_used(), used);
+  EXPECT_EQ(b.read<std::uint64_t>(g.element_addr(1)), 7u);
+  EXPECT_EQ(b.read<std::uint64_t>(c.element_addr(1)), 9u);
+  // The moved-from Memory owns no segment: every access throws.
+  EXPECT_EQ(a.global_capacity(), 0u);
+  EXPECT_THROW(a.read<std::uint64_t>(g.element_addr(1)), ContractViolation);
+  EXPECT_THROW(a.malloc<std::uint64_t>(1), ContractViolation);
+
+  Memory d(4 << 10, 1 << 10);
+  d = std::move(b);
+  EXPECT_EQ(d.global_capacity(), 1u << 20);
+  EXPECT_EQ(d.read<std::uint64_t>(g.element_addr(1)), 7u);
+  d.free_all();
+  EXPECT_EQ(d.malloc<std::uint64_t>(4).addr, g.addr);
+}
+
+// Each device reserves its whole 12 GiB global segment up front; the
+// reservation is address space only and is released with the device.
+TEST(Memory, SixtyFourTitanVDevicesReserveAndRelease) {
+  for (int i = 0; i < 64; ++i) {
+    Device dev(titan_v());
+    ASSERT_EQ(dev.memory().global_capacity(), 12ULL << 30);
+    const auto p = dev.memory().malloc<std::uint64_t>(1 << 10);
+    dev.memory().write(p.element_addr(1023), std::uint64_t{1});
+    EXPECT_EQ(dev.memory().read<std::uint64_t>(p.element_addr(1023)), 1u);
+  }
 }
 
 }  // namespace
