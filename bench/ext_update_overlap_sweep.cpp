@@ -10,7 +10,7 @@
 // and the tail tightens, at the price of a (tiny) swap wait. Delta
 // (incremental) goes further: each epoch patches the committed image in
 // place through the key-region gaps and the device overlay, so both the
-// build (cheap patch ops instead of an Algorithm-1 shadow build) and the
+// build (cheap patch ops instead of a full Algorithm-1 build) and the
 // upload (dirty leaves instead of a full image) collapse; only epochs
 // that exhaust their gaps/overlay fall back to a full compaction. The
 // per-stage columns (build | upload | swap wait | stall) plus the delta

@@ -68,26 +68,20 @@ ImageChecksums host_checksums(const HarmoniaTree& tree) {
 ImageChecksums device_checksums(const HarmoniaIndex& index) {
   const auto& mem = index.device().memory();
   const auto& img = index.image();
-  const auto& tree = index.tree();
+  const TreeView regions = index.committed();
 
   ImageChecksums sums;
-
-  std::vector<std::uint8_t> buf(tree.key_region().size() * sizeof(Key));
-  if (!buf.empty()) mem.read_bytes(img.key_region.addr, buf.data(), buf.size());
-  sums.keys = crc32(buf.data(), buf.size());
+  sums.keys = crc_span(regions.keys);
 
   // Prefix sum as the kernel would read it: ps_addr routes the top
   // `ps_const_count` nodes to the constant segment, the rest to global.
-  std::vector<std::uint32_t> ps(tree.prefix_sum().size());
+  std::vector<std::uint32_t> ps(regions.prefix_sum.size());
   for (std::uint32_t node = 0; node < ps.size(); ++node) {
     ps[node] = mem.read<std::uint32_t>(img.ps_addr(node));
   }
-  sums.prefix_sum = crc32(ps.data(), ps.size() * sizeof(std::uint32_t));
+  sums.prefix_sum = crc_span(std::span<const std::uint32_t>(ps));
 
-  buf.assign(tree.value_region().size() * sizeof(Value), 0);
-  if (!buf.empty()) mem.read_bytes(img.value_region.addr, buf.data(), buf.size());
-  sums.values = crc32(buf.data(), buf.size());
-
+  sums.values = crc_span(regions.values);
   return sums;
 }
 

@@ -1,13 +1,13 @@
 // CRC32 integrity checks over a HarmoniaIndex's device image.
 //
-// Detection layer of the fault framework: the host tree is the source of
-// truth, so the expected checksum of every image region (key region,
-// prefix-sum array as served through its const/global routing, value
-// region) can be computed host-side and compared against what actually
-// sits in simulated device memory. A resync that was corrupted in flight
-// (FaultKind::kResyncCorruption) is caught here — before any query is
-// served from the damaged image — and answered with a re-image, never
-// with a wrong result.
+// Detection layer of the fault framework: right after a commit the host
+// tree is exactly what the image must hold, so the expected checksum of
+// every image region (key region, prefix-sum array as served through its
+// const/global routing, value region) can be computed host-side and
+// compared against what actually sits in simulated device memory. A
+// resync that was corrupted in flight (FaultKind::kResyncCorruption) is
+// caught here — before any query is served from the damaged image — and
+// answered with a re-image, never with a wrong result.
 #pragma once
 
 #include <cstddef>
@@ -41,7 +41,8 @@ ImageChecksums host_checksums(const HarmoniaTree& tree);
 /// models a host-side DMA readback validation).
 ImageChecksums device_checksums(const HarmoniaIndex& index);
 
-/// True when the device image matches the host tree byte-for-byte.
+/// True when the device image matches the host tree byte-for-byte: an
+/// audit of a fresh commit or re-image (a staged host tree leads it).
 inline bool verify_image(const HarmoniaIndex& index) {
   return host_checksums(index.tree()) == device_checksums(index);
 }

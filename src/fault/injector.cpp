@@ -160,30 +160,27 @@ bool FaultInjector::maybe_corrupt_resync(unsigned shard, HarmoniaIndex& index,
     SplitMix64 sm(0x8badf00dULL ^ (static_cast<std::uint64_t>(i) << 20) ^ shard);
     auto& mem = index.device().memory();
     const auto& img = index.image();
-    const auto& tree = index.tree();
+    const TreeView regions = index.committed();
     for (unsigned b = 0; b < s.ev.bytes; ++b) {
       const std::uint64_t pick = sm.next();
       std::uint64_t addr = 0;
       switch (pick % 3) {
         case 0:
-          addr = img.key_region.addr +
-                 sm.next() % (tree.key_region().size() * sizeof(Key));
+          addr = img.key_region.addr + sm.next() % regions.keys.size_bytes();
           break;
         case 1: {
           // Route through ps_addr so the flip lands where the kernel (and
           // the audit) actually reads: const segment for top nodes.
           const std::uint32_t node =
-              static_cast<std::uint32_t>(sm.next() % tree.prefix_sum().size());
+              static_cast<std::uint32_t>(sm.next() % regions.prefix_sum.size());
           addr = img.ps_addr(node) + sm.next() % sizeof(std::uint32_t);
           break;
         }
         default:
-          if (tree.value_region().empty()) {
-            addr = img.key_region.addr +
-                   sm.next() % (tree.key_region().size() * sizeof(Key));
+          if (regions.values.empty()) {
+            addr = img.key_region.addr + sm.next() % regions.keys.size_bytes();
           } else {
-            addr = img.value_region.addr +
-                   sm.next() % (tree.value_region().size() * sizeof(Value));
+            addr = img.value_region.addr + sm.next() % regions.values.size_bytes();
           }
           break;
       }
@@ -206,7 +203,7 @@ double FaultInjector::audit_and_repair(unsigned shard, HarmoniaIndex& index,
   ++report_.reimages;
   index.resync_device();
   HARMONIA_CHECK_MSG(verify_image(index), "device image corrupt after re-image");
-  const double seconds = image_resync_seconds(index.tree(), link);
+  const double seconds = image_resync_seconds(index.committed(), link);
   report_.reimage_seconds += seconds;
   if (obs_.active()) {
     if (mismatches_ != nullptr) mismatches_->inc();

@@ -100,6 +100,16 @@ class Memory {
     }
   }
 
+  /// Simulator-side read-only view of `count` elements at `p`, for host
+  /// code that reads what the device holds (a host walk of the committed
+  /// image). No access is accounted; bounds are checked like read_bytes.
+  template <typename T>
+  std::span<const T> view(DevPtr<T> p, std::uint64_t count) const {
+    if (count == 0) return {};
+    HARMONIA_CHECK_MSG(in_global(p.addr, count * sizeof(T)), "device view out of bounds");
+    return {reinterpret_cast<const T*>(global_ + p.addr), count};
+  }
+
   std::uint64_t global_used() const { return global_used_; }
   std::uint64_t const_used() const { return const_used_; }
   std::uint64_t global_capacity() const { return global_capacity_; }

@@ -12,6 +12,7 @@ HarmoniaDeviceImage HarmoniaDeviceImage::upload(gpusim::Device& device,
   img.height = tree.height();
   img.num_nodes = tree.num_nodes();
   img.first_leaf = tree.first_leaf_index();
+  img.num_keys = tree.num_keys();
 
   auto& mem = device.memory();
 
@@ -45,6 +46,14 @@ HarmoniaDeviceImage HarmoniaDeviceImage::upload(gpusim::Device& device,
     img.ps_const_count = const_count;
   }
   return img;
+}
+
+TreeView HarmoniaDeviceImage::view(const gpusim::Memory& memory) const {
+  if (num_nodes == 0) return TreeView{};
+  const std::uint64_t kpn = keys_per_node();
+  return {height, keys_per_node(), num_nodes, first_leaf,
+          memory.view(key_region, num_nodes * kpn), memory.view(ps_global, num_nodes + 1ULL),
+          memory.view(value_region, (num_nodes - first_leaf) * kpn)};
 }
 
 }  // namespace harmonia

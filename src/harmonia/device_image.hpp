@@ -39,6 +39,9 @@ struct HarmoniaDeviceImage {
   unsigned height = 0;
   std::uint32_t num_nodes = 0;
   std::uint32_t first_leaf = 0;
+  /// Keys in the base regions: Equation 2's n for the batches this image
+  /// serves. Set at upload, refreshed by HarmoniaIndex::commit_patch.
+  std::uint64_t num_keys = 0;
 
   gpusim::DevPtr<Key> key_region;
   gpusim::DevPtr<Value> value_region;
@@ -70,6 +73,10 @@ struct HarmoniaDeviceImage {
     return value_region.element_addr(
         static_cast<std::uint64_t>(leaf_node - first_leaf) * keys_per_node() + slot);
   }
+
+  /// The uploaded regions, read in place through `memory` (the global
+  /// mirror of the prefix-sum array holds every node).
+  TreeView view(const gpusim::Memory& memory) const;
 
   /// Uploads `tree` into `device` memory. `const_budget_bytes` caps how
   /// much of the prefix-sum array goes to constant memory (whole levels

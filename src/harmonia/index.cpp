@@ -1,7 +1,7 @@
 #include "harmonia/index.hpp"
 
 #include <algorithm>
-#include <type_traits>
+#include <ranges>
 
 #include "common/expect.hpp"
 #include "common/timer.hpp"
@@ -9,6 +9,50 @@
 #include "harmonia/range.hpp"
 
 namespace harmonia {
+
+namespace {
+
+/// A range walk of `base` with the `n` key-sorted overlay patches `at(i)`
+/// merged over it: shared by the host mirror and the committed device
+/// overlay.
+template <typename At>
+std::vector<btree::Entry> merged_range(const TreeView& base, std::size_t n, const At& at,
+                                       Key lo, Key hi, std::size_t limit) {
+  if (n == 0) return base.range(lo, hi, limit);
+  // Tombstones can only remove n entries, so a base scan of limit + n is
+  // always enough to fill `limit` merged results.
+  const std::vector<btree::Entry> base_entries =
+      base.range(lo, hi, limit == 0 ? 0 : limit + n);
+
+  std::vector<btree::Entry> merged;
+  std::size_t o = *std::ranges::partition_point(
+      std::views::iota(std::size_t{0}, n), [&](std::size_t i) { return at(i).key < lo; });
+  const auto full = [&] { return limit != 0 && merged.size() >= limit; };
+  for (const btree::Entry& e : base_entries) {
+    for (; o < n && at(o).key < e.key && !full(); ++o) {
+      if (!at(o).tombstone) merged.push_back({at(o).key, at(o).value});
+    }
+    if (full()) return merged;
+    if (o < n && at(o).key == e.key) {
+      if (!at(o).tombstone) merged.push_back({e.key, at(o).value});
+      ++o;  // tombstone: the base entry is hidden
+    } else {
+      merged.push_back(e);
+    }
+    if (full()) return merged;
+  }
+  for (; o < n && at(o).key <= hi && !full(); ++o) {
+    if (!at(o).tombstone) merged.push_back({at(o).key, at(o).value});
+  }
+  return merged;
+}
+
+std::optional<Value> first_value(const std::vector<btree::Entry>& entries) {
+  if (entries.empty()) return std::nullopt;
+  return entries.front().value;
+}
+
+}  // namespace
 
 HarmoniaIndex::HarmoniaIndex(gpusim::Device& device, HarmoniaTree tree,
                              const Options& options)
@@ -34,7 +78,7 @@ HarmoniaIndex::QueryResult HarmoniaIndex::search(std::span<const Key> batch,
   QueryResult result;
 
   // PSA: decide issue order and the simulated sort cost (§4.1).
-  PsaPlan plan = psa_prepare(batch, tree().num_keys(), device_.spec(), qopts.psa,
+  PsaPlan plan = psa_prepare(batch, image_.num_keys, device_.spec(), qopts.psa,
                              qopts.psa_override_bits);
   result.sorted_bits = plan.sorted_bits;
   result.sort_cycles = plan.sort_cycles;
@@ -153,47 +197,23 @@ HarmoniaIndex::RangeResult HarmoniaIndex::scan_device(
 
 UpdateStats HarmoniaIndex::update_batch(std::span<const queries::UpdateOp> ops,
                                         unsigned threads) {
-  UpdateStats stats;
-  if (!overlay_.empty()) {
-    // Fold the overlay into the batch ahead of the caller's ops: the full
-    // rebuild + resync below subsumes every patch, so the overlay empties.
-    std::vector<queries::UpdateOp> fold = overlay_as_ops();
-    fold.insert(fold.end(), ops.begin(), ops.end());
-    overlay_.clear();
-    stats = updater_->apply(fold, threads);
-  } else {
-    stats = updater_->apply(ops, threads);
-  }
-  discard_patch();  // superseded by the full resync
-  sync_device();
+  // Fold the overlay into the batch ahead of the caller's ops: the full
+  // rebuild + resync subsumes every patch, so the overlay empties.
+  std::vector<queries::UpdateOp> fold = overlay_as_ops();
+  fold.insert(fold.end(), ops.begin(), ops.end());
+  const UpdateStats stats = stage_update(fold, threads).stats;
+  commit_staged({});
   return stats;
 }
 
 HarmoniaIndex::StagedUpdate HarmoniaIndex::stage_update(
     std::span<const queries::UpdateOp> ops, unsigned threads) {
   StagedUpdate staged;
-  staged.updater =
-      std::make_unique<BatchUpdater>(updater_->tree(), options_.fill_factor);
-  staged.stats = staged.updater->apply(ops, threads);
+  staged.stats = updater_->apply(ops, threads);
+  // The tree now subsumes the overlay (the contract); the device overlay
+  // keeps serving until the commit re-uploads the emptied mirror.
+  overlay_.clear();
   return staged;
-}
-
-void HarmoniaIndex::commit_staged(StagedUpdate&& staged) {
-  HARMONIA_CHECK(staged.updater != nullptr);
-  static_assert(std::is_nothrow_move_assignable_v<StagedUpdate> &&
-                    std::is_nothrow_move_constructible_v<StagedUpdate>,
-                "StagedUpdate moves must not throw mid-install");
-  // The install proper cannot throw: a failure between the tree swap and
-  // the state clear would leave the serving image half-swapped.
-  const auto install = [&]() noexcept {
-    updater_ = std::move(staged.updater);
-    overlay_.clear();
-    dirty_key_leaves_.clear();
-    dirty_value_leaves_.clear();
-    overlay_dirty_ = false;
-  };
-  install();
-  sync_device();
 }
 
 HarmoniaIndex::PatchResult HarmoniaIndex::patch_update(
@@ -333,6 +353,7 @@ void HarmoniaIndex::commit_patch() {
     }
     image_.overlay.count = static_cast<std::uint32_t>(overlay_.size());
   }
+  image_.num_keys = t.num_keys();
   // The patched regions bypass the simulated caches' coherence.
   if (patch_pending()) device_.flush_caches();
   dirty_key_leaves_.clear();
@@ -381,52 +402,37 @@ void HarmoniaIndex::set_overlay_capacity(std::size_t capacity) {
   upload_overlay();
 }
 
+auto HarmoniaIndex::committed_overlay() const {
+  const gpusim::Memory& mem = device_.memory();
+  const DeltaOverlayImage& ov = image_.overlay;
+  return [keys = mem.view(ov.keys, ov.count), values = mem.view(ov.values, ov.count),
+          tombstones = mem.view(ov.tombstones, ov.count)](std::size_t i) {
+    return OverlayEntry{keys[i], values[i], tombstones[i] != 0};
+  };
+}
+
 std::optional<Value> HarmoniaIndex::search_host(Key key) const {
-  const auto it = std::lower_bound(
-      overlay_.begin(), overlay_.end(), key,
-      [](const OverlayEntry& e, Key k) { return e.key < k; });
-  if (it != overlay_.end() && it->key == key) {
-    if (it->tombstone) return std::nullopt;
-    return it->value;
-  }
-  return tree().search(key);
+  return first_value(range_host(key, key, 1));
 }
 
 std::vector<btree::Entry> HarmoniaIndex::range_host(Key lo, Key hi,
                                                     std::size_t limit) const {
-  if (overlay_.empty()) return tree().range(lo, hi, limit);
-  // Tombstones can only remove overlay_size entries, so a base scan of
-  // limit + overlay_size is always enough to fill `limit` merged results.
-  const std::size_t base_limit = limit == 0 ? 0 : limit + overlay_.size();
-  const std::vector<btree::Entry> base = tree().range(lo, hi, base_limit);
-
-  std::vector<btree::Entry> merged;
-  auto oit = std::lower_bound(
-      overlay_.begin(), overlay_.end(), lo,
-      [](const OverlayEntry& e, Key k) { return e.key < k; });
-  const auto full = [&] { return limit != 0 && merged.size() >= limit; };
-  for (const btree::Entry& e : base) {
-    while (oit != overlay_.end() && oit->key < e.key && !full()) {
-      if (!oit->tombstone) merged.push_back({oit->key, oit->value});
-      ++oit;
-    }
-    if (full()) return merged;
-    if (oit != overlay_.end() && oit->key == e.key) {
-      if (!oit->tombstone) merged.push_back({e.key, oit->value});
-      ++oit;  // tombstone: the base entry is hidden
-    } else {
-      merged.push_back(e);
-    }
-    if (full()) return merged;
-  }
-  while (oit != overlay_.end() && oit->key <= hi && !full()) {
-    if (!oit->tombstone) merged.push_back({oit->key, oit->value});
-    ++oit;
-  }
-  return merged;
+  return merged_range(tree().view(), overlay_.size(),
+                      [this](std::size_t i) -> const OverlayEntry& { return overlay_[i]; },
+                      lo, hi, limit);
 }
 
-void HarmoniaIndex::sync_device() {
+std::optional<Value> HarmoniaIndex::search_committed(Key key) const {
+  return first_value(range_committed(key, key, 1));
+}
+
+std::vector<btree::Entry> HarmoniaIndex::range_committed(Key lo, Key hi,
+                                                         std::size_t limit) const {
+  return merged_range(committed(), image_.overlay.count, committed_overlay(), lo, hi,
+                      limit);
+}
+
+void HarmoniaIndex::resync_device() {
   WallTimer timer;
   device_.memory().free_all();
   device_.flush_caches();

@@ -1,15 +1,19 @@
 // HarmoniaIndex — the library's public facade.
 //
-// Owns the host-side HarmoniaTree (the source of truth), its device image
-// on a simulated GPU, and the batch-update machinery; wires together PSA,
-// NTG selection, and the search kernel into the paper's phase-based
-// usage model:
+// Owns the host-side HarmoniaTree, its device image on a simulated GPU,
+// and the batch-update machinery; wires together PSA, NTG selection, and
+// the search kernel into the paper's phase-based usage model:
 //
 //   query phase  : index.search(batch)        — GPU-accelerated lookups
 //   update phase : index.update_batch(ops)    — CPU, Algorithm 1 locking
 //                  (the device image re-syncs automatically afterwards)
 //
-// The index assumes it owns its Device's memory: update_batch frees and
+// One rule: the host tree is the *next* epoch and the committed device
+// image the *served* one. Every update path edits the host tree in place
+// and the image catches up at commit_patch / commit_staged; host code
+// that answers for served state reads the image (committed(), *_committed).
+//
+// The index assumes it owns its Device's memory: a commit frees and
 // re-uploads the whole image. Use one Device per index.
 #pragma once
 
@@ -86,8 +90,12 @@ class HarmoniaIndex {
   /// Wraps an existing host tree.
   HarmoniaIndex(gpusim::Device& device, HarmoniaTree tree, const Options& options = Options{});
 
+  /// The host tree: the next epoch (it leads the image while an update
+  /// is staged or a patch is pending).
   const HarmoniaTree& tree() const { return updater_->tree(); }
   const HarmoniaDeviceImage& image() const { return image_; }
+  /// The committed image's base regions, read in place: the served state.
+  TreeView committed() const { return image_.view(device_.memory()); }
   gpusim::Device& device() { return device_; }
   const gpusim::Device& device() const { return device_; }
   const Options& options() const { return options_; }
@@ -111,6 +119,11 @@ class HarmoniaIndex {
   /// tree, mirroring what the device kernels serve after commit_patch.
   std::optional<Value> search_host(Key key) const;
   std::vector<btree::Entry> range_host(Key lo, Key hi, std::size_t limit = 0) const;
+
+  /// The same over the committed image and device overlay, for host
+  /// readers that answer for the device (scan routing, degraded serving).
+  std::optional<Value> search_committed(Key key) const;
+  std::vector<btree::Entry> range_committed(Key lo, Key hi, std::size_t limit = 0) const;
 
   struct RangeResult {
     /// values[i] holds up to max_results entries for query i, in order.
@@ -139,10 +152,10 @@ class HarmoniaIndex {
     return range_host(lo, kPadKey, n);
   }
 
-  /// Update phase: applies the batch on the CPU (Algorithm 1), then
-  /// re-synchronizes the device image. A non-empty delta overlay is
-  /// folded into the batch first (replayed ahead of `ops`), so the full
-  /// resync never loses patched keys.
+  /// Update phase: stage_update + commit_staged — applies the batch on
+  /// the CPU (Algorithm 1), then re-synchronizes the device image. A
+  /// non-empty delta overlay is folded into the batch first (replayed
+  /// ahead of `ops`), so the full resync never loses patched keys.
   UpdateStats update_batch(std::span<const queries::UpdateOp> ops, unsigned threads = 1);
 
   // --- Incremental update path (docs/serving.md#epoch-pipeline):
@@ -180,9 +193,8 @@ class HarmoniaIndex {
 
   /// Drops queued device writes without touching the host tree or the
   /// overlay mirror — the exhaustion path: the absorbed prefix is already
-  /// in the host tree, so the compaction's shadow copy (stage_update)
-  /// carries it, and commit_staged's full resync supersedes the queued
-  /// partial writes.
+  /// in the host tree, so the compaction staged on top of it carries it,
+  /// and commit_staged's full resync supersedes the queued partial writes.
   void discard_patch();
 
   bool patch_pending() const {
@@ -209,52 +221,29 @@ class HarmoniaIndex {
   void set_overlay_capacity(std::size_t capacity);
 
   /// The build half of the double-buffered epoch pipeline
-  /// (docs/serving.md): a batch applied to a *shadow copy* of the host
-  /// tree. The live tree and device image are untouched, so queries keep
-  /// serving snapshot N while image N+1 is built and uploaded in the
-  /// background; commit_staged installs it atomically.
+  /// (docs/serving.md): the batch applied to the host tree in place, while
+  /// the untouched image keeps serving snapshot N until commit_staged.
   struct StagedUpdate {
     UpdateStats stats;
-    /// Owns the shadow tree (Algorithm-1 lock state and all).
-    std::unique_ptr<BatchUpdater> updater;
-
-    const HarmoniaTree& tree() const { return updater->tree(); }
-
-    // Moves are explicitly noexcept: commit_staged installs a staged
-    // update at a serving batch boundary, and a throwing move there would
-    // leave the image half-swapped.
-    StagedUpdate() = default;
-    StagedUpdate(StagedUpdate&&) noexcept = default;
-    StagedUpdate& operator=(StagedUpdate&&) noexcept = default;
   };
 
-  /// Applies `ops` against a shadow of the current host tree and returns
-  /// it without touching the live index. Thread-safe against concurrent
-  /// host-side reads of the live tree (the shadow is a private copy).
+  /// Applies `ops` to the host tree (Algorithm 1) and empties the overlay
+  /// mirror: while the overlay is non-empty, `ops` must begin with
+  /// overlay_as_ops(). Several stages may precede one commit (recovery).
   StagedUpdate stage_update(std::span<const queries::UpdateOp> ops, unsigned threads = 1);
 
-  /// Atomic swap: the shadow tree becomes the host tree and the device
-  /// image is rebuilt from it in one step. The modeled upload time was
-  /// already charged while the old image served, so the caller adds no
-  /// device time here beyond the swap instant it picked.
-  ///
-  /// The install itself (pointer swap + overlay/patch-state clear) runs
-  /// in a noexcept block — it cannot throw mid-swap. Contract: a staged
-  /// batch committed while the overlay is non-empty must have included
-  /// overlay_as_ops() (the serving layer's compaction epochs do); the
-  /// commit clears the overlay.
-  void commit_staged(StagedUpdate&& staged);
+  /// The swap (the modeled upload was charged while image N served).
+  void commit_staged(StagedUpdate&& /*staged*/) { resync_device(); }
 
   /// Wall seconds spent in the last device re-synchronization.
   double last_sync_seconds() const { return last_sync_seconds_; }
 
   /// Rebuilds the device image from the host tree (frees device memory,
   /// flushes caches, re-uploads — including the overlay mirror, so a
-  /// fault-repair resync never drops patched keys). update_batch does
-  /// this automatically; the fault layer calls it directly to repair a
-  /// corrupted or freshly restored device image. Queued patch writes are
-  /// subsumed by the full re-upload and cleared.
-  void resync_device() { sync_device(); }
+  /// fault-repair resync never drops patched keys). Commits do this; the
+  /// fault layer calls it to repair a corrupted or restored device image.
+  /// Queued patch writes are subsumed by the full re-upload and cleared.
+  void resync_device();
 
  private:
   /// One overlay patch in the host mirror (sorted by key). A live entry
@@ -266,7 +255,8 @@ class HarmoniaIndex {
     bool tombstone;
   };
 
-  void sync_device();
+  /// Entry i of the committed device overlay, read in place.
+  auto committed_overlay() const;
   /// (Re)allocates the device overlay arrays and uploads the mirror.
   void upload_overlay();
   std::vector<OverlayEntry>::iterator overlay_find(Key key);
@@ -274,9 +264,8 @@ class HarmoniaIndex {
 
   gpusim::Device& device_;
   Options options_;
-  /// Behind a unique_ptr (BatchUpdater owns mutexes, so it is neither
-  /// movable nor assignable) so commit_staged can install a shadow
-  /// updater wholesale.
+  /// Behind a unique_ptr: BatchUpdater owns mutexes, so it is neither
+  /// movable nor assignable, and the index stays move-constructible.
   std::unique_ptr<BatchUpdater> updater_;
   HarmoniaDeviceImage image_;
   double last_sync_seconds_ = 0.0;

@@ -23,16 +23,10 @@ ChunkTiming dispatch_chunk(HarmoniaIndex& index, std::span<const Key> chunk,
   return t;
 }
 
-std::uint64_t image_bytes(const HarmoniaTree& tree) {
-  return tree.key_region().size() * sizeof(Key) +
-         tree.prefix_sum().size() * sizeof(std::uint32_t) +
-         tree.value_region().size() * sizeof(Value);
-}
-
-double image_resync_seconds(const HarmoniaTree& tree, const TransferModel& link) {
-  return link.seconds(tree.key_region().size() * sizeof(Key)) +
-         link.seconds(tree.prefix_sum().size() * sizeof(std::uint32_t)) +
-         link.seconds(tree.value_region().size() * sizeof(Value));
+double image_resync_seconds(const TreeView& regions, const TransferModel& link) {
+  return link.seconds(regions.keys.size_bytes()) +
+         link.seconds(regions.prefix_sum.size_bytes()) +
+         link.seconds(regions.values.size_bytes());
 }
 
 PipelineResult pipelined_search(HarmoniaIndex& index, std::span<const Key> batch,

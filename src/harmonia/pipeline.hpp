@@ -59,16 +59,17 @@ ChunkTiming dispatch_chunk(HarmoniaIndex& index, std::span<const Key> chunk,
                            const TransferModel& link, const QueryOptions& qopts,
                            std::span<Value> out);
 
-/// Bytes of a tree's whole device image (key region + prefix-sum array +
-/// value region) — what one full re-upload moves over the link.
-std::uint64_t image_bytes(const HarmoniaTree& tree);
-
 /// Virtual seconds to re-upload a tree's whole device image over `link`:
 /// the post-update-epoch resync cost (key region + prefix-sum array +
 /// value region, one transfer each). In the double-buffered epoch
 /// pipeline this same charge is the *background* upload of the staged
-/// image N+1 while image N keeps serving (docs/serving.md).
-double image_resync_seconds(const HarmoniaTree& tree, const TransferModel& link);
+/// image N+1 (the host tree) while image N keeps serving
+/// (docs/serving.md); a re-image of the served state prices
+/// HarmoniaIndex::committed().
+double image_resync_seconds(const TreeView& regions, const TransferModel& link);
+inline double image_resync_seconds(const HarmoniaTree& tree, const TransferModel& link) {
+  return image_resync_seconds(tree.view(), link);
+}
 
 struct PipelineResult {
   std::vector<Value> values;  // arrival order, all chunks

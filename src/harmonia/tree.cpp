@@ -53,43 +53,46 @@ std::uint64_t HarmoniaTree::value_slot(std::uint32_t node, unsigned slot) const 
   return static_cast<std::uint64_t>(node - first_leaf_) * keys_per_node() + slot;
 }
 
-std::uint32_t HarmoniaTree::find_leaf(Key key) const {
-  HARMONIA_CHECK(num_nodes_ > 0);
+std::uint32_t TreeView::find_leaf(Key key) const {
+  HARMONIA_CHECK(num_nodes > 0);
   HARMONIA_CHECK_MSG(key != kPadKey, "kPadKey is reserved");
   std::uint32_t node = 0;
-  for (unsigned level = 0; level + 1 < height(); ++level) {
-    const unsigned i = separators_leq(node_keys(node), key);
-    node = prefix_sum_[node] + i;
+  for (unsigned level = 0; level + 1 < height; ++level) {
+    const unsigned i =
+        separators_leq(keys.subspan(std::size_t{node} * keys_per_node, keys_per_node), key);
+    node = prefix_sum[node] + i;
   }
   return node;
 }
 
-std::optional<Value> HarmoniaTree::search(Key key) const {
-  if (num_nodes_ == 0 || key == kPadKey) return std::nullopt;
+std::optional<Value> TreeView::search(Key key) const {
+  if (num_nodes == 0 || key == kPadKey) return std::nullopt;
   const std::uint32_t leaf = find_leaf(key);
-  const auto keys = node_keys(leaf);
-  const auto it = std::lower_bound(keys.begin(), keys.end(), key);
-  if (it == keys.end() || *it != key) return std::nullopt;
-  const auto slot = static_cast<unsigned>(it - keys.begin());
-  return value_region_[value_slot(leaf, slot)];
+  const auto node = keys.subspan(std::size_t{leaf} * keys_per_node, keys_per_node);
+  const auto it = std::lower_bound(node.begin(), node.end(), key);
+  if (it == node.end() || *it != key) return std::nullopt;
+  return values[std::size_t{leaf - first_leaf} * keys_per_node +
+                static_cast<std::size_t>(it - node.begin())];
 }
 
-std::vector<btree::Entry> HarmoniaTree::range(Key lo, Key hi, std::size_t limit) const {
+std::vector<btree::Entry> TreeView::range(Key lo, Key hi, std::size_t limit) const {
   std::vector<btree::Entry> out;
-  if (num_nodes_ == 0 || lo > hi) return out;
-  std::uint32_t leaf = find_leaf(lo);
-  // Walk the consecutive leaf level of the key region (§3.2.1).
-  for (; leaf < num_nodes_; ++leaf) {
-    const auto keys = node_keys(leaf);
-    for (unsigned s = 0; s < keys.size(); ++s) {
-      if (keys[s] == kPadKey) break;  // node tail
-      if (keys[s] < lo) continue;
-      if (keys[s] > hi) return out;
-      out.push_back({keys[s], value_region_[value_slot(leaf, s)]});
-      if (limit != 0 && out.size() >= limit) return out;
-    }
+  if (num_nodes == 0 || lo > hi || lo == kPadKey) return out;
+  // Walk the consecutive leaf level of the key region (§3.2.1), skipping
+  // node-tail pads.
+  const std::size_t leaf_base = std::size_t{first_leaf} * keys_per_node;
+  for (std::size_t i = std::size_t{find_leaf(lo)} * keys_per_node; i < keys.size(); ++i) {
+    if (keys[i] == kPadKey || keys[i] < lo) continue;
+    if (keys[i] > hi) return out;
+    out.push_back({keys[i], values[i - leaf_base]});
+    if (limit != 0 && out.size() >= limit) return out;
   }
   return out;
+}
+
+TreeView HarmoniaTree::view() const {
+  return TreeView{height(), keys_per_node(), num_nodes_, first_leaf_,
+                  key_region_, prefix_sum_, value_region_};
 }
 
 HarmoniaTree HarmoniaTree::from_btree(const btree::BTree& tree) {

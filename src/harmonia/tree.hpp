@@ -53,6 +53,27 @@ struct TreeSnapshotExtras {
   std::vector<OverlayRecord> overlay;
 };
 
+/// Read-only view of a tree's three regions, with the one host
+/// implementation of Equation-1 routing and the leaf-level walks: over a
+/// HarmoniaTree's own regions, or over the committed device image
+/// (HarmoniaIndex::committed()).
+struct TreeView {
+  unsigned height = 0;
+  unsigned keys_per_node = 0;
+  std::uint32_t num_nodes = 0;
+  std::uint32_t first_leaf = 0;
+  std::span<const Key> keys;
+  std::span<const std::uint32_t> prefix_sum;
+  std::span<const Value> values;
+
+  /// Leaf BFS index whose key range contains `key`.
+  std::uint32_t find_leaf(Key key) const;
+  std::optional<Value> search(Key key) const;
+  /// Range scan over the consecutive leaf level (§3.2.1): locate the
+  /// first leaf slot >= lo, then walk the key region linearly.
+  std::vector<btree::Entry> range(Key lo, Key hi, std::size_t limit = 0) const;
+};
+
 class HarmoniaTree {
  public:
   /// Serializes a regular B+tree (Figure 4a -> 4b): same nodes, same key
@@ -90,16 +111,15 @@ class HarmoniaTree {
   /// Value slot (index into value_region) for leaf `node`, key slot `slot`.
   std::uint64_t value_slot(std::uint32_t node, unsigned slot) const;
 
-  /// Host-side point lookup via Equation 1 — the reference implementation
-  /// the device kernels are tested against.
-  std::optional<Value> search(Key key) const;
+  TreeView view() const;
 
-  /// Host-side range scan over the consecutive leaf level (§3.2.1):
-  /// locate the first leaf slot >= lo, then walk the key region linearly.
-  std::vector<btree::Entry> range(Key lo, Key hi, std::size_t limit = 0) const;
-
-  /// Leaf BFS index whose key range contains `key`.
-  std::uint32_t find_leaf(Key key) const;
+  /// Host-side point lookup — the reference implementation the device
+  /// kernels are tested against — and range scan (TreeView's walks).
+  std::optional<Value> search(Key key) const { return view().search(key); }
+  std::vector<btree::Entry> range(Key lo, Key hi, std::size_t limit = 0) const {
+    return view().range(lo, hi, limit);
+  }
+  std::uint32_t find_leaf(Key key) const { return view().find_leaf(key); }
 
   /// Structural invariant checker; throws ContractViolation on corruption.
   void validate() const;

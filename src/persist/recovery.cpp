@@ -64,19 +64,20 @@ RecoveryReport RecoveryManager::finish(Materials&& materials, HarmoniaIndex& ind
                          ? queries::UpdateOp{queries::OpKind::kDelete, rec.key, Value{0}}
                          : queries::UpdateOp{queries::OpKind::kInsert, rec.key, rec.value});
     }
-    index.commit_staged(index.stage_update(fold));
+    index.stage_update(fold);
     report.overlay_replayed = fold.size();
   }
 
   // Step 3: replay every fully-logged batch past the snapshot through
-  // the normal stage/commit path.
+  // the normal stage path, then upload the recovered image once.
   for (const LogBatch& batch : materials.log.batches) {
     if (batch.epoch <= report.snapshot_epoch) continue;
-    index.commit_staged(index.stage_update(batch.ops));
+    index.stage_update(batch.ops);
     ++report.batches_replayed;
     report.ops_replayed += batch.ops.size();
     report.recovered_epoch = batch.epoch;
   }
+  if (report.overlay_replayed + report.batches_replayed > 0) index.commit_staged({});
 
   // Modeled cold-start cost (virtual clock — deterministic).
   const RecoveryTiming& t = config_.timing;

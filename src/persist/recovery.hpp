@@ -6,12 +6,12 @@
 //      shard directory newest-first and take the first one whose
 //      checksum + structural validate pass.
 //   2. overlay fold: the snapshot's delta-overlay sidecar replays as
-//      one op batch through the normal stage_update/commit_staged path,
-//      so the recovered base subsumes it exactly like a fold-compaction
-//      epoch would have.
+//      one op batch through the normal stage_update path, so the
+//      recovered base subsumes it exactly like a fold-compaction epoch
+//      would have.
 //   3. log replay: every fully-logged batch with epoch > snapshot epoch
-//      replays in order through the same stage/commit path; the torn
-//      tail (a crash mid-append) is truncated away.
+//      stages in order; the torn tail (a crash mid-append) is truncated
+//      away. One commit_staged then uploads the recovered image.
 //   4. checkpoint: the recovered state is written back as a fresh
 //      epoch-0 snapshot, every other image is deleted and the log is
 //      reset. The directory then holds exactly `snap-000000000000.img`
@@ -71,8 +71,8 @@ struct RecoveryReport {
 
 class RecoveryManager {
  public:
-  /// `seconds_per_op` prices one replayed op (stage_update +
-  /// commit_staged): the serving stack's EpochConfig::seconds_per_op.
+  /// `seconds_per_op` prices one replayed op (stage_update): the
+  /// serving stack's EpochConfig::seconds_per_op.
   RecoveryManager(const DurabilityConfig& config, double seconds_per_op)
       : config_(config), seconds_per_op_(seconds_per_op) {}
 

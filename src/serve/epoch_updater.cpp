@@ -46,37 +46,8 @@ void EpochUpdater::charge(Work& w) const {
   w.fold_seconds = apply_seconds(w.fold_ops);
 }
 
-EpochUpdater::Work EpochUpdater::apply(std::uint64_t epoch,
-                                       std::span<const queries::UpdateOp> ops,
-                                       double log_at) {
-  HARMONIA_CHECK(!ops.empty());
-  HARMONIA_CHECK_MSG(!inflight_,
-                     "quiesce apply with a staged epoch in flight — commit it first");
-  // Write-ahead: the batch reaches the log before it touches the index,
-  // so a crash after this line replays it, and a crash during the append
-  // loses at most this (unapplied, unacknowledged) batch's tail record.
-  if (durability_ != nullptr) durability_->log_batch(epoch, ops, log_at);
-
-  // A live overlay (incremental-mode leftovers) folds into the batch:
-  // update_batch replays it ahead of `ops`. The replays are real CPU work
-  // (charged) but not client ops — back them out of the stats (replays
-  // never fail: a live entry re-inserts, a tombstone deletes a key still
-  // in the base).
-  const std::uint64_t replay_live = index_.overlay_live_count();
-  const std::uint64_t replay_tomb = index_.overlay_tombstone_count();
-  Work w;
-  w.ops = ops.size();
-  w.fold_ops = ops.size() + replay_live + replay_tomb;
-  w.stats = index_.update_batch(ops, config_.apply_threads);
-  HARMONIA_CHECK(w.stats.inserts >= replay_live && w.stats.deletes >= replay_tomb);
-  w.stats.inserts -= replay_live;
-  w.stats.deletes -= replay_tomb;
-  charge(w);
-  return w;
-}
-
 double EpochUpdater::resync(double build_done) {
-  double seconds = image_resync_seconds(index_.tree(), link_);
+  double seconds = image_resync_seconds(index_.committed(), link_);
   if (injector_ != nullptr && injector_->active()) {
     const double end = build_done + seconds;
     const double factor = injector_->transfer_factor(shard_, end);
@@ -92,7 +63,9 @@ EpochUpdater::Work EpochUpdater::stage(std::uint64_t epoch,
                                        double log_at, bool may_patch) {
   HARMONIA_CHECK(!inflight_);
   HARMONIA_CHECK(!ops.empty());
-  // Write-ahead, same contract as the quiesce path: log before stage.
+  // Write-ahead: the batch reaches the log before it touches the index,
+  // so a crash after this line replays it, and a crash during the append
+  // loses at most this (unapplied, unacknowledged) batch's tail record.
   if (durability_ != nullptr) durability_->log_batch(epoch, ops, log_at);
   inflight_ = true;
   epoch_ = epoch;
@@ -107,7 +80,7 @@ EpochUpdater::Work EpochUpdater::stage(std::uint64_t epoch,
       // Patch epoch: the host tree + overlay mirror are already updated;
       // commit flushes only the queued leaf records and overlay arrays —
       // pr.patch_bytes on the link instead of a full image upload, and no
-      // shadow-tree build at all.
+      // Algorithm-1 build at all.
       patch_ = w.patch = true;
       patch_bytes_ = pr.patch_bytes;
       w.patch_ops = ops.size();
@@ -115,35 +88,31 @@ EpochUpdater::Work EpochUpdater::stage(std::uint64_t epoch,
       return w;
     }
     // Gaps/overlay exhausted: compaction fallback. The absorbed prefix
-    // is already in the host tree (the shadow copy carries it) and its
-    // patch work is charged; the rest folds into a shadow build.
+    // is already in the host tree and its patch work is charged; the
+    // rest folds into a full build on top of it.
     w.patch_ops = pr.absorbed;
     absorbed = pr.absorbed;
   }
-  stage_fold(ops, absorbed, w);
-  charge(w);
-  return w;
-}
-
-void EpochUpdater::stage_fold(std::span<const queries::UpdateOp> ops,
-                              std::size_t absorbed, Work& w) {
   // The committed overlay replays ahead of the unabsorbed tail so the
-  // rebuilt image subsumes it (commit_staged clears the overlay). Outside
-  // incremental mode the overlay is empty and this is a plain build.
+  // rebuilt image subsumes it. Outside incremental mode the overlay is
+  // empty and this is a plain build. The replays are real CPU work
+  // (charged) but not client ops — back them out of the stats (replays
+  // never fail: a live entry re-inserts, a tombstone deletes a key still
+  // in the base).
   patch_ = false;
   const std::uint64_t replay_live = index_.overlay_live_count();
   const std::uint64_t replay_tomb = index_.overlay_tombstone_count();
   std::vector<queries::UpdateOp> fold = index_.overlay_as_ops();
   fold.insert(fold.end(), ops.begin() + static_cast<std::ptrdiff_t>(absorbed),
               ops.end());
-  index_.discard_patch();
-  staged_update_ = index_.stage_update(fold, config_.apply_threads);
-  UpdateStats& st = staged_update_.stats;
+  UpdateStats st = index_.stage_update(fold, config_.apply_threads).stats;
   HARMONIA_CHECK(st.inserts >= replay_live && st.deletes >= replay_tomb);
   st.inserts -= replay_live;
   st.deletes -= replay_tomb;
   w.stats += st;
   w.fold_ops = fold.size();
+  charge(w);
+  return w;
 }
 
 double EpochUpdater::staged_transfer(double seconds, double start) {
@@ -156,7 +125,7 @@ double EpochUpdater::upload(double build_done) {
   HARMONIA_CHECK(inflight_);
   const double seconds = staged_transfer(
       patch_ ? link_.seconds(patch_bytes_)
-             : image_resync_seconds(staged_update_.tree(), link_),
+             : image_resync_seconds(index_.tree(), link_),
       build_done);
   if (obs_.trace != nullptr) {
     const std::string tag =
@@ -174,7 +143,7 @@ void EpochUpdater::commit() {
   if (patch_)
     index_.commit_patch();
   else
-    index_.commit_staged(std::move(staged_update_));
+    index_.commit_staged({});
   inflight_ = false;
 }
 

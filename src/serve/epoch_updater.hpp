@@ -4,18 +4,18 @@
 // update requests, scatters each epoch's ops across its shards, and
 // composes the per-shard charges into one epoch on the virtual clock.
 //
+// Every mode stages (the host tree becomes epoch N+1 in place) and
+// commits (the device catches up); in between, image N serves.
+//
 // Quiesce (the original path): the backend drains every pending query
-// batch, and the engine applies the shard's ops through the Algorithm-1
-// CPU updater (`HarmoniaIndex::update_batch`), which also rebuilds the
-// device image. The device is held through the CPU apply and the PCIe
-// resync.
+// batch, then stages (Algorithm 1) and commits each shard at the barrier.
+// The device is held through the CPU apply and the PCIe resync.
 //
 // Overlap (the double-buffered epoch pipeline, docs/serving.md): the
-// engine instead *stages* the epoch — the ops are applied to a shadow
-// copy of the host tree and the resulting image N+1 uploads in the
-// background — while queries keep dispatching against live image N. When
-// the staged image is ready, an atomic swap at a batch boundary retires
-// image N; the device never stalls for the build or the upload.
+// staged image N+1 uploads in the background while queries keep
+// dispatching against committed image N. When the staged image is
+// ready, an atomic swap at a batch boundary retires image N; the device
+// never stalls for the build or the upload.
 //
 // Incremental (--epoch-mode delta, docs/serving.md#epoch-pipeline): the
 // engine first tries to *patch* the committed image in place — value
@@ -49,7 +49,7 @@ namespace harmonia::serve {
 enum class EpochMode : std::uint8_t {
   /// Drain the scheduler, hold the device through apply + resync.
   kQuiesce,
-  /// Stage the epoch on a shadow tree, upload in the background, swap
+  /// Stage the epoch in the host tree, upload in the background, swap
   /// atomically at a batch boundary; queries never stop.
   kOverlap,
   /// Incremental ("delta"): non-structural ops patch the committed image
@@ -75,8 +75,8 @@ struct EpochConfig {
   /// is in the range the paper's 28-core Xeon sustains.
   double seconds_per_op = 250e-9;
   /// Modeled CPU cost per op on the incremental patch path: an in-place
-  /// leaf edit or a bounded overlay upsert — no shadow-tree copy, no
-  /// Algorithm-1 lock traffic, so much cheaper than seconds_per_op.
+  /// leaf edit or a bounded overlay upsert — no Algorithm-1 lock traffic
+  /// and no deferred key-region movement, so cheaper than seconds_per_op.
   double seconds_per_patch_op = 50e-9;
   /// Delta-overlay bound (entries) installed on the index when mode is
   /// kIncremental; ignored otherwise.
@@ -103,8 +103,8 @@ class EpochUpdater {
     /// Ops charged at seconds_per_patch_op: the in-place patch, or the
     /// absorbed prefix of one that exhausted the gaps/overlay.
     std::uint64_t patch_ops = 0;
-    /// Ops charged at seconds_per_op: the Algorithm-1 apply or shadow
-    /// build, overlay replays included.
+    /// Ops charged at seconds_per_op: the Algorithm-1 apply, overlay
+    /// replays included.
     std::uint64_t fold_ops = 0;
     double patch_seconds = 0.0;
     double fold_seconds = 0.0;
@@ -118,22 +118,11 @@ class EpochUpdater {
     double build_seconds() const { return patch_seconds + fold_seconds; }
   };
 
-  /// Quiesce: appends `ops` to the write-ahead log at `log_at`, then
-  /// applies them in place (Algorithm 1 + device image rebuild), folding
-  /// any committed overlay ahead of them. Requires !inflight().
-  Work apply(std::uint64_t epoch, std::span<const queries::UpdateOp> ops,
-             double log_at);
-  /// The PCIe resync of the image apply() just rebuilt, starting at
-  /// `build_done`: slowdown windows live at the transfer's end stretch
-  /// it, and an armed corruption hits the fresh image there — the CRC32
-  /// audit catches it and the re-image (also stretched) is charged here.
-  double resync(double build_done);
-
-  /// Overlap/incremental: appends `ops` to the write-ahead log at
-  /// `log_at`, then stages the epoch — an in-place patch when the mode is
-  /// incremental, `may_patch` holds and the gaps/overlay absorb every op;
-  /// otherwise a shadow build of image N+1 that folds the committed
-  /// overlay ahead of the unabsorbed ops. Requires !inflight().
+  /// Appends `ops` to the write-ahead log at `log_at`, then stages the
+  /// epoch — an in-place patch when the mode is incremental, `may_patch`
+  /// holds and the gaps/overlay absorb every op; otherwise an Algorithm-1
+  /// apply to the host tree that folds the committed overlay ahead of the
+  /// unabsorbed ops. Requires !inflight().
   Work stage(std::uint64_t epoch, std::span<const queries::UpdateOp> ops,
              double log_at, bool may_patch);
   /// Background upload of the staged epoch starting at `build_done` (the
@@ -142,9 +131,14 @@ class EpochUpdater {
   /// their staged images here too.
   double upload(double build_done);
   /// Atomic swap at a batch boundary: flushes the queued leaf/overlay
-  /// writes (patch) or installs the shadow tree and staged image.
+  /// writes (patch) or re-images the device from the host tree.
   void commit();
   bool inflight() const { return inflight_; }
+  /// Quiesce: the PCIe resync of the image commit() just rebuilt, from
+  /// `build_done`: slowdown windows live at the transfer's end stretch it,
+  /// and an armed corruption hits the fresh image there — the CRC32 audit
+  /// catches it and the re-image (also stretched) is charged here.
+  double resync(double build_done);
 
   /// Modeled host CPU time to apply `ops` ops at seconds_per_op — the one
   /// place that prices the Algorithm-1 apply: quiesce and staged builds,
@@ -188,10 +182,6 @@ class EpochUpdater {
   void set_observer(const obs::Observer& obs, unsigned shard);
 
  private:
-  /// Stages a shadow build of ops[absorbed..] behind the committed
-  /// overlay; replays are charged as fold ops but backed out of w.stats.
-  void stage_fold(std::span<const queries::UpdateOp> ops, std::size_t absorbed,
-                  Work& w);
   void charge(Work& w) const;
   /// Fault charge of a staged transfer of `seconds` starting at `start`:
   /// slowdown windows live at its end stretch it, and the pre-swap CRC32
@@ -202,14 +192,13 @@ class EpochUpdater {
   HarmoniaIndex& index_;
   TransferModel link_;
   EpochConfig config_;
-  /// The staged epoch between stage() and commit(): its ordinal, whether
-  /// it patches in place (the queued writes live inside the index until
-  /// commit_patch) or swaps in the shadow build.
+  /// The staged epoch between stage() and commit(): its ordinal, and
+  /// whether it patches in place (the queued writes live inside the index
+  /// until commit_patch) or re-images from the host tree.
   bool inflight_ = false;
   bool patch_ = false;
   std::uint64_t epoch_ = 0;
   std::uint64_t patch_bytes_ = 0;
-  HarmoniaIndex::StagedUpdate staged_update_;
   fault::FaultInjector* injector_ = nullptr;
   unsigned shard_ = 0;
   persist::ShardDurability* durability_ = nullptr;

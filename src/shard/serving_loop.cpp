@@ -242,9 +242,9 @@ void ShardedServer::run_quiesce(double at, RequestSource& source,
             " updates=" + std::to_string(pending_updates_.size()));
   }
 
-  // Each touched shard write-ahead logs and applies its sub-batch at the
-  // barrier. One host CPU applies shard after shard, so the charged ops
-  // sum; the touched images then resync concurrently over their own
+  // Each touched shard write-ahead logs, stages and commits its sub-batch
+  // at the barrier. One host CPU applies shard after shard, so the charged
+  // ops sum; the touched images then resync concurrently over their own
   // links, so the upload charge is the slowest shard's.
   const auto per_shard = scatter(pending_updates_);
   const unsigned n = num_shards();
@@ -254,7 +254,8 @@ void ShardedServer::run_quiesce(double at, RequestSource& source,
   UpdateStats stats;
   for (unsigned s = 0; s < n; ++s) {
     if (per_shard[s].empty()) continue;
-    work[s] = engines_[s]->apply(epochs_ + 1, per_shard[s], start);
+    work[s] = engines_[s]->stage(epochs_ + 1, per_shard[s], start, /*may_patch=*/false);
+    engines_[s]->commit();
     charged += work[s].fold_ops;
     stats += work[s].stats;
   }
@@ -304,7 +305,7 @@ void ShardedServer::begin_staged(double now) {
   // One host CPU works the touched shards back to back (the build charge
   // sums in shard order), then the touched images upload concurrently
   // over their own links. Each shard logs at the trigger, then patches in
-  // place or stages a shadow build (a fenced shard has no live image to
+  // place or stages a full build (a fenced shard has no live image to
   // patch, and a shard whose gaps/overlay exhaust compacts).
   const auto per_shard = scatter(ep.requests);
   for (unsigned s = 0; s < n; ++s) {
@@ -411,7 +412,8 @@ void ShardedServer::commit_shard(unsigned s, double now, ServerReport& report) {
   if (st.staged) engines_[s]->commit();
   st.swapped = true;
   on_swapped(s, ep.ordinal, st.work.ops);
-  const double wait = now - st.ready;
+  // A restore swaps a lost shard's piece before it is ready: no wait.
+  const double wait = std::max(0.0, now - st.ready);
   report.epoch_swap_wait_seconds += wait;
   if (swap_wait_hist_ != nullptr) swap_wait_hist_->observe(wait);
   if (st.staged) {
@@ -493,7 +495,7 @@ void ShardedServer::final_drain(double now, RequestSource& source,
   // yet fired are inert past stream end).
   while (next_restore_time() < kNever) {
     now = std::max(now, next_restore_time());
-    handle_restore(now, report);
+    handle_restore(now, source, report);
   }
   while (true) {
     for (unsigned s = 0; s < sched_.size(); ++s) {
@@ -619,7 +621,7 @@ ServerReport ShardedServer::run(RequestSource& source) {
     }
     if (t_restore <= t_work) {
       now = std::max(now, t_restore);
-      handle_restore(now, report);
+      handle_restore(now, source, report);
       continue;
     }
 

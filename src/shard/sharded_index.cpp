@@ -206,19 +206,14 @@ ShardedIndex::RangeResult ShardedIndex::range(std::span<const Key> los,
 
 unsigned ShardedIndex::scan_end_shard(Key lo, std::uint32_t n) const {
   const std::uint32_t want = std::max<std::uint32_t>(n, 1);
-  unsigned s = plan_.shard_of(lo);
   std::uint64_t have = 0;
-  if (shards_[s].index != nullptr) {
-    have = shards_[s]
-               .index
-               ->range_host(std::max(lo, plan_.lo(s)), plan_.hi(s), want)
-               .size();
+  for (unsigned s = plan_.shard_of(lo);; ++s) {
+    if (const HarmoniaIndex* idx = shards_[s].index) {
+      have += idx->range_committed(std::max(lo, plan_.lo(s)), plan_.hi(s), want - have)
+                  .size();
+    }
+    if (have >= want || s + 1 == num_shards()) return s;
   }
-  while (have < want && s + 1 < num_shards()) {
-    ++s;
-    have += shard_key_count(s);
-  }
-  return s;
 }
 
 ShardedIndex::RangeResult ShardedIndex::scan(std::span<const Key> los,

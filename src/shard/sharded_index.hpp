@@ -129,10 +129,11 @@ class ShardedIndex {
   RangeResult scan(std::span<const Key> los, std::span<const std::uint32_t> ns);
 
   /// The last shard a scan of `n` results starting at `lo` can touch:
-  /// extends from shard_of(lo) — whose contribution is host-counted, cost
-  /// bounded by n — through whole-shard key counts until coverage >= n
-  /// (or the last shard). The serving fan-out and the version fence both
-  /// key off this span.
+  /// extends from shard_of(lo) through the following shards until their
+  /// served entries cover n (or the last shard). Coverage is counted on
+  /// each shard's committed image and device overlay — what its scan
+  /// kernel will read — by a walk bounded by the n still missing. The
+  /// serving fan-out and the version fence both key off this span.
   unsigned scan_end_shard(Key lo, std::uint32_t n) const;
 
   /// Host-side scan oracle: first `n` entries with key >= lo, across

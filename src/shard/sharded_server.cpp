@@ -459,24 +459,36 @@ void ShardedServer::handle_fault(double now, RequestSource& source,
   fence_shard(s, r, now, ev->duration, source, report);
 }
 
-void ShardedServer::restore_shard(double now, ServerReport& report) {
+void ShardedServer::restore_shard(double now, RequestSource& source,
+                                  ServerReport& report) {
   unsigned s = 0;
   for (unsigned i = 1; i < restore_at_.size(); ++i)
     if (restore_at_[i] < restore_at_[s]) s = i;
   HARMONIA_CHECK(restore_at_[s] < kNever && fenced_[s]);
   restore_at_[s] = kNever;
+  const bool staged = inflight_.has_value() && inflight_->shards[s].staged &&
+                      !inflight_->shards[s].swapped;
+  const bool flip_side = staged && inflight_->flip.has_value();
+  if (staged && !flip_side) {
+    commit_shard(s, now, report);
+    if (inflight_->remaining == 0) finish_staged(now, source, report);
+  }
 
   // The replacement device comes up empty: re-image it from the host
-  // tree (the source of truth), audit the fresh image, and rejoin. The
-  // re-image transfer pays any slowdown window live on this shard's link.
+  // tree, audit the fresh image, and rejoin — except on a flip side, whose
+  // host tree holds the post-split keys: it gets the committed image back
+  // (the simulator kept the lost device's bytes). The re-image transfer
+  // pays any slowdown window live on this shard's link.
   fault::FaultReport& rep = injector_.report();
   HarmoniaIndex& idx = *index_.shard(s);
-  idx.resync_device();
-  ++rep.audits;
-  HARMONIA_CHECK_MSG(fault::verify_image(idx), "restored image failed audit");
+  if (!flip_side) {
+    idx.resync_device();
+    ++rep.audits;
+    HARMONIA_CHECK_MSG(fault::verify_image(idx), "restored image failed audit");
+  }
   ++rep.reimages;
   const double reimage = injector_.transfer_factor(s, now) *
-                         image_resync_seconds(idx.tree(), config_.link);
+                         image_resync_seconds(idx.committed(), config_.link);
   rep.reimage_seconds += reimage;
   groups_[s].rejoin(fence_replica_[s]);
   double& f = rfree(s, fence_replica_[s]);
@@ -501,7 +513,8 @@ double ShardedServer::next_restore_time() const {
   return t;
 }
 
-void ShardedServer::handle_restore(double now, ServerReport& report) {
+void ShardedServer::handle_restore(double now, RequestSource& source,
+                                   ServerReport& report) {
   double tr = kNever;
   for (const double t : restore_at_) tr = std::min(tr, t);
   double tj = kNever;
@@ -509,7 +522,7 @@ void ShardedServer::handle_restore(double now, ServerReport& report) {
   // Fence restores win ties: a rejoin deferred behind its shard's fence
   // re-arms at the restore instant and must run second.
   if (tr <= tj)
-    restore_shard(now, report);
+    restore_shard(now, source, report);
   else
     rejoin_replica(now, report);
 }
@@ -543,7 +556,7 @@ void ShardedServer::rejoin_replica(double now, ServerReport& report) {
     // pull a full image instead.
     ++rep.reimages;
     catchup = injector_.transfer_factor(s, now) *
-              image_resync_seconds(index_.shard(s)->tree(), config_.link);
+              image_resync_seconds(index_.shard(s)->committed(), config_.link);
   } else {
     // Log-shipped catch-up: replay the group's update-log tail (epochs
     // after the one this slot last applied). With a durability domain
@@ -610,19 +623,17 @@ serve::Response ShardedServer::degraded_serve(unsigned s, const Request& r,
   double cost = 0.0;
   if (r.kind == RequestKind::kPoint) {
     ++rep.degraded_points;
-    if (const auto v = index_.shard(s)->search_host(r.key)) resp.value = *v;
+    if (const auto v = index_.shard(s)->search_committed(r.key)) resp.value = *v;
     cost = pol.seconds_per_point;
   } else {
-    // Ranges and scans both walk the host tree; a scan piece reads this
-    // shard's tail from its clamped lower bound up to its scan_n.
+    // Ranges and scans both walk the committed image; a scan piece reads
+    // this shard's tail from its clamped lower bound up to its scan_n.
     ++rep.degraded_ranges;
-    const auto entries =
-        r.kind == RequestKind::kScan
-            ? index_.shard(s)->scan_host(std::max(r.key, index_.plan().lo(s)),
-                                         r.scan_n)
-            : index_.shard(s)->range_host(std::max(r.key, index_.plan().lo(s)),
-                                          std::min(r.hi, index_.plan().hi(s)),
-                                          config_.batch.max_range_results);
+    const bool scan = r.kind == RequestKind::kScan;
+    const auto entries = index_.shard(s)->range_committed(
+        std::max(r.key, index_.plan().lo(s)),
+        scan ? kPadKey : std::min(r.hi, index_.plan().hi(s)),
+        scan ? r.scan_n : config_.batch.max_range_results);
     resp.range_values.reserve(entries.size());
     for (const auto& e : entries) resp.range_values.push_back(e.value);
     cost = pol.seconds_per_range +
@@ -689,10 +700,7 @@ void ShardedServer::start_migration(unsigned donor, unsigned receiver,
   // Delta-mode overlays complicate the moved-key set (overlay entries
   // in the ceded range would survive in the donor's rebuilt image):
   // defer the split until the overlays compact.
-  if (didx.overlay_live_count() + didx.overlay_tombstone_count() +
-          ridx.overlay_live_count() + ridx.overlay_tombstone_count() >
-      0)
-    return;
+  if (didx.overlay_size() + ridx.overlay_size() > 0) return;
   const std::uint64_t keys = didx.tree().num_keys();
   if (keys < 2) return;
   // The plan is not persisted, so ServeOptions::validate rejects
@@ -723,8 +731,8 @@ void ShardedServer::start_migration(unsigned donor, unsigned receiver,
   flip.moved_keys = moved.size();
 
   // Both post-split images stage through the shards' engines like an
-  // overlap epoch (shadow builds — the overlays are empty — then
-  // background uploads), while the old plan keeps serving off the
+  // overlap epoch (builds in the host trees — the overlays are empty —
+  // then background uploads), while the old plan keeps serving off the
   // committed images. Migration ops are bookkeeping, not client updates:
   // their stats never reach updates_applied.
   std::vector<queries::UpdateOp> del;

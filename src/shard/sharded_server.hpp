@@ -36,7 +36,7 @@
 // Incremental (delta) mode rides the same fence: each touched shard
 // first tries to patch the committed image in place (gap fills + device
 // overlay, see harmonia/index.hpp), and only a shard whose gaps or
-// overlay are exhausted falls back to a full shadow build — so shard A
+// overlay are exhausted falls back to a full build — so shard A
 // can take a cheap patch commit while shard B compacts, each at its own
 // batch boundary, with per-shard overlays compacting independently. The
 // commit (leaf flush or image swap alike) still waits for the shard's
@@ -175,7 +175,7 @@ class ShardedServer {
     double build_seconds = 0.0;
     double build_done = 0.0;
     /// True when every staged shard patched in place (the epoch books as
-    /// a patch epoch); any shadow build makes it a compaction epoch.
+    /// a patch epoch); any full build makes it a compaction epoch.
     bool patch = true;
     UpdateStats stats;  // summed over shards
     std::vector<serve::Request> requests;
@@ -338,7 +338,10 @@ class ShardedServer {
   /// falls through to this when no member survives.
   void fence_shard(unsigned s, unsigned replica, double now, double repair,
                    serve::RequestSource& source, serve::ServerReport& report);
-  void restore_shard(double now, serve::ServerReport& report);
+  /// Re-images the earliest due fenced shard and rejoins it; an unswapped
+  /// staged piece of the shard commits first (docs/fault_tolerance.md).
+  void restore_shard(double now, serve::RequestSource& source,
+                     serve::ServerReport& report);
   /// Fires the due loss event: extends a fenced shard's outage or a down
   /// slot's, fails over to the survivors, or fences the shard when the
   /// last healthy member dies. Books the loss by that outcome.
@@ -346,7 +349,8 @@ class ShardedServer {
                     serve::ServerReport& report);
   /// Earliest due fence restore or replica rejoin (kNever when none).
   double next_restore_time() const;
-  void handle_restore(double now, serve::ServerReport& report);
+  void handle_restore(double now, serve::RequestSource& source,
+                      serve::ServerReport& report);
   /// Brings the earliest due lost replica back: it catches up by
   /// replaying the group's update-log tail (epochs after the one it last
   /// applied), or by a full re-image when the plan changed since it was
@@ -362,8 +366,8 @@ class ShardedServer {
   /// The plan flip: both sides commit and the plan moves in one event.
   void commit_migration(double now, serve::RequestSource& source,
                         serve::ServerReport& report);
-  /// Serves one request of a fenced shard's range from the host tree on
-  /// the shard's CPU timeline; sheds (dropped response) once the CPU
+  /// Serves one request of a fenced shard's range from its committed
+  /// image on the shard's CPU timeline; sheds (dropped response) once the CPU
   /// backlog exceeds the degraded policy's max_backlog.
   serve::Response degraded_serve(unsigned s, const serve::Request& r, double now);
 

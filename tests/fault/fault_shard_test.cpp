@@ -133,8 +133,8 @@ void check_answered_against_oracle(
   }
 }
 
-// A shard dies mid-stream: its range is served degraded from the host
-// tree (still epoch-exact), the replacement re-images on schedule, and
+// A shard dies mid-stream: its range is served degraded from its last
+// committed image (still epoch-exact), the replacement re-images on schedule, and
 // the shard rejoins with a verified device image.
 TEST(FaultShard, LostShardServesDegradedThenRestores) {
   ShardedFixture f(4);
@@ -185,6 +185,75 @@ TEST(FaultShard, LostShardServesDegradedThenRestores) {
   for (const auto& [k, v] : final_oracle) {
     ASSERT_EQ(f.index.search_host(k).value_or(kNotFound), v);
   }
+}
+
+/// Per-epoch snapshots from the epochs the update responses report (the
+/// staged modes' epochs need not close at a fixed buffer size).
+std::vector<std::map<Key, Value>> snapshots_from_responses(
+    const std::vector<Key>& keys, const std::vector<serve::Request>& stream,
+    const serve::ServerReport& rep) {
+  std::vector<unsigned> epoch_of(stream.size(), 0);
+  for (const serve::Response& resp : rep.responses) {
+    if (resp.kind == serve::RequestKind::kUpdate) epoch_of[resp.id] = resp.epoch;
+  }
+  std::vector<std::map<Key, Value>> snapshots;
+  std::map<Key, Value> oracle;
+  for (Key k : keys) oracle[k] = btree::value_for_key(k);
+  snapshots.push_back(oracle);
+  for (unsigned e = 1; e <= rep.epochs; ++e) {
+    for (const serve::Request& r : stream) {
+      if (r.kind == serve::RequestKind::kUpdate && epoch_of[r.id] == e)
+        apply_to_oracle(oracle, r);
+    }
+    snapshots.push_back(oracle);
+  }
+  return snapshots;
+}
+
+/// A shard lost inside staged epoch windows: the requests evicted from
+/// its queue, and every later one routed to it, are answered degraded
+/// under the shard's committed epoch — so they must read the committed
+/// image, not the host tree that already holds the staged epoch.
+void expect_degraded_answers_match_committed_epoch(serve::EpochMode mode) {
+  ShardedFixture f(4);
+
+  serve::OpenLoopSpec spec;
+  spec.arrivals_per_second = 4e6;
+  spec.count = 6000;
+  spec.update_fraction = 0.30;
+  spec.range_fraction = 0.10;
+  spec.range_span = 64;
+  spec.seed = 100;
+  const auto stream = serve::make_open_loop(f.keys, spec);
+
+  serve::ServeOptions cfg;
+  cfg.batch.max_batch = 128;
+  cfg.batch.max_wait = 80e-6;
+  cfg.batch.queue_capacity = 1 << 14;
+  cfg.batch.max_range_results = 16;
+  cfg.epoch.max_buffered = 200;
+  cfg.epoch.mode = mode;
+  cfg.faults = fault::FaultPlan::parse("lose@0.0002:shard=1,repair=0.0004");
+
+  ShardedServer server(f.index, cfg);
+  const auto rep = server.run(stream);
+
+  EXPECT_EQ(rep.faults.shards_lost, 1u);
+  EXPECT_EQ(rep.faults.shards_restored, 1u);
+  EXPECT_GT(rep.faults.degraded_ranges, 0u);
+  EXPECT_GE(rep.epochs, 3u);
+  check_answered_against_oracle(rep, stream, snapshots_from_responses(f.keys, stream, rep),
+                                cfg.batch.max_range_results);
+  ASSERT_NE(f.index.shard(1), nullptr);
+  EXPECT_TRUE(fault::verify_image(*f.index.shard(1)));
+}
+
+TEST(FaultShard, DegradedAnswersReadTheCommittedImageInDeltaWindows) {
+  expect_degraded_answers_match_committed_epoch(serve::EpochMode::kIncremental);
+}
+
+TEST(FaultShard, DegradedAnswersReadTheCommittedImageInOverlapWindows) {
+  expect_degraded_answers_match_committed_epoch(serve::EpochMode::kOverlap);
 }
 
 // A second `lose` on a shard that is still fenced extends the outage to

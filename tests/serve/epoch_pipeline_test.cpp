@@ -265,8 +265,8 @@ TEST(EpochPipeline, ZeroUpdateStreamIdenticalAcrossModes) {
   }
 }
 
-// TSan target: thousands of back-to-back staged epochs, each building on
-// a shadow tree with a multi-threaded Algorithm-1 apply while the serving
+// TSan target: thousands of back-to-back staged epochs, each building in
+// the host tree with a multi-threaded Algorithm-1 apply while the serving
 // loop keeps dispatching. Properties: reported epoch versions are
 // monotone in completion order (a later completion never sees an older
 // image), and the final tree equals the all-updates-applied oracle

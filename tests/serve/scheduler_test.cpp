@@ -195,15 +195,24 @@ TEST(EpochUpdater, AppliesBufferAndChargesResync) {
   cfg.seconds_per_op = 1e-6;
   EpochUpdater u(f.index, f.link, cfg);
 
+  const std::vector<Key> probe(f.keys.begin(), f.keys.begin() + 4);
   const auto batch = [&](Value base) {
     std::vector<queries::UpdateOp> ops;
     for (std::uint64_t i = 0; i < 4; ++i)
-      ops.push_back({queries::OpKind::kUpdate, f.keys[i], base + i});
+      ops.push_back({queries::OpKind::kUpdate, probe[i], base + i});
     return ops;
   };
+  // What the device serves, through the search kernel.
+  const auto served = [&] { return f.index.search(probe).values; };
+  const auto values = [](Value base) {
+    return std::vector<Value>{base, base + 1, base + 2, base + 3};
+  };
 
-  // Quiesce: applied in place, charged as fold ops at seconds_per_op.
-  const auto w = u.apply(1, batch(7000), 10e-6);
+  // Quiesce: stage and commit at the barrier, charged as fold ops at
+  // seconds_per_op; the resync prices the freshly committed image.
+  const auto w = u.stage(1, batch(7000), 10e-6, /*may_patch=*/false);
+  EXPECT_TRUE(u.inflight());
+  u.commit();
   EXPECT_FALSE(u.inflight());
   EXPECT_FALSE(w.patch);
   EXPECT_EQ(w.ops, 4u);
@@ -214,23 +223,29 @@ TEST(EpochUpdater, AppliesBufferAndChargesResync) {
   EXPECT_DOUBLE_EQ(w.build_seconds(), 4e-6);
   const double resync = u.resync(10e-6 + w.build_seconds());
   EXPECT_GT(resync, 0.0);
-  EXPECT_DOUBLE_EQ(resync, image_resync_seconds(f.index.tree(), f.link));
-  for (std::uint64_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(f.index.search_host(f.keys[i]).value_or(kNotFound), 7000 + i);
-  }
+  EXPECT_DOUBLE_EQ(resync, image_resync_seconds(f.index.committed(), f.link));
+  EXPECT_EQ(served(), values(7000));
 
-  // Staged: the shadow build is invisible until commit swaps it in.
+  // Staged: the batch lands in the host tree at stage time, while the
+  // device (and every reader of served state) keeps answering epoch N
+  // until commit re-images it.
   const auto staged = u.stage(2, batch(9000), 20e-6, /*may_patch=*/true);
   EXPECT_TRUE(u.inflight());
   EXPECT_FALSE(staged.patch);  // quiesce config never patches in place
   EXPECT_EQ(staged.fold_ops, 4u);
   EXPECT_EQ(staged.stats.total_ops(), 4u);
-  EXPECT_GT(u.upload(20e-6 + staged.build_seconds()), 0.0);
-  EXPECT_EQ(f.index.search_host(f.keys[0]).value_or(kNotFound), 7000u);
+  EXPECT_DOUBLE_EQ(u.upload(20e-6 + staged.build_seconds()),
+                   image_resync_seconds(f.index.tree(), f.link));
+  for (std::uint64_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(f.index.tree().search(probe[i]).value_or(kNotFound), 9000 + i);
+    EXPECT_EQ(f.index.search_committed(probe[i]).value_or(kNotFound), 7000 + i);
+  }
+  EXPECT_EQ(served(), values(7000));
   u.commit();
   EXPECT_FALSE(u.inflight());
+  EXPECT_EQ(served(), values(9000));
   for (std::uint64_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(f.index.search_host(f.keys[i]).value_or(kNotFound), 9000 + i);
+    EXPECT_EQ(f.index.search_committed(probe[i]).value_or(kNotFound), 9000 + i);
   }
 }
 

@@ -9,9 +9,13 @@
 #include <cstdint>
 #include <cstring>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "common/expect.hpp"
+#include "fault/checksum.hpp"
+#include "fault/fault_plan.hpp"
+#include "obs/trace.hpp"
 #include "queries/workload.hpp"
 #include "serve/workload.hpp"
 #include "shard/sharded_server.hpp"
@@ -275,6 +279,72 @@ TEST(Reshard, SplitComposesWithReplicaGroups) {
   EXPECT_EQ(grid, rep.batches);
   check_answered_against_oracle(rep, stream, snapshots,
                                 cfg.batch.max_range_results);
+}
+
+// The donor of a staged split is lost and restored before the flip
+// commits. Its host tree already holds the post-split keys while the old
+// plan still routes the ceded range to it, so the restore must re-image
+// the committed pre-split image; every answer stays oracle-exact and the
+// flip still installs both sides.
+TEST(Reshard, DonorRestoredMidSplitKeepsServingThePreSplitImage) {
+  auto cfg = reshard_config();
+  cfg.epoch.mode = serve::EpochMode::kOverlap;
+  const auto annotations = [](const obs::TraceRecorder& trace, unsigned shard,
+                              const std::string& prefix) {
+    std::vector<double> at;
+    for (const auto& e : trace.events()) {
+      if (e.stage == obs::Stage::kAnnotation && e.shard == shard &&
+          e.note.rfind(prefix, 0) == 0)
+        at.push_back(e.at);
+    }
+    return at;
+  };
+
+  // A clean run finds the first split's start instant and donor.
+  double start = 0.0;
+  unsigned donor = 0;
+  {
+    ShardedFixture f(4);
+    obs::TraceRecorder trace;
+    cfg.obs.trace = &trace;
+    ShardedServer server(f.index, cfg);
+    server.run(serve::make_open_loop(f.keys, zipfian_spec()));
+    const auto it = std::find_if(trace.events().begin(), trace.events().end(),
+                                 [](const obs::TraceEvent& e) {
+                                   return e.note.rfind("reshard start", 0) == 0;
+                                 });
+    ASSERT_NE(it, trace.events().end());
+    start = it->at;
+    donor = it->shard;
+  }
+
+  ShardedFixture f(4);
+  const auto stream = serve::make_open_loop(f.keys, zipfian_spec());
+  obs::TraceRecorder trace;
+  cfg.obs.trace = &trace;
+  cfg.faults = fault::FaultPlan::parse("lose@" + std::to_string(start + 1e-6) + ":shard=" +
+                                       std::to_string(donor) + ",repair=0.0001");
+  ShardedServer server(f.index, cfg);
+  const auto rep = server.run(stream);
+
+  // The loss and the restore both land inside the first split's window.
+  const auto lost = annotations(trace, donor, "shard lost");
+  const auto restored = annotations(trace, donor, "shard restored");
+  const auto commits = annotations(trace, donor, "reshard commit");
+  ASSERT_EQ(lost.size(), 1u);
+  ASSERT_EQ(restored.size(), 1u);
+  ASSERT_FALSE(commits.empty());
+  EXPECT_LT(start, lost[0]);
+  EXPECT_LT(restored[0], commits[0]);
+
+  ASSERT_GE(rep.migrations, 1u);
+  EXPECT_EQ(rep.faults.shards_restored, 1u);
+  check_answered_against_oracle(rep, stream, snapshots_from_responses(f.keys, stream, rep),
+                                cfg.batch.max_range_results);
+  for (unsigned s = 0; s < 4; ++s) {
+    ASSERT_NE(f.index.shard(s), nullptr);
+    EXPECT_TRUE(fault::verify_image(*f.index.shard(s))) << "shard " << s;
+  }
 }
 
 // Determinism gate: two identical skewed runs split at the same instant

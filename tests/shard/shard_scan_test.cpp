@@ -202,11 +202,13 @@ std::vector<Value> oracle_scan(const std::map<Key, Value>& oracle, Key lo,
   return want;
 }
 
-// Acceptance: online scans served through the sharded backend across the
-// overlap pipeline's staggered swaps — shard-straddling fan-outs, the
-// version fence, and parked straddlers included — every scan response is
-// byte-identical to the CPU oracle at one whole-epoch snapshot.
-TEST(ShardScan, OnlineScansMatchSnapshotOracleAcrossOverlapSwaps) {
+// Acceptance: online scans served through the sharded backend across
+// staggered staged swaps — shard-straddling fan-outs, the version fence,
+// and parked straddlers included — every scan response is byte-identical
+// to the CPU oracle at one whole-epoch snapshot. `mode` picks the epoch
+// pipeline (and `overlay_capacity` the delta overlay bound).
+void expect_online_scans_match_snapshots(serve::EpochMode mode, std::uint64_t seed,
+                                         std::size_t overlay_capacity) {
   Fixture f(4);
 
   serve::OpenLoopSpec spec;
@@ -215,7 +217,7 @@ TEST(ShardScan, OnlineScansMatchSnapshotOracleAcrossOverlapSwaps) {
   spec.update_fraction = 0.25;
   spec.scan_fraction = 0.20;
   spec.scan_n = 96;  // ~a tenth of a shard: boundary starts straddle
-  spec.seed = 42;
+  spec.seed = seed;
   const auto stream = serve::make_open_loop(f.keys, spec);
 
   serve::ServeOptions cfg;
@@ -225,7 +227,8 @@ TEST(ShardScan, OnlineScansMatchSnapshotOracleAcrossOverlapSwaps) {
   cfg.batch.max_range_results = 96;
   cfg.epoch.max_buffered = 400;
   cfg.epoch.apply_threads = 1;  // arrival-order map oracle (see swap test)
-  cfg.epoch.mode = serve::EpochMode::kOverlap;
+  cfg.epoch.mode = mode;
+  cfg.epoch.overlay_capacity = overlay_capacity;
 
   ShardedServer server(f.sharded, cfg);
   const auto rep = server.run(stream);
@@ -262,6 +265,18 @@ TEST(ShardScan, OnlineScansMatchSnapshotOracleAcrossOverlapSwaps) {
     EXPECT_EQ(rep.responses[i].range_values, rep_b.responses[i].range_values);
     EXPECT_DOUBLE_EQ(rep.responses[i].completion, rep_b.responses[i].completion);
   }
+}
+
+TEST(ShardScan, OnlineScansMatchSnapshotOracleAcrossOverlapSwaps) {
+  expect_online_scans_match_snapshots(serve::EpochMode::kOverlap, 42, 1024);
+}
+
+// Delta patch windows: the host trees run one epoch ahead of the images
+// they serve, so a straddling scan's fan-out must be sized on the
+// committed image and device overlay — counting the host tree's next
+// epoch (seed 3: scan 2098 at epoch 0) returns a short scan.
+TEST(ShardScan, OnlineScansMatchSnapshotOracleAcrossDeltaPatches) {
+  expect_online_scans_match_snapshots(serve::EpochMode::kIncremental, 3, 4096);
 }
 
 // Scans through the quiesce-mode single-snapshot path (epochs drain every

@@ -274,7 +274,7 @@ TEST(ShardSwap, EpochVersionsMonotonicInCompletionOrder) {
 // TSan stress: a small epoch buffer, a fast link, and a free modeled
 // apply drive hundreds of staggered swap windows under a heavy update +
 // straddling range mix, each window fencing in-flight fan-outs and
-// parking fresh straddlers, with a threaded shadow apply per shard (the
+// parking fresh straddlers, with a threaded staged apply per shard (the
 // real-thread TSan surface). Assertions stick to thread-schedule-
 // independent properties — monotone epochs, fan-out and accounting
 // tallies — because the striped apply may order two same-batch ops on
@@ -372,7 +372,7 @@ TEST(ShardSwap, PreSwapAuditCatchesStagedCorruption) {
 }
 
 // Staggered swaps must replay deterministically — fences, parking, and
-// threaded shadow applies included.
+// threaded staged applies included.
 TEST(ShardSwap, DeterministicReplay) {
   serve::OpenLoopSpec spec;
   spec.arrivals_per_second = 4e6;
