@@ -1,6 +1,7 @@
 #include "harmonia/update.hpp"
 
 #include <algorithm>
+#include <barrier>
 #include <cmath>
 #include <thread>
 
@@ -83,10 +84,8 @@ bool aux_erase(std::vector<btree::Entry>& entries, Key key) {
 
 }  // namespace
 
-void BatchUpdater::apply_one(const UpdateOp& op, UpdateStats& local) {
-  // Routing reads only internal levels, which a batch never mutates, so
-  // no lock is needed to locate the leaf.
-  const std::uint32_t leaf = tree_.find_leaf(op.key);
+void BatchUpdater::apply_one(const UpdateOp& op, std::uint32_t leaf,
+                             UpdateStats& local) {
   const std::uint32_t li = leaf - tree_.first_leaf_index();
 
   auto bump = [](std::uint64_t& counter) { ++counter; };
@@ -186,16 +185,26 @@ UpdateStats BatchUpdater::apply(std::span<const UpdateOp> ops, unsigned threads)
   WallTimer timer;
 
   if (threads == 1) {
-    for (const auto& op : ops) apply_one(op, stats);
+    for (const auto& op : ops) apply_one(op, tree_.find_leaf(op.key), stats);
   } else {
+    // Ops are dealt to workers by target leaf. Routing reads only internal
+    // levels, which a batch never mutates, so the workers first route
+    // their stripes, then each applies the ops of its leaves in arrival
+    // order. Every key's ops (and every leaf's) keep their order, so the
+    // outcome matches the one-thread apply: stats (coarse_retries aside),
+    // contents and rebuilt structure alike.
+    std::vector<std::uint32_t> leaf(ops.size());
+    std::barrier routed(static_cast<std::ptrdiff_t>(threads));
     std::vector<UpdateStats> locals(threads);
     std::vector<std::thread> workers;
     workers.reserve(threads);
     for (unsigned t = 0; t < threads; ++t) {
-      workers.emplace_back([this, &ops, &locals, t, threads] {
-        UpdateStats& local = locals[t];
-        for (std::size_t i = t; i < ops.size(); i += threads) {
-          apply_one(ops[i], local);
+      workers.emplace_back([this, &ops, &leaf, &routed, &locals, t, threads] {
+        for (std::size_t i = t; i < ops.size(); i += threads)
+          leaf[i] = tree_.find_leaf(ops[i].key);
+        routed.arrive_and_wait();
+        for (std::size_t i = 0; i < ops.size(); ++i) {
+          if (leaf[i] % threads == t) apply_one(ops[i], leaf[i], locals[t]);
         }
       });
     }

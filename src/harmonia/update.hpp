@@ -85,8 +85,10 @@ class BatchUpdater {
   /// batches, under the same no-concurrent-batch contract as apply().
   HarmoniaTree& tree_for_patch() { return tree_; }
 
-  /// Applies one batch with `threads` workers (ops are striped across
-  /// workers), then performs the deferred movement. Returns statistics.
+  /// Applies one batch with `threads` workers (ops are dealt to workers
+  /// by target leaf, so each key's ops keep arrival order and the outcome
+  /// matches threads = 1), then performs the deferred movement. Returns
+  /// statistics.
   UpdateStats apply(std::span<const queries::UpdateOp> ops, unsigned threads = 1);
 
  private:
@@ -96,9 +98,12 @@ class BatchUpdater {
     std::vector<btree::Entry> entries;
   };
 
-  /// Applies one op, accumulating into a worker-local stats block (no
-  /// shared-counter contention on the hot path).
-  void apply_one(const queries::UpdateOp& op, UpdateStats& local);
+  /// Applies one op to `leaf` (its routed target; routing reads only
+  /// internal levels, which a batch never mutates, so it needs no lock),
+  /// accumulating into a worker-local stats block (no shared-counter
+  /// contention on the hot path).
+  void apply_one(const queries::UpdateOp& op, std::uint32_t leaf,
+                 UpdateStats& local);
   void fine_enter();
   void fine_exit();
   /// Runs `fn` under Algorithm 1's coarse-path protocol.

@@ -8,8 +8,10 @@
 // commits (the device catches up); in between, image N serves.
 //
 // Quiesce (the original path): the backend drains every pending query
-// batch, then stages (Algorithm 1) and commits each shard at the barrier.
-// The device is held through the CPU apply and the PCIe resync.
+// batch and runs a held staged epoch from the barrier: each touched shard
+// stages (Algorithm 1) and commits, which re-images the one served image,
+// and resync() charges that transfer. The device is held through the CPU
+// apply and the PCIe resync, and every shard swaps at the epoch's end.
 //
 // Overlap (the double-buffered epoch pipeline, docs/serving.md): the
 // staged image N+1 uploads in the background while queries keep

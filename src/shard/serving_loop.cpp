@@ -160,7 +160,7 @@ void ShardedServer::epoch_begin(double now, RequestSource& source,
   if (config_.epoch.mode == EpochMode::kQuiesce)
     run_quiesce(now, source, report);
   else
-    begin_staged(now);
+    begin_staged(now, /*held=*/false);
 }
 
 std::vector<std::vector<queries::UpdateOp>> ShardedServer::scatter(
@@ -242,36 +242,11 @@ void ShardedServer::run_quiesce(double at, RequestSource& source,
             " updates=" + std::to_string(pending_updates_.size()));
   }
 
-  // Each touched shard write-ahead logs, stages and commits its sub-batch
-  // at the barrier. One host CPU applies shard after shard, so the charged
-  // ops sum; the touched images then resync concurrently over their own
-  // links, so the upload charge is the slowest shard's.
-  const auto per_shard = scatter(pending_updates_);
-  const unsigned n = num_shards();
-  std::vector<EpochUpdater::Work> work(n);
-  std::vector<double> uploads(n, 0.0);
-  std::uint64_t charged = 0;
-  UpdateStats stats;
-  for (unsigned s = 0; s < n; ++s) {
-    if (per_shard[s].empty()) continue;
-    work[s] = engines_[s]->stage(epochs_ + 1, per_shard[s], start, /*may_patch=*/false);
-    engines_[s]->commit();
-    charged += work[s].fold_ops;
-    stats += work[s].stats;
-  }
-  const double build = engines_[0]->apply_seconds(charged);
-  double upload = 0.0;
-  for (unsigned s = 0; s < n; ++s) {
-    if (per_shard[s].empty()) continue;
-    uploads[s] = engines_[s]->resync(start + build);
-    upload = std::max(upload, uploads[s]);
-  }
-  const double finish = start + build + upload;
-
-  ++epochs_;
-  // A quiesce epoch rebuilds and re-uploads full images: by definition a
-  // compaction, never a patch (incremental final drains land here too).
-  book_epoch(stats, build, upload, /*patch=*/false, report);
+  // The epoch stages like any other, but held: it completes inside this
+  // event, so no lose or restore can fall between its start and finish
+  // (it would stamp epoch N on answers that read image N+1).
+  begin_staged(start, /*held=*/true);
+  const double finish = inflight_->shards[0].ready;
   // Every device is held through the epoch: admission reopens on all
   // shards at the same instant (the atomicity the stress tests pin).
   // Replicas stall alongside — each holds a full image copy.
@@ -280,59 +255,77 @@ void ShardedServer::run_quiesce(double at, RequestSource& source,
   report.busy_seconds += stall;
   if (stall_hist_ != nullptr) stall_hist_->observe(stall);
   for (double& f : replica_free_) f = finish;
-  for (unsigned s = 0; s < n; ++s) {
-    on_swapped(s, epochs_, per_shard[s].size());
-    if (per_shard[s].empty()) continue;
-    engines_[s]->snapshot(epochs_, /*compaction=*/true, finish);
-    engines_[s]->observe(work[s], uploads[s], 0.0, finish - start);
-  }
-  answer_updates(pending_updates_, start, finish, "epoch=" + std::to_string(epochs_),
-                 source, report);
-  pending_updates_.clear();
-  at_fleet_swap_boundary(finish);  // a quiesce epoch is a fleet boundary
+  for (unsigned s = 0; s < num_shards(); ++s) commit_shard(s, finish, report);
+  finish_staged(finish, source, report);
 }
 
-void ShardedServer::begin_staged(double now) {
+void ShardedServer::begin_staged(double now, bool held) {
   const unsigned n = num_shards();
   InflightEpoch ep;
   ep.ordinal = epochs_ + 1;
   ep.trigger = now;
+  ep.held = held;
   ep.requests = std::move(pending_updates_);
   pending_updates_.clear();
   ep.shards.resize(n);
   ep.remaining = n;
-
-  // One host CPU works the touched shards back to back (the build charge
-  // sums in shard order), then the touched images upload concurrently
-  // over their own links. Each shard logs at the trigger, then patches in
-  // place or stages a full build (a fenced shard has no live image to
-  // patch, and a shard whose gaps/overlay exhaust compacts).
   const auto per_shard = scatter(ep.requests);
-  for (unsigned s = 0; s < n; ++s) {
-    if (per_shard[s].empty()) continue;
-    ShardStage& st = ep.shards[s];
-    st.staged = true;
-    st.work = engines_[s]->stage(ep.ordinal, per_shard[s], now, !fenced_[s]);
-    ep.build_seconds += st.work.patch_seconds;
-    ep.build_seconds += st.work.fold_seconds;
-    ep.patch = ep.patch && st.work.patch;
-    ep.stats += st.work.stats;
-  }
-  ep.build_done = now + ep.build_seconds;
-
-  if (config_.obs.trace != nullptr)
+  std::vector<ShardOps> sides;
+  for (unsigned s = 0; s < n; ++s)
+    if (!per_shard[s].empty()) sides.emplace_back(s, per_shard[s]);
+  stage_epoch(ep, sides, now);
+  if (!held && config_.obs.trace != nullptr)
     config_.obs.trace->annotate(now, obs::TraceRecorder::kNoShard,
                                 "epoch build start epoch=" + std::to_string(ep.ordinal) +
                                     " ops=" + std::to_string(ep.requests.size()) +
                                     (ep.patch ? " patch" : ""));
-  for (unsigned s = 0; s < n; ++s) {
-    ShardStage& st = ep.shards[s];
-    if (st.staged) st.upload_seconds = engines_[s]->upload(ep.build_done);
-    // An untouched shard has nothing to upload: it swaps (a version
-    // bump) as soon as the build finishes and its fence is clear.
-    st.ready = ep.build_done + st.upload_seconds;
-  }
+  upload_epoch(ep, sides);
   inflight_ = std::move(ep);
+}
+
+void ShardedServer::stage_epoch(InflightEpoch& ep, std::span<const ShardOps> sides,
+                                double now) {
+  // One host CPU works the sides back to back. Each shard logs at `now`,
+  // then patches in place or stages a full build: a held epoch, a plan
+  // flip, a fenced shard (no live image to patch) and a shard whose
+  // gaps/overlay exhaust all build full images.
+  std::uint64_t fold_ops = 0;
+  for (const auto& [s, ops] : sides) {
+    ShardStage& st = ep.shards[s];
+    st.staged = true;
+    st.work = engines_[s]->stage(ep.ordinal, ops, now,
+                                 !ep.held && !ep.flip && !fenced_[s]);
+    ep.build_seconds += st.work.patch_seconds;
+    ep.build_seconds += st.work.fold_seconds;
+    fold_ops += st.work.fold_ops;
+    ep.patch = ep.patch && st.work.patch;
+    ep.stats += st.work.stats;
+  }
+  // The build charge sums side by side, except a held epoch's: its
+  // summed fold counts times the price, once (quiesce's fleet FP order).
+  if (ep.held) ep.build_seconds = engines_[0]->apply_seconds(fold_ops);
+  ep.build_done = now + ep.build_seconds;
+}
+
+void ShardedServer::upload_epoch(InflightEpoch& ep, std::span<const ShardOps> sides) {
+  // The sides' images cross their own links concurrently from build_done,
+  // in side order. A staged upload fills a second buffer that is audited
+  // before its swap. A held epoch commits first and charges the resync of
+  // the one served image: an armed corruption hits that image, and the
+  // CRC32 audit repairs it.
+  double slowest = 0.0;
+  for (const auto& [s, ops] : sides) {
+    ShardStage& st = ep.shards[s];
+    if (ep.held) engines_[s]->commit();
+    st.upload_seconds = ep.held ? engines_[s]->resync(ep.build_done)
+                                : engines_[s]->upload(ep.build_done);
+    slowest = std::max(slowest, st.upload_seconds);
+  }
+  // An untouched shard has nothing to upload: it swaps (a version bump)
+  // as soon as the build finishes and its fence is clear. A held epoch
+  // stalls every shard until the slowest resync ends.
+  for (ShardStage& st : ep.shards)
+    st.ready = ep.build_done + (ep.held ? slowest : st.upload_seconds);
 }
 
 bool ShardedServer::swap_pending(double now) const {
@@ -408,19 +401,22 @@ void ShardedServer::commit_shard(unsigned s, double now, ServerReport& report) {
   ShardStage& st = ep.shards[s];
   // The swap is a pointer flip (or a flush of the queued patch writes):
   // no device time beyond the instant — the upload already happened in
-  // the background.
-  if (st.staged) engines_[s]->commit();
+  // the background. A held shard committed before its resync.
+  if (st.staged && !ep.held) engines_[s]->commit();
   st.swapped = true;
   on_swapped(s, ep.ordinal, st.work.ops);
-  // A restore swaps a lost shard's piece before it is ready: no wait.
+  // A restore swaps a lost shard's piece before it is ready: no wait. A
+  // held shard swaps at `ready` after a stall, not a wait: its engine
+  // books the stall, and the fleet swap-wait histogram sees nothing.
   const double wait = std::max(0.0, now - st.ready);
   report.epoch_swap_wait_seconds += wait;
-  if (swap_wait_hist_ != nullptr) swap_wait_hist_->observe(wait);
+  if (swap_wait_hist_ != nullptr && !ep.held) swap_wait_hist_->observe(wait);
   if (st.staged) {
     engines_[s]->snapshot(ep.ordinal, !st.work.patch, now);
-    engines_[s]->observe(st.work, st.upload_seconds, wait, 0.0);
+    engines_[s]->observe(st.work, st.upload_seconds, wait,
+                         ep.held ? now - ep.trigger : 0.0);
   }
-  if (config_.obs.trace != nullptr)
+  if (config_.obs.trace != nullptr && !ep.held)
     config_.obs.trace->annotate(now, s,
                                 "epoch swap epoch=" + std::to_string(ep.ordinal) +
                                     (st.work.patch ? " patch" : ""));
@@ -450,7 +446,8 @@ void ShardedServer::finish_staged(double now, RequestSource& source,
   // The update requests complete at the last shard swap: only then is
   // the epoch observable everywhere.
   answer_updates(ep.requests, ep.trigger, now,
-                 "epoch=" + std::to_string(epochs_) + " staged", source, report);
+                 "epoch=" + std::to_string(epochs_) + (ep.held ? "" : " staged"),
+                 source, report);
   at_fleet_swap_boundary(now);
   release_parked(now, source, report);
 }

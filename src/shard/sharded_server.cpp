@@ -748,30 +748,18 @@ void ShardedServer::start_migration(unsigned donor, unsigned receiver,
   ep.trigger = now;
   ep.shards.resize(num_shards());
   ep.remaining = num_shards();  // nothing swaps before the flip
-  const std::pair<unsigned, std::span<const queries::UpdateOp>> sides[] = {
-      {donor, del}, {receiver, ins}};
-  for (const auto& [s, ops] : sides) {
-    ShardStage& st = ep.shards[s];
-    st.staged = true;
-    st.work = engines_[s]->stage(ep.ordinal, ops, now, /*may_patch=*/false);
-    ep.build_seconds += st.work.patch_seconds;
-    ep.build_seconds += st.work.fold_seconds;
-  }
-  ep.build_done = now + ep.build_seconds;
-  // The two fresh images upload concurrently over their own links.
-  for (const auto& [s, ops] : sides) {
-    ShardStage& st = ep.shards[s];
-    st.upload_seconds = engines_[s]->upload(ep.build_done);
-    st.ready = ep.build_done + st.upload_seconds;
-  }
+  ep.flip = std::move(flip);
+  // The donor side stages and uploads first.
+  const ShardOps sides[] = {{donor, del}, {receiver, ins}};
+  stage_epoch(ep, sides, now);
+  upload_epoch(ep, sides);
 
   if (config_.obs.trace != nullptr)
     config_.obs.trace->annotate(
         now, donor,
-        "reshard start: hot shard cedes " + std::to_string(flip.moved_keys) +
+        "reshard start: hot shard cedes " + std::to_string(ep.flip->moved_keys) +
             " keys to shard " + std::to_string(receiver) + " at key " +
             std::to_string(split_key));
-  ep.flip = std::move(flip);
   inflight_ = std::move(ep);
 }
 

@@ -20,10 +20,15 @@
 //                    piece completes.
 //   Epoch barrier  : in quiesce mode, buffered updates apply as one
 //                    cross-shard epoch — the trigger quiesces every
-//                    shard, waits for the slowest device (the barrier),
-//                    applies the Algorithm-1 updater per shard, resyncs
-//                    every touched image, and reopens admission on all
-//                    shards at the same instant.
+//                    shard and waits for the slowest device (the
+//                    barrier), then runs a *held* staged epoch: the same
+//                    stage, upload, per-shard commit and booking as
+//                    overlap mode, except that each touched image commits
+//                    and resyncs in place, every device stalls until the
+//                    slowest resync ends, and every shard swaps at that
+//                    instant, inside the trigger's event, so admission
+//                    reopens on all shards at once
+//                    (docs/serving.md#one-engine-one-composition).
 //   Version fence  : in overlap mode (the double-buffered pipeline,
 //                    docs/serving.md#epoch-pipeline), each shard stages
 //                    image N+1 in the background and swaps at its own
@@ -172,6 +177,10 @@ class ShardedServer {
   struct InflightEpoch {
     unsigned ordinal = 0;  // epoch number every shard will swap to
     double trigger = 0.0;
+    /// A quiesce epoch: every device is held from the trigger (the
+    /// barrier) until the slowest resync ends, and all shards swap then,
+    /// inside the trigger's event.
+    bool held = false;
     double build_seconds = 0.0;
     double build_done = 0.0;
     /// True when every staged shard patched in place (the epoch books as
@@ -214,16 +223,25 @@ class ShardedServer {
   void epoch_begin(double now, serve::RequestSource& source,
                    serve::ServerReport& report);
   /// A quiesce epoch triggered at `at`: drain, barrier on every device,
-  /// apply each shard's ops on one host CPU, resync the touched images
-  /// concurrently, reopen every device at the same instant.
+  /// then a held staged epoch that every shard swaps to at its finish,
+  /// when every device reopens at the same instant.
   void run_quiesce(double at, serve::RequestSource& source,
                    serve::ServerReport& report);
   /// Quiesce epochs: serves every queued query batch at `at` so
   /// everything admitted before the trigger sees the pre-epoch images.
   void drain_queries(double at, serve::RequestSource& source,
                      serve::ServerReport& report);
-  /// Overlap/incremental trigger: stages every touched shard's epoch.
-  void begin_staged(double now);
+  /// Stages every touched shard's share of the buffered updates as the
+  /// in-flight epoch (`held`: a quiesce epoch, committed by the caller).
+  void begin_staged(double now, bool held);
+  /// One shard's ops in an epoch: a touched shard's scatter, or one side
+  /// of a migration.
+  using ShardOps = std::pair<unsigned, std::span<const queries::UpdateOp>>;
+  /// Stages each side through its engine, in order, and prices the build.
+  void stage_epoch(InflightEpoch& ep, std::span<const ShardOps> sides, double now);
+  /// Uploads (held: commits and resyncs) each side's image from the
+  /// build's end, in order, and sets every shard's ready instant.
+  void upload_epoch(InflightEpoch& ep, std::span<const ShardOps> sides);
   /// True once any unswapped shard's staged image is ready at `now` (for
   /// a plan flip: both sides' images): a swap is due, so new straddlers
   /// (or requests touching the migrating pair) must park instead of

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 
 #include "btree/btree.hpp"
@@ -213,6 +214,53 @@ TEST(BatchUpdater, MultithreadedDisjointUpdatesKeepAllValues) {
   f.apply_to_oracle(ops);
   f.updater.apply(ops, 8);
   f.check_consistent();
+}
+
+TEST(BatchUpdater, ThreadedApplyKeepsPerKeyArrivalOrder) {
+  // Chains of inserts, updates and deletes on one key, laid out back to
+  // back: their outcome depends on the order they run in. A threaded
+  // apply must keep each key's arrival order, so it matches the
+  // one-thread apply (the arrival-order oracle) on every schedule.
+  const auto keys = queries::make_tree_keys(4000, 21);
+  const auto missing = queries::make_missing_keys(keys, 300, 22);
+  Xoshiro256 rng(23);
+  std::vector<UpdateOp> ops;
+  for (std::size_t c = 0; c < 600; ++c) {
+    const Key k = c % 2 == 0 ? missing[c / 2] : keys[rng.next_below(keys.size())];
+    const std::uint64_t len = 2 + rng.next_below(4);
+    for (std::uint64_t j = 0; j < len; ++j) {
+      const auto kind = static_cast<OpKind>(rng.next_below(3));
+      ops.push_back({kind, k, rng.next()});
+    }
+  }
+  const HarmoniaTree base = HarmoniaTree::from_btree(btree::make_tree(keys, 8, 0.69));
+  BatchUpdater one(base);
+  const UpdateStats want = one.apply(ops, 1);
+  ASSERT_GT(want.failed, 0u);
+  ASSERT_TRUE(want.rebuilt);
+  const auto want_entries = one.tree().range(0, kPadKey - 1);
+  for (int rep = 0; rep < 50; ++rep) {
+    for (unsigned threads = 2; threads <= 4; ++threads) {
+      SCOPED_TRACE(::testing::Message() << "rep " << rep << ", threads " << threads);
+      BatchUpdater u(base);
+      const UpdateStats got = u.apply(ops, threads);
+      ASSERT_EQ(got.updates, want.updates);
+      ASSERT_EQ(got.inserts, want.inserts);
+      ASSERT_EQ(got.deletes, want.deletes);
+      ASSERT_EQ(got.failed, want.failed);
+      ASSERT_EQ(got.fine_path_ops, want.fine_path_ops);
+      ASSERT_EQ(got.coarse_path_ops, want.coarse_path_ops);
+      ASSERT_EQ(got.aux_nodes, want.aux_nodes);
+      ASSERT_EQ(got.moved_slots, want.moved_slots);
+      const auto got_entries = u.tree().range(0, kPadKey - 1);
+      ASSERT_EQ(got_entries.size(), want_entries.size());
+      for (std::size_t i = 0; i < got_entries.size(); ++i) {
+        ASSERT_EQ(got_entries[i].key, want_entries[i].key);
+        ASSERT_EQ(got_entries[i].value, want_entries[i].value);
+      }
+      ASSERT_TRUE(std::ranges::equal(u.tree().key_region(), one.tree().key_region()));
+    }
+  }
 }
 
 TEST(BatchUpdater, StatsTimingsPopulated) {

@@ -141,9 +141,8 @@ ServeOptions delta_config(std::uint64_t max_buffered, std::size_t overlay_cap) {
   cfg.batch.max_range_results = 16;
   cfg.epoch.max_buffered = max_buffered;
   cfg.epoch.max_wait = 50e-6;
-  // Single-threaded apply: the striped multi-worker apply may order two
-  // same-batch ops on one key either way, which the arrival-order map
-  // oracle cannot model.
+  // One apply thread (a threaded apply deals ops by leaf and matches it
+  // exactly; BatchUpdater.ThreadedApplyKeepsPerKeyArrivalOrder pins that).
   cfg.epoch.apply_threads = 1;
   cfg.epoch.mode = EpochMode::kIncremental;
   cfg.epoch.overlay_capacity = overlay_cap;

@@ -277,6 +277,53 @@ TEST(ShardedServer, ClosedLoopNeverOverflowsClientPopulation) {
 
 // Sharded serving must be a pure replay: same stream, same partition,
 // same config -> identical virtual-clock trace across all devices.
+// A quiesce epoch prices the fleet build once: the summed fold counts
+// times the per-op price. With this split, pricing shard by shard and
+// summing lands one ulp away, so the bits pin the floating-point order.
+// Both quiesce entries take it: the size trigger and the final drain.
+TEST(ShardedServer, QuiesceBuildPricesSummedOpsOnce) {
+  const std::uint64_t per_shard[] = {5, 11, 7, 2};
+  const double price = 250e-9;
+  double shard_by_shard = 0.0;
+  std::uint64_t total = 0;
+  for (const std::uint64_t n : per_shard) {
+    shard_by_shard += static_cast<double>(n) * price;
+    total += n;
+  }
+  const double once = static_cast<double>(total) * price;
+  ASSERT_NE(once, shard_by_shard);
+
+  for (const std::size_t max_buffered : {std::size_t{25}, std::size_t{1000}}) {
+    SCOPED_TRACE(testing::Message() << "max_buffered " << max_buffered);
+    ShardedFixture f(4);
+    std::uint64_t left[] = {5, 11, 7, 2};
+    std::vector<serve::Request> stream;
+    for (const Key k : f.keys) {
+      const unsigned s = f.index.plan().shard_of(k);
+      if (left[s] == 0) continue;
+      --left[s];
+      serve::Request r;
+      r.id = stream.size();
+      r.kind = serve::RequestKind::kUpdate;
+      r.arrival = 1e-6 * static_cast<double>(stream.size());
+      r.key = k;
+      r.value = k ^ 1;
+      stream.push_back(r);
+    }
+    ASSERT_EQ(stream.size(), total);
+    serve::ServeOptions cfg;
+    cfg.epoch.max_buffered = max_buffered;
+    cfg.epoch.seconds_per_op = price;
+    ShardedServer server(f.index, cfg);
+    const auto rep = server.run(stream);
+    ASSERT_EQ(rep.epochs, 1u);
+    EXPECT_EQ(rep.updates_applied, total);
+    EXPECT_EQ(rep.updates_failed, 0u);
+    EXPECT_EQ(rep.epoch_build_seconds, once)
+        << std::hexfloat << rep.epoch_build_seconds << " vs " << once;
+  }
+}
+
 TEST(ShardedServer, DeterministicReplay) {
   serve::OpenLoopSpec spec;
   spec.arrivals_per_second = 4e6;
