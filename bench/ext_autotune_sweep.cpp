@@ -218,8 +218,9 @@ int main(int argc, char** argv) {
       const auto scores = score_phases(rep, edges);
       for (std::size_t p = 0; p < kPhases.size(); ++p)
         best[p] = std::max(best[p], scores[p].completed);
-      add_rows("b" + std::to_string(b) + "/w" + std::to_string(w) + "us",
-               scores);
+      std::ostringstream label;
+      label << 'b' << b << "/w" << w << "us";
+      add_rows(label.str(), scores);
     }
   }
 

@@ -54,47 +54,4 @@ double Summary::percentile(double p) const {
   return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
 }
 
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo), width_((hi - lo) / static_cast<double>(buckets)), counts_(buckets, 0) {
-  HARMONIA_CHECK(buckets > 0);
-  HARMONIA_CHECK(hi > lo);
-}
-
-void Histogram::add(double x) {
-  ++total_;
-  // Out-of-range samples get their own buckets: clamping them into the
-  // edge buckets silently corrupted tail readings.
-  if (x < lo_) {
-    ++underflow_;
-    return;
-  }
-  const auto idx = static_cast<std::size_t>((x - lo_) / width_);
-  if (idx >= counts_.size()) {
-    ++overflow_;
-    return;
-  }
-  ++counts_[idx];
-}
-
-std::uint64_t Histogram::bucket(std::size_t i) const {
-  HARMONIA_CHECK(i < counts_.size());
-  return counts_[i];
-}
-
-double Histogram::fraction(std::size_t i) const {
-  HARMONIA_CHECK(i < counts_.size());
-  if (total_ == 0) return 0.0;
-  return static_cast<double>(counts_[i]) / static_cast<double>(total_);
-}
-
-double Histogram::bucket_lo(std::size_t i) const {
-  HARMONIA_CHECK(i < counts_.size());
-  return lo_ + width_ * static_cast<double>(i);
-}
-
-double Histogram::bucket_hi(std::size_t i) const {
-  HARMONIA_CHECK(i < counts_.size());
-  return lo_ + width_ * static_cast<double>(i + 1);
-}
-
 }  // namespace harmonia

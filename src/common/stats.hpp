@@ -2,7 +2,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -31,37 +30,6 @@ class Summary {
  private:
   std::vector<double> samples_;
   double sum_ = 0.0;
-};
-
-/// Fixed-width histogram over [lo, hi). Out-of-range samples are counted
-/// in explicit underflow/overflow buckets — never clamped into the edge
-/// buckets, which would silently corrupt tail readings. Used for
-/// divergence distributions (Fig. 3, Fig. 10) and as the semantic model
-/// for the serving stack's obs::LatencyHistogram.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t buckets);
-
-  void add(double x);
-  std::size_t bucket_count() const { return counts_.size(); }
-  std::uint64_t bucket(std::size_t i) const;
-  /// Samples below lo / at or above hi.
-  std::uint64_t underflow() const { return underflow_; }
-  std::uint64_t overflow() const { return overflow_; }
-  /// Every sample seen, in-range or not.
-  std::uint64_t total() const { return total_; }
-  /// Fraction of all samples landing in bucket i (0 if empty histogram).
-  double fraction(std::size_t i) const;
-  double bucket_lo(std::size_t i) const;
-  double bucket_hi(std::size_t i) const;
-
- private:
-  double lo_;
-  double width_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t underflow_ = 0;
-  std::uint64_t overflow_ = 0;
-  std::uint64_t total_ = 0;
 };
 
 }  // namespace harmonia

@@ -65,13 +65,7 @@ SearchStats search_batch(gpusim::Device& device, const HarmoniaDeviceImage& imag
     }
     {
       std::array<Key, 32> qvals;
-      if (config.account_query_load) {
-        w.gather<Key>(leader_mask, std::span(addrs.data(), warp), qvals);
-      } else {
-        for (unsigned g = 0; g < nq; ++g) {
-          qvals[g * gs] = device.memory().read<Key>(addrs[g * gs]);
-        }
-      }
+      w.gather<Key>(leader_mask, std::span(addrs.data(), warp), qvals);
       for (unsigned g = 0; g < nq; ++g) target[g] = qvals[g * gs];
       w.compute(leader_mask);  // broadcast/setup
     }

@@ -34,8 +34,6 @@ struct SearchConfig {
   /// is seen. Traditional fanout-based traversal compares every key
   /// (early_exit = false) — the "useless comparisons" of §4.2.
   bool early_exit = true;
-  /// Charge the coalesced reads of the query array itself.
-  bool account_query_load = true;
 };
 
 struct SearchStats {

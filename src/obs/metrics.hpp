@@ -56,9 +56,8 @@ class Gauge {
 
 /// Fixed-bucket latency histogram with *explicit* under/overflow buckets:
 /// a sample below edges.front() or at/above edges.back() is counted apart
-/// from the edge buckets instead of silently clamped into them (the
-/// corruption the old common/stats Histogram suffered from — tail
-/// readings must never absorb out-of-range samples invisibly).
+/// from the edge buckets instead of silently clamped into them — tail
+/// readings must never absorb out-of-range samples invisibly.
 ///
 /// Bucket i spans [edge(i), edge(i+1)); observe() is lock-free (one
 /// relaxed atomic add picked by binary search over the fixed edges).

@@ -92,12 +92,6 @@ class ShardDurability {
   std::uint64_t log_ops() const { return log_ops_; }
   std::uint64_t snapshots_written() const { return snapshots_; }
 
-  /// Log-tail shipping for replica catch-up: the batches with
-  /// epoch > `after_epoch` that a rejoining group member must replay.
-  LogReplay tail_since(std::uint64_t after_epoch) const {
-    return UpdateLog::replay_tail(log_path_, after_epoch);
-  }
-
   /// Models the torn write for this shard: chops `torn_bytes` off the
   /// last durable write (no-op if nothing was written).
   void apply_tear(std::uint64_t torn_bytes);

@@ -105,16 +105,6 @@ LogReplay UpdateLog::replay(const std::filesystem::path& path) {
   return out;
 }
 
-LogReplay UpdateLog::replay_tail(const std::filesystem::path& path,
-                                 std::uint64_t after_epoch) {
-  LogReplay out = replay(path);
-  std::erase_if(out.batches,
-                [after_epoch](const LogBatch& b) { return b.epoch <= after_epoch; });
-  out.ops = 0;
-  for (const LogBatch& b : out.batches) out.ops += b.ops.size();
-  return out;
-}
-
 void UpdateLog::truncate(const std::filesystem::path& path, std::uint64_t valid_bytes) {
   std::error_code ec;
   if (!std::filesystem::exists(path, ec)) return;

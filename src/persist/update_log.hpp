@@ -68,13 +68,6 @@ class UpdateLog {
   /// replay (a fresh shard has no log yet).
   static LogReplay replay(const std::filesystem::path& path);
 
-  /// Log-tail shipping: replay() restricted to records with
-  /// epoch > `after_epoch` — what a rejoining replica that last applied
-  /// `after_epoch` must catch up on. valid_bytes/total_bytes/torn_tail
-  /// still describe the whole file; `ops` counts only the tail.
-  static LogReplay replay_tail(const std::filesystem::path& path,
-                               std::uint64_t after_epoch);
-
   /// Chops the file to its valid prefix (post-replay repair).
   static void truncate(const std::filesystem::path& path, std::uint64_t valid_bytes);
 

@@ -58,18 +58,6 @@ std::size_t BatchScheduler::kind_depth(std::size_t kind) const {
   return n;
 }
 
-std::uint64_t BatchScheduler::admitted() const {
-  std::uint64_t n = 0;
-  for (const RequestQueue& q : lanes_) n += q.admitted();
-  return n;
-}
-
-std::uint64_t BatchScheduler::rejected() const {
-  std::uint64_t n = 0;
-  for (const RequestQueue& q : lanes_) n += q.rejected();
-  return n;
-}
-
 std::size_t BatchScheduler::free_slots(RequestKind kind) const {
   const std::size_t used = kind_depth(kind_index(kind));
   return config_.queue_capacity - used;
@@ -114,7 +102,6 @@ BatchScheduler::Admit BatchScheduler::admit(const Request& r) {
       }
     }
     if (!victim_class.has_value()) {
-      lane(k, qos::index(q.klass)).note_rejected();
       if (obs_.active() && m.rejected != nullptr) m.rejected->inc();
       return result;
     }

@@ -121,8 +121,6 @@ class BatchScheduler {
   /// Dispatch starts at max(close_time, device_free). Requires !empty().
   Dispatch dispatch_ready(double close_time, double device_free, unsigned epoch);
 
-  std::uint64_t admitted() const;
-  std::uint64_t rejected() const;
   /// Requests shed by QoS eviction, per class.
   const std::array<std::uint64_t, qos::kNumClasses>& evicted_by_class() const {
     return evicted_;

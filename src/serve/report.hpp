@@ -107,10 +107,10 @@ struct ServerReport {
   /// Per-shard admissions and drops, tallied exactly once at the routing
   /// point: a query counts toward the shard its routing starts at
   /// (points: the owner shard; ranges: the first shard of the span), so
-  /// each vector sums to its stream-level counter. The schedulers' own
-  /// admitted()/rejected() tallies cannot be aggregated here — they
-  /// count every fan-out sub-request (double-counting straddling
-  /// ranges) and never see all-or-nothing probe drops (omitting them).
+  /// each vector sums to its stream-level counter. Counting at the
+  /// shard queues instead would book every fan-out sub-request
+  /// (double-counting straddling ranges) and never see all-or-nothing
+  /// probe drops (omitting them).
   std::vector<std::uint64_t> shard_admitted;
   std::vector<std::uint64_t> shard_dropped;
   /// Range requests that fanned out across >1 shard.

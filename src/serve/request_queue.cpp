@@ -13,12 +13,8 @@ const char* to_string(RequestKind kind) {
 }
 
 bool RequestQueue::try_push(const Request& r) {
-  if (pending_.size() >= capacity_) {
-    ++rejected_;
-    return false;
-  }
+  if (pending_.size() >= capacity_) return false;
   pending_.push_back(r);
-  ++admitted_;
   return true;
 }
 

@@ -28,11 +28,6 @@ class RequestQueue {
   /// eviction sheds the request that has invested the least waiting).
   Request pop_back();
 
-  /// Books a rejection decided by the caller (the scheduler enforces a
-  /// shared per-kind budget across class lanes, so a lane can be refused
-  /// while below its own capacity).
-  void note_rejected() { ++rejected_; }
-
   bool empty() const { return pending_.empty(); }
   std::size_t size() const { return pending_.size(); }
   std::size_t capacity() const { return capacity_; }
@@ -44,14 +39,9 @@ class RequestQueue {
                             : pending_.front().arrival;
   }
 
-  std::uint64_t admitted() const { return admitted_; }
-  std::uint64_t rejected() const { return rejected_; }
-
  private:
   std::size_t capacity_;
   std::deque<Request> pending_;
-  std::uint64_t admitted_ = 0;
-  std::uint64_t rejected_ = 0;
 };
 
 }  // namespace harmonia::serve

@@ -29,7 +29,7 @@ ServingStack::ServingStack(const TopologySpec& topo,
   shopts.device_global_bytes = topo.device_global_bytes;
   shopts.link = opts.link;
   // Balanced partition over the served keys (one shard for one device):
-  // every shard is populated, which the serving path requires.
+  // every shard is populated, which ShardedIndex requires.
   sharded_ = std::make_unique<ShardedIndex>(
       entries, ShardPlan::sample_balanced(keys_, topo.shards), shopts);
   if (opts.persist.recover) {

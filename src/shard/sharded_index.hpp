@@ -1,26 +1,26 @@
-// Range-sharded multi-device layer over the Harmonia core.
+// Range-sharded multi-device state under the serving layer.
 //
 // One ShardedIndex owns, per shard of its ShardPlan, an independent
 // simulated device plus a HarmoniaIndex built from the entries falling
-// into that shard's key range. Shards never reference each other, so:
-//   search : scatter the batch by partition boundary, push each shard's
-//            sub-batch through that shard's own PCIe pipeline
-//            (pipelined_search -> dispatch_chunk, i.e. the full
-//            PSA + NTG device path), gather values back into arrival
-//            order. Devices run concurrently: wall time is the slowest
-//            shard's pipeline, which is what the scaling bench measures.
-//   range  : a query [lo, hi] fans out to every shard its span touches
-//            (bounds clamped per shard); per-shard results merge back in
-//            shard order — already globally ascending because shards are
-//            ordered ranges — truncated at max_results.
-//   update : ops scatter by target shard; each shard runs the Algorithm-1
-//            CPU updater and resyncs its own image. Host apply work sums
-//            across shards (one CPU), image resyncs overlap (one PCIe
-//            link per device), mirroring the search-side timing model.
+// into that shard's key range. Shards never reference each other. It is
+// the partition and its devices, not a second serving path: ranges,
+// scans and updates fan out through shard::ShardedServer, which keeps
+// one scheduler and one epoch engine per shard over these indexes
+// (docs/sharding.md). What stays here:
+//   partition : plan / set_plan (live resharding's flip), install_shard
+//               (recovery), shard / shard_key_count;
+//   search    : offline point batches — scatter by partition boundary,
+//               push each shard's sub-batch through its own PCIe pipeline
+//               (pipelined_search -> dispatch_chunk, the full PSA + NTG
+//               device path), gather back into arrival order. Devices run
+//               concurrently: wall time is the slowest shard's pipeline,
+//               which is what the scaling bench measures;
+//   scan span : scan_end_shard, which sizes the server's scan fan-out and
+//               its version fence;
+//   oracles   : host-side search / range / scan across shard boundaries.
 //
-// A shard whose range holds no keys stays deviceless (index() == nullptr)
-// and answers trivially: misses for points, nothing for ranges. An insert
-// routed at an empty shard instantiates its device lazily.
+// Every shard holds keys: the constructor rejects a plan that leaves a
+// shard empty, so shard(s) is never null.
 #pragma once
 
 #include <cstdint>
@@ -55,6 +55,8 @@ class ShardedIndex {
  public:
   /// Builds one tree + device image per shard from sorted, distinct
   /// entries (the same bulk-load contract as HarmoniaIndex::build).
+  /// Throws ContractViolation when the plan leaves a shard without keys
+  /// (plan the partition from the keys, e.g. ShardPlan::sample_balanced).
   ShardedIndex(std::span<const btree::Entry> entries, ShardPlan plan,
                const ShardedOptions& options = {});
 
@@ -80,7 +82,7 @@ class ShardedIndex {
   /// install_shard, so a half-migrated flip cannot slip through.
   void set_plan(ShardPlan plan);
 
-  /// The shard's index, or nullptr while its range holds no keys.
+  /// The shard's index (never null).
   HarmoniaIndex* shard(unsigned s);
   const HarmoniaIndex* shard(unsigned s) const;
   std::uint64_t shard_key_count(unsigned s) const;
@@ -108,26 +110,6 @@ class ShardedIndex {
   /// to a single-device index over the same entries.
   SearchResult search(std::span<const Key> batch);
 
-  struct RangeResult {
-    /// values[i]: ascending values of keys in [los[i], his[i]], truncated
-    /// at max_results — byte-identical to the single-device range kernel.
-    std::vector<std::vector<Value>> values;
-    /// Queries whose span crossed at least one partition boundary.
-    std::uint64_t straddling = 0;
-    std::uint64_t total_results = 0;
-    /// Slowest shard's (upload + kernel + download) service time.
-    double total_seconds = 0.0;
-  };
-
-  RangeResult range(std::span<const Key> los, std::span<const Key> his,
-                    unsigned max_results = 64);
-
-  /// Batched online scans ([lo, n): the first ns[i] values with key >=
-  /// los[i]). A scan fans out to every shard its coverage reaches (see
-  /// scan_end_shard); per-shard pieces merge in shard order and truncate
-  /// at ns[i] — byte-identical to a single-device scan_device.
-  RangeResult scan(std::span<const Key> los, std::span<const std::uint32_t> ns);
-
   /// The last shard a scan of `n` results starting at `lo` can touch:
   /// extends from shard_of(lo) through the following shards until their
   /// served entries cover n (or the last shard). Coverage is counted on
@@ -136,23 +118,16 @@ class ShardedIndex {
   /// serving fan-out and the version fence both key off this span.
   unsigned scan_end_shard(Key lo, std::uint32_t n) const;
 
-  /// Host-side scan oracle: first `n` entries with key >= lo, across
-  /// shard boundaries.
-  std::vector<btree::Entry> scan_host(Key lo, std::size_t n) const;
-
-  /// Scatters ops by target shard and applies each sub-batch with the
-  /// Algorithm-1 updater (`threads` workers per shard), then resyncs each
-  /// touched shard's device image. Aggregated stats across shards.
-  UpdateStats update_batch(std::span<const queries::UpdateOp> ops,
-                           unsigned threads = 1);
-
-  /// Host-side reference lookups (tests, oracles).
+  /// Host-side oracles across shard boundaries (tests, migrations): a
+  /// point lookup, the entries in [lo, hi], and the first `n` entries
+  /// with key >= lo.
   std::optional<Value> search_host(Key key) const;
   std::vector<btree::Entry> range_host(Key lo, Key hi, std::size_t limit = 0) const;
+  std::vector<btree::Entry> scan_host(Key lo, std::size_t n) const;
 
-  /// Attaches metrics: scatter/gather batches bump routing counters
-  /// (per-shard query routing, straddling fan-outs). Null = no overhead;
-  /// results never change either way.
+  /// Attaches metrics: search batches bump routing counters (batches,
+  /// per-shard queries). Null = no overhead; results never change either
+  /// way.
   void set_observer(const obs::Observer& obs);
 
  private:
@@ -163,13 +138,8 @@ class ShardedIndex {
     HarmoniaIndex* index = nullptr;
   };
 
-  void build_shard(unsigned s, std::span<const btree::Entry> entries);
   /// Images `tree` onto a fresh device as shard `s`.
   void adopt_tree(unsigned s, HarmoniaTree tree, const IndexOptions& options);
-  /// Updates routed at a deviceless shard: replayed on a host map, then
-  /// the shard is built from whatever survived.
-  void apply_to_empty_shard(unsigned s, std::span<const queries::UpdateOp> ops,
-                            UpdateStats& agg);
 
   ShardPlan plan_;
   ShardedOptions options_;
@@ -179,7 +149,6 @@ class ShardedIndex {
   /// per shard, resolved once at set_observer.
   std::vector<obs::Counter*> routed_;
   obs::Counter* search_batches_ = nullptr;
-  obs::Counter* straddling_ = nullptr;
 };
 
 }  // namespace harmonia::shard

@@ -45,9 +45,6 @@ ShardedServer::ShardedServer(ShardedIndex& index,
     HARMONIA_CHECK(config_.durability->num_shards() == n);
   const obs::Observer& obs = config_.obs;
   for (unsigned s = 0; s < n; ++s) {
-    HARMONIA_CHECK_MSG(index.shard(s) != nullptr,
-                       "shard " << s << " holds no keys — plan the partition "
-                                << "from the served keys (sample_balanced)");
     sched_.push_back(std::make_unique<BatchScheduler>(
         *index.shard(s), config_.link, config_.batch, config_.qos));
     engines_.push_back(std::make_unique<serve::EpochUpdater>(
@@ -558,21 +555,16 @@ void ShardedServer::rejoin_replica(double now, ServerReport& report) {
     catchup = injector_.transfer_factor(s, now) *
               image_resync_seconds(index_.shard(s)->committed(), config_.link);
   } else {
-    // Log-shipped catch-up: replay the group's update-log tail (epochs
-    // after the one this slot last applied). With a durability domain
-    // the tail comes off the real on-disk log; otherwise the in-memory
-    // ledger stands in with the same per-epoch op counts.
+    // Log-shipped catch-up: replay the epochs this slot missed (those
+    // after the one it last applied). The ledger is appended at each
+    // swap, so an epoch still staged is not counted — the slot gets that
+    // image with the swap anyway — and persistence never changes the
+    // price.
     const std::uint64_t after = g.lost_epoch(r);
-    if (config_.durability != nullptr) {
-      const persist::LogReplay tail = config_.durability->shard(s)->tail_since(after);
-      batches = tail.batches.size();
-      ops = tail.ops;
-    } else {
-      for (const auto& [epoch, count] : epoch_ops_[s]) {
-        if (epoch > after) {
-          ++batches;
-          ops += count;
-        }
+    for (const auto& [epoch, count] : epoch_ops_[s]) {
+      if (epoch > after) {
+        ++batches;
+        ops += count;
       }
     }
     // Ship cost: framed log bytes over the shard's link, then the

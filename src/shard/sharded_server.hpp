@@ -57,8 +57,9 @@
 // swaps wait for the whole group to go idle (the group-wide version
 // fence), and a lost replica fails over to the survivors — zero
 // CPU-oracle degraded queries while any member is healthy. The rejoining
-// replica catches up by replaying the group's update-log tail (epochs
-// after the one it last applied); only losing the LAST member falls back
+// replica catches up by replaying the epochs after the one it last
+// applied, counted from the group's in-memory commit ledger and priced
+// as framed update-log bytes; only losing the LAST member falls back
 // to the K = 1 fence + degraded path. K = 1 is bit-identical to the
 // pre-replica behaviour.
 //
@@ -99,10 +100,9 @@ namespace harmonia::shard {
 
 class ShardedServer {
  public:
-  /// Every shard of `index` must hold keys (plan the partition from the
-  /// served keys, e.g. ShardPlan::sample_balanced) so each shard has a
-  /// live device and scheduler for the whole run. Batch/epoch configs
-  /// are per shard; the report's shard_* vectors hold one entry each.
+  /// Serves every shard of `index` (each holds keys and a live device by
+  /// ShardedIndex's construction). Batch/epoch configs are per shard;
+  /// the report's shard_* vectors hold one entry each.
   ShardedServer(ShardedIndex& index, const serve::ServeOptions& config);
   /// One device: serves the caller's index as a one-shard fleet (the
   /// server keeps the wrapping ShardedIndex; `index` must outlive it).
@@ -370,9 +370,9 @@ class ShardedServer {
   void handle_restore(double now, serve::RequestSource& source,
                       serve::ServerReport& report);
   /// Brings the earliest due lost replica back: it catches up by
-  /// replaying the group's update-log tail (epochs after the one it last
-  /// applied), or by a full re-image when the plan changed since it was
-  /// lost — a migration's boundary move never reaches the update log.
+  /// replaying the committed epochs after the one it last applied (the
+  /// epoch_ops_ ledger), or by a full re-image when the plan changed
+  /// since it was lost — a migration's boundary move is no epoch.
   void rejoin_replica(double now, serve::ServerReport& report);
 
   /// Hot-range detection on the virtual-time cadence; starts a migration
@@ -446,9 +446,9 @@ class ShardedServer {
   std::vector<unsigned> lost_plan_;
   /// The slot the whole-shard fence took down (restore rejoins it).
   std::vector<unsigned> fence_replica_;
-  /// Per-shard (epoch, client-op count) ledger, appended at each commit
-  /// when K > 1: the in-memory stand-in for the update-log tail when no
-  /// durability domain is wired (same per-epoch granularity as the WAL).
+  /// Per-shard (epoch, client-op count) ledger, appended at each swap
+  /// when K > 1: what a rejoining replica replays, with or without a
+  /// durability domain (same per-epoch granularity as the WAL).
   std::vector<std::vector<std::pair<std::uint64_t, std::uint64_t>>> epoch_ops_;
   /// Per-shard fencing state: fenced shards serve degraded from the CPU
   /// oracle until restore_at_; cpu_free_ is the degraded-path timeline.

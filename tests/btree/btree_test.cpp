@@ -211,7 +211,9 @@ TEST(BTree, MixedOpsAgainstMapOracle) {
         const auto a = tree.search(k);
         const auto b = oracle.find(k);
         ASSERT_EQ(a.has_value(), b != oracle.end());
-        if (a) ASSERT_EQ(*a, b->second);
+        if (a) {
+          ASSERT_EQ(*a, b->second);
+        }
         break;
       }
     }

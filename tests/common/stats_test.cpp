@@ -82,63 +82,5 @@ TEST(Summary, AddAllSpan) {
   EXPECT_DOUBLE_EQ(s.mean(), 2.0);
 }
 
-TEST(Histogram, BucketsAndFractions) {
-  Histogram h(0.0, 10.0, 5);
-  for (double x : {0.5, 1.5, 2.5, 2.9, 9.5}) h.add(x);
-  EXPECT_EQ(h.total(), 5u);
-  EXPECT_EQ(h.bucket(0), 2u);  // 0.5, 1.5
-  EXPECT_EQ(h.bucket(1), 2u);  // 2.5, 2.9
-  EXPECT_EQ(h.bucket(4), 1u);  // 9.5
-  EXPECT_DOUBLE_EQ(h.fraction(0), 0.4);
-}
-
-TEST(Histogram, OutOfRangeCountsSeparately) {
-  // Regression: out-of-range samples used to clamp into the first/last
-  // buckets, silently corrupting both tails. They must land in the
-  // explicit underflow/overflow counts and leave every bucket untouched.
-  Histogram h(0.0, 10.0, 2);
-  h.add(-5.0);
-  h.add(100.0);
-  h.add(10.0);  // hi is exclusive: an overflow, not the last bucket
-  EXPECT_EQ(h.bucket(0), 0u);
-  EXPECT_EQ(h.bucket(1), 0u);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 2u);
-  EXPECT_EQ(h.total(), 3u);
-}
-
-TEST(Histogram, InRangeUnaffectedByOutOfRange) {
-  Histogram h(0.0, 10.0, 5);
-  for (double x : {0.5, 1.5, 2.5, 2.9, 9.5}) h.add(x);
-  h.add(-1.0);
-  h.add(11.0);
-  EXPECT_EQ(h.bucket(0), 2u);
-  EXPECT_EQ(h.bucket(1), 2u);
-  EXPECT_EQ(h.bucket(4), 1u);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 1u);
-  EXPECT_EQ(h.total(), 7u);
-  // fraction() is over every sample seen, in-range or not.
-  EXPECT_DOUBLE_EQ(h.fraction(0), 2.0 / 7.0);
-}
-
-TEST(Histogram, BucketBoundaries) {
-  Histogram h(0.0, 10.0, 5);
-  EXPECT_DOUBLE_EQ(h.bucket_lo(0), 0.0);
-  EXPECT_DOUBLE_EQ(h.bucket_hi(0), 2.0);
-  EXPECT_DOUBLE_EQ(h.bucket_lo(4), 8.0);
-  EXPECT_DOUBLE_EQ(h.bucket_hi(4), 10.0);
-}
-
-TEST(Histogram, InvalidConstruction) {
-  EXPECT_THROW(Histogram(0.0, 10.0, 0), ContractViolation);
-  EXPECT_THROW(Histogram(10.0, 0.0, 4), ContractViolation);
-}
-
-TEST(Histogram, EmptyFractionIsZero) {
-  Histogram h(0.0, 1.0, 2);
-  EXPECT_DOUBLE_EQ(h.fraction(0), 0.0);
-}
-
 }  // namespace
 }  // namespace harmonia

@@ -62,18 +62,6 @@ TEST(SearchAccounting, MissSkipsValueFetch) {
   EXPECT_EQ(stats.metrics.loads, 5u);
 }
 
-TEST(SearchAccounting, QueryLoadToggleDropsExactlyOneAccess) {
-  Golden g;
-  const std::vector<Key> qs{g.keys[1], g.keys[6], g.keys[11], g.keys[16]};
-  SearchConfig with, without;
-  without.account_query_load = false;
-  const auto a = g.run(qs, with);
-  g.dev.flush_caches();
-  const auto b = g.run(qs, without);
-  EXPECT_EQ(a.metrics.loads, b.metrics.loads + 1);
-  EXPECT_EQ(a.metrics.steps, b.metrics.steps);
-}
-
 TEST(SearchAccounting, TransactionsScaleWithDivergentWarps) {
   Golden g;
   // Two warps' worth of queries, each warp hitting 4 distinct leaves:

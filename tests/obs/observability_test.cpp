@@ -240,7 +240,6 @@ TEST(Observability, RoutedQueriesMatchShardQueries) {
   EXPECT_EQ(routed, queries);
   const std::string dump = metrics.prometheus_text();
   EXPECT_EQ(dump.find("shard_search_batches_total"), std::string::npos);
-  EXPECT_EQ(dump.find("shard_straddling_ranges_total"), std::string::npos);
 }
 
 /// The registered series of a Prometheus dump with label values

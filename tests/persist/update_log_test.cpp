@@ -92,6 +92,10 @@ TEST_F(UpdateLogTest, EncodeIsPackedAndSized) {
   const auto ops = sample_ops(1, 5);
   const std::string rec = UpdateLog::encode(9, ops);
   EXPECT_EQ(rec.size(), kRecordHeaderBytes + 5 * kOpBytes);
+  // The published framing constants match the encoder (the replica
+  // catch-up path costs log shipping with them).
+  EXPECT_EQ(UpdateLog::kRecordFixedBytes, kRecordHeaderBytes);
+  EXPECT_EQ(UpdateLog::kOpBytes, kOpBytes);
   // Little-endian "HLOG" magic leads the record.
   EXPECT_EQ(static_cast<unsigned char>(rec[0]), 0x47);  // 'G'
   EXPECT_EQ(static_cast<unsigned char>(rec[1]), 0x4F);  // 'O'
@@ -110,34 +114,6 @@ TEST_F(UpdateLogTest, AppendReplayRoundTrip) {
   EXPECT_EQ(replay.valid_bytes, sample.bytes.size());
   EXPECT_EQ(replay.total_bytes, sample.bytes.size());
   EXPECT_FALSE(replay.torn_tail);
-}
-
-TEST_F(UpdateLogTest, ReplayTailSkipsAppliedEpochs) {
-  const auto sample = sample_log();
-  UpdateLog log(path_);
-  for (const auto& b : sample.batches) log.append(b.epoch, b.ops);
-
-  // A replica that last applied epoch 1 catches up on epochs 2 and 3.
-  const auto tail = UpdateLog::replay_tail(path_, 1);
-  ASSERT_EQ(tail.batches.size(), 2u);
-  EXPECT_EQ(tail.batches[0].epoch, 2u);
-  EXPECT_EQ(tail.batches[1].epoch, 3u);
-  EXPECT_EQ(tail.ops, 4u + 5u);
-  // File-shape fields still describe the whole log, not the tail.
-  EXPECT_EQ(tail.valid_bytes, sample.bytes.size());
-  EXPECT_EQ(tail.total_bytes, sample.bytes.size());
-  EXPECT_FALSE(tail.torn_tail);
-
-  // Fully caught up = empty tail; after_epoch=0 = everything.
-  EXPECT_TRUE(UpdateLog::replay_tail(path_, 3).batches.empty());
-  EXPECT_EQ(UpdateLog::replay_tail(path_, 3).ops, 0u);
-  expect_batches_equal(UpdateLog::replay_tail(path_, 0).batches, sample.batches,
-                       sample.batches.size());
-
-  // The published framing constants match the encoder (the replica
-  // catch-up path costs log shipping with them).
-  EXPECT_EQ(UpdateLog::kRecordFixedBytes, kRecordHeaderBytes);
-  EXPECT_EQ(UpdateLog::kOpBytes, kOpBytes);
 }
 
 TEST_F(UpdateLogTest, MissingFileIsEmptyReplay) {

@@ -69,7 +69,9 @@ TEST(TokenBucket, PreviewAgreesWithTakeAtTheBoundary) {
     EXPECT_EQ(preview, taken) << "dt " << dt;
     // And the preview after the take reflects the consumed balance
     // (skip instants that refilled two whole tokens).
-    if (taken && dt < 0.6) EXPECT_FALSE(b.can_take(dt, 1.0)) << "dt " << dt;
+    if (taken && dt < 0.6) {
+      EXPECT_FALSE(b.can_take(dt, 1.0)) << "dt " << dt;
+    }
   }
   // Exactly at the boundary the epsilon admits the take both ways.
   TokenBucket b(rate, burst);

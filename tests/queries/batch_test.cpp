@@ -56,7 +56,9 @@ TEST(Batch, UpdatesTargetExistingKeys) {
   spec.seed = 6;
   const auto ops = make_update_batch(keys, spec);
   for (const auto& op : ops) {
-    if (op.kind == OpKind::kUpdate) EXPECT_TRUE(existing.count(op.key));
+    if (op.kind == OpKind::kUpdate) {
+      EXPECT_TRUE(existing.count(op.key));
+    }
   }
 }
 

@@ -63,6 +63,9 @@ TEST(OpenLoopWorkload, KindMixAndTargets) {
         // Point targets hit existing keys.
         EXPECT_TRUE(std::binary_search(keys.begin(), keys.end(), r.key));
         break;
+      case RequestKind::kScan:
+        ADD_FAILURE() << "scan " << r.id << " in a stream without scan_fraction";
+        break;
     }
     EXPECT_EQ(r.id, static_cast<std::uint64_t>(&r - stream.data()));
   }

@@ -1,20 +1,25 @@
 // Replica groups through the sharded serving path: losing one replica of
 // a K-way group must keep the shard serving from the survivors with zero
-// CPU-oracle degraded queries, the rejoining replica must catch up from
-// the group's update-log tail, a loss on the *last* healthy replica must
+// CPU-oracle degraded queries, the rejoining replica must catch up on the
+// epochs it missed (the same price with or without persistence), a loss
+// on the *last* healthy replica must
 // fall back to the whole-shard fence, and every replicated run must stay
 // oracle-exact and deterministic. Extends tests/fault/fault_shard_test.cpp.
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <map>
+#include <memory>
 #include <numeric>
 #include <vector>
 
 #include "common/expect.hpp"
 #include "obs/metrics.hpp"
+#include "persist/durability.hpp"
 #include "queries/workload.hpp"
 #include "serve/workload.hpp"
 #include "shard/sharded_server.hpp"
+#include "test_dir.hpp"
 
 namespace harmonia::shard {
 namespace {
@@ -146,7 +151,7 @@ serve::ServeOptions replicated_config(unsigned replicas) {
 // The headline contract: one replica of a K=3 group dies mid-stream and
 // the shard keeps serving from the survivors — no fence, no CPU-oracle
 // degraded queries, no fault shedding — then the replica rejoins by
-// replaying the group's update-log tail.
+// replaying the epochs it missed.
 TEST(ReplicaFailover, LostReplicaServesFromSurvivorsZeroDegraded) {
   ShardedFixture f(4);
 
@@ -271,7 +276,7 @@ TEST(ReplicaFailover, LastHealthyReplicaLossFencesShard) {
 
 // Log-shipped catch-up: epochs swap while one replica is down, so the
 // rejoin must replay those epochs' ops (catchup_ops > 0) and book the
-// modeled replay + transfer time before the slot serves again.
+// modeled replay + log-transfer time before the slot serves again.
 TEST(ReplicaFailover, RejoinReplaysUpdateLogTail) {
   ShardedFixture f(2);
 
@@ -372,6 +377,47 @@ TEST(ReplicaFailover, ReplicatedFailoverReplaysDeterministically) {
   EXPECT_DOUBLE_EQ(a.faults.catchup_seconds, b.faults.catchup_seconds);
   EXPECT_EQ(a.replica_batches, b.replica_batches);
   EXPECT_DOUBLE_EQ(a.makespan, b.makespan);
+}
+
+// Catch-up is priced from the commit ledger, so persistence cannot move
+// it. The lost slot rejoins while an overlap-mode epoch is staged but not
+// yet swapped: the write-ahead log already holds that epoch, yet the slot
+// gets its image with the swap, so neither run may charge for it.
+TEST(ReplicaFailover, CatchupDoesNotDependOnPersistence) {
+  serve::OpenLoopSpec spec;
+  spec.arrivals_per_second = 4e6;
+  spec.count = 6000;
+  spec.update_fraction = 0.30;
+  spec.seed = 37;
+
+  const auto dir = testing_support::unique_test_dir();
+  std::filesystem::remove_all(dir);
+  auto run_with = [&](bool persist) {
+    ShardedFixture f(2);
+    const auto stream = serve::make_open_loop(f.keys, spec);
+    auto cfg = replicated_config(2);
+    cfg.epoch.mode = serve::EpochMode::kOverlap;
+    cfg.faults = fault::FaultPlan::parse(
+        "replica-lost@0.0003:shard=0,replica=1,repair=0.0005");
+    std::unique_ptr<persist::DurabilityDomain> domain;
+    if (persist) {
+      cfg.persist.dir = dir.string();
+      domain = std::make_unique<persist::DurabilityDomain>(cfg.persist, 2);
+      cfg.durability = domain.get();
+    }
+    ShardedServer server(f.index, cfg);
+    return server.run(stream);
+  };
+  const auto volatile_run = run_with(false);
+  const auto persisted = run_with(true);
+  std::filesystem::remove_all(dir);
+
+  EXPECT_EQ(volatile_run.log_batches, 0u);
+  EXPECT_GT(persisted.log_batches, 0u);
+  EXPECT_EQ(volatile_run.faults.replicas_rejoined, 1u);
+  EXPECT_GT(volatile_run.faults.catchup_ops, 0u);
+  EXPECT_EQ(persisted.faults.catchup_ops, volatile_run.faults.catchup_ops);
+  EXPECT_EQ(persisted.faults, volatile_run.faults);
 }
 
 }  // namespace

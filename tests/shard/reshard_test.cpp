@@ -200,7 +200,6 @@ TEST(Reshard, HotShardSplitsAndStaysOracleExact) {
     // snapshot, and each holds only keys its post-flip range owns.
     std::uint64_t keys_after = 0;
     for (unsigned s = 0; s < 4; ++s) {
-      ASSERT_NE(f.index.shard(s), nullptr);
       const auto& tree = f.index.shard(s)->tree();
       keys_after += tree.num_keys();
       EXPECT_EQ(tree.range(f.index.plan().lo(s), f.index.plan().hi(s)).size(),
@@ -342,7 +341,6 @@ TEST(Reshard, DonorRestoredMidSplitKeepsServingThePreSplitImage) {
   check_answered_against_oracle(rep, stream, snapshots_from_responses(f.keys, stream, rep),
                                 cfg.batch.max_range_results);
   for (unsigned s = 0; s < 4; ++s) {
-    ASSERT_NE(f.index.shard(s), nullptr);
     EXPECT_TRUE(fault::verify_image(*f.index.shard(s))) << "shard " << s;
   }
 }

@@ -1,8 +1,10 @@
-// Differential fuzzing of the sharded execution layer: sharded search and
-// range over 1-8 shards, both partition modes, sweeping seeds x fanouts x
-// query distributions, must agree exactly with a single-device Harmonia
-// index and the CPU btree oracle — including keys sitting exactly on
-// partition boundaries and ranges straddling them.
+// Differential fuzzing of the sharded execution layer over 1-8 shards,
+// both partition modes, sweeping seeds x fanouts x query distributions:
+// the offline point search, and ranges served through ShardedServer's
+// fan-out (split at partition boundaries, merged in shard order,
+// truncated at max_range_results), must agree exactly with a
+// single-device Harmonia index and the CPU btree oracle — including keys
+// sitting exactly on partition boundaries and ranges straddling them.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,7 +13,7 @@
 #include "btree/btree.hpp"
 #include "common/rng.hpp"
 #include "queries/workload.hpp"
-#include "shard/sharded_index.hpp"
+#include "shard/sharded_server.hpp"
 
 namespace harmonia::shard {
 namespace {
@@ -99,6 +101,42 @@ void check_search_agreement(Fixture& f, queries::Distribution dist,
   EXPECT_EQ(routed, batch.size());
 }
 
+/// Serves the ranges [los[i], his[i]] as one query-only open-loop stream
+/// through a ShardedServer over the fixture's index (no update ever
+/// buffers, so every answer reads the bulk-loaded image) and returns the
+/// responses by request id. `cap` is the server's max_range_results.
+std::vector<serve::Response> serve_ranges(Fixture& f, const std::vector<Key>& los,
+                                          const std::vector<Key>& his,
+                                          unsigned cap,
+                                          serve::ServerReport* report = nullptr) {
+  std::vector<serve::Request> stream(los.size());
+  for (std::size_t i = 0; i < los.size(); ++i) {
+    stream[i].id = i;
+    stream[i].kind = serve::RequestKind::kRange;
+    stream[i].arrival = static_cast<double>(i) * 1e-6;
+    stream[i].key = los[i];
+    stream[i].hi = his[i];
+  }
+  serve::ServeOptions cfg;
+  cfg.batch.max_batch = 64;
+  cfg.batch.queue_capacity = 1 << 12;  // no drops: every range checked
+  cfg.batch.max_range_results = cap;
+  ShardedServer server(f.sharded, cfg);
+  serve::ServerReport rep = server.run(stream);
+  EXPECT_EQ(rep.dropped, 0u);
+  std::vector<serve::Response> by_id(stream.size());
+  for (serve::Response& r : rep.responses) by_id.at(r.id) = std::move(r);
+  if (report != nullptr) *report = std::move(rep);
+  return by_id;
+}
+
+/// The ascending oracle values of keys in [lo, hi], at most `cap`.
+std::vector<Value> oracle_range(const Fixture& f, Key lo, Key hi, unsigned cap) {
+  std::vector<Value> want;
+  for (const auto& e : f.oracle.range(lo, hi, cap)) want.push_back(e.value);
+  return want;
+}
+
 void check_range_agreement(Fixture& f, std::uint64_t seed, unsigned max_results) {
   const ShardPlan& plan = f.sharded.plan();
   std::vector<Key> los, his;
@@ -127,20 +165,17 @@ void check_range_agreement(Fixture& f, std::uint64_t seed, unsigned max_results)
     his.push_back(plan.lo(s + 1));
   }
 
-  const auto sharded = f.sharded.range(los, his, max_results);
+  serve::ServerReport rep;
+  const auto served = serve_ranges(f, los, his, max_results, &rep);
   const auto single = f.single.range_device(los, his, max_results);
-  ASSERT_EQ(sharded.values.size(), los.size());
   for (std::size_t i = 0; i < los.size(); ++i) {
-    std::vector<Value> want;
-    for (const auto& e : f.oracle.range(los[i], his[i], max_results))
-      want.push_back(e.value);
-    ASSERT_EQ(sharded.values[i], want)
+    ASSERT_EQ(served[i].range_values, oracle_range(f, los[i], his[i], max_results))
         << "range " << i << " [" << los[i] << ", " << his[i] << "]";
-    ASSERT_EQ(sharded.values[i], single.values[i])
+    ASSERT_EQ(served[i].range_values, single.values[i])
         << "sharded vs single-device range divergence at " << i;
   }
   if (plan.num_shards() > 1) {
-    EXPECT_GT(sharded.straddling, 0u);
+    EXPECT_GT(rep.split_ranges, 0u);
   }
 }
 
@@ -200,12 +235,16 @@ TEST(ShardDifferential, RangeTruncationMatchesSingleDevice) {
   std::vector<Key> los{0, keys[100]};
   std::vector<Key> his{~Key{0} - 1, keys[1900]};
   for (const unsigned cap : {1u, 7u, 64u}) {
-    const auto sharded = f.sharded.range(los, his, cap);
+    serve::ServerReport rep;
+    const auto served = serve_ranges(f, los, his, cap, &rep);
     const auto single = f.single.range_device(los, his, cap);
     for (std::size_t i = 0; i < los.size(); ++i) {
-      ASSERT_EQ(sharded.values[i].size(), std::min<std::size_t>(cap, 2000u));
-      ASSERT_EQ(sharded.values[i], single.values[i]) << "cap " << cap;
+      ASSERT_EQ(served[i].range_values.size(), std::min<std::size_t>(cap, 2000u));
+      ASSERT_EQ(served[i].range_values, oracle_range(f, los[i], his[i], cap))
+          << "cap " << cap;
+      ASSERT_EQ(served[i].range_values, single.values[i]) << "cap " << cap;
     }
+    EXPECT_EQ(rep.split_ranges, los.size());
   }
 }
 
@@ -223,83 +262,43 @@ TEST(ShardDifferential, TruncationExactlyAtShardCut) {
   std::vector<Key> sorted = f.keys;
   std::sort(sorted.begin(), sorted.end());
 
-  for (unsigned s = 0; s + 1 < plan.num_shards(); ++s) {
-    const Key boundary = plan.lo(s + 1);  // first key owned by shard s+1
-    // The last `m` keys of shard s, in ascending order.
-    const auto cut = std::lower_bound(sorted.begin(), sorted.end(), boundary);
-    const auto left = static_cast<std::size_t>(cut - sorted.begin());
-    const auto right = sorted.size() - left;
-    for (const std::size_t m : {std::size_t{1}, std::size_t{2}, std::size_t{5}}) {
-      if (left < m || right == 0) continue;
-      const Key lo = sorted[left - m];        // span holds exactly m keys
-      const Key hi = *cut;                    // ... plus 1 across the cut
-      ASSERT_EQ(plan.shard_of(lo), s);
-      ASSERT_EQ(plan.shard_of(hi), s + 1);
-      SCOPED_TRACE(testing::Message() << "boundary " << s << "/" << s + 1
-                                      << " m=" << m);
-      std::vector<Key> los{lo, lo, lo};
-      std::vector<Key> his{hi, hi, hi};
-      // Caps of exactly m (truncate precisely at the cut: shard s+1 must
-      // contribute nothing), m-1 (truncate before it), m+1 (exactly one
-      // result crosses it).
-      for (std::size_t q = 0; q < los.size(); ++q) {
-        const auto cap = static_cast<unsigned>(m - 1 + q);
-        if (cap == 0) continue;
-        const std::vector<Key> one_lo{los[q]}, one_hi{his[q]};
-        const auto sharded = f.sharded.range(one_lo, one_hi, cap);
-        const auto single = f.single.range_device(one_lo, one_hi, cap);
-        std::vector<Value> want;
-        for (const auto& e : f.oracle.range(lo, hi, cap)) want.push_back(e.value);
-        ASSERT_EQ(want.size(), std::min<std::size_t>(cap, m + 1));
-        ASSERT_EQ(sharded.values[0], want) << "cap " << cap;
-        ASSERT_EQ(sharded.values[0], single.values[0]) << "cap " << cap;
-        EXPECT_EQ(sharded.straddling, 1u);
+  // Per boundary, spans holding exactly m keys of shard s plus the first
+  // key of shard s+1. The cap is the server's max_range_results, so each
+  // cap serves one stream: m-1 (truncate before the cut), m (truncate
+  // precisely at it: shard s+1 must contribute nothing) and m+1 (exactly
+  // one result crosses it).
+  for (unsigned cap = 1; cap <= 6; ++cap) {
+    SCOPED_TRACE(testing::Message() << "cap " << cap);
+    std::vector<Key> los, his;
+    std::vector<std::size_t> ms;
+    for (unsigned s = 0; s + 1 < plan.num_shards(); ++s) {
+      const Key boundary = plan.lo(s + 1);  // first key owned by shard s+1
+      const auto cut = std::lower_bound(sorted.begin(), sorted.end(), boundary);
+      const auto left = static_cast<std::size_t>(cut - sorted.begin());
+      const auto right = sorted.size() - left;
+      for (const std::size_t m : {std::size_t{1}, std::size_t{2}, std::size_t{5}}) {
+        if (left < m || right == 0 || cap + 1 < m || cap > m + 1) continue;
+        const Key lo = sorted[left - m];  // span holds exactly m keys
+        const Key hi = *cut;              // ... plus 1 across the cut
+        ASSERT_EQ(plan.shard_of(lo), s);
+        ASSERT_EQ(plan.shard_of(hi), s + 1);
+        los.push_back(lo);
+        his.push_back(hi);
+        ms.push_back(m);
       }
     }
-  }
-}
-
-TEST(ShardDifferential, UpdatesKeepShardsConsistentWithOracle) {
-  // Mixed update batches applied to the sharded index vs the btree
-  // oracle; searches must agree after every round, across boundaries.
-  const std::uint64_t seed = 41;
-  const auto keys = queries::make_tree_keys(1 << 10, seed);
-  Fixture f(1 << 10, 16, seed, ShardPlan::sample_balanced(keys, 4));
-
-  std::vector<Key> population = f.keys;
-  for (int round = 0; round < 3; ++round) {
-    queries::BatchSpec spec;
-    spec.size = 400;
-    spec.insert_fraction = 0.3;
-    spec.delete_fraction = 0.1;
-    spec.seed = seed + static_cast<std::uint64_t>(round);
-    const auto ops = queries::make_update_batch(population, spec);
-    f.sharded.update_batch(ops, 2);
-    for (const auto& op : ops) {
-      switch (op.kind) {
-        case queries::OpKind::kUpdate:
-          f.oracle.update(op.key, op.value);
-          break;
-        case queries::OpKind::kInsert:
-          f.oracle.insert(op.key, op.value);
-          break;
-        case queries::OpKind::kDelete:
-          f.oracle.erase(op.key);
-          break;
-      }
+    ASSERT_FALSE(los.empty());
+    serve::ServerReport rep;
+    const auto served = serve_ranges(f, los, his, cap, &rep);
+    const auto single = f.single.range_device(los, his, cap);
+    for (std::size_t i = 0; i < los.size(); ++i) {
+      const auto want = oracle_range(f, los[i], his[i], cap);
+      ASSERT_EQ(want.size(), std::min<std::size_t>(cap, ms[i] + 1));
+      ASSERT_EQ(served[i].range_values, want) << "m=" << ms[i];
+      ASSERT_EQ(served[i].range_values, single.values[i]) << "m=" << ms[i];
     }
-    population.clear();
-    for (const auto& e : f.oracle.range(0, ~Key{0})) population.push_back(e.key);
-
-    // Differential probe after the round (device path, all shards).
-    std::vector<Key> batch = queries::make_queries(
-        population, 256, queries::Distribution::kUniform, seed + 100);
-    for (const auto& op : ops) batch.push_back(op.key);
-    const auto got = f.sharded.search(batch);
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      ASSERT_EQ(got.values[i], f.oracle.search(batch[i]).value_or(kNotFound))
-          << "round " << round << " key " << batch[i];
-    }
+    // Every span crosses exactly one cut.
+    EXPECT_EQ(rep.split_ranges, los.size());
   }
 }
 

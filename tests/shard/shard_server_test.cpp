@@ -361,10 +361,10 @@ TEST(ShardedServer, DeterministicReplay) {
 }
 
 // Regression: per-shard admission counters must tally each request
-// exactly once at its routing point. Aggregating the schedulers' own
-// admitted()/rejected() double-counts straddling fan-outs and misses
-// all-or-nothing probe drops; these vectors must instead sum to the
-// stream-level counters even when both effects are in play.
+// exactly once at its routing point. Counting at the shard queues
+// double-counts straddling fan-outs and misses all-or-nothing probe
+// drops; these vectors must instead sum to the stream-level counters
+// even when both effects are in play.
 TEST(ShardedServer, PerShardCountersSumOnceToStreamTotals) {
   ShardedFixture f(4);
   serve::OpenLoopSpec spec;
@@ -500,8 +500,9 @@ TEST(ShardedServer, LostShardDuringEpochsKeepsBarrierAtomic) {
   }
 }
 
-// The serving path refuses an index with a deviceless (empty) shard:
-// lazily creating devices mid-run would tear cross-shard reads.
+// A plan that leaves a shard without keys is refused where the shards
+// are built, so every served shard has a device for the whole run
+// (lazily creating devices mid-run would tear cross-shard reads).
 TEST(ShardedServer, RejectsEmptyShards) {
   const auto keys = queries::make_tree_keys(1 << 10, 1);
   std::vector<btree::Entry> entries;
@@ -510,11 +511,15 @@ TEST(ShardedServer, RejectsEmptyShards) {
   }
   ASSERT_FALSE(entries.empty());
   // Equal-width over keys confined to the bottom quarter: upper shards
-  // hold nothing.
-  ShardedIndex index(entries, ShardPlan::equal_width(4), test_options(16));
-  ASSERT_EQ(index.shard(3), nullptr);
-  serve::ServeOptions cfg;
-  EXPECT_THROW(ShardedServer(index, cfg), ContractViolation);
+  // would hold nothing, so the index (and hence any server over it)
+  // refuses the plan.
+  EXPECT_THROW(ShardedIndex(entries, ShardPlan::equal_width(4), test_options(16)),
+               ContractViolation);
+  // The same keys under a plan cut from them populate every shard.
+  std::vector<Key> kept;
+  for (const auto& e : entries) kept.push_back(e.key);
+  EXPECT_NO_THROW(ShardedIndex(entries, ShardPlan::sample_balanced(kept, 4),
+                               test_options(16)));
 }
 
 }  // namespace

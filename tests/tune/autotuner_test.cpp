@@ -404,7 +404,9 @@ TEST(AutotunerServingTest, ImageKnobsOnlyChangeAtSwapBoundaries) {
   // And at every boundary on/after the install, dispatches use the new
   // value (observe_profile runs right after the latch installs).
   for (const auto& [at, group] : probe.boundary_samples_) {
-    if (at >= first_boundary) EXPECT_EQ(group, 16u);
+    if (at >= first_boundary) {
+      EXPECT_EQ(group, 16u);
+    }
   }
 }
 
