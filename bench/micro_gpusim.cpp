@@ -1,7 +1,8 @@
 // Microbenchmarks of the GPU-simulator primitives (host cost of the
 // simulation itself, not simulated GPU time): coalescer, cache probes,
 // warp gathers, kernel launch (empty and gather-plus-compute kernels),
-// and device memory (image resync, per-batch buffers after an image).
+// device memory (image resync, per-batch buffers after an image), and the
+// serving search path (PSA sort plus the search kernel on one batch).
 #include <benchmark/benchmark.h>
 
 #include <array>
@@ -13,6 +14,8 @@
 #include "gpusim/coalescer.hpp"
 #include "gpusim/device.hpp"
 #include "harmonia/device_image.hpp"
+#include "harmonia/psa.hpp"
+#include "harmonia/search.hpp"
 #include "harmonia/tree.hpp"
 #include "queries/workload.hpp"
 
@@ -212,6 +215,37 @@ void BM_BatchMallocAfterImage(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kBatches);
 }
 BENCHMARK(BM_BatchMallocAfterImage)->Unit(benchmark::kMillisecond);
+
+/// The serving search path on one device: a 2048-query batch of uniform
+/// hits is PSA-sorted (Equation 2's bits), uploaded, and searched with
+/// 32-lane groups on a 2^range(0)-key, fanout-64 tree. Items are queries.
+void BM_SearchServingBatch(benchmark::State& state) {
+  constexpr std::size_t kBatch = 2048;
+  constexpr std::size_t kPool = 64 * kBatch;
+  const auto tree_keys = std::uint64_t{1} << state.range(0);
+  Device dev(titan_v());
+  const std::vector<Key> keys = queries::make_tree_keys(tree_keys, 7);
+  const HarmoniaTree tree = HarmoniaTree::from_btree(btree::make_tree(keys, 64));
+  const HarmoniaDeviceImage image = HarmoniaDeviceImage::upload(dev, tree);
+  Xoshiro256 rng(3);
+  std::vector<Key> pool(kPool);
+  for (Key& q : pool) q = keys[rng.next_below(keys.size())];
+  auto d_queries = dev.memory().malloc<Key>(kBatch);
+  auto d_out = dev.memory().malloc<Value>(kBatch);
+  SearchConfig config;
+  config.group_size = 32;
+  std::size_t offset = 0;
+  for (auto _ : state) {
+    const PsaPlan plan = psa_prepare(std::span<const Key>(pool.data() + offset, kBatch),
+                                     image.num_keys, dev.spec(), PsaMode::kPartial);
+    dev.memory().copy_to_device(d_queries, std::span<const Key>(plan.queries));
+    const SearchStats stats = search_batch(dev, image, d_queries, kBatch, d_out, config);
+    benchmark::DoNotOptimize(stats.chunk_steps);
+    offset = (offset + kBatch) % kPool;
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(kBatch));
+}
+BENCHMARK(BM_SearchServingBatch)->ArgName("log2_keys")->Arg(22)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

@@ -1,5 +1,7 @@
 #include "gpusim/cache.hpp"
 
+#include <algorithm>
+
 #include "common/expect.hpp"
 
 namespace harmonia::gpusim {
@@ -11,7 +13,7 @@ Cache::Cache(std::uint64_t bytes, unsigned line_bytes, unsigned ways)
                      "cache capacity must be a multiple of line_bytes*ways");
   num_sets_ = bytes / line_bytes / ways;
   HARMONIA_CHECK(num_sets_ > 0);
-  slots_.resize(num_sets_ * ways_);
+  tags_.assign(num_sets_ * ways_, kInvalid);
 }
 
 std::size_t Cache::set_index(std::uint64_t line_addr) const {
@@ -21,34 +23,31 @@ std::size_t Cache::set_index(std::uint64_t line_addr) const {
 }
 
 bool Cache::access(std::uint64_t line_addr) {
-  Way* set = &slots_[set_index(line_addr) * ways_];
-  ++tick_;
-  Way* lru = set;
+  HARMONIA_DCHECK(line_addr != kInvalid);
+  std::uint64_t* set = &tags_[set_index(line_addr) * ways_];
+  // Move to front while scanning: each way takes the tag before it, so a
+  // hit ends with its tag at the front and the ones above it shifted down
+  // one way, and a miss drops the last tag (invalid ways sit behind every
+  // valid one, so they fill before the true LRU tag is evicted).
+  std::uint64_t carry = line_addr;
   for (unsigned w = 0; w < ways_; ++w) {
-    if (set[w].tag == line_addr) {
-      set[w].lru = tick_;
+    const std::uint64_t tag = set[w];
+    set[w] = carry;
+    if (tag == line_addr) {
       ++hits_;
       return true;
     }
-    if (set[w].lru < lru->lru) lru = &set[w];
+    carry = tag;
   }
   ++misses_;
-  lru->tag = line_addr;
-  lru->lru = tick_;
   return false;
 }
 
 bool Cache::contains(std::uint64_t line_addr) const {
-  const Way* set = &slots_[set_index(line_addr) * ways_];
-  for (unsigned w = 0; w < ways_; ++w) {
-    if (set[w].tag == line_addr) return true;
-  }
-  return false;
+  const std::uint64_t* set = &tags_[set_index(line_addr) * ways_];
+  return std::find(set, set + ways_, line_addr) != set + ways_;
 }
 
-void Cache::flush() {
-  for (auto& way : slots_) way = Way{};
-  tick_ = 0;
-}
+void Cache::flush() { std::fill(tags_.begin(), tags_.end(), kInvalid); }
 
 }  // namespace harmonia::gpusim

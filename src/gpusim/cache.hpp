@@ -2,7 +2,10 @@
 //
 // Used for the L2 (device-wide), the per-SM read-only data cache, and the
 // per-SM constant cache. Only tags are tracked — data always lives in
-// Memory — so a Cache is cheap enough to instantiate per SM.
+// Memory — so a Cache is cheap enough to instantiate per SM. Each set is
+// its ways' tags in recency order, most recently used first: a hit moves
+// its tag to the front, a miss shifts the set down one way (dropping the
+// last tag, the LRU line or an invalid way) and inserts at the front.
 #pragma once
 
 #include <cstdint>
@@ -37,10 +40,6 @@ class Cache {
   }
 
  private:
-  struct Way {
-    std::uint64_t tag = kInvalid;
-    std::uint64_t lru = 0;
-  };
   static constexpr std::uint64_t kInvalid = ~std::uint64_t{0};
 
   std::size_t set_index(std::uint64_t line_addr) const;
@@ -49,8 +48,7 @@ class Cache {
   unsigned ways_;
   std::size_t num_sets_;
   std::uint64_t capacity_bytes_;
-  std::vector<Way> slots_;  // num_sets_ * ways_, row-major by set
-  std::uint64_t tick_ = 0;
+  std::vector<std::uint64_t> tags_;  // num_sets_ * ways_, row-major by set, MRU first
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
 };

@@ -19,17 +19,31 @@ LineSet coalesce(std::span<const std::uint64_t> addrs, LaneMask active, unsigned
   LineSet set;
   std::uint64_t* lines = set.lines_.data();
   std::size_t n = 0;
-  for (unsigned lane = 0; lane < addrs.size(); ++lane) {
-    if (!lane_active(active, lane)) continue;
+  // Only the active lanes are visited. The last pushed line stays in a
+  // register: neighbouring lanes usually share it, and while every new
+  // line is above it the buffer is already sorted and distinct.
+  LaneMask rest = lanes_within(active, addrs.size());
+  std::uint64_t prev = 0;
+  bool ascending = true;
+  while (rest != 0) {
+    const auto lane = static_cast<unsigned>(std::countr_zero(rest));
+    rest &= rest - 1;
     const std::uint64_t first = addrs[lane] >> shift;
     const std::uint64_t last = (addrs[lane] + bytes_per_lane - 1) >> shift;
-    // Neighbouring lanes usually share a line; skipping the repeat keeps
-    // the sort short without changing the result.
-    if (n == 0 || lines[n - 1] != first) lines[n++] = first;
+    if (n == 0 || first != prev) {
+      if (n != 0 && first < prev) ascending = false;
+      lines[n++] = first;
+    }
     if (last != first) lines[n++] = last;
+    prev = last;
   }
-  std::sort(lines, lines + n);
-  set.size_ = static_cast<std::size_t>(std::unique(lines, lines + n) - lines);
+  // Contiguous chunk gathers and one-lane loads come out ascending; only
+  // scattered lanes pay for the sort.
+  if (!ascending) {
+    std::sort(lines, lines + n);
+    n = static_cast<std::size_t>(std::unique(lines, lines + n) - lines);
+  }
+  set.size_ = n;
   return set;
 }
 

@@ -9,6 +9,7 @@
 // while making divergence and memory behaviour observable.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -145,8 +146,9 @@ void WarpCtx::gather(LaneMask active, std::span<const std::uint64_t> addrs,
   HARMONIA_DCHECK(addrs.size() <= warp_size());
   HARMONIA_DCHECK(out.size() >= addrs.size());
   account_access(active, addrs, sizeof(T), TraceEventKind::kLoad);
-  for (unsigned lane = 0; lane < addrs.size(); ++lane) {
-    if (lane_active(active, lane)) out[lane] = device_.memory().read<T>(addrs[lane]);
+  for (LaneMask rest = lanes_within(active, addrs.size()); rest != 0; rest &= rest - 1) {
+    const auto lane = static_cast<unsigned>(std::countr_zero(rest));
+    out[lane] = device_.memory().read<T>(addrs[lane]);
   }
 }
 
@@ -155,8 +157,9 @@ void WarpCtx::scatter(LaneMask active, std::span<const std::uint64_t> addrs,
                       std::span<const T> values) {
   HARMONIA_DCHECK(addrs.size() <= warp_size());
   account_access(active, addrs, sizeof(T), TraceEventKind::kStore);
-  for (unsigned lane = 0; lane < addrs.size(); ++lane) {
-    if (lane_active(active, lane)) device_.memory().write<T>(addrs[lane], values[lane]);
+  for (LaneMask rest = lanes_within(active, addrs.size()); rest != 0; rest &= rest - 1) {
+    const auto lane = static_cast<unsigned>(std::countr_zero(rest));
+    device_.memory().write<T>(addrs[lane], values[lane]);
   }
 }
 

@@ -136,6 +136,10 @@ RangeStats range_batch(gpusim::Device& device, const HarmoniaDeviceImage& image,
       if (buffered == warp) flush_out();
     };
 
+    // The node and slot of the cursor's lane j advance with it, one lane
+    // at a time (no division per lane).
+    std::uint32_t slot_node = node;
+    unsigned slot = 0;
     bool past_hi = false;
     for (std::uint64_t cursor = leaf_base;
          !past_hi && cursor < region_end && count < config.max_results;
@@ -151,14 +155,16 @@ RangeStats range_batch(gpusim::Device& device, const HarmoniaDeviceImage& image,
       // parallel to the key region, so this stays coalesced too).
       LaneMask hit = 0;
       for (unsigned j = 0; j < step; ++j) {
+        // Real keys ascend across the whole leaf level, so no key past the
+        // first one above hi is in range; kPadKey is a node's tail pad.
         const Key k = keys[j];
-        if (k == kPadKey) continue;  // node tail pad
-        if (k > hi) break;
-        if (k >= lo) {
+        if (k != kPadKey && k >= lo && k <= hi) {
           hit |= gpusim::lane_bit(j);
-          const std::uint64_t slot_node = (cursor + j) / kpn;
-          const auto slot = static_cast<unsigned>((cursor + j) % kpn);
-          val_addrs[j] = image.value_addr(static_cast<std::uint32_t>(slot_node), slot);
+          val_addrs[j] = image.value_addr(slot_node, slot);
+        }
+        if (++slot == kpn) {
+          slot = 0;
+          ++slot_node;
         }
       }
       if (hit != 0) w.gather<Value>(hit, std::span(val_addrs.data(), warp), vals);

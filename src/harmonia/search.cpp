@@ -154,18 +154,19 @@ SearchStats search_batch(gpusim::Device& device, const HarmoniaDeviceImage& imag
         sep_leq[g] = 0;
       }
 
-      // Chunked key scan of each group's current node.
+      // Chunked key scan of each group's current node. A chunk covers
+      // `lanes` slots (the last one may be short), read by a group's first
+      // `lanes` lanes from consecutive addresses.
       for (unsigned chunk = 0; chunk < chunks_per_node; ++chunk) {
+        const unsigned first_slot = chunk * gs;
+        const unsigned lanes = std::min(gs, kpn - first_slot);
+        const bool last_chunk = chunk + 1 == chunks_per_node;
         LaneMask mask = 0;
         for (unsigned g = 0; g < nq; ++g) {
           if (resolved[g] || (config.early_exit && group_done[g])) continue;
-          for (unsigned j = 0; j < gs; ++j) {
-            const unsigned slot = chunk * gs + j;
-            if (slot >= kpn) break;
-            const unsigned lane = g * gs + j;
-            mask |= gpusim::lane_bit(lane);
-            addrs[lane] = image.node_key_addr(node[g], slot);
-          }
+          mask |= gpusim::group_mask(g * gs, lanes);
+          const std::uint64_t node_base = image.node_key_addr(node[g], first_slot);
+          for (unsigned j = 0; j < lanes; ++j) addrs[g * gs + j] = node_base + j * sizeof(Key);
         }
         if (mask == 0) break;
         w.gather<Key>(mask, std::span(addrs.data(), warp), lane_keys);
@@ -174,34 +175,22 @@ SearchStats search_batch(gpusim::Device& device, const HarmoniaDeviceImage& imag
 
         for (unsigned g = 0; g < nq; ++g) {
           if (resolved[g] || (config.early_exit && group_done[g])) continue;
-          for (unsigned j = 0; j < gs; ++j) {
-            const unsigned slot = chunk * gs + j;
-            if (slot >= kpn) {
-              group_done[g] = true;
-              break;
+          const Key t = target[g];
+          const Key* keys = &lane_keys[g * gs];
+          // Keys are sorted: the scan stops at the first key >= target on
+          // a leaf (equal is the hit) or the first separator > target.
+          unsigned j = 0;
+          if (leaf_level) {
+            while (j < lanes && keys[j] < t) ++j;
+            if (j < lanes && keys[j] == t) {
+              found[g] = true;
+              found_slot[g] = first_slot + j;
             }
-            const Key k = lane_keys[g * gs + j];
-            if (leaf_level) {
-              if (k == target[g]) {
-                found[g] = true;
-                found_slot[g] = slot;
-                group_done[g] = true;
-                break;
-              }
-              if (k > target[g]) {  // sorted: target cannot appear later
-                group_done[g] = true;
-                break;
-              }
-            } else {
-              if (k <= target[g]) {
-                ++sep_leq[g];
-              } else {  // boundary: first separator > target
-                group_done[g] = true;
-                break;
-              }
-            }
+          } else {
+            while (j < lanes && keys[j] <= t) ++j;
+            sep_leq[g] += j;
           }
-          if (chunk + 1 == chunks_per_node) group_done[g] = true;
+          if (j < lanes || last_chunk) group_done[g] = true;
         }
       }
 

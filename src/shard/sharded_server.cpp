@@ -556,15 +556,23 @@ void ShardedServer::rejoin_replica(double now, ServerReport& report) {
               image_resync_seconds(index_.shard(s)->committed(), config_.link);
   } else {
     // Log-shipped catch-up: replay the epochs this slot missed (those
-    // after the one it last applied). The ledger is appended at each
-    // swap, so an epoch still staged is not counted — the slot gets that
-    // image with the swap anyway — and persistence never changes the
-    // price.
+    // after the one it last applied), from the ledger appended at each
+    // swap, so persistence never changes the price. An epoch staged on
+    // this shard but not yet swapped is replayed too: its upload shipped
+    // to the members that were up, so the slot must build that image
+    // itself before the swap installs it.
     const std::uint64_t after = g.lost_epoch(r);
     for (const auto& [epoch, count] : epoch_ops_[s]) {
       if (epoch > after) {
         ++batches;
         ops += count;
+      }
+    }
+    if (inflight_.has_value() && !inflight_->flip) {
+      const ShardStage& st = inflight_->shards[s];
+      if (st.staged && !st.swapped && st.work.ops > 0) {
+        ++batches;
+        ops += st.work.ops;
       }
     }
     // Ship cost: framed log bytes over the shard's link, then the

@@ -371,7 +371,8 @@ class ShardedServer {
                       serve::ServerReport& report);
   /// Brings the earliest due lost replica back: it catches up by
   /// replaying the committed epochs after the one it last applied (the
-  /// epoch_ops_ ledger), or by a full re-image when the plan changed
+  /// epoch_ops_ ledger) plus the shard's staged, unswapped epoch, or by
+  /// a full re-image when the plan changed
   /// since it was lost — a migration's boundary move is no epoch.
   void rejoin_replica(double now, serve::ServerReport& report);
 

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <vector>
+
 #include "common/expect.hpp"
+#include "common/rng.hpp"
 
 namespace harmonia::gpusim {
 namespace {
@@ -91,6 +95,93 @@ TEST(Cache, ResetStatsKeepsContents) {
   c.reset_stats();
   EXPECT_EQ(c.misses(), 0u);
   EXPECT_TRUE(c.access(1));  // still cached
+}
+
+// Oracle: the tick-stamped LRU the cache model is defined by. Every way
+// holds {tag, last-use tick}; a miss replaces the way with the smallest
+// tick (the first such way, so invalid ways at tick 0 fill in order).
+class TickLruCache {
+ public:
+  TickLruCache(std::uint64_t bytes, unsigned line_bytes, unsigned ways)
+      : ways_(ways), num_sets_(bytes / line_bytes / ways), slots_(num_sets_ * ways) {}
+
+  bool access(std::uint64_t line) {
+    Way* set = &slots_[(line % num_sets_) * ways_];
+    ++tick_;
+    Way* lru = set;
+    for (unsigned w = 0; w < ways_; ++w) {
+      if (set[w].tag == line) {
+        set[w].lru = tick_;
+        ++hits_;
+        return true;
+      }
+      if (set[w].lru < lru->lru) lru = &set[w];
+    }
+    ++misses_;
+    *lru = {line, tick_};
+    return false;
+  }
+
+  bool contains(std::uint64_t line) const {
+    const Way* set = &slots_[(line % num_sets_) * ways_];
+    for (unsigned w = 0; w < ways_; ++w) {
+      if (set[w].tag == line) return true;
+    }
+    return false;
+  }
+
+  std::uint64_t hits() const { return hits_; }
+  std::uint64_t misses() const { return misses_; }
+
+ private:
+  struct Way {
+    std::uint64_t tag = ~std::uint64_t{0};
+    std::uint64_t lru = 0;
+  };
+  unsigned ways_;
+  std::uint64_t num_sets_;
+  std::vector<Way> slots_;
+  std::uint64_t tick_ = 0;
+  std::uint64_t hits_ = 0;
+  std::uint64_t misses_ = 0;
+};
+
+TEST(Cache, MatchesTickLruOracleOnRandomStreams) {
+  struct Geometry {
+    std::uint64_t sets;
+    unsigned ways;
+  };
+  // Direct-mapped, 2-way and 8-way, and the L2's non-power-of-two 4608
+  // sets (titan_v: 4.5 MB of 128 B lines, 8 ways).
+  const std::array<Geometry, 4> geometries{{{64, 1}, {32, 2}, {16, 8}, {4608, 8}}};
+  Xoshiro256 rng(11);
+  for (const Geometry& geo : geometries) {
+    const std::uint64_t bytes = geo.sets * geo.ways * 128;
+    Cache cache(bytes, 128, geo.ways);
+    TickLruCache oracle(bytes, 128, geo.ways);
+    // A working set a bit over the capacity, so hits, fills and
+    // evictions all happen; a hot subset adds reuse at the front.
+    const std::uint64_t span = geo.sets * geo.ways * 3 / 2;
+    for (int i = 0; i < 200000; ++i) {
+      const std::uint64_t line =
+          rng.next() % 4 == 0 ? rng.next() % (geo.ways + 1) : rng.next() % span;
+      ASSERT_EQ(cache.access(line), oracle.access(line))
+          << "sets=" << geo.sets << " ways=" << geo.ways << " access " << i;
+      if (i % 97 == 0) {
+        const std::uint64_t probe = rng.next() % span;
+        ASSERT_EQ(cache.contains(probe), oracle.contains(probe));
+      }
+      if (i == 150000) {
+        cache.flush();
+        oracle = TickLruCache(bytes, 128, geo.ways);
+        cache.reset_stats();
+      }
+    }
+    EXPECT_EQ(cache.hits(), oracle.hits());
+    EXPECT_EQ(cache.misses(), oracle.misses());
+    for (std::uint64_t line = 0; line < span; ++line)
+      ASSERT_EQ(cache.contains(line), oracle.contains(line));
+  }
 }
 
 }  // namespace

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <vector>
 
 #include "common/expect.hpp"
+#include "common/rng.hpp"
 
 namespace harmonia::gpusim {
 namespace {
@@ -93,6 +96,84 @@ TEST(Coalescer, EveryLaneStraddlingFillsTheBuffer) {
   const auto lines = coalesce(addrs, full_mask(32), 8, kLine);
   ASSERT_EQ(lines.size(), LineSet::kCapacity);
   for (unsigned i = 0; i < lines.size(); ++i) EXPECT_EQ(lines[i], i);
+}
+
+// Differential check against the plain definition: every active lane's
+// first and last line, sorted and deduplicated.
+std::vector<std::uint64_t> reference_lines(std::span<const std::uint64_t> addrs,
+                                           LaneMask active, unsigned bytes, unsigned line) {
+  std::vector<std::uint64_t> out;
+  for (unsigned lane = 0; lane < addrs.size(); ++lane) {
+    if (!lane_active(active, lane)) continue;
+    out.push_back(addrs[lane] / line);
+    out.push_back((addrs[lane] + bytes - 1) / line);
+  }
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+  return out;
+}
+
+void expect_matches_reference(std::span<const std::uint64_t> addrs, LaneMask active,
+                              unsigned bytes, unsigned line) {
+  const LineSet got = coalesce(addrs, active, bytes, line);
+  const std::vector<std::uint64_t> want = reference_lines(addrs, active, bytes, line);
+  ASSERT_EQ(std::vector<std::uint64_t>(got.begin(), got.end()), want)
+      << "lanes=" << addrs.size() << " mask=" << active << " bytes=" << bytes;
+}
+
+TEST(Coalescer, MatchesSortUniqueReferenceOnRandomAccesses) {
+  Xoshiro256 rng(7);
+  const std::array<unsigned, 4> widths{1, 4, 8, 16};
+  for (int trial = 0; trial < 20000; ++trial) {
+    const auto lanes = static_cast<unsigned>(rng.next() % 33);  // 0..32 addresses
+    const unsigned bytes = widths[rng.next() % widths.size()];
+    const auto active = static_cast<LaneMask>(rng.next());  // bits past `lanes` too
+    std::array<std::uint64_t, 32> addrs{};
+    const std::uint64_t base = (rng.next() % 4096) * 4;
+    switch (trial % 5) {
+      case 0:  // contiguous chunk, possibly straddling lines
+        for (unsigned i = 0; i < lanes; ++i) addrs[i] = base + i * bytes;
+        break;
+      case 1:  // descending
+        for (unsigned i = 0; i < lanes; ++i) addrs[i] = base + (lanes - i) * 40;
+        break;
+      case 2:  // two interleaved ascending streams
+        for (unsigned i = 0; i < lanes; ++i)
+          addrs[i] = (i % 2 == 0 ? base : base + 5000) + (i / 2) * bytes;
+        break;
+      case 3:  // scattered within a few lines: repeats and straddles
+        for (unsigned i = 0; i < lanes; ++i) addrs[i] = base + rng.next() % (4 * kLine);
+        break;
+      default:  // scattered across memory
+        for (unsigned i = 0; i < lanes; ++i) addrs[i] = rng.next() % (1u << 30);
+        break;
+    }
+    expect_matches_reference(std::span(addrs.data(), lanes), active, bytes, kLine);
+    expect_matches_reference(std::span(addrs.data(), lanes), active & 0x11111111u, bytes,
+                             kLine);
+  }
+}
+
+TEST(Coalescer, LineStraddlingLanesInEveryOrder) {
+  // Lanes straddling a boundary next to lanes inside either line, in
+  // ascending, descending and mixed order.
+  const std::array<std::array<std::uint64_t, 4>, 3> patterns{{
+      {kLine - 4, kLine + 8, 2 * kLine - 4, 2 * kLine + 8},
+      {2 * kLine + 8, 2 * kLine - 4, kLine + 8, kLine - 4},
+      {kLine + 8, kLine - 4, 2 * kLine + 8, 0},
+  }};
+  for (const auto& addrs : patterns) {
+    for (LaneMask m = 0; m < 16; ++m) expect_matches_reference(addrs, m, 8, kLine);
+  }
+}
+
+TEST(Coalescer, AllInactiveMaskTouchesNothing) {
+  std::array<std::uint64_t, 32> addrs{};
+  for (unsigned i = 0; i < 32; ++i) addrs[i] = i * 1000;
+  EXPECT_TRUE(coalesce(addrs, 0, 8, kLine).empty());
+  // Mask bits past the span's end are ignored.
+  EXPECT_TRUE(coalesce(std::span(addrs.data(), 4), ~LaneMask{0} << 4, 8, kLine).empty());
+  EXPECT_TRUE(coalesce(std::span(addrs.data(), 0), ~LaneMask{0}, 8, kLine).empty());
 }
 
 }  // namespace

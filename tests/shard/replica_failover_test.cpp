@@ -11,10 +11,12 @@
 #include <map>
 #include <memory>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "common/expect.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "persist/durability.hpp"
 #include "queries/workload.hpp"
 #include "serve/workload.hpp"
@@ -381,8 +383,7 @@ TEST(ReplicaFailover, ReplicatedFailoverReplaysDeterministically) {
 
 // Catch-up is priced from the commit ledger, so persistence cannot move
 // it. The lost slot rejoins while an overlap-mode epoch is staged but not
-// yet swapped: the write-ahead log already holds that epoch, yet the slot
-// gets its image with the swap, so neither run may charge for it.
+// yet swapped; both runs charge that epoch the same way.
 TEST(ReplicaFailover, CatchupDoesNotDependOnPersistence) {
   serve::OpenLoopSpec spec;
   spec.arrivals_per_second = 4e6;
@@ -418,6 +419,86 @@ TEST(ReplicaFailover, CatchupDoesNotDependOnPersistence) {
   EXPECT_GT(volatile_run.faults.catchup_ops, 0u);
   EXPECT_EQ(persisted.faults.catchup_ops, volatile_run.faults.catchup_ops);
   EXPECT_EQ(persisted.faults, volatile_run.faults);
+}
+
+// A slot lost before an overlap epoch's staged upload and back before
+// that epoch's swap missed the upload: its catch-up replays the ledger's
+// epochs after the one it last applied plus the staged epoch's ops. The
+// expected count is rebuilt from the trace: the build annotations give
+// each epoch's update count, the stream's updates in arrival order give
+// the shard-0 share of each epoch, and the shard-0 swaps before the loss
+// give the slot's last applied epoch.
+TEST(ReplicaFailover, RejoinInsideStagedWindowReplaysTheStagedEpoch) {
+  serve::OpenLoopSpec spec;
+  spec.arrivals_per_second = 4e6;
+  spec.count = 6000;
+  spec.update_fraction = 0.30;
+  spec.seed = 37;
+
+  ShardedFixture f(2);
+  const auto stream = serve::make_open_loop(f.keys, spec);
+  auto cfg = replicated_config(2);
+  cfg.epoch.mode = serve::EpochMode::kOverlap;
+  cfg.faults =
+      fault::FaultPlan::parse("replica-lost@0.0003:shard=0,replica=1,repair=0.0005");
+  obs::TraceRecorder trace;
+  cfg.obs.trace = &trace;
+  ShardedServer server(f.index, cfg);
+  const auto report = server.run(stream);
+  ASSERT_EQ(report.faults.replicas_rejoined, 1u);
+
+  const auto number_after = [](const std::string& note, const std::string& tag) {
+    const std::size_t at = note.find(tag);
+    return at == std::string::npos ? ~std::uint64_t{0}
+                                   : std::stoull(note.substr(at + tag.size()));
+  };
+  std::vector<std::uint64_t> epoch_updates{0};  // [epoch] -> fleet op count
+  double lost_at = -1.0;
+  double rejoined_at = -1.0;
+  std::uint64_t lost_epoch = 0;  // shard 0's epoch when the slot was lost
+  std::uint64_t shard0_epoch = 0;
+  for (const obs::TraceEvent& e : trace.events()) {
+    if (e.stage != obs::Stage::kAnnotation) continue;
+    if (e.note.starts_with("epoch build start")) {
+      ASSERT_EQ(number_after(e.note, "epoch="), epoch_updates.size());
+      epoch_updates.push_back(number_after(e.note, "ops="));
+    } else if (e.shard == 0 && e.note.starts_with("epoch swap")) {
+      shard0_epoch = number_after(e.note, "epoch=");
+    } else if (e.shard == 0 && e.note.starts_with("replica failover slot=1")) {
+      lost_at = e.at;
+      lost_epoch = shard0_epoch;
+    } else if (e.shard == 0 && e.note.starts_with("replica rejoined slot=1")) {
+      rejoined_at = e.at;
+      // The slot rejoins inside a staged window: shard 0 has not swapped
+      // the last epoch whose build started.
+      ASSERT_EQ(shard0_epoch + 1, epoch_updates.size() - 1);
+      break;
+    }
+  }
+  ASSERT_GE(lost_at, 0.0);
+  ASSERT_GT(rejoined_at, lost_at);
+
+  // Shard 0's share of each epoch: epochs take the buffered updates in
+  // arrival order.
+  std::vector<std::uint64_t> shard0_ops(epoch_updates.size(), 0);
+  std::size_t epoch = 1;
+  std::uint64_t taken = 0;
+  for (const serve::Request& r : stream) {
+    if (r.kind != serve::RequestKind::kUpdate) continue;
+    while (epoch < epoch_updates.size() && taken == epoch_updates[epoch]) {
+      ++epoch;
+      taken = 0;
+    }
+    if (epoch == epoch_updates.size()) break;
+    ++taken;
+    if (f.index.plan().shard_of(r.key) == 0) ++shard0_ops[epoch];
+  }
+  const std::uint64_t staged = shard0_ops.back();
+  std::uint64_t ledger = 0;
+  for (std::size_t e = lost_epoch + 1; e + 1 < shard0_ops.size(); ++e) ledger += shard0_ops[e];
+  EXPECT_GT(ledger, 0u);
+  EXPECT_GT(staged, 0u);
+  EXPECT_EQ(report.faults.catchup_ops, ledger + staged);
 }
 
 }  // namespace
