@@ -25,10 +25,9 @@ using namespace harmonia;
 using namespace harmonia::gpusim;
 
 void BM_CoalesceSequential(benchmark::State& state) {
-  std::array<std::uint64_t, 32> addrs{};
-  for (unsigned i = 0; i < 32; ++i) addrs[i] = 4096 + i * 8;
+  const std::array<LaneRow, 1> row{{{4096, 0, 32}}};
   for (auto _ : state) {
-    const LineSet lines = coalesce(addrs, full_mask(32), 8, 128);
+    const LineSet lines = coalesce(row, 8, 128);
     benchmark::DoNotOptimize(lines.size());
     benchmark::DoNotOptimize(lines[0]);
   }
@@ -37,10 +36,10 @@ BENCHMARK(BM_CoalesceSequential);
 
 void BM_CoalesceScattered(benchmark::State& state) {
   Xoshiro256 rng(1);
-  std::array<std::uint64_t, 32> addrs{};
-  for (auto& a : addrs) a = rng.next() % (1 << 28);
+  std::array<LaneRow, 32> rows{};  // one-lane rows: a scattered access
+  for (unsigned i = 0; i < 32; ++i) rows[i] = {rng.next() % (1 << 28), i, 1};
   for (auto _ : state) {
-    const LineSet lines = coalesce(addrs, full_mask(32), 8, 128);
+    const LineSet lines = coalesce(rows, 8, 128);
     benchmark::DoNotOptimize(lines.size());
     benchmark::DoNotOptimize(lines[0]);
   }
@@ -70,10 +69,10 @@ BENCHMARK(BM_CacheAccessMissStream);
 
 /// Lane address patterns for BM_WarpGather (u64 loads, 128 B lines).
 enum GatherPattern : std::int64_t {
-  kConsecutive,  ///< lane i reads element offset+i: 2 lines
-  kStrided,      ///< lane i reads element offset+64i: 32 distinct lines
-  kScattered,    ///< random elements: 32 distinct lines, no order
-  kStraddling,   ///< every lane's 8 B crosses a line boundary: 64 lines
+  kConsecutive,  ///< one 32-lane row from element offset: 2 or 3 lines
+  kStrided,      ///< one-lane rows, lane i at element offset+64i: 32 lines
+  kScattered,    ///< one-lane rows at random elements: 32 lines, no order
+  kStraddling,   ///< one-lane rows, each 8 B crossing a line boundary: 64 lines
 };
 
 void BM_WarpGather(benchmark::State& state) {
@@ -87,27 +86,31 @@ void BM_WarpGather(benchmark::State& state) {
   Xoshiro256 rng(1);
   std::uint64_t offset = 0;
   for (auto _ : state) {
-    std::array<std::uint64_t, 32> addrs{};
-    for (std::uint64_t i = 0; i < 32; ++i) {
+    std::array<LaneRow, 32> rows{};
+    unsigned num_rows = 32;
+    if (pattern == kConsecutive) {
+      rows[0] = {data.element_addr(offset % kElems), 0, 32};
+      num_rows = 1;
+    }
+    for (unsigned i = 0; i < num_rows && pattern != kConsecutive; ++i) {
+      std::uint64_t addr = 0;
       switch (pattern) {
-        case kConsecutive:
-          addrs[i] = data.element_addr((offset + i) % kElems);
-          break;
         case kStrided:
-          addrs[i] = data.element_addr((offset + i * 64) % kElems);
+          addr = data.element_addr((offset + i * 64) % kElems);
           break;
         case kScattered:
-          addrs[i] = data.element_addr(rng.next_below(kElems));
+          addr = data.element_addr(rng.next_below(kElems));
           break;
         default: {  // the last 4 bytes of every other line
           const std::uint64_t line = (offset + 2 * i) % (kElems * 8 / 128);
-          addrs[i] = data.addr + line * 128 + 124;
+          addr = data.addr + line * 128 + 124;
         }
       }
+      rows[i] = {addr, i, 1};
     }
     dev.launch(1, [&](WarpCtx& w) {
       std::array<std::uint64_t, 32> out{};
-      w.gather<std::uint64_t>(full_mask(32), addrs, out);
+      w.gather<std::uint64_t>(std::span<const LaneRow>(rows.data(), num_rows), out);
       benchmark::DoNotOptimize(out);
     });
     offset += 13;
@@ -149,15 +152,15 @@ void BM_KernelLaunchGather(benchmark::State& state) {
   const auto warps = static_cast<std::uint64_t>(state.range(0));
   for (auto _ : state) {
     const auto metrics = dev.launch(warps, [&](WarpCtx& w) {
-      std::array<std::uint64_t, 32> addrs{};
+      std::array<LaneRow, 32> rows{};
       std::array<std::uint64_t, 32> out{};
       std::uint64_t h = w.warp_id() * 0x9e3779b97f4a7c15ULL;
       for (unsigned round = 0; round < 8; ++round) {
-        for (auto& a : addrs) {
+        for (unsigned i = 0; i < 32; ++i) {
           h = h * 6364136223846793005ULL + 1442695040888963407ULL;
-          a = data.element_addr((h >> 20) % kElems);
+          rows[i] = {data.element_addr((h >> 20) % kElems), i, 1};
         }
-        w.gather<std::uint64_t>(full_mask(32), addrs, out);
+        w.gather<std::uint64_t>(rows, out);
         w.compute(full_mask(32));
       }
       benchmark::DoNotOptimize(out);
@@ -218,7 +221,10 @@ BENCHMARK(BM_BatchMallocAfterImage)->Unit(benchmark::kMillisecond);
 
 /// The serving search path on one device: a 2048-query batch of uniform
 /// hits is PSA-sorted (Equation 2's bits), uploaded, and searched with
-/// 32-lane groups on a 2^range(0)-key, fanout-64 tree. Items are queries.
+/// range(1)-lane groups on a 2^range(0)-key, fanout-64 tree. Group size
+/// 32 is one row per chunk; group size 1 (NTG's pick for batch_lookup)
+/// is 32 one-lane rows per chunk and 63 chunks per node. Items are
+/// queries.
 void BM_SearchServingBatch(benchmark::State& state) {
   constexpr std::size_t kBatch = 2048;
   constexpr std::size_t kPool = 64 * kBatch;
@@ -233,7 +239,7 @@ void BM_SearchServingBatch(benchmark::State& state) {
   auto d_queries = dev.memory().malloc<Key>(kBatch);
   auto d_out = dev.memory().malloc<Value>(kBatch);
   SearchConfig config;
-  config.group_size = 32;
+  config.group_size = static_cast<unsigned>(state.range(1));
   std::size_t offset = 0;
   for (auto _ : state) {
     const PsaPlan plan = psa_prepare(std::span<const Key>(pool.data() + offset, kBatch),
@@ -245,7 +251,11 @@ void BM_SearchServingBatch(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(kBatch));
 }
-BENCHMARK(BM_SearchServingBatch)->ArgName("log2_keys")->Arg(22)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_SearchServingBatch)
+    ->ArgNames({"log2_keys", "group_size"})
+    ->Args({22, 32})
+    ->Args({22, 1})
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

@@ -7,38 +7,54 @@
 
 namespace harmonia::gpusim {
 
-LineSet coalesce(std::span<const std::uint64_t> addrs, LaneMask active, unsigned bytes_per_lane,
-                 unsigned line_bytes) {
-  // These bound the fixed buffer (at most 2 lines per lane, 32 lanes), so
-  // they stay on in release builds.
-  HARMONIA_CHECK(addrs.size() <= 32);
+LineSet coalesce(std::span<const LaneRow> rows, unsigned elem_bytes, unsigned line_bytes) {
   HARMONIA_CHECK(std::has_single_bit(line_bytes));
-  HARMONIA_CHECK(bytes_per_lane > 0 && bytes_per_lane <= line_bytes);
+  HARMONIA_CHECK(elem_bytes > 0 && elem_bytes <= line_bytes);
   const int shift = std::countr_zero(line_bytes);
 
   LineSet set;
   std::uint64_t* lines = set.lines_.data();
   std::size_t n = 0;
-  // Only the active lanes are visited. The last pushed line stays in a
-  // register: neighbouring lanes usually share it, and while every new
+  // A row's lines are [first, last], in order. The last pushed line stays
+  // in a register: neighbouring rows often share it, and while every new
   // line is above it the buffer is already sorted and distinct.
-  LaneMask rest = lanes_within(active, addrs.size());
   std::uint64_t prev = 0;
   bool ascending = true;
-  while (rest != 0) {
-    const auto lane = static_cast<unsigned>(std::countr_zero(rest));
-    rest &= rest - 1;
-    const std::uint64_t first = addrs[lane] >> shift;
-    const std::uint64_t last = (addrs[lane] + bytes_per_lane - 1) >> shift;
-    if (n == 0 || first != prev) {
-      if (n != 0 && first < prev) ascending = false;
-      lines[n++] = first;
+  LaneMask lanes = 0;
+  bool valid = true;
+  for (const LaneRow& r : rows) {
+    // Nonempty, inside the warp and on lanes no earlier row covers: the
+    // rows then hold at most 32 lanes, and a row of c lanes touches at
+    // most c + 1 lines, so the 64-line buffer cannot overflow.
+    if (r.count == 0 || std::uint64_t{r.lane} + r.count > 32) {
+      valid = false;
+      break;
     }
-    if (last != first) lines[n++] = last;
+    const auto bits = static_cast<LaneMask>(((std::uint64_t{1} << r.count) - 1) << r.lane);
+    if ((lanes & bits) != 0) {
+      valid = false;
+      break;
+    }
+    lanes |= bits;
+
+    std::uint64_t line = r.addr >> shift;
+    const std::uint64_t last =
+        (r.addr + static_cast<std::uint64_t>(r.count) * elem_bytes - 1) >> shift;
+    if (n != 0) {
+      if (line == prev) {
+        ++line;
+      } else if (line < prev) {
+        ascending = false;
+      }
+    }
+    for (; line <= last; ++line) lines[n++] = line;
     prev = last;
   }
-  // Contiguous chunk gathers and one-lane loads come out ascending; only
-  // scattered lanes pay for the sort.
+  // On in release builds too: it guards the fixed buffer.
+  HARMONIA_CHECK_MSG(valid, "a warp access covers more than 32 lanes, or a lane twice");
+  set.lanes_ = lanes;
+  // Chunk rows and ascending leader loads come out sorted; only scattered
+  // rows pay for the sort.
   if (!ascending) {
     std::sort(lines, lines + n);
     n = static_cast<std::size_t>(std::unique(lines, lines + n) - lines);

@@ -1,8 +1,14 @@
-// Per-warp memory coalescing: groups the active lanes' byte ranges into
-// the minimal set of cache-line transactions, exactly as the hardware
+// Per-warp memory coalescing: groups the byte ranges a warp access reads
+// into the minimal set of cache-line transactions, exactly as the hardware
 // memory controller does for a warp-wide load (CUDA programming guide,
 // "coalesced access": addresses falling in one line are served by a
 // single transaction).
+//
+// An access is a list of rows. A row is a run of lanes reading
+// consecutive elements, the shape of a thread group's chunk scan over a
+// node's key region (paper §3.1); a scattered access is one-lane rows.
+// A row's lines are worked out from its first and last byte, not lane by
+// lane.
 #pragma once
 
 #include <array>
@@ -14,10 +20,38 @@
 
 namespace harmonia::gpusim {
 
-/// The distinct line addresses one warp access touches, sorted ascending.
-/// Fixed capacity, no heap: a lane touches at most two lines, so a
-/// 32-lane warp needs at most 64 slots. The order is part of the
-/// simulation — the caches are probed in it, and LRU state depends on it.
+/// One row of a warp access: lanes [lane, lane + count) access
+/// consecutive elements, lane `lane + i` the one at addr + i * element
+/// size.
+struct LaneRow {
+  std::uint64_t addr;
+  unsigned lane;
+  unsigned count;
+};
+
+/// The rows of `n` lanes spaced `stride` apart (lanes 0, stride,
+/// 2 * stride, ...), lane i * stride accessing the element at
+/// addr + i * elem_bytes: each thread group's leader lane loading or
+/// storing consecutive per-group elements. One row when stride is 1,
+/// else n one-lane rows. Writes the rows to `rows` and returns them.
+inline std::span<const LaneRow> leader_rows(std::uint64_t addr, unsigned elem_bytes,
+                                            unsigned n, unsigned stride,
+                                            std::array<LaneRow, 32>& rows) {
+  if (stride == 1) {
+    rows[0] = {addr, 0, n};
+    return {rows.data(), 1};
+  }
+  for (unsigned i = 0; i < n; ++i) {
+    rows[i] = {addr + std::uint64_t{i} * elem_bytes, i * stride, 1};
+  }
+  return {rows.data(), n};
+}
+
+/// The distinct line addresses one warp access touches, sorted ascending,
+/// and the lanes it covers. Fixed capacity, no heap: a row of c lanes
+/// touches at most c + 1 lines, so 32 lanes in at most 32 rows need at
+/// most 64 slots. The order is part of the simulation — the caches are
+/// probed in it, and LRU state depends on it.
 class LineSet {
  public:
   static constexpr std::size_t kCapacity = 64;
@@ -27,23 +61,27 @@ class LineSet {
   std::uint64_t operator[](std::size_t i) const { return lines_[i]; }
   const std::uint64_t* begin() const { return lines_.data(); }
   const std::uint64_t* end() const { return lines_.data() + size_; }
+  /// The lanes the rows cover: the access's active mask.
+  LaneMask lanes() const { return lanes_; }
 
  private:
-  friend LineSet coalesce(std::span<const std::uint64_t>, LaneMask, unsigned, unsigned);
+  friend LineSet coalesce(std::span<const LaneRow>, unsigned, unsigned);
 
   // Only [0, size_) is written: no zero-fill on every warp access.
   std::array<std::uint64_t, kCapacity> lines_;
   std::size_t size_ = 0;
+  LaneMask lanes_ = 0;
 };
 
-/// Computes the distinct line addresses (addr / line_bytes) touched by the
-/// active lanes. Each lane reads `bytes_per_lane` starting at addrs[lane];
-/// an access straddling a line boundary contributes both lines. Mask bits
-/// at or above addrs.size() are ignored.
-/// Preconditions (always checked): addrs.size() <= 32, line_bytes a power
-/// of two, 0 < bytes_per_lane <= line_bytes.
-/// The result is sorted and deduplicated; its size is the transaction count.
-LineSet coalesce(std::span<const std::uint64_t> addrs, LaneMask active, unsigned bytes_per_lane,
-                 unsigned line_bytes);
+/// Computes the distinct line addresses (addr / line_bytes) the rows
+/// touch, each lane reading `elem_bytes`; an element straddling a line
+/// boundary contributes both lines. The lines come out in row order, and
+/// are sorted and deduplicated only when that order goes down, so the
+/// result is sorted and distinct; its size is the transaction count.
+/// Preconditions, checked in every build (a violation throws
+/// ContractViolation): line_bytes a power of two, 0 < elem_bytes <=
+/// line_bytes, and the rows nonempty, within the 32 lanes and covering
+/// each lane at most once (so at most 32 rows).
+LineSet coalesce(std::span<const LaneRow> rows, unsigned elem_bytes, unsigned line_bytes);
 
 }  // namespace harmonia::gpusim

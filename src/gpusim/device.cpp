@@ -47,7 +47,8 @@ struct WarpLog {
   /// What the kernel threw, if anything.
   std::exception_ptr error;
 #ifndef NDEBUG
-  /// Active lanes' byte ranges (address, bytes), for the contract check.
+  /// Accessed byte ranges (address, bytes), one per row, for the contract
+  /// check.
   std::vector<std::pair<std::uint64_t, unsigned>> reads;
   std::vector<std::pair<std::uint64_t, unsigned>> writes;
 #endif
@@ -587,15 +588,14 @@ void WarpCtx::compute(LaneMask active, unsigned steps) {
   }
 }
 
-void WarpCtx::touch(LaneMask active, std::span<const std::uint64_t> addrs,
-                    unsigned bytes_per_lane) {
-  account_access(active, addrs, bytes_per_lane, TraceEventKind::kLoad);
+void WarpCtx::touch(std::span<const LaneRow> rows, unsigned bytes_per_lane) {
+  account_access(rows, bytes_per_lane, TraceEventKind::kLoad);
 }
 
-void WarpCtx::account_access(LaneMask active, std::span<const std::uint64_t> addrs,
-                             unsigned bytes_per_lane, TraceEventKind kind) {
-  if (active == 0) return;
-  const LineSet lines = coalesce(addrs, active, bytes_per_lane, device_.spec_.line_bytes);
+void WarpCtx::account_access(std::span<const LaneRow> rows, unsigned bytes_per_lane,
+                             TraceEventKind kind) {
+  if (rows.empty()) return;
+  const LineSet lines = coalesce(rows, bytes_per_lane, device_.spec_.line_bytes);
   HARMONIA_DCHECK(!lines.empty());
 
   ++log_.loads;
@@ -603,17 +603,15 @@ void WarpCtx::account_access(LaneMask active, std::span<const std::uint64_t> add
   log_.transactions += lines.size();
   const auto count = static_cast<std::uint32_t>(lines.size());
   if (probe_now_ != nullptr) {
-    log_.mem_cycles +=
-        device_.probe(warp_id_, sm_id_, kind, active, lines.begin(), count, *probe_now_);
+    log_.mem_cycles += device_.probe(warp_id_, sm_id_, kind, lines.lanes(), lines.begin(),
+                                     count, *probe_now_);
   } else {
-    log_.records.push_back({kind, active, count});
+    log_.records.push_back({kind, lines.lanes(), count});
     log_.lines.insert(log_.lines.end(), lines.begin(), lines.end());
   }
 #ifndef NDEBUG
   auto& ranges = kind == TraceEventKind::kStore ? log_.writes : log_.reads;
-  for (unsigned lane = 0; lane < addrs.size(); ++lane) {
-    if (lane_active(active, lane)) ranges.emplace_back(addrs[lane], bytes_per_lane);
-  }
+  for (const LaneRow& r : rows) ranges.emplace_back(r.addr, r.count * bytes_per_lane);
 #endif
 }
 

@@ -1,15 +1,16 @@
 // The simulated GPU device and the SIMT warp execution context.
 //
 // Kernels are written as per-warp C++ callables against WarpCtx, a
-// warp-synchronous API: every data access goes through gather()/touch()
-// (which runs the coalescer and feeds the lines to the cache hierarchy),
-// and every instruction issue goes through compute() with an explicit
-// active-lane mask (which feeds the warp-coherence metric). This keeps
-// simulated kernels structurally identical to their CUDA counterparts
-// while making divergence and memory behaviour observable.
+// warp-synchronous API: every data access goes through gather()/touch()/
+// scatter() as a list of rows (LaneRow: a run of lanes reading consecutive
+// elements; the coalescer turns the rows into cache lines and feeds them
+// to the cache hierarchy), and every instruction issue goes through
+// compute() with an explicit active-lane mask (which feeds the
+// warp-coherence metric). This keeps simulated kernels structurally
+// identical to their CUDA counterparts while making divergence and memory
+// behaviour observable.
 #pragma once
 
-#include <bit>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -45,22 +46,22 @@ class WarpCtx {
   /// A step is coherent iff every lane of the warp is active.
   void compute(LaneMask active, unsigned steps = 1);
 
-  /// Warp-wide load: coalesces the active lanes' addresses, probes the
+  /// Warp-wide load of one instruction: coalesces the rows, probes the
   /// caches with the lines (at once when the launch runs on the calling
   /// thread, else in the replay; either charges the memory cycles), and
-  /// reads the data into `out[lane]` for each active lane (inactive lanes
-  /// untouched).
+  /// reads each row's elements into `out[lane]` for the lanes it covers
+  /// (other lanes untouched). The active mask is the rows' lanes. No rows
+  /// is no access. A row outside the memory in use throws.
   template <typename T>
-  void gather(LaneMask active, std::span<const std::uint64_t> addrs, std::span<T> out);
+  void gather(std::span<const LaneRow> rows, std::span<T> out);
 
   /// Accounting-only warp load (no data movement) for accesses whose
   /// values the kernel computes another way.
-  void touch(LaneMask active, std::span<const std::uint64_t> addrs, unsigned bytes_per_lane);
+  void touch(std::span<const LaneRow> rows, unsigned bytes_per_lane);
 
-  /// Warp-wide store to global memory (one value per active lane).
+  /// Warp-wide store (values[lane] to each covered lane's address).
   template <typename T>
-  void scatter(LaneMask active, std::span<const std::uint64_t> addrs,
-               std::span<const T> values);
+  void scatter(std::span<const LaneRow> rows, std::span<const T> values);
 
  private:
   friend class Device;
@@ -70,8 +71,8 @@ class WarpCtx {
 
   /// Coalesces a warp access and probes the caches with its lines now, or
   /// appends them to this warp's log for the replay.
-  void account_access(LaneMask active, std::span<const std::uint64_t> addrs,
-                      unsigned bytes_per_lane, TraceEventKind kind);
+  void account_access(std::span<const LaneRow> rows, unsigned bytes_per_lane,
+                      TraceEventKind kind);
 
   Device& device_;
   std::uint64_t warp_id_;
@@ -141,25 +142,20 @@ class Device {
 // ---- template implementations ----
 
 template <typename T>
-void WarpCtx::gather(LaneMask active, std::span<const std::uint64_t> addrs,
-                     std::span<T> out) {
-  HARMONIA_DCHECK(addrs.size() <= warp_size());
-  HARMONIA_DCHECK(out.size() >= addrs.size());
-  account_access(active, addrs, sizeof(T), TraceEventKind::kLoad);
-  for (LaneMask rest = lanes_within(active, addrs.size()); rest != 0; rest &= rest - 1) {
-    const auto lane = static_cast<unsigned>(std::countr_zero(rest));
-    out[lane] = device_.memory().read<T>(addrs[lane]);
+void WarpCtx::gather(std::span<const LaneRow> rows, std::span<T> out) {
+  account_access(rows, sizeof(T), TraceEventKind::kLoad);
+  for (const LaneRow& r : rows) {
+    HARMONIA_DCHECK(r.lane + r.count <= out.size());
+    device_.memory().read_row(r.addr, r.count, &out[r.lane]);
   }
 }
 
 template <typename T>
-void WarpCtx::scatter(LaneMask active, std::span<const std::uint64_t> addrs,
-                      std::span<const T> values) {
-  HARMONIA_DCHECK(addrs.size() <= warp_size());
-  account_access(active, addrs, sizeof(T), TraceEventKind::kStore);
-  for (LaneMask rest = lanes_within(active, addrs.size()); rest != 0; rest &= rest - 1) {
-    const auto lane = static_cast<unsigned>(std::countr_zero(rest));
-    device_.memory().write<T>(addrs[lane], values[lane]);
+void WarpCtx::scatter(std::span<const LaneRow> rows, std::span<const T> values) {
+  account_access(rows, sizeof(T), TraceEventKind::kStore);
+  for (const LaneRow& r : rows) {
+    HARMONIA_DCHECK(r.lane + r.count <= values.size());
+    device_.memory().write_row(r.addr, r.count, &values[r.lane]);
   }
 }
 

@@ -2,7 +2,6 @@
 #pragma once
 
 #include <bit>
-#include <cstddef>
 #include <cstdint>
 
 #include "common/expect.hpp"
@@ -25,13 +24,6 @@ inline LaneMask lane_bit(unsigned lane) {
 inline bool lane_active(LaneMask mask, unsigned lane) { return (mask & lane_bit(lane)) != 0; }
 
 inline unsigned active_count(LaneMask mask) { return static_cast<unsigned>(std::popcount(mask)); }
-
-/// The bits of `mask` below `lanes` (a span of `lanes` addresses ignores
-/// the mask bits past its end).
-inline LaneMask lanes_within(LaneMask mask, std::size_t lanes) {
-  HARMONIA_DCHECK(lanes <= 32);
-  return lanes == 0 ? 0 : mask & full_mask(static_cast<unsigned>(lanes));
-}
 
 /// Mask covering lanes [first, first+count).
 inline LaneMask group_mask(unsigned first, unsigned count) {

@@ -97,29 +97,19 @@ void Memory::free_all() {
 }
 
 void Memory::read_bytes(std::uint64_t addr, void* out, std::size_t n) const {
-  if (is_const_address(addr)) {
-    const std::uint64_t off = addr - kConstBase;
-    HARMONIA_CHECK_MSG(off <= const_.size() && n <= const_.size() - off,
-                       "constant read out of bounds at " << off);
-    std::memcpy(out, const_.data() + off, n);
-  } else {
-    HARMONIA_CHECK_MSG(addr <= global_used_ && n <= global_used_ - addr,
-                       "global read out of bounds at " << addr);
-    std::memcpy(out, global_ + addr, n);
-  }
+  const std::uint8_t* src = bytes_at(addr, n);
+  if (n != 0) std::memcpy(out, src, n);
 }
 
 void Memory::write_bytes(std::uint64_t addr, const void* in, std::size_t n) {
-  if (is_const_address(addr)) {
-    const std::uint64_t off = addr - kConstBase;
-    HARMONIA_CHECK_MSG(off <= const_.size() && n <= const_.size() - off,
-                       "constant write out of bounds at " << off);
-    std::memcpy(const_.data() + off, in, n);
-  } else {
-    HARMONIA_CHECK_MSG(addr <= global_used_ && n <= global_used_ - addr,
-                       "global write out of bounds at " << addr);
-    std::memcpy(global_ + addr, in, n);
-  }
+  std::uint8_t* dst = bytes_at(addr, n);
+  if (n != 0) std::memcpy(dst, in, n);
+}
+
+void Memory::out_of_bounds(std::uint64_t addr, std::size_t n) {
+  HARMONIA_CHECK_MSG(false, (is_const_address(addr) ? "constant" : "global")
+                                << " access out of bounds: " << n << " B at "
+                                << (is_const_address(addr) ? addr - kConstBase : addr));
 }
 
 }  // namespace harmonia::gpusim

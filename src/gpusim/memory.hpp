@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <cstring>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/expect.hpp"
@@ -75,29 +76,34 @@ class Memory {
     read_bytes(src.addr, dst.data(), dst.size_bytes());
   }
 
-  /// Simulator-side typed load (used by warp gather after accounting).
-  /// An in-bounds global address is served inline; every other address
-  /// (constant segment, out of bounds) goes through the checked
-  /// read_bytes, so out-of-bounds still throws ContractViolation.
+  /// Simulator-side typed load and store, for host code that reads or
+  /// patches what the device holds. Bounds are checked like read_bytes.
   template <typename T>
   T read(std::uint64_t addr) const {
     T out;
-    if (in_global(addr, sizeof(T))) {
-      std::memcpy(&out, global_ + addr, sizeof(T));
-    } else {
-      read_bytes(addr, &out, sizeof(T));
-    }
+    read_row(addr, 1, &out);
     return out;
   }
 
-  /// Typed store; same routing as read().
   template <typename T>
   void write(std::uint64_t addr, const T& value) {
-    if (in_global(addr, sizeof(T))) {
-      std::memcpy(global_ + addr, &value, sizeof(T));
-    } else {
-      write_bytes(addr, &value, sizeof(T));
-    }
+    write_row(addr, 1, &value);
+  }
+
+  /// One row of a warp access (used by warp gather after accounting):
+  /// the `count` consecutive elements at `addr`. One bounds check for the
+  /// row, in whichever segment holds it, then fixed-size element copies
+  /// (a row is at most a warp, too short for a libc memcpy call to pay).
+  template <typename T>
+  void read_row(std::uint64_t addr, unsigned count, T* out) const {
+    const std::uint8_t* src = bytes_at(addr, std::size_t{count} * sizeof(T));
+    for (unsigned i = 0; i < count; ++i) std::memcpy(out + i, src + i * sizeof(T), sizeof(T));
+  }
+
+  template <typename T>
+  void write_row(std::uint64_t addr, unsigned count, const T* in) {
+    std::uint8_t* dst = bytes_at(addr, std::size_t{count} * sizeof(T));
+    for (unsigned i = 0; i < count; ++i) std::memcpy(dst + i * sizeof(T), in + i, sizeof(T));
   }
 
   /// Simulator-side read-only view of `count` elements at `p`, for host
@@ -115,6 +121,8 @@ class Memory {
   std::uint64_t global_capacity() const { return global_capacity_; }
   std::uint64_t const_capacity() const { return const_.size(); }
 
+  /// Checked copies: [addr, addr+n) must lie inside the allocations of
+  /// one segment, else ContractViolation.
   void read_bytes(std::uint64_t addr, void* out, std::size_t n) const;
   void write_bytes(std::uint64_t addr, const void* in, std::size_t n);
 
@@ -126,6 +134,24 @@ class Memory {
   bool in_global(std::uint64_t addr, std::size_t n) const {
     return addr < kConstBase && addr + n <= global_used_;
   }
+
+  /// True iff [addr, addr+n) lies inside the allocated constant segment.
+  bool in_const(std::uint64_t addr, std::size_t n) const {
+    return addr >= kConstBase && addr - kConstBase <= const_used_ &&
+           n <= const_used_ - (addr - kConstBase);
+  }
+
+  /// The host bytes behind [addr, addr+n), which must lie inside one
+  /// segment's allocations; throws ContractViolation otherwise.
+  const std::uint8_t* bytes_at(std::uint64_t addr, std::size_t n) const {
+    if (in_global(addr, n)) return global_ + addr;
+    if (in_const(addr, n)) return const_.data() + (addr - kConstBase);
+    out_of_bounds(addr, n);
+  }
+  std::uint8_t* bytes_at(std::uint64_t addr, std::size_t n) {
+    return const_cast<std::uint8_t*>(std::as_const(*this).bytes_at(addr, n));
+  }
+  [[noreturn]] static void out_of_bounds(std::uint64_t addr, std::size_t n);
 
   /// Host mapping of the whole global segment. A moved-from Memory has
   /// none (capacity 0, every access throws) and may only be destroyed or

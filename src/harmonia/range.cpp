@@ -8,8 +8,6 @@
 
 namespace harmonia {
 
-using gpusim::LaneMask;
-
 RangeStats range_batch(gpusim::Device& device, const HarmoniaDeviceImage& image,
                        gpusim::DevPtr<Key> los, gpusim::DevPtr<Key> his, std::uint64_t n,
                        gpusim::DevPtr<Value> out_values,
@@ -24,15 +22,16 @@ RangeStats range_batch(gpusim::Device& device, const HarmoniaDeviceImage& image,
 
   auto kernel = [&](gpusim::WarpCtx& w) {
     const std::uint64_t q = w.warp_id();
-    std::array<std::uint64_t, 32> addrs;
     std::array<Key, 32> keys;
+    // A row of `count` lanes from lane 0: every access of this kernel.
+    const auto row = [](std::uint64_t addr, unsigned count) {
+      return std::array<gpusim::LaneRow, 1>{{{addr, 0, count}}};
+    };
 
     // Lane 0 loads the bounds; broadcast.
-    addrs[0] = los.element_addr(q);
-    w.gather<Key>(gpusim::lane_bit(0), std::span(addrs.data(), warp), keys);
+    w.gather<Key>(row(los.element_addr(q), 1), keys);
     const Key lo = keys[0];
-    addrs[0] = his.element_addr(q);
-    w.gather<Key>(gpusim::lane_bit(0), std::span(addrs.data(), warp), keys);
+    w.gather<Key>(row(his.element_addr(q), 1), keys);
     const Key hi = keys[0];
     w.compute(gpusim::lane_bit(0));
 
@@ -43,16 +42,10 @@ RangeStats range_batch(gpusim::Device& device, const HarmoniaDeviceImage& image,
       unsigned sep_leq = 0;
       bool done = false;
       for (unsigned chunk = 0; !done && chunk * warp < kpn; ++chunk) {
-        LaneMask mask = 0;
-        for (unsigned j = 0; j < warp; ++j) {
-          const unsigned slot = chunk * warp + j;
-          if (slot >= kpn) break;
-          mask |= gpusim::lane_bit(j);
-          addrs[j] = image.node_key_addr(node, slot);
-        }
-        w.gather<Key>(mask, std::span(addrs.data(), warp), keys);
-        w.compute(mask);
-        for (unsigned j = 0; j < warp && chunk * warp + j < kpn; ++j) {
+        const unsigned lanes = std::min(warp, kpn - chunk * warp);
+        w.gather<Key>(row(image.node_key_addr(node, chunk * warp), lanes), keys);
+        w.compute(gpusim::full_mask(lanes));
+        for (unsigned j = 0; j < lanes; ++j) {
           if (keys[j] <= lo) {
             ++sep_leq;
           } else {
@@ -63,8 +56,7 @@ RangeStats range_batch(gpusim::Device& device, const HarmoniaDeviceImage& image,
       }
       // Zeroed only because GCC cannot see that the gather fills lane 0.
       std::array<std::uint32_t, 32> ps{};
-      addrs[0] = image.ps_addr(node);
-      w.gather<std::uint32_t>(gpusim::lane_bit(0), std::span(addrs.data(), warp), ps);
+      w.gather<std::uint32_t>(row(image.ps_addr(node), 1), ps);
       w.compute(gpusim::lane_bit(0));
       node = ps[0] + sep_leq;
     }
@@ -87,8 +79,7 @@ RangeStats range_batch(gpusim::Device& device, const HarmoniaDeviceImage& image,
       std::uint32_t bhi = oend;
       while (blo < bhi) {
         const std::uint32_t mid = (blo + bhi) / 2;
-        addrs[0] = ov.key_addr(mid);
-        w.gather<Key>(gpusim::lane_bit(0), std::span(addrs.data(), warp), okeys);
+        w.gather<Key>(row(ov.key_addr(mid), 1), okeys);
         w.compute(gpusim::lane_bit(0));
         if (okeys[0] < lo) {
           blo = mid + 1;
@@ -101,8 +92,7 @@ RangeStats range_batch(gpusim::Device& device, const HarmoniaDeviceImage& image,
     // Leader-lane read of the current patch entry (key gather charged;
     // value + tombstone ride the same access step).
     const auto peek_overlay = [&] {
-      addrs[0] = ov.key_addr(ocur);
-      w.gather<Key>(gpusim::lane_bit(0), std::span(addrs.data(), warp), okeys);
+      w.gather<Key>(row(ov.key_addr(ocur), 1), okeys);
       okey = okeys[0];
       oval = device.memory().read<Value>(ov.value_addr(ocur));
       otomb = device.memory().read<std::uint8_t>(ov.tombstone_addr(ocur));
@@ -115,21 +105,20 @@ RangeStats range_batch(gpusim::Device& device, const HarmoniaDeviceImage& image,
     const std::uint64_t leaf_base = static_cast<std::uint64_t>(node) * kpn;
     const std::uint64_t region_end = static_cast<std::uint64_t>(image.num_nodes) * kpn;
     std::uint32_t count = 0;
-    std::array<std::uint64_t, 32> val_addrs;
+    std::array<gpusim::LaneRow, 32> val_rows;
     std::array<Value, 32> vals;
     // Merged results stage in compact lanes and scatter a warp at a time
-    // (output addresses are contiguous, so the writes stay coalesced).
-    std::array<std::uint64_t, 32> out_addrs;
+    // (output addresses are contiguous: one row).
+    std::uint64_t out_addr = 0;
     std::array<Value, 32> out_buf;
     unsigned buffered = 0;
     const auto flush_out = [&] {
       if (buffered == 0) return;
-      w.scatter<Value>(gpusim::full_mask(buffered), std::span(out_addrs.data(), warp),
-                       std::span<const Value>(out_buf.data(), warp));
+      w.scatter<Value>(row(out_addr, buffered), std::span<const Value>(out_buf.data(), warp));
       buffered = 0;
     };
     const auto emit = [&](Value v) {
-      out_addrs[buffered] = out_values.element_addr(q * config.max_results + count);
+      if (buffered == 0) out_addr = out_values.element_addr(q * config.max_results + count);
       out_buf[buffered] = v;
       ++buffered;
       ++count;
@@ -146,28 +135,31 @@ RangeStats range_batch(gpusim::Device& device, const HarmoniaDeviceImage& image,
          cursor += warp) {
       const auto step = static_cast<unsigned>(
           std::min<std::uint64_t>(warp, region_end - cursor));
-      LaneMask mask = gpusim::full_mask(step);
-      for (unsigned j = 0; j < step; ++j) addrs[j] = image.key_region.element_addr(cursor + j);
-      w.gather<Key>(mask, std::span(addrs.data(), warp), keys);
-      w.compute(mask);
+      w.gather<Key>(row(image.key_region.element_addr(cursor), step), keys);
+      w.compute(gpusim::full_mask(step));
 
-      // In-range lanes prefetch their value-region slot (addresses
-      // parallel to the key region, so this stays coalesced too).
-      LaneMask hit = 0;
+      // In-range lanes prefetch their value-region slot. The value
+      // region runs parallel to the key region, so each run of in-range
+      // lanes reads consecutive values: one row per run.
+      unsigned runs = 0;
+      bool in_run = false;
       for (unsigned j = 0; j < step; ++j) {
         // Real keys ascend across the whole leaf level, so no key past the
         // first one above hi is in range; kPadKey is a node's tail pad.
         const Key k = keys[j];
-        if (k != kPadKey && k >= lo && k <= hi) {
-          hit |= gpusim::lane_bit(j);
-          val_addrs[j] = image.value_addr(slot_node, slot);
+        const bool hit = k != kPadKey && k >= lo && k <= hi;
+        if (hit && in_run) {
+          ++val_rows[runs - 1].count;
+        } else if (hit) {
+          val_rows[runs++] = {image.value_addr(slot_node, slot), j, 1};
         }
+        in_run = hit;
         if (++slot == kpn) {
           slot = 0;
           ++slot_node;
         }
       }
-      if (hit != 0) w.gather<Value>(hit, std::span(val_addrs.data(), warp), vals);
+      w.gather<Value>(std::span<const gpusim::LaneRow>(val_rows.data(), runs), vals);
 
       for (unsigned j = 0; j < step; ++j) {
         const Key k = keys[j];
@@ -211,13 +203,9 @@ RangeStats range_batch(gpusim::Device& device, const HarmoniaDeviceImage& image,
     flush_out();
 
     // Lane 0 writes the count.
-    std::array<std::uint64_t, 32> cnt_addr;
-    std::array<std::uint32_t, 32> cnt_val;
-    cnt_addr[0] = out_counts.element_addr(q);
-    cnt_val[0] = count;
+    const std::array<std::uint32_t, 1> cnt_val{count};
     results[q] = count;
-    w.scatter<std::uint32_t>(gpusim::lane_bit(0), std::span(cnt_addr.data(), warp),
-                             std::span<const std::uint32_t>(cnt_val.data(), warp));
+    w.scatter<std::uint32_t>(row(out_counts.element_addr(q), 1), cnt_val);
   };
 
   RangeStats stats;

@@ -45,27 +45,32 @@ SearchStats search_batch(gpusim::Device& device, const HarmoniaDeviceImage& imag
     const unsigned nq = static_cast<unsigned>(std::min<std::uint64_t>(qpw, n - base));
 
     // Per-warp scratch is written before it is read (no lane outside a
-    // gather's mask is read back), so only `found` and `resolved` start zeroed.
-    std::array<std::uint64_t, 32> addrs;
+    // gather's rows is read back). Group sets are bitmasks over group
+    // indices, walked with countr_zero.
+    std::array<gpusim::LaneRow, 32> rows;
     std::array<Key, 32> lane_keys;
-    std::array<Key, 32> target;          // per group
-    std::array<std::uint32_t, 32> node;  // per group, BFS index
-    std::array<std::uint32_t, 32> ps;    // per group, prefix-sum value
-    std::array<unsigned, 32> sep_leq;    // per group, separators <= target
-    std::array<bool, 32> group_done;
-    std::array<bool, 32> found{};
-    std::array<unsigned, 32> found_slot;
+    std::array<Key, 32> target;               // per group
+    std::array<std::uint32_t, 32> node;       // per group, BFS index
+    std::array<std::uint64_t, 32> node_base;  // per group, its node's first key
+    std::array<unsigned, 32> sep_leq;         // per group, separators <= target
+    std::array<unsigned, 32> found_slot;      // per group in `found`
+    std::array<Value, 32> res_val;            // per group the overlay resolved
+    // Groups that walk the tree (not resolved by the overlay), and those
+    // whose leaf scan hit their key.
+    std::uint32_t walking = gpusim::full_mask(nq);
+    std::uint32_t found = 0;
+    const auto group_rows = [&](unsigned nr) {
+      return std::span<const gpusim::LaneRow>(rows.data(), nr);
+    };
 
     // Load this warp's queries: the leader lane of each group issues the
     // read; the values then broadcast within the group (register shuffle).
     LaneMask leader_mask = 0;
-    for (unsigned g = 0; g < nq; ++g) {
-      leader_mask |= gpusim::lane_bit(g * gs);
-      addrs[g * gs] = queries.element_addr(base + g);
-    }
+    for (unsigned g = 0; g < nq; ++g) leader_mask |= gpusim::lane_bit(g * gs);
     {
       std::array<Key, 32> qvals;
-      w.gather<Key>(leader_mask, std::span(addrs.data(), warp), qvals);
+      w.gather<Key>(gpusim::leader_rows(queries.element_addr(base), sizeof(Key), nq, gs, rows),
+                    qvals);
       for (unsigned g = 0; g < nq; ++g) target[g] = qvals[g * gs];
       w.compute(leader_mask);  // broadcast/setup
     }
@@ -77,8 +82,6 @@ SearchStats search_batch(gpusim::Device& device, const HarmoniaDeviceImage& imag
     // lockstep — one leader-lane gather per probe step, log2(count)
     // steps. A hit resolves the query right here (live entry -> its
     // value, tombstone -> not-found) and the group skips the tree walk.
-    std::array<bool, 32> resolved{};
-    std::array<Value, 32> res_val;
     const DeltaOverlayImage& ov = image.overlay;
     if (ov.count > 0) {
       std::array<std::uint32_t, 32> olo;
@@ -89,13 +92,14 @@ SearchStats search_batch(gpusim::Device& device, const HarmoniaDeviceImage& imag
       }
       for (;;) {
         LaneMask mask = 0;
+        unsigned nr = 0;
         for (unsigned g = 0; g < nq; ++g) {
           if (olo[g] >= ohi[g]) continue;
           mask |= gpusim::lane_bit(g * gs);
-          addrs[g * gs] = ov.key_addr((olo[g] + ohi[g]) / 2);
+          rows[nr++] = {ov.key_addr((olo[g] + ohi[g]) / 2), g * gs, 1};
         }
         if (mask == 0) break;
-        w.gather<Key>(mask, std::span(addrs.data(), warp), lane_keys);
+        w.gather<Key>(group_rows(nr), lane_keys);
         w.compute(mask);
         for (unsigned g = 0; g < nq; ++g) {
           if (olo[g] >= ohi[g]) continue;
@@ -110,71 +114,79 @@ SearchStats search_batch(gpusim::Device& device, const HarmoniaDeviceImage& imag
       // Equality probe at the lower bound, then tombstone + value fetch
       // for the hit groups.
       LaneMask probe = 0;
+      unsigned nr = 0;
       for (unsigned g = 0; g < nq; ++g) {
         if (olo[g] >= ov.count) continue;
         probe |= gpusim::lane_bit(g * gs);
-        addrs[g * gs] = ov.key_addr(olo[g]);
+        rows[nr++] = {ov.key_addr(olo[g]), g * gs, 1};
       }
       if (probe != 0) {
-        w.gather<Key>(probe, std::span(addrs.data(), warp), lane_keys);
+        w.gather<Key>(group_rows(nr), lane_keys);
         w.compute(probe);
         LaneMask hitm = 0;
+        std::uint32_t hit_groups = 0;
+        nr = 0;
         for (unsigned g = 0; g < nq; ++g) {
           if (olo[g] >= ov.count || lane_keys[g * gs] != target[g]) continue;
           hitm |= gpusim::lane_bit(g * gs);
-          addrs[g * gs] = ov.tombstone_addr(olo[g]);
+          hit_groups |= 1u << g;
+          rows[nr++] = {ov.tombstone_addr(olo[g]), g * gs, 1};
         }
         if (hitm != 0) {
           std::array<std::uint8_t, 32> tombs;
-          w.gather<std::uint8_t>(hitm, std::span(addrs.data(), warp), tombs);
-          LaneMask livem = 0;
-          for (unsigned g = 0; g < nq; ++g) {
-            if (!gpusim::lane_active(hitm, g * gs) || tombs[g * gs] != 0) continue;
-            livem |= gpusim::lane_bit(g * gs);
-            addrs[g * gs] = ov.value_addr(olo[g]);
+          w.gather<std::uint8_t>(group_rows(nr), tombs);
+          nr = 0;
+          for (std::uint32_t rest = hit_groups; rest != 0; rest &= rest - 1) {
+            const auto g = static_cast<unsigned>(std::countr_zero(rest));
+            if (tombs[g * gs] == 0) rows[nr++] = {ov.value_addr(olo[g]), g * gs, 1};
           }
           std::array<Value, 32> ovals;
-          if (livem != 0) {
-            w.gather<Value>(livem, std::span(addrs.data(), warp), ovals);
-          }
+          w.gather<Value>(group_rows(nr), ovals);
           w.compute(hitm);
-          for (unsigned g = 0; g < nq; ++g) {
-            if (!gpusim::lane_active(hitm, g * gs)) continue;
-            resolved[g] = true;
+          for (std::uint32_t rest = hit_groups; rest != 0; rest &= rest - 1) {
+            const auto g = static_cast<unsigned>(std::countr_zero(rest));
             res_val[g] = tombs[g * gs] != 0 ? kNotFound : ovals[g * gs];
           }
+          walking &= ~hit_groups;
         }
       }
     }
 
     for (unsigned level = 0; level < image.height; ++level) {
       const bool leaf_level = (level + 1 == image.height);
-      for (unsigned g = 0; g < nq; ++g) {
-        group_done[g] = false;
+      // Groups still comparing keys on this node. Without early exit a
+      // group past its boundary keeps loading chunks (the useless
+      // comparisons of §4.2) but compares nothing more: every later key
+      // is above its target, so the result could not change.
+      std::uint32_t scanning = walking;
+      for (std::uint32_t rest = walking; rest != 0; rest &= rest - 1) {
+        const auto g = static_cast<unsigned>(std::countr_zero(rest));
         sep_leq[g] = 0;
+        node_base[g] = image.node_key_addr(node[g], 0);
       }
 
       // Chunked key scan of each group's current node. A chunk covers
       // `lanes` slots (the last one may be short), read by a group's first
-      // `lanes` lanes from consecutive addresses.
+      // `lanes` lanes from consecutive addresses: one row per group.
       for (unsigned chunk = 0; chunk < chunks_per_node; ++chunk) {
+        const std::uint32_t loading = config.early_exit ? scanning : walking;
+        if (loading == 0) break;
         const unsigned first_slot = chunk * gs;
         const unsigned lanes = std::min(gs, kpn - first_slot);
         const bool last_chunk = chunk + 1 == chunks_per_node;
         LaneMask mask = 0;
-        for (unsigned g = 0; g < nq; ++g) {
-          if (resolved[g] || (config.early_exit && group_done[g])) continue;
+        unsigned nr = 0;
+        for (std::uint32_t rest = loading; rest != 0; rest &= rest - 1) {
+          const auto g = static_cast<unsigned>(std::countr_zero(rest));
           mask |= gpusim::group_mask(g * gs, lanes);
-          const std::uint64_t node_base = image.node_key_addr(node[g], first_slot);
-          for (unsigned j = 0; j < lanes; ++j) addrs[g * gs + j] = node_base + j * sizeof(Key);
+          rows[nr++] = {node_base[g] + first_slot * sizeof(Key), g * gs, lanes};
         }
-        if (mask == 0) break;
-        w.gather<Key>(mask, std::span(addrs.data(), warp), lane_keys);
+        w.gather<Key>(group_rows(nr), lane_keys);
         w.compute(mask);  // the SIMT comparison step
         ++warp_chunk_steps;
 
-        for (unsigned g = 0; g < nq; ++g) {
-          if (resolved[g] || (config.early_exit && group_done[g])) continue;
+        for (std::uint32_t rest = scanning; rest != 0; rest &= rest - 1) {
+          const auto g = static_cast<unsigned>(std::countr_zero(rest));
           const Key t = target[g];
           const Key* keys = &lane_keys[g * gs];
           // Keys are sorted: the scan stops at the first key >= target on
@@ -183,63 +195,56 @@ SearchStats search_batch(gpusim::Device& device, const HarmoniaDeviceImage& imag
           if (leaf_level) {
             while (j < lanes && keys[j] < t) ++j;
             if (j < lanes && keys[j] == t) {
-              found[g] = true;
+              found |= 1u << g;
               found_slot[g] = first_slot + j;
             }
           } else {
             while (j < lanes && keys[j] <= t) ++j;
             sep_leq[g] += j;
           }
-          if (j < lanes || last_chunk) group_done[g] = true;
+          if (j < lanes || last_chunk) scanning &= ~(1u << g);
         }
       }
 
-      if (!leaf_level) {
+      if (!leaf_level && walking != 0) {
         // Equation 1: child = prefix_sum[node] + separators_leq. The
         // leader lane fetches the prefix-sum entry (constant memory for
         // top levels, read-only cache below).
         LaneMask mask = 0;
-        for (unsigned g = 0; g < nq; ++g) {
-          if (resolved[g]) continue;
+        unsigned nr = 0;
+        for (std::uint32_t rest = walking; rest != 0; rest &= rest - 1) {
+          const auto g = static_cast<unsigned>(std::countr_zero(rest));
           mask |= gpusim::lane_bit(g * gs);
-          addrs[g * gs] = image.ps_addr(node[g]);
+          rows[nr++] = {image.ps_addr(node[g]), g * gs, 1};
         }
-        if (mask != 0) {
-          std::array<std::uint32_t, 32> ps_vals;
-          w.gather<std::uint32_t>(mask, std::span(addrs.data(), warp), ps_vals);
-          w.compute(mask);  // index arithmetic
-          for (unsigned g = 0; g < nq; ++g) {
-            if (resolved[g]) continue;
-            ps[g] = ps_vals[g * gs];
-            node[g] = ps[g] + sep_leq[g];
-          }
+        std::array<std::uint32_t, 32> ps_vals;
+        w.gather<std::uint32_t>(group_rows(nr), ps_vals);
+        w.compute(mask);  // index arithmetic
+        for (std::uint32_t rest = walking; rest != 0; rest &= rest - 1) {
+          const auto g = static_cast<unsigned>(std::countr_zero(rest));
+          node[g] = ps_vals[g * gs] + sep_leq[g];
         }
       }
     }
 
     // Fetch values for hits and write results.
-    LaneMask hit_mask = 0;
     std::array<Value, 32> vals;
-    for (unsigned g = 0; g < nq; ++g) {
-      if (found[g]) {
-        hit_mask |= gpusim::lane_bit(g * gs);
-        addrs[g * gs] = image.value_addr(node[g], found_slot[g]);
-      }
+    unsigned nr = 0;
+    for (std::uint32_t rest = found; rest != 0; rest &= rest - 1) {
+      const auto g = static_cast<unsigned>(std::countr_zero(rest));
+      rows[nr++] = {image.value_addr(node[g], found_slot[g]), g * gs, 1};
     }
-    if (hit_mask != 0) {
-      w.gather<Value>(hit_mask, std::span(addrs.data(), warp), vals);
-    }
-    LaneMask out_mask = 0;
+    w.gather<Value>(group_rows(nr), vals);
     std::array<Value, 32> out_vals;
     for (unsigned g = 0; g < nq; ++g) {
-      const unsigned lane = g * gs;
-      out_mask |= gpusim::lane_bit(lane);
-      addrs[lane] = out_values.element_addr(base + g);
-      out_vals[lane] =
-          resolved[g] ? res_val[g] : (found[g] ? vals[lane] : kNotFound);
+      const std::uint32_t bit = 1u << g;
+      out_vals[g * gs] = (walking & bit) == 0 ? res_val[g]
+                         : (found & bit) != 0 ? vals[g * gs]
+                                              : kNotFound;
     }
-    w.scatter<Value>(out_mask, std::span(addrs.data(), warp),
-                     std::span<const Value>(out_vals.data(), warp));
+    w.scatter<Value>(
+        gpusim::leader_rows(out_values.element_addr(base), sizeof(Value), nq, gs, rows),
+        std::span<const Value>(out_vals.data(), warp));
     chunk_steps[w.warp_id()] = warp_chunk_steps;
   };
 

@@ -27,22 +27,23 @@ HBSearchStats hb_search_batch(gpusim::Device& device, const HBTreeDeviceImage& i
 
     // Scratch is written before it is read; `node` (the root) and `found`
     // start zeroed.
-    std::array<std::uint64_t, 32> addrs;
+    std::array<gpusim::LaneRow, 32> rows;
     std::array<Key, 32> lane_keys;
     std::array<Key, 32> target;
     std::array<std::uint32_t, 32> node{};
     std::array<unsigned, 32> sep_leq;
     std::array<bool, 32> found{};
     std::array<unsigned, 32> found_slot;
+    const auto group_rows = [&](unsigned nr) {
+      return std::span<const gpusim::LaneRow>(rows.data(), nr);
+    };
 
     LaneMask leader_mask = 0;
-    for (unsigned g = 0; g < nq; ++g) {
-      leader_mask |= gpusim::lane_bit(g * gs);
-      addrs[g * gs] = queries.element_addr(base + g);
-    }
+    for (unsigned g = 0; g < nq; ++g) leader_mask |= gpusim::lane_bit(g * gs);
     {
       std::array<Key, 32> qvals;
-      w.gather<Key>(leader_mask, std::span(addrs.data(), warp), qvals);
+      w.gather<Key>(gpusim::leader_rows(queries.element_addr(base), sizeof(Key), nq, gs, rows),
+                    qvals);
       for (unsigned g = 0; g < nq; ++g) target[g] = qvals[g * gs];
       w.compute(leader_mask);
     }
@@ -51,31 +52,26 @@ HBSearchStats hb_search_batch(gpusim::Device& device, const HBTreeDeviceImage& i
       const bool leaf_level = (level + 1 == image.height);
       for (unsigned g = 0; g < nq; ++g) sep_leq[g] = 0;
 
-      // Full-node scan: every chunk, every key (traditional design).
+      // Full-node scan: every chunk, every key (traditional design). A
+      // group's chunk is one row of consecutive keys.
       for (unsigned chunk = 0; chunk < chunks_per_node; ++chunk) {
+        const unsigned first_slot = chunk * gs;
+        const unsigned lanes = std::min(gs, kpn - first_slot);
         LaneMask mask = 0;
         for (unsigned g = 0; g < nq; ++g) {
-          for (unsigned j = 0; j < gs; ++j) {
-            const unsigned slot = chunk * gs + j;
-            if (slot >= kpn) break;
-            const unsigned lane = g * gs + j;
-            mask |= gpusim::lane_bit(lane);
-            addrs[lane] = image.node_key_addr(node[g], slot);
-          }
+          mask |= gpusim::group_mask(g * gs, lanes);
+          rows[g] = {image.node_key_addr(node[g], first_slot), g * gs, lanes};
         }
-        if (mask == 0) break;
-        w.gather<Key>(mask, std::span(addrs.data(), warp), lane_keys);
+        w.gather<Key>(group_rows(nq), lane_keys);
         w.compute(mask);
 
         for (unsigned g = 0; g < nq; ++g) {
-          for (unsigned j = 0; j < gs; ++j) {
-            const unsigned slot = chunk * gs + j;
-            if (slot >= kpn) break;
+          for (unsigned j = 0; j < lanes; ++j) {
             const Key k = lane_keys[g * gs + j];
             if (leaf_level) {
               if (k == target[g]) {
                 found[g] = true;
-                found_slot[g] = slot;
+                found_slot[g] = first_slot + j;
               }
             } else if (k <= target[g]) {
               ++sep_leq[g];
@@ -87,39 +83,27 @@ HBSearchStats hb_search_batch(gpusim::Device& device, const HBTreeDeviceImage& i
       if (!leaf_level) {
         // The child-reference indirection: a 4 B load from the node
         // record in global memory per query per level.
-        LaneMask mask = 0;
         for (unsigned g = 0; g < nq; ++g) {
-          mask |= gpusim::lane_bit(g * gs);
-          addrs[g * gs] = image.child_ref_addr(node[g], sep_leq[g]);
+          rows[g] = {image.child_ref_addr(node[g], sep_leq[g]), g * gs, 1};
         }
         std::array<std::uint32_t, 32> refs;
-        w.gather<std::uint32_t>(mask, std::span(addrs.data(), warp), refs);
-        w.compute(mask);
+        w.gather<std::uint32_t>(group_rows(nq), refs);
+        w.compute(leader_mask);
         for (unsigned g = 0; g < nq; ++g) node[g] = refs[g * gs];
       }
     }
 
-    LaneMask hit_mask = 0;
     std::array<Value, 32> vals;
+    unsigned nr = 0;
     for (unsigned g = 0; g < nq; ++g) {
-      if (found[g]) {
-        hit_mask |= gpusim::lane_bit(g * gs);
-        addrs[g * gs] = image.value_addr(node[g], found_slot[g]);
-      }
+      if (found[g]) rows[nr++] = {image.value_addr(node[g], found_slot[g]), g * gs, 1};
     }
-    if (hit_mask != 0) {
-      w.gather<Value>(hit_mask, std::span(addrs.data(), warp), vals);
-    }
-    LaneMask out_mask = 0;
+    w.gather<Value>(group_rows(nr), vals);
     std::array<Value, 32> out_vals;
-    for (unsigned g = 0; g < nq; ++g) {
-      const unsigned lane = g * gs;
-      out_mask |= gpusim::lane_bit(lane);
-      addrs[lane] = out_values.element_addr(base + g);
-      out_vals[lane] = found[g] ? vals[lane] : kNotFound;
-    }
-    w.scatter<Value>(out_mask, std::span(addrs.data(), warp),
-                     std::span<const Value>(out_vals.data(), warp));
+    for (unsigned g = 0; g < nq; ++g) out_vals[g * gs] = found[g] ? vals[g * gs] : kNotFound;
+    w.scatter<Value>(
+        gpusim::leader_rows(out_values.element_addr(base), sizeof(Value), nq, gs, rows),
+        std::span<const Value>(out_vals.data(), warp));
   };
 
   HBSearchStats stats;

@@ -1,6 +1,7 @@
 #include "implicit/search.hpp"
 
 #include <array>
+#include <bit>
 
 #include "common/expect.hpp"
 #include "harmonia/search.hpp"  // resolve_group_size
@@ -41,24 +42,27 @@ ImplicitSearchStats implicit_search_batch(gpusim::Device& device,
     const std::uint64_t base = w.warp_id() * qpw;
     const unsigned nq = static_cast<unsigned>(std::min<std::uint64_t>(qpw, n - base));
 
-    std::array<std::uint64_t, 32> addrs{};
+    // Group sets are bitmasks over group indices, walked with countr_zero.
+    std::array<gpusim::LaneRow, 32> rows{};
     std::array<Key, 32> lane_keys{};
     std::array<Key, 32> target{};
     std::array<std::uint32_t, 32> node{};
     std::array<unsigned, 32> sep_leq{};
-    std::array<bool, 32> done{};
-    std::array<bool, 32> found{};
     std::array<std::uint32_t, 32> found_node{};
     std::array<unsigned, 32> found_slot{};
+    // Groups still descending, and those that matched their key.
+    std::uint32_t active = gpusim::full_mask(nq);
+    std::uint32_t found = 0;
+    const auto group_rows = [&](unsigned nr) {
+      return std::span<const gpusim::LaneRow>(rows.data(), nr);
+    };
 
     LaneMask leader_mask = 0;
-    for (unsigned g = 0; g < nq; ++g) {
-      leader_mask |= gpusim::lane_bit(g * gs);
-      addrs[g * gs] = queries.element_addr(base + g);
-    }
+    for (unsigned g = 0; g < nq; ++g) leader_mask |= gpusim::lane_bit(g * gs);
     {
       std::array<Key, 32> qvals{};
-      w.gather<Key>(leader_mask, std::span(addrs.data(), warp), qvals);
+      w.gather<Key>(gpusim::leader_rows(queries.element_addr(base), sizeof(Key), nq, gs, rows),
+                    qvals);
       for (unsigned g = 0; g < nq; ++g) target[g] = qvals[g * gs];
       w.compute(leader_mask);
     }
@@ -66,91 +70,77 @@ ImplicitSearchStats implicit_search_batch(gpusim::Device& device,
     // Keys can match at any level, and groups can run out of tree at
     // different depths: the warp loops until every group is done.
     for (unsigned level = 0; level < image.height; ++level) {
-      for (unsigned g = 0; g < nq; ++g) {
-        if (node[g] >= image.num_nodes) done[g] = true;
+      for (std::uint32_t rest = active; rest != 0; rest &= rest - 1) {
+        const auto g = static_cast<unsigned>(std::countr_zero(rest));
+        if (node[g] >= image.num_nodes) active &= ~(1u << g);
         sep_leq[g] = 0;
       }
-      bool any_active = false;
-      for (unsigned g = 0; g < nq; ++g) any_active |= !done[g];
-      if (!any_active) break;
+      if (active == 0) break;
 
-      std::array<bool, 32> scanned{};  // group finished this node's scan
-      for (unsigned g = 0; g < nq; ++g) scanned[g] = done[g];
-      for (unsigned chunk = 0; chunk < chunks_per_node; ++chunk) {
+      // Groups still scanning this node; a group's chunk is one row.
+      std::uint32_t scanning = active;
+      for (unsigned chunk = 0; chunk < chunks_per_node && scanning != 0; ++chunk) {
+        const unsigned first_slot = chunk * gs;
+        const unsigned lanes = std::min(gs, kpn - first_slot);
+        const bool last_chunk = chunk + 1 == chunks_per_node;
         LaneMask mask = 0;
-        for (unsigned g = 0; g < nq; ++g) {
-          if (scanned[g]) continue;
-          for (unsigned j = 0; j < gs; ++j) {
-            const unsigned slot = chunk * gs + j;
-            if (slot >= kpn) break;
-            const unsigned lane = g * gs + j;
-            mask |= gpusim::lane_bit(lane);
-            addrs[lane] = image.key_addr(node[g], slot);
-          }
+        unsigned nr = 0;
+        for (std::uint32_t rest = scanning; rest != 0; rest &= rest - 1) {
+          const auto g = static_cast<unsigned>(std::countr_zero(rest));
+          mask |= gpusim::group_mask(g * gs, lanes);
+          rows[nr++] = {image.key_addr(node[g], first_slot), g * gs, lanes};
         }
-        if (mask == 0) break;
-        w.gather<Key>(mask, std::span(addrs.data(), warp), lane_keys);
+        w.gather<Key>(group_rows(nr), lane_keys);
         w.compute(mask);
 
-        for (unsigned g = 0; g < nq; ++g) {
-          if (scanned[g]) continue;
-          for (unsigned j = 0; j < gs; ++j) {
-            const unsigned slot = chunk * gs + j;
-            if (slot >= kpn) {
-              scanned[g] = true;
-              break;
-            }
+        for (std::uint32_t rest = scanning; rest != 0; rest &= rest - 1) {
+          const auto g = static_cast<unsigned>(std::countr_zero(rest));
+          const std::uint32_t bit = 1u << g;
+          bool stopped = false;
+          for (unsigned j = 0; j < lanes; ++j) {
             const Key k = lane_keys[g * gs + j];
             if (k == target[g]) {
-              found[g] = true;
+              found |= bit;
               found_node[g] = node[g];
-              found_slot[g] = slot;
-              done[g] = true;
-              scanned[g] = true;
+              found_slot[g] = first_slot + j;
+              active &= ~bit;
+              stopped = true;
               break;
             }
-            if (k <= target[g]) {
-              ++sep_leq[g];
-            } else {
-              scanned[g] = true;  // boundary: descend via sep_leq
+            if (k > target[g]) {
+              stopped = true;  // boundary: descend via sep_leq
               break;
             }
+            ++sep_leq[g];
           }
-          if (chunk + 1 == chunks_per_node) scanned[g] = true;
+          if (stopped || last_chunk) scanning &= ~bit;
         }
       }
 
       // Index arithmetic only — no memory access for the child location.
       LaneMask mask = 0;
-      for (unsigned g = 0; g < nq; ++g) {
-        if (done[g]) continue;
+      for (std::uint32_t rest = active; rest != 0; rest &= rest - 1) {
+        const auto g = static_cast<unsigned>(std::countr_zero(rest));
         mask |= gpusim::lane_bit(g * gs);
         node[g] = node[g] * image.fanout + sep_leq[g] + 1;
       }
       if (mask != 0) w.compute(mask);
     }
 
-    LaneMask hit_mask = 0;
     std::array<Value, 32> vals{};
-    for (unsigned g = 0; g < nq; ++g) {
-      if (found[g]) {
-        hit_mask |= gpusim::lane_bit(g * gs);
-        addrs[g * gs] = image.value_addr(found_node[g], found_slot[g]);
-      }
+    unsigned nr = 0;
+    for (std::uint32_t rest = found; rest != 0; rest &= rest - 1) {
+      const auto g = static_cast<unsigned>(std::countr_zero(rest));
+      rows[nr++] = {image.value_addr(found_node[g], found_slot[g]), g * gs, 1};
     }
-    if (hit_mask != 0) {
-      w.gather<Value>(hit_mask, std::span(addrs.data(), warp), vals);
-    }
-    LaneMask out_mask = 0;
+    w.gather<Value>(group_rows(nr), vals);
     std::array<Value, 32> out_vals{};
     for (unsigned g = 0; g < nq; ++g) {
-      const unsigned lane = g * gs;
-      out_mask |= gpusim::lane_bit(lane);
-      addrs[lane] = out_values.element_addr(base + g);
-      out_vals[lane] = found[g] ? vals[lane] : kNotFound;
+      out_vals[g * gs] = (found >> g & 1u) != 0 ? vals[g * gs] : kNotFound;
     }
-    w.scatter<Value>(out_mask, std::span(addrs.data(), warp),
-                     std::span<const Value>(out_vals.data(), warp));
+    w.scatter<Value>(
+        gpusim::leader_rows(out_values.element_addr(base), sizeof(Value), nq, gs, rows),
+        std::span<const Value>(out_vals.data(), warp));
   };
 
   ImplicitSearchStats stats;

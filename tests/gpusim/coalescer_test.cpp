@@ -14,46 +14,54 @@ namespace {
 
 constexpr unsigned kLine = 128;
 
+/// One-lane rows for lanes [0, addrs.size()): a scattered access.
+std::vector<LaneRow> one_lane_rows(std::span<const std::uint64_t> addrs) {
+  std::vector<LaneRow> rows;
+  for (unsigned lane = 0; lane < addrs.size(); ++lane) rows.push_back({addrs[lane], lane, 1});
+  return rows;
+}
+
 TEST(Coalescer, FullyCoalescedWarpLoad) {
   // 32 lanes reading consecutive u32s: 128 bytes = exactly one line.
-  std::array<std::uint64_t, 32> addrs{};
-  for (unsigned i = 0; i < 32; ++i) addrs[i] = 4096 + i * 4;
-  const auto lines = coalesce(addrs, full_mask(32), 4, kLine);
+  const std::array<LaneRow, 1> rows{{{4096, 0, 32}}};
+  const auto lines = coalesce(rows, 4, kLine);
   EXPECT_EQ(lines.size(), 1u);
   EXPECT_EQ(lines[0], 4096u / kLine);
+  EXPECT_EQ(lines.lanes(), full_mask(32));
 }
 
 TEST(Coalescer, ConsecutiveU64sNeedTwoLines) {
-  std::array<std::uint64_t, 32> addrs{};
-  for (unsigned i = 0; i < 32; ++i) addrs[i] = 0 + i * 8;  // 256 B
-  EXPECT_EQ(coalesce(addrs, full_mask(32), 8, kLine).size(), 2u);
+  const std::array<LaneRow, 1> rows{{{0, 0, 32}}};  // 256 B
+  EXPECT_EQ(coalesce(rows, 8, kLine).size(), 2u);
 }
 
 TEST(Coalescer, ScatteredAddressesOneLineEach) {
-  std::array<std::uint64_t, 4> addrs{0, 10000, 20000, 30000};
-  EXPECT_EQ(coalesce(addrs, full_mask(4), 8, kLine).size(), 4u);
+  const std::array<std::uint64_t, 4> addrs{0, 10000, 20000, 30000};
+  EXPECT_EQ(coalesce(one_lane_rows(addrs), 8, kLine).size(), 4u);
 }
 
 TEST(Coalescer, InactiveLanesIgnored) {
-  std::array<std::uint64_t, 4> addrs{0, 10000, 20000, 30000};
-  const LaneMask mask = lane_bit(0) | lane_bit(2);
-  EXPECT_EQ(coalesce(addrs, mask, 8, kLine).size(), 2u);
+  // Lanes 0 and 2 of a scattered access; lanes 1 and 3 are not in it.
+  const std::array<LaneRow, 2> rows{{{0, 0, 1}, {20000, 2, 1}}};
+  const auto lines = coalesce(rows, 8, kLine);
+  EXPECT_EQ(lines.size(), 2u);
+  EXPECT_EQ(lines.lanes(), lane_bit(0) | lane_bit(2));
 }
 
 TEST(Coalescer, StraddlingAccessCountsBothLines) {
-  std::array<std::uint64_t, 1> addrs{kLine - 4};  // 8 B crossing the boundary
-  EXPECT_EQ(coalesce(addrs, full_mask(1), 8, kLine).size(), 2u);
+  const std::array<LaneRow, 1> rows{{{kLine - 4, 0, 1}}};  // 8 B crossing the boundary
+  EXPECT_EQ(coalesce(rows, 8, kLine).size(), 2u);
 }
 
 TEST(Coalescer, DuplicateAddressesDeduplicate) {
   std::array<std::uint64_t, 8> addrs{};
   addrs.fill(512);  // broadcast load
-  EXPECT_EQ(coalesce(addrs, full_mask(8), 8, kLine).size(), 1u);
+  EXPECT_EQ(coalesce(one_lane_rows(addrs), 8, kLine).size(), 1u);
 }
 
 TEST(Coalescer, ResultSorted) {
-  std::array<std::uint64_t, 3> addrs{30000, 0, 20000};
-  const auto lines = coalesce(addrs, full_mask(3), 8, kLine);
+  const std::array<std::uint64_t, 3> addrs{30000, 0, 20000};
+  const auto lines = coalesce(one_lane_rows(addrs), 8, kLine);
   ASSERT_EQ(lines.size(), 3u);
   EXPECT_LT(lines[0], lines[1]);
   EXPECT_LT(lines[1], lines[2]);
@@ -62,44 +70,84 @@ TEST(Coalescer, ResultSorted) {
 TEST(Coalescer, SameLineUnorderedStillOneTransaction) {
   // The §4.1.2 point: a partially-sorted group within one line coalesces
   // even though the addresses are not ascending.
-  std::array<std::uint64_t, 4> addrs{1024 + 24, 1024, 1024 + 8, 1024 + 16};
-  EXPECT_EQ(coalesce(addrs, full_mask(4), 8, kLine).size(), 1u);
+  const std::array<std::uint64_t, 4> addrs{1024 + 24, 1024, 1024 + 8, 1024 + 16};
+  EXPECT_EQ(coalesce(one_lane_rows(addrs), 8, kLine).size(), 1u);
 }
 
 // The preconditions that bound LineSet's fixed buffer are always on.
 TEST(Coalescer, RejectsMoreThan32Lanes) {
-  std::array<std::uint64_t, 33> addrs{};
-  EXPECT_THROW(coalesce(addrs, full_mask(32), 8, kLine), ContractViolation);
+  const std::array<LaneRow, 1> wide{{{0, 0, 33}}};
+  EXPECT_THROW(coalesce(wide, 8, kLine), ContractViolation);
+  const std::array<LaneRow, 2> split{{{0, 0, 20}, {4096, 20, 13}}};
+  EXPECT_THROW(coalesce(split, 8, kLine), ContractViolation);
+  const std::array<LaneRow, 1> past_the_warp{{{0, 31, 2}}};
+  EXPECT_THROW(coalesce(past_the_warp, 8, kLine), ContractViolation);
+  const std::array<LaneRow, 1> lane_out_of_range{{{0, 32, 1}}};
+  EXPECT_THROW(coalesce(lane_out_of_range, 8, kLine), ContractViolation);
+}
+
+TEST(Coalescer, RejectsMoreThan32Rows) {
+  std::vector<LaneRow> rows;
+  for (unsigned lane = 0; lane < 32; ++lane) rows.push_back({lane * 4096ull, lane, 1});
+  EXPECT_NO_THROW(coalesce(rows, 8, kLine));
+  rows.push_back({1 << 20, 0, 1});  // a 33rd row must reuse a lane
+  EXPECT_THROW(coalesce(rows, 8, kLine), ContractViolation);
+}
+
+TEST(Coalescer, RejectsALaneInTwoRowsAndEmptyRows) {
+  const std::array<LaneRow, 2> overlap{{{0, 0, 4}, {4096, 3, 2}}};
+  EXPECT_THROW(coalesce(overlap, 8, kLine), ContractViolation);
+  const std::array<LaneRow, 1> empty{{{0, 0, 0}}};
+  EXPECT_THROW(coalesce(empty, 8, kLine), ContractViolation);
 }
 
 TEST(Coalescer, RejectsZeroBytesPerLane) {
-  std::array<std::uint64_t, 4> addrs{};
-  EXPECT_THROW(coalesce(addrs, full_mask(4), 0, kLine), ContractViolation);
+  const std::array<LaneRow, 1> rows{{{0, 0, 4}}};
+  EXPECT_THROW(coalesce(rows, 0, kLine), ContractViolation);
 }
 
 TEST(Coalescer, RejectsAccessWiderThanALine) {
-  std::array<std::uint64_t, 4> addrs{};
-  EXPECT_NO_THROW(coalesce(addrs, full_mask(4), kLine, kLine));
-  EXPECT_THROW(coalesce(addrs, full_mask(4), kLine + 1, kLine), ContractViolation);
+  const std::array<LaneRow, 1> rows{{{0, 0, 4}}};
+  EXPECT_NO_THROW(coalesce(rows, kLine, kLine));
+  EXPECT_THROW(coalesce(rows, kLine + 1, kLine), ContractViolation);
 }
 
 TEST(Coalescer, RejectsNonPowerOfTwoLine) {
-  std::array<std::uint64_t, 4> addrs{};
-  EXPECT_THROW(coalesce(addrs, full_mask(4), 8, 96), ContractViolation);
-  EXPECT_THROW(coalesce(addrs, full_mask(4), 8, 0), ContractViolation);
+  const std::array<LaneRow, 1> rows{{{0, 0, 4}}};
+  EXPECT_THROW(coalesce(rows, 8, 96), ContractViolation);
+  EXPECT_THROW(coalesce(rows, 8, 0), ContractViolation);
 }
 
 TEST(Coalescer, EveryLaneStraddlingFillsTheBuffer) {
   // 32 lanes, each straddling its own pair of lines: the 64-line worst case.
   std::array<std::uint64_t, 32> addrs{};
   for (unsigned i = 0; i < 32; ++i) addrs[i] = (2 * i + 1) * kLine - 4;
-  const auto lines = coalesce(addrs, full_mask(32), 8, kLine);
+  const auto lines = coalesce(one_lane_rows(addrs), 8, kLine);
   ASSERT_EQ(lines.size(), LineSet::kCapacity);
   for (unsigned i = 0; i < lines.size(); ++i) EXPECT_EQ(lines[i], i);
 }
 
-// Differential check against the plain definition: every active lane's
-// first and last line, sorted and deduplicated.
+TEST(Coalescer, WideRowsFillTheBuffer) {
+  // Two misaligned 16-lane rows of line-sized elements: 17 lines each,
+  // 34 in all, the bound a row's c lanes + 1 gives.
+  const std::array<LaneRow, 2> rows{{{8, 0, 16}, {100 * kLine + 8, 16, 16}}};
+  const auto lines = coalesce(rows, kLine, kLine);
+  ASSERT_EQ(lines.size(), 34u);
+  for (unsigned i = 0; i < 17; ++i) {
+    EXPECT_EQ(lines[i], i);
+    EXPECT_EQ(lines[17 + i], 100 + i);
+  }
+}
+
+TEST(Coalescer, AllInactiveMaskTouchesNothing) {
+  // An access with no rows covers no lane.
+  const auto lines = coalesce(std::span<const LaneRow>(), 8, kLine);
+  EXPECT_TRUE(lines.empty());
+  EXPECT_EQ(lines.lanes(), 0u);
+}
+
+// Differential check against the per-lane definition: every active
+// lane's first and last line, sorted and deduplicated.
 std::vector<std::uint64_t> reference_lines(std::span<const std::uint64_t> addrs,
                                            LaneMask active, unsigned bytes, unsigned line) {
   std::vector<std::uint64_t> out;
@@ -113,21 +161,44 @@ std::vector<std::uint64_t> reference_lines(std::span<const std::uint64_t> addrs,
   return out;
 }
 
+/// The active lanes as rows: a lane joins the row before it when it is
+/// the next lane and reads the next element, as a kernel's chunk does.
+std::vector<LaneRow> rows_of(std::span<const std::uint64_t> addrs, LaneMask active,
+                             unsigned bytes) {
+  std::vector<LaneRow> rows;
+  for (unsigned lane = 0; lane < addrs.size(); ++lane) {
+    if (!lane_active(active, lane)) continue;
+    if (!rows.empty()) {
+      LaneRow& r = rows.back();
+      const std::uint64_t next = r.addr + std::uint64_t{r.count} * bytes;
+      if (r.lane + r.count == lane && next == addrs[lane]) {
+        ++r.count;
+        continue;
+      }
+    }
+    rows.push_back({addrs[lane], lane, 1});
+  }
+  return rows;
+}
+
 void expect_matches_reference(std::span<const std::uint64_t> addrs, LaneMask active,
                               unsigned bytes, unsigned line) {
-  const LineSet got = coalesce(addrs, active, bytes, line);
+  const LineSet got = coalesce(rows_of(addrs, active, bytes), bytes, line);
   const std::vector<std::uint64_t> want = reference_lines(addrs, active, bytes, line);
   ASSERT_EQ(std::vector<std::uint64_t>(got.begin(), got.end()), want)
       << "lanes=" << addrs.size() << " mask=" << active << " bytes=" << bytes;
+  ASSERT_EQ(got.lanes(), active);
 }
 
 TEST(Coalescer, MatchesSortUniqueReferenceOnRandomAccesses) {
   Xoshiro256 rng(7);
   const std::array<unsigned, 4> widths{1, 4, 8, 16};
   for (int trial = 0; trial < 20000; ++trial) {
-    const auto lanes = static_cast<unsigned>(rng.next() % 33);  // 0..32 addresses
+    const auto lanes = static_cast<unsigned>(rng.next() % 33);  // 0..32 lanes
     const unsigned bytes = widths[rng.next() % widths.size()];
-    const auto active = static_cast<LaneMask>(rng.next());  // bits past `lanes` too
+    // Active lanes among the first `lanes`.
+    const auto bits = static_cast<LaneMask>(rng.next());
+    const LaneMask active = lanes == 0 ? 0 : bits & full_mask(lanes);
     std::array<std::uint64_t, 32> addrs{};
     const std::uint64_t base = (rng.next() % 4096) * 4;
     switch (trial % 5) {
@@ -165,15 +236,6 @@ TEST(Coalescer, LineStraddlingLanesInEveryOrder) {
   for (const auto& addrs : patterns) {
     for (LaneMask m = 0; m < 16; ++m) expect_matches_reference(addrs, m, 8, kLine);
   }
-}
-
-TEST(Coalescer, AllInactiveMaskTouchesNothing) {
-  std::array<std::uint64_t, 32> addrs{};
-  for (unsigned i = 0; i < 32; ++i) addrs[i] = i * 1000;
-  EXPECT_TRUE(coalesce(addrs, 0, 8, kLine).empty());
-  // Mask bits past the span's end are ignored.
-  EXPECT_TRUE(coalesce(std::span(addrs.data(), 4), ~LaneMask{0} << 4, 8, kLine).empty());
-  EXPECT_TRUE(coalesce(std::span(addrs.data(), 0), ~LaneMask{0}, 8, kLine).empty());
 }
 
 }  // namespace

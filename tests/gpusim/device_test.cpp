@@ -7,6 +7,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "common/rng.hpp"
 
@@ -65,9 +66,8 @@ TEST(Device, GatherReadsValuesAndCounts) {
 
   std::array<std::uint64_t, 32> got{};
   const auto metrics = dev.launch(1, [&](WarpCtx& w) {
-    std::array<std::uint64_t, 32> addrs{};
-    for (unsigned i = 0; i < 32; ++i) addrs[i] = data.element_addr(i);
-    w.gather<std::uint64_t>(full_mask(32), addrs, got);
+    const std::array<LaneRow, 1> row{{{data.element_addr(0), 0, 32}}};
+    w.gather<std::uint64_t>(row, got);
   });
   for (unsigned i = 0; i < 32; ++i) EXPECT_EQ(got[i], i * 7u);
   EXPECT_EQ(metrics.loads, 1u);
@@ -81,9 +81,9 @@ TEST(Device, DivergentLoadDetected) {
   auto& mem = dev.memory();
   auto data = mem.malloc<std::uint64_t>(1 << 16);
   const auto metrics = dev.launch(1, [&](WarpCtx& w) {
-    std::array<std::uint64_t, 32> addrs{};
-    for (unsigned i = 0; i < 32; ++i) addrs[i] = data.element_addr(i * 1000);
-    w.touch(full_mask(32), addrs, 8);
+    std::array<LaneRow, 32> rows{};
+    for (unsigned i = 0; i < 32; ++i) rows[i] = {data.element_addr(i * 1000), i, 1};
+    w.touch(rows, 8);
   });
   EXPECT_EQ(metrics.loads, 1u);
   EXPECT_EQ(metrics.divergent_loads, 1u);
@@ -95,9 +95,8 @@ TEST(Device, CoalescedLoadNotDivergent) {
   auto& mem = dev.memory();
   auto data = mem.malloc<std::uint32_t>(32);
   const auto metrics = dev.launch(1, [&](WarpCtx& w) {
-    std::array<std::uint64_t, 32> addrs{};
-    for (unsigned i = 0; i < 32; ++i) addrs[i] = data.element_addr(i);
-    w.touch(full_mask(32), addrs, 4);
+    const std::array<LaneRow, 1> row{{{data.element_addr(0), 0, 32}}};
+    w.touch(row, 4);
   });
   EXPECT_EQ(metrics.divergent_loads, 0u);
 }
@@ -107,10 +106,9 @@ TEST(Device, RepeatedAccessHitsCache) {
   auto& mem = dev.memory();
   auto data = mem.malloc<std::uint64_t>(16);
   const auto metrics = dev.launch(1, [&](WarpCtx& w) {
-    std::array<std::uint64_t, 32> addrs{};
-    for (unsigned i = 0; i < 16; ++i) addrs[i] = data.element_addr(i);
-    w.touch(full_mask(16), addrs, 8);  // cold: DRAM
-    w.touch(full_mask(16), addrs, 8);  // warm: read-only cache
+    const std::array<LaneRow, 1> row{{{data.element_addr(0), 0, 16}}};
+    w.touch(row, 8);  // cold: DRAM
+    w.touch(row, 8);  // warm: read-only cache
   });
   EXPECT_GT(metrics.dram_transactions, 0u);
   EXPECT_GT(metrics.readonly_hits, 0u);
@@ -121,25 +119,45 @@ TEST(Device, ConstantSpaceUsesConstantCache) {
   auto& mem = dev.memory();
   auto data = mem.const_malloc<std::uint32_t>(64);
   const auto metrics = dev.launch(1, [&](WarpCtx& w) {
-    std::array<std::uint64_t, 32> addrs{};
-    for (unsigned i = 0; i < 32; ++i) addrs[i] = data.element_addr(i);
-    w.touch(full_mask(32), addrs, 4);
-    w.touch(full_mask(32), addrs, 4);
+    const std::array<LaneRow, 1> row{{{data.element_addr(0), 0, 32}}};
+    w.touch(row, 4);
+    w.touch(row, 4);
   });
   EXPECT_GT(metrics.const_hits, 0u);
   EXPECT_EQ(metrics.readonly_hits, 0u);  // constant space never uses RO cache
+}
+
+// A row in the constant segment is read inline, bounded by const_used();
+// a row past it throws out of the launch.
+TEST(Device, ConstantRowGatherAndOutOfBoundsRow) {
+  Device dev(tiny_spec());
+  auto& mem = dev.memory();
+  auto table = mem.const_malloc<std::uint32_t>(8);
+  const std::vector<std::uint32_t> host = {3, 1, 4, 1, 5, 9, 2, 6};
+  mem.copy_to_device(table, std::span<const std::uint32_t>(host));
+  std::array<std::uint32_t, 32> got{};
+  dev.launch(1, [&](WarpCtx& w) {
+    const std::array<LaneRow, 1> row{{{table.element_addr(0), 4, 8}}};
+    w.gather<std::uint32_t>(row, got);
+  });
+  for (unsigned i = 0; i < 8; ++i) EXPECT_EQ(got[4 + i], host[i]);
+  EXPECT_THROW(dev.launch(1,
+                          [&](WarpCtx& w) {
+                            const std::array<LaneRow, 1> row{{{table.element_addr(1), 0, 8}}};
+                            w.gather<std::uint32_t>(row, got);
+                          }),
+               ContractViolation);
 }
 
 TEST(Device, FlushCachesForcesMisses) {
   Device dev(tiny_spec());
   auto& mem = dev.memory();
   auto data = mem.malloc<std::uint64_t>(16);
-  std::array<std::uint64_t, 32> addrs{};
-  for (unsigned i = 0; i < 16; ++i) addrs[i] = data.element_addr(i);
+  const std::array<LaneRow, 1> row{{{data.element_addr(0), 0, 16}}};
 
-  dev.launch(1, [&](WarpCtx& w) { w.touch(full_mask(16), addrs, 8); });
+  dev.launch(1, [&](WarpCtx& w) { w.touch(row, 8); });
   dev.flush_caches();
-  const auto metrics = dev.launch(1, [&](WarpCtx& w) { w.touch(full_mask(16), addrs, 8); });
+  const auto metrics = dev.launch(1, [&](WarpCtx& w) { w.touch(row, 8); });
   EXPECT_EQ(metrics.readonly_hits, 0u);
   EXPECT_EQ(metrics.l2_hits, 0u);
   EXPECT_GT(metrics.dram_transactions, 0u);
@@ -150,14 +168,10 @@ TEST(Device, ScatterWritesValues) {
   auto& mem = dev.memory();
   auto data = mem.malloc<std::uint64_t>(8);
   dev.launch(1, [&](WarpCtx& w) {
-    std::array<std::uint64_t, 32> addrs{};
+    const std::array<LaneRow, 1> row{{{data.element_addr(0), 0, 8}}};
     std::array<std::uint64_t, 32> vals{};
-    for (unsigned i = 0; i < 8; ++i) {
-      addrs[i] = data.element_addr(i);
-      vals[i] = 100 + i;
-    }
-    w.scatter<std::uint64_t>(full_mask(8), addrs,
-                             std::span<const std::uint64_t>(vals.data(), 32));
+    for (unsigned i = 0; i < 8; ++i) vals[i] = 100 + i;
+    w.scatter<std::uint64_t>(row, vals);
   });
   for (unsigned i = 0; i < 8; ++i) {
     EXPECT_EQ(mem.read<std::uint64_t>(data.element_addr(i)), 100u + i);
@@ -172,9 +186,8 @@ TEST(Device, InactiveLanesUntouchedByGather) {
   std::array<std::uint64_t, 32> got{};
   got.fill(999);
   dev.launch(1, [&](WarpCtx& w) {
-    std::array<std::uint64_t, 32> addrs{};
-    addrs[0] = data.element_addr(0);
-    w.gather<std::uint64_t>(lane_bit(0), addrs, got);
+    const std::array<LaneRow, 1> row{{{data.element_addr(0), 0, 1}}};
+    w.gather<std::uint64_t>(row, got);
   });
   EXPECT_EQ(got[0], 5u);
   EXPECT_EQ(got[1], 999u);  // inactive lane untouched
@@ -213,23 +226,26 @@ TEST(Device, MultiBlockLaunchGolden) {
   dev.trace().enable();
   const auto m = dev.launch(kWarps, [&](WarpCtx& w) {
     Xoshiro256 rng(w.warp_id());
-    std::array<std::uint64_t, 32> addrs{};
+    std::array<LaneRow, 32> rows{};
     std::array<std::uint64_t, 32> vals{};
     const auto active = static_cast<unsigned>(1 + rng.next_below(32));
-    for (unsigned i = 0; i < 32; ++i) addrs[i] = data.element_addr(rng.next_below(kElems));
-    w.gather<std::uint64_t>(full_mask(active), addrs, vals);
+    for (unsigned i = 0; i < 32; ++i) {
+      rows[i] = {data.element_addr(rng.next_below(kElems)), i, 1};
+    }
+    w.gather<std::uint64_t>(std::span<const LaneRow>(rows.data(), active), vals);
     w.compute(full_mask(active), 2);
-    for (unsigned i = 0; i < 32; ++i) addrs[i] = table.element_addr((w.warp_id() + i) % 256);
-    w.touch(full_mask(32), addrs, 4);
+    // Consecutive table entries, wrapping at the end: two rows at most.
+    const auto first = static_cast<unsigned>(w.warp_id() % 256);
+    const unsigned before_wrap = std::min(32u, 256 - first);
+    rows[0] = {table.element_addr(first), 0, before_wrap};
+    rows[1] = {table.element_addr(0), before_wrap, 32 - before_wrap};
+    w.touch(std::span<const LaneRow>(rows.data(), before_wrap == 32 ? 1 : 2), 4);
     w.compute(full_mask(32));
     std::uint64_t sum = 0;
     for (unsigned i = 0; i < active; ++i) sum += vals[i];
-    std::array<std::uint64_t, 32> out_addr{};
-    std::array<std::uint64_t, 32> out_val{};
-    out_addr[0] = out.element_addr(w.warp_id());
-    out_val[0] = sum;
-    w.scatter<std::uint64_t>(lane_bit(0), out_addr,
-                             std::span<const std::uint64_t>(out_val.data(), 32));
+    const std::array<LaneRow, 1> out_row{{{out.element_addr(w.warp_id()), 0, 1}}};
+    const std::array<std::uint64_t, 1> out_val{sum};
+    w.scatter<std::uint64_t>(out_row, out_val);
   });
 
   EXPECT_EQ(m.warps, kWarps);
@@ -282,15 +298,13 @@ TEST(Device, CrossWarpReadAfterWriteBreaksTheContract) {
 #else
   Device dev(tiny_spec());
   auto slot = dev.memory().malloc<std::uint64_t>(1);
-  std::array<std::uint64_t, 32> addrs{};
-  addrs[0] = slot.element_addr(0);
+  const std::array<LaneRow, 1> row{{{slot.element_addr(0), 0, 1}}};
   const auto kernel = [&](WarpCtx& w) {
     std::array<std::uint64_t, 32> vals{};
     if (w.warp_id() == 3) {
-      w.scatter<std::uint64_t>(lane_bit(0), addrs,
-                               std::span<const std::uint64_t>(vals.data(), 32));
+      w.scatter<std::uint64_t>(row, vals);
     } else if (w.warp_id() == 20) {
-      w.gather<std::uint64_t>(lane_bit(0), addrs, vals);
+      w.gather<std::uint64_t>(row, vals);
     }
   };
   EXPECT_THROW(dev.launch(64, kernel), ContractViolation);
@@ -298,9 +312,8 @@ TEST(Device, CrossWarpReadAfterWriteBreaksTheContract) {
   EXPECT_NO_THROW(dev.launch(64, [&](WarpCtx& w) {
     std::array<std::uint64_t, 32> vals{};
     if (w.warp_id() != 3) return;
-    w.scatter<std::uint64_t>(lane_bit(0), addrs,
-                             std::span<const std::uint64_t>(vals.data(), 32));
-    w.gather<std::uint64_t>(lane_bit(0), addrs, vals);
+    w.scatter<std::uint64_t>(row, vals);
+    w.gather<std::uint64_t>(row, vals);
   }));
 #endif
 }
@@ -313,17 +326,14 @@ TEST(Device, LoadBeforeAnotherWarpsStoreBreaksTheContract) {
   // run at the same time, so the load may see either value.
   Device dev(tiny_spec());
   auto slot = dev.memory().malloc<std::uint64_t>(1);
-  std::array<std::uint64_t, 32> addrs{};
-  addrs[0] = slot.element_addr(0);
+  const std::array<LaneRow, 1> row{{{slot.element_addr(0), 0, 1}}};
   EXPECT_THROW(dev.launch(1024,
                           [&](WarpCtx& w) {
                             std::array<std::uint64_t, 32> vals{};
                             if (w.warp_id() == 3) {
-                              w.gather<std::uint64_t>(lane_bit(0), addrs, vals);
+                              w.gather<std::uint64_t>(row, vals);
                             } else if (w.warp_id() == 600) {
-                              w.scatter<std::uint64_t>(
-                                  lane_bit(0), addrs,
-                                  std::span<const std::uint64_t>(vals.data(), 32));
+                              w.scatter<std::uint64_t>(row, vals);
                             }
                           }),
                ContractViolation);

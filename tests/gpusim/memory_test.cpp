@@ -129,6 +129,38 @@ TEST(Memory, TypedAccessAtTheLastConstantByte) {
   EXPECT_THROW(mem.write(end, std::uint8_t{1}), ContractViolation);
 }
 
+// A warp row is served with one bounds check per row: the row must lie
+// inside the segment's allocations, to the byte.
+TEST(Memory, ConstantRowEndingAtConstUsed) {
+  Memory mem(1 << 20, 64 << 10);
+  const auto c = mem.const_malloc<std::uint32_t>(100);  // leaves most of the capacity free
+  const std::uint64_t end = kConstBase + mem.const_used();
+  ASSERT_EQ(end, c.element_addr(100));
+  ASSERT_LT(mem.const_used(), mem.const_capacity());
+  const std::vector<std::uint32_t> in = {1, 2, 3, 4, 5, 6, 7, 8};
+  mem.write_row(end - 32, 8, in.data());
+  std::vector<std::uint32_t> out(8);
+  mem.read_row(end - 32, 8, out.data());
+  EXPECT_EQ(out, in);
+  // The same row one byte later ends past const_used().
+  EXPECT_THROW(mem.read_row(end - 31, 8, out.data()), ContractViolation);
+  EXPECT_THROW(mem.write_row(end - 31, 8, in.data()), ContractViolation);
+  EXPECT_THROW(mem.read_row(end, 1, out.data()), ContractViolation);
+}
+
+TEST(Memory, GlobalRowEndingAtGlobalUsed) {
+  Memory mem(1 << 20, 64 << 10);
+  const auto p = mem.malloc<std::uint8_t>(1000);
+  const std::uint64_t end = p.addr + 1000;
+  const std::vector<std::uint64_t> in = {9, 8, 7, 6};
+  mem.write_row(end - 32, 4, in.data());
+  std::vector<std::uint64_t> out(4);
+  mem.read_row(end - 32, 4, out.data());
+  EXPECT_EQ(out, in);
+  EXPECT_THROW(mem.read_row(end - 31, 4, out.data()), ContractViolation);
+  EXPECT_THROW(mem.write_row(end - 31, 4, in.data()), ContractViolation);
+}
+
 TEST(Memory, AddressesNearTheTopOfTheSpaceThrow) {
   // addr + sizeof(T) wraps around here; the check must not.
   Memory mem(1 << 20, 64 << 10);

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <array>
 #include <set>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "gpusim/cache.hpp"
@@ -16,17 +17,42 @@ namespace {
 
 class CoalescerProperties : public ::testing::TestWithParam<std::uint64_t> {};
 
+/// One-lane rows for the lanes of `mask`, lane i reading addrs[i].
+std::vector<LaneRow> one_lane_rows(const std::array<std::uint64_t, 32>& addrs, LaneMask mask) {
+  std::vector<LaneRow> rows;
+  for (unsigned lane = 0; lane < 32; ++lane) {
+    if (lane_active(mask, lane)) rows.push_back({addrs[lane], lane, 1});
+  }
+  return rows;
+}
+
+/// A random cut of lanes [0, lanes) into rows, one-lane rows one time in
+/// four.
+std::vector<LaneRow> random_rows(Xoshiro256& rng, unsigned lanes) {
+  const bool one_lane = rng.next_below(4) == 0;
+  std::vector<LaneRow> rows;
+  for (unsigned lane = 0; lane < lanes;) {
+    const auto count = one_lane ? 1u : static_cast<unsigned>(1 + rng.next_below(lanes - lane));
+    rows.push_back({0, lane, count});
+    lane += count;
+  }
+  return rows;
+}
+
 TEST_P(CoalescerProperties, TransactionCountBounds) {
   Xoshiro256 rng(GetParam());
-  std::array<std::uint64_t, 32> addrs{};
-  for (auto& a : addrs) a = rng.next() % (1 << 24);
-  const LaneMask mask = static_cast<LaneMask>(rng.next());
-  if (mask == 0) return;
+  std::vector<LaneRow> rows = random_rows(rng, static_cast<unsigned>(1 + rng.next_below(32)));
+  unsigned lanes = 0;
+  for (LaneRow& r : rows) {
+    r.addr = rng.next() % (1 << 24);
+    lanes += r.count;
+  }
   const unsigned bytes = 1u << rng.next_below(4);  // 1..8 B accesses
-  const auto lines = coalesce(addrs, mask, bytes, 128);
+  const auto lines = coalesce(rows, bytes, 128);
   EXPECT_GE(lines.size(), 1u);
-  // An aligned-or-straddling access touches at most 2 lines per lane.
-  EXPECT_LE(lines.size(), 2u * active_count(mask));
+  // At most 2 lines per lane, and at most one more line than lanes per row.
+  EXPECT_LE(lines.size(), 2u * lanes);
+  EXPECT_LE(lines.size(), lanes + rows.size());
 }
 
 TEST_P(CoalescerProperties, PermutationInvariant) {
@@ -35,11 +61,11 @@ TEST_P(CoalescerProperties, PermutationInvariant) {
   Xoshiro256 rng(GetParam() + 100);
   std::array<std::uint64_t, 32> addrs{};
   for (auto& a : addrs) a = rng.next() % (1 << 24);
-  const auto before = coalesce(addrs, full_mask(32), 8, 128).size();
+  const auto before = coalesce(one_lane_rows(addrs, full_mask(32)), 8, 128).size();
   for (std::size_t i = 31; i > 0; --i) {
     std::swap(addrs[i], addrs[rng.next_below(i + 1)]);
   }
-  EXPECT_EQ(coalesce(addrs, full_mask(32), 8, 128).size(), before);
+  EXPECT_EQ(coalesce(one_lane_rows(addrs, full_mask(32)), 8, 128).size(), before);
 }
 
 TEST_P(CoalescerProperties, SubsetNeverNeedsMore) {
@@ -49,44 +75,61 @@ TEST_P(CoalescerProperties, SubsetNeverNeedsMore) {
   const LaneMask full = full_mask(32);
   const LaneMask sub = static_cast<LaneMask>(rng.next()) & full;
   if (sub == 0) return;
-  EXPECT_LE(coalesce(addrs, sub, 8, 128).size(), coalesce(addrs, full, 8, 128).size());
+  EXPECT_LE(coalesce(one_lane_rows(addrs, sub), 8, 128).size(),
+            coalesce(one_lane_rows(addrs, full), 8, 128).size());
 }
 
 TEST_P(CoalescerProperties, MatchesOrderedSetReference) {
-  // Differential check of the fixed-capacity coalescer against a
-  // std::set: same lines, same (ascending) order, element by element.
-  // Lane counts 1-32, masks with bits above the lane count, widths
-  // 1-128 B, and a mix of straddling, clustered and scattered addresses.
+  // Differential check of the fixed-capacity row coalescer against a
+  // std::set: same lines, same (ascending) order, element by element,
+  // and the rows' lanes as the mask. Random row lists of up to 32 lanes
+  // in all: ascending, descending, overlapping and same-line rows, rows
+  // straddling a line, one-lane rows; element sizes 1-128 B.
   constexpr unsigned kLine = 128;
   Xoshiro256 rng(GetParam() + 300);
   for (int trial = 0; trial < 400; ++trial) {
-    const auto lanes = static_cast<std::size_t>(1 + rng.next_below(32));
     const auto bytes = static_cast<unsigned>(1 + rng.next_below(kLine));
-    const std::uint64_t cluster = rng.next_below(1 << 16) * kLine;
-    std::array<std::uint64_t, 32> addrs{};
-    for (std::size_t l = 0; l < lanes; ++l) {
-      const std::uint64_t line_start = rng.next_below(1 << 20) * kLine;
-      switch (rng.next_below(3)) {
-        case 0:  // ends past the line: straddles unless it starts the next one
-          addrs[l] = line_start + kLine - rng.next_below(bytes);
+    const std::uint64_t base = (1 + rng.next_below(1 << 16)) * kLine;
+    const auto total = static_cast<unsigned>(1 + rng.next_below(32));
+    std::vector<LaneRow> rows = random_rows(rng, total);
+    const auto shape = rng.next_below(5);
+    std::uint64_t next = base;
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      LaneRow& r = rows[i];
+      const std::uint64_t len = std::uint64_t{r.count} * bytes;
+      switch (shape) {
+        case 0:  // ascending, back to back: one chunk cut into rows
+          r.addr = next;
+          next += len;
           break;
-        case 1:  // within a few lines of a shared base
-          addrs[l] = cluster + rng.next_below(4 * kLine);
+        case 1:  // descending, a few lines apart
+          r.addr = base + (rows.size() - i) * (len + 3 * kLine);
           break;
-        default:
-          addrs[l] = line_start + rng.next_below(kLine);
+        case 2:  // overlapping byte ranges around a shared base
+          r.addr = base + rng.next_below(2 * kLine);
+          break;
+        case 3:  // starting in one line: same-line rows, or straddling out
+          r.addr = base + rng.next_below(kLine);
+          break;
+        default: {  // starts just below a line: straddles unless it starts one
+          const std::uint64_t line_end = (1 + rng.next_below(1 << 20)) * kLine;
+          r.addr = line_end - rng.next_below(std::min<std::uint64_t>(len, 64));
+        }
       }
     }
-    const auto mask = static_cast<LaneMask>(rng.next());
     std::set<std::uint64_t> want;
-    for (std::size_t l = 0; l < lanes; ++l) {
-      if (!lane_active(mask, static_cast<unsigned>(l))) continue;
-      for (std::uint64_t a = addrs[l]; a < addrs[l] + bytes; ++a) want.insert(a / kLine);
+    LaneMask lanes = 0;
+    for (const LaneRow& r : rows) {
+      for (std::uint64_t a = r.addr; a < r.addr + std::uint64_t{r.count} * bytes; ++a) {
+        want.insert(a / kLine);
+      }
+      lanes |= group_mask(r.lane, r.count);
     }
-    const auto got = coalesce(std::span(addrs.data(), lanes), mask, bytes, kLine);
+    const auto got = coalesce(rows, bytes, kLine);
     ASSERT_EQ(got.size(), want.size()) << "trial " << trial;
     ASSERT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end()))
         << "trial " << trial;
+    ASSERT_EQ(got.lanes(), lanes) << "trial " << trial;
   }
 }
 
@@ -189,12 +232,12 @@ TEST(DeviceProperties, LaunchDeterministic) {
     Device dev(spec);
     auto data = dev.memory().malloc<std::uint64_t>(1 << 12);
     return dev.launch(64, [&](WarpCtx& w) {
-      std::array<std::uint64_t, 32> addrs{};
+      std::array<LaneRow, 32> rows{};
       Xoshiro256 rng(w.warp_id());
       for (unsigned i = 0; i < 32; ++i) {
-        addrs[i] = data.element_addr(rng.next_below(1 << 12));
+        rows[i] = {data.element_addr(rng.next_below(1 << 12)), i, 1};
       }
-      w.touch(full_mask(32), addrs, 8);
+      w.touch(rows, 8);
       w.compute(full_mask(32), 3);
     });
   };

@@ -29,9 +29,8 @@ TEST(Trace, RecordsComputeAndLoadEvents) {
   dev.trace().enable();
   dev.launch(1, [&](WarpCtx& w) {
     w.compute(full_mask(32));
-    std::array<std::uint64_t, 32> addrs{};
-    for (unsigned i = 0; i < 32; ++i) addrs[i] = data.element_addr(i);
-    w.touch(full_mask(32), addrs, 8);
+    const std::array<LaneRow, 1> row{{{data.element_addr(0), 0, 32}}};
+    w.touch(row, 8);
   });
   const auto& events = dev.trace().events();
   ASSERT_EQ(events.size(), 2u);
@@ -39,6 +38,7 @@ TEST(Trace, RecordsComputeAndLoadEvents) {
   EXPECT_EQ(events[0].mask, full_mask(32));
   EXPECT_GT(events[0].cycles, 0u);
   EXPECT_EQ(events[1].kind, TraceEventKind::kLoad);
+  EXPECT_EQ(events[1].mask, full_mask(32));  // the row's lanes
   EXPECT_GE(events[1].transactions, 2u);  // 256 B of u64
   EXPECT_EQ(events[1].served_by, ServedBy::kDram);  // cold caches
 }
@@ -46,12 +46,11 @@ TEST(Trace, RecordsComputeAndLoadEvents) {
 TEST(Trace, SecondAccessServedByCache) {
   Device dev(tiny_spec());
   auto data = dev.memory().malloc<std::uint64_t>(16);
-  std::array<std::uint64_t, 32> addrs{};
-  for (unsigned i = 0; i < 16; ++i) addrs[i] = data.element_addr(i);
+  const std::array<LaneRow, 1> row{{{data.element_addr(0), 0, 16}}};
   dev.trace().enable();
   dev.launch(1, [&](WarpCtx& w) {
-    w.touch(full_mask(16), addrs, 8);
-    w.touch(full_mask(16), addrs, 8);
+    w.touch(row, 8);
+    w.touch(row, 8);
   });
   const auto& events = dev.trace().events();
   ASSERT_EQ(events.size(), 2u);
@@ -62,12 +61,11 @@ TEST(Trace, SecondAccessServedByCache) {
 TEST(Trace, ConstantAccessTagged) {
   Device dev(tiny_spec());
   auto data = dev.memory().const_malloc<std::uint32_t>(8);
-  std::array<std::uint64_t, 32> addrs{};
-  for (unsigned i = 0; i < 8; ++i) addrs[i] = data.element_addr(i);
+  const std::array<LaneRow, 1> row{{{data.element_addr(0), 0, 8}}};
   dev.trace().enable();
   dev.launch(1, [&](WarpCtx& w) {
-    w.touch(full_mask(8), addrs, 4);
-    w.touch(full_mask(8), addrs, 4);
+    w.touch(row, 4);
+    w.touch(row, 4);
   });
   ASSERT_EQ(dev.trace().events().size(), 2u);
   EXPECT_EQ(dev.trace().events()[1].served_by, ServedBy::kConst);
@@ -88,11 +86,9 @@ TEST(Trace, StoreEventsTagged) {
   auto data = dev.memory().malloc<std::uint64_t>(8);
   dev.trace().enable();
   dev.launch(1, [&](WarpCtx& w) {
-    std::array<std::uint64_t, 32> addrs{};
+    const std::array<LaneRow, 1> row{{{data.element_addr(0), 0, 8}}};
     std::array<std::uint64_t, 32> vals{};
-    for (unsigned i = 0; i < 8; ++i) addrs[i] = data.element_addr(i);
-    w.scatter<std::uint64_t>(full_mask(8), addrs,
-                             std::span<const std::uint64_t>(vals.data(), 32));
+    w.scatter<std::uint64_t>(row, vals);
   });
   ASSERT_EQ(dev.trace().events().size(), 1u);
   EXPECT_EQ(dev.trace().events()[0].kind, TraceEventKind::kStore);
@@ -104,9 +100,8 @@ TEST(Trace, DumpIsHumanReadable) {
   dev.trace().enable(2);
   dev.launch(1, [&](WarpCtx& w) {
     w.compute(full_mask(32));
-    std::array<std::uint64_t, 32> addrs{};
-    addrs[0] = data.element_addr(0);
-    w.touch(lane_bit(0), addrs, 8);
+    const std::array<LaneRow, 1> row{{{data.element_addr(0), 0, 1}}};
+    w.touch(row, 8);
     w.compute(full_mask(16));  // dropped (capacity 2)
   });
   std::ostringstream os;
