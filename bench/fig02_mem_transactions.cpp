@@ -48,7 +48,8 @@ int main(int argc, char** argv) {
   Cli cli;
   cli.flag("tree-size", "keys in the height-4 fanout-8 tree", "1500")
       .flag("warps", "number of 4-query warps to measure", "8192")
-      .flag("seed", "workload seed", "1");
+      .flag("seed", "workload seed", "1")
+      .flag("csv", "also write the table as CSV to this path", "(off)");
   if (!cli.parse(argc, argv)) return 1;
 
   const std::uint64_t tree_size = cli.get_uint("tree-size", 1500);
@@ -91,7 +92,7 @@ int main(int argc, char** argv) {
   table.add("Worst", t_worst, 100.0);
   table.add("Queries (uniform)", t_random, 100.0 * t_random / t_worst);
   table.add("Best", t_best, 100.0 * t_best / t_worst);
-  table.print(std::cout);
+  hb::emit(cli, table);
 
   std::cout << "\npaper: worst 3.25, queries 3.16 (97% of worst), best 1.0\n";
   return 0;

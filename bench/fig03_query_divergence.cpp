@@ -19,7 +19,8 @@ int main(int argc, char** argv) {
   cli.flag("tree-size", "keys in the height-4 fanout-8 tree", "1500")
       .flag("queries", "queries to sample (paper: 100)", "100")
       .flag("fanout", "tree fanout", "8")
-      .flag("seed", "workload seed", "1");
+      .flag("seed", "workload seed", "1")
+      .flag("csv", "also write the table as CSV to this path", "(off)");
   if (!cli.parse(argc, argv)) return 1;
 
   const std::uint64_t tree_size = cli.get_uint("tree-size", 1500);
@@ -52,7 +53,7 @@ int main(int argc, char** argv) {
     table.add(level + 1, per_level[level].min(), per_level[level].mean(),
               per_level[level].max());
   }
-  table.print(std::cout);
+  hb::emit(cli, table);
 
   std::cout << "\npaper: large min-max fluctuation at every level, average ~4\n";
   return 0;

@@ -21,7 +21,8 @@ int main(int argc, char** argv) {
       .flag("queries", "log2 query batch", "17 (20 with --full)")
       .flag("fanout", "tree fanout", "64")
       .flag("seed", "workload seed", "1")
-      .flag("full", "paper-scale tree (2^23)", "false");
+      .flag("full", "paper-scale tree (2^23)", "false")
+      .flag("csv", "also write the table as CSV to this path", "(off)");
   if (!cli.parse(argc, argv)) return 1;
 
   const bool full = cli.get_bool("full", false);
@@ -66,7 +67,7 @@ int main(int argc, char** argv) {
     table.add(bits, r.search.metrics.avg_transactions_per_warp(), sort_frac,
               bits == eq2 ? "<- Equation 2" : "");
   }
-  table.print(std::cout);
+  hb::emit(cli, table);
   std::cout << "\nEquation 2 for this tree: N = " << eq2
             << " bits (paper: 19 bits for T = 2^23, ~35% of full sort cost)\n";
   return 0;

@@ -14,7 +14,8 @@ int main(int argc, char** argv) {
   Cli cli;
   cli.flag("size", "log2 tree size", "18")
       .flag("queries", "log2 query batch", "16")
-      .flag("seed", "workload seed", "1");
+      .flag("seed", "workload seed", "1")
+      .flag("csv", "also write the table as CSV to this path", "(off)");
   if (!cli.parse(argc, argv)) return 1;
   const unsigned lg = static_cast<unsigned>(cli.get_uint("size", 18));
   const std::uint64_t n = 1ULL << cli.get_uint("queries", 16);
@@ -67,7 +68,7 @@ int main(int argc, char** argv) {
                 best_tp / 1e9, 100.0 * model_tp / best_tp);
     }
   }
-  table.print(std::cout);
+  hb::emit(cli, table);
   std::cout << "\npaper: model choice matches the empirically best NTG size"
             << " (K80: GS=2 @ fanout 64, GS=4 @ fanout 128)\n";
   return 0;

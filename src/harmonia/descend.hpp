@@ -1,0 +1,235 @@
+// The warp-level tree descend shared by every kernel (§3.2.1, §4.2), and
+// the batched point-lookup kernel built on it.
+//
+// A thread group of `gs` lanes descends one node per level: it scans the
+// node's key slots chunk by chunk (gs keys per SIMT step, one coalesced
+// row per group), counting separators <= target, and its leader lane then
+// loads the next node with one u32 gather. Layouts differ only in that
+// child rule:
+//   - Harmonia (HarmoniaDeviceImage, Equation 1): load prefix_sum[node],
+//     child = loaded + separators;
+//   - HB+ (hbtree::HBTreeDeviceImage, §2.2): load child_ref[node][separators],
+//     child = loaded.
+// A layout supplies fanout, height, num_nodes, keys_per_node(),
+// node_key_addr(node, slot), value_addr(leaf, slot), child_addr(node,
+// sep_leq) (the gather's address) and child(loaded, sep_leq). Dispatch is
+// at compile time: this header is the only chunk-scan loop.
+//
+// group_size == fanout-ish is the traditional fanout-based layout
+// (Figure 9a, all chunks scanned); a narrowed group with early_exit is NTG
+// (Figure 9b): fewer useless comparisons, more queries per warp, but the
+// warp's per-level step count becomes the max over its groups (query
+// divergence).
+#pragma once
+
+#include <algorithm>
+#include <array>
+#include <bit>
+#include <concepts>
+#include <cstdint>
+#include <numeric>
+#include <span>
+#include <vector>
+
+#include "common/expect.hpp"
+#include "gpusim/device.hpp"
+#include "harmonia/device_image.hpp"
+#include "harmonia/search.hpp"
+
+namespace harmonia {
+
+/// Per-warp descend state, one slot per thread group (group g owns lanes
+/// [g * gs, (g + 1) * gs)). Slots are written before they are read.
+struct WarpGroups {
+  std::array<Key, 32> target;
+  std::array<std::uint32_t, 32> node;  // BFS index of the current node
+  std::array<unsigned, 32> found_slot;  // leaf slot, for groups in `found`
+  /// Groups whose leaf scan hit their target.
+  std::uint32_t found = 0;
+};
+
+/// Descends the groups in `walking` (a bitmask over group indices) from
+/// their `node` through `levels` tree levels. With levels == height the
+/// last level is the leaf's equality scan (it sets `found` and
+/// `found_slot`); with height - 1 the groups stop with `node` at their
+/// leaf. Without early exit a group past its boundary keeps loading
+/// chunks (the useless comparisons of §4.2) but compares nothing more:
+/// every later key is above its target, so the result could not change.
+/// Returns the chunk-scan SIMT steps issued.
+template <class Layout>
+std::uint32_t descend(gpusim::WarpCtx& w, const Layout& layout, unsigned gs, bool early_exit,
+                      unsigned levels, std::uint32_t walking, WarpGroups& groups) {
+  const unsigned kpn = layout.keys_per_node();
+  const unsigned chunks_per_node = (kpn + gs - 1) / gs;
+  std::uint32_t chunk_steps = 0;
+  std::array<gpusim::LaneRow, 32> rows;
+  std::array<Key, 32> lane_keys;
+  std::array<std::uint64_t, 32> node_base;  // per group, its node's first key
+  std::array<unsigned, 32> sep_leq;         // per group, separators <= target
+  const auto group_rows = [&](unsigned nr) {
+    return std::span<const gpusim::LaneRow>(rows.data(), nr);
+  };
+
+  for (unsigned level = 0; level < levels; ++level) {
+    const bool leaf_level = (level + 1 == layout.height);
+    // Groups still comparing keys on this node.
+    std::uint32_t scanning = walking;
+    for (std::uint32_t rest = walking; rest != 0; rest &= rest - 1) {
+      const auto g = static_cast<unsigned>(std::countr_zero(rest));
+      sep_leq[g] = 0;
+      node_base[g] = layout.node_key_addr(groups.node[g], 0);
+    }
+
+    // Chunked key scan of each group's current node. A chunk covers
+    // `lanes` slots (the last one may be short), read by a group's first
+    // `lanes` lanes from consecutive addresses: one row per group.
+    for (unsigned chunk = 0; chunk < chunks_per_node; ++chunk) {
+      const std::uint32_t loading = early_exit ? scanning : walking;
+      if (loading == 0) break;
+      const unsigned first_slot = chunk * gs;
+      const unsigned lanes = std::min(gs, kpn - first_slot);
+      const bool last_chunk = chunk + 1 == chunks_per_node;
+      gpusim::LaneMask mask = 0;
+      unsigned nr = 0;
+      for (std::uint32_t rest = loading; rest != 0; rest &= rest - 1) {
+        const auto g = static_cast<unsigned>(std::countr_zero(rest));
+        mask |= gpusim::group_mask(g * gs, lanes);
+        rows[nr++] = {node_base[g] + first_slot * sizeof(Key), g * gs, lanes};
+      }
+      w.gather<Key>(group_rows(nr), lane_keys);
+      w.compute(mask);  // the SIMT comparison step
+      ++chunk_steps;
+
+      for (std::uint32_t rest = scanning; rest != 0; rest &= rest - 1) {
+        const auto g = static_cast<unsigned>(std::countr_zero(rest));
+        const Key t = groups.target[g];
+        const Key* keys = &lane_keys[g * gs];
+        // Keys are sorted: the scan stops at the first key >= target on
+        // a leaf (equal is the hit) or the first separator > target.
+        unsigned j = 0;
+        if (leaf_level) {
+          while (j < lanes && keys[j] < t) ++j;
+          if (j < lanes && keys[j] == t) {
+            groups.found |= 1u << g;
+            groups.found_slot[g] = first_slot + j;
+          }
+        } else {
+          while (j < lanes && keys[j] <= t) ++j;
+          sep_leq[g] += j;
+        }
+        if (j < lanes || last_chunk) scanning &= ~(1u << g);
+      }
+    }
+
+    if (!leaf_level && walking != 0) {
+      // The child rule: one leader-lane u32 load per group (constant
+      // memory for Harmonia's top levels, global memory below and for
+      // every HB+ level), then index arithmetic.
+      gpusim::LaneMask mask = 0;
+      unsigned nr = 0;
+      for (std::uint32_t rest = walking; rest != 0; rest &= rest - 1) {
+        const auto g = static_cast<unsigned>(std::countr_zero(rest));
+        mask |= gpusim::lane_bit(g * gs);
+        rows[nr++] = {layout.child_addr(groups.node[g], sep_leq[g]), g * gs, 1};
+      }
+      std::array<std::uint32_t, 32> loaded;
+      w.gather<std::uint32_t>(group_rows(nr), loaded);
+      w.compute(mask);  // index arithmetic
+      for (std::uint32_t rest = walking; rest != 0; rest &= rest - 1) {
+        const auto g = static_cast<unsigned>(std::countr_zero(rest));
+        groups.node[g] = Layout::child(loaded[g * gs], sep_leq[g]);
+      }
+    }
+  }
+  return chunk_steps;
+}
+
+/// Delta-overlay probe of the first `nq` groups (defined in search.cpp):
+/// each leader binary-searches the sorted patch array for its target. A
+/// hit resolves the query: its value, or kNotFound for a tombstone, goes
+/// to `out[g * gs]` (the group's leader lane). Returns the hit groups.
+std::uint32_t probe_overlay(gpusim::WarpCtx& w, const DeltaOverlayImage& ov, unsigned gs,
+                            unsigned nq, const WarpGroups& groups, std::array<Value, 32>& out);
+
+/// A layout with a device-side delta overlay (Harmonia's image); HB+ has
+/// none, so its probe compiles away.
+template <class Layout>
+concept HasOverlay = requires(const Layout& layout) {
+  { layout.overlay } -> std::convertible_to<const DeltaOverlayImage&>;
+};
+
+/// Runs the lookup kernel over device arrays `queries`/`out_values` of
+/// length n on any layout. out_values[i] receives the value or kNotFound.
+template <class Layout>
+SearchStats lookup_batch(gpusim::Device& device, const Layout& layout,
+                         gpusim::DevPtr<Key> queries, std::uint64_t n,
+                         gpusim::DevPtr<Value> out_values, const SearchConfig& config) {
+  HARMONIA_CHECK(n > 0);
+  HARMONIA_CHECK(layout.num_nodes > 0);
+  const gpusim::DeviceSpec& spec = device.spec();
+  const unsigned warp = spec.warp_size;
+  const unsigned gs = resolve_group_size(spec, layout.fanout, config.group_size);
+  const unsigned qpw = warp / gs;
+  const std::uint64_t num_warps = (n + qpw - 1) / qpw;
+
+  // Warps may run on several host threads: each writes only its own slot.
+  std::vector<std::uint32_t> chunk_steps(num_warps);
+
+  auto kernel = [&](gpusim::WarpCtx& w) {
+    const std::uint64_t base = w.warp_id() * qpw;
+    const unsigned nq = static_cast<unsigned>(std::min<std::uint64_t>(qpw, n - base));
+    WarpGroups groups;
+    std::array<gpusim::LaneRow, 32> rows;
+    std::array<Value, 32> out_vals;  // per leader lane, the query's result
+    // Groups that walk the tree (not resolved by the overlay).
+    std::uint32_t walking = gpusim::full_mask(nq);
+
+    // Load this warp's queries: the leader lane of each group issues the
+    // read; the values then broadcast within the group (register shuffle).
+    gpusim::LaneMask leader_mask = 0;
+    for (unsigned g = 0; g < nq; ++g) leader_mask |= gpusim::lane_bit(g * gs);
+    {
+      std::array<Key, 32> qvals;
+      w.gather<Key>(gpusim::leader_rows(queries.element_addr(base), sizeof(Key), nq, gs, rows),
+                    qvals);
+      for (unsigned g = 0; g < nq; ++g) groups.target[g] = qvals[g * gs];
+      w.compute(leader_mask);  // broadcast/setup
+    }
+    for (unsigned g = 0; g < nq; ++g) groups.node[g] = 0;
+
+    if constexpr (HasOverlay<Layout>) {
+      if (layout.overlay.count > 0) {
+        walking &= ~probe_overlay(w, layout.overlay, gs, nq, groups, out_vals);
+      }
+    }
+
+    chunk_steps[w.warp_id()] =
+        descend(w, layout, gs, config.early_exit, layout.height, walking, groups);
+
+    // Fetch values for hits and write results.
+    std::array<Value, 32> vals;
+    unsigned nr = 0;
+    for (std::uint32_t rest = groups.found; rest != 0; rest &= rest - 1) {
+      const auto g = static_cast<unsigned>(std::countr_zero(rest));
+      rows[nr++] = {layout.value_addr(groups.node[g], groups.found_slot[g]), g * gs, 1};
+    }
+    w.gather<Value>(std::span<const gpusim::LaneRow>(rows.data(), nr), vals);
+    for (std::uint32_t rest = walking; rest != 0; rest &= rest - 1) {
+      const auto g = static_cast<unsigned>(std::countr_zero(rest));
+      out_vals[g * gs] = (groups.found & (1u << g)) != 0 ? vals[g * gs] : kNotFound;
+    }
+    w.scatter<Value>(
+        gpusim::leader_rows(out_values.element_addr(base), sizeof(Value), nq, gs, rows),
+        std::span<const Value>(out_vals.data(), warp));
+  };
+
+  SearchStats stats;
+  stats.metrics = device.launch(num_warps, kernel);
+  stats.queries = n;
+  stats.warps = num_warps;
+  stats.chunk_steps =
+      std::accumulate(chunk_steps.begin(), chunk_steps.end(), std::uint64_t{0});
+  return stats;
+}
+
+}  // namespace harmonia

@@ -74,6 +74,16 @@ struct HarmoniaDeviceImage {
         static_cast<std::uint64_t>(leaf_node - first_leaf) * keys_per_node() + slot);
   }
 
+  /// Child rule of the shared descend (harmonia/descend.hpp), Equation 1:
+  /// the leader lane loads prefix_sum[node], the child is that plus the
+  /// separators <= target.
+  std::uint64_t child_addr(std::uint32_t node, unsigned /*sep_leq*/) const {
+    return ps_addr(node);
+  }
+  static std::uint32_t child(std::uint32_t prefix_sum, unsigned sep_leq) {
+    return prefix_sum + sep_leq;
+  }
+
   /// The uploaded regions, read in place through `memory` (the global
   /// mirror of the prefix-sum array holds every node).
   TreeView view(const gpusim::Memory& memory) const;

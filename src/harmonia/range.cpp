@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/expect.hpp"
+#include "harmonia/descend.hpp"
 
 namespace harmonia {
 
@@ -35,31 +36,14 @@ RangeStats range_batch(gpusim::Device& device, const HarmoniaDeviceImage& image,
     const Key hi = keys[0];
     w.compute(gpusim::lane_bit(0));
 
-    // Phase 1: point traversal to the leaf containing lo (whole warp as
-    // one thread group; a warp-wide chunk scan per level).
-    std::uint32_t node = 0;
-    for (unsigned level = 0; level + 1 < image.height; ++level) {
-      unsigned sep_leq = 0;
-      bool done = false;
-      for (unsigned chunk = 0; !done && chunk * warp < kpn; ++chunk) {
-        const unsigned lanes = std::min(warp, kpn - chunk * warp);
-        w.gather<Key>(row(image.node_key_addr(node, chunk * warp), lanes), keys);
-        w.compute(gpusim::full_mask(lanes));
-        for (unsigned j = 0; j < lanes; ++j) {
-          if (keys[j] <= lo) {
-            ++sep_leq;
-          } else {
-            done = true;
-            break;
-          }
-        }
-      }
-      // Zeroed only because GCC cannot see that the gather fills lane 0.
-      std::array<std::uint32_t, 32> ps{};
-      w.gather<std::uint32_t>(row(image.ps_addr(node), 1), ps);
-      w.compute(gpusim::lane_bit(0));
-      node = ps[0] + sep_leq;
-    }
+    // Phase 1: point traversal to the leaf containing lo — the shared
+    // descend with the whole warp as one thread group, internal levels
+    // only.
+    WarpGroups groups;
+    groups.target[0] = lo;
+    groups.node[0] = 0;
+    descend(w, image, warp, /*early_exit=*/true, image.height - 1, 1u, groups);
+    const std::uint32_t node = groups.node[0];
 
     // Delta-overlay cursor (incremental updates): lane 0 binary-searches
     // the sorted patch array for the first entry >= lo; during the leaf
@@ -73,7 +57,7 @@ RangeStats range_batch(gpusim::Device& device, const HarmoniaDeviceImage& image,
     Value oval = 0;
     std::uint8_t otomb = 0;
     bool ohave = false;
-    std::array<Key, 32> okeys{};  // zeroed for GCC, as `ps` above
+    std::array<Key, 32> okeys{};  // zeroed: GCC cannot see the gather fill lane 0
     if (oend > 0) {
       std::uint32_t blo = 0;
       std::uint32_t bhi = oend;

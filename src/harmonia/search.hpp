@@ -3,17 +3,11 @@
 //
 // Each query is served by a *thread group* of `group_size` lanes; a warp
 // packs warp_size/group_size queries. Per tree level a group scans its
-// node's key slots chunk-by-chunk (group_size keys per SIMT step),
-// counting separators <= target; the next node comes from Equation 1 via
-// the prefix-sum child region (constant memory for the top levels) — no
-// child-pointer indirection. At the leaf an equality probe fetches the
-// value region slot.
-//
-// group_size == fanout-ish is the traditional fanout-based layout
-// (Figure 9a, all chunks scanned); a narrowed group with early_exit is NTG
-// (Figure 9b): fewer useless comparisons, more queries per warp, but the
-// warp's per-level step count becomes the max over its groups (query
-// divergence).
+// node's key slots chunk-by-chunk, and the next node comes from Equation 1
+// via the prefix-sum child region (constant memory for the top levels) —
+// no child-pointer indirection. At the leaf an equality probe fetches the
+// value region slot. The kernel is harmonia/descend.hpp's lookup_batch on
+// Harmonia's layout, preceded by the delta-overlay probe.
 #pragma once
 
 #include <cstdint>

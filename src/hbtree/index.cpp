@@ -2,6 +2,7 @@
 
 #include "common/expect.hpp"
 #include "common/timer.hpp"
+#include "harmonia/descend.hpp"
 
 namespace harmonia::hbtree {
 
@@ -27,7 +28,8 @@ HBQueryResult HBTreeIndex::search(std::span<const Key> batch) {
   auto d_out = mem.malloc<Value>(batch.size());
 
   HBQueryResult result;
-  result.search = hb_search_batch(device_, image_, d_queries, batch.size(), d_out);
+  result.search = lookup_batch(device_, image_, d_queries, batch.size(), d_out,
+                               {.group_size = 0, .early_exit = false});
   result.kernel_seconds = result.search.metrics.elapsed_seconds(device_.spec());
   result.values.resize(batch.size());
   mem.copy_to_host(std::span<Value>(result.values), d_out);

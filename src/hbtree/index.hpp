@@ -1,7 +1,10 @@
 // HBTreeIndex — baseline facade: a CPU B+tree (the HB+ host structure)
-// plus its node-based device image. Search runs the fanout-group kernel;
-// batch updates run on the CPU tree and re-synchronize the image
-// (§3.2.2 / Figure 14 comparison).
+// plus its node-based device image. Search runs the shared descend
+// (harmonia/descend.hpp) on the HB+ layout with fanout-wide groups and no
+// early exit: full-node key comparisons (the "useless comparisons" of
+// §4.2) and a child-reference load at every level. Batch updates run on
+// the CPU tree and re-synchronize the image (§3.2.2 / Figure 14
+// comparison).
 #pragma once
 
 #include <cstdint>
@@ -10,15 +13,15 @@
 
 #include "btree/btree.hpp"
 #include "gpusim/device.hpp"
+#include "harmonia/search.hpp"
 #include "hbtree/layout.hpp"
-#include "hbtree/search.hpp"
 #include "queries/batch.hpp"
 
 namespace harmonia::hbtree {
 
 struct HBQueryResult {
   std::vector<Value> values;
-  HBSearchStats search;
+  SearchStats search;
   double kernel_seconds = 0.0;
   double throughput() const {
     return kernel_seconds > 0.0 ? static_cast<double>(values.size()) / kernel_seconds : 0.0;

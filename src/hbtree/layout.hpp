@@ -84,6 +84,16 @@ struct HBTreeDeviceImage {
         static_cast<std::uint64_t>(leaf_node - first_leaf) * keys_per_node() + slot);
   }
 
+  /// Child rule of the shared descend (harmonia/descend.hpp): the leader
+  /// lane loads the child reference itself, a 4 B global load per query
+  /// per level (the indirection of §2.2).
+  std::uint64_t child_addr(std::uint32_t node, unsigned sep_leq) const {
+    return child_ref_addr(node, sep_leq);
+  }
+  static std::uint32_t child(std::uint32_t child_ref, unsigned /*sep_leq*/) {
+    return child_ref;
+  }
+
   static HBTreeDeviceImage upload(gpusim::Device& device, const HBTreeHost& host);
 };
 

@@ -3,9 +3,9 @@
 // without a delta overlay, and range_batch with and without an overlay,
 // must return the same values and count the same SIMT steps, chunk steps,
 // loads, transactions, cache hits and per-SM cycles as the recorded rows.
-// The HB+ baseline (hb_search_batch, its fanout-based group) and the
-// implicit baseline (implicit_search_batch, every group size) are pinned
-// the same way over the same fanouts.
+// The HB+ baseline (HBTreeIndex::search: the same descend on the HB+
+// layout, its fanout-based group, no early exit) is pinned the same way
+// over the same fanouts.
 // The rows are the simulator's behaviour, not a model of it: a change to
 // the host cost of a warp access or of the kernels' chunk loops must leave
 // every row byte-identical. When a row moves on purpose, the failure
@@ -25,8 +25,7 @@
 #include "harmonia/index.hpp"
 #include "harmonia/range.hpp"
 #include "harmonia/search.hpp"
-#include "hbtree/search.hpp"
-#include "implicit/search.hpp"
+#include "hbtree/index.hpp"
 #include "queries/batch.hpp"
 #include "queries/workload.hpp"
 
@@ -181,49 +180,26 @@ void run_fanout(unsigned fanout, std::vector<Row>& rows) {
   }
 }
 
-/// Runs the HB+ kernel (one row: its group size follows the fanout) and
-/// the implicit kernel (one row per group size) for one fanout. Their
-/// rows count hits in the chunk-steps column; neither has an overlay or
-/// an early-exit switch.
-void run_baselines(unsigned fanout, std::vector<Row>& hb_rows,
-                   std::vector<Row>& implicit_rows) {
+/// Runs the HB+ search for one fanout (one row: its group size follows
+/// the fanout). Its row counts hits in the chunk-steps column.
+void run_hbtree(unsigned fanout, std::vector<Row>& rows) {
   gpusim::Device dev(test_spec());
   const std::vector<Key> keys = queries::make_tree_keys(3000, 1);
-  std::vector<btree::Entry> entries;
-  for (Key k : keys) entries.push_back({k, btree::value_for_key(k)});
-  const hbtree::HBTreeDeviceImage hb_img = hbtree::HBTreeDeviceImage::upload(
-      dev, hbtree::HBTreeHost::from_btree(btree::make_tree(keys, fanout)));
-  const implicit::ImplicitDeviceImage imp_img = implicit::ImplicitDeviceImage::upload(
-      dev, implicit::ImplicitTree::build(entries, fanout));
+  hbtree::HBTreeIndex hb(dev, btree::make_tree(keys, fanout));
 
-  // Half hits, half misses, shuffled; 400 queries leave a partial warp at
-  // every group size.
+  // Half hits, half misses, shuffled; 400 queries leave a partial warp.
   Xoshiro256 rng(fanout);
   std::vector<Key> qs = queries::make_missing_keys(keys, 200, 3);
   for (unsigned i = 0; i < 200; ++i) qs.push_back(keys[rng.next_below(keys.size())]);
   for (std::size_t i = qs.size() - 1; i > 0; --i) std::swap(qs[i], qs[rng.next_below(i + 1)]);
-  auto d_q = dev.memory().malloc<Key>(qs.size());
-  dev.memory().copy_to_device(d_q, std::span<const Key>(qs));
-  auto d_out = dev.memory().malloc<Value>(qs.size());
 
-  const auto finish = [&](unsigned gs, const gpusim::KernelMetrics& m) {
-    std::vector<Value> out(qs.size());
-    dev.memory().copy_to_host(std::span<Value>(out), d_out);
-    std::uint64_t hits = 0;
-    for (const Value v : out) hits += v != kNotFound ? 1 : 0;
-    Xxh64 h;
-    hash_all(h, out);
-    return make_row(fanout, gs, false, false, hits, m, h);
-  };
-  dev.flush_caches();
-  const hbtree::HBSearchStats hb = hbtree::hb_search_batch(dev, hb_img, d_q, qs.size(), d_out);
-  hb_rows.push_back(finish(std::min(std::bit_ceil(fanout), dev.spec().warp_size), hb.metrics));
-  for (unsigned gs = 1; gs <= 32; gs *= 2) {
-    dev.flush_caches();
-    const implicit::ImplicitSearchStats st =
-        implicit::implicit_search_batch(dev, imp_img, d_q, qs.size(), d_out, gs);
-    implicit_rows.push_back(finish(gs, st.metrics));
-  }
+  const hbtree::HBQueryResult r = hb.search(qs);
+  std::uint64_t hits = 0;
+  for (const Value v : r.values) hits += v != kNotFound ? 1 : 0;
+  Xxh64 h;
+  hash_all(h, r.values);
+  rows.push_back(make_row(fanout, std::min(std::bit_ceil(fanout), dev.spec().warp_size),
+                          false, false, hits, r.search.metrics, h));
 }
 
 // {fanout, group size (0: range_batch), early exit, overlay, chunk steps
@@ -335,37 +311,13 @@ const std::vector<Row> kPinned = {
     {128, 0, false, true, 1907, 528, 847, 1413, 483, 0xc666de1e3343fa34ull},
 };
 
-// The baselines: hb_search_batch rows for every fanout, then
-// implicit_search_batch rows; the chunk-steps column counts hits.
-const std::vector<Row> kPinnedBaselines = {
+// The HB+ baseline, one row per fanout; the chunk-steps column counts
+// hits.
+const std::vector<Row> kPinnedHBTree = {
     {16, 16, false, false, 200, 1600, 1950, 3643, 574, 0x870d2b698f16b7c2ull},
     {33, 32, false, false, 200, 2400, 3000, 4976, 582, 0x26e5047307e7f663ull},
     {64, 32, false, false, 200, 3600, 4200, 8125, 543, 0x76a7319e5ad2faa9ull},
     {128, 32, false, false, 200, 4000, 4600, 9307, 492, 0x99a24973a6129b15ull},
-    {16, 1, false, false, 200, 616, 603, 4833, 347, 0x52f3be4d7ed708e4ull},
-    {16, 2, false, false, 200, 655, 630, 3269, 348, 0x581f2cddc25e4f76ull},
-    {16, 4, false, false, 200, 739, 689, 2440, 348, 0x4bfbc897e74b899full},
-    {16, 8, false, false, 200, 960, 859, 2108, 351, 0x89565aa009688070ull},
-    {16, 16, false, false, 200, 1349, 1150, 2220, 354, 0x3f807efc205bc5a9ull},
-    {16, 32, false, false, 200, 2552, 2176, 2902, 354, 0x033fc05390730e0aull},
-    {33, 1, false, false, 200, 1261, 1248, 6961, 347, 0x0f15afe7012fd526ull},
-    {33, 2, false, false, 200, 1205, 1180, 4220, 347, 0xf81798d64e2e6861ull},
-    {33, 4, false, false, 200, 1228, 1178, 2781, 347, 0x56e267a5b321744full},
-    {33, 8, false, false, 200, 1308, 1221, 2034, 347, 0x780150dd9f55d3beull},
-    {33, 16, false, false, 200, 1588, 1436, 1777, 347, 0x302984f4cc210c14ull},
-    {33, 32, false, false, 200, 2318, 2059, 3118, 358, 0x8db32c7f8e7e2869ull},
-    {64, 1, false, false, 200, 1439, 1439, 11924, 362, 0x8eb21571a646a8bdull},
-    {64, 2, false, false, 200, 1412, 1412, 7404, 362, 0xbe2c97f8873e0dc8ull},
-    {64, 4, false, false, 200, 1438, 1438, 4783, 362, 0x35a3bbc7362ae3dcull},
-    {64, 8, false, false, 200, 1486, 1487, 3501, 362, 0xada3ed533c1fa266ull},
-    {64, 16, false, false, 200, 1661, 1661, 3032, 362, 0x5910d0d52bda52dbull},
-    {64, 32, false, false, 200, 2124, 2125, 3814, 362, 0x4cea4dd22fbd4e82ull},
-    {128, 1, false, false, 200, 2174, 2174, 17408, 366, 0xcecc3079282c580bull},
-    {128, 2, false, false, 200, 2022, 2022, 11355, 366, 0x03e2781be9bbc47eull},
-    {128, 4, false, false, 200, 1977, 1979, 7460, 367, 0x2f1bbaf0c6a0d6fcull},
-    {128, 8, false, false, 200, 1943, 1947, 5205, 367, 0xd3f43d73d1de50aeull},
-    {128, 16, false, false, 200, 2020, 2024, 4224, 367, 0x516dbd7005c8a591ull},
-    {128, 32, false, false, 200, 2355, 2367, 4649, 368, 0xd27ab4d7e0aca579ull},
 };
 
 TEST(KernelPin, SearchAndRangeCountersMatchRecordedRows) {
@@ -374,13 +326,9 @@ TEST(KernelPin, SearchAndRangeCountersMatchRecordedRows) {
     run_fanout(fanout, rows);
     if (HasFatalFailure()) return;
   }
-  std::vector<Row> implicit_rows;
-  for (const unsigned fanout : {16u, 33u, 64u, 128u}) {
-    run_baselines(fanout, rows, implicit_rows);
-  }
-  rows.insert(rows.end(), implicit_rows.begin(), implicit_rows.end());
+  for (const unsigned fanout : {16u, 33u, 64u, 128u}) run_hbtree(fanout, rows);
   std::vector<Row> pinned = kPinned;
-  pinned.insert(pinned.end(), kPinnedBaselines.begin(), kPinnedBaselines.end());
+  pinned.insert(pinned.end(), kPinnedHBTree.begin(), kPinnedHBTree.end());
   std::string table;
   for (const Row& r : rows) table += format(r) + "\n";
   ASSERT_EQ(rows.size(), pinned.size()) << "current rows:\n" << table;

@@ -1,7 +1,11 @@
-#include "hbtree/search.hpp"
+#include "hbtree/index.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+
+#include "harmonia/index.hpp"
 #include "queries/workload.hpp"
 
 namespace harmonia::hbtree {
@@ -14,21 +18,18 @@ gpusim::DeviceSpec test_spec() {
   return spec;
 }
 
+// HB+ search is the shared descend on the HB+ layout (fanout-wide
+// groups, no early exit), reached through HBTreeIndex.
 struct HBFixture {
   gpusim::Device dev{test_spec()};
   std::vector<Key> keys = queries::make_tree_keys(2500, 1);
-  HBTreeHost host = HBTreeHost::from_btree(btree::make_tree(keys, 16));
-  HBTreeDeviceImage img = HBTreeDeviceImage::upload(dev, host);
+  HBTreeIndex index{dev, btree::make_tree(keys, 16)};
+  HBTreeHost host = HBTreeHost::from_btree(index.tree());
 
-  std::vector<Value> run(std::span<const Key> qs, HBSearchStats* stats_out = nullptr) {
-    auto d_q = dev.memory().malloc<Key>(qs.size());
-    dev.memory().copy_to_device(d_q, qs);
-    auto d_out = dev.memory().malloc<Value>(qs.size());
-    const auto stats = hb_search_batch(dev, img, d_q, qs.size(), d_out);
-    if (stats_out != nullptr) *stats_out = stats;
-    std::vector<Value> out(qs.size());
-    dev.memory().copy_to_host(std::span<Value>(out), d_out);
-    return out;
+  std::vector<Value> run(std::span<const Key> qs, SearchStats* stats_out = nullptr) {
+    HBQueryResult r = index.search(qs);
+    if (stats_out != nullptr) *stats_out = r.search;
+    return r.values;
   }
 };
 
@@ -61,7 +62,7 @@ TEST(HBSearch, OddBatchSizes) {
 TEST(HBSearch, ChildRefLoadsHappenEveryLevel) {
   HBFixture f;
   const auto qs = queries::make_queries(f.keys, 512, queries::Distribution::kUniform, 4);
-  HBSearchStats stats;
+  SearchStats stats;
   f.run(qs, &stats);
   // Loads per warp >= query load + per internal level (keys + child ref) +
   // leaf keys + value + out store. The kernel cannot skip the indirection.
@@ -73,10 +74,43 @@ TEST(HBSearch, ChildRefLoadsHappenEveryLevel) {
 TEST(HBSearch, NoConstantCacheTraffic) {
   HBFixture f;
   const auto qs = queries::make_queries(f.keys, 256, queries::Distribution::kUniform, 5);
-  HBSearchStats stats;
+  SearchStats stats;
   f.run(qs, &stats);
   EXPECT_EQ(stats.metrics.const_hits, 0u);
 }
+
+// HB+ and Harmonia differ only in the child rule (§2.2 vs Equation 1):
+// built from the same bulk-loaded B+tree and run at the fanout group
+// without early exit, they scan the same chunks of the same nodes, so
+// they return the same values in the same number of chunk steps.
+class HBChildRuleOnly : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(HBChildRuleOnly, MatchesHarmoniaWithoutEarlyExit) {
+  const unsigned fanout = GetParam();
+  const auto keys = queries::make_tree_keys(3000, 1);
+  btree::BTree tree = btree::make_tree(keys, fanout);
+  gpusim::Device dev_h(test_spec());
+  HarmoniaIndex harmonia(dev_h, HarmoniaTree::from_btree(tree));
+  gpusim::Device dev_b(test_spec());
+  HBTreeIndex hb(dev_b, std::move(tree));
+
+  std::vector<Key> qs = queries::make_queries(keys, 500, queries::Distribution::kUniform, 7);
+  const auto missing = queries::make_missing_keys(keys, 100, 8);
+  qs.insert(qs.end(), missing.begin(), missing.end());
+  QueryOptions layout_only;
+  layout_only.psa = PsaMode::kNone;
+  layout_only.auto_ntg = false;
+  layout_only.early_exit = false;
+  const auto h = harmonia.search(qs, layout_only);
+  const auto b = hb.search(qs);
+  EXPECT_EQ(h.group_size_used, std::min(std::bit_ceil(fanout), 32u));
+  EXPECT_EQ(h.values, b.values);
+  EXPECT_EQ(h.search.warps, b.search.warps);
+  EXPECT_EQ(h.search.chunk_steps, b.search.chunk_steps);
+  EXPECT_GT(b.search.chunk_steps, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Fanouts, HBChildRuleOnly, ::testing::Values(16u, 33u, 64u, 128u));
 
 class HBFanoutSweep : public ::testing::TestWithParam<unsigned> {};
 
@@ -84,15 +118,10 @@ TEST_P(HBFanoutSweep, CorrectAcrossFanouts) {
   const unsigned fanout = GetParam();
   gpusim::Device dev(test_spec());
   const auto keys = queries::make_tree_keys(1500, fanout);
-  const auto host = HBTreeHost::from_btree(btree::make_tree(keys, fanout));
-  const auto img = HBTreeDeviceImage::upload(dev, host);
+  HBTreeIndex index(dev, btree::make_tree(keys, fanout));
+  const auto host = HBTreeHost::from_btree(index.tree());
   const auto qs = queries::make_queries(keys, 400, queries::Distribution::kUniform, 6);
-  auto d_q = dev.memory().malloc<Key>(qs.size());
-  dev.memory().copy_to_device(d_q, std::span<const Key>(qs));
-  auto d_out = dev.memory().malloc<Value>(qs.size());
-  hb_search_batch(dev, img, d_q, qs.size(), d_out);
-  std::vector<Value> out(qs.size());
-  dev.memory().copy_to_host(std::span<Value>(out), d_out);
+  const std::vector<Value> out = index.search(qs).values;
   for (std::size_t i = 0; i < qs.size(); ++i) {
     ASSERT_EQ(out[i], host.search(qs[i]).value());
   }
