@@ -5,7 +5,10 @@
 // loads, transactions, cache hits and per-SM cycles as the recorded rows.
 // The HB+ baseline (HBTreeIndex::search: the same descend on the HB+
 // layout, its fanout-based group, no early exit) is pinned the same way
-// over the same fanouts.
+// over the same fanouts. PSA-sorted batches, the issue order of every
+// serving and figure path, are pinned at fanouts 33 and 64: there
+// neighbouring groups share nodes, so a narrow group's chunk step reads
+// the same address on many lanes.
 // The rows are the simulator's behaviour, not a model of it: a change to
 // the host cost of a warp access or of the kernels' chunk loops must leave
 // every row byte-identical. When a row moves on purpose, the failure
@@ -23,6 +26,7 @@
 #include "common/rng.hpp"
 #include "common/xxhash64.hpp"
 #include "harmonia/index.hpp"
+#include "harmonia/psa.hpp"
 #include "harmonia/range.hpp"
 #include "harmonia/search.hpp"
 #include "hbtree/index.hpp"
@@ -202,6 +206,60 @@ void run_hbtree(unsigned fanout, std::vector<Row>& rows) {
                           false, false, hits, r.search.metrics, h));
 }
 
+/// Runs search_batch over a PSA-sorted batch for one fanout, at group
+/// sizes 1, 2, 4 and 32 with early exit on and off. The batch repeats
+/// some keys, so equal targets sit side by side after the sort.
+void run_sorted(unsigned fanout, std::vector<Row>& rows) {
+  gpusim::Device dev(test_spec());
+  const std::vector<Key> keys = queries::make_tree_keys(3000, 1);
+  std::vector<btree::Entry> entries;
+  for (Key k : keys) entries.push_back({k, btree::value_for_key(k)});
+  IndexOptions options;
+  options.fanout = fanout;
+  HarmoniaIndex index = HarmoniaIndex::build(dev, entries, options);
+
+  // 400 hits (50 of them twice), 200 misses; 650 queries leave a partial
+  // warp at every group size.
+  Xoshiro256 rng(fanout + 1000);
+  std::vector<Key> qs = queries::make_missing_keys(keys, 200, 5);
+  for (unsigned i = 0; i < 400; ++i) qs.push_back(keys[rng.next_below(keys.size())]);
+  for (unsigned i = 0; i < 50; ++i) qs.push_back(qs[200 + i * 7]);
+  for (std::size_t i = qs.size() - 1; i > 0; --i) std::swap(qs[i], qs[rng.next_below(i + 1)]);
+  const PsaPlan plan = psa_prepare(qs, keys.size(), dev.spec(), PsaMode::kPartial);
+  auto d_q = dev.memory().malloc<Key>(plan.queries.size());
+  dev.memory().copy_to_device(d_q, std::span<const Key>(plan.queries));
+  auto d_out = dev.memory().malloc<Value>(plan.queries.size());
+
+  for (const unsigned gs : {1u, 2u, 4u, 32u}) {
+    for (const bool early_exit : {true, false}) {
+      dev.flush_caches();
+      SearchConfig cfg;
+      cfg.group_size = gs;
+      cfg.early_exit = early_exit;
+      const SearchStats st =
+          search_batch(dev, index.image(), d_q, plan.queries.size(), d_out, cfg);
+      std::vector<Value> out(plan.queries.size());
+      dev.memory().copy_to_host(std::span<Value>(out), d_out);
+      Xxh64 h;
+      hash_all(h, out);
+      rows.push_back(make_row(fanout, gs, early_exit, false, st.chunk_steps, st.metrics, h));
+    }
+  }
+}
+
+/// Compares `rows` with `pinned` row by row; a failure prints the table.
+void expect_rows(const std::vector<Row>& rows, const std::vector<Row>& pinned) {
+  std::string table;
+  for (const Row& r : rows) table += format(r) + "\n";
+  ASSERT_EQ(rows.size(), pinned.size()) << "current rows:\n" << table;
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_EQ(rows[i], pinned[i]) << "row " << i << " now\n"
+                                  << format(rows[i]) << "\nwas\n"
+                                  << format(pinned[i]) << "\ncurrent rows:\n"
+                                  << table;
+  }
+}
+
 // {fanout, group size (0: range_batch), early exit, overlay, chunk steps
 // (range: results), steps, loads, transactions, DRAM transactions, digest}
 const std::vector<Row> kPinned = {
@@ -329,15 +387,35 @@ TEST(KernelPin, SearchAndRangeCountersMatchRecordedRows) {
   for (const unsigned fanout : {16u, 33u, 64u, 128u}) run_hbtree(fanout, rows);
   std::vector<Row> pinned = kPinned;
   pinned.insert(pinned.end(), kPinnedHBTree.begin(), kPinnedHBTree.end());
-  std::string table;
-  for (const Row& r : rows) table += format(r) + "\n";
-  ASSERT_EQ(rows.size(), pinned.size()) << "current rows:\n" << table;
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    EXPECT_EQ(rows[i], pinned[i]) << "row " << i << " now\n"
-                                  << format(rows[i]) << "\nwas\n"
-                                  << format(pinned[i]) << "\ncurrent rows:\n"
-                                  << table;
-  }
+  expect_rows(rows, pinned);
+}
+
+// PSA-sorted batches, {fanout, group size, early exit, overlay (always
+// false), chunk steps, steps, loads, transactions, DRAM transactions,
+// digest}.
+const std::vector<Row> kPinnedSorted = {
+    {33, 1, true, false, 908, 971, 1013, 3497, 536, 0x6a80587bb2d5c51bull},
+    {33, 1, false, false, 2016, 2079, 2121, 6769, 568, 0x81a763e7480fdf74ull},
+    {33, 2, true, false, 842, 965, 1047, 2227, 536, 0xb395f47fe4e87696ull},
+    {33, 2, false, false, 1968, 2091, 2173, 4429, 568, 0xfa6e5bce8272eb1dull},
+    {33, 4, true, false, 866, 1112, 1276, 1872, 536, 0x9330dd6984f31d5bull},
+    {33, 4, false, false, 1968, 2214, 2378, 3517, 568, 0x4e1d8b70184e8948ull},
+    {33, 32, true, false, 1950, 3900, 5000, 6950, 568, 0xb3fe390473dff55full},
+    {33, 32, false, false, 1950, 3900, 5000, 6950, 568, 0xb3fe390473dff55full},
+    {64, 1, true, false, 1353, 1416, 1458, 3818, 532, 0xc6cfd2769882b66full},
+    {64, 1, false, false, 3969, 4032, 4074, 8393, 567, 0x34a9095bbf9fbb5eull},
+    {64, 2, true, false, 1298, 1421, 1503, 2710, 533, 0xc67a9c21c7824a5cull},
+    {64, 2, false, false, 3936, 4059, 4141, 6652, 567, 0xde8ffb5a0b63669cull},
+    {64, 4, true, false, 1302, 1548, 1711, 2527, 537, 0xf54482807137c7b6ull},
+    {64, 4, false, false, 3936, 4182, 4345, 6257, 567, 0x6b02b9aa4bcd8ae2ull},
+    {64, 32, true, false, 2184, 4134, 5234, 8889, 561, 0xea828bf796e98a7eull},
+    {64, 32, false, false, 3900, 5850, 6950, 13342, 567, 0x2251d4d31a97f707ull},
+};
+
+TEST(KernelPin, PsaSortedSearchCountersMatchRecordedRows) {
+  std::vector<Row> rows;
+  for (const unsigned fanout : {33u, 64u}) run_sorted(fanout, rows);
+  expect_rows(rows, kPinnedSorted);
 }
 
 }  // namespace
