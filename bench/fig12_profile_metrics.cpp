@@ -20,6 +20,8 @@ int main(int argc, char** argv) {
                    "Figure 12 (global mem transactions / memory divergence / "
                    "warp coherence)");
 
+  Table table(
+      {"log(tree size)", "metric", "HB+", "Harmonia", "Harmonia/HB+ (%)", "paper (%)"});
   for (unsigned lg : cfg.size_logs) {
     const std::uint64_t size = 1ULL << lg;
     const auto keys = queries::make_tree_keys(size, cfg.seed);
@@ -38,19 +40,16 @@ int main(int argc, char** argv) {
     const auto& hm = h_res.search.metrics;
     const auto& bm = hb_res.search.metrics;
 
-    Table table({"metric", "HB+", "Harmonia", "Harmonia/HB+ (%)", "paper (%)"});
-    table.add("global mem-transactions", bm.global_transactions(),
+    table.add(lg, "global mem-transactions", bm.global_transactions(),
               hm.global_transactions(),
               100.0 * static_cast<double>(hm.global_transactions()) /
                   static_cast<double>(bm.global_transactions()),
               22.0);
-    table.add("memory divergence", bm.memory_divergence(), hm.memory_divergence(),
+    table.add(lg, "memory divergence", bm.memory_divergence(), hm.memory_divergence(),
               100.0 * hm.memory_divergence() / bm.memory_divergence(), 66.0);
-    table.add("warp coherence", bm.warp_coherence(), hm.warp_coherence(),
+    table.add(lg, "warp coherence", bm.warp_coherence(), hm.warp_coherence(),
               100.0 * hm.warp_coherence() / bm.warp_coherence(), 113.0);
-    std::cout << "log(tree size) = " << lg << "\n";
-    table.print(std::cout);
-    std::cout << "\n";
   }
+  hb::emit(cli, table);
   return 0;
 }

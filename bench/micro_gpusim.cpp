@@ -46,6 +46,26 @@ void BM_CoalesceScattered(benchmark::State& state) {
 }
 BENCHMARK(BM_CoalesceScattered);
 
+/// A group-size-1 chunk step of a PSA-sorted warp: 32 one-lane groups
+/// whose nodes are range(0) neighbouring nodes, each run of groups on one
+/// node a broadcast row of its chunk's key.
+void BM_CoalesceBroadcast(benchmark::State& state) {
+  const auto nodes = static_cast<unsigned>(state.range(0));
+  std::array<LaneRow, 32> rows{};
+  for (unsigned i = 0; i < nodes; ++i) {
+    const unsigned first = 32 * i / nodes;
+    const unsigned count = 32 * (i + 1) / nodes - first;
+    rows[i] = {4096 + i * 63 * 8 + 40, first, count, count > 1};
+  }
+  const std::span<const LaneRow> access(rows.data(), nodes);
+  for (auto _ : state) {
+    const LineSet lines = coalesce(access, 8, 128);
+    benchmark::DoNotOptimize(lines.size());
+    benchmark::DoNotOptimize(lines[0]);
+  }
+}
+BENCHMARK(BM_CoalesceBroadcast)->ArgName("nodes")->Arg(1)->Arg(3);
+
 void BM_CacheAccessHit(benchmark::State& state) {
   Cache cache(1 << 20, 128, 8);
   for (std::uint64_t line = 0; line < 64; ++line) cache.access(line);
@@ -220,11 +240,13 @@ void BM_BatchMallocAfterImage(benchmark::State& state) {
 BENCHMARK(BM_BatchMallocAfterImage)->Unit(benchmark::kMillisecond);
 
 /// The serving search path on one device: a 2048-query batch of uniform
-/// hits is PSA-sorted (Equation 2's bits), uploaded, and searched with
-/// range(1)-lane groups on a 2^range(0)-key, fanout-64 tree. Group size
-/// 32 is one row per chunk; group size 1 (NTG's pick for batch_lookup)
-/// is 32 one-lane rows per chunk and 63 chunks per node. Items are
-/// queries.
+/// hits is PSA-sorted (Equation 2's bits) when range(2) is 1, uploaded,
+/// and searched with range(1)-lane groups on a 2^range(0)-key, fanout-64
+/// tree. Group size 32 is one row per chunk; group size 1 (NTG's pick for
+/// batch_lookup) has 63 chunks per node, and a chunk step is one
+/// broadcast row per node its sorted warp is on. Unsorted at group size
+/// 1, every group is on its own node: 32 one-lane rows per chunk, the
+/// worst case. Items are queries.
 void BM_SearchServingBatch(benchmark::State& state) {
   constexpr std::size_t kBatch = 2048;
   constexpr std::size_t kPool = 64 * kBatch;
@@ -241,9 +263,10 @@ void BM_SearchServingBatch(benchmark::State& state) {
   SearchConfig config;
   config.group_size = static_cast<unsigned>(state.range(1));
   std::size_t offset = 0;
+  const PsaMode psa = state.range(2) != 0 ? PsaMode::kPartial : PsaMode::kNone;
   for (auto _ : state) {
     const PsaPlan plan = psa_prepare(std::span<const Key>(pool.data() + offset, kBatch),
-                                     image.num_keys, dev.spec(), PsaMode::kPartial);
+                                     image.num_keys, dev.spec(), psa);
     dev.memory().copy_to_device(d_queries, std::span<const Key>(plan.queries));
     const SearchStats stats = search_batch(dev, image, d_queries, kBatch, d_out, config);
     benchmark::DoNotOptimize(stats.chunk_steps);
@@ -252,9 +275,10 @@ void BM_SearchServingBatch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(kBatch));
 }
 BENCHMARK(BM_SearchServingBatch)
-    ->ArgNames({"log2_keys", "group_size"})
-    ->Args({22, 32})
-    ->Args({22, 1})
+    ->ArgNames({"log2_keys", "group_size", "psa"})
+    ->Args({22, 32, 1})
+    ->Args({22, 1, 1})
+    ->Args({22, 1, 0})
     ->Unit(benchmark::kMicrosecond);
 
 }  // namespace

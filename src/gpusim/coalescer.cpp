@@ -38,8 +38,8 @@ LineSet coalesce(std::span<const LaneRow> rows, unsigned elem_bytes, unsigned li
     lanes |= bits;
 
     std::uint64_t line = r.addr >> shift;
-    const std::uint64_t last =
-        (r.addr + static_cast<std::uint64_t>(r.count) * elem_bytes - 1) >> shift;
+    const std::uint64_t elems = r.broadcast ? 1 : r.count;
+    const std::uint64_t last = (r.addr + elems * elem_bytes - 1) >> shift;
     if (n != 0) {
       if (line == prev) {
         ++line;

@@ -7,8 +7,9 @@
 // An access is a list of rows. A row is a run of lanes reading
 // consecutive elements, the shape of a thread group's chunk scan over a
 // node's key region (paper §3.1); a scattered access is one-lane rows.
-// A row's lines are worked out from its first and last byte, not lane by
-// lane.
+// A broadcast row is a run of lanes all reading one element: neighbouring
+// one-lane groups on the same node. A row's lines are worked out from its
+// first and last byte, not lane by lane.
 #pragma once
 
 #include <array>
@@ -22,12 +23,31 @@ namespace harmonia::gpusim {
 
 /// One row of a warp access: lanes [lane, lane + count) access
 /// consecutive elements, lane `lane + i` the one at addr + i * element
-/// size.
+/// size. A broadcast row's lanes all read the one element at addr; it
+/// costs what `count` one-lane rows at addr cost, and stores reject it.
 struct LaneRow {
   std::uint64_t addr;
   unsigned lane;
   unsigned count;
+  bool broadcast = false;
 };
+
+/// Appends `r` to rows[0, n) and returns the new row count. A one-lane
+/// row reading the element of the row before it, on the lane right after
+/// that row's lanes, joins it as a broadcast row instead.
+inline unsigned push_row(std::array<LaneRow, 32>& rows, unsigned n, const LaneRow& r) {
+  if (r.count == 1 && n != 0) {
+    LaneRow& prev = rows[n - 1];
+    if (prev.addr == r.addr && prev.lane + prev.count == r.lane &&
+        (prev.count == 1 || prev.broadcast)) {
+      ++prev.count;
+      prev.broadcast = true;
+      return n;
+    }
+  }
+  rows[n] = r;
+  return n + 1;
+}
 
 /// The rows of `n` lanes spaced `stride` apart (lanes 0, stride,
 /// 2 * stride, ...), lane i * stride accessing the element at
@@ -74,8 +94,9 @@ class LineSet {
 };
 
 /// Computes the distinct line addresses (addr / line_bytes) the rows
-/// touch, each lane reading `elem_bytes`; an element straddling a line
-/// boundary contributes both lines. The lines come out in row order, and
+/// touch, each lane reading `elem_bytes` (a broadcast row's lanes the
+/// same ones); an element straddling a line boundary contributes both
+/// lines. The lines come out in row order, and
 /// are sorted and deduplicated only when that order goes down, so the
 /// result is sorted and distinct; its size is the transaction count.
 /// Preconditions, checked in every build (a violation throws

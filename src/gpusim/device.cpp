@@ -611,7 +611,9 @@ void WarpCtx::account_access(std::span<const LaneRow> rows, unsigned bytes_per_l
   }
 #ifndef NDEBUG
   auto& ranges = kind == TraceEventKind::kStore ? log_.writes : log_.reads;
-  for (const LaneRow& r : rows) ranges.emplace_back(r.addr, r.count * bytes_per_lane);
+  for (const LaneRow& r : rows) {
+    ranges.emplace_back(r.addr, (r.broadcast ? 1 : r.count) * bytes_per_lane);
+  }
 #endif
 }
 

@@ -59,7 +59,14 @@ class WarpCtx {
   /// values the kernel computes another way.
   void touch(std::span<const LaneRow> rows, unsigned bytes_per_lane);
 
-  /// Warp-wide store (values[lane] to each covered lane's address).
+  /// In-place view of `count` elements at `addr`, for a kernel that reads
+  /// values its touch() calls account for. Accounts nothing; a range
+  /// outside the memory in use throws.
+  template <typename T>
+  std::span<const T> view(std::uint64_t addr, std::uint64_t count) const;
+
+  /// Warp-wide store (values[lane] to each covered lane's address). A
+  /// broadcast row throws: lanes cannot all store one element.
   template <typename T>
   void scatter(std::span<const LaneRow> rows, std::span<const T> values);
 
@@ -146,12 +153,25 @@ void WarpCtx::gather(std::span<const LaneRow> rows, std::span<T> out) {
   account_access(rows, sizeof(T), TraceEventKind::kLoad);
   for (const LaneRow& r : rows) {
     HARMONIA_DCHECK(r.lane + r.count <= out.size());
-    device_.memory().read_row(r.addr, r.count, &out[r.lane]);
+    if (r.broadcast) {
+      device_.memory().read_broadcast(r.addr, r.count, &out[r.lane]);
+    } else {
+      device_.memory().read_row(r.addr, r.count, &out[r.lane]);
+    }
   }
 }
 
 template <typename T>
+std::span<const T> WarpCtx::view(std::uint64_t addr, std::uint64_t count) const {
+  return device_.memory().view(DevPtr<T>{addr}, count);
+}
+
+template <typename T>
 void WarpCtx::scatter(std::span<const LaneRow> rows, std::span<const T> values) {
+  // On in release builds too: a store has no broadcast form.
+  for (const LaneRow& r : rows) {
+    HARMONIA_CHECK_MSG(!r.broadcast, "a broadcast row cannot store");
+  }
   account_access(rows, sizeof(T), TraceEventKind::kStore);
   for (const LaneRow& r : rows) {
     HARMONIA_DCHECK(r.lane + r.count <= values.size());

@@ -100,20 +100,28 @@ class Memory {
     for (unsigned i = 0; i < count; ++i) std::memcpy(out + i, src + i * sizeof(T), sizeof(T));
   }
 
+  /// A broadcast row: the one element at `addr`, copied to `count` lanes.
+  template <typename T>
+  void read_broadcast(std::uint64_t addr, unsigned count, T* out) const {
+    const std::uint8_t* src = bytes_at(addr, sizeof(T));
+    for (unsigned i = 0; i < count; ++i) std::memcpy(out + i, src, sizeof(T));
+  }
+
   template <typename T>
   void write_row(std::uint64_t addr, unsigned count, const T* in) {
     std::uint8_t* dst = bytes_at(addr, std::size_t{count} * sizeof(T));
     for (unsigned i = 0; i < count; ++i) std::memcpy(dst + i * sizeof(T), in + i, sizeof(T));
   }
 
-  /// Simulator-side read-only view of `count` elements at `p`, for host
-  /// code that reads what the device holds (a host walk of the committed
-  /// image). No access is accounted; bounds are checked like read_bytes.
+  /// Simulator-side read-only view of `count` elements at `p`, in either
+  /// segment, for code that reads what the device holds in place (a host
+  /// walk of the committed image, a kernel whose loads are accounted with
+  /// WarpCtx::touch). No access is accounted; bounds are checked like
+  /// read_bytes.
   template <typename T>
   std::span<const T> view(DevPtr<T> p, std::uint64_t count) const {
     if (count == 0) return {};
-    HARMONIA_CHECK_MSG(in_global(p.addr, count * sizeof(T)), "device view out of bounds");
-    return {reinterpret_cast<const T*>(global_ + p.addr), count};
+    return {reinterpret_cast<const T*>(bytes_at(p.addr, count * sizeof(T))), count};
   }
 
   std::uint64_t global_used() const { return global_used_; }

@@ -4,8 +4,9 @@
 // A thread group of `gs` lanes descends one node per level: it scans the
 // node's key slots chunk by chunk (gs keys per SIMT step, one coalesced
 // row per group), counting separators <= target, and its leader lane then
-// loads the next node with one u32 gather. Layouts differ only in that
-// child rule:
+// loads the next node with one u32 gather. The simulator reads a group's
+// scan outcome from the node in place and accounts the chunk loads the
+// scan issues (see descend). Layouts differ only in the child rule:
 //   - Harmonia (HarmoniaDeviceImage, Equation 1): load prefix_sum[node],
 //     child = loaded + separators;
 //   - HB+ (hbtree::HBTreeDeviceImage, §2.2): load child_ref[node][separators],
@@ -56,6 +57,14 @@ struct WarpGroups {
 /// chunks (the useless comparisons of §4.2) but compares nothing more:
 /// every later key is above its target, so the result could not change.
 /// Returns the chunk-scan SIMT steps issued.
+///
+/// Each group's scan outcome is read once per level from an in-place view
+/// of its node's keys: the first slot that stops the scan, hence the
+/// chunk the group stops on and its separators <= target (or its leaf
+/// hit). The chunk steps then account the loads and compares the group
+/// issues up to that chunk, as the hardware would issue them; at group
+/// size 1, neighbouring groups on one node read each chunk's key as one
+/// broadcast row.
 template <class Layout>
 std::uint32_t descend(gpusim::WarpCtx& w, const Layout& layout, unsigned gs, bool early_exit,
                       unsigned levels, std::uint32_t walking, WarpGroups& groups) {
@@ -63,62 +72,82 @@ std::uint32_t descend(gpusim::WarpCtx& w, const Layout& layout, unsigned gs, boo
   const unsigned chunks_per_node = (kpn + gs - 1) / gs;
   std::uint32_t chunk_steps = 0;
   std::array<gpusim::LaneRow, 32> rows;
-  std::array<Key, 32> lane_keys;
   std::array<std::uint64_t, 32> node_base;  // per group, its node's first key
-  std::array<unsigned, 32> sep_leq;         // per group, separators <= target
+  // Per group, separators <= target. Zeroed: GCC cannot see that the
+  // child rule reads only slots an inner level's scan wrote.
+  std::array<unsigned, 32> sep_leq{};
+  // (stop chunk << 5) | group for each walking group, sorted: the order
+  // in which the groups stop comparing.
+  std::array<std::uint32_t, 32> stops;
   const auto group_rows = [&](unsigned nr) {
     return std::span<const gpusim::LaneRow>(rows.data(), nr);
   };
 
   for (unsigned level = 0; level < levels; ++level) {
     const bool leaf_level = (level + 1 == layout.height);
-    // Groups still comparing keys on this node.
-    std::uint32_t scanning = walking;
+    // The scan stops at the first key >= target on a leaf (equal is the
+    // hit) or the first separator > target above. Slot j is compared in
+    // chunk j / gs, so that is the chunk the group stops on; a scan that
+    // never stops ends with the node's last chunk.
+    unsigned ns = 0;
+    // Groups whose node is the one of the group before them, at group
+    // size 1: their lanes join that group's chunk rows.
+    std::uint32_t same_node = 0;
     for (std::uint32_t rest = walking; rest != 0; rest &= rest - 1) {
       const auto g = static_cast<unsigned>(std::countr_zero(rest));
-      sep_leq[g] = 0;
       node_base[g] = layout.node_key_addr(groups.node[g], 0);
+      if (gs == 1 && g > 0 && (walking >> (g - 1) & 1u) != 0 &&
+          groups.node[g] == groups.node[g - 1]) {
+        same_node |= 1u << g;
+      }
+      const Key* keys = w.view<Key>(node_base[g], kpn).data();
+      const Key t = groups.target[g];
+      unsigned j = 0;
+      if (leaf_level) {
+        while (j < kpn && keys[j] < t) ++j;
+        if (j < kpn && keys[j] == t) {
+          groups.found |= 1u << g;
+          groups.found_slot[g] = j;
+        }
+      } else {
+        while (j < kpn && keys[j] <= t) ++j;
+        sep_leq[g] = j;
+      }
+      stops[ns++] = std::min(j, kpn - 1) / gs << 5 | g;
     }
+    std::sort(stops.begin(), stops.begin() + ns);
 
-    // Chunked key scan of each group's current node. A chunk covers
-    // `lanes` slots (the last one may be short), read by a group's first
-    // `lanes` lanes from consecutive addresses: one row per group.
+    // The chunk steps. A chunk covers `lanes` slots (the last one may be
+    // short), read by a group's first `lanes` lanes from consecutive
+    // addresses: one row per group, or at group size 1 one broadcast row
+    // per run of neighbouring loading groups on one node.
+    std::uint32_t scanning = walking;  // groups still comparing keys
+    unsigned next_stop = 0;
     for (unsigned chunk = 0; chunk < chunks_per_node; ++chunk) {
       const std::uint32_t loading = early_exit ? scanning : walking;
       if (loading == 0) break;
       const unsigned first_slot = chunk * gs;
       const unsigned lanes = std::min(gs, kpn - first_slot);
-      const bool last_chunk = chunk + 1 == chunks_per_node;
+      // Loading groups whose lanes join the row before them.
+      const std::uint32_t joined = loading & loading << 1 & same_node;
       gpusim::LaneMask mask = 0;
       unsigned nr = 0;
-      for (std::uint32_t rest = loading; rest != 0; rest &= rest - 1) {
-        const auto g = static_cast<unsigned>(std::countr_zero(rest));
-        mask |= gpusim::group_mask(g * gs, lanes);
-        rows[nr++] = {node_base[g] + first_slot * sizeof(Key), g * gs, lanes};
+      for (std::uint32_t starts = loading & ~joined; starts != 0; starts &= starts - 1) {
+        const auto g = static_cast<unsigned>(std::countr_zero(starts));
+        const auto run =
+            static_cast<unsigned>(1 + std::countr_one(std::uint64_t{joined} >> (g + 1)));
+        // A run of one group is its chunk row; a longer one (group size 1,
+        // so lanes == 1) is a broadcast row.
+        const unsigned count = run > 1 ? run : lanes;
+        mask |= gpusim::group_mask(g * gs, count);
+        rows[nr++] = {node_base[g] + first_slot * sizeof(Key), g * gs, count, run > 1};
       }
-      w.gather<Key>(group_rows(nr), lane_keys);
+      for (; next_stop < ns && stops[next_stop] >> 5 == chunk; ++next_stop) {
+        scanning &= ~(1u << (stops[next_stop] & 31u));
+      }
+      w.touch(group_rows(nr), sizeof(Key));
       w.compute(mask);  // the SIMT comparison step
       ++chunk_steps;
-
-      for (std::uint32_t rest = scanning; rest != 0; rest &= rest - 1) {
-        const auto g = static_cast<unsigned>(std::countr_zero(rest));
-        const Key t = groups.target[g];
-        const Key* keys = &lane_keys[g * gs];
-        // Keys are sorted: the scan stops at the first key >= target on
-        // a leaf (equal is the hit) or the first separator > target.
-        unsigned j = 0;
-        if (leaf_level) {
-          while (j < lanes && keys[j] < t) ++j;
-          if (j < lanes && keys[j] == t) {
-            groups.found |= 1u << g;
-            groups.found_slot[g] = first_slot + j;
-          }
-        } else {
-          while (j < lanes && keys[j] <= t) ++j;
-          sep_leq[g] += j;
-        }
-        if (j < lanes || last_chunk) scanning &= ~(1u << g);
-      }
     }
 
     if (!leaf_level && walking != 0) {
@@ -130,7 +159,8 @@ std::uint32_t descend(gpusim::WarpCtx& w, const Layout& layout, unsigned gs, boo
       for (std::uint32_t rest = walking; rest != 0; rest &= rest - 1) {
         const auto g = static_cast<unsigned>(std::countr_zero(rest));
         mask |= gpusim::lane_bit(g * gs);
-        rows[nr++] = {layout.child_addr(groups.node[g], sep_leq[g]), g * gs, 1};
+        nr = gpusim::push_row(rows, nr,
+                              {layout.child_addr(groups.node[g], sep_leq[g]), g * gs, 1});
       }
       std::array<std::uint32_t, 32> loaded;
       w.gather<std::uint32_t>(group_rows(nr), loaded);

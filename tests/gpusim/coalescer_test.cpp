@@ -74,6 +74,54 @@ TEST(Coalescer, SameLineUnorderedStillOneTransaction) {
   EXPECT_EQ(coalesce(one_lane_rows(addrs), 8, kLine).size(), 1u);
 }
 
+TEST(Coalescer, BroadcastRowEqualsOneLaneRows) {
+  // A broadcast row of c lanes has the lines and lanes of c one-lane rows
+  // at its address: inside a line, straddling one, after rows above and
+  // below it, at every element size.
+  const std::array<std::uint64_t, 4> addrs{512, kLine - 4, 3 * kLine + 40, 2 * kLine - 1};
+  for (const unsigned bytes : {1u, 4u, 8u, 16u}) {
+    for (const std::uint64_t addr : addrs) {
+      for (const unsigned count : {1u, 2u, 7u, 30u}) {
+        const std::array<LaneRow, 2> neighbours{{{addr + 5 * kLine, 0, 1}, {addr / 2, 31, 1}}};
+        for (const unsigned with : {0u, 1u, 2u}) {
+          std::vector<LaneRow> broadcast(neighbours.begin(), neighbours.begin() + with);
+          std::vector<LaneRow> one_lane = broadcast;
+          broadcast.push_back({addr, 1, count, true});
+          for (unsigned i = 0; i < count; ++i) one_lane.push_back({addr, 1 + i, 1});
+          const LineSet got = coalesce(broadcast, bytes, kLine);
+          const LineSet want = coalesce(one_lane, bytes, kLine);
+          ASSERT_EQ(std::vector<std::uint64_t>(got.begin(), got.end()),
+                    std::vector<std::uint64_t>(want.begin(), want.end()))
+              << "addr=" << addr << " count=" << count << " bytes=" << bytes;
+          ASSERT_EQ(got.lanes(), want.lanes());
+        }
+      }
+    }
+  }
+}
+
+TEST(Coalescer, PushRowJoinsNeighbouringLanesAtOneAddress) {
+  std::array<LaneRow, 32> rows{};
+  unsigned n = 0;
+  n = push_row(rows, n, {64, 0, 1});
+  n = push_row(rows, n, {64, 1, 1});
+  n = push_row(rows, n, {64, 2, 1});
+  n = push_row(rows, n, {72, 3, 1});  // another address: a new row
+  n = push_row(rows, n, {72, 5, 1});  // not the next lane: a new row
+  n = push_row(rows, n, {72, 6, 8});  // a chunk row never joins
+  n = push_row(rows, n, {72, 14, 1});  // nor does a lane after a chunk row
+  ASSERT_EQ(n, 5u);
+  EXPECT_EQ(rows[0].addr, 64u);
+  EXPECT_EQ(rows[0].lane, 0u);
+  EXPECT_EQ(rows[0].count, 3u);
+  EXPECT_TRUE(rows[0].broadcast);
+  EXPECT_FALSE(rows[1].broadcast);
+  EXPECT_EQ(rows[2].lane, 5u);
+  EXPECT_FALSE(rows[3].broadcast);
+  EXPECT_EQ(rows[3].count, 8u);
+  EXPECT_EQ(rows[4].lane, 14u);
+}
+
 // The preconditions that bound LineSet's fixed buffer are always on.
 TEST(Coalescer, RejectsMoreThan32Lanes) {
   const std::array<LaneRow, 1> wide{{{0, 0, 33}}};
@@ -97,6 +145,10 @@ TEST(Coalescer, RejectsMoreThan32Rows) {
 TEST(Coalescer, RejectsALaneInTwoRowsAndEmptyRows) {
   const std::array<LaneRow, 2> overlap{{{0, 0, 4}, {4096, 3, 2}}};
   EXPECT_THROW(coalesce(overlap, 8, kLine), ContractViolation);
+  const std::array<LaneRow, 2> broadcast_overlap{{{0, 0, 4, true}, {0, 3, 1}}};
+  EXPECT_THROW(coalesce(broadcast_overlap, 8, kLine), ContractViolation);
+  const std::array<LaneRow, 1> wide_broadcast{{{0, 0, 33, true}}};
+  EXPECT_THROW(coalesce(wide_broadcast, 8, kLine), ContractViolation);
   const std::array<LaneRow, 1> empty{{{0, 0, 0}}};
   EXPECT_THROW(coalesce(empty, 8, kLine), ContractViolation);
 }

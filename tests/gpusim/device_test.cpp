@@ -149,6 +149,110 @@ TEST(Device, ConstantRowGatherAndOutOfBoundsRow) {
                ContractViolation);
 }
 
+// A broadcast row copies its one element to each of its lanes and costs
+// what the same lanes' one-lane rows cost.
+TEST(Device, BroadcastGatherEqualsOneLaneRows) {
+  Device dev(tiny_spec());
+  auto& mem = dev.memory();
+  auto data = mem.malloc<std::uint64_t>(64);
+  for (unsigned i = 0; i < 64; ++i) mem.write(data.element_addr(i), std::uint64_t{1000 + i});
+  const auto run = [&](bool broadcast, std::array<std::uint64_t, 32>& out) {
+    dev.flush_caches();
+    return dev.launch(1, [&](WarpCtx& w) {
+      std::array<LaneRow, 32> rows{};
+      unsigned n = 0;
+      rows[n++] = {data.element_addr(40), 0, 2};
+      if (broadcast) {
+        rows[n++] = {data.element_addr(3), 2, 20, true};
+      } else {
+        for (unsigned lane = 2; lane < 22; ++lane) rows[n++] = {data.element_addr(3), lane, 1};
+      }
+      w.gather<std::uint64_t>(std::span<const LaneRow>(rows.data(), n), out);
+    });
+  };
+  std::array<std::uint64_t, 32> got{};
+  std::array<std::uint64_t, 32> want{};
+  const KernelMetrics a = run(true, got);
+  const KernelMetrics b = run(false, want);
+  EXPECT_EQ(got, want);
+  for (unsigned lane = 2; lane < 22; ++lane) EXPECT_EQ(got[lane], 1003u);
+  EXPECT_EQ(got[22], 0u);
+  EXPECT_EQ(a.loads, b.loads);
+  EXPECT_EQ(a.transactions, b.transactions);
+  EXPECT_EQ(a.dram_transactions, b.dram_transactions);
+  EXPECT_EQ(a.sm_mem_cycles, b.sm_mem_cycles);
+}
+
+// A store has no broadcast form: the check is on in every build, before
+// anything is written or accounted.
+TEST(Device, BroadcastStoreIsRejected) {
+  Device dev(tiny_spec());
+  auto& mem = dev.memory();
+  auto data = mem.malloc<std::uint64_t>(8);
+  std::array<std::uint64_t, 32> vals{};
+  vals.fill(7);
+  EXPECT_THROW(dev.launch(1,
+                          [&](WarpCtx& w) {
+                            const std::array<LaneRow, 1> row{
+                                {{data.element_addr(0), 0, 4, true}}};
+                            w.scatter<std::uint64_t>(row, vals);
+                          }),
+               ContractViolation);
+  EXPECT_EQ(mem.read<std::uint64_t>(data.element_addr(0)), 0u);
+}
+
+// A broadcast row's one element must lie inside the memory in use, in
+// either segment.
+TEST(Device, BroadcastGatherOutsideMemoryThrows) {
+  Device dev(tiny_spec());
+  auto& mem = dev.memory();
+  auto data = mem.malloc<std::uint64_t>(8);
+  auto table = mem.const_malloc<std::uint32_t>(8);
+  std::array<std::uint64_t, 32> got{};
+  std::array<std::uint32_t, 32> got32{};
+  EXPECT_NO_THROW(dev.launch(1, [&](WarpCtx& w) {
+    const std::array<LaneRow, 1> row{{{data.element_addr(7), 0, 32, true}}};
+    w.gather<std::uint64_t>(row, got);
+  }));
+  EXPECT_THROW(dev.launch(1,
+                          [&](WarpCtx& w) {
+                            const std::array<LaneRow, 1> row{
+                                {{mem.global_used(), 0, 2, true}}};
+                            w.gather<std::uint64_t>(row, got);
+                          }),
+               ContractViolation);
+  EXPECT_THROW(dev.launch(1,
+                          [&](WarpCtx& w) {
+                            const std::array<LaneRow, 1> row{
+                                {{table.element_addr(8), 0, 3, true}}};
+                            w.gather<std::uint32_t>(row, got32);
+                          }),
+               ContractViolation);
+}
+
+// The in-place view is checked like a row: a view past the memory in use
+// throws, in either segment.
+TEST(Device, WarpViewIsBoundsChecked) {
+  Device dev(tiny_spec());
+  auto& mem = dev.memory();
+  auto data = mem.malloc<std::uint64_t>(8);
+  mem.write(data.element_addr(7), std::uint64_t{77});
+  auto table = mem.const_malloc<std::uint32_t>(4);
+  mem.write(table.element_addr(3), std::uint32_t{33});
+  std::uint64_t seen = 0;
+  dev.launch(1, [&](WarpCtx& w) {
+    seen = w.view<std::uint64_t>(data.element_addr(0), 8)[7] +
+           w.view<std::uint32_t>(table.element_addr(0), 4)[3];
+  });
+  EXPECT_EQ(seen, 110u);
+  EXPECT_THROW(
+      dev.launch(1, [&](WarpCtx& w) { w.view<std::uint64_t>(data.element_addr(1), 8); }),
+      ContractViolation);
+  EXPECT_THROW(
+      dev.launch(1, [&](WarpCtx& w) { w.view<std::uint32_t>(table.element_addr(1), 4); }),
+      ContractViolation);
+}
+
 TEST(Device, FlushCachesForcesMisses) {
   Device dev(tiny_spec());
   auto& mem = dev.memory();

@@ -84,7 +84,8 @@ TEST_P(CoalescerProperties, MatchesOrderedSetReference) {
   // std::set: same lines, same (ascending) order, element by element,
   // and the rows' lanes as the mask. Random row lists of up to 32 lanes
   // in all: ascending, descending, overlapping and same-line rows, rows
-  // straddling a line, one-lane rows; element sizes 1-128 B.
+  // straddling a line, one-lane rows, broadcast rows (every lane reads
+  // one element) one time in four; element sizes 1-128 B.
   constexpr unsigned kLine = 128;
   Xoshiro256 rng(GetParam() + 300);
   for (int trial = 0; trial < 400; ++trial) {
@@ -96,7 +97,8 @@ TEST_P(CoalescerProperties, MatchesOrderedSetReference) {
     std::uint64_t next = base;
     for (std::size_t i = 0; i < rows.size(); ++i) {
       LaneRow& r = rows[i];
-      const std::uint64_t len = std::uint64_t{r.count} * bytes;
+      r.broadcast = rng.next_below(4) == 0;
+      const std::uint64_t len = std::uint64_t{r.broadcast ? 1 : r.count} * bytes;
       switch (shape) {
         case 0:  // ascending, back to back: one chunk cut into rows
           r.addr = next;
@@ -120,9 +122,8 @@ TEST_P(CoalescerProperties, MatchesOrderedSetReference) {
     std::set<std::uint64_t> want;
     LaneMask lanes = 0;
     for (const LaneRow& r : rows) {
-      for (std::uint64_t a = r.addr; a < r.addr + std::uint64_t{r.count} * bytes; ++a) {
-        want.insert(a / kLine);
-      }
+      const std::uint64_t len = std::uint64_t{r.broadcast ? 1 : r.count} * bytes;
+      for (std::uint64_t a = r.addr; a < r.addr + len; ++a) want.insert(a / kLine);
       lanes |= group_mask(r.lane, r.count);
     }
     const auto got = coalesce(rows, bytes, kLine);
