@@ -239,5 +239,35 @@ TEST(ScaleGolden, MultiBlockHbSearchLaunch) {
   EXPECT_EQ(pin(r.search.metrics), want);
 }
 
+// A PSA-sorted batch at NTG's group size 1, the issue order of a
+// paper-size batch: 32 queries per warp, so 2^17 queries make 4096 warps,
+// a launch large enough for the host pool, and neighbouring groups load
+// each chunk as one broadcast row.
+TEST(ScaleGolden, MultiBlockNarrowGroupLaunch) {
+  ScaleFixture f;
+  constexpr std::size_t kQueries = std::size_t{1} << 17;
+  const auto batch =
+      queries::make_queries(f.keys, kQueries, queries::Distribution::kUniform, 19);
+  QueryOptions opts;
+  opts.auto_ntg = false;
+  opts.group_size = 1;
+  f.dev.trace().enable(1 << 20);
+  const auto r = f.index.search(batch, opts);
+  std::uint64_t found = 0;
+  for (Value v : r.values) found += v != kNotFound;
+  EXPECT_EQ(found, 130394u);
+  EXPECT_EQ(r.search.warps, kQueries / 32);
+  EXPECT_GT(r.sorted_bits, 0u);
+  EXPECT_EQ(r.search.chunk_steps, 229492u);
+  EXPECT_EQ(f.dev.trace().dropped(), 0u);
+  EXPECT_EQ(f.dev.trace().events().size(), 554902u);
+  EXPECT_EQ(trace_digest(f.dev.trace()), 17483424094139747950u);
+  const Pinned want{4096, 273360, 163449, 281542, 48982, 332602, 20465, 45033, 258916, 8188,
+                    {273712, 273892, 273148, 272688},
+                    {4781140, 4790890, 4732650, 4715544},
+                    {1024, 1024, 1024, 1024}};
+  EXPECT_EQ(pin(r.search.metrics), want);
+}
+
 }  // namespace
 }  // namespace harmonia
