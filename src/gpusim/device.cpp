@@ -88,11 +88,14 @@ constexpr std::uint64_t kBuffers = 2;
 /// serving batch at the default `max_batch` is at most 2048 warps) runs
 /// on the calling thread, one warp at a time, and the pool takes launches
 /// long enough to amortize them (a paper-size batch is 32768 warps or
-/// more).
+/// more). With a pool of 4 on a 4-vCPU host, pooling launches from 1024
+/// warps on sped `serve_read` up by a third or more, but its run-to-run
+/// spread grew past a quarter of its one-thread median.
 constexpr std::uint64_t kPoolMinWarps = 8 * kBlockWarps;
 
-/// CPUs in this process's affinity mask (`taskset -c 0` gives 1).
-unsigned affinity_cpus() {
+/// Threads a pooled launch runs on, the launching thread included: every
+/// CPU of this process's affinity mask, so `taskset -c 0` gives no pool.
+unsigned pool_threads() {
 #ifdef __linux__
   cpu_set_t set;
   CPU_ZERO(&set);
@@ -101,18 +104,6 @@ unsigned affinity_cpus() {
   }
 #endif
   return std::max(1u, std::thread::hardware_concurrency());
-}
-
-/// Threads a pooled launch runs on, the launching thread included: half
-/// the CPUs of the affinity mask, and two when there are two or three.
-/// The wall time of a pooled launch varies from run to run in proportion
-/// to its speed, by about 8% on a shared 4-vCPU host whatever the pool
-/// size, so with every CPU (3.5x on `batch_lookup`) the run-to-run spread
-/// exceeded a quarter of the one-thread median, while with half (1.9x) it
-/// stayed well inside it.
-unsigned pool_threads() {
-  const unsigned cpus = affinity_cpus();
-  return cpus < 2 ? 1 : std::max(2u, cpus / 2);
 }
 
 /// One launch's functional phase. Grains are claimed in warp order, and
