@@ -6,6 +6,8 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "gpusim/device_spec.hpp"
+#include "harmonia/psa.hpp"
 #include "sort/radix_sort.hpp"
 
 namespace {
@@ -44,6 +46,21 @@ void BM_RadixSortPairs(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * (1 << 16));
 }
 BENCHMARK(BM_RadixSortPairs);
+
+// PSA's whole host step at the paper's batch size: a 2^20-query batch
+// sorted on Equation 2's bits for a 2^22-key tree (18 with 128-byte
+// lines), into the plan's queries and permutation. Wall time, since the
+// sort runs on the host pool when it can lease it.
+void BM_PsaPrepare(benchmark::State& state) {
+  const auto batch = random_keys(1 << 20);
+  const gpusim::DeviceSpec spec;
+  for (auto _ : state) {
+    const PsaPlan plan = psa_prepare(batch, std::uint64_t{1} << 22, spec, PsaMode::kPartial);
+    benchmark::DoNotOptimize(plan.queries.data());
+  }
+  state.SetItemsProcessed(state.iterations() * (1 << 20));
+}
+BENCHMARK(BM_PsaPrepare)->UseRealTime()->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

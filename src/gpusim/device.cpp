@@ -6,13 +6,11 @@
 #include <exception>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <thread>
 #include <utility>
 
-#ifdef __linux__
-#include <sched.h>
-#endif
+#include "gpusim/host_pool.hpp"
+
 #ifndef NDEBUG
 #include <unordered_map>
 #endif
@@ -26,9 +24,12 @@ namespace harmonia::gpusim {
 struct WarpLog {
   struct Record {
     TraceEventKind kind;
+    /// A repeat: the access's lines are those of the warp's previous
+    /// access, so it logs none (see Device::probe).
+    bool repeat;
     LaneMask mask;
-    /// A load/store's line count (its lines are the next `count` entries
-    /// of `lines`), or a compute record's steps.
+    /// A load/store's line count (unless it repeats, its lines are the
+    /// next `count` entries of `lines`), or a compute record's steps.
     std::uint32_t count;
   };
 
@@ -42,8 +43,10 @@ struct WarpLog {
   std::uint64_t mem_cycles = 0;
   /// Loads and stores; compute steps only while tracing.
   std::vector<Record> records;
-  /// Every access's LineSet, back to back.
+  /// Every access's LineSet but a repeat's, back to back: the last
+  /// `last_count` entries are the previous access's lines.
   std::vector<std::uint64_t> lines;
+  std::uint32_t last_count = 0;
   /// What the kernel threw, if anything.
   std::exception_ptr error;
 #ifndef NDEBUG
@@ -58,6 +61,7 @@ struct WarpLog {
     mem_cycles = 0;
     records.clear();
     lines.clear();
+    last_count = 0;
     error = nullptr;
 #ifndef NDEBUG
     reads.clear();
@@ -93,25 +97,12 @@ constexpr std::uint64_t kBuffers = 2;
 /// spread grew past a quarter of its one-thread median.
 constexpr std::uint64_t kPoolMinWarps = 8 * kBlockWarps;
 
-/// Threads a pooled launch runs on, the launching thread included: every
-/// CPU of this process's affinity mask, so `taskset -c 0` gives no pool.
-unsigned pool_threads() {
-#ifdef __linux__
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  if (sched_getaffinity(0, sizeof(set), &set) == 0) {
-    return static_cast<unsigned>(std::max(1, CPU_COUNT(&set)));
-  }
-#endif
-  return std::max(1u, std::thread::hardware_concurrency());
-}
-
 /// One launch's functional phase. Grains are claimed in warp order, and
 /// a grain may run only once its block's log buffer is free, that is,
 /// once the block kBuffers before it has been replayed. Pool threads and
 /// the launching thread share it; the pool threads keep it alive past the
 /// launch, but call `run_grain` only for a grain they claimed.
-class Job {
+class Job final : public PoolWork {
  public:
   Job(std::function<void(std::uint64_t)> run_grain, std::uint64_t num_warps)
       : run_grain_(std::move(run_grain)),
@@ -126,7 +117,7 @@ class Job {
 
   /// A pool thread's share: claims and runs grains until none is left,
   /// waiting for the replay while both buffers are full.
-  void work() {
+  void work() override {
     for (;;) {
       const std::uint32_t replayed = replayed_.load(std::memory_order_acquire);
       if (run_one(replayed)) continue;
@@ -189,99 +180,6 @@ class Job {
   std::atomic<std::uint32_t> replayed_{0};
   /// Grains done, per block.
   std::unique_ptr<std::atomic<std::uint32_t>[]> done_;
-};
-
-/// The process-wide host pool that runs the functional phase. It has
-/// pool_threads() workers less one for the launching thread, which claims
-/// grains too. Workers sleep between launches and are woken
-/// once per launch; a launch never waits for a worker that has not
-/// claimed a grain.
-class HostPool {
- public:
-  static HostPool& instance() {
-    static HostPool pool(pool_threads());
-    return pool;
-  }
-
-  /// Threads a launch runs on, the launching thread included.
-  unsigned size() const { return static_cast<unsigned>(workers_.size()) + 1; }
-
-  /// One launching thread holds the pool at a time.
-  bool try_acquire() { return !held_.exchange(true, std::memory_order_acquire); }
-  void release() { held_.store(false, std::memory_order_release); }
-
-  /// Hands `job` to the workers and returns.
-  void start(std::shared_ptr<Job> job) {
-    {
-      std::lock_guard lock(mutex_);
-      job_ = std::move(job);
-    }
-    generation_.fetch_add(1, std::memory_order_release);
-    generation_.notify_all();
-  }
-
-  HostPool(const HostPool&) = delete;
-  HostPool& operator=(const HostPool&) = delete;
-
- private:
-  explicit HostPool(unsigned threads) {
-    for (unsigned i = 1; i < threads; ++i) workers_.emplace_back([this] { work(); });
-  }
-
-  ~HostPool() {
-    stop_.store(true);
-    generation_.fetch_add(1, std::memory_order_release);
-    generation_.notify_all();
-    for (auto& t : workers_) t.join();
-  }
-
-  void work() {
-    std::uint32_t seen = 0;
-    for (;;) {
-      generation_.wait(seen, std::memory_order_acquire);
-      seen = generation_.load(std::memory_order_acquire);
-      if (stop_.load()) return;
-      std::shared_ptr<Job> job;
-      {
-        std::lock_guard lock(mutex_);
-        job = job_;
-      }
-      if (job) job->work();
-    }
-  }
-
-  std::atomic<bool> held_{false};
-  std::atomic<bool> stop_{false};
-  /// Bumped once per launch handed to the workers.
-  std::atomic<std::uint32_t> generation_{0};
-  std::mutex mutex_;
-  std::shared_ptr<Job> job_;  // guarded by mutex_
-  // Last: the workers use every member above.
-  std::vector<std::thread> workers_;
-};
-
-/// Holds the pool for one launch of at least kPoolMinWarps warps, if the
-/// pool has workers and no other thread holds it. Otherwise the launching
-/// thread runs the launch itself: a small launch, or one made while
-/// another thread holds the pool.
-class PoolLease {
- public:
-  explicit PoolLease(std::uint64_t num_warps) {
-    if (num_warps < kPoolMinWarps) return;
-    HostPool& pool = HostPool::instance();
-    if (pool.size() > 1 && pool.try_acquire()) pool_ = &pool;
-  }
-  ~PoolLease() {
-    if (pool_ != nullptr) pool_->release();
-  }
-  PoolLease(const PoolLease&) = delete;
-  PoolLease& operator=(const PoolLease&) = delete;
-
-  /// The pool, if this launch holds it.
-  HostPool* pool() const { return pool_; }
-
- private:
-  HostPool* pool_ = nullptr;
 };
 
 /// The log buffers of the launches made on this thread, kept from launch
@@ -425,8 +323,8 @@ KernelMetrics Device::launch(std::uint64_t num_warps, const WarpKernel& kernel) 
   };
 
   auto& buffers = log_buffers();
-  PoolLease lease(num_warps);
-  if (lease.pool() == nullptr) {
+  PoolLease lease(num_warps, kPoolMinWarps);
+  if (!lease.held()) {
     // One warp at a time, probing the caches as the warp runs; the replay
     // then adds only the warp's counters.
     if (buffers[0].empty()) buffers[0].resize(1);
@@ -457,7 +355,7 @@ KernelMetrics Device::launch(std::uint64_t num_warps, const WarpKernel& kernel) 
     Job& job;
     ~Drain() { job.drain(); }
   } drain{*job};
-  lease.pool()->start(job);
+  lease.start(job);
 
   // The pool runs ahead by at most one block while the launching thread
   // replays, and the launching thread helps with the functional phase of
@@ -497,7 +395,11 @@ void Device::replay(const WarpLog& log, std::uint64_t warp, KernelMetrics& m) {
                      static_cast<std::uint64_t>(r.count) * spec_.cycles_per_compute_step});
       continue;
     }
-    mem_cycles += probe(warp, sm, r.kind, r.mask, line, r.count, m);
+    if (r.repeat) {
+      mem_cycles += probe(warp, sm, r.kind, r.mask, line - r.count, r.count, true, m);
+      continue;
+    }
+    mem_cycles += probe(warp, sm, r.kind, r.mask, line, r.count, false, m);
     line += r.count;
   }
 
@@ -509,44 +411,32 @@ void Device::replay(const WarpLog& log, std::uint64_t warp, KernelMetrics& m) {
 
 std::uint64_t Device::probe(std::uint64_t warp, unsigned sm, TraceEventKind kind,
                             LaneMask mask, const std::uint64_t* lines, std::uint32_t count,
-                            KernelMetrics& m) {
+                            bool repeat, KernelMetrics& m) {
   // The warp's access completes when its slowest line is served;
   // additional transactions serialize in the load/store unit.
   std::uint64_t worst_latency = 0;
   ServedBy worst_level = ServedBy::kNone;
   for (const std::uint64_t* line = lines; line != lines + count; ++line) {
-    std::uint64_t lat;
-    ServedBy level;
     // Line addresses of constant space retain the kConstBase tag, so the
     // two spaces never alias in the shared L2.
-    if (*line >= kConstBase / spec_.line_bytes) {
-      if (const_[sm].access(*line)) {
-        ++m.const_hits;
-        lat = spec_.lat_const;
-        level = ServedBy::kConst;
-      } else if (l2_.access(*line)) {
-        ++m.l2_hits;
-        lat = spec_.lat_l2;
-        level = ServedBy::kL2;
-      } else {
-        ++m.dram_transactions;
-        lat = spec_.lat_dram;
-        level = ServedBy::kDram;
-      }
+    const bool constant = *line >= kConstBase / spec_.line_bytes;
+    Cache& first = constant ? const_[sm] : readonly_[sm];
+    std::uint64_t lat;
+    ServedBy level;
+    // A repeat's lines are resident in their first-level cache, and
+    // probing them again would leave every set as it is: skip the probe.
+    if (repeat || first.access(*line)) {
+      ++(constant ? m.const_hits : m.readonly_hits);
+      lat = constant ? spec_.lat_const : spec_.lat_readonly;
+      level = constant ? ServedBy::kConst : ServedBy::kReadOnly;
+    } else if (l2_.access(*line)) {
+      ++m.l2_hits;
+      lat = spec_.lat_l2;
+      level = ServedBy::kL2;
     } else {
-      if (readonly_[sm].access(*line)) {
-        ++m.readonly_hits;
-        lat = spec_.lat_readonly;
-        level = ServedBy::kReadOnly;
-      } else if (l2_.access(*line)) {
-        ++m.l2_hits;
-        lat = spec_.lat_l2;
-        level = ServedBy::kL2;
-      } else {
-        ++m.dram_transactions;
-        lat = spec_.lat_dram;
-        level = ServedBy::kDram;
-      }
+      ++m.dram_transactions;
+      lat = spec_.lat_dram;
+      level = ServedBy::kDram;
     }
     if (lat >= worst_latency) {
       worst_latency = lat;
@@ -575,7 +465,7 @@ void WarpCtx::compute(LaneMask active, unsigned steps) {
     device_.trace_.record(
         {warp_id_, sm_id_, TraceEventKind::kCompute, active, 0, ServedBy::kNone, cycles});
   } else {
-    log_.records.push_back({TraceEventKind::kCompute, active, steps});
+    log_.records.push_back({TraceEventKind::kCompute, false, active, steps});
   }
 }
 
@@ -595,10 +485,19 @@ void WarpCtx::account_access(std::span<const LaneRow> rows, unsigned bytes_per_l
   const auto count = static_cast<std::uint32_t>(lines.size());
   if (probe_now_ != nullptr) {
     log_.mem_cycles += device_.probe(warp_id_, sm_id_, kind, lines.lanes(), lines.begin(),
-                                     count, *probe_now_);
+                                     count, false, *probe_now_);
   } else {
-    log_.records.push_back({kind, lines.lanes(), count});
-    log_.lines.insert(log_.lines.end(), lines.begin(), lines.end());
+    // The same lines as the warp's previous access, and no more than a set
+    // holds: each is resident in its first-level cache, and the replay
+    // need not probe them (Device::probe). Only logged warps are checked,
+    // in the parallel phase: on the launching thread the check shares a
+    // thread with the probes it saves, and it measured slower than them
+    // (docs/gpusim.md, "Repeated accesses").
+    const bool repeat = count == log_.last_count && count <= device_.spec_.cache_ways &&
+                        std::equal(lines.begin(), lines.end(), log_.lines.end() - count);
+    log_.last_count = count;
+    log_.records.push_back({kind, repeat, lines.lanes(), count});
+    if (!repeat) log_.lines.insert(log_.lines.end(), lines.begin(), lines.end());
   }
 #ifndef NDEBUG
   auto& ranges = kind == TraceEventKind::kStore ? log_.writes : log_.reads;

@@ -134,9 +134,14 @@ class Device {
   void replay(const WarpLog& log, std::uint64_t warp, KernelMetrics& metrics);
   /// Probes the caches with one access's lines, in order, counts the hits
   /// and DRAM transactions, records the trace event and returns the
-  /// access's cycles.
+  /// access's cycles. A `repeat` access (logged warps only) has the lines
+  /// of the same warp's previous access, at most cache_ways of them: each
+  /// is then a first-level hit, and is charged as one without a probe,
+  /// since probing the same distinct lines in the same order again leaves
+  /// every LRU set as it is.
   std::uint64_t probe(std::uint64_t warp, unsigned sm, TraceEventKind kind, LaneMask mask,
-                      const std::uint64_t* lines, std::uint32_t count, KernelMetrics& metrics);
+                      const std::uint64_t* lines, std::uint32_t count, bool repeat,
+                      KernelMetrics& metrics);
 
   DeviceSpec spec_;
   Memory memory_;

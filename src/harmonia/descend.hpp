@@ -49,6 +49,10 @@ struct WarpGroups {
   std::uint32_t found = 0;
 };
 
+/// The most chunks a node scan may take: a node of 1024 keys at group
+/// size 1.
+inline constexpr unsigned kMaxNodeChunks = 1024;
+
 /// Descends the groups in `walking` (a bitmask over group indices) from
 /// their `node` through `levels` tree levels. With levels == height the
 /// last level is the leaf's equality scan (it sets `found` and
@@ -76,9 +80,16 @@ std::uint32_t descend(gpusim::WarpCtx& w, const Layout& layout, unsigned gs, boo
   // Per group, separators <= target. Zeroed: GCC cannot see that the
   // child rule reads only slots an inner level's scan wrote.
   std::array<unsigned, 32> sep_leq{};
-  // (stop chunk << 5) | group for each walking group, sorted: the order
-  // in which the groups stop comparing.
-  std::array<std::uint32_t, 32> stops;
+  // Per chunk, the walking groups that stop comparing on it. Each entry
+  // is cleared as the chunk loop passes it, and the loop passes every
+  // entry it set (it ends early only once every group has stopped), so
+  // the entries are zero again at each level.
+  HARMONIA_CHECK_MSG(chunks_per_node <= kMaxNodeChunks,
+                     "a node of " << kpn << " keys at group size " << gs << " has "
+                                  << chunks_per_node << " chunks, above "
+                                  << kMaxNodeChunks);
+  std::array<std::uint32_t, kMaxNodeChunks> stop_mask;
+  std::fill_n(stop_mask.begin(), chunks_per_node, 0u);
   const auto group_rows = [&](unsigned nr) {
     return std::span<const gpusim::LaneRow>(rows.data(), nr);
   };
@@ -89,7 +100,6 @@ std::uint32_t descend(gpusim::WarpCtx& w, const Layout& layout, unsigned gs, boo
     // hit) or the first separator > target above. Slot j is compared in
     // chunk j / gs, so that is the chunk the group stops on; a scan that
     // never stops ends with the node's last chunk.
-    unsigned ns = 0;
     // Groups whose node is the one of the group before them, at group
     // size 1: their lanes join that group's chunk rows.
     std::uint32_t same_node = 0;
@@ -113,16 +123,14 @@ std::uint32_t descend(gpusim::WarpCtx& w, const Layout& layout, unsigned gs, boo
         while (j < kpn && keys[j] <= t) ++j;
         sep_leq[g] = j;
       }
-      stops[ns++] = std::min(j, kpn - 1) / gs << 5 | g;
+      stop_mask[std::min(j, kpn - 1) / gs] |= 1u << g;
     }
-    std::sort(stops.begin(), stops.begin() + ns);
 
     // The chunk steps. A chunk covers `lanes` slots (the last one may be
     // short), read by a group's first `lanes` lanes from consecutive
     // addresses: one row per group, or at group size 1 one broadcast row
     // per run of neighbouring loading groups on one node.
     std::uint32_t scanning = walking;  // groups still comparing keys
-    unsigned next_stop = 0;
     for (unsigned chunk = 0; chunk < chunks_per_node; ++chunk) {
       const std::uint32_t loading = early_exit ? scanning : walking;
       if (loading == 0) break;
@@ -142,9 +150,8 @@ std::uint32_t descend(gpusim::WarpCtx& w, const Layout& layout, unsigned gs, boo
         mask |= gpusim::group_mask(g * gs, count);
         rows[nr++] = {node_base[g] + first_slot * sizeof(Key), g * gs, count, run > 1};
       }
-      for (; next_stop < ns && stops[next_stop] >> 5 == chunk; ++next_stop) {
-        scanning &= ~(1u << (stops[next_stop] & 31u));
-      }
+      scanning &= ~stop_mask[chunk];
+      stop_mask[chunk] = 0;
       w.touch(group_rows(nr), sizeof(Key));
       w.compute(mask);  // the SIMT comparison step
       ++chunk_steps;

@@ -108,10 +108,8 @@ HarmoniaIndex::QueryResult HarmoniaIndex::search(std::span<const Key> batch,
                                config);
   result.kernel_seconds = result.search.metrics.elapsed_seconds(device_.spec());
 
-  std::vector<Value> issue_order(plan.queries.size());
-  mem.copy_to_host(std::span<Value>(issue_order), d_out);
   result.values.resize(batch.size());
-  psa_restore(plan, issue_order, result.values);
+  psa_restore(plan, mem.view(d_out, plan.queries.size()), result.values);
   return result;
 }
 

@@ -1,8 +1,7 @@
 #include "harmonia/psa.hpp"
 
-#include <numeric>
-
 #include "common/expect.hpp"
+#include "gpusim/host_pool.hpp"
 #include "sort/gpu_sort_model.hpp"
 #include "sort/radix_sort.hpp"
 
@@ -17,24 +16,25 @@ PsaPlan psa_prepare(std::span<const Key> batch, std::uint64_t tree_size,
                      "override_bits must lie in [0, 64], got " << override_bits);
   PsaPlan plan;
   plan.mode = mode;
-  plan.queries.assign(batch.begin(), batch.end());
-  plan.permutation.resize(batch.size());
-  std::iota(plan.permutation.begin(), plan.permutation.end(), std::uint64_t{0});
-  if (mode == PsaMode::kNone || batch.size() < 2) return plan;
-
-  if (mode == PsaMode::kFull) {
+  if (mode == PsaMode::kFull && batch.size() >= 2) {
     plan.sorted_bits = 64;
-  } else {
+  } else if (mode == PsaMode::kPartial && batch.size() >= 2) {
     const unsigned keys_per_line = spec.line_bytes / static_cast<unsigned>(sizeof(Key));
+    // 0 when one line covers the range: the batch then keeps its order.
     plan.sorted_bits =
         override_bits != 0 ? override_bits : sort::psa_bits(64, tree_size, keys_per_line);
-    if (plan.sorted_bits == 0) return plan;  // one line covers the range
   }
 
-  const unsigned lo_bit = 64 - plan.sorted_bits;
-  sort::radix_sort_pairs_bits(plan.queries, plan.permutation, lo_bit, plan.sorted_bits);
-  plan.sort_cycles =
-      sort::gpu_radix_sort_cycles(spec, batch.size(), plan.sorted_bits, /*with_payload=*/true);
+  // The sort reads the batch and writes the plan; a sort of no bits is
+  // the identity.
+  plan.queries.resize(batch.size());
+  plan.permutation.resize(batch.size());
+  sort::radix_sort_indexed_bits(batch, plan.queries, plan.permutation, 64 - plan.sorted_bits,
+                                plan.sorted_bits);
+  if (plan.sorted_bits != 0) {
+    plan.sort_cycles = sort::gpu_radix_sort_cycles(spec, batch.size(), plan.sorted_bits,
+                                                   /*with_payload=*/true);
+  }
   return plan;
 }
 
@@ -42,9 +42,15 @@ void psa_restore(const PsaPlan& plan, std::span<const Value> issue_order_results
                  std::span<Value> arrival_order_out) {
   HARMONIA_CHECK(issue_order_results.size() == plan.permutation.size());
   HARMONIA_CHECK(arrival_order_out.size() == plan.permutation.size());
-  for (std::size_t i = 0; i < plan.permutation.size(); ++i) {
-    arrival_order_out[plan.permutation[i]] = issue_order_results[i];
-  }
+  // The permutation is a bijection, so chunks write disjoint slots.
+  const std::size_t n = plan.permutation.size();
+  gpusim::PoolLease lease(n, sort::kPoolMinKeys);
+  const unsigned chunks = lease.threads();
+  lease.run(chunks, [&](unsigned c) {
+    for (std::size_t i = n * c / chunks; i < n * (c + 1) / chunks; ++i) {
+      arrival_order_out[plan.permutation[i]] = issue_order_results[i];
+    }
+  });
 }
 
 }  // namespace harmonia

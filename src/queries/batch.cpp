@@ -9,6 +9,22 @@
 
 namespace harmonia::queries {
 
+namespace {
+
+/// The keys strictly between neighbouring tree keys, the inserts' pool,
+/// counted up to `enough`.
+std::uint64_t novel_keys_between(const std::vector<std::uint64_t>& tree_keys,
+                                 std::uint64_t enough) {
+  std::uint64_t count = 0;
+  for (std::size_t i = 1; i < tree_keys.size() && count < enough; ++i) {
+    const std::uint64_t gap = tree_keys[i] - tree_keys[i - 1];
+    if (gap >= 2) count += std::min(gap - 1, enough - count);
+  }
+  return count;
+}
+
+}  // namespace
+
 std::vector<UpdateOp> make_update_batch(const std::vector<std::uint64_t>& tree_keys,
                                         const BatchSpec& spec) {
   HARMONIA_CHECK(!tree_keys.empty());
@@ -21,6 +37,18 @@ std::vector<UpdateOp> make_update_batch(const std::vector<std::uint64_t>& tree_k
   const auto n_delete = static_cast<std::uint64_t>(
       static_cast<double>(spec.size) * spec.delete_fraction);
   const std::uint64_t n_update = spec.size - n_insert - n_delete;
+  // Deletes and inserts are drawn until enough distinct ones are found:
+  // refuse a batch that needs more than exist, rather than spin.
+  HARMONIA_CHECK_MSG(n_delete <= tree_keys.size(),
+                     "a batch of " << n_delete << " distinct deletes needs as many keys, but "
+                                   << "the tree has " << tree_keys.size());
+  if (n_insert > 0) {
+    const std::uint64_t novel = novel_keys_between(tree_keys, n_insert);
+    HARMONIA_CHECK_MSG(novel >= n_insert,
+                       "a batch of " << n_insert << " distinct inserts needs as many novel "
+                                     << "keys between tree keys, but only " << novel
+                                     << " exist among " << tree_keys.size() << " keys");
+  }
 
   std::vector<UpdateOp> ops;
   ops.reserve(spec.size);

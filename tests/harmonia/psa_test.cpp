@@ -8,6 +8,7 @@
 
 #include "common/rng.hpp"
 #include "queries/workload.hpp"
+#include "sort/gpu_sort_model.hpp"
 
 namespace harmonia {
 namespace {
@@ -130,6 +131,66 @@ TEST(Psa, RestoreRejectsSizeMismatch) {
   std::vector<Value> wrong(5);
   std::vector<Value> out(10);
   EXPECT_THROW(psa_restore(plan, wrong, out), ContractViolation);
+}
+
+/// The plan a stable sort on the window gives: the issue order of every
+/// PSA implementation so far.
+PsaPlan reference_plan(const std::vector<Key>& batch, unsigned sorted_bits) {
+  PsaPlan plan;
+  plan.permutation.resize(batch.size());
+  for (std::size_t i = 0; i < batch.size(); ++i) plan.permutation[i] = i;
+  if (sorted_bits != 0) {
+    const unsigned shift = 64 - sorted_bits;
+    std::stable_sort(plan.permutation.begin(), plan.permutation.end(),
+                     [&](std::uint64_t a, std::uint64_t b) {
+                       return batch[a] >> shift < batch[b] >> shift;
+                     });
+  }
+  for (const std::uint64_t i : plan.permutation) plan.queries.push_back(batch[i]);
+  return plan;
+}
+
+TEST(Psa, PlanMatchesStableSortReference) {
+  // The batches of the tests above, one above the host pool's threshold
+  // and one heavy in duplicates, in every mode.
+  struct Case {
+    std::size_t size;
+    std::uint64_t seed;
+    std::uint64_t tree_size;
+  };
+  const Case cases[] = {{1000, 1, 1 << 20}, {2000, 2, 1 << 20},  {1000, 3, 1 << 23},
+                        {777, 6, 1 << 20},  {1234, 7, 1 << 23},  {100, 8, 8},
+                        {10, 9, 1 << 20},   {(1 << 16) + 5, 10, 1 << 22}};
+  const gpusim::DeviceSpec spec = gpusim::titan_v();
+  auto check = [&](const std::vector<Key>& batch, std::uint64_t tree_size, PsaMode mode,
+                   unsigned override_bits) {
+    const PsaPlan plan = psa_prepare(batch, tree_size, spec, mode, override_bits);
+    const unsigned bits =
+        mode == PsaMode::kNone  ? 0
+        : mode == PsaMode::kFull ? 64
+        : override_bits != 0     ? override_bits
+                                 : sort::psa_bits(64, tree_size, spec.line_bytes / 8);
+    const PsaPlan want = reference_plan(batch, bits);
+    EXPECT_EQ(plan.sorted_bits, bits);
+    EXPECT_EQ(plan.queries, want.queries);
+    EXPECT_EQ(plan.permutation, want.permutation);
+    EXPECT_DOUBLE_EQ(plan.sort_cycles,
+                     bits == 0 ? 0.0 : sort::gpu_radix_sort_cycles(spec, batch.size(), bits));
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(::testing::Message() << c.size << " queries, seed " << c.seed);
+    const auto batch = random_batch(c.size, c.seed);
+    for (const PsaMode mode : {PsaMode::kNone, PsaMode::kFull, PsaMode::kPartial}) {
+      check(batch, c.tree_size, mode, 0);
+    }
+    check(batch, c.tree_size, PsaMode::kPartial, 5);
+  }
+  // 70000 queries over 300 distinct keys.
+  std::vector<Key> dups = random_batch(300, 11);
+  Xoshiro256 rng(12);
+  while (dups.size() < 70000) dups.push_back(dups[rng.next_below(300)]);
+  check(dups, 1 << 22, PsaMode::kPartial, 0);
+  check(dups, 1 << 22, PsaMode::kFull, 0);
 }
 
 }  // namespace

@@ -4,7 +4,9 @@
 
 #include "common/expect.hpp"
 
+#include <string>
 #include <unordered_set>
+#include <vector>
 
 #include "queries/workload.hpp"
 
@@ -119,6 +121,62 @@ TEST(Batch, Deterministic) {
     EXPECT_EQ(a[i].key, b[i].key);
     EXPECT_EQ(a[i].value, b[i].value);
   }
+}
+
+// The generator draws distinct deletes and distinct gap inserts until it
+// has enough; a batch that needs more than exist must be refused, not spin.
+TEST(Batch, MoreDeletesThanKeysThrows) {
+  const auto keys = make_tree_keys(100, 9);
+  BatchSpec spec;
+  spec.size = 200;
+  spec.insert_fraction = 0.0;
+  spec.delete_fraction = 0.9;  // 180 distinct deletes of 100 keys
+  try {
+    make_update_batch(keys, spec);
+    FAIL() << "expected ContractViolation";
+  } catch (const ContractViolation& e) {
+    EXPECT_NE(std::string(e.what()).find("180"), std::string::npos) << e.what();
+    EXPECT_NE(std::string(e.what()).find("100"), std::string::npos) << e.what();
+  }
+  // Every key deleted once is still a valid batch.
+  spec.size = 100;
+  spec.delete_fraction = 1.0;
+  EXPECT_EQ(make_update_batch(keys, spec).size(), 100u);
+}
+
+TEST(Batch, MoreInsertsThanGapKeysThrows) {
+  // 0, 1, 2, 5, 9: the novel keys between them are 3, 4, 6, 7 and 8.
+  const std::vector<std::uint64_t> keys{0, 1, 2, 5, 9};
+  BatchSpec spec;
+  spec.size = 6;
+  spec.insert_fraction = 1.0;
+  try {
+    make_update_batch(keys, spec);
+    FAIL() << "expected ContractViolation";
+  } catch (const ContractViolation& e) {
+    EXPECT_NE(std::string(e.what()).find("6 distinct inserts"), std::string::npos) << e.what();
+    EXPECT_NE(std::string(e.what()).find("only 5"), std::string::npos) << e.what();
+  }
+  spec.size = 5;
+  std::unordered_set<std::uint64_t> inserted;
+  for (const auto& op : make_update_batch(keys, spec)) inserted.insert(op.key);
+  EXPECT_EQ(inserted, (std::unordered_set<std::uint64_t>{3, 4, 6, 7, 8}));
+  // Dense keys leave no gap at all.
+  const std::vector<std::uint64_t> dense{10, 11, 12, 13};
+  spec.size = 1;
+  EXPECT_THROW(make_update_batch(dense, spec), ContractViolation);
+}
+
+TEST(Batch, OneKeyHasNoGapToInsertInto) {
+  const std::vector<std::uint64_t> keys{42};
+  BatchSpec spec;
+  spec.size = 4;
+  spec.insert_fraction = 0.5;
+  EXPECT_THROW(make_update_batch(keys, spec), ContractViolation);
+  // Updates and a delete of the one key need no gap.
+  spec.insert_fraction = 0.0;
+  spec.delete_fraction = 0.25;
+  EXPECT_EQ(make_update_batch(keys, spec).size(), 4u);
 }
 
 }  // namespace
