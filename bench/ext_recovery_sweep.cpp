@@ -160,7 +160,7 @@ int main(int argc, char** argv) {
     recovered->tree().validate();
 
     const double rebuild_s = persist::RecoveryManager::modeled_rebuild_seconds(
-        n, recovered->tree(), cfg.timing, link);
+        n, recovered->tree(), link);
     const double speedup = rebuild_s / rep.modeled_seconds;
 
     table.add(lg, n, rep.from_snapshot ? "snapshot" : "rebuild",

@@ -22,12 +22,12 @@ std::vector<std::uint64_t> random_keys(std::size_t n) {
 }
 
 void BM_RadixSortBits(benchmark::State& state) {
-  const auto base = random_keys(1 << 16);
+  const auto keys = random_keys(1 << 16);
+  std::vector<std::uint64_t> sorted(keys.size()), index(keys.size());
   const auto bits = static_cast<unsigned>(state.range(0));
   for (auto _ : state) {
-    auto keys = base;
-    sort::radix_sort_bits(keys, 64 - bits, bits);
-    benchmark::DoNotOptimize(keys.data());
+    sort::radix_sort_indexed_bits(keys, sorted, index, 64 - bits, bits);
+    benchmark::DoNotOptimize(sorted.data());
   }
   state.SetItemsProcessed(state.iterations() * (1 << 16));
 }

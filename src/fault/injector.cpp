@@ -70,7 +70,6 @@ FaultInjector::FaultInjector(FaultPlan plan, const MitigationConfig& mitigation,
   HARMONIA_CHECK(num_shards_ > 0);
   HARMONIA_CHECK(num_replicas_ > 0);
   HARMONIA_CHECK(mitigation_.retry.max_attempts > 0);
-  HARMONIA_CHECK(mitigation_.retry.backoff >= 0.0);
   events_.reserve(plan.events.size());
   for (const FaultEvent& e : plan.events) {
     HARMONIA_CHECK_MSG(e.shard < num_shards_,

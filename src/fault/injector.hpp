@@ -31,23 +31,19 @@
 namespace harmonia::fault {
 
 /// Bounded retry with exponential backoff for failed batch dispatches.
-/// Deadline-aware twice over: each backoff delay is capped, and the whole
-/// budget is `max_attempts` tries — after that the batch is shed (its
-/// requests answer `dropped`) rather than holding the lane forever.
+/// Deadline-aware twice over: each backoff delay is capped (the schedule
+/// is fixed in BatchScheduler::faulted_finish), and the whole budget is
+/// `max_attempts` tries — after that the batch is shed (its requests
+/// answer `dropped`) rather than holding the lane forever.
 struct RetryPolicy {
   unsigned max_attempts = 4;
-  double backoff = 50e-6;
-  double backoff_multiplier = 2.0;
-  double max_backoff = 1e-3;
 };
 
 /// CPU-oracle serving for a fenced (lost) shard: correct but slow. The
-/// modeled host costs are per-op charges on the virtual clock; admission
-/// for the fenced range sheds once the CPU backlog exceeds max_backlog.
+/// modeled host costs are fixed per-op charges on the virtual clock
+/// (ShardedServer::degraded_serve); admission for the fenced range sheds
+/// once the CPU backlog exceeds max_backlog.
 struct DegradedPolicy {
-  double seconds_per_point = 2e-6;
-  double seconds_per_range = 4e-6;
-  double seconds_per_result = 100e-9;
   double max_backlog = 2e-3;
 };
 

@@ -33,13 +33,9 @@ bool Cache::access(std::uint64_t line_addr) {
   for (unsigned w = 0; w < ways_; ++w) {
     const std::uint64_t tag = set[w];
     set[w] = carry;
-    if (tag == line_addr) {
-      ++hits_;
-      return true;
-    }
+    if (tag == line_addr) return true;
     carry = tag;
   }
-  ++misses_;
   return false;
 }
 

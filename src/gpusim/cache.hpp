@@ -20,6 +20,8 @@ class Cache {
   Cache(std::uint64_t bytes, unsigned line_bytes, unsigned ways);
 
   /// Probes and fills: returns true on hit. A miss evicts LRU and inserts.
+  /// The cache keeps no counters: Device::probe books every hit and miss
+  /// into KernelMetrics.
   bool access(std::uint64_t line_addr);
 
   /// Probe without fill (used by tests).
@@ -27,17 +29,7 @@ class Cache {
 
   void flush();
 
-  std::uint64_t hits() const { return hits_; }
-  std::uint64_t misses() const { return misses_; }
   std::uint64_t capacity_bytes() const { return capacity_bytes_; }
-  void reset_stats() { hits_ = misses_ = 0; }
-
-  /// Back to construction state: cold tags and zeroed counters (the
-  /// fault-audit path resets caches after a device re-image).
-  void reset() {
-    flush();
-    reset_stats();
-  }
 
  private:
   static constexpr std::uint64_t kInvalid = ~std::uint64_t{0};
@@ -49,8 +41,6 @@ class Cache {
   std::size_t num_sets_;
   std::uint64_t capacity_bytes_;
   std::vector<std::uint64_t> tags_;  // num_sets_ * ways_, row-major by set, MRU first
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
 };
 
 }  // namespace harmonia::gpusim

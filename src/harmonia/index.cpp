@@ -90,7 +90,7 @@ HarmoniaIndex::QueryResult HarmoniaIndex::search(std::span<const Key> batch,
   config.group_size = qopts.group_size;
   if (qopts.auto_ntg && qopts.group_size == 0) {
     const std::size_t sample =
-        std::min<std::size_t>(qopts.ntg_profile_sample, plan.queries.size());
+        std::min<std::size_t>(kNtgProfileSample, plan.queries.size());
     const NtgChoice choice = choose_group_size(
         tree(), std::span<const Key>(plan.queries.data(), sample), device_.spec());
     config.group_size = choice.group_size;
@@ -113,17 +113,15 @@ HarmoniaIndex::QueryResult HarmoniaIndex::search(std::span<const Key> batch,
   return result;
 }
 
-HarmoniaIndex::RecommendedKnobs HarmoniaIndex::recommend_query_knobs(
-    unsigned sample_size) const {
+HarmoniaIndex::RecommendedKnobs HarmoniaIndex::recommend_query_knobs() const {
   RecommendedKnobs rec;
-  if (sample_size == 0) return rec;
   // Deterministic strided sample of the live key region (pad slots are
   // the bulk-load gaps — skip them; they are not real keys).
   const std::span<const Key> keys = tree().key_region();
   std::vector<Key> sample;
-  sample.reserve(sample_size);
-  const std::size_t stride = std::max<std::size_t>(1, keys.size() / sample_size);
-  for (std::size_t i = 0; i < keys.size() && sample.size() < sample_size;
+  sample.reserve(kNtgProfileSample);
+  const std::size_t stride = std::max<std::size_t>(1, keys.size() / kNtgProfileSample);
+  for (std::size_t i = 0; i < keys.size() && sample.size() < kNtgProfileSample;
        i += stride) {
     if (keys[i] != kPadKey) sample.push_back(keys[i]);
   }

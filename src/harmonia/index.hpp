@@ -47,6 +47,10 @@ struct IndexOptions {
   std::size_t overlay_capacity = 0;
 };
 
+/// Queries in NTG's static profile (§4.2: "for example, 1000"): the
+/// head of each batch, or a strided sample of the tree's keys.
+inline constexpr unsigned kNtgProfileSample = 1000;
+
 struct QueryOptions {
   PsaMode psa = PsaMode::kPartial;
   /// Pick the thread-group size with the NTG model (§4.2). When false,
@@ -55,8 +59,6 @@ struct QueryOptions {
   /// Explicit group size (power of two <= warp); 0 = fanout-based.
   unsigned group_size = 0;
   bool early_exit = true;
-  /// Sample size for NTG static profiling (paper: "for example, 1000").
-  unsigned ntg_profile_sample = 1000;
   /// Force a PSA bit count (0 = Equation 2).
   unsigned psa_override_bits = 0;
 };
@@ -104,15 +106,16 @@ class HarmoniaIndex {
   QueryResult search(std::span<const Key> batch, const QueryOptions& qopts = QueryOptions{});
 
   /// What a static re-profile of the *current* tree would pick: the NTG
-  /// group size (Eq. 4 over a strided key sample) and the Equation-2 PSA
-  /// sort-bit count. The serving layer re-runs this at epoch-swap
-  /// boundaries so an online tuner can re-seed its image/PSA knobs after
-  /// the tree shape changes. Deterministic for a given tree.
+  /// group size (Eq. 4 over a strided sample of kNtgProfileSample keys)
+  /// and the Equation-2 PSA sort-bit count. The serving layer re-runs
+  /// this at epoch-swap boundaries so an online tuner can re-seed its
+  /// image/PSA knobs after the tree shape changes. Deterministic for a
+  /// given tree.
   struct RecommendedKnobs {
     unsigned group_size = 0;
     unsigned sort_bits = 0;
   };
-  RecommendedKnobs recommend_query_knobs(unsigned sample_size = 1000) const;
+  RecommendedKnobs recommend_query_knobs() const;
 
   /// Host-side point lookup / range scan (used by tests and examples).
   /// Overlay-aware: patched keys and tombstones are merged over the base

@@ -8,11 +8,7 @@
 
 namespace harmonia::obs {
 
-namespace {
-
-/// Shortest round-trip-exact decimal for a double. One formatting choice
-/// everywhere keeps every exporter byte-deterministic.
-std::string fmt(double x) {
+std::string format_double(double x) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "%.17g", x);
   // Trim to the shortest representation that round-trips.
@@ -25,6 +21,8 @@ std::string fmt(double x) {
   }
   return buf;
 }
+
+namespace {
 
 std::string family_of(const std::string& name) {
   const auto brace = name.find('{');
@@ -137,7 +135,7 @@ std::string MetricsRegistry::prometheus_text() const {
     if (e.counter) {
       out += name + " " + std::to_string(e.counter->value()) + "\n";
     } else if (e.gauge) {
-      out += name + " " + fmt(e.gauge->value()) + "\n";
+      out += name + " " + format_double(e.gauge->value()) + "\n";
     } else {
       const LatencyHistogram& h = *e.histogram;
       // Cumulative `le` buckets; the underflow bucket (samples below the
@@ -148,7 +146,7 @@ std::string MetricsRegistry::prometheus_text() const {
       std::uint64_t cum = h.underflow();
       for (std::size_t i = 0; i < h.bucket_count(); ++i) {
         cum += h.bucket(i);
-        out += with_label(bucket, "le=\"" + fmt(h.edge(i + 1)) + "\"") + " " +
+        out += with_label(bucket, "le=\"" + format_double(h.edge(i + 1)) + "\"") + " " +
                std::to_string(cum) + "\n";
       }
       out += with_label(bucket, "le=\"+Inf\"") + " " +
@@ -157,7 +155,7 @@ std::string MetricsRegistry::prometheus_text() const {
              std::to_string(h.underflow()) + "\n";
       out += suffixed(name, "_overflow_total") + " " +
              std::to_string(h.overflow()) + "\n";
-      out += suffixed(name, "_sum") + " " + fmt(h.sum()) + "\n";
+      out += suffixed(name, "_sum") + " " + format_double(h.sum()) + "\n";
       out += suffixed(name, "_count") + " " + std::to_string(h.count()) + "\n";
     }
   }

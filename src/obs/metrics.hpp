@@ -27,6 +27,11 @@
 
 namespace harmonia::obs {
 
+/// Shortest round-trip-exact decimal for a double: the one number format
+/// of the metrics and trace exporters, which keeps every dump
+/// byte-deterministic.
+std::string format_double(double x);
+
 /// Monotone event count. Relaxed increments: per-instrument totals are
 /// exact, cross-instrument ordering is not promised (nor needed).
 class Counter {

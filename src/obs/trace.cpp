@@ -1,25 +1,10 @@
 #include "obs/trace.hpp"
 
-#include <cstdio>
+#include "obs/metrics.hpp"
 
 namespace harmonia::obs {
 
 namespace {
-
-/// Shortest round-trip-exact decimal (same discipline as the metrics
-/// exporter): one formatting choice keeps dumps byte-deterministic.
-std::string fmt(double x) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", x);
-  for (int prec = 1; prec < 17; ++prec) {
-    char probe[64];
-    std::snprintf(probe, sizeof probe, "%.*g", prec, x);
-    double back = 0.0;
-    std::sscanf(probe, "%lf", &back);
-    if (back == x) return probe;
-  }
-  return buf;
-}
 
 std::string json_escape(const std::string& s) {
   std::string out;
@@ -66,7 +51,7 @@ void TraceRecorder::write_csv(std::ostream& os) const {
     } else {
       os << e.request_id;
     }
-    os << "," << to_string(e.stage) << "," << fmt(e.at) << ",";
+    os << "," << to_string(e.stage) << "," << format_double(e.at) << ",";
     if (e.shard == kNoShard) {
       os << "-";
     } else {
@@ -84,7 +69,7 @@ void TraceRecorder::write_json(std::ostream& os) const {
     const TraceEvent& e = events_[i];
     os << "  {";
     if (e.request_id != kNoRequest) os << "\"request_id\": " << e.request_id << ", ";
-    os << "\"stage\": \"" << to_string(e.stage) << "\", \"at\": " << fmt(e.at);
+    os << "\"stage\": \"" << to_string(e.stage) << "\", \"at\": " << format_double(e.at);
     if (e.shard != kNoShard) os << ", \"shard\": " << e.shard;
     if (!e.note.empty()) os << ", \"note\": \"" << json_escape(e.note) << "\"";
     os << "}" << (i + 1 < events_.size() ? "," : "") << "\n";

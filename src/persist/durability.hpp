@@ -37,13 +37,12 @@
 
 namespace harmonia::persist {
 
-/// Disk/CPU cost model for the recovery report's modeled seconds (the
-/// virtual-clock analogue of the PCIe TransferModel).
+/// Disk cost model for the recovery report's modeled seconds (the
+/// virtual-clock analogue of the PCIe TransferModel). A bulk rebuild's
+/// CPU cost per key is fixed in persist/recovery.cpp.
 struct RecoveryTiming {
   /// Sequential read bandwidth for snapshot + log bytes.
   double disk_gigabytes_per_second = 2.0;
-  /// CPU cost per key of a full bulk rebuild (the fallback path).
-  double seconds_per_rebuild_key = 250e-9;
 };
 
 struct DurabilityConfig {

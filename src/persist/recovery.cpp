@@ -7,6 +7,12 @@
 
 namespace harmonia::persist {
 
+namespace {
+/// Modeled CPU cost per key of a full bulk rebuild, the fallback path (a
+/// modeled assumption, DESIGN.md §2).
+constexpr double kSecondsPerRebuildKey = 250e-9;
+}  // namespace
+
 std::string RecoveryReport::csv_header() {
   return "shard,from_snapshot,snapshot_epoch,snapshots_discarded,"
          "overlay_replayed,batches_replayed,ops_replayed,log_torn_tail,rebuilt,"
@@ -89,7 +95,7 @@ RecoveryReport RecoveryManager::finish(Materials&& materials, HarmoniaIndex& ind
       image_resync_seconds(index.tree(), link);
   if (report.rebuilt) {
     report.modeled_seconds +=
-        static_cast<double>(rebuild_keys) * t.seconds_per_rebuild_key;
+        static_cast<double>(rebuild_keys) * kSecondsPerRebuildKey;
   }
 
   // Step 4: checkpoint the recovered state as a new generation — every
@@ -106,9 +112,8 @@ RecoveryReport RecoveryManager::finish(Materials&& materials, HarmoniaIndex& ind
 }
 
 double RecoveryManager::modeled_rebuild_seconds(std::uint64_t num_keys, const HarmoniaTree& tree,
-                                                const RecoveryTiming& timing,
                                                 const TransferModel& link) {
-  return static_cast<double>(num_keys) * timing.seconds_per_rebuild_key +
+  return static_cast<double>(num_keys) * kSecondsPerRebuildKey +
          image_resync_seconds(tree, link);
 }
 

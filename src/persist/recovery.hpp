@@ -95,7 +95,7 @@ class RecoveryManager {
   /// Modeled cost of the no-durability alternative: bulk rebuild from
   /// source data + full image upload. E15 plots recovery against this.
   static double modeled_rebuild_seconds(std::uint64_t num_keys, const HarmoniaTree& tree,
-                                        const RecoveryTiming& timing, const TransferModel& link);
+                                        const TransferModel& link);
 
  private:
   DurabilityConfig config_;

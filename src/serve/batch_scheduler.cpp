@@ -11,6 +11,12 @@ namespace harmonia::serve {
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+/// Retry backoff after a failed dispatch: 50 us, doubling per retry,
+/// capped at 1 ms (a modeled assumption, DESIGN.md §2).
+constexpr double kRetryBackoff = 50e-6;
+constexpr double kRetryBackoffMultiplier = 2.0;
+constexpr double kMaxRetryBackoff = 1e-3;
+
 std::string shard_label(unsigned shard) {
   return "shard=\"" + std::to_string(shard) + "\"";
 }
@@ -272,7 +278,7 @@ double BatchScheduler::faulted_finish(double start, double base_service,
   const fault::RetryPolicy& retry = injector_->mitigation().retry;
   fault::FaultReport& rep = injector_->report();
   double t = start;
-  double backoff = retry.backoff;
+  double backoff = kRetryBackoff;
   for (;;) {
     const double factor = injector_->transfer_factor(shard_, t);
     const double service =
@@ -286,9 +292,9 @@ double BatchScheduler::faulted_finish(double start, double base_service,
       rep.retry_shed_by_class[qos::index(d.klass)] += d.batch_size;
       return t;
     }
-    const double wait = std::min(backoff, retry.max_backoff);
+    const double wait = std::min(backoff, kMaxRetryBackoff);
     t += wait;
-    backoff *= retry.backoff_multiplier;
+    backoff *= kRetryBackoffMultiplier;
     rep.backoff_seconds += wait;
     ++rep.retries;
     ++d.attempts;

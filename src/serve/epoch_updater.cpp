@@ -4,6 +4,8 @@
 #include <utility>
 #include <vector>
 
+#include "common/expect.hpp"
+
 namespace harmonia::serve {
 
 EpochUpdater::EpochUpdater(HarmoniaIndex& index, const TransferModel& link,

@@ -37,7 +37,6 @@
 #include <limits>
 #include <span>
 
-#include "common/expect.hpp"
 #include "fault/injector.hpp"
 #include "harmonia/index.hpp"
 #include "harmonia/pipeline.hpp"
@@ -167,15 +166,6 @@ class EpochUpdater {
     shard_ = shard;
   }
 
-  /// Runtime apply-threads knob (serve/tunables.hpp). Safe at any event
-  /// boundary: an in-flight staged epoch computed its build time at
-  /// stage(), so the change affects only epochs triggered afterwards.
-  void set_apply_threads(unsigned threads) {
-    HARMONIA_CHECK(threads > 0);
-    config_.apply_threads = threads;
-  }
-  unsigned apply_threads() const { return config_.apply_threads; }
-
   /// Attaches the write-ahead durability sink. Null (the default) = no
   /// logging and no snapshots.
   void set_durability(persist::ShardDurability* durability) { durability_ = durability; }
@@ -193,7 +183,7 @@ class EpochUpdater {
 
   HarmoniaIndex& index_;
   TransferModel link_;
-  EpochConfig config_;
+  const EpochConfig config_;  // construction-time only, apply_threads included
   /// The staged epoch between stage() and commit(): its ordinal, and
   /// whether it patches in place (the queued writes live inside the index
   /// until commit_patch) or re-images from the host tree.

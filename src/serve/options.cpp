@@ -91,16 +91,8 @@ void ServeOptions::validate(unsigned num_shards) const {
 
   HARMONIA_CHECK_MSG(mitigation.retry.max_attempts >= 1,
                      "mitigation.retry.max_attempts must be >= 1");
-  HARMONIA_CHECK_MSG(mitigation.retry.backoff >= 0.0 &&
-                         mitigation.retry.max_backoff >= 0.0,
-                     "mitigation.retry backoffs may not be negative");
-  HARMONIA_CHECK_MSG(mitigation.retry.backoff_multiplier >= 1.0,
-                     "mitigation.retry.backoff_multiplier must be >= 1");
-  HARMONIA_CHECK_MSG(mitigation.degraded.seconds_per_point >= 0.0 &&
-                         mitigation.degraded.seconds_per_range >= 0.0 &&
-                         mitigation.degraded.seconds_per_result >= 0.0 &&
-                         mitigation.degraded.max_backlog >= 0.0,
-                     "mitigation.degraded costs may not be negative");
+  HARMONIA_CHECK_MSG(mitigation.degraded.max_backlog >= 0.0,
+                     "mitigation.degraded.max_backlog may not be negative");
 
   qos.validate();
 

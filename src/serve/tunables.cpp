@@ -18,7 +18,6 @@ Tunables Tunables::from(const ServeOptions& opts) {
   Tunables t;
   t.max_batch = opts.batch.max_batch;
   t.max_wait = opts.batch.max_wait;
-  t.apply_threads = opts.epoch.apply_threads;
   t.group_size = opts.batch.pipeline.query_options.group_size;
   t.sort_bits = opts.batch.pipeline.query_options.psa_override_bits;
   return t;
@@ -32,7 +31,6 @@ void Tunables::validate(const ServeOptions& opts) const {
           << "queue capacity (" << opts.batch.queue_capacity
           << ") — the admission queues are not resizable online");
   HARMONIA_CHECK_MSG(max_wait > 0.0, "tunables.max_wait must be positive");
-  HARMONIA_CHECK_MSG(apply_threads > 0, "tunables.apply_threads must be positive");
   HARMONIA_CHECK_MSG(
       group_size == 0 ||
           (group_size <= kWarpWidth && (group_size & (group_size - 1)) == 0),
@@ -46,7 +44,7 @@ void Tunables::validate(const ServeOptions& opts) const {
 std::string to_string(const Tunables& t) {
   std::ostringstream os;
   os << "max_batch=" << t.max_batch << " max_wait_us=" << t.max_wait * 1e6
-     << " apply_threads=" << t.apply_threads << " group_size=" << t.group_size
+     << " group_size=" << t.group_size
      << " sort_bits=" << t.sort_bits;
   return os.str();
 }

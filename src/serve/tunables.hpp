@@ -3,15 +3,16 @@
 // ServeOptions used to freeze every knob at construction; there was no
 // sanctioned way to change a parameter on a live backend. Tunables splits
 // the surface: construction-time config (topology, capacities, modes,
-// fault plans) stays in ServeOptions, while the five knobs a controller
-// may legitimately move online — batch size/deadline, epoch apply
-// threads, NTG group size, PSA sort bits — travel as a validated
-// snapshot that shard::ShardedServer exposes via
-// tunables()/apply_tunables().
+// fault plans) stays in ServeOptions, while the four knobs a controller
+// may legitimately move online — batch size/deadline, NTG group size,
+// PSA sort bits — travel as a validated snapshot that
+// shard::ShardedServer exposes via tunables()/apply_tunables(). The
+// Algorithm-1 thread count is not among them: the virtual clock charges
+// an apply per op whatever the thread count, so a runtime thread knob
+// could not move anything the controller reads.
 //
 // Safe points (docs/serving.md#autotuner): scheduler knobs install
-// between dispatches (the next batch formation); apply_threads affects
-// only epochs triggered after the change; the image/PSA knobs
+// between dispatches (the next batch formation); the image/PSA knobs
 // (group_size, sort_bits) install only at an epoch-swap boundary — while
 // a staged epoch is in flight they latch and land with the last swap, so
 // in a sharded topology no two shards ever dispatch with mixed values.
@@ -33,9 +34,6 @@ struct Tunables {
   /// Scheduler knobs — take effect at the next batch formation.
   std::size_t max_batch = 2048;
   double max_wait = 200e-6;
-  /// CPU workers for the Algorithm-1 apply — affects epochs triggered
-  /// after the change (an in-flight staged build keeps its cost).
-  unsigned apply_threads = 1;
   /// Image/PSA knobs — swap-boundary only. group_size: explicit NTG
   /// thread-group size (power of two <= warp; 0 = fanout-based default).
   unsigned group_size = 0;
@@ -50,8 +48,8 @@ struct Tunables {
 
   /// Rejects a snapshot the owning backend could not serve with:
   /// max_batch must stay positive and within the construction-time queue
-  /// capacity (the queues themselves are not resizable), max_wait and
-  /// apply_threads positive, group_size a power of two <= the warp width
+  /// capacity (the queues themselves are not resizable), max_wait
+  /// positive, group_size a power of two <= the warp width
   /// (or 0), sort_bits <= the key width. Throws ContractViolation.
   void validate(const ServeOptions& opts) const;
 };

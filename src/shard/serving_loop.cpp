@@ -38,11 +38,8 @@ void ShardedServer::apply_tunables(const Tunables& t, double /*now*/) {
   // anything; adoption happens only on success.
   t.validate(config_);
   // Scheduler knobs install between dispatches on every shard — formed
-  // batches are immutable, so this is always safe. An in-flight staged
-  // build already computed its cost, so apply_threads affects only
-  // epochs triggered afterwards.
+  // batches are immutable, so this is always safe.
   for (auto& sched : sched_) sched->set_batch_knobs(t.max_batch, t.max_wait);
-  for (auto& engine : engines_) engine->set_apply_threads(t.apply_threads);
   if (inflight_.has_value()) {
     // Swap-boundary latch: shards swap staggered inside an epoch (and a
     // plan flip rebuilds two shards), so installing image/PSA knobs now

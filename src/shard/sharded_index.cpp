@@ -129,8 +129,8 @@ ShardedIndex::SearchResult ShardedIndex::search(std::span<const Key> batch) {
 
   for (unsigned s = 0; s < num_shards(); ++s) {
     if (keys[s].empty()) continue;
-    const auto piped = pipelined_search(*shards_[s].index, keys[s], options_.link,
-                                        options_.pipeline);
+    const auto piped =
+        pipelined_search(*shards_[s].index, keys[s], options_.link, PipelineOptions{});
     for (std::size_t j = 0; j < slots[s].size(); ++j)
       result.values[slots[s][j]] = piped.values[j];
     result.device_seconds += piped.total_seconds;

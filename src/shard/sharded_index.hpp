@@ -44,8 +44,6 @@ struct ShardedOptions {
   gpusim::DeviceSpec device = gpusim::titan_v();
   /// Host<->device link; each shard owns one (transfers overlap).
   TransferModel link;
-  /// Chunking + query options for the per-shard search pipelines.
-  PipelineOptions pipeline;
   /// Global-memory cap per simulated device (backing store is lazily
   /// allocated, but small caps keep accidental huge sweeps honest).
   std::uint64_t device_global_bytes = 2ULL << 30;
@@ -106,8 +104,9 @@ class ShardedIndex {
     }
   };
 
-  /// Scatter -> per-shard PCIe pipeline -> gather. Results are identical
-  /// to a single-device index over the same entries.
+  /// Scatter -> per-shard PCIe pipeline (default PipelineOptions) ->
+  /// gather. Results are identical to a single-device index over the
+  /// same entries.
   SearchResult search(std::span<const Key> batch);
 
   /// The last shard a scan of `n` results starting at `lo` can touch:

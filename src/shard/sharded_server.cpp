@@ -9,6 +9,15 @@
 
 namespace harmonia::shard {
 
+namespace {
+/// Modeled CPU-oracle costs of degraded serving on a fenced shard: per
+/// point lookup, per range or scan piece, and per range result (modeled
+/// assumptions, DESIGN.md §2).
+constexpr double kDegradedSecondsPerPoint = 2e-6;
+constexpr double kDegradedSecondsPerRange = 4e-6;
+constexpr double kDegradedSecondsPerResult = 100e-9;
+}  // namespace
+
 using serve::BatchScheduler;
 using serve::Request;
 using serve::RequestKind;
@@ -602,7 +611,7 @@ void ShardedServer::rejoin_replica(double now, ServerReport& report) {
 
 serve::Response ShardedServer::degraded_serve(unsigned s, const Request& r,
                                               double now) {
-  const fault::DegradedPolicy& pol = injector_.mitigation().degraded;
+  const double max_backlog = injector_.mitigation().degraded.max_backlog;
   fault::FaultReport& rep = injector_.report();
   Response resp = serve::response_to(r);
   resp.epoch = shard_epoch_[s];
@@ -610,7 +619,7 @@ serve::Response ShardedServer::degraded_serve(unsigned s, const Request& r,
   // Admission shedding for the affected range only: once the CPU oracle
   // is this far behind, answering dropped beats unbounded latency.
   if (degraded_total_ != nullptr) degraded_total_->inc();
-  if (std::max(cpu_free_[s], now) - now > pol.max_backlog) {
+  if (std::max(cpu_free_[s], now) - now > max_backlog) {
     ++rep.degraded_shed;
     resp.dropped = true;
     resp.dispatch = resp.completion = now;
@@ -624,7 +633,7 @@ serve::Response ShardedServer::degraded_serve(unsigned s, const Request& r,
   if (r.kind == RequestKind::kPoint) {
     ++rep.degraded_points;
     if (const auto v = index_.shard(s)->search_committed(r.key)) resp.value = *v;
-    cost = pol.seconds_per_point;
+    cost = kDegradedSecondsPerPoint;
   } else {
     // Ranges and scans both walk the committed image; a scan piece reads
     // this shard's tail from its clamped lower bound up to its scan_n.
@@ -636,8 +645,8 @@ serve::Response ShardedServer::degraded_serve(unsigned s, const Request& r,
         scan ? r.scan_n : config_.batch.max_range_results);
     resp.range_values.reserve(entries.size());
     for (const auto& e : entries) resp.range_values.push_back(e.value);
-    cost = pol.seconds_per_range +
-           static_cast<double>(entries.size()) * pol.seconds_per_result;
+    cost = kDegradedSecondsPerRange +
+           static_cast<double>(entries.size()) * kDegradedSecondsPerResult;
   }
   const double begin = std::max(cpu_free_[s], now);
   cpu_free_[s] = begin + cost;

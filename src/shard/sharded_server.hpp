@@ -125,12 +125,11 @@ class ShardedServer {
 
   /// Validates `t` against the construction-time options and adopts it.
   /// Scheduler knobs (max_batch/max_wait) take effect at the next batch
-  /// formation, apply_threads at the next epoch trigger; the image/PSA
-  /// knobs (group_size/sort_bits) install immediately when every shard
-  /// serves one committed image, otherwise they latch and land at the
-  /// epoch-swap boundary (the last shard's swap, or a migration's plan
-  /// flip). Throws ContractViolation (nothing adopted) on an invalid
-  /// snapshot.
+  /// formation; the image/PSA knobs (group_size/sort_bits) install
+  /// immediately when every shard serves one committed image, otherwise
+  /// they latch and land at the epoch-swap boundary (the last shard's
+  /// swap, or a migration's plan flip). Throws ContractViolation (nothing
+  /// adopted) on an invalid snapshot.
   void apply_tunables(const serve::Tunables& t, double now);
 
   /// The (group_size, sort_bits) pair dispatches are using right now —

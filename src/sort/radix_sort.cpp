@@ -73,7 +73,7 @@ class Chunks {
       for (std::size_t i = begin(c), end = begin(c + 1); i < end; ++i) {
         const std::size_t dst = next[(in[i] >> sh) & mask]++;
         out[dst] = in[i];
-        if (out_payload != nullptr) out_payload[dst] = in_payload(i);
+        out_payload[dst] = in_payload(i);
       }
     });
   }
@@ -89,8 +89,8 @@ class Chunks {
 };
 
 /// Stable sort of `keys` (n of them, with `payload`) by the window into
-/// keys_out and payload_out (nullptr: no payload). The outputs must not
-/// overlap the inputs. num_bits >= 1.
+/// keys_out and payload_out. The outputs must not overlap the inputs.
+/// num_bits >= 1.
 template <class Payload>
 void sort_into(const std::uint64_t* keys, Payload payload, std::uint64_t* keys_out,
                std::uint64_t* payload_out, std::size_t n, unsigned lo_bit, unsigned num_bits,
@@ -105,15 +105,14 @@ void sort_into(const std::uint64_t* keys, Payload payload, std::uint64_t* keys_o
   std::vector<std::uint64_t> keys_tmp, payload_tmp;
   if (passes > 1) {
     keys_tmp.resize(n);
-    if (payload_out != nullptr) payload_tmp.resize(n);
+    payload_tmp.resize(n);
   }
   unsigned shift = lo_bit;
   for (unsigned p = 0; p < passes; ++p) {
     const unsigned width = num_bits / passes + (p < num_bits % passes ? 1u : 0u);
     const bool to_out = (passes - 1 - p) % 2 == 0;
     std::uint64_t* dst_keys = to_out ? keys_out : keys_tmp.data();
-    std::uint64_t* dst_payload =
-        payload_out == nullptr ? nullptr : (to_out ? payload_out : payload_tmp.data());
+    std::uint64_t* dst_payload = to_out ? payload_out : payload_tmp.data();
     if (p == 0) {
       chunked.pass(keys, payload, dst_keys, dst_payload, shift, width);
     } else {
@@ -133,15 +132,6 @@ void check_window(unsigned lo_bit, unsigned num_bits) {
 }
 
 }  // namespace
-
-void radix_sort(std::span<std::uint64_t> keys) { radix_sort_bits(keys, 0, 64); }
-
-void radix_sort_bits(std::span<std::uint64_t> keys, unsigned lo_bit, unsigned num_bits) {
-  check_window(lo_bit, num_bits);
-  if (num_bits == 0 || keys.size() < 2) return;
-  const std::vector<std::uint64_t> in(keys.begin(), keys.end());
-  sort_into(in.data(), IndexPayload{}, keys.data(), nullptr, keys.size(), lo_bit, num_bits, 0);
-}
 
 void radix_sort_pairs_bits(std::span<std::uint64_t> keys, std::span<std::uint64_t> payload,
                            unsigned lo_bit, unsigned num_bits, unsigned chunks) {

@@ -26,17 +26,11 @@ namespace harmonia::sort {
 /// one chunk on the calling thread.
 inline constexpr std::size_t kPoolMinKeys = std::size_t{1} << 16;
 
-/// Full 64-bit LSD radix sort.
-void radix_sort(std::span<std::uint64_t> keys);
-
-/// Stable sort of `keys` by the bit window [lo_bit, lo_bit + num_bits).
-/// num_bits == 0 is a no-op. lo_bit + num_bits must be <= 64.
-void radix_sort_bits(std::span<std::uint64_t> keys, unsigned lo_bit, unsigned num_bits);
-
-/// As radix_sort_bits, but carries a parallel payload array (query ids,
-/// values) through the same permutation. `chunks` fixes the chunk count
-/// (0: one per host-pool thread, see kPoolMinKeys); any count gives the
-/// same result.
+/// Stable in-place sort of `keys` by the bit window [lo_bit, lo_bit +
+/// num_bits), carrying a parallel payload array (query ids, values)
+/// through the same permutation. num_bits == 0 is a no-op; lo_bit +
+/// num_bits must be <= 64. `chunks` fixes the chunk count (0: one per
+/// host-pool thread, see kPoolMinKeys); any count gives the same result.
 void radix_sort_pairs_bits(std::span<std::uint64_t> keys, std::span<std::uint64_t> payload,
                            unsigned lo_bit, unsigned num_bits, unsigned chunks = 0);
 

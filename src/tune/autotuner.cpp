@@ -13,6 +13,12 @@ namespace {
 constexpr const char* kClasses[] = {"gold", "silver", "bronze"};
 constexpr std::size_t kNumClasses = 3;
 
+/// Largest profiled NTG group size the climber adopts: a full warp.
+constexpr unsigned kMaxGroupSize = 32;
+/// Largest profiled PSA sort-bit count the climber adopts: half the
+/// 64-bit key width (Tunables::validate allows the whole width).
+constexpr unsigned kMaxSortBits = 32;
+
 std::string us(double seconds) {
   std::ostringstream os;
   os << seconds * 1e6 << "us";
@@ -31,11 +37,6 @@ void AutotunerConfig::validate() const {
                      "tune: need 0 < min_batch <= max_batch");
   HARMONIA_CHECK_MSG(min_wait > 0.0 && min_wait <= max_wait,
                      "tune: need 0 < min_wait <= max_wait");
-  HARMONIA_CHECK_MSG(max_apply_threads >= 1,
-                     "tune: max_apply_threads must be >= 1");
-  HARMONIA_CHECK_MSG(max_group_size >= 1 && max_group_size <= 32,
-                     "tune: max_group_size must be in [1, 32]");
-  HARMONIA_CHECK_MSG(max_sort_bits <= 64, "tune: max_sort_bits must be <= 64");
 }
 
 void AutotunerConfig::add_flags(Cli& cli) {
@@ -56,8 +57,7 @@ void AutotunerConfig::add_flags(Cli& cli) {
       .flag("tune-min-wait-us", "lower bound for the batch-deadline climb (us)",
             "25")
       .flag("tune-max-wait-us", "upper bound for the batch-deadline climb (us)",
-            "2000")
-      .flag("tune-max-threads", "upper bound for the apply-threads climb", "8");
+            "2000");
 }
 
 AutotunerConfig AutotunerConfig::from_cli(const Cli& cli) {
@@ -74,8 +74,6 @@ AutotunerConfig AutotunerConfig::from_cli(const Cli& cli) {
       static_cast<double>(cli.get_uint("tune-min-wait-us", 25)) * 1e-6;
   cfg.max_wait =
       static_cast<double>(cli.get_uint("tune-max-wait-us", 2000)) * 1e-6;
-  cfg.max_apply_threads =
-      static_cast<unsigned>(cli.get_uint("tune-max-threads", 8));
   return cfg;
 }
 
@@ -219,28 +217,11 @@ bool Autotuner::propose(const serve::Tunables& current, serve::Tunables& out,
         trial_knob_ = ki;
         return true;
       }
-      case Knob::kThreads: {
-        unsigned v = dir > 0 ? std::min(current.apply_threads + 1,
-                                        config_.max_apply_threads)
-                             : std::max(current.apply_threads - 1, 1u);
-        if (v == current.apply_threads) {
-          dir = -dir;
-          v = dir > 0 ? std::min(current.apply_threads + 1,
-                                 config_.max_apply_threads)
-                      : std::max(current.apply_threads - 1, 1u);
-        }
-        if (v == current.apply_threads) break;
-        out.apply_threads = v;
-        os << "apply_threads " << current.apply_threads << " -> " << v;
-        note = os.str();
-        trial_knob_ = ki;
-        return true;
-      }
       case Knob::kGroup: {
         // Re-seed toward the swap-boundary re-profile rather than
         // stepping blind: the NTG model already solved Eq. 4 for the
         // committed tree.
-        if (profiled_group_ == 0 || profiled_group_ > config_.max_group_size ||
+        if (profiled_group_ == 0 || profiled_group_ > kMaxGroupSize ||
             profiled_group_ == current.group_size) {
           break;
         }
@@ -252,7 +233,7 @@ bool Autotuner::propose(const serve::Tunables& current, serve::Tunables& out,
         return true;
       }
       case Knob::kBits: {
-        if (profiled_bits_ == 0 || profiled_bits_ > config_.max_sort_bits ||
+        if (profiled_bits_ == 0 || profiled_bits_ > kMaxSortBits ||
             profiled_bits_ == current.sort_bits) {
           break;
         }

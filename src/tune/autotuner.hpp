@@ -2,16 +2,16 @@
 // #autotuner): a serve::TuneController that periodically reads the obs
 // MetricsRegistry the backend is already exporting — per-class latency
 // histograms and completion counters — and hill-climbs the runtime
-// Tunables (batch size/deadline, epoch apply threads, NTG group size,
-// PSA sort bits) one bounded step at a time.
+// Tunables (batch size/deadline, NTG group size, PSA sort bits) one
+// bounded step at a time.
 //
 // The control loop is a trial/evaluate state machine on the virtual
 // clock:
 //
 //   steady  : after a cooldown, pick the next knob round-robin and
-//             propose one bounded step (x2 / /2 for batch and wait, +-1
-//             thread; group size and sort bits re-seed toward the values
-//             the backend re-profiles at each epoch-swap boundary).
+//             propose one bounded step (x2 / /2 for batch and wait;
+//             group size and sort bits re-seed toward the values the
+//             backend re-profiles at each epoch-swap boundary).
 //   trial   : one window later, compare the trial window against the
 //             pre-move baseline. Keep the move when throughput improved
 //             by >= min_improvement and p99 stayed within p99_band;
@@ -61,9 +61,6 @@ struct AutotunerConfig {
   std::size_t max_batch = 1 << 14;
   double min_wait = 25e-6;
   double max_wait = 2e-3;
-  unsigned max_apply_threads = 8;
-  unsigned max_group_size = 32;
-  unsigned max_sort_bits = 32;
 
   void validate() const;
   static void add_flags(Cli& cli);
@@ -102,8 +99,8 @@ class Autotuner : public serve::TuneController {
   enum class State : std::uint8_t { kWarmup, kSteady, kTrial };
 
   /// The climbable knobs, in round-robin order.
-  enum class Knob : std::uint8_t { kBatch, kWait, kThreads, kGroup, kBits };
-  static constexpr unsigned kNumKnobs = 5;
+  enum class Knob : std::uint8_t { kBatch, kWait, kGroup, kBits };
+  static constexpr unsigned kNumKnobs = 4;
 
   Window measure(double now);
   void snapshot();
@@ -129,7 +126,7 @@ class Autotuner : public serve::TuneController {
 
   State state_ = State::kWarmup;
   unsigned knob_ = 0;          // next knob to try (round-robin index)
-  int dir_[kNumKnobs] = {+1, +1, +1, +1, +1};  // per-knob climb direction
+  int dir_[kNumKnobs] = {+1, +1, +1, +1};  // per-knob climb direction
   unsigned cooldown_left_ = 0;
   Window baseline_;
   serve::Tunables pre_trial_;  // exact rollback target

@@ -145,20 +145,32 @@ TEST_P(CacheProperties, LruInclusion) {
   Xoshiro256 rng(GetParam());
   Cache small(64 * 128 * 2, 128, 2);  // 64 sets x 2 ways
   Cache large(64 * 128 * 8, 128, 8);  // 64 sets x 8 ways
+  std::uint64_t small_misses = 0, large_misses = 0;
   for (int i = 0; i < 20000; ++i) {
     const std::uint64_t line = rng.next_below(1024);
-    small.access(line);
-    large.access(line);
+    if (!small.access(line)) ++small_misses;
+    if (!large.access(line)) ++large_misses;
   }
-  EXPECT_LE(large.misses(), small.misses());
+  EXPECT_LE(large_misses, small_misses);
 }
 
 TEST_P(CacheProperties, HitsPlusMissesEqualsAccesses) {
+  // Every access is exactly one hit or one miss, and it hits exactly
+  // when the line was resident before it.
   Xoshiro256 rng(GetParam() + 50);
   Cache cache(1 << 16, 128, 4);
   constexpr int kAccesses = 5000;
-  for (int i = 0; i < kAccesses; ++i) cache.access(rng.next_below(4096));
-  EXPECT_EQ(cache.hits() + cache.misses(), static_cast<std::uint64_t>(kAccesses));
+  std::uint64_t hits = 0, misses = 0;
+  for (int i = 0; i < kAccesses; ++i) {
+    const std::uint64_t line = rng.next_below(4096);
+    const bool resident = cache.contains(line);
+    const bool hit = cache.access(line);
+    ASSERT_EQ(hit, resident) << "access " << i;
+    ++(hit ? hits : misses);
+  }
+  EXPECT_GT(hits, 0u);
+  EXPECT_GT(misses, 0u);
+  EXPECT_EQ(hits + misses, static_cast<std::uint64_t>(kAccesses));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CacheProperties, ::testing::Range<std::uint64_t>(1, 9));

@@ -4,8 +4,9 @@
 // oracle, epoch versions must be monotone in completion order, the
 // report must attribute build/upload/swap-wait/stall separately per
 // mode, thousands of back-to-back swaps must survive a multi-threaded
-// apply (the TSan target), and ServeOptions::validate must reject every
-// inconsistent combination before any serving state exists.
+// apply (the TSan target), the apply's thread count must leave every
+// response and report field alone, and ServeOptions::validate must
+// reject every inconsistent combination before any serving state exists.
 //
 // Unlike the quiesce oracle in server_test.cpp (fixed max_buffered
 // blocks), the overlap oracle derives epoch membership from the update
@@ -24,6 +25,7 @@
 #include "queries/workload.hpp"
 #include "serve/options.hpp"
 #include "serve/workload.hpp"
+#include "report_compare.hpp"
 #include "shard/sharded_server.hpp"
 
 namespace harmonia::serve {
@@ -323,25 +325,73 @@ TEST(EpochPipeline, ThousandsOfBackToBackSwapsStayMonotonic) {
   f.index.tree().validate();
 
   // Final state: epoch grouping must not change what ends up applied.
-  // Checked on a single-threaded replay of the same stream — the striped
-  // multi-worker apply may order two same-batch ops on one key either
-  // way (a pre-existing BatchUpdater semantic the arrival-order map
-  // oracle cannot model); one worker applies them in arrival order.
+  // The two-worker apply deals ops by leaf, so every key's ops apply in
+  // arrival order and the arrival-order oracle holds for it directly.
   std::map<Key, Value> oracle;
   for (Key k : f.keys) oracle[k] = btree::value_for_key(k);
   for (const Request& r : stream) {
     if (r.kind == RequestKind::kUpdate) apply_to_oracle(oracle, r);
   }
-  ServerFixture f1;
-  ServeOptions cfg1 = cfg;
-  cfg1.epoch.apply_threads = 1;
-  shard::ShardedServer serial(f1.index, cfg1);
-  const auto rep1 = serial.run(stream);
-  EXPECT_GE(rep1.epochs, 1500u);
-  f1.index.tree().validate();
-  ASSERT_EQ(f1.index.tree().num_keys(), oracle.size());
+  ASSERT_EQ(f.index.tree().num_keys(), oracle.size());
   for (const auto& [k, v] : oracle) {
-    ASSERT_EQ(f1.index.search_host(k).value_or(kNotFound), v);
+    ASSERT_EQ(f.index.search_host(k).value_or(kNotFound), v);
+  }
+}
+
+// The Algorithm-1 thread count is construction-time only because nothing
+// on the virtual clock depends on it: BatchUpdater::apply deals ops by
+// leaf, so any thread count gives the one-thread result, and an epoch's
+// build is charged per op. One sharded stream of points, straddling
+// ranges and updates must serve identically at 1 and 4 apply threads in
+// every epoch mode: every response and every report field.
+TEST(EpochPipeline, ApplyThreadsLeaveTheVirtualClockAlone) {
+  const auto keys = queries::make_tree_keys(1 << 12, 1);
+  std::vector<btree::Entry> entries;
+  for (Key k : keys) entries.push_back({k, btree::value_for_key(k)});
+
+  OpenLoopSpec spec;
+  spec.arrivals_per_second = 5e6;
+  spec.count = 6000;
+  spec.update_fraction = 0.3;
+  spec.range_fraction = 0.1;
+  spec.range_span = 1024;  // about a shard's span: many ranges straddle
+  spec.seed = 31;
+  const auto stream = make_open_loop(keys, spec);
+
+  shard::ShardedOptions shopts;
+  shopts.index.fanout = 16;
+  // Gapless leaves: delta-mode inserts land in the small overlay below,
+  // so compaction epochs fold real Algorithm-1 work on every shard.
+  shopts.index.fill_factor = 1.0;
+  shopts.device = test_spec();
+  shopts.device_global_bytes = 256 << 20;
+
+  for (const EpochMode mode :
+       {EpochMode::kQuiesce, EpochMode::kOverlap, EpochMode::kIncremental}) {
+    SCOPED_TRACE(::testing::Message() << "epoch mode " << static_cast<int>(mode));
+    const auto run = [&](unsigned threads) {
+      shard::ShardedIndex index(entries, shard::ShardPlan::sample_balanced(keys, 3), shopts);
+      ServeOptions cfg;
+      cfg.batch.max_batch = 256;
+      cfg.batch.max_wait = 80e-6;
+      cfg.batch.queue_capacity = 8192;
+      cfg.batch.max_range_results = 16;
+      cfg.epoch.max_buffered = 200;
+      cfg.epoch.mode = mode;
+      cfg.epoch.overlay_capacity = 64;  // delta: both patch and compaction epochs
+      cfg.epoch.apply_threads = threads;
+      shard::ShardedServer server(index, cfg);
+      return server.run(stream);
+    };
+    const ServerReport one = run(1);
+    const ServerReport four = run(4);
+    ASSERT_GE(one.epochs, 3u);
+    ASSERT_GT(one.split_ranges, 0u);
+    if (mode == EpochMode::kIncremental) {
+      EXPECT_GT(one.patch_epochs, 0u);
+      EXPECT_GT(one.compaction_epochs, 0u);
+    }
+    testing_support::expect_same_report(one, four);
   }
 }
 

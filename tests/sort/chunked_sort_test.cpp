@@ -11,16 +11,10 @@
 
 #include "common/rng.hpp"
 #include "sort/radix_sort.hpp"
+#include "sort/window_sort.hpp"
 
 namespace harmonia::sort {
 namespace {
-
-std::vector<std::uint64_t> random_keys(std::size_t n, std::uint64_t seed) {
-  Xoshiro256 rng(seed);
-  std::vector<std::uint64_t> keys(n);
-  for (auto& k : keys) k = rng.next();
-  return keys;
-}
 
 /// `n` keys drawn from `distinct` random ones.
 std::vector<std::uint64_t> duplicate_keys(std::size_t n, std::size_t distinct,

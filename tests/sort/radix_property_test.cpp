@@ -5,18 +5,11 @@
 #include <map>
 #include <vector>
 
-#include "common/rng.hpp"
 #include "sort/radix_sort.hpp"
+#include "sort/window_sort.hpp"
 
 namespace harmonia::sort {
 namespace {
-
-std::vector<std::uint64_t> random_keys(std::size_t n, std::uint64_t seed) {
-  Xoshiro256 rng(seed);
-  std::vector<std::uint64_t> keys(n);
-  for (auto& k : keys) k = rng.next();
-  return keys;
-}
 
 class RadixProperties : public ::testing::TestWithParam<std::uint64_t> {};
 
@@ -24,7 +17,7 @@ TEST_P(RadixProperties, PreservesMultiset) {
   auto keys = random_keys(4000, GetParam());
   std::map<std::uint64_t, int> before;
   for (auto k : keys) ++before[k];
-  radix_sort_bits(keys, 40, 24);
+  keys = sort_window(keys, 40, 24);
   std::map<std::uint64_t, int> after;
   for (auto k : keys) ++after[k];
   EXPECT_EQ(before, after);
@@ -32,9 +25,9 @@ TEST_P(RadixProperties, PreservesMultiset) {
 
 TEST_P(RadixProperties, Idempotent) {
   auto keys = random_keys(2000, GetParam() + 30);
-  radix_sort_bits(keys, 48, 16);
+  keys = sort_window(keys, 48, 16);
   const auto once = keys;
-  radix_sort_bits(keys, 48, 16);
+  keys = sort_window(keys, 48, 16);
   EXPECT_EQ(keys, once);
 }
 
@@ -44,9 +37,9 @@ TEST_P(RadixProperties, WindowCompositionEqualsFullSort) {
   // still compose with any pre-existing low-bit order.
   auto a = random_keys(3000, GetParam() + 60);
   auto b = a;
-  radix_sort_bits(a, 0, 32);
-  radix_sort_bits(a, 32, 32);
-  radix_sort(b);
+  a = sort_window(a, 0, 32);
+  a = sort_window(a, 32, 32);
+  b = sort_window(b, 0, 64);
   EXPECT_EQ(a, b);
 }
 
@@ -59,7 +52,7 @@ TEST_P(RadixProperties, AgreesWithStableSortOnWindow) {
                    [&](std::uint64_t x, std::uint64_t y) {
                      return (x & mask) < (y & mask);
                    });
-  radix_sort_bits(keys, lo, width);
+  keys = sort_window(keys, lo, width);
   EXPECT_EQ(keys, expect);
 }
 

@@ -7,32 +7,25 @@
 #include <vector>
 
 #include "common/expect.hpp"
-#include "common/rng.hpp"
+#include "sort/window_sort.hpp"
 
 namespace harmonia::sort {
 namespace {
-
-std::vector<std::uint64_t> random_keys(std::size_t n, std::uint64_t seed) {
-  Xoshiro256 rng(seed);
-  std::vector<std::uint64_t> keys(n);
-  for (auto& k : keys) k = rng.next();
-  return keys;
-}
 
 TEST(RadixSort, FullSortMatchesStdSort) {
   auto keys = random_keys(10000, 1);
   auto expected = keys;
   std::sort(expected.begin(), expected.end());
-  radix_sort(keys);
+  keys = sort_window(keys, 0, 64);
   EXPECT_EQ(keys, expected);
 }
 
 TEST(RadixSort, EmptyAndSingleton) {
   std::vector<std::uint64_t> empty;
-  radix_sort(empty);
+  empty = sort_window(empty, 0, 64);
   EXPECT_TRUE(empty.empty());
   std::vector<std::uint64_t> one{42};
-  radix_sort(one);
+  one = sort_window(one, 0, 64);
   EXPECT_EQ(one[0], 42u);
 }
 
@@ -40,20 +33,20 @@ TEST(RadixSort, AlreadySorted) {
   std::vector<std::uint64_t> keys(1000);
   std::iota(keys.begin(), keys.end(), 0);
   auto expected = keys;
-  radix_sort(keys);
+  keys = sort_window(keys, 0, 64);
   EXPECT_EQ(keys, expected);
 }
 
 TEST(RadixSort, AllEqual) {
   std::vector<std::uint64_t> keys(100, 7);
-  radix_sort(keys);
+  keys = sort_window(keys, 0, 64);
   EXPECT_TRUE(std::all_of(keys.begin(), keys.end(), [](auto k) { return k == 7; }));
 }
 
 TEST(RadixSortBits, ZeroBitsIsNoOp) {
   auto keys = random_keys(100, 2);
   auto original = keys;
-  radix_sort_bits(keys, 32, 0);
+  keys = sort_window(keys, 32, 0);
   EXPECT_EQ(keys, original);
 }
 
@@ -61,7 +54,7 @@ TEST(RadixSortBits, TopBitsOrderIsGroupwise) {
   // Sorting only the top 8 bits: the 8-bit prefixes must ascend, while
   // ties keep arrival order (stability).
   auto keys = random_keys(5000, 3);
-  radix_sort_bits(keys, 56, 8);
+  keys = sort_window(keys, 56, 8);
   for (std::size_t i = 1; i < keys.size(); ++i) {
     EXPECT_LE(keys[i - 1] >> 56, keys[i] >> 56);
   }
@@ -72,13 +65,13 @@ TEST(RadixSortBits, StabilityOnTies) {
   std::vector<std::uint64_t> keys;
   for (std::uint64_t i = 0; i < 100; ++i) keys.push_back((0xAAULL << 56) | i);
   std::vector<std::uint64_t> shuffled = keys;  // in order already
-  radix_sort_bits(shuffled, 56, 8);
+  shuffled = sort_window(shuffled, 56, 8);
   EXPECT_EQ(shuffled, keys);  // stable: untouched within the tie group
 }
 
 TEST(RadixSortBits, MidWindowSort) {
   auto keys = random_keys(3000, 4);
-  radix_sort_bits(keys, 16, 16);  // bits [16, 32)
+  keys = sort_window(keys, 16, 16);  // bits [16, 32)
   for (std::size_t i = 1; i < keys.size(); ++i) {
     EXPECT_LE((keys[i - 1] >> 16) & 0xFFFF, (keys[i] >> 16) & 0xFFFF);
   }
@@ -86,7 +79,7 @@ TEST(RadixSortBits, MidWindowSort) {
 
 TEST(RadixSortBits, NonMultipleOfEightBits) {
   auto keys = random_keys(3000, 5);
-  radix_sort_bits(keys, 45, 19);  // Equation 2's N=19 case
+  keys = sort_window(keys, 45, 19);  // Equation 2's N=19 case
   for (std::size_t i = 1; i < keys.size(); ++i) {
     EXPECT_LE(keys[i - 1] >> 45, keys[i] >> 45);
   }
@@ -94,7 +87,7 @@ TEST(RadixSortBits, NonMultipleOfEightBits) {
 
 TEST(RadixSortBits, WindowOverflowThrows) {
   std::vector<std::uint64_t> keys{1, 2};
-  EXPECT_THROW(radix_sort_bits(keys, 60, 8), ContractViolation);
+  EXPECT_THROW(sort_window(keys, 60, 8), ContractViolation);
 }
 
 TEST(RadixSortPairs, PayloadFollowsKeys) {

@@ -74,7 +74,6 @@ TEST(AutotunerTest, WarmupThenOneBoundedStep) {
   ASSERT_EQ(d.action, serve::TuneAction::kApply);
   EXPECT_EQ(d.target.max_batch, 512u) << "one doubling, not a jump";
   EXPECT_DOUBLE_EQ(d.target.max_wait, loop.current.max_wait);
-  EXPECT_EQ(d.target.apply_threads, loop.current.apply_threads);
   EXPECT_EQ(d.target.group_size, loop.current.group_size);
   EXPECT_EQ(d.target.sort_bits, loop.current.sort_bits);
   EXPECT_NE(d.note.find("max_batch"), std::string::npos);

@@ -85,21 +85,18 @@ TEST(CliRoundTripTest, AutotunerDefaultsSurviveTheRoundTrip) {
   EXPECT_EQ(parsed.max_batch, defaults.max_batch);
   EXPECT_DOUBLE_EQ(parsed.min_wait, defaults.min_wait);
   EXPECT_DOUBLE_EQ(parsed.max_wait, defaults.max_wait);
-  EXPECT_EQ(parsed.max_apply_threads, defaults.max_apply_threads);
 }
 
 TEST(CliRoundTripTest, TunablesFlagsReachTheTunablesSnapshot) {
   Cli cli;
   serve::ServeOptions::add_flags(cli);
   const char* argv[] = {"test", "--max-batch=512", "--max-wait-us=40",
-                        "--apply-threads=3", "--group-size=8",
-                        "--sort-bits=12"};
-  ASSERT_TRUE(cli.parse(6, argv));
+                        "--group-size=8", "--sort-bits=12"};
+  ASSERT_TRUE(cli.parse(5, argv));
   const serve::Tunables t =
       serve::Tunables::from(serve::ServeOptions::from_cli(cli));
   EXPECT_EQ(t.max_batch, 512u);
   EXPECT_DOUBLE_EQ(t.max_wait, 40e-6);
-  EXPECT_EQ(t.apply_threads, 3u);
   EXPECT_EQ(t.group_size, 8u);
   EXPECT_EQ(t.sort_bits, 12u);
 }
