@@ -41,9 +41,9 @@ void AutotunerConfig::validate() const {
 
 void AutotunerConfig::add_flags(Cli& cli) {
   cli.flag("tune-tick-us", "autotuner cadence (virtual us between ticks)",
-           "2000")
+           "50")
       .flag("tune-cooldown", "quiet ticks after a kept or rolled-back move",
-            "2")
+            "0")
       .flag("tune-p99-band",
             "tolerated fractional p99 regression on a kept move", "0.15")
       .flag("tune-slo-p99-us",
@@ -63,8 +63,8 @@ void AutotunerConfig::add_flags(Cli& cli) {
 AutotunerConfig AutotunerConfig::from_cli(const Cli& cli) {
   AutotunerConfig cfg;
   cfg.tick_every =
-      static_cast<double>(cli.get_uint("tune-tick-us", 2000)) * 1e-6;
-  cfg.cooldown_ticks = static_cast<unsigned>(cli.get_uint("tune-cooldown", 2));
+      static_cast<double>(cli.get_uint("tune-tick-us", 50)) * 1e-6;
+  cfg.cooldown_ticks = static_cast<unsigned>(cli.get_uint("tune-cooldown", 0));
   cfg.p99_band = cli.get_double("tune-p99-band", 0.15);
   cfg.slo_p99 = static_cast<double>(cli.get_uint("tune-slo-p99-us", 0)) * 1e-6;
   cfg.min_improvement = cli.get_double("tune-min-gain", 0.02);

@@ -42,9 +42,11 @@ namespace harmonia::tune {
 
 struct AutotunerConfig {
   /// Controller cadence on the virtual clock (seconds between ticks).
-  double tick_every = 2e-3;
+  /// Spelled as from_cli() computes --tune-tick-us=50, so the struct and
+  /// the flag default are the same double.
+  double tick_every = 50 * 1e-6;
   /// Quiet ticks after a kept or rolled-back move before the next trial.
-  unsigned cooldown_ticks = 2;
+  unsigned cooldown_ticks = 0;
   /// Tolerated p99 regression on a kept move, as a fraction of the
   /// baseline window's p99 (the rollback trigger).
   double p99_band = 0.15;

@@ -4,134 +4,19 @@
 // FaultReport CSV.
 #include <gtest/gtest.h>
 
-#include <map>
 #include <vector>
 
 #include "common/expect.hpp"
 #include "fault/checksum.hpp"
 #include "queries/workload.hpp"
 #include "serve/workload.hpp"
+#include "serving_oracle.hpp"
 #include "shard/sharded_server.hpp"
 
 namespace harmonia::shard {
 namespace {
 
-gpusim::DeviceSpec test_spec() {
-  auto spec = gpusim::titan_v();
-  spec.num_sms = 8;
-  spec.global_mem_bytes = 256 << 20;
-  return spec;
-}
-
-ShardedOptions test_options(unsigned fanout) {
-  ShardedOptions options;
-  options.index.fanout = fanout;
-  options.device = test_spec();
-  options.device_global_bytes = 256 << 20;
-  return options;
-}
-
-struct ShardedFixture {
-  explicit ShardedFixture(unsigned shards, std::uint64_t tree_keys = 1 << 12,
-                          unsigned fanout = 16)
-      : keys(queries::make_tree_keys(tree_keys, 1)),
-        index([&] {
-          std::vector<btree::Entry> entries;
-          for (Key k : keys) entries.push_back({k, btree::value_for_key(k)});
-          return ShardedIndex(entries, ShardPlan::sample_balanced(keys, shards),
-                              test_options(fanout));
-        }()) {}
-
-  std::vector<Key> keys;
-  ShardedIndex index;
-};
-
-void apply_to_oracle(std::map<Key, Value>& oracle, const serve::Request& r) {
-  switch (r.op) {
-    case queries::OpKind::kUpdate:
-      if (auto it = oracle.find(r.key); it != oracle.end()) it->second = r.value;
-      break;
-    case queries::OpKind::kInsert:
-      oracle[r.key] = r.value;
-      break;
-    case queries::OpKind::kDelete:
-      oracle.erase(r.key);
-      break;
-  }
-}
-
-std::vector<std::map<Key, Value>> make_snapshots(
-    const std::vector<Key>& keys, const std::vector<serve::Request>& stream,
-    std::size_t max_buffered) {
-  std::vector<std::map<Key, Value>> snapshots;
-  std::map<Key, Value> oracle;
-  for (Key k : keys) oracle[k] = btree::value_for_key(k);
-  snapshots.push_back(oracle);
-  std::size_t buffered = 0;
-  for (const serve::Request& r : stream) {
-    if (r.kind != serve::RequestKind::kUpdate) continue;
-    apply_to_oracle(oracle, r);
-    if (++buffered == max_buffered) {
-      snapshots.push_back(oracle);
-      buffered = 0;
-    }
-  }
-  if (buffered > 0) snapshots.push_back(oracle);
-  return snapshots;
-}
-
-/// Oracle check under faults: dropped responses (queue rejection or
-/// fault shedding) are exempt, but every *answered* response — device or
-/// degraded CPU path — must match a whole-epoch snapshot exactly. A
-/// single corrupted or torn answer fails here.
-void check_answered_against_oracle(
-    const serve::ServerReport& rep, const std::vector<serve::Request>& stream,
-    const std::vector<std::map<Key, Value>>& snapshots,
-    std::size_t max_range_results) {
-  ASSERT_EQ(rep.responses.size(), stream.size());
-  for (const auto& resp : rep.responses) {
-    if (resp.dropped) continue;
-    ASSERT_LT(resp.epoch, snapshots.size());
-    const auto& oracle = snapshots[resp.epoch];
-    const serve::Request& req = stream[resp.id];
-    switch (resp.kind) {
-      case serve::RequestKind::kPoint: {
-        const auto it = oracle.find(req.key);
-        const Value want = it != oracle.end() ? it->second : kNotFound;
-        ASSERT_EQ(resp.value, want)
-            << "request " << resp.id << " epoch " << resp.epoch;
-        break;
-      }
-      case serve::RequestKind::kRange: {
-        std::vector<Value> want;
-        for (auto it = oracle.lower_bound(req.key);
-             it != oracle.end() && it->first <= req.hi &&
-             want.size() < max_range_results;
-             ++it) {
-          want.push_back(it->second);
-        }
-        ASSERT_EQ(resp.range_values, want)
-            << "range request " << resp.id << " epoch " << resp.epoch;
-        break;
-      }
-      case serve::RequestKind::kScan: {
-        std::size_t limit = req.scan_n ? req.scan_n : 1;
-        if (limit > max_range_results) limit = max_range_results;
-        std::vector<Value> want;
-        for (auto it = oracle.lower_bound(req.key);
-             it != oracle.end() && want.size() < limit; ++it) {
-          want.push_back(it->second);
-        }
-        ASSERT_EQ(resp.range_values, want)
-            << "scan request " << resp.id << " epoch " << resp.epoch;
-        break;
-      }
-      case serve::RequestKind::kUpdate:
-        EXPECT_GE(resp.completion, resp.arrival);
-        break;
-    }
-  }
-}
+using namespace testing_support;
 
 // A shard dies mid-stream: its range is served degraded from its last
 // committed image (still epoch-exact), the replacement re-images on schedule, and
@@ -158,7 +43,6 @@ TEST(FaultShard, LostShardServesDegradedThenRestores) {
   // before the stream ends so the shard serves from the device again.
   cfg.faults = fault::FaultPlan::parse("lose@0.0004:shard=1,repair=0.0006");
 
-  const auto snapshots = make_snapshots(f.keys, stream, cfg.epoch.max_buffered);
   ShardedServer server(f.index, cfg);
   const auto rep = server.run(stream);
 
@@ -171,42 +55,19 @@ TEST(FaultShard, LostShardServesDegradedThenRestores) {
   EXPECT_EQ(rep.shed, rep.faults.degraded_shed);
 
   EXPECT_EQ(rep.admitted + rep.dropped, rep.arrivals);
-  EXPECT_EQ(rep.epochs + 1, snapshots.size());
-  check_answered_against_oracle(rep, stream, snapshots,
-                                cfg.batch.max_range_results);
+  // Dropped responses (queue rejection or fault shedding) are exempt, but
+  // every answered one, device or degraded CPU path, must match a
+  // whole-epoch snapshot exactly.
+  ASSERT_NO_FATAL_FAILURE(expect_epochs_by_count(stream, rep, cfg.epoch.max_buffered));
+  const auto snapshots = epoch_snapshots(f.keys, stream, rep);
+  check_responses(stream, rep, snapshots, cfg.batch.max_range_results);
 
   // The restored shard's image passed its audit and is still clean.
   EXPECT_TRUE(fault::verify_image(*f.index.shard(1)));
 
   // The index converged to the final snapshot despite the outage.
-  const auto& final_oracle = snapshots.back();
-  EXPECT_EQ(f.index.num_keys(), final_oracle.size());
-  for (const auto& [k, v] : final_oracle) {
-    ASSERT_EQ(f.index.search_host(k).value_or(kNotFound), v);
-  }
-}
-
-/// Per-epoch snapshots from the epochs the update responses report (the
-/// staged modes' epochs need not close at a fixed buffer size).
-std::vector<std::map<Key, Value>> snapshots_from_responses(
-    const std::vector<Key>& keys, const std::vector<serve::Request>& stream,
-    const serve::ServerReport& rep) {
-  std::vector<unsigned> epoch_of(stream.size(), 0);
-  for (const serve::Response& resp : rep.responses) {
-    if (resp.kind == serve::RequestKind::kUpdate) epoch_of[resp.id] = resp.epoch;
-  }
-  std::vector<std::map<Key, Value>> snapshots;
-  std::map<Key, Value> oracle;
-  for (Key k : keys) oracle[k] = btree::value_for_key(k);
-  snapshots.push_back(oracle);
-  for (unsigned e = 1; e <= rep.epochs; ++e) {
-    for (const serve::Request& r : stream) {
-      if (r.kind == serve::RequestKind::kUpdate && epoch_of[r.id] == e)
-        apply_to_oracle(oracle, r);
-    }
-    snapshots.push_back(oracle);
-  }
-  return snapshots;
+  EXPECT_EQ(f.index.num_keys(), snapshots.back().size());
+  expect_host_reads(f.index, snapshots.back());
 }
 
 /// A shard lost inside staged epoch windows: the requests evicted from
@@ -241,8 +102,9 @@ void expect_degraded_answers_match_committed_epoch(serve::EpochMode mode) {
   EXPECT_EQ(rep.faults.shards_restored, 1u);
   EXPECT_GT(rep.faults.degraded_ranges, 0u);
   EXPECT_GE(rep.epochs, 3u);
-  check_answered_against_oracle(rep, stream, snapshots_from_responses(f.keys, stream, rep),
-                                cfg.batch.max_range_results);
+  // The staged modes' epochs need not close at a fixed buffer size.
+  check_responses(stream, rep, epoch_snapshots(f.keys, stream, rep),
+                  cfg.batch.max_range_results);
   EXPECT_TRUE(fault::verify_image(*f.index.shard(1)));
 }
 
@@ -281,7 +143,6 @@ TEST(FaultShard, OverlappingLoseExtendsTheFence) {
   cfg.faults = fault::FaultPlan::parse(
       "lose@0.0004:shard=1,repair=0.0004;lose@0.0006:shard=1,repair=0.0006");
 
-  const auto snapshots = make_snapshots(f.keys, stream, cfg.epoch.max_buffered);
   ShardedServer server(f.index, cfg);
   const auto rep = server.run(stream);
 
@@ -289,9 +150,7 @@ TEST(FaultShard, OverlappingLoseExtendsTheFence) {
   EXPECT_EQ(rep.faults.shards_restored, 1u);
   EXPECT_NEAR(rep.faults.fenced_seconds, 0.0008, 1e-12);
   EXPECT_GT(rep.faults.degraded_points, 0u);
-  EXPECT_EQ(rep.epochs + 1, snapshots.size());
-  check_answered_against_oracle(rep, stream, snapshots,
-                                cfg.batch.max_range_results);
+  check_quiesce_responses(f.keys, stream, rep, cfg);
   EXPECT_TRUE(fault::verify_image(*f.index.shard(1)));
 }
 

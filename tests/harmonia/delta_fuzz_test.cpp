@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <map>
 #include <vector>
 
 #include "btree/btree.hpp"
@@ -15,6 +14,7 @@
 #include "harmonia/index.hpp"
 #include "queries/batch.hpp"
 #include "queries/workload.hpp"
+#include "serving_oracle.hpp"
 
 namespace harmonia {
 namespace {
@@ -22,38 +22,7 @@ namespace {
 using queries::OpKind;
 using queries::UpdateOp;
 
-gpusim::DeviceSpec test_spec() {
-  auto spec = gpusim::titan_v();
-  spec.num_sms = 8;
-  spec.global_mem_bytes = 512 << 20;
-  return spec;
-}
-
-std::vector<btree::Entry> entries_for(const std::vector<Key>& keys) {
-  std::vector<btree::Entry> out;
-  for (Key k : keys) out.push_back({k, btree::value_for_key(k)});
-  return out;
-}
-
-/// Applies `ops` to the oracle with patch_update's semantics: update
-/// only touches present keys, insert upserts, delete removes if present.
-void apply_oracle(std::map<Key, Value>& oracle, std::span<const UpdateOp> ops) {
-  for (const auto& op : ops) {
-    switch (op.kind) {
-      case OpKind::kUpdate: {
-        auto it = oracle.find(op.key);
-        if (it != oracle.end()) it->second = op.value;
-        break;
-      }
-      case OpKind::kInsert:
-        oracle[op.key] = op.value;
-        break;
-      case OpKind::kDelete:
-        oracle.erase(op.key);
-        break;
-    }
-  }
-}
+using namespace testing_support;
 
 UpdateOp random_op(Xoshiro256& rng, Key key_span) {
   const Key k = 1 + rng.next_below(key_span);
@@ -66,7 +35,7 @@ UpdateOp random_op(Xoshiro256& rng, Key key_span) {
 
 /// Random sample of keys: half drawn from the oracle (hits), half from
 /// the raw key span (mostly misses).
-std::vector<Key> sample_keys(Xoshiro256& rng, const std::map<Key, Value>& oracle,
+std::vector<Key> sample_keys(Xoshiro256& rng, const Oracle& oracle,
                              Key key_span, std::size_t n) {
   std::vector<Key> out;
   out.reserve(n);
@@ -84,7 +53,7 @@ std::vector<Key> sample_keys(Xoshiro256& rng, const std::map<Key, Value>& oracle
 
 /// Device-vs-oracle check: a point-lookup batch, one range query, and
 /// one online scan per call.
-void verify_device(HarmoniaIndex& index, const std::map<Key, Value>& oracle,
+void verify_device(HarmoniaIndex& index, const Oracle& oracle,
                    Xoshiro256& rng, Key key_span) {
   // Point lookups.
   const auto qs = sample_keys(rng, oracle, key_span, 48);
@@ -118,7 +87,7 @@ void verify_device(HarmoniaIndex& index, const std::map<Key, Value>& oracle,
   ASSERT_EQ(scanned.values[0], swant) << "scan lo " << lo << " n " << n;
 }
 
-void verify_host(const HarmoniaIndex& index, const std::map<Key, Value>& oracle,
+void verify_host(const HarmoniaIndex& index, const Oracle& oracle,
                  Xoshiro256& rng, Key key_span) {
   for (Key k : sample_keys(rng, oracle, key_span, 8)) {
     const auto got = index.search_host(k);
@@ -143,7 +112,7 @@ void compact(HarmoniaIndex& index, std::span<const UpdateOp> rest) {
 }
 
 TEST(DeltaFuzz, DifferentialSingleDevice) {
-  gpusim::Device dev(test_spec());
+  gpusim::Device dev(small_device(kServerDeviceBytes));
   const auto keys = queries::make_tree_keys(3000, 11);
   IndexOptions opts;
   opts.fanout = 16;
@@ -151,8 +120,7 @@ TEST(DeltaFuzz, DifferentialSingleDevice) {
   opts.overlay_capacity = 24;
   auto index = HarmoniaIndex::build(dev, entries_for(keys), opts);
 
-  std::map<Key, Value> oracle;
-  for (Key k : keys) oracle[k] = btree::value_for_key(k);
+  Oracle oracle = initial_oracle(keys);
   const Key key_span = keys.back() + keys.back() / 10;
 
   Xoshiro256 rng(2026);
@@ -164,12 +132,12 @@ TEST(DeltaFuzz, DifferentialSingleDevice) {
     for (int i = 0; i < 8; ++i) batch.push_back(random_op(rng, key_span));
 
     const auto pr = index.patch_update(batch);
-    apply_oracle(oracle, std::span(batch).first(pr.absorbed));
+    apply_ops(oracle, std::span(batch).first(pr.absorbed));
     if (pr.exhausted) {
       ASSERT_LT(pr.absorbed, batch.size());
       const auto rest = std::span(batch).subspan(pr.absorbed);
       compact(index, rest);
-      apply_oracle(oracle, rest);
+      apply_ops(oracle, rest);
       ++compaction_epochs;
       ASSERT_EQ(index.overlay_size(), 0u);
     } else {
@@ -191,7 +159,7 @@ TEST(DeltaFuzz, DifferentialSingleDevice) {
       std::vector<UpdateOp> big;
       for (int i = 0; i < 32; ++i) big.push_back(random_op(rng, key_span));
       index.update_batch(big);
-      apply_oracle(oracle, big);
+      apply_ops(oracle, big);
       ASSERT_EQ(index.overlay_size(), 0u);
       ASSERT_NO_FATAL_FAILURE(verify_device(index, oracle, rng, key_span));
     }
@@ -226,15 +194,14 @@ TEST(DeltaFuzz, DifferentialSingleDevice) {
 // gap-absorbed inserts still patch in place, and every structural op the
 // gaps cannot take exhausts immediately (compaction epoch).
 TEST(DeltaFuzz, ZeroCapacityOverlayFallsBackToCompaction) {
-  gpusim::Device dev(test_spec());
+  gpusim::Device dev(small_device(kServerDeviceBytes));
   const auto keys = queries::make_tree_keys(600, 5);
   IndexOptions opts;
   opts.fanout = 16;
   opts.fill_factor = 1.0;  // no gaps either: inserts must exhaust
   auto index = HarmoniaIndex::build(dev, entries_for(keys), opts);
 
-  std::map<Key, Value> oracle;
-  for (Key k : keys) oracle[k] = btree::value_for_key(k);
+  Oracle oracle = initial_oracle(keys);
 
   // A fresh key cannot land anywhere: full leaves, no overlay.
   const UpdateOp ins{OpKind::kInsert, keys.back() + 1, 7};
@@ -242,7 +209,7 @@ TEST(DeltaFuzz, ZeroCapacityOverlayFallsBackToCompaction) {
   EXPECT_TRUE(pr.exhausted);
   EXPECT_EQ(pr.absorbed, 0u);
   compact(index, {&ins, 1});
-  apply_oracle(oracle, {&ins, 1});
+  apply_ops(oracle, {&ins, 1});
 
   // Value updates still take the in-place path.
   const UpdateOp upd{OpKind::kUpdate, keys.front(), 9};
@@ -250,7 +217,7 @@ TEST(DeltaFuzz, ZeroCapacityOverlayFallsBackToCompaction) {
   EXPECT_FALSE(pr.exhausted);
   EXPECT_EQ(pr.absorbed, 1u);
   index.commit_patch();
-  apply_oracle(oracle, {&upd, 1});
+  apply_ops(oracle, {&upd, 1});
 
   Xoshiro256 rng(3);
   ASSERT_NO_FATAL_FAILURE(verify_device(index, oracle, rng, keys.back() + 10));
@@ -260,7 +227,7 @@ TEST(DeltaFuzz, ZeroCapacityOverlayFallsBackToCompaction) {
 // small hot set stress the overlay's shadowing rules (a re-inserted key
 // must not resurrect a stale base copy after a later delete).
 TEST(DeltaFuzz, TombstoneResurrectionCycles) {
-  gpusim::Device dev(test_spec());
+  gpusim::Device dev(small_device(kServerDeviceBytes));
   const auto keys = queries::make_tree_keys(800, 9);
   IndexOptions opts;
   opts.fanout = 16;
@@ -268,8 +235,7 @@ TEST(DeltaFuzz, TombstoneResurrectionCycles) {
   opts.overlay_capacity = 16;
   auto index = HarmoniaIndex::build(dev, entries_for(keys), opts);
 
-  std::map<Key, Value> oracle;
-  for (Key k : keys) oracle[k] = btree::value_for_key(k);
+  Oracle oracle = initial_oracle(keys);
 
   Xoshiro256 rng(17);
   std::vector<Key> hot(keys.begin(), keys.begin() + 8);
@@ -286,11 +252,11 @@ TEST(DeltaFuzz, TombstoneResurrectionCycles) {
       }
     }
     const auto pr = index.patch_update(batch);
-    apply_oracle(oracle, std::span(batch).first(pr.absorbed));
+    apply_ops(oracle, std::span(batch).first(pr.absorbed));
     if (pr.exhausted) {
       const auto rest = std::span(batch).subspan(pr.absorbed);
       compact(index, rest);
-      apply_oracle(oracle, rest);
+      apply_ops(oracle, rest);
     } else {
       index.commit_patch();
     }

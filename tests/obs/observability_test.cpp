@@ -16,48 +16,14 @@
 #include "obs/trace.hpp"
 #include "queries/workload.hpp"
 #include "serve/workload.hpp"
+#include "serving_oracle.hpp"
 #include "shard/backend_factory.hpp"
 #include "shard/sharded_server.hpp"
 
 namespace harmonia {
 namespace {
 
-gpusim::DeviceSpec test_spec() {
-  auto spec = gpusim::titan_v();
-  spec.num_sms = 8;
-  spec.global_mem_bytes = 256 << 20;
-  return spec;
-}
-
-struct SingleFixture {
-  explicit SingleFixture(std::uint64_t tree_keys = 1 << 12)
-      : keys(queries::make_tree_keys(tree_keys, 1)), index([&] {
-          std::vector<btree::Entry> entries;
-          for (Key k : keys) entries.push_back({k, btree::value_for_key(k)});
-          return HarmoniaIndex::build(dev, entries, {.fanout = 16});
-        }()) {}
-
-  gpusim::Device dev{test_spec()};
-  std::vector<Key> keys;
-  HarmoniaIndex index;
-};
-
-struct ShardedFixture {
-  explicit ShardedFixture(unsigned shards, std::uint64_t tree_keys = 1 << 12)
-      : keys(queries::make_tree_keys(tree_keys, 1)), index([&] {
-          std::vector<btree::Entry> entries;
-          for (Key k : keys) entries.push_back({k, btree::value_for_key(k)});
-          shard::ShardedOptions options;
-          options.index.fanout = 16;
-          options.device = test_spec();
-          options.device_global_bytes = 256 << 20;
-          return shard::ShardedIndex(
-              entries, shard::ShardPlan::sample_balanced(keys, shards), options);
-        }()) {}
-
-  std::vector<Key> keys;
-  shard::ShardedIndex index;
-};
+using namespace testing_support;
 
 std::vector<serve::Request> test_stream(const std::vector<Key>& keys,
                                         std::uint64_t seed,
@@ -111,7 +77,7 @@ void expect_same_responses(const serve::ServerReport& a,
 // no observer — on the single-device and the sharded path, under faults.
 TEST(Observability, ObserverDoesNotPerturbSingleDeviceRun) {
   auto run = [](bool observed) {
-    SingleFixture f;
+    ServerFixture f(1 << 12, 16, small_device());
     serve::ServeOptions cfg = server_config();
     cfg.faults = fault::FaultPlan::random(
         [] {
@@ -273,7 +239,7 @@ TEST(Observability, MetricFamiliesMatchAcrossShardCounts) {
     topo.log2_keys = 12;
     topo.fanout = 16;
     topo.shards = shards;
-    topo.device = test_spec();
+    topo.device = small_device();
     topo.device_global_bytes = 256 << 20;
     serve::ServeOptions cfg = server_config();
     cfg.epoch.mode = serve::EpochMode::kOverlap;
@@ -320,7 +286,7 @@ TEST(Observability, InvariantsHoldOverRandomFaultPlans) {
   // Single-device ShardedServer under its own random plans.
   for (const std::uint64_t seed : {11u, 12u}) {
     SCOPED_TRACE(testing::Message() << "single device, seed " << seed);
-    SingleFixture f;
+    ServerFixture f(1 << 12, 16, small_device());
     serve::ServeOptions cfg = server_config();
     cfg.faults = random_plan(1, seed);
     shard::ShardedServer server(f.index, cfg);

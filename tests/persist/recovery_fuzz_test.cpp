@@ -20,7 +20,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <filesystem>
-#include <map>
 #include <memory>
 #include <set>
 #include <vector>
@@ -35,6 +34,7 @@
 #include "queries/batch.hpp"
 #include "queries/workload.hpp"
 #include "serve/epoch_updater.hpp"
+#include "serving_oracle.hpp"
 #include "test_dir.hpp"
 
 namespace harmonia::persist {
@@ -45,38 +45,14 @@ using queries::UpdateOp;
 
 constexpr int kEpochs = 8;
 
-gpusim::DeviceSpec test_spec() {
-  auto spec = gpusim::titan_v();
+using namespace testing_support;
+
+// Four SMs: every recovered stack holds a few hundred keys.
+const gpusim::DeviceSpec kDevice = [] {
+  auto spec = small_device();
   spec.num_sms = 4;
-  spec.global_mem_bytes = 256 << 20;
   return spec;
-}
-
-std::vector<btree::Entry> entries_for(const std::vector<Key>& keys) {
-  std::vector<btree::Entry> out;
-  for (Key k : keys) out.push_back({k, btree::value_for_key(k)});
-  return out;
-}
-
-/// Oracle semantics of one op (same as the serving/patch paths): update
-/// touches present keys only, insert upserts, delete removes.
-void apply_oracle(std::map<Key, Value>& oracle, std::span<const UpdateOp> ops) {
-  for (const auto& op : ops) {
-    switch (op.kind) {
-      case OpKind::kUpdate: {
-        auto it = oracle.find(op.key);
-        if (it != oracle.end()) it->second = op.value;
-        break;
-      }
-      case OpKind::kInsert:
-        oracle[op.key] = op.value;
-        break;
-      case OpKind::kDelete:
-        oracle.erase(op.key);
-        break;
-    }
-  }
-}
+}();
 
 UpdateOp random_op(Xoshiro256& rng, Key key_span) {
   const Key k = 1 + rng.next_below(key_span);
@@ -94,7 +70,7 @@ struct Scenario {
   std::vector<Key> keys;
   IndexOptions opts;
   std::vector<std::vector<UpdateOp>> batches;  // batches[e-1] = epoch e
-  std::vector<std::map<Key, Value>> model_after;
+  std::vector<Oracle> model_after;
   std::vector<Key> touched;  // every key the sweep must probe
 };
 
@@ -108,8 +84,7 @@ Scenario make_scenario(std::uint64_t seed) {
 
   Xoshiro256 rng(seed * 1000003 + 17);
   const Key key_span = sc.keys.back() + sc.keys.back() / 8;
-  std::map<Key, Value> model;
-  for (Key k : sc.keys) model[k] = btree::value_for_key(k);
+  Oracle model = initial_oracle(sc.keys);
   sc.model_after.push_back(model);  // model_after[0] = initial state
 
   std::set<Key> touched(sc.keys.begin(), sc.keys.end());
@@ -118,7 +93,7 @@ Scenario make_scenario(std::uint64_t seed) {
     const std::size_t ops = 8 + rng.next_below(7);
     for (std::size_t i = 0; i < ops; ++i) batch.push_back(random_op(rng, key_span));
     for (const auto& op : batch) touched.insert(op.key);
-    apply_oracle(model, batch);
+    apply_ops(model, batch);
     sc.model_after.push_back(model);
     sc.batches.push_back(std::move(batch));
   }
@@ -170,7 +145,7 @@ void run_one(const Scenario& sc, std::uint64_t seed, double crash,
   domain.set_crash_time(crash);
   ShardDurability* dur = domain.shard(0);
 
-  gpusim::Device dev(test_spec());
+  gpusim::Device dev(kDevice);
   btree::BTree builder(sc.opts.fanout);
   builder.bulk_load(entries, sc.opts.fill_factor);
   HarmoniaIndex index(dev, HarmoniaTree::from_btree(builder), sc.opts);
@@ -264,7 +239,7 @@ void run_one(const Scenario& sc, std::uint64_t seed, double crash,
   // --- Cold-start a fresh stack from the crashed directory.
   RecoveryManager rm(cfg, serve::EpochConfig{}.seconds_per_op);
   RecoveryManager::Materials mat = rm.load_shard(0);
-  gpusim::Device dev2(test_spec());
+  gpusim::Device dev2(kDevice);
   std::unique_ptr<HarmoniaIndex> index2;
   if (mat.snapshot.has_value()) {
     IndexOptions ropts = sc.opts;
@@ -388,7 +363,7 @@ TEST(RecoveryFuzz, DeviceImageMatchesOracleAfterRecovery) {
     DurabilityDomain domain(cfg, 1);
     domain.set_crash_time(crash);
 
-    gpusim::Device dev(test_spec());
+    gpusim::Device dev(kDevice);
     btree::BTree builder(sc.opts.fanout);
     builder.bulk_load(entries, sc.opts.fill_factor);
     HarmoniaIndex index(dev, HarmoniaTree::from_btree(builder), sc.opts);
@@ -403,7 +378,7 @@ TEST(RecoveryFuzz, DeviceImageMatchesOracleAfterRecovery) {
 
     RecoveryManager rm(cfg, serve::EpochConfig{}.seconds_per_op);
     RecoveryManager::Materials mat = rm.load_shard(0);
-    gpusim::Device dev2(test_spec());
+    gpusim::Device dev2(kDevice);
     std::unique_ptr<HarmoniaIndex> index2;
     if (mat.snapshot.has_value()) {
       IndexOptions ropts = sc.opts;

@@ -3,135 +3,27 @@
 // runs against an incremental-mode one-device ShardedServer whose
 // deliberately tiny overlay bound forces it to alternate between
 // in-place patch commits and compaction fallbacks, and every response is
-// checked against the snapshot for the epoch it reports — the same response-derived oracle
-// as epoch_pipeline_test.cpp (update responses carry the 1-based epoch
-// ordinal that applied them; apply_threads stays 1 so the arrival-order
-// map oracle is exact). The runs cross >= 1000 patch/compaction/swap
-// boundaries, both epoch kinds must actually occur, the patch/compaction
-// report split must reconcile (check_invariants fires inside run()), and
-// the same seed must replay to byte-identical responses.
+// checked against the snapshot for the epoch it reports (the
+// response-derived oracle of serving_oracle.hpp). The runs cross >= 1000
+// patch/compaction/swap boundaries, both epoch kinds must actually
+// occur, the patch/compaction report split must reconcile
+// (check_invariants fires inside run()), and the same seed must replay
+// to byte-identical responses.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <map>
 #include <vector>
 
 #include "common/expect.hpp"
 #include "queries/workload.hpp"
 #include "serve/options.hpp"
 #include "serve/workload.hpp"
+#include "serving_oracle.hpp"
 #include "shard/sharded_server.hpp"
 
 namespace harmonia::serve {
 namespace {
 
-gpusim::DeviceSpec test_spec() {
-  auto spec = gpusim::titan_v();
-  spec.num_sms = 8;
-  spec.global_mem_bytes = 512 << 20;
-  return spec;
-}
-
-struct ServerFixture {
-  explicit ServerFixture(std::uint64_t tree_keys = 1 << 12, unsigned fanout = 16)
-      : keys(queries::make_tree_keys(tree_keys, 1)), index([&] {
-          std::vector<btree::Entry> entries;
-          for (Key k : keys) entries.push_back({k, btree::value_for_key(k)});
-          return HarmoniaIndex::build(dev, entries, {.fanout = fanout});
-        }()) {}
-
-  gpusim::Device dev{test_spec()};
-  std::vector<Key> keys;
-  HarmoniaIndex index;
-};
-
-/// Mirrors BatchUpdater semantics on a std::map (as in server_test.cpp).
-void apply_to_oracle(std::map<Key, Value>& oracle, const Request& r) {
-  switch (r.op) {
-    case queries::OpKind::kUpdate:
-      if (auto it = oracle.find(r.key); it != oracle.end()) it->second = r.value;
-      break;
-    case queries::OpKind::kInsert:
-      oracle[r.key] = r.value;
-      break;
-    case queries::OpKind::kDelete:
-      oracle.erase(r.key);
-      break;
-  }
-}
-
-/// Reconstructs the per-epoch snapshots the run served from: update
-/// responses report the 1-based epoch ordinal that applied them; within
-/// an epoch, updates apply in arrival (stream) order.
-std::vector<std::map<Key, Value>> snapshots_from_responses(
-    const std::vector<Key>& keys, const std::vector<Request>& stream,
-    const ServerReport& rep) {
-  std::vector<unsigned> epoch_of(stream.size(), 0);
-  for (const Response& resp : rep.responses) {
-    if (resp.kind == RequestKind::kUpdate) epoch_of[resp.id] = resp.epoch;
-  }
-  std::vector<std::map<Key, Value>> snapshots;
-  std::map<Key, Value> oracle;
-  for (Key k : keys) oracle[k] = btree::value_for_key(k);
-  snapshots.push_back(oracle);
-  for (unsigned e = 1; e <= rep.epochs; ++e) {
-    for (const Request& r : stream) {
-      if (r.kind == RequestKind::kUpdate && epoch_of[r.id] == e)
-        apply_to_oracle(oracle, r);
-    }
-    snapshots.push_back(oracle);
-  }
-  return snapshots;
-}
-
-/// Checks every response against the snapshot for the epoch it reports.
-void check_against_snapshots(const std::vector<Request>& stream,
-                             const ServerReport& rep,
-                             const std::vector<std::map<Key, Value>>& snapshots,
-                             std::size_t max_range_results) {
-  for (const auto& resp : rep.responses) {
-    ASSERT_LT(resp.epoch, snapshots.size());
-    const auto& oracle = snapshots[resp.epoch];
-    const Request& req = stream[resp.id];
-    switch (resp.kind) {
-      case RequestKind::kPoint: {
-        const auto it = oracle.find(req.key);
-        const Value want = it != oracle.end() ? it->second : kNotFound;
-        ASSERT_EQ(resp.value, want)
-            << "request " << resp.id << " epoch " << resp.epoch;
-        break;
-      }
-      case RequestKind::kRange: {
-        std::vector<Value> want;
-        for (auto it = oracle.lower_bound(req.key);
-             it != oracle.end() && it->first <= req.hi &&
-             want.size() < max_range_results;
-             ++it) {
-          want.push_back(it->second);
-        }
-        ASSERT_EQ(resp.range_values, want)
-            << "range request " << resp.id << " epoch " << resp.epoch;
-        break;
-      }
-      case RequestKind::kScan: {
-        std::size_t limit = req.scan_n ? req.scan_n : 1;
-        if (limit > max_range_results) limit = max_range_results;
-        std::vector<Value> want;
-        for (auto it = oracle.lower_bound(req.key);
-             it != oracle.end() && want.size() < limit; ++it) {
-          want.push_back(it->second);
-        }
-        ASSERT_EQ(resp.range_values, want)
-            << "scan request " << resp.id << " epoch " << resp.epoch;
-        break;
-      }
-      case RequestKind::kUpdate:
-        EXPECT_GE(resp.completion, resp.arrival);
-        EXPECT_GE(resp.epoch, 1u);
-        break;
-    }
-  }
-}
+using namespace testing_support;
 
 ServeOptions delta_config(std::uint64_t max_buffered, std::size_t overlay_cap) {
   ServeOptions cfg;
@@ -190,22 +82,19 @@ TEST(DeltaServingFuzz, DifferentialOracleAcrossThousandEpochBoundaries) {
   EXPECT_GT(rep.compaction_epochs, 0u);
   EXPECT_EQ(rep.patch_epochs + rep.compaction_epochs, rep.epochs);
 
-  const auto snapshots = snapshots_from_responses(f.keys, stream, rep);
+  const auto snapshots = epoch_snapshots(f.keys, stream, rep);
   ASSERT_EQ(snapshots.size(), rep.epochs + 1);
-  ASSERT_NO_FATAL_FAILURE(check_against_snapshots(stream, rep, snapshots,
-                                                  cfg.batch.max_range_results));
+  ASSERT_NO_FATAL_FAILURE(
+      check_responses(stream, rep, snapshots, cfg.batch.max_range_results));
 
   // After the final drain the live index equals the last snapshot (the
   // host search consults the overlay, so entries still parked there —
   // the drain may commit as a patch — are covered too) and the
   // committed tree still satisfies every structural invariant.
-  const auto& final_oracle = snapshots.back();
   f.index.tree().validate();
   EXPECT_LE(f.index.overlay_live_count() + f.index.overlay_tombstone_count(),
             cfg.epoch.overlay_capacity);
-  for (const auto& [k, v] : final_oracle) {
-    ASSERT_EQ(f.index.search_host(k).value_or(kNotFound), v);
-  }
+  expect_host_reads(f.index, snapshots.back());
 }
 
 // Acceptance: the incremental pipeline is deterministic — the same seed

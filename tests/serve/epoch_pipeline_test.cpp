@@ -8,17 +8,12 @@
 // response and report field alone, and ServeOptions::validate must
 // reject every inconsistent combination before any serving state exists.
 //
-// Unlike the quiesce oracle in server_test.cpp (fixed max_buffered
-// blocks), the overlap oracle derives epoch membership from the update
-// *responses*: while an epoch is in flight the buffer keeps growing, so
-// a later epoch can apply more than max_buffered updates. Each update
-// response reports the epoch that applied it; replaying the stream's
-// updates grouped by that ordinal reconstructs exactly the snapshots
-// queries were served from.
+// The overlap oracle derives epoch membership from the update responses
+// (serving_oracle.hpp): while an epoch is in flight the buffer keeps
+// growing, so a later epoch can apply more than max_buffered updates.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <map>
 #include <vector>
 
 #include "common/expect.hpp"
@@ -26,69 +21,13 @@
 #include "serve/options.hpp"
 #include "serve/workload.hpp"
 #include "report_compare.hpp"
+#include "serving_oracle.hpp"
 #include "shard/sharded_server.hpp"
 
 namespace harmonia::serve {
 namespace {
 
-gpusim::DeviceSpec test_spec() {
-  auto spec = gpusim::titan_v();
-  spec.num_sms = 8;
-  spec.global_mem_bytes = 512 << 20;
-  return spec;
-}
-
-struct ServerFixture {
-  explicit ServerFixture(std::uint64_t tree_keys = 1 << 12, unsigned fanout = 16)
-      : keys(queries::make_tree_keys(tree_keys, 1)), index([&] {
-          std::vector<btree::Entry> entries;
-          for (Key k : keys) entries.push_back({k, btree::value_for_key(k)});
-          return HarmoniaIndex::build(dev, entries, {.fanout = fanout});
-        }()) {}
-
-  gpusim::Device dev{test_spec()};
-  std::vector<Key> keys;
-  HarmoniaIndex index;
-};
-
-/// Mirrors BatchUpdater semantics on a std::map (as in server_test.cpp).
-void apply_to_oracle(std::map<Key, Value>& oracle, const Request& r) {
-  switch (r.op) {
-    case queries::OpKind::kUpdate:
-      if (auto it = oracle.find(r.key); it != oracle.end()) it->second = r.value;
-      break;
-    case queries::OpKind::kInsert:
-      oracle[r.key] = r.value;
-      break;
-    case queries::OpKind::kDelete:
-      oracle.erase(r.key);
-      break;
-  }
-}
-
-/// Reconstructs the per-epoch snapshots an overlap run served from:
-/// update responses report the 1-based epoch ordinal that applied them;
-/// within an epoch, updates apply in arrival (stream) order.
-std::vector<std::map<Key, Value>> snapshots_from_responses(
-    const std::vector<Key>& keys, const std::vector<Request>& stream,
-    const ServerReport& rep) {
-  std::vector<unsigned> epoch_of(stream.size(), 0);
-  for (const Response& resp : rep.responses) {
-    if (resp.kind == RequestKind::kUpdate) epoch_of[resp.id] = resp.epoch;
-  }
-  std::vector<std::map<Key, Value>> snapshots;
-  std::map<Key, Value> oracle;
-  for (Key k : keys) oracle[k] = btree::value_for_key(k);
-  snapshots.push_back(oracle);
-  for (unsigned e = 1; e <= rep.epochs; ++e) {
-    for (const Request& r : stream) {
-      if (r.kind == RequestKind::kUpdate && epoch_of[r.id] == e)
-        apply_to_oracle(oracle, r);
-    }
-    snapshots.push_back(oracle);
-  }
-  return snapshots;
-}
+using namespace testing_support;
 
 // Acceptance: with the double-buffered pipeline swapping images mid
 // stream, every point/range answer still matches the snapshot for the
@@ -120,68 +59,18 @@ TEST(EpochPipeline, OverlapDifferentialOracleAcrossEpochs) {
   ASSERT_EQ(rep.responses.size(), stream.size());
   ASSERT_GE(rep.epochs, 3u) << "workload must span >= 3 swapped epochs";
 
-  const auto snapshots = snapshots_from_responses(f.keys, stream, rep);
+  const auto snapshots = epoch_snapshots(f.keys, stream, rep);
   ASSERT_EQ(snapshots.size(), rep.epochs + 1);
-
-  std::uint64_t points = 0, ranges = 0;
-  for (const auto& resp : rep.responses) {
-    ASSERT_LT(resp.epoch, snapshots.size());
-    const auto& oracle = snapshots[resp.epoch];
-    switch (resp.kind) {
-      case RequestKind::kPoint: {
-        ++points;
-        const Request& req = stream[resp.id];
-        const auto it = oracle.find(req.key);
-        const Value want = it != oracle.end() ? it->second : kNotFound;
-        ASSERT_EQ(resp.value, want)
-            << "request " << resp.id << " epoch " << resp.epoch;
-        break;
-      }
-      case RequestKind::kRange: {
-        ++ranges;
-        const Request& req = stream[resp.id];
-        std::vector<Value> want;
-        for (auto it = oracle.lower_bound(req.key);
-             it != oracle.end() && it->first <= req.hi &&
-             want.size() < cfg.batch.max_range_results;
-             ++it) {
-          want.push_back(it->second);
-        }
-        ASSERT_EQ(resp.range_values, want)
-            << "range request " << resp.id << " epoch " << resp.epoch;
-        break;
-      }
-      case RequestKind::kScan: {
-        const Request& req = stream[resp.id];
-        std::size_t limit = req.scan_n ? req.scan_n : 1;
-        if (limit > cfg.batch.max_range_results)
-          limit = cfg.batch.max_range_results;
-        std::vector<Value> want;
-        for (auto it = oracle.lower_bound(req.key);
-             it != oracle.end() && want.size() < limit; ++it) {
-          want.push_back(it->second);
-        }
-        ASSERT_EQ(resp.range_values, want)
-            << "scan request " << resp.id << " epoch " << resp.epoch;
-        break;
-      }
-      case RequestKind::kUpdate:
-        EXPECT_GE(resp.completion, resp.arrival);
-        EXPECT_GE(resp.epoch, 1u);
-        break;
-    }
-  }
-  EXPECT_GT(points, 3000u);
-  EXPECT_GT(ranges, 400u);
+  ASSERT_NO_FATAL_FAILURE(
+      check_responses(stream, rep, snapshots, cfg.batch.max_range_results));
+  EXPECT_GT(count_responses(rep, RequestKind::kPoint), 3000u);
+  EXPECT_GT(count_responses(rep, RequestKind::kRange), 400u);
 
   // After the run, the live index equals the final snapshot: the last
   // swap (or final drain) installed every buffered update.
-  const auto& final_oracle = snapshots.back();
   f.index.tree().validate();
-  ASSERT_EQ(f.index.tree().num_keys(), final_oracle.size());
-  for (const auto& [k, v] : final_oracle) {
-    ASSERT_EQ(f.index.search_host(k).value_or(kNotFound), v);
-  }
+  ASSERT_EQ(f.index.tree().num_keys(), snapshots.back().size());
+  expect_host_reads(f.index, snapshots.back());
 }
 
 // Acceptance: the report splits epoch cost into build | upload | swap
@@ -327,15 +216,12 @@ TEST(EpochPipeline, ThousandsOfBackToBackSwapsStayMonotonic) {
   // Final state: epoch grouping must not change what ends up applied.
   // The two-worker apply deals ops by leaf, so every key's ops apply in
   // arrival order and the arrival-order oracle holds for it directly.
-  std::map<Key, Value> oracle;
-  for (Key k : f.keys) oracle[k] = btree::value_for_key(k);
+  Oracle oracle = initial_oracle(f.keys);
   for (const Request& r : stream) {
-    if (r.kind == RequestKind::kUpdate) apply_to_oracle(oracle, r);
+    if (r.kind == RequestKind::kUpdate) apply_op(oracle, r);
   }
   ASSERT_EQ(f.index.tree().num_keys(), oracle.size());
-  for (const auto& [k, v] : oracle) {
-    ASSERT_EQ(f.index.search_host(k).value_or(kNotFound), v);
-  }
+  expect_host_reads(f.index, oracle);
 }
 
 // The Algorithm-1 thread count is construction-time only because nothing
@@ -346,8 +232,7 @@ TEST(EpochPipeline, ThousandsOfBackToBackSwapsStayMonotonic) {
 // every epoch mode: every response and every report field.
 TEST(EpochPipeline, ApplyThreadsLeaveTheVirtualClockAlone) {
   const auto keys = queries::make_tree_keys(1 << 12, 1);
-  std::vector<btree::Entry> entries;
-  for (Key k : keys) entries.push_back({k, btree::value_for_key(k)});
+  const auto entries = entries_for(keys);
 
   OpenLoopSpec spec;
   spec.arrivals_per_second = 5e6;
@@ -358,13 +243,11 @@ TEST(EpochPipeline, ApplyThreadsLeaveTheVirtualClockAlone) {
   spec.seed = 31;
   const auto stream = make_open_loop(keys, spec);
 
-  shard::ShardedOptions shopts;
-  shopts.index.fanout = 16;
+  shard::ShardedOptions shopts = sharded_options();
   // Gapless leaves: delta-mode inserts land in the small overlay below,
   // so compaction epochs fold real Algorithm-1 work on every shard.
   shopts.index.fill_factor = 1.0;
-  shopts.device = test_spec();
-  shopts.device_global_bytes = 256 << 20;
+  shopts.device = small_device(kServerDeviceBytes);
 
   for (const EpochMode mode :
        {EpochMode::kQuiesce, EpochMode::kOverlap, EpochMode::kIncremental}) {
@@ -391,7 +274,7 @@ TEST(EpochPipeline, ApplyThreadsLeaveTheVirtualClockAlone) {
       EXPECT_GT(one.patch_epochs, 0u);
       EXPECT_GT(one.compaction_epochs, 0u);
     }
-    testing_support::expect_same_report(one, four);
+    expect_same_report(one, four);
   }
 }
 

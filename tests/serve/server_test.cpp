@@ -4,49 +4,15 @@
 // overload must shed load instead of growing the queue.
 #include <gtest/gtest.h>
 
-#include <map>
-
 #include "queries/workload.hpp"
 #include "serve/workload.hpp"
+#include "serving_oracle.hpp"
 #include "shard/sharded_server.hpp"
 
 namespace harmonia::serve {
 namespace {
 
-gpusim::DeviceSpec test_spec() {
-  auto spec = gpusim::titan_v();
-  spec.num_sms = 8;
-  spec.global_mem_bytes = 512 << 20;
-  return spec;
-}
-
-struct ServerFixture {
-  explicit ServerFixture(std::uint64_t tree_keys = 1 << 12, unsigned fanout = 16)
-      : keys(queries::make_tree_keys(tree_keys, 1)), index([&] {
-          std::vector<btree::Entry> entries;
-          for (Key k : keys) entries.push_back({k, btree::value_for_key(k)});
-          return HarmoniaIndex::build(dev, entries, {.fanout = fanout});
-        }()) {}
-
-  gpusim::Device dev{test_spec()};
-  std::vector<Key> keys;
-  HarmoniaIndex index;
-};
-
-/// Mirrors BatchUpdater semantics on a std::map (phase_workflow style).
-void apply_to_oracle(std::map<Key, Value>& oracle, const Request& r) {
-  switch (r.op) {
-    case queries::OpKind::kUpdate:
-      if (auto it = oracle.find(r.key); it != oracle.end()) it->second = r.value;
-      break;
-    case queries::OpKind::kInsert:
-      oracle[r.key] = r.value;
-      break;
-    case queries::OpKind::kDelete:
-      oracle.erase(r.key);
-      break;
-  }
-}
+using namespace testing_support;
 
 // Acceptance: the serving path returns, for every admitted request, the
 // answer the offline index would give for the epoch it was served under —
@@ -70,92 +36,26 @@ TEST(Server, DifferentialOracleAcrossEpochs) {
   cfg.batch.max_range_results = 16;
   cfg.epoch.max_buffered = 400;
 
-  // Snapshot the oracle after every epoch's worth of updates, replaying
-  // the stream in arrival order exactly as the epoch updater batches it.
-  std::vector<std::map<Key, Value>> snapshots;
-  {
-    std::map<Key, Value> oracle;
-    for (Key k : f.keys) oracle[k] = btree::value_for_key(k);
-    snapshots.push_back(oracle);
-    std::size_t buffered = 0;
-    for (const Request& r : stream) {
-      if (r.kind != RequestKind::kUpdate) continue;
-      apply_to_oracle(oracle, r);
-      if (++buffered == cfg.epoch.max_buffered) {
-        snapshots.push_back(oracle);
-        buffered = 0;
-      }
-    }
-    if (buffered > 0) snapshots.push_back(oracle);  // final drain epoch
-  }
-  ASSERT_GE(snapshots.size(), 4u) << "workload must span >= 3 update epochs";
-
   shard::ShardedServer server(f.index, cfg);
   const auto rep = server.run(stream);
 
   ASSERT_EQ(rep.dropped, 0u);
   ASSERT_EQ(rep.responses.size(), stream.size());
   EXPECT_GE(rep.epochs, 3u);
-  ASSERT_EQ(rep.epochs + 1, snapshots.size());
-
-  std::uint64_t points = 0, ranges = 0;
-  for (const auto& resp : rep.responses) {
-    ASSERT_LT(resp.epoch, snapshots.size());
-    const auto& oracle = snapshots[resp.epoch];
-    switch (resp.kind) {
-      case RequestKind::kPoint: {
-        ++points;
-        const Request& req = stream[resp.id];
-        const auto it = oracle.find(req.key);
-        const Value want = it != oracle.end() ? it->second : kNotFound;
-        ASSERT_EQ(resp.value, want)
-            << "request " << resp.id << " epoch " << resp.epoch;
-        break;
-      }
-      case RequestKind::kRange: {
-        ++ranges;
-        const Request& req = stream[resp.id];
-        std::vector<Value> want;
-        for (auto it = oracle.lower_bound(req.key);
-             it != oracle.end() && it->first <= req.hi &&
-             want.size() < cfg.batch.max_range_results;
-             ++it) {
-          want.push_back(it->second);
-        }
-        ASSERT_EQ(resp.range_values, want)
-            << "range request " << resp.id << " epoch " << resp.epoch;
-        break;
-      }
-      case RequestKind::kScan: {
-        const Request& req = stream[resp.id];
-        std::size_t limit = req.scan_n ? req.scan_n : 1;
-        if (limit > cfg.batch.max_range_results)
-          limit = cfg.batch.max_range_results;
-        std::vector<Value> want;
-        for (auto it = oracle.lower_bound(req.key);
-             it != oracle.end() && want.size() < limit; ++it) {
-          want.push_back(it->second);
-        }
-        ASSERT_EQ(resp.range_values, want)
-            << "scan request " << resp.id << " epoch " << resp.epoch;
-        break;
-      }
-      case RequestKind::kUpdate:
-        EXPECT_GE(resp.completion, resp.arrival);
-        EXPECT_GE(resp.epoch, 1u);
-        break;
-    }
-  }
-  EXPECT_GT(points, 3000u);
-  EXPECT_GT(ranges, 400u);
+  // Quiesce epochs close every max_buffered updates, so the snapshots
+  // are the stream replayed in arrival order and cut by count.
+  ASSERT_NO_FATAL_FAILURE(expect_epochs_by_count(stream, rep, cfg.epoch.max_buffered));
+  const auto snapshots = epoch_snapshots(f.keys, stream, rep);
+  ASSERT_GE(snapshots.size(), 4u) << "workload must span >= 3 update epochs";
+  ASSERT_NO_FATAL_FAILURE(
+      check_responses(stream, rep, snapshots, cfg.batch.max_range_results));
+  EXPECT_GT(count_responses(rep, RequestKind::kPoint), 3000u);
+  EXPECT_GT(count_responses(rep, RequestKind::kRange), 400u);
 
   // After the run, the index itself must equal the final snapshot.
-  const auto& final_oracle = snapshots.back();
   f.index.tree().validate();
-  ASSERT_EQ(f.index.tree().num_keys(), final_oracle.size());
-  for (const auto& [k, v] : final_oracle) {
-    ASSERT_EQ(f.index.search_host(k).value_or(kNotFound), v);
-  }
+  ASSERT_EQ(f.index.tree().num_keys(), snapshots.back().size());
+  expect_host_reads(f.index, snapshots.back());
 }
 
 // Acceptance: the deadline trigger bounds p99 queueing delay; widening

@@ -20,124 +20,14 @@
 #include "persist/durability.hpp"
 #include "queries/workload.hpp"
 #include "serve/workload.hpp"
+#include "serving_oracle.hpp"
 #include "shard/sharded_server.hpp"
 #include "test_dir.hpp"
 
 namespace harmonia::shard {
 namespace {
 
-gpusim::DeviceSpec test_spec() {
-  auto spec = gpusim::titan_v();
-  spec.num_sms = 8;
-  spec.global_mem_bytes = 256 << 20;
-  return spec;
-}
-
-ShardedOptions test_options(unsigned fanout) {
-  ShardedOptions options;
-  options.index.fanout = fanout;
-  options.device = test_spec();
-  options.device_global_bytes = 256 << 20;
-  return options;
-}
-
-struct ShardedFixture {
-  explicit ShardedFixture(unsigned shards, std::uint64_t tree_keys = 1 << 12,
-                          unsigned fanout = 16)
-      : keys(queries::make_tree_keys(tree_keys, 1)),
-        index([&] {
-          std::vector<btree::Entry> entries;
-          for (Key k : keys) entries.push_back({k, btree::value_for_key(k)});
-          return ShardedIndex(entries, ShardPlan::sample_balanced(keys, shards),
-                              test_options(fanout));
-        }()) {}
-
-  std::vector<Key> keys;
-  ShardedIndex index;
-};
-
-void apply_to_oracle(std::map<Key, Value>& oracle, const serve::Request& r) {
-  switch (r.op) {
-    case queries::OpKind::kUpdate:
-      if (auto it = oracle.find(r.key); it != oracle.end()) it->second = r.value;
-      break;
-    case queries::OpKind::kInsert:
-      oracle[r.key] = r.value;
-      break;
-    case queries::OpKind::kDelete:
-      oracle.erase(r.key);
-      break;
-  }
-}
-
-std::vector<std::map<Key, Value>> make_snapshots(
-    const std::vector<Key>& keys, const std::vector<serve::Request>& stream,
-    std::size_t max_buffered) {
-  std::vector<std::map<Key, Value>> snapshots;
-  std::map<Key, Value> oracle;
-  for (Key k : keys) oracle[k] = btree::value_for_key(k);
-  snapshots.push_back(oracle);
-  std::size_t buffered = 0;
-  for (const serve::Request& r : stream) {
-    if (r.kind != serve::RequestKind::kUpdate) continue;
-    apply_to_oracle(oracle, r);
-    if (++buffered == max_buffered) {
-      snapshots.push_back(oracle);
-      buffered = 0;
-    }
-  }
-  if (buffered > 0) snapshots.push_back(oracle);
-  return snapshots;
-}
-
-void check_answered_against_oracle(
-    const serve::ServerReport& rep, const std::vector<serve::Request>& stream,
-    const std::vector<std::map<Key, Value>>& snapshots,
-    std::size_t max_range_results) {
-  ASSERT_EQ(rep.responses.size(), stream.size());
-  for (const auto& resp : rep.responses) {
-    if (resp.dropped) continue;
-    ASSERT_LT(resp.epoch, snapshots.size());
-    const auto& oracle = snapshots[resp.epoch];
-    const serve::Request& req = stream[resp.id];
-    switch (resp.kind) {
-      case serve::RequestKind::kPoint: {
-        const auto it = oracle.find(req.key);
-        const Value want = it != oracle.end() ? it->second : kNotFound;
-        ASSERT_EQ(resp.value, want)
-            << "request " << resp.id << " epoch " << resp.epoch;
-        break;
-      }
-      case serve::RequestKind::kRange: {
-        std::vector<Value> want;
-        for (auto it = oracle.lower_bound(req.key);
-             it != oracle.end() && it->first <= req.hi &&
-             want.size() < max_range_results;
-             ++it) {
-          want.push_back(it->second);
-        }
-        ASSERT_EQ(resp.range_values, want)
-            << "range request " << resp.id << " epoch " << resp.epoch;
-        break;
-      }
-      case serve::RequestKind::kScan: {
-        std::size_t limit = req.scan_n ? req.scan_n : 1;
-        if (limit > max_range_results) limit = max_range_results;
-        std::vector<Value> want;
-        for (auto it = oracle.lower_bound(req.key);
-             it != oracle.end() && want.size() < limit; ++it) {
-          want.push_back(it->second);
-        }
-        ASSERT_EQ(resp.range_values, want)
-            << "scan request " << resp.id << " epoch " << resp.epoch;
-        break;
-      }
-      case serve::RequestKind::kUpdate:
-        EXPECT_GE(resp.completion, resp.arrival);
-        break;
-    }
-  }
-}
+using namespace testing_support;
 
 serve::ServeOptions replicated_config(unsigned replicas) {
   serve::ServeOptions cfg;
@@ -170,7 +60,6 @@ TEST(ReplicaFailover, LostReplicaServesFromSurvivorsZeroDegraded) {
   cfg.faults =
       fault::FaultPlan::parse("replica-lost@0.0004:shard=1,replica=0,repair=0.0006");
 
-  const auto snapshots = make_snapshots(f.keys, stream, cfg.epoch.max_buffered);
   ShardedServer server(f.index, cfg);
   const auto rep = server.run(stream);
 
@@ -197,8 +86,7 @@ TEST(ReplicaFailover, LostReplicaServesFromSurvivorsZeroDegraded) {
   }
   EXPECT_EQ(grid, rep.batches);
 
-  check_answered_against_oracle(rep, stream, snapshots,
-                                cfg.batch.max_range_results);
+  check_quiesce_responses(f.keys, stream, rep, cfg);
 }
 
 // The loss counters book by outcome in the report and the metrics alike.
@@ -227,7 +115,6 @@ TEST(ReplicaFailover, WholeShardLoseAbsorbedByGroup) {
   obs::MetricsRegistry metrics;
   cfg.obs = {&metrics, nullptr};
 
-  const auto snapshots = make_snapshots(f.keys, stream, cfg.epoch.max_buffered);
   ShardedServer server(f.index, cfg);
   const auto rep = server.run(stream);
 
@@ -237,8 +124,7 @@ TEST(ReplicaFailover, WholeShardLoseAbsorbedByGroup) {
   EXPECT_EQ(rep.faults.replicas_rejoined, 1u);
   EXPECT_EQ(rep.faults.degraded_points, 0u);
   EXPECT_EQ(rep.shed, 0u);
-  check_answered_against_oracle(rep, stream, snapshots,
-                                cfg.batch.max_range_results);
+  check_quiesce_responses(f.keys, stream, rep, cfg);
 }
 
 // Losing the *last* healthy replica is a whole-shard outage: the second
@@ -262,7 +148,6 @@ TEST(ReplicaFailover, LastHealthyReplicaLossFencesShard) {
   obs::MetricsRegistry metrics;
   cfg.obs = {&metrics, nullptr};
 
-  const auto snapshots = make_snapshots(f.keys, stream, cfg.epoch.max_buffered);
   ShardedServer server(f.index, cfg);
   const auto rep = server.run(stream);
 
@@ -272,8 +157,7 @@ TEST(ReplicaFailover, LastHealthyReplicaLossFencesShard) {
   EXPECT_EQ(rep.faults.shards_restored, 1u);
   EXPECT_GT(rep.faults.degraded_points, 0u);
   EXPECT_GT(rep.faults.fenced_seconds, 0.0);
-  check_answered_against_oracle(rep, stream, snapshots,
-                                cfg.batch.max_range_results);
+  check_quiesce_responses(f.keys, stream, rep, cfg);
 }
 
 // Log-shipped catch-up: epochs swap while one replica is down, so the
@@ -294,7 +178,6 @@ TEST(ReplicaFailover, RejoinReplaysUpdateLogTail) {
   cfg.faults =
       fault::FaultPlan::parse("replica-lost@0.0003:shard=0,replica=1,repair=0.002");
 
-  const auto snapshots = make_snapshots(f.keys, stream, cfg.epoch.max_buffered);
   ShardedServer server(f.index, cfg);
   const auto rep = server.run(stream);
 
@@ -303,8 +186,7 @@ TEST(ReplicaFailover, RejoinReplaysUpdateLogTail) {
   EXPECT_GT(rep.faults.catchup_ops, 0u);
   EXPECT_GT(rep.faults.catchup_seconds, 0.0);
   EXPECT_EQ(rep.faults.degraded_points, 0u);
-  check_answered_against_oracle(rep, stream, snapshots,
-                                cfg.batch.max_range_results);
+  check_quiesce_responses(f.keys, stream, rep, cfg);
 }
 
 // Replication is invisible to results: a fault-free K=3 run answers every

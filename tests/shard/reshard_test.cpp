@@ -8,7 +8,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -18,129 +17,16 @@
 #include "obs/trace.hpp"
 #include "queries/workload.hpp"
 #include "serve/workload.hpp"
+#include "serving_oracle.hpp"
 #include "shard/sharded_server.hpp"
 
 namespace harmonia::shard {
 namespace {
 
-gpusim::DeviceSpec test_spec() {
-  auto spec = gpusim::titan_v();
-  spec.num_sms = 8;
-  spec.global_mem_bytes = 256 << 20;
-  return spec;
-}
+using namespace testing_support;
 
-ShardedOptions test_options(unsigned fanout) {
-  ShardedOptions options;
-  options.index.fanout = fanout;
-  options.device = test_spec();
-  options.device_global_bytes = 256 << 20;
-  return options;
-}
-
-struct ShardedFixture {
-  explicit ShardedFixture(unsigned shards, std::uint64_t tree_keys = 1 << 12,
-                          unsigned fanout = 16)
-      : keys(queries::make_tree_keys(tree_keys, 1)),
-        index([&] {
-          std::vector<btree::Entry> entries;
-          for (Key k : keys) entries.push_back({k, btree::value_for_key(k)});
-          return ShardedIndex(entries, ShardPlan::sample_balanced(keys, shards),
-                              test_options(fanout));
-        }()) {}
-
-  std::vector<Key> keys;
-  ShardedIndex index;
-};
-
-void apply_to_oracle(std::map<Key, Value>& oracle, const serve::Request& r) {
-  switch (r.op) {
-    case queries::OpKind::kUpdate:
-      if (auto it = oracle.find(r.key); it != oracle.end()) it->second = r.value;
-      break;
-    case queries::OpKind::kInsert:
-      oracle[r.key] = r.value;
-      break;
-    case queries::OpKind::kDelete:
-      oracle.erase(r.key);
-      break;
-  }
-}
-
-/// Rebuilds the snapshots the run served from: group the stream's
-/// updates by the epoch ordinal their response reports, apply groups in
-/// epoch order (arrival order within a group). Updates buffer while a
-/// migration is in flight, so epochs are not cut at max_buffered.
-std::vector<std::map<Key, Value>> snapshots_from_responses(
-    const std::vector<Key>& keys, const std::vector<serve::Request>& stream,
-    const serve::ServerReport& rep) {
-  std::vector<unsigned> epoch_of(stream.size(), 0);
-  for (const serve::Response& resp : rep.responses) {
-    if (resp.kind == serve::RequestKind::kUpdate) epoch_of[resp.id] = resp.epoch;
-  }
-  std::vector<std::map<Key, Value>> snapshots;
-  std::map<Key, Value> oracle;
-  for (Key k : keys) oracle[k] = btree::value_for_key(k);
-  snapshots.push_back(oracle);
-  for (unsigned e = 1; e <= rep.epochs; ++e) {
-    for (const serve::Request& r : stream) {
-      if (r.kind == serve::RequestKind::kUpdate && epoch_of[r.id] == e)
-        apply_to_oracle(oracle, r);
-    }
-    snapshots.push_back(oracle);
-  }
-  return snapshots;
-}
-
-void check_answered_against_oracle(
-    const serve::ServerReport& rep, const std::vector<serve::Request>& stream,
-    const std::vector<std::map<Key, Value>>& snapshots,
-    std::size_t max_range_results) {
-  ASSERT_EQ(rep.responses.size(), stream.size());
-  for (const auto& resp : rep.responses) {
-    if (resp.dropped) continue;
-    ASSERT_LT(resp.epoch, snapshots.size());
-    const auto& oracle = snapshots[resp.epoch];
-    const serve::Request& req = stream[resp.id];
-    switch (resp.kind) {
-      case serve::RequestKind::kPoint: {
-        const auto it = oracle.find(req.key);
-        const Value want = it != oracle.end() ? it->second : kNotFound;
-        ASSERT_EQ(resp.value, want)
-            << "request " << resp.id << " epoch " << resp.epoch;
-        break;
-      }
-      case serve::RequestKind::kRange: {
-        std::vector<Value> want;
-        for (auto it = oracle.lower_bound(req.key);
-             it != oracle.end() && it->first <= req.hi &&
-             want.size() < max_range_results;
-             ++it) {
-          want.push_back(it->second);
-        }
-        ASSERT_EQ(resp.range_values, want)
-            << "range request " << resp.id << " epoch " << resp.epoch;
-        break;
-      }
-      case serve::RequestKind::kScan: {
-        std::size_t limit = req.scan_n ? req.scan_n : 1;
-        if (limit > max_range_results) limit = max_range_results;
-        std::vector<Value> want;
-        for (auto it = oracle.lower_bound(req.key);
-             it != oracle.end() && want.size() < limit; ++it) {
-          want.push_back(it->second);
-        }
-        ASSERT_EQ(resp.range_values, want)
-            << "scan request " << resp.id << " epoch " << resp.epoch;
-        break;
-      }
-      case serve::RequestKind::kUpdate:
-        EXPECT_GE(resp.completion, resp.arrival);
-        break;
-    }
-  }
-}
-
+// Updates buffer while a migration is in flight, so epochs are not cut at
+// max_buffered: the snapshots come from the update responses.
 serve::ServeOptions reshard_config() {
   serve::ServeOptions cfg;
   cfg.batch.max_batch = 128;
@@ -191,9 +77,8 @@ TEST(Reshard, HotShardSplitsAndStaysOracleExact) {
     EXPECT_GT(rep.migration_upload_seconds, 0.0);
     EXPECT_EQ(rep.plan_version, 1u + rep.migrations);
     EXPECT_EQ(rep.admitted + rep.dropped, rep.arrivals);
-    const auto snapshots = snapshots_from_responses(f.keys, stream, rep);
-    check_answered_against_oracle(rep, stream, snapshots,
-                                  cfg.batch.max_range_results);
+    const auto snapshots = epoch_snapshots(f.keys, stream, rep);
+    check_responses(stream, rep, snapshots, cfg.batch.max_range_results);
 
     // Conservation: a split moves keys between shards, never creates or
     // destroys them — the shards together hold exactly the final
@@ -269,15 +154,13 @@ TEST(Reshard, SplitComposesWithReplicaGroups) {
 
   ShardedServer server(f.index, cfg);
   const auto rep = server.run(stream);
-  const auto snapshots = snapshots_from_responses(f.keys, stream, rep);
-
   ASSERT_GE(rep.migrations, 1u);
   EXPECT_EQ(rep.plan_version, 1u + rep.migrations);
   std::uint64_t grid = 0;
   for (const std::uint64_t b : rep.replica_batches) grid += b;
   EXPECT_EQ(grid, rep.batches);
-  check_answered_against_oracle(rep, stream, snapshots,
-                                cfg.batch.max_range_results);
+  check_responses(stream, rep, epoch_snapshots(f.keys, stream, rep),
+                  cfg.batch.max_range_results);
 }
 
 // The donor of a staged split is lost and restored before the flip
@@ -338,8 +221,8 @@ TEST(Reshard, DonorRestoredMidSplitKeepsServingThePreSplitImage) {
 
   ASSERT_GE(rep.migrations, 1u);
   EXPECT_EQ(rep.faults.shards_restored, 1u);
-  check_answered_against_oracle(rep, stream, snapshots_from_responses(f.keys, stream, rep),
-                                cfg.batch.max_range_results);
+  check_responses(stream, rep, epoch_snapshots(f.keys, stream, rep),
+                  cfg.batch.max_range_results);
   for (unsigned s = 0; s < 4; ++s) {
     EXPECT_TRUE(fault::verify_image(*f.index.shard(s))) << "shard " << s;
   }

@@ -10,60 +10,23 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <map>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "queries/workload.hpp"
 #include "serve/workload.hpp"
+#include "serving_oracle.hpp"
 #include "shard/sharded_server.hpp"
 
 namespace harmonia::shard {
 namespace {
 
-gpusim::DeviceSpec small_device() {
-  auto spec = gpusim::titan_v();
-  spec.num_sms = 8;
-  spec.global_mem_bytes = 256 << 20;
-  return spec;
-}
-
-ShardedOptions small_options(unsigned fanout = 16) {
-  ShardedOptions options;
-  options.index.fanout = fanout;
-  options.device = small_device();
-  options.device_global_bytes = 256 << 20;
-  return options;
-}
-
-struct Fixture {
-  explicit Fixture(unsigned shards, std::uint64_t num_keys = 1 << 12,
-                   std::uint64_t seed = 1)
-      : keys(queries::make_tree_keys(num_keys, seed)),
-        entries([&] {
-          std::vector<btree::Entry> e;
-          e.reserve(keys.size());
-          for (Key k : keys) e.push_back({k, btree::value_for_key(k)});
-          return e;
-        }()),
-        single_device(small_device()),
-        single([&] {
-          return HarmoniaIndex::build(single_device, entries, {.fanout = 16});
-        }()),
-        sharded(entries, ShardPlan::sample_balanced(keys, shards),
-                small_options()) {}
-
-  std::vector<Key> keys;
-  std::vector<btree::Entry> entries;
-  gpusim::Device single_device;
-  HarmoniaIndex single;
-  ShardedIndex sharded;
-};
+using namespace testing_support;
 
 /// Scan starting points that stress the partition: exact keys, gaps,
 /// every shard boundary (and its neighbours), and points past the last
 /// key. Paired with counts from 1 up to several shard-spans.
-void make_probe_scans(const Fixture& f, std::vector<Key>& los,
+void make_probe_scans(const ShardedFixture& f, std::vector<Key>& los,
                       std::vector<std::uint32_t>& ns) {
   Xoshiro256 rng(99);
   const std::uint32_t counts[] = {1, 3, 16, 64, 300, 1500, 5000};
@@ -72,7 +35,7 @@ void make_probe_scans(const Fixture& f, std::vector<Key>& los,
     los.push_back(i % 2 == 0 ? base : base + 1);  // exact key / gap
     ns.push_back(counts[rng.next_below(std::size(counts))]);
   }
-  const ShardPlan& plan = f.sharded.plan();
+  const ShardPlan& plan = f.index.plan();
   for (unsigned s = 0; s < plan.num_shards(); ++s) {
     for (const Key lo : {plan.lo(s), plan.lo(s) > 0 ? plan.lo(s) - 1 : 0}) {
       los.push_back(lo);
@@ -93,7 +56,8 @@ void make_probe_scans(const Fixture& f, std::vector<Key>& los,
 TEST(ShardScan, DeviceScanMatchesHostOracleAcrossShards) {
   for (const unsigned shards : {1u, 3u, 4u}) {
     SCOPED_TRACE(testing::Message() << shards << " shard(s)");
-    Fixture f(shards);
+    ShardedFixture f(shards);
+    ServerFixture one(1 << 12, 16, small_device());
     std::vector<Key> los;
     std::vector<std::uint32_t> ns;
     make_probe_scans(f, los, ns);
@@ -110,17 +74,17 @@ TEST(ShardScan, DeviceScanMatchesHostOracleAcrossShards) {
     cfg.batch.max_batch = 64;
     cfg.batch.queue_capacity = 1 << 12;  // no drops: every scan checked
     cfg.batch.max_range_results = *std::max_element(ns.begin(), ns.end());
-    ShardedServer server(f.sharded, cfg);
+    ShardedServer server(f.index, cfg);
     const auto rep = server.run(stream);
     ASSERT_EQ(rep.dropped, 0u);
     ASSERT_EQ(rep.responses.size(), los.size());
-    const auto single = f.single.scan_device(los, ns);
+    const auto single = one.index.scan_device(los, ns);
     ASSERT_EQ(single.values.size(), los.size());
 
     std::uint64_t total = 0;
     for (const serve::Response& resp : rep.responses) {
       const std::size_t q = resp.id;
-      const auto oracle = f.sharded.scan_host(los[q], ns[q]);
+      const auto oracle = f.index.scan_host(los[q], ns[q]);
       std::vector<Value> want;
       want.reserve(oracle.size());
       for (const auto& e : oracle) want.push_back(e.value);
@@ -140,74 +104,38 @@ TEST(ShardScan, DeviceScanMatchesHostOracleAcrossShards) {
 // first shard plus the whole key counts of the shards after it reach n
 // (or the span ends at the last shard).
 TEST(ShardScan, ScanEndShardCoversRequestedCount) {
-  Fixture f(4);
-  const ShardPlan& plan = f.sharded.plan();
+  ShardedFixture f(4);
+  const ShardPlan& plan = f.index.plan();
   Xoshiro256 rng(5);
   for (int i = 0; i < 200; ++i) {
     const Key lo = f.keys[rng.next_below(f.keys.size())] + rng.next_below(2);
     const auto n = static_cast<std::uint32_t>(1 + rng.next_below(4000));
     const unsigned s0 = plan.shard_of(lo);
-    const unsigned s1 = f.sharded.scan_end_shard(lo, n);
+    const unsigned s1 = f.index.scan_end_shard(lo, n);
     ASSERT_GE(s1, s0);
     // Keys available on [s0, s1] from lo onward.
-    std::uint64_t have = f.sharded.range_host(lo, plan.hi(s0), n).size();
-    for (unsigned s = s0 + 1; s <= s1; ++s) have += f.sharded.shard_key_count(s);
+    std::uint64_t have = f.index.range_host(lo, plan.hi(s0), n).size();
+    for (unsigned s = s0 + 1; s <= s1; ++s) have += f.index.shard_key_count(s);
     if (s1 + 1 < plan.num_shards()) {
       ASSERT_GE(have, n) << "lo=" << lo << " n=" << n;
       // Minimal: when the span extended past its first shard, dropping
       // the last shard must lose coverage (a single-shard span has no
       // proper prefix to test).
       if (s1 > s0) {
-        std::uint64_t without = f.sharded.range_host(lo, plan.hi(s0), n).size();
+        std::uint64_t without = f.index.range_host(lo, plan.hi(s0), n).size();
         for (unsigned s = s0 + 1; s < s1; ++s)
-          without += f.sharded.shard_key_count(s);
+          without += f.index.shard_key_count(s);
         ASSERT_LT(without, n) << "lo=" << lo << " n=" << n;
       }
     }
     // The oracle never returns more than the span can hold.
-    ASSERT_LE(f.sharded.scan_host(lo, n).size(), n);
+    ASSERT_LE(f.index.scan_host(lo, n).size(), n);
   }
-}
-
-/// Mirrors BatchUpdater semantics on a std::map (as in shard_swap_test).
-void apply_to_oracle(std::map<Key, Value>& oracle, const serve::Request& r) {
-  switch (r.op) {
-    case queries::OpKind::kUpdate:
-      if (auto it = oracle.find(r.key); it != oracle.end()) it->second = r.value;
-      break;
-    case queries::OpKind::kInsert:
-      oracle[r.key] = r.value;
-      break;
-    case queries::OpKind::kDelete:
-      oracle.erase(r.key);
-      break;
-  }
-}
-
-std::vector<std::map<Key, Value>> snapshots_from_responses(
-    const std::vector<Key>& keys, const std::vector<serve::Request>& stream,
-    const serve::ServerReport& rep) {
-  std::vector<unsigned> epoch_of(stream.size(), 0);
-  for (const serve::Response& resp : rep.responses) {
-    if (resp.kind == serve::RequestKind::kUpdate) epoch_of[resp.id] = resp.epoch;
-  }
-  std::vector<std::map<Key, Value>> snapshots;
-  std::map<Key, Value> oracle;
-  for (Key k : keys) oracle[k] = btree::value_for_key(k);
-  snapshots.push_back(oracle);
-  for (unsigned e = 1; e <= rep.epochs; ++e) {
-    for (const serve::Request& r : stream) {
-      if (r.kind == serve::RequestKind::kUpdate && epoch_of[r.id] == e)
-        apply_to_oracle(oracle, r);
-    }
-    snapshots.push_back(oracle);
-  }
-  return snapshots;
 }
 
 /// First min(n, cap) oracle values with key >= lo — what a served scan
-/// must return for the epoch snapshot its response reports.
-std::vector<Value> oracle_scan(const std::map<Key, Value>& oracle, Key lo,
+/// must return.
+std::vector<Value> oracle_scan(const Oracle& oracle, Key lo,
                                std::uint32_t n, std::uint32_t cap) {
   std::vector<Value> want;
   const std::uint32_t limit = std::min(std::max<std::uint32_t>(n, 1), cap);
@@ -225,7 +153,7 @@ std::vector<Value> oracle_scan(const std::map<Key, Value>& oracle, Key lo,
 // pipeline (and `overlay_capacity` the delta overlay bound).
 void expect_online_scans_match_snapshots(serve::EpochMode mode, std::uint64_t seed,
                                          std::size_t overlay_capacity) {
-  Fixture f(4);
+  ShardedFixture f(4);
 
   serve::OpenLoopSpec spec;
   spec.arrivals_per_second = 5e6;
@@ -242,11 +170,10 @@ void expect_online_scans_match_snapshots(serve::EpochMode mode, std::uint64_t se
   cfg.batch.queue_capacity = 8192;  // no drops: every scan oracle-checked
   cfg.batch.max_range_results = 96;
   cfg.epoch.max_buffered = 400;
-  cfg.epoch.apply_threads = 1;  // arrival-order map oracle (see swap test)
   cfg.epoch.mode = mode;
   cfg.epoch.overlay_capacity = overlay_capacity;
 
-  ShardedServer server(f.sharded, cfg);
+  ShardedServer server(f.index, cfg);
   const auto rep = server.run(stream);
 
   ASSERT_EQ(rep.dropped, 0u);
@@ -255,26 +182,17 @@ void expect_online_scans_match_snapshots(serve::EpochMode mode, std::uint64_t se
   EXPECT_GT(rep.split_scans, 0u);  // straddling scan fan-outs really happened
   rep.check_invariants();
 
-  const auto snapshots = snapshots_from_responses(f.keys, stream, rep);
+  const auto snapshots = epoch_snapshots(f.keys, stream, rep);
   ASSERT_EQ(snapshots.size(), rep.epochs + 1);
-  std::uint64_t scans = 0;
-  for (const auto& resp : rep.responses) {
-    if (resp.kind != serve::RequestKind::kScan) continue;
-    ASSERT_LT(resp.epoch, snapshots.size());
-    const serve::Request& req = stream[resp.id];
-    const auto want = oracle_scan(snapshots[resp.epoch], req.key, req.scan_n,
-                                  cfg.batch.max_range_results);
-    ASSERT_EQ(resp.range_values, want)
-        << "scan " << resp.id << " lo=" << req.key << " epoch " << resp.epoch;
-    ++scans;
-  }
-  EXPECT_GT(scans, 1000u);
+  ASSERT_NO_FATAL_FAILURE(
+      check_responses(stream, rep, snapshots, cfg.batch.max_range_results));
+  EXPECT_GT(count_responses(rep, serve::RequestKind::kScan), 1000u);
 
   // Determinism: an identical fresh fixture + stream replays to
   // byte-identical scan results and completion times.
-  Fixture g(4);
+  ShardedFixture g(4);
   const auto stream2 = serve::make_open_loop(g.keys, spec);
-  ShardedServer server_b(g.sharded, cfg);
+  ShardedServer server_b(g.index, cfg);
   const auto rep_b = server_b.run(stream2);
   ASSERT_EQ(rep.responses.size(), rep_b.responses.size());
   for (std::size_t i = 0; i < rep.responses.size(); ++i) {
@@ -299,7 +217,7 @@ TEST(ShardScan, OnlineScansMatchSnapshotOracleAcrossDeltaPatches) {
 // queue, so no fence is involved): same oracle contract, and the scan
 // cap clamps to max_range_results.
 TEST(ShardScan, QuiesceScansClampToMaxRangeResults) {
-  Fixture f(2);
+  ShardedFixture f(2);
 
   serve::OpenLoopSpec spec;
   spec.arrivals_per_second = 4e6;
@@ -314,13 +232,12 @@ TEST(ShardScan, QuiesceScansClampToMaxRangeResults) {
   cfg.batch.queue_capacity = 8192;
   cfg.batch.max_range_results = 48;
 
-  ShardedServer server(f.sharded, cfg);
+  ShardedServer server(f.index, cfg);
   const auto rep = server.run(stream);
   ASSERT_EQ(rep.dropped, 0u);
   rep.check_invariants();
 
-  std::map<Key, Value> oracle;
-  for (Key k : f.keys) oracle[k] = btree::value_for_key(k);
+  const Oracle oracle = initial_oracle(f.keys);
   std::uint64_t full = 0;
   for (const auto& resp : rep.responses) {
     if (resp.kind != serve::RequestKind::kScan) continue;

@@ -3,87 +3,23 @@
 // half-updated cross-shard epoch), straddling ranges must reassemble
 // correctly, overload must shed instead of growing any shard's queue,
 // and the whole multi-device simulation must replay deterministically.
-// Extends the snapshot pattern of tests/serve/server_test.cpp.
+// Quiesce epochs here close every max_buffered updates: each oracle test
+// checks that rule on the update responses before it trusts the
+// snapshots rebuilt from them.
 #include <gtest/gtest.h>
 
-#include <map>
 #include <vector>
 
 #include "common/expect.hpp"
 #include "queries/workload.hpp"
 #include "serve/workload.hpp"
+#include "serving_oracle.hpp"
 #include "shard/sharded_server.hpp"
 
 namespace harmonia::shard {
 namespace {
 
-gpusim::DeviceSpec test_spec() {
-  auto spec = gpusim::titan_v();
-  spec.num_sms = 8;
-  spec.global_mem_bytes = 256 << 20;
-  return spec;
-}
-
-ShardedOptions test_options(unsigned fanout) {
-  ShardedOptions options;
-  options.index.fanout = fanout;
-  options.device = test_spec();
-  options.device_global_bytes = 256 << 20;
-  return options;
-}
-
-struct ShardedFixture {
-  explicit ShardedFixture(unsigned shards, std::uint64_t tree_keys = 1 << 12,
-                          unsigned fanout = 16)
-      : keys(queries::make_tree_keys(tree_keys, 1)),
-        index([&] {
-          std::vector<btree::Entry> entries;
-          for (Key k : keys) entries.push_back({k, btree::value_for_key(k)});
-          return ShardedIndex(entries, ShardPlan::sample_balanced(keys, shards),
-                              test_options(fanout));
-        }()) {}
-
-  std::vector<Key> keys;
-  ShardedIndex index;
-};
-
-/// Mirrors BatchUpdater semantics on a std::map (as in server_test.cpp).
-void apply_to_oracle(std::map<Key, Value>& oracle, const serve::Request& r) {
-  switch (r.op) {
-    case queries::OpKind::kUpdate:
-      if (auto it = oracle.find(r.key); it != oracle.end()) it->second = r.value;
-      break;
-    case queries::OpKind::kInsert:
-      oracle[r.key] = r.value;
-      break;
-    case queries::OpKind::kDelete:
-      oracle.erase(r.key);
-      break;
-  }
-}
-
-/// Replays the stream's updates in arrival order, snapshotting the map
-/// exactly where the epoch updater closes an epoch (size trigger + final
-/// drain). snapshots[e] is the tree a query with response epoch e saw.
-std::vector<std::map<Key, Value>> make_snapshots(
-    const std::vector<Key>& keys, const std::vector<serve::Request>& stream,
-    std::size_t max_buffered) {
-  std::vector<std::map<Key, Value>> snapshots;
-  std::map<Key, Value> oracle;
-  for (Key k : keys) oracle[k] = btree::value_for_key(k);
-  snapshots.push_back(oracle);
-  std::size_t buffered = 0;
-  for (const serve::Request& r : stream) {
-    if (r.kind != serve::RequestKind::kUpdate) continue;
-    apply_to_oracle(oracle, r);
-    if (++buffered == max_buffered) {
-      snapshots.push_back(oracle);
-      buffered = 0;
-    }
-  }
-  if (buffered > 0) snapshots.push_back(oracle);
-  return snapshots;
-}
+using namespace testing_support;
 
 /// Runs the sharded server over `stream` and checks every response
 /// against the snapshot for the epoch it reports — the atomicity pin: a
@@ -94,65 +30,19 @@ void run_and_check_oracle(ShardedFixture& f,
                           const std::vector<serve::Request>& stream,
                           const serve::ServeOptions& cfg,
                           serve::ServerReport* out) {
-  const auto snapshots = make_snapshots(f.keys, stream, cfg.epoch.max_buffered);
-
   ShardedServer server(f.index, cfg);
   const auto& rep = *out = server.run(stream);
 
   EXPECT_EQ(rep.dropped, 0u);
   EXPECT_EQ(rep.responses.size(), stream.size());
-  EXPECT_EQ(rep.epochs + 1, snapshots.size());
-
-  for (const auto& resp : rep.responses) {
-    ASSERT_LT(resp.epoch, snapshots.size());
-    const auto& oracle = snapshots[resp.epoch];
-    const serve::Request& req = stream[resp.id];
-    switch (resp.kind) {
-      case serve::RequestKind::kPoint: {
-        const auto it = oracle.find(req.key);
-        const Value want = it != oracle.end() ? it->second : kNotFound;
-        ASSERT_EQ(resp.value, want)
-            << "request " << resp.id << " epoch " << resp.epoch;
-        break;
-      }
-      case serve::RequestKind::kRange: {
-        std::vector<Value> want;
-        for (auto it = oracle.lower_bound(req.key);
-             it != oracle.end() && it->first <= req.hi &&
-             want.size() < cfg.batch.max_range_results;
-             ++it) {
-          want.push_back(it->second);
-        }
-        ASSERT_EQ(resp.range_values, want)
-            << "range request " << resp.id << " epoch " << resp.epoch;
-        break;
-      }
-      case serve::RequestKind::kScan: {
-        std::size_t limit = req.scan_n ? req.scan_n : 1;
-        if (limit > cfg.batch.max_range_results)
-          limit = cfg.batch.max_range_results;
-        std::vector<Value> want;
-        for (auto it = oracle.lower_bound(req.key);
-             it != oracle.end() && want.size() < limit; ++it) {
-          want.push_back(it->second);
-        }
-        ASSERT_EQ(resp.range_values, want)
-            << "scan request " << resp.id << " epoch " << resp.epoch;
-        break;
-      }
-      case serve::RequestKind::kUpdate:
-        EXPECT_GE(resp.completion, resp.arrival);
-        EXPECT_GE(resp.epoch, 1u);
-        break;
-    }
-  }
+  ASSERT_NO_FATAL_FAILURE(expect_epochs_by_count(stream, rep, cfg.epoch.max_buffered));
+  const auto snapshots = epoch_snapshots(f.keys, stream, rep);
+  ASSERT_NO_FATAL_FAILURE(
+      check_responses(stream, rep, snapshots, cfg.batch.max_range_results));
 
   // After the run, the sharded index equals the final snapshot.
-  const auto& final_oracle = snapshots.back();
-  EXPECT_EQ(f.index.num_keys(), final_oracle.size());
-  for (const auto& [k, v] : final_oracle) {
-    ASSERT_EQ(f.index.search_host(k).value_or(kNotFound), v);
-  }
+  EXPECT_EQ(f.index.num_keys(), snapshots.back().size());
+  expect_host_reads(f.index, snapshots.back());
 }
 
 // Acceptance: >= 3 cross-shard update epochs with multi-threaded applies
@@ -436,67 +326,23 @@ TEST(ShardedServer, LostShardDuringEpochsKeepsBarrierAtomic) {
     cfg.faults = fault::FaultPlan::parse(
         "lose@0.0004:shard=" + std::to_string(lost_shard) + ",repair=0.0004");
 
-    const auto snapshots =
-        make_snapshots(f.keys, stream, cfg.epoch.max_buffered);
     ShardedServer server(f.index, cfg);
     const auto rep = server.run(stream);
 
     ASSERT_EQ(rep.faults.shards_lost, 1u);
     ASSERT_EQ(rep.faults.shards_restored, 1u);
     EXPECT_GE(rep.epochs, 8u);
-    ASSERT_EQ(rep.epochs + 1, snapshots.size());
+    ASSERT_NO_FATAL_FAILURE(expect_epochs_by_count(stream, rep, cfg.epoch.max_buffered));
     ASSERT_EQ(rep.responses.size(), stream.size());
-
-    for (const auto& resp : rep.responses) {
-      if (resp.dropped) continue;  // fault shedding is exempt, answers are not
-      ASSERT_LT(resp.epoch, snapshots.size());
-      const auto& oracle = snapshots[resp.epoch];
-      const serve::Request& req = stream[resp.id];
-      switch (resp.kind) {
-        case serve::RequestKind::kPoint: {
-          const auto it = oracle.find(req.key);
-          ASSERT_EQ(resp.value, it != oracle.end() ? it->second : kNotFound)
-              << "request " << resp.id << " epoch " << resp.epoch;
-          break;
-        }
-        case serve::RequestKind::kRange: {
-          std::vector<Value> want;
-          for (auto it = oracle.lower_bound(req.key);
-               it != oracle.end() && it->first <= req.hi &&
-               want.size() < cfg.batch.max_range_results;
-               ++it) {
-            want.push_back(it->second);
-          }
-          ASSERT_EQ(resp.range_values, want)
-              << "range request " << resp.id << " epoch " << resp.epoch;
-          break;
-        }
-        case serve::RequestKind::kScan: {
-          std::size_t limit = req.scan_n ? req.scan_n : 1;
-          if (limit > cfg.batch.max_range_results)
-            limit = cfg.batch.max_range_results;
-          std::vector<Value> want;
-          for (auto it = oracle.lower_bound(req.key);
-               it != oracle.end() && want.size() < limit; ++it) {
-            want.push_back(it->second);
-          }
-          ASSERT_EQ(resp.range_values, want)
-              << "scan request " << resp.id << " epoch " << resp.epoch;
-          break;
-        }
-        case serve::RequestKind::kUpdate:
-          EXPECT_GE(resp.epoch, 1u);
-          break;
-      }
-    }
+    // Fault shedding is exempt, answers are not.
+    const auto snapshots = epoch_snapshots(f.keys, stream, rep);
+    ASSERT_NO_FATAL_FAILURE(
+        check_responses(stream, rep, snapshots, cfg.batch.max_range_results));
 
     // Updates routed at the fenced shard still landed: the index equals
     // the final snapshot after the outage.
-    const auto& final_oracle = snapshots.back();
-    EXPECT_EQ(f.index.num_keys(), final_oracle.size());
-    for (const auto& [k, v] : final_oracle) {
-      ASSERT_EQ(f.index.search_host(k).value_or(kNotFound), v);
-    }
+    EXPECT_EQ(f.index.num_keys(), snapshots.back().size());
+    expect_host_reads(f.index, snapshots.back());
   }
 }
 
@@ -513,13 +359,13 @@ TEST(ShardedServer, RejectsEmptyShards) {
   // Equal-width over keys confined to the bottom quarter: upper shards
   // would hold nothing, so the index (and hence any server over it)
   // refuses the plan.
-  EXPECT_THROW(ShardedIndex(entries, ShardPlan::equal_width(4), test_options(16)),
+  EXPECT_THROW(ShardedIndex(entries, ShardPlan::equal_width(4), sharded_options()),
                ContractViolation);
   // The same keys under a plan cut from them populate every shard.
   std::vector<Key> kept;
   for (const auto& e : entries) kept.push_back(e.key);
   EXPECT_NO_THROW(ShardedIndex(entries, ShardPlan::sample_balanced(kept, 4),
-                               test_options(16)));
+                               sharded_options()));
 }
 
 }  // namespace

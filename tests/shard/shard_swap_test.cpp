@@ -9,89 +9,25 @@
 //
 // Epoch membership comes from the update responses (an inflight epoch
 // lets the buffer outgrow max_buffered, so fixed-size blocks would
-// reconstruct the wrong snapshots — see tests/serve/epoch_pipeline_test.cpp).
+// reconstruct the wrong snapshots — see tests/serving_oracle.hpp). A
+// straddling range reassembled across a staggered swap can only match a
+// snapshot if the fence kept its shards on one version; the merge's
+// internal same-epoch assertion is the second tripwire.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <map>
 #include <vector>
 
 #include "common/expect.hpp"
 #include "queries/workload.hpp"
 #include "serve/workload.hpp"
+#include "serving_oracle.hpp"
 #include "shard/sharded_server.hpp"
 
 namespace harmonia::shard {
 namespace {
 
-gpusim::DeviceSpec test_spec() {
-  auto spec = gpusim::titan_v();
-  spec.num_sms = 8;
-  spec.global_mem_bytes = 256 << 20;
-  return spec;
-}
-
-ShardedOptions test_options(unsigned fanout) {
-  ShardedOptions options;
-  options.index.fanout = fanout;
-  options.device = test_spec();
-  options.device_global_bytes = 256 << 20;
-  return options;
-}
-
-struct ShardedFixture {
-  explicit ShardedFixture(unsigned shards, std::uint64_t tree_keys = 1 << 12,
-                          unsigned fanout = 16)
-      : keys(queries::make_tree_keys(tree_keys, 1)),
-        index([&] {
-          std::vector<btree::Entry> entries;
-          for (Key k : keys) entries.push_back({k, btree::value_for_key(k)});
-          return ShardedIndex(entries, ShardPlan::sample_balanced(keys, shards),
-                              test_options(fanout));
-        }()) {}
-
-  std::vector<Key> keys;
-  ShardedIndex index;
-};
-
-/// Mirrors BatchUpdater semantics on a std::map (as in server_test.cpp).
-void apply_to_oracle(std::map<Key, Value>& oracle, const serve::Request& r) {
-  switch (r.op) {
-    case queries::OpKind::kUpdate:
-      if (auto it = oracle.find(r.key); it != oracle.end()) it->second = r.value;
-      break;
-    case queries::OpKind::kInsert:
-      oracle[r.key] = r.value;
-      break;
-    case queries::OpKind::kDelete:
-      oracle.erase(r.key);
-      break;
-  }
-}
-
-/// Rebuilds the snapshots an overlap run served from: group the stream's
-/// updates by the epoch ordinal their response reports, apply groups in
-/// epoch order (arrival order within a group).
-std::vector<std::map<Key, Value>> snapshots_from_responses(
-    const std::vector<Key>& keys, const std::vector<serve::Request>& stream,
-    const serve::ServerReport& rep) {
-  std::vector<unsigned> epoch_of(stream.size(), 0);
-  for (const serve::Response& resp : rep.responses) {
-    if (resp.kind == serve::RequestKind::kUpdate) epoch_of[resp.id] = resp.epoch;
-  }
-  std::vector<std::map<Key, Value>> snapshots;
-  std::map<Key, Value> oracle;
-  for (Key k : keys) oracle[k] = btree::value_for_key(k);
-  snapshots.push_back(oracle);
-  for (unsigned e = 1; e <= rep.epochs; ++e) {
-    for (const serve::Request& r : stream) {
-      if (r.kind == serve::RequestKind::kUpdate && epoch_of[r.id] == e)
-        apply_to_oracle(oracle, r);
-    }
-    snapshots.push_back(oracle);
-  }
-  return snapshots;
-}
+using namespace testing_support;
 
 /// Epoch versions must be monotone per shard in completion order: once
 /// a shard serves epoch N, no strictly-later completion from that shard
@@ -139,58 +75,6 @@ void check_epochs_monotonic_per_shard(
   }
 }
 
-/// Checks every response against the snapshot for the epoch it reports.
-/// A straddling range reassembled across a staggered swap could only
-/// match a snapshot if the fence really kept its shards on one version
-/// (the merge's internal same-epoch assertion is the second tripwire).
-void check_against_snapshots(
-    const std::vector<serve::Request>& stream, const serve::ServerReport& rep,
-    const std::vector<std::map<Key, Value>>& snapshots,
-    std::size_t max_range_results) {
-  for (const auto& resp : rep.responses) {
-    ASSERT_LT(resp.epoch, snapshots.size());
-    const auto& oracle = snapshots[resp.epoch];
-    const serve::Request& req = stream[resp.id];
-    switch (resp.kind) {
-      case serve::RequestKind::kPoint: {
-        const auto it = oracle.find(req.key);
-        const Value want = it != oracle.end() ? it->second : kNotFound;
-        ASSERT_EQ(resp.value, want)
-            << "request " << resp.id << " epoch " << resp.epoch;
-        break;
-      }
-      case serve::RequestKind::kRange: {
-        std::vector<Value> want;
-        for (auto it = oracle.lower_bound(req.key);
-             it != oracle.end() && it->first <= req.hi &&
-             want.size() < max_range_results;
-             ++it) {
-          want.push_back(it->second);
-        }
-        ASSERT_EQ(resp.range_values, want)
-            << "range request " << resp.id << " epoch " << resp.epoch;
-        break;
-      }
-      case serve::RequestKind::kScan: {
-        std::size_t limit = req.scan_n ? req.scan_n : 1;
-        if (limit > max_range_results) limit = max_range_results;
-        std::vector<Value> want;
-        for (auto it = oracle.lower_bound(req.key);
-             it != oracle.end() && want.size() < limit; ++it) {
-          want.push_back(it->second);
-        }
-        ASSERT_EQ(resp.range_values, want)
-            << "scan request " << resp.id << " epoch " << resp.epoch;
-        break;
-      }
-      case serve::RequestKind::kUpdate:
-        EXPECT_GE(resp.completion, resp.arrival);
-        EXPECT_GE(resp.epoch, 1u);
-        break;
-    }
-  }
-}
-
 // Acceptance: staggered per-shard swaps with straddling ranges in
 // flight — every reassembled answer matches one whole-epoch snapshot.
 TEST(ShardSwap, StaggeredSwapsNeverMixSnapshots) {
@@ -211,10 +95,10 @@ TEST(ShardSwap, StaggeredSwapsNeverMixSnapshots) {
   cfg.batch.queue_capacity = 8192;  // no drops: every request oracle-checked
   cfg.batch.max_range_results = 16;
   cfg.epoch.max_buffered = 400;
-  // Single-threaded apply: the striped multi-worker apply may order two
-  // same-batch ops on one key either way, which the arrival-order map
-  // oracle cannot model (threads are exercised by the fence stress).
-  cfg.epoch.apply_threads = 1;
+  // A threaded apply: BatchUpdater::apply deals ops by leaf, so each
+  // key's ops still apply in arrival order and the map oracle is exact
+  // (BatchUpdater.ThreadedApplyKeepsPerKeyArrivalOrder pins that).
+  cfg.epoch.apply_threads = 2;
   cfg.epoch.mode = serve::EpochMode::kOverlap;
 
   ShardedServer server(f.index, cfg);
@@ -227,19 +111,16 @@ TEST(ShardSwap, StaggeredSwapsNeverMixSnapshots) {
   // Overlap never runs the quiesce barrier.
   EXPECT_DOUBLE_EQ(rep.barrier_wait_seconds, 0.0);
 
-  const auto snapshots = snapshots_from_responses(f.keys, stream, rep);
+  const auto snapshots = epoch_snapshots(f.keys, stream, rep);
   ASSERT_EQ(snapshots.size(), rep.epochs + 1);
-  check_against_snapshots(stream, rep, snapshots, cfg.batch.max_range_results);
+  check_responses(stream, rep, snapshots, cfg.batch.max_range_results);
 
   // Every shard served work, and the final index equals the last snapshot.
   for (unsigned s = 0; s < 4; ++s) {
     EXPECT_GT(rep.shard_batches[s], 0u) << "shard " << s;
   }
-  const auto& final_oracle = snapshots.back();
-  EXPECT_EQ(f.index.num_keys(), final_oracle.size());
-  for (const auto& [k, v] : final_oracle) {
-    ASSERT_EQ(f.index.search_host(k).value_or(kNotFound), v);
-  }
+  EXPECT_EQ(f.index.num_keys(), snapshots.back().size());
+  expect_host_reads(f.index, snapshots.back());
 }
 
 // Acceptance: epoch versions are monotone in completion order — once any
@@ -275,11 +156,10 @@ TEST(ShardSwap, EpochVersionsMonotonicInCompletionOrder) {
 // apply drive hundreds of staggered swap windows under a heavy update +
 // straddling range mix, each window fencing in-flight fan-outs and
 // parking fresh straddlers, with a threaded staged apply per shard (the
-// real-thread TSan surface). Assertions stick to thread-schedule-
-// independent properties — monotone epochs, fan-out and accounting
-// tallies — because the striped apply may order two same-batch ops on
-// one key either way; the merge's internal same-epoch assertion is
-// still live on every straddler, so a fence slip aborts the run.
+// real-thread TSan surface). The threaded apply deals ops by leaf, so
+// the result does not depend on the thread schedule: every response and
+// the final tree match the epoch-snapshot oracle, and the merge's
+// internal same-epoch assertion is live on every straddler besides.
 TEST(ShardSwap, HighFrequencySwapFenceStress) {
   ShardedFixture f(2);
 
@@ -320,6 +200,12 @@ TEST(ShardSwap, HighFrequencySwapFenceStress) {
   EXPECT_EQ(rep.update_requests, update_reqs);
   f.index.shard(0)->tree().validate();
   f.index.shard(1)->tree().validate();
+
+  const auto snapshots = epoch_snapshots(f.keys, stream, rep);
+  ASSERT_NO_FATAL_FAILURE(
+      check_responses(stream, rep, snapshots, cfg.batch.max_range_results));
+  EXPECT_EQ(f.index.num_keys(), snapshots.back().size());
+  expect_host_reads(f.index, snapshots.back());
 }
 
 // Corruption faults against the *staged* image: the pre-swap CRC32
@@ -367,8 +253,8 @@ TEST(ShardSwap, PreSwapAuditCatchesStagedCorruption) {
 
   // Correctness survives the corrupted uploads: the audit swapped only
   // clean images.
-  const auto snapshots = snapshots_from_responses(f.keys, stream, rep);
-  check_against_snapshots(stream, rep, snapshots, cfg.batch.max_range_results);
+  check_responses(stream, rep, epoch_snapshots(f.keys, stream, rep),
+                  cfg.batch.max_range_results);
 }
 
 // Staggered swaps must replay deterministically — fences, parking, and

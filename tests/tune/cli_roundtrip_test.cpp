@@ -76,7 +76,7 @@ TEST(CliRoundTripTest, AutotunerDefaultsSurviveTheRoundTrip) {
   const tune::AutotunerConfig parsed = tune::AutotunerConfig::from_cli(cli);
   const tune::AutotunerConfig defaults;
 
-  EXPECT_DOUBLE_EQ(parsed.tick_every, defaults.tick_every);
+  EXPECT_EQ(parsed.tick_every, defaults.tick_every);
   EXPECT_EQ(parsed.cooldown_ticks, defaults.cooldown_ticks);
   EXPECT_DOUBLE_EQ(parsed.p99_band, defaults.p99_band);
   EXPECT_DOUBLE_EQ(parsed.slo_p99, defaults.slo_p99);
