@@ -38,7 +38,6 @@ int main(int argc, char** argv) {
       .flag("mode", "partition mode: width, balanced, or both", "both")
       .flag("check", "fail unless uniform throughput scales 1->4", "false")
       .flag("csv", "also write the table as CSV to this path", "(off)");
-  hb::add_metrics_flag(cli);
   if (!cli.parse(argc, argv)) return 1;
   const unsigned lg = static_cast<unsigned>(cli.get_uint("size", 20));
   const std::uint64_t n = 1ULL << cli.get_uint("queries", 17);
@@ -68,8 +67,6 @@ int main(int argc, char** argv) {
 
   const auto keys = queries::make_tree_keys(1ULL << lg, seed);
   const auto entries = hb::entries_for(keys);
-  const bool observe = !cli.get_string("metrics-out", "").empty();
-  obs::MetricsRegistry metrics;
 
   Table table({"dist", "mode", "shards", "min keys", "max keys", "Gq/s",
                "speedup", "bottleneck"});
@@ -91,7 +88,6 @@ int main(int argc, char** argv) {
         options.index.fanout = fanout;
         options.device = hb::bench_spec(2ULL << 30);
         shard::ShardedIndex index(entries, plan, options);
-        if (observe) index.set_observer({.metrics = &metrics});
 
         const auto r = index.search(qs);
         std::uint64_t min_keys = ~std::uint64_t{0}, max_keys = 0;
@@ -111,7 +107,6 @@ int main(int argc, char** argv) {
   }
 
   hb::emit(cli, table);
-  hb::maybe_dump_metrics(cli, metrics);
   std::cout << "\nexpected: balanced partitions scale with devices on both"
             << " distributions; equal-width scaling collapses once skew"
             << " concentrates the batch on one shard\n";

@@ -9,55 +9,21 @@
 //
 // Record layout (node stride, 8 B aligned):
 //   [ keys: (fanout-1) x u64 | child refs: fanout x u32 (BFS indices) ]
-// Leaf records reuse the child-ref area as a value-region base offset via
-// the parallel leaf value array (same convention as Harmonia, so the two
-// structures differ only in what the paper says they differ in).
+// The records are written from a HarmoniaTree: the same BFS nodes, keys
+// and leaf value region, with each node's child references spelled out
+// (prefix_sum[node] + c) instead of derived. So the two structures differ
+// only in what the paper says they differ in.
 #pragma once
 
 #include <cstdint>
-#include <optional>
-#include <span>
-#include <vector>
 
-#include "btree/btree.hpp"
 #include "gpusim/device.hpp"
+#include "harmonia/tree.hpp"
 
 namespace harmonia::hbtree {
 
-using Key = std::uint64_t;
-using Value = std::uint64_t;
-
-inline constexpr Key kPadKey = ~Key{0};
+/// Child-reference pad: unused slots of internal nodes, every slot of a leaf.
 inline constexpr std::uint32_t kNoChild = ~std::uint32_t{0};
-
-/// Host-side flattened HB+tree (BFS node order).
-class HBTreeHost {
- public:
-  static HBTreeHost from_btree(const btree::BTree& tree);
-
-  unsigned fanout() const { return fanout_; }
-  unsigned height() const { return height_; }
-  std::uint32_t num_nodes() const { return num_nodes_; }
-  std::uint32_t first_leaf_index() const { return first_leaf_; }
-  unsigned keys_per_node() const { return fanout_ - 1; }
-
-  std::span<const Key> node_keys(std::uint32_t node) const;
-  std::span<const std::uint32_t> node_children(std::uint32_t node) const;
-  bool is_leaf(std::uint32_t node) const { return node >= first_leaf_; }
-  std::span<const Value> value_region() const { return values_; }
-
-  /// Host reference search (tests).
-  std::optional<Value> search(Key key) const;
-
- private:
-  unsigned fanout_ = 0;
-  unsigned height_ = 0;
-  std::uint32_t num_nodes_ = 0;
-  std::uint32_t first_leaf_ = 0;
-  std::vector<Key> keys_;                 // num_nodes * (fanout-1), padded
-  std::vector<std::uint32_t> children_;   // num_nodes * fanout, kNoChild pad
-  std::vector<Value> values_;             // num_leaves * (fanout-1)
-};
 
 /// Device placement: one interleaved node-record array in global memory.
 struct HBTreeDeviceImage {
@@ -94,7 +60,10 @@ struct HBTreeDeviceImage {
     return child_ref;
   }
 
-  static HBTreeDeviceImage upload(gpusim::Device& device, const HBTreeHost& host);
+  /// Writes one node record per BFS node of `tree` — its key slots, then
+  /// child refs prefix_sum[node] + c for its children and kNoChild
+  /// elsewhere — and the leaf value region.
+  static HBTreeDeviceImage upload(gpusim::Device& device, const HarmoniaTree& tree);
 };
 
 }  // namespace harmonia::hbtree

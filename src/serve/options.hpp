@@ -5,8 +5,8 @@
 // ad-hoc subset. ServeOptions keeps the per-layer structs (they are the
 // layers' natural vocabulary) but owns the composition: one struct to
 // fill, one validate() that rejects inconsistent combinations up front,
-// and one CLI entry point (add_flags/from_cli, built on common/cli) that
-// every tool and bench shares instead of re-parsing flags by hand.
+// and one CLI entry point (add_flags/from_cli, built on common/cli) for
+// harmonia_server_sim and the tests; the benches set fields directly.
 //
 // ServeOptions holds the construction-time half of the surface; the
 // runtime-adjustable knobs additionally travel as a serve::Tunables

@@ -94,18 +94,6 @@ std::uint64_t ShardedIndex::num_keys() const {
   return n;
 }
 
-void ShardedIndex::set_observer(const obs::Observer& obs) {
-  obs_ = obs;
-  if (obs.metrics == nullptr) return;
-  obs::MetricsRegistry& m = *obs.metrics;
-  routed_.assign(num_shards(), nullptr);
-  for (unsigned s = 0; s < num_shards(); ++s) {
-    routed_[s] = &m.counter("shard_routed_queries_total{shard=\"" +
-                            std::to_string(s) + "\"}");
-  }
-  search_batches_ = &m.counter("shard_search_batches_total");
-}
-
 ShardedIndex::SearchResult ShardedIndex::search(std::span<const Key> batch) {
   HARMONIA_CHECK(!batch.empty());
   SearchResult result;
@@ -120,11 +108,6 @@ ShardedIndex::SearchResult ShardedIndex::search(std::span<const Key> batch) {
     keys[s].push_back(batch[i]);
     slots[s].push_back(i);
     ++result.per_shard[s];
-  }
-  if (obs_.metrics != nullptr) {
-    search_batches_->inc();
-    for (unsigned s = 0; s < num_shards(); ++s)
-      if (result.per_shard[s] > 0) routed_[s]->inc(result.per_shard[s]);
   }
 
   for (unsigned s = 0; s < num_shards(); ++s) {

@@ -32,7 +32,6 @@
 #include "gpusim/device.hpp"
 #include "harmonia/index.hpp"
 #include "harmonia/pipeline.hpp"
-#include "obs/observer.hpp"
 #include "shard/plan.hpp"
 
 namespace harmonia::shard {
@@ -124,11 +123,6 @@ class ShardedIndex {
   std::vector<btree::Entry> range_host(Key lo, Key hi, std::size_t limit = 0) const;
   std::vector<btree::Entry> scan_host(Key lo, std::size_t n) const;
 
-  /// Attaches metrics: search batches bump routing counters (batches,
-  /// per-shard queries). Null = no overhead; results never change either
-  /// way.
-  void set_observer(const obs::Observer& obs);
-
  private:
   struct Shard {
     std::unique_ptr<gpusim::Device> device;
@@ -143,11 +137,6 @@ class ShardedIndex {
   ShardPlan plan_;
   ShardedOptions options_;
   std::vector<Shard> shards_;
-  obs::Observer obs_;
-  /// Cached metric handles (null when unobserved). Routed counters are
-  /// per shard, resolved once at set_observer.
-  std::vector<obs::Counter*> routed_;
-  obs::Counter* search_batches_ = nullptr;
 };
 
 }  // namespace harmonia::shard

@@ -199,7 +199,7 @@ std::vector<Key> boundary_targets(const HarmoniaTree& tree, const std::vector<Ke
   std::vector<Key> targets;
   for (std::uint32_t node = 0; node < tree.first_leaf_index(); ++node) {
     for (const Key k : tree.node_keys(node)) {
-      if (k == hbtree::kPadKey) continue;
+      if (k == kPadKey) continue;
       targets.insert(targets.end(), {k - 1, k, k + 1});
     }
   }

@@ -197,7 +197,7 @@ void run_hbtree(unsigned fanout, std::vector<Row>& rows) {
   for (unsigned i = 0; i < 200; ++i) qs.push_back(keys[rng.next_below(keys.size())]);
   for (std::size_t i = qs.size() - 1; i > 0; --i) std::swap(qs[i], qs[rng.next_below(i + 1)]);
 
-  const hbtree::HBQueryResult r = hb.search(qs);
+  const HarmoniaIndex::QueryResult r = hb.search(qs);
   std::uint64_t hits = 0;
   for (const Value v : r.values) hits += v != kNotFound ? 1 : 0;
   Xxh64 h;

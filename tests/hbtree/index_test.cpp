@@ -33,6 +33,10 @@ TEST(HBTreeIndex, BuildAndSearch) {
   }
   EXPECT_GT(result.kernel_seconds, 0.0);
   EXPECT_GT(result.throughput(), 0.0);
+  // Fanout-wide groups, no PSA sort.
+  EXPECT_EQ(result.group_size_used, 16u);
+  EXPECT_EQ(result.sorted_bits, 0u);
+  EXPECT_EQ(result.sort_seconds, 0.0);
 }
 
 TEST(HBTreeIndex, UpdateBatchThenSearch) {
@@ -52,7 +56,7 @@ TEST(HBTreeIndex, UpdateBatchThenSearch) {
   const auto stats = index.update_batch(ops);
   EXPECT_EQ(stats.total_ops(), 1000u);
   EXPECT_EQ(stats.failed, 0u);
-  EXPECT_GT(stats.apply_seconds + stats.sync_seconds, 0.0);
+  EXPECT_GT(stats.apply_seconds + stats.rebuild_seconds, 0.0);
   index.tree().validate();
 
   std::vector<Key> qs2;

@@ -19,15 +19,15 @@ gpusim::DeviceSpec test_spec() {
 }
 
 // HB+ search is the shared descend on the HB+ layout (fanout-wide
-// groups, no early exit), reached through HBTreeIndex.
+// groups, no early exit), reached through HBTreeIndex. Answers are checked
+// against the pointer tree the index updates and flattens.
 struct HBFixture {
   gpusim::Device dev{test_spec()};
   std::vector<Key> keys = queries::make_tree_keys(2500, 1);
   HBTreeIndex index{dev, btree::make_tree(keys, 16)};
-  HBTreeHost host = HBTreeHost::from_btree(index.tree());
 
   std::vector<Value> run(std::span<const Key> qs, SearchStats* stats_out = nullptr) {
-    HBQueryResult r = index.search(qs);
+    HarmoniaIndex::QueryResult r = index.search(qs);
     if (stats_out != nullptr) *stats_out = r.search;
     return r.values;
   }
@@ -38,7 +38,7 @@ TEST(HBSearch, HitsMatchHost) {
   const auto qs = queries::make_queries(f.keys, 600, queries::Distribution::kUniform, 2);
   const auto out = f.run(qs);
   for (std::size_t i = 0; i < qs.size(); ++i) {
-    ASSERT_EQ(out[i], f.host.search(qs[i]).value());
+    ASSERT_EQ(out[i], f.index.tree().search(qs[i]).value());
   }
 }
 
@@ -54,7 +54,7 @@ TEST(HBSearch, OddBatchSizes) {
     const auto qs = queries::make_queries(f.keys, n, queries::Distribution::kUniform, n);
     const auto out = f.run(qs);
     for (std::size_t i = 0; i < qs.size(); ++i) {
-      ASSERT_EQ(out[i], f.host.search(qs[i]).value());
+      ASSERT_EQ(out[i], f.index.tree().search(qs[i]).value());
     }
   }
 }
@@ -66,7 +66,7 @@ TEST(HBSearch, ChildRefLoadsHappenEveryLevel) {
   f.run(qs, &stats);
   // Loads per warp >= query load + per internal level (keys + child ref) +
   // leaf keys + value + out store. The kernel cannot skip the indirection.
-  const std::uint64_t internal_levels = f.host.height() - 1;
+  const std::uint64_t internal_levels = f.index.tree().height() - 1;
   EXPECT_GE(stats.metrics.loads,
             stats.warps * (1 + internal_levels * 2));
 }
@@ -119,11 +119,10 @@ TEST_P(HBFanoutSweep, CorrectAcrossFanouts) {
   gpusim::Device dev(test_spec());
   const auto keys = queries::make_tree_keys(1500, fanout);
   HBTreeIndex index(dev, btree::make_tree(keys, fanout));
-  const auto host = HBTreeHost::from_btree(index.tree());
   const auto qs = queries::make_queries(keys, 400, queries::Distribution::kUniform, 6);
   const std::vector<Value> out = index.search(qs).values;
   for (std::size_t i = 0; i < qs.size(); ++i) {
-    ASSERT_EQ(out[i], host.search(qs[i]).value());
+    ASSERT_EQ(out[i], index.tree().search(qs[i]).value());
   }
 }
 

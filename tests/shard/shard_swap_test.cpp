@@ -160,6 +160,13 @@ TEST(ShardSwap, EpochVersionsMonotonicInCompletionOrder) {
 // the result does not depend on the thread schedule: every response and
 // the final tree match the epoch-snapshot oracle, and the merge's
 // internal same-epoch assertion is live on every straddler besides.
+//
+// The point lookups arrive in key order, so one shard at a time is hot:
+// it fills size-triggered batches and dispatches its straddler pieces
+// while the cold shard still queues their siblings when a staged image
+// becomes ready. Only the version fence keeps the cold shard from
+// swapping under those queued pieces (with uniform points both shards
+// dispatch in step and a swap never finds a half-served fan-out).
 TEST(ShardSwap, HighFrequencySwapFenceStress) {
   ShardedFixture f(2);
 
@@ -169,6 +176,7 @@ TEST(ShardSwap, HighFrequencySwapFenceStress) {
   spec.update_fraction = 0.35;
   spec.range_fraction = 0.30;
   spec.range_span = 2048;  // ~half a shard span: most ranges straddle
+  spec.dist = queries::Distribution::kSorted;
   spec.seed = 11;
   const auto stream = serve::make_open_loop(f.keys, spec);
 
