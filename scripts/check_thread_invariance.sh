@@ -1,15 +1,17 @@
 #!/usr/bin/env bash
 # Thread invariance of the simulator: gpusim runs the warps of a launch
-# of 4096 warps or more on a pool of every CPU of the process's affinity
+# of 64 warps or more on a pool of every CPU of the process's affinity
 # mask, and the result must not depend on that size. Every workload of
 # the end-to-end benchmark runs traced at smoke scale, once pinned to one
 # CPU (no pool: the launching thread runs every warp) and once on every
 # CPU of the mask. When the mask has three CPUs or more, a third run is
 # pinned to two of them, so a pool between one thread and all of them is
-# compared too. No smoke-scale launch is that large, so batch_lookup also
-# runs at full scale (launches of 32768 warps). Every metric that is not
-# on the wall clock must match the one-CPU run's byte for byte, and so
-# must the Prometheus metrics dump.
+# compared too. At smoke scale every workload's search batches reach the
+# pool, and serve_read's (about 1500 warps) pass the engine's 512-warp
+# log ring. batch_lookup also runs at full scale: launches of 32768
+# warps, and PSA sorts of 2^20 keys, which run on the same pool. Every
+# metric that is not on the wall clock must match the one-CPU run's byte
+# for byte, and so must the Prometheus metrics dump.
 #
 # Usage: scripts/check_thread_invariance.sh [path/to/harmonia_e2e]
 # The default binary is build-bench/harmonia_e2e, from

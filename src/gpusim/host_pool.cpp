@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <exception>
 #include <mutex>
 #include <thread>
@@ -17,6 +18,13 @@
 namespace harmonia::gpusim {
 
 namespace {
+
+/// How long a worker keeps polling for the next piece of work (SpinWait)
+/// before it sleeps on a futex. A sleeping worker reached a serving
+/// launch 0.5-2 ms after the wake, about a serving launch's whole length,
+/// and a polling one in a few microseconds. The gap between two serving
+/// launches is mostly 0.25-1 ms (docs/perf_log.md).
+constexpr auto kSpinBeforeSleep = std::chrono::milliseconds(1);
 
 /// Threads the pool runs on, the leasing thread included: every CPU of
 /// this process's affinity mask, so `taskset -c 0` gives no pool.
@@ -73,9 +81,9 @@ class Tasks final : public PoolWork {
 }  // namespace
 
 /// pool_threads() workers less one for the leasing thread, which works
-/// too. Workers sleep between pieces of work and are woken once per
-/// start(); the leasing thread never waits for a worker that has not
-/// claimed anything.
+/// too. Between pieces of work a worker polls for kSpinBeforeSleep, then
+/// sleeps until the next start(); the leasing thread never waits for a
+/// worker that has not claimed anything.
 class HostPool {
  public:
   static HostPool& instance() {
@@ -112,10 +120,23 @@ class HostPool {
     for (auto& t : workers_) t.join();
   }
 
+  /// Returns once generation_ has moved past `seen`.
+  void await(std::uint32_t seen) {
+    const auto sleep_at = std::chrono::steady_clock::now() + kSpinBeforeSleep;
+    SpinWait spin;
+    while (generation_.load(std::memory_order_acquire) == seen) {
+      if (std::chrono::steady_clock::now() >= sleep_at) {
+        generation_.wait(seen, std::memory_order_acquire);
+        return;
+      }
+      spin();
+    }
+  }
+
   void work() {
     std::uint32_t seen = 0;
     for (;;) {
-      generation_.wait(seen, std::memory_order_acquire);
+      await(seen);
       seen = generation_.load(std::memory_order_acquire);
       if (stop_.load()) return;
       std::shared_ptr<PoolWork> work;
@@ -136,6 +157,20 @@ class HostPool {
   // Last: the workers use every member above.
   std::vector<std::thread> workers_;
 };
+
+void SpinWait::operator()() {
+  if (++rounds_ % 4 == 0) {
+    std::this_thread::yield();
+    return;
+  }
+  for (int i = 0; i < 64; ++i) {
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#elif defined(__aarch64__)
+    asm volatile("yield");
+#endif
+  }
+}
 
 PoolLease::PoolLease(std::uint64_t size, std::uint64_t min_size) {
   if (size < min_size) return;

@@ -1,5 +1,6 @@
 // The process-wide pool of host threads behind gpusim's parallel work:
-// the functional phase of a pooled launch (Device::launch) and
+// the warps a pooled launch runs ahead of its launching thread
+// (Device::launch) and
 // data-parallel host loops such as PSA's chunked radix sort
 // (sort/radix_sort.hpp). One launching thread holds the pool at a time,
 // through a PoolLease; a thread that cannot lease it does the work
@@ -20,6 +21,19 @@ class PoolWork {
  public:
   virtual ~PoolWork() = default;
   virtual void work() = 0;
+};
+
+/// One round of a polling loop, for the pool's waits on another thread:
+/// a short run of CPU pauses, and on every fourth round a yield, so that
+/// a runnable thread of another process can take the CPU. A loop of bare
+/// yields noticed a change 0.3-0.6 ms late on a 4-vCPU VM, against a few
+/// microseconds with pauses between the yields (docs/perf_log.md).
+class SpinWait {
+ public:
+  void operator()();
+
+ private:
+  unsigned rounds_ = 0;
 };
 
 class HostPool;

@@ -306,7 +306,7 @@ std::uint64_t fnv1a(const std::string& bytes) {
   return h;
 }
 
-// A launch spanning several blocks of the launch engine (512 warps each):
+// A launch spanning the launch engine's 512-warp log ring several times:
 // random gathers that conflict in small caches, constant-space touches,
 // partial-mask compute, and a store to each warp's own slot. Counters,
 // per-SM vectors and the full trace were recorded with the warps run one

@@ -191,9 +191,8 @@ TEST(ScaleGolden, RangeBatch) {
   EXPECT_EQ(pin(r.metrics), want);
 }
 
-// The launches below span several blocks of the launch engine (512
-// warps each; at least three even at 2048), so the serial cache replay
-// crosses block boundaries. The counters, the per-SM vectors and the
+// The launches below span the launch engine's 512-warp log ring several
+// times (at least three even at 2048), so the replay wraps the ring. The counters, the per-SM vectors and the
 // full trace were recorded with the warps run one after another on one
 // host thread.
 constexpr std::uint64_t kMultiBlockQueries = 5000;
