@@ -144,6 +144,11 @@ BENCHMARK(BM_WarpGather)
     ->Arg(kScattered)
     ->Arg(kStraddling);
 
+// Launch overhead over near-empty warps (one compute step each). Both
+// sizes are at least kPoolMinWarps (64), so with more than one CPU in the
+// affinity mask this times a pooled launch; run it under `taskset -c 0`
+// to time the launching-thread loop alone. Runs from before the pool
+// took launches of 64-4095 warps timed that loop at these sizes.
 void BM_KernelLaunch(benchmark::State& state) {
   auto spec = titan_v();
   spec.num_sms = 8;
