@@ -25,12 +25,7 @@
 
 namespace harmonia::bench {
 
-inline std::vector<btree::Entry> entries_for(const std::vector<Key>& keys) {
-  std::vector<btree::Entry> out;
-  out.reserve(keys.size());
-  for (Key k : keys) out.push_back({k, btree::value_for_key(k)});
-  return out;
-}
+using btree::entries_for;
 
 /// "18,19,20" -> {18, 19, 20}.
 inline std::vector<unsigned> parse_log_list(const std::string& csv) {

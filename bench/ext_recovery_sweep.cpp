@@ -124,9 +124,7 @@ int main(int argc, char** argv) {
     opts.fill_factor = fill;
 
     gpusim::Device dev(hb::bench_spec());
-    btree::BTree builder(fanout);
-    builder.bulk_load(entries, fill);
-    HarmoniaIndex index(dev, HarmoniaTree::from_btree(builder), opts);
+    HarmoniaIndex index(dev, HarmoniaTree::build(entries, fanout, fill), opts);
 
     Xoshiro256 rng(seed * 9176 + lg);
     for (int e = 1; e <= epochs; ++e) {
@@ -150,10 +148,8 @@ int main(int argc, char** argv) {
       recovered = std::make_unique<HarmoniaIndex>(
           dev2, std::move(mat.snapshot->tree), ropts);
     } else {
-      btree::BTree rebuild(fanout);
-      rebuild.bulk_load(entries, fill);
       recovered = std::make_unique<HarmoniaIndex>(
-          dev2, HarmoniaTree::from_btree(rebuild), opts);
+          dev2, HarmoniaTree::build(entries, fanout, fill), opts);
     }
     const persist::RecoveryReport rep =
         rm.finish(std::move(mat), *recovered, link, n);

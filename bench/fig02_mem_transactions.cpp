@@ -61,7 +61,7 @@ int main(int argc, char** argv) {
                    "Figure 2 (height-4, fanout-8, 4 queries/warp, uniform)");
 
   const auto keys = queries::make_tree_keys(tree_size, seed);
-  const auto tree = HarmoniaTree::from_btree(btree::make_tree(keys, 8));
+  const auto tree = HarmoniaTree::build(hb::entries_for(keys), 8);
   std::cout << "tree: " << tree.height() << " levels, " << tree.num_nodes()
             << " nodes\n\n";
 

@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
                    "Figure 3 (100 uniform queries, height-4 fanout-8 tree)");
 
   const auto keys = queries::make_tree_keys(tree_size, seed);
-  const auto tree = HarmoniaTree::from_btree(btree::make_tree(keys, fanout));
+  const auto tree = HarmoniaTree::build(hb::entries_for(keys), fanout);
   const auto qs = queries::make_queries(keys, n, queries::Distribution::kUniform, seed + 1);
 
   std::vector<Summary> per_level(tree.height());

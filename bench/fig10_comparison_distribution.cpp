@@ -29,8 +29,7 @@ int main(int argc, char** argv) {
 
   for (unsigned fanout : {8u, 16u, 32u, 64u, 128u}) {
     const auto keys = queries::make_tree_keys(1ULL << lg, seed);
-    const auto tree =
-        HarmoniaTree::from_btree(btree::make_tree(keys, fanout, fill));
+    const auto tree = HarmoniaTree::build(hb::entries_for(keys), fanout, fill);
     const auto qs =
         queries::make_queries(keys, n, queries::Distribution::kUniform, seed + 1);
 

@@ -199,7 +199,7 @@ BENCHMARK(BM_KernelLaunchGather)->Arg(64)->Arg(2048)->Arg(65536)->UseRealTime();
 /// The 2^20-key, fanout-64 tree of the memory benches.
 const HarmoniaTree& image_tree() {
   static const HarmoniaTree tree =
-      HarmoniaTree::from_btree(btree::make_tree(queries::make_tree_keys(1 << 20, 7), 64));
+      HarmoniaTree::build(btree::entries_for(queries::make_tree_keys(1 << 20, 7)), 64);
   return tree;
 }
 
@@ -258,7 +258,7 @@ void BM_SearchServingBatch(benchmark::State& state) {
   const auto tree_keys = std::uint64_t{1} << state.range(0);
   Device dev(titan_v());
   const std::vector<Key> keys = queries::make_tree_keys(tree_keys, 7);
-  const HarmoniaTree tree = HarmoniaTree::from_btree(btree::make_tree(keys, 64));
+  const HarmoniaTree tree = HarmoniaTree::build(btree::entries_for(keys), 64);
   const HarmoniaDeviceImage image = HarmoniaDeviceImage::upload(dev, tree);
   Xoshiro256 rng(3);
   std::vector<Key> pool(kPool);

@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
   for (const auto& spec : {gpusim::titan_v(), gpusim::tesla_k80()}) {
     for (unsigned fanout : {8u, 16u, 32u, 64u, 128u}) {
       const auto keys = queries::make_tree_keys(1ULL << lg, seed);
-      const auto tree = HarmoniaTree::from_btree(btree::make_tree(keys, fanout));
+      const auto tree = HarmoniaTree::build(hb::entries_for(keys), fanout);
       auto qs = queries::make_queries(keys, n, queries::Distribution::kUniform, seed + 1);
       // NTG assumes the PSA-sorted stream (§4.2).
       auto plan = psa_prepare(qs, tree.num_keys(), spec, PsaMode::kPartial);

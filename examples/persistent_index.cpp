@@ -17,13 +17,10 @@ int main() {
 
   // --- "First process": build and persist. ---
   const auto keys = queries::make_tree_keys(1 << 19, 21);
-  std::vector<btree::Entry> entries;
-  for (Key k : keys) entries.push_back({k, btree::value_for_key(k)});
+  const auto entries = btree::entries_for(keys);
 
   {
-    btree::BTree builder(64);
-    builder.bulk_load(entries);
-    const auto tree = HarmoniaTree::from_btree(builder);
+    const auto tree = HarmoniaTree::build(entries, 64);
     WallTimer timer;
     std::ofstream out(path, std::ios::binary);
     tree.save(out);

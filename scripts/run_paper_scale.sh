@@ -2,9 +2,10 @@
 # Paper-scale reproduction run (2^23..2^26-key trees, 2^20-query batches).
 #
 # The simulator is ~10^3x slower than silicon: expect minutes per
-# harness at 2^23 and substantially longer at 2^26 (which also needs
-# ~10 GB of host RAM for the pointer-tree build). Outputs land in
-# results/ as both text and CSV.
+# harness at 2^23 and substantially longer at 2^26, which also needs
+# about 8.5 GB of host RAM: Fig. 11 peaks at 2.1 GB at 2^24 and 4.2 GB
+# at 2^25 (2^17 queries), and only its HB+ side still builds a pointer
+# tree. Outputs land in results/ as both text and CSV.
 set -euo pipefail
 
 BUILD=${BUILD:-build}

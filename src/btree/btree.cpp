@@ -16,7 +16,52 @@ std::size_t child_index(const Node* node, Key key) {
   return static_cast<std::size_t>(it - node->keys.begin());
 }
 
+/// Node sizes for one level of `count` items: `target` per node, and no
+/// tail node below `min` (nodes hold at most `max`).
+std::vector<std::uint32_t> group(std::size_t count, std::size_t target, std::size_t min,
+                                 std::size_t max) {
+  std::vector<std::uint32_t> sizes;
+  sizes.reserve(count / target + 1);
+  for (std::size_t i = 0; i < count;) {
+    std::size_t take = std::min(target, count - i);
+    // Avoid a final underfull node: absorb a short tail into this node
+    // if it fits, otherwise split the remainder evenly.
+    const std::size_t rest = count - i - take;
+    if (rest > 0 && rest < min) take = take + rest <= max ? take + rest : (take + rest + 1) / 2;
+    sizes.push_back(static_cast<std::uint32_t>(take));
+    i += take;
+  }
+  return sizes;
+}
+
+/// Keys per leaf at `fill_factor`, within [max(1, min keys), max keys].
+std::size_t target_keys(unsigned fanout, double fill_factor) {
+  HARMONIA_CHECK_MSG(fanout >= 4, "fanout must be >= 4");
+  HARMONIA_CHECK(fill_factor > 0.0 && fill_factor <= 1.0);
+  const std::size_t max_keys = fanout - 1;
+  return std::clamp<std::size_t>(
+      static_cast<std::size_t>(std::lround(static_cast<double>(max_keys) * fill_factor)),
+      std::max<std::size_t>(1, max_keys / 2), max_keys);
+}
+
 }  // namespace
+
+std::vector<std::uint32_t> plan_leaves(std::size_t entries, unsigned fanout, double fill_factor) {
+  return group(entries, target_keys(fanout, fill_factor), (fanout - 1) / 2, fanout - 1);
+}
+
+std::vector<std::vector<std::uint32_t>> plan_internal_levels(std::size_t leaves, unsigned fanout,
+                                                             double fill_factor) {
+  // A node of k keys has k + 1 children; the minimum is max_keys / 2 + 1.
+  const std::size_t min_children = (fanout - 1) / 2 + 1;
+  const std::size_t target = target_keys(fanout, fill_factor) + 1;
+  std::vector<std::vector<std::uint32_t>> levels;
+  for (std::size_t nodes = leaves; nodes > 1; nodes = levels.back().size()) {
+    levels.push_back(group(nodes, target, min_children, fanout));
+  }
+  std::reverse(levels.begin(), levels.end());
+  return levels;
+}
 
 BTree::BTree(unsigned fanout) : fanout_(fanout) {
   HARMONIA_CHECK_MSG(fanout >= 4, "fanout must be >= 4");
@@ -246,7 +291,7 @@ std::vector<Entry> BTree::range(Key lo, Key hi, std::size_t limit) const {
 }
 
 void BTree::bulk_load(std::span<const Entry> entries, double fill_factor) {
-  HARMONIA_CHECK(fill_factor > 0.0 && fill_factor <= 1.0);
+  const auto leaf_sizes = plan_leaves(entries.size(), fanout_, fill_factor);
   root_.reset();
   size_ = 0;
   if (entries.empty()) return;
@@ -255,71 +300,40 @@ void BTree::bulk_load(std::span<const Entry> entries, double fill_factor) {
                        "bulk_load input must be sorted and distinct");
   }
 
-  const auto target_keys = std::clamp<std::size_t>(
-      static_cast<std::size_t>(std::lround(static_cast<double>(max_keys()) * fill_factor)),
-      std::max<std::size_t>(1, min_keys()), max_keys());
-
-  // Build the leaf level.
+  // Build the leaf level, linked left to right.
   struct Built {
     std::unique_ptr<Node> node;
     Key min_key;
   };
   std::vector<Built> level;
-  {
-    std::size_t i = 0;
-    Node* prev = nullptr;
-    while (i < entries.size()) {
-      std::size_t take = std::min(target_keys, entries.size() - i);
-      // Avoid a final underfull leaf: absorb a short tail into this node
-      // if it fits, otherwise split the remainder evenly.
-      const std::size_t rest = entries.size() - i - take;
-      if (rest > 0 && rest < min_keys()) {
-        if (take + rest <= max_keys()) {
-          take += rest;
-        } else {
-          take = (take + rest + 1) / 2;
-        }
-      }
-      auto node = std::make_unique<Node>();
-      node->leaf = true;
-      for (std::size_t j = 0; j < take; ++j) {
-        node->keys.push_back(entries[i + j].key);
-        node->values.push_back(entries[i + j].value);
-      }
-      if (prev != nullptr) prev->next = node.get();
-      prev = node.get();
-      level.push_back({std::move(node), entries[i].key});
-      i += take;
+  level.reserve(leaf_sizes.size());
+  std::size_t i = 0;
+  for (const std::uint32_t take : leaf_sizes) {
+    auto node = std::make_unique<Node>();
+    for (const Entry& e : entries.subspan(i, take)) {
+      node->keys.push_back(e.key);
+      node->values.push_back(e.value);
     }
+    if (!level.empty()) level.back().node->next = node.get();
+    level.push_back({std::move(node), entries[i].key});
+    i += take;
   }
   size_ = entries.size();
 
-  // Build internal levels until one node remains.
-  const std::size_t target_children = std::clamp<std::size_t>(
-      target_keys + 1, std::max<std::size_t>(2, min_keys() + 1), max_keys() + 1);
-  while (level.size() > 1) {
+  // Build the internal levels bottom-up, up to the root.
+  const auto internal = plan_internal_levels(level.size(), fanout_, fill_factor);
+  for (auto counts = internal.rbegin(); counts != internal.rend(); ++counts) {
     std::vector<Built> parents;
-    std::size_t i = 0;
-    while (i < level.size()) {
-      std::size_t take = std::min(target_children, level.size() - i);
-      const std::size_t rest = level.size() - i - take;
-      const std::size_t min_children = min_keys() + 1;
-      if (rest > 0 && rest < min_children) {
-        if (take + rest <= max_keys() + 1) {
-          take += rest;
-        } else {
-          take = (take + rest + 1) / 2;
-        }
-      }
+    std::size_t c = 0;
+    for (const std::uint32_t take : *counts) {
       auto node = std::make_unique<Node>();
       node->leaf = false;
-      const Key min_key = level[i].min_key;
       for (std::size_t j = 0; j < take; ++j) {
-        if (j > 0) node->keys.push_back(level[i + j].min_key);
-        node->children.push_back(std::move(level[i + j].node));
+        if (j > 0) node->keys.push_back(level[c + j].min_key);
+        node->children.push_back(std::move(level[c + j].node));
       }
-      parents.push_back({std::move(node), min_key});
-      i += take;
+      parents.push_back({std::move(node), level[c].min_key});
+      c += take;
     }
     level = std::move(parents);
   }
@@ -401,12 +415,16 @@ void BTree::validate_rec(const Node* node, unsigned depth, unsigned leaf_depth,
 
 Value value_for_key(Key key) { return SplitMix64(key).next(); }
 
-BTree make_tree(std::span<const Key> sorted_keys, unsigned fanout, double fill_factor) {
-  BTree tree(fanout);
+std::vector<Entry> entries_for(std::span<const Key> sorted_keys) {
   std::vector<Entry> entries;
   entries.reserve(sorted_keys.size());
   for (Key k : sorted_keys) entries.push_back({k, value_for_key(k)});
-  tree.bulk_load(entries, fill_factor);
+  return entries;
+}
+
+BTree make_tree(std::span<const Key> sorted_keys, unsigned fanout, double fill_factor) {
+  BTree tree(fanout);
+  tree.bulk_load(entries_for(sorted_keys), fill_factor);
   return tree;
 }
 

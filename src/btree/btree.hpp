@@ -2,9 +2,11 @@
 //
 // This is the "traditional regular B+tree" of §2.2/Figure 4(a): every node
 // holds keys plus child references; all values live in the leaves, which
-// are linked for range scans. It serves three roles in the reproduction:
-// the structure Harmonia and HB+Tree serialize their device images from,
-// the correctness oracle in tests, and the CPU side of batch updates.
+// are linked for range scans. It serves two roles in the reproduction:
+// the HB+Tree baseline's host tree, which HB+ updates on the CPU and
+// serializes its device image from, and the correctness oracle in tests.
+// Harmonia trees skip it: HarmoniaTree::build writes the flat regions
+// straight from sorted entries, by the same shape plan (plan_leaves).
 //
 // Separator convention: for an internal node, keys[i] is <= every key in
 // children[i+1] and > every key in children[i]; a lookup descends into
@@ -39,6 +41,26 @@ struct Entry {
   Key key;
   Value value;
 };
+
+// The one bulk-load shape rule, as a pure plan: how many entries each
+// leaf holds, then how many children each internal node holds, level by
+// level. Nodes are cut at a fill-derived target, left to right. A short
+// tail (below the minimum occupancy) is absorbed into the node before it
+// if that fits within capacity, or else the two split the remainder
+// evenly. BTree::bulk_load builds pointer nodes from the plan,
+// HarmoniaTree::build writes the flat regions from it, and the batch
+// updater's rebuild lays out its leaf list with it, so rebuilding
+// unchanged leaves reproduces the bulk-loaded tree. `fanout` (>= 4) is a
+// node's max child count; `fill_factor`, in (0, 1], a leaf's target
+// occupancy.
+
+/// Entry count of each leaf over `entries` sorted entries.
+std::vector<std::uint32_t> plan_leaves(std::size_t entries, unsigned fanout, double fill_factor);
+
+/// Child counts of each internal level over `leaves` leaves, root level
+/// first; empty when a single leaf is the whole tree.
+std::vector<std::vector<std::uint32_t>> plan_internal_levels(std::size_t leaves, unsigned fanout,
+                                                             double fill_factor);
 
 class BTree {
  public:
@@ -110,6 +132,9 @@ class BTree {
   std::unique_ptr<Node> root_;
   std::uint64_t size_ = 0;
 };
+
+/// `sorted_keys`, each paired with value_for_key.
+std::vector<Entry> entries_for(std::span<const Key> sorted_keys);
 
 /// Convenience: builds a bulk-loaded tree with values = hash of key.
 BTree make_tree(std::span<const Key> sorted_keys, unsigned fanout,

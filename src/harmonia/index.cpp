@@ -67,9 +67,8 @@ HarmoniaIndex::HarmoniaIndex(gpusim::Device& device, HarmoniaTree tree,
 HarmoniaIndex HarmoniaIndex::build(gpusim::Device& device,
                                    std::span<const btree::Entry> entries,
                                    const Options& options) {
-  btree::BTree builder(options.fanout);
-  builder.bulk_load(entries, options.fill_factor);
-  return HarmoniaIndex(device, HarmoniaTree::from_btree(builder), options);
+  return HarmoniaIndex(device, HarmoniaTree::build(entries, options.fanout, options.fill_factor),
+                       options);
 }
 
 HarmoniaIndex::QueryResult HarmoniaIndex::search(std::span<const Key> batch,

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <istream>
 #include <ostream>
 
@@ -95,39 +94,35 @@ TreeView HarmoniaTree::view() const {
                   key_region_, prefix_sum_, value_region_};
 }
 
+HarmoniaTree::HarmoniaTree(unsigned fanout, std::span<const std::size_t> level_sizes,
+                           std::uint64_t num_keys)
+    : fanout_(fanout), num_keys_(num_keys) {
+  for (const std::size_t size : level_sizes) {
+    level_start_.push_back(num_nodes_);
+    num_nodes_ += static_cast<std::uint32_t>(size);
+  }
+  first_leaf_ = level_start_.back();
+  key_region_.assign(std::size_t{num_nodes_} * keys_per_node(), kPadKey);
+  prefix_sum_.assign(num_nodes_ + 1, num_nodes_);
+  value_region_.assign(std::size_t{num_leaves()} * keys_per_node(), Value{0});
+}
+
 HarmoniaTree HarmoniaTree::from_btree(const btree::BTree& tree) {
   const auto levels = tree.levels();
   HARMONIA_CHECK_MSG(!levels.empty(), "cannot serialize an empty B+tree");
-
-  HarmoniaTree out;
-  out.fanout_ = tree.fanout();
-  const unsigned kpn = out.fanout_ - 1;
-
-  std::uint32_t total = 0;
-  for (const auto& level : levels) {
-    out.level_start_.push_back(total);
-    total += static_cast<std::uint32_t>(level.size());
-  }
-  out.num_nodes_ = total;
-  out.first_leaf_ = out.level_start_.back();
-  out.num_keys_ = tree.size();
-
-  out.key_region_.assign(static_cast<std::size_t>(total) * kpn, kPadKey);
-  out.prefix_sum_.assign(total + 1, total);
-  out.value_region_.assign(
-      static_cast<std::size_t>(total - out.first_leaf_) * kpn, Value{0});
+  std::vector<std::size_t> level_sizes;
+  for (const auto& level : levels) level_sizes.push_back(level.size());
+  HarmoniaTree out(tree.fanout(), level_sizes, tree.size());
 
   std::uint32_t bfs = 0;
   std::uint32_t next_child = 1;
   for (const auto& level : levels) {
     for (const btree::Node* node : level) {
-      Key* slots = out.key_region_.data() + static_cast<std::size_t>(bfs) * kpn;
-      std::copy(node->keys.begin(), node->keys.end(), slots);
+      std::copy(node->keys.begin(), node->keys.end(),
+                out.key_region_.data() + std::size_t{bfs} * out.keys_per_node());
       if (node->leaf) {
-        Value* vals =
-            out.value_region_.data() + static_cast<std::size_t>(bfs - out.first_leaf_) * kpn;
-        std::copy(node->values.begin(), node->values.end(), vals);
-        out.prefix_sum_[bfs] = total;
+        std::copy(node->values.begin(), node->values.end(),
+                  out.value_region_.data() + out.value_slot(bfs, 0));
       } else {
         out.prefix_sum_[bfs] = next_child;
         next_child += static_cast<std::uint32_t>(node->children.size());
@@ -135,111 +130,65 @@ HarmoniaTree HarmoniaTree::from_btree(const btree::BTree& tree) {
       ++bfs;
     }
   }
-  HARMONIA_CHECK(next_child == total || levels.size() == 1);
+  HARMONIA_CHECK(next_child == out.num_nodes_ || levels.size() == 1);
   return out;
 }
 
-HarmoniaTree HarmoniaTree::from_leaves(std::vector<std::vector<btree::Entry>> leaves,
-                                       unsigned fanout) {
-  HARMONIA_CHECK(fanout >= 4);
-  HARMONIA_CHECK(!leaves.empty());
-  const unsigned kpn = fanout - 1;
-
-  // Build the level structure bottom-up: per level, each node's min key
-  // and child count. Level 0 of `shape` is the leaf level (reversed later).
-  struct NodeShape {
-    Key min_key;
-    std::uint32_t children;  // 0 for leaves
-  };
-  std::vector<std::vector<NodeShape>> shape;  // bottom-up
-  std::vector<NodeShape> current;
-  current.reserve(leaves.size());
-  std::uint64_t num_keys = 0;
-  for (const auto& leaf : leaves) {
-    HARMONIA_CHECK_MSG(!leaf.empty(), "empty leaf in from_leaves");
-    HARMONIA_CHECK_MSG(leaf.size() <= kpn, "overfull leaf in from_leaves");
-    current.push_back({leaf.front().key, 0});
-    num_keys += leaf.size();
+HarmoniaTree HarmoniaTree::build(std::span<const btree::Entry> sorted, unsigned fanout,
+                                 double fill_factor, std::span<const std::uint32_t> leaf_sizes) {
+  std::vector<std::uint32_t> planned;
+  if (leaf_sizes.empty()) {
+    planned = btree::plan_leaves(sorted.size(), fanout, fill_factor);
+    leaf_sizes = planned;
   }
-  shape.push_back(current);
+  const auto internal = btree::plan_internal_levels(leaf_sizes.size(), fanout, fill_factor);
+  HARMONIA_CHECK_MSG(!sorted.empty(), "cannot build an empty Harmonia tree");
+  for (std::size_t i = 1; i < sorted.size(); ++i) {
+    HARMONIA_CHECK_MSG(sorted[i - 1].key < sorted[i].key,
+                       "build input must be sorted and distinct");
+  }
+  std::vector<std::size_t> level_sizes;
+  for (const auto& level : internal) level_sizes.push_back(level.size());
+  level_sizes.push_back(leaf_sizes.size());
+  HarmoniaTree out(fanout, level_sizes, sorted.size());
+  const unsigned kpn = out.keys_per_node();
 
-  // Group children into parents, target occupancy ~ the bulk-load default.
-  const auto target_children =
-      std::clamp<std::size_t>(static_cast<std::size_t>(std::lround(fanout * 0.69)), 2, fanout);
-  while (shape.back().size() > 1) {
-    const auto& child_level = shape.back();
-    std::vector<NodeShape> parents;
-    std::size_t i = 0;
-    while (i < child_level.size()) {
-      std::size_t take = std::min(target_children, child_level.size() - i);
-      const std::size_t rest = child_level.size() - i - take;
-      if (rest > 0 && rest < 2) {
-        // No singleton tail node: absorb it if the node has room,
-        // otherwise split the remainder evenly.
-        if (take + rest <= fanout) {
-          take += rest;
-        } else {
-          take = (take + rest + 1) / 2;
-        }
-      }
-      parents.push_back({child_level[i].min_key, static_cast<std::uint32_t>(take)});
-      i += take;
+  // Leaf level: copy keys and values, remembering each leaf's min key —
+  // the separator its parent stores for it.
+  std::vector<Key> min_keys;
+  min_keys.reserve(leaf_sizes.size());
+  std::size_t pos = 0;
+  for (std::size_t l = 0; l < leaf_sizes.size(); ++l) {
+    const std::uint32_t size = leaf_sizes[l];
+    HARMONIA_CHECK_MSG(size >= 1 && size <= kpn, "leaf of " << size << " entries");
+    HARMONIA_CHECK_MSG(pos + size <= sorted.size(), "leaf sizes exceed the entries");
+    Key* slots = out.key_region_.data() + (std::size_t{out.first_leaf_} + l) * kpn;
+    Value* vals = out.value_region_.data() + l * kpn;
+    for (std::uint32_t s = 0; s < size; ++s) {
+      slots[s] = sorted[pos + s].key;
+      vals[s] = sorted[pos + s].value;
     }
-    shape.push_back(std::move(parents));
+    min_keys.push_back(sorted[pos].key);
+    pos += size;
   }
-  std::reverse(shape.begin(), shape.end());  // now top-down
+  HARMONIA_CHECK_MSG(pos == sorted.size(), "leaf sizes leave entries out");
 
-  HarmoniaTree out;
-  out.fanout_ = fanout;
-  out.num_keys_ = num_keys;
-  std::uint32_t total = 0;
-  for (const auto& level : shape) {
-    out.level_start_.push_back(total);
-    total += static_cast<std::uint32_t>(level.size());
-  }
-  out.num_nodes_ = total;
-  out.first_leaf_ = out.level_start_.back();
-
-  out.key_region_.assign(static_cast<std::size_t>(total) * kpn, kPadKey);
-  out.prefix_sum_.assign(total + 1, total);
-  out.value_region_.assign(static_cast<std::size_t>(leaves.size()) * kpn, Value{0});
-
-  // Internal nodes: separators are the min keys of children 1..n-1.
-  std::uint32_t bfs = 0;
-  std::uint32_t next_child = 1;
-  for (std::size_t lvl = 0; lvl + 1 < shape.size(); ++lvl) {
-    // Track each node's first child position within the next level.
-    std::size_t child_pos = 0;
-    const auto& next_level = shape[lvl + 1];
-    for (const NodeShape& node : shape[lvl]) {
-      Key* slots = out.key_region_.data() + static_cast<std::size_t>(bfs) * kpn;
-      for (std::uint32_t c = 1; c < node.children; ++c) {
-        slots[c - 1] = next_level[child_pos + c].min_key;
-      }
-      out.prefix_sum_[bfs] = next_child;
-      next_child += node.children;
-      child_pos += node.children;
-      ++bfs;
+  // Internal levels, bottom-up: separators are the min keys of children
+  // 1..n-1, and a node's first child follows in the next level.
+  for (std::size_t lvl = internal.size(); lvl-- > 0;) {
+    std::vector<Key> parent_mins;
+    parent_mins.reserve(internal[lvl].size());
+    std::uint32_t bfs = out.level_start_[lvl];
+    std::uint32_t child = 0;
+    for (const std::uint32_t children : internal[lvl]) {
+      std::copy(min_keys.data() + child + 1, min_keys.data() + child + children,
+                out.key_region_.data() + std::size_t{bfs} * kpn);
+      out.prefix_sum_[bfs++] = out.level_start_[lvl + 1] + child;
+      parent_mins.push_back(min_keys[child]);
+      child += children;
     }
-    HARMONIA_CHECK(child_pos == next_level.size());
+    min_keys = std::move(parent_mins);
   }
-
-  // Leaf level: copy keys and values.
-  Key prev = 0;
-  bool have_prev = false;
-  for (std::size_t l = 0; l < leaves.size(); ++l) {
-    Key* slots = out.key_region_.data() + (static_cast<std::size_t>(out.first_leaf_) + l) * kpn;
-    Value* vals = out.value_region_.data() + static_cast<std::size_t>(l) * kpn;
-    for (std::size_t s = 0; s < leaves[l].size(); ++s) {
-      HARMONIA_CHECK_MSG(!have_prev || leaves[l][s].key > prev,
-                         "from_leaves input not globally ascending");
-      prev = leaves[l][s].key;
-      have_prev = true;
-      slots[s] = leaves[l][s].key;
-      vals[s] = leaves[l][s].value;
-    }
-  }
-  HARMONIA_CHECK(next_child == total || shape.size() == 1);
   return out;
 }
 
@@ -448,7 +397,9 @@ HarmoniaTree HarmoniaTree::load(std::istream& is, TreeSnapshotExtras* extras) {
   out.num_keys_ = read_pod<std::uint64_t>(is, h);
   // Validate the header before it sizes any allocation: a bit flip in a
   // count field must throw, not drive a multi-gigabyte vector resize.
-  HARMONIA_CHECK_MSG(out.fanout_ >= 3 && out.fanout_ <= 4096,
+  // Every writer (build, the batch updater's rebuild, BTree) needs a
+  // fanout of at least 4, so a smaller one cannot come from a save.
+  HARMONIA_CHECK_MSG(out.fanout_ >= 4 && out.fanout_ <= 4096,
                      "corrupt Harmonia image: fanout " << out.fanout_);
   HARMONIA_CHECK_MSG(out.num_nodes_ > 0, "corrupt Harmonia image: zero nodes");
   HARMONIA_CHECK_MSG(out.first_leaf_ < out.num_nodes_,

@@ -76,15 +76,22 @@ struct TreeView {
 
 class HarmoniaTree {
  public:
-  /// Serializes a regular B+tree (Figure 4a -> 4b): same nodes, same key
-  /// placement, child pointers replaced by the prefix-sum array.
-  static HarmoniaTree from_btree(const btree::BTree& tree);
+  /// Builds the tree of `sorted` (non-empty, strictly ascending keys)
+  /// without a pointer tree: the flat regions are written straight from
+  /// the span, in the shape btree::plan_leaves and plan_internal_levels
+  /// give, so the result is region for region what from_btree makes of
+  /// BTree::bulk_load. A non-empty `leaf_sizes` gives the leaf level
+  /// instead (leaf l holds the next leaf_sizes[l] entries, 1 to fanout-1):
+  /// the batch updater's rebuild lays out its surviving leaves and
+  /// auxiliary nodes that way.
+  static HarmoniaTree build(std::span<const btree::Entry> sorted, unsigned fanout,
+                            double fill_factor = 0.69,
+                            std::span<const std::uint32_t> leaf_sizes = {});
 
-  /// Builds directly from leaf-level contents: `leaves[i]` holds one leaf's
-  /// (key, value) entries (sorted, non-empty, globally ascending). Internal
-  /// levels are derived. Used by the batch updater's post-batch rebuild.
-  static HarmoniaTree from_leaves(std::vector<std::vector<btree::Entry>> leaves,
-                                  unsigned fanout);
+  /// Serializes a regular B+tree (Figure 4a -> 4b): same nodes, same key
+  /// placement, child pointers replaced by the prefix-sum array. The HB+
+  /// baseline writes its device image from this.
+  static HarmoniaTree from_btree(const btree::BTree& tree);
 
   unsigned fanout() const { return fanout_; }
   unsigned height() const { return static_cast<unsigned>(level_start_.size()); }
@@ -157,6 +164,9 @@ class HarmoniaTree {
 
  private:
   HarmoniaTree() = default;
+  /// Sizes every region for levels of `level_sizes` nodes (root first),
+  /// all slots padded and every prefix sum a leaf's.
+  HarmoniaTree(unsigned fanout, std::span<const std::size_t> level_sizes, std::uint64_t num_keys);
 
   unsigned fanout_ = 0;
   std::uint32_t num_nodes_ = 0;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <barrier>
-#include <cmath>
 #include <thread>
 
 #include "common/expect.hpp"
@@ -229,43 +228,38 @@ UpdateStats BatchUpdater::apply(std::span<const UpdateOp> ops, unsigned threads)
 
 void BatchUpdater::rebuild(UpdateStats& stats) {
   const unsigned kpn = tree_.keys_per_node();
-  const auto target = std::clamp<std::size_t>(
-      static_cast<std::size_t>(std::lround(static_cast<double>(kpn) * rebuild_fill_)),
-      1, kpn);
 
-  std::vector<std::vector<btree::Entry>> leaves;
-  leaves.reserve(tree_.num_leaves());
+  // The new leaf level, flat: surviving leaves as they are, auxiliary
+  // nodes cut by the bulk-load leaf rule (a split yields two or more
+  // leaves; a merged-away leaf yields none).
+  std::vector<btree::Entry> entries;
+  entries.reserve(tree_.num_keys());
+  std::vector<std::uint32_t> leaf_sizes;
+  leaf_sizes.reserve(tree_.num_leaves());
   std::uint32_t first_changed = tree_.num_leaves();
   for (std::uint32_t li = 0; li < tree_.num_leaves(); ++li) {
     if (aux_[li]) {
       first_changed = std::min(first_changed, li);
       ++stats.aux_nodes;
-      // Chunk the auxiliary node into target-fill leaves (a split yields
-      // two or more; a merged-away leaf yields none).
-      const auto& entries = aux_[li]->entries;
-      std::size_t i = 0;
-      while (i < entries.size()) {
-        const std::size_t take = std::min(target, entries.size() - i);
-        leaves.emplace_back(entries.begin() + static_cast<std::ptrdiff_t>(i),
-                            entries.begin() + static_cast<std::ptrdiff_t>(i + take));
-        i += take;
-      }
+      const auto& aux = aux_[li]->entries;
+      entries.insert(entries.end(), aux.begin(), aux.end());
+      const auto sizes = btree::plan_leaves(aux.size(), tree_.fanout(), rebuild_fill_);
+      leaf_sizes.insert(leaf_sizes.end(), sizes.begin(), sizes.end());
     } else {
-      leaves.push_back(tree_.leaf_entries(tree_.first_leaf_index() + li));
+      const auto leaf = tree_.leaf_entries(tree_.first_leaf_index() + li);
+      entries.insert(entries.end(), leaf.begin(), leaf.end());
+      leaf_sizes.push_back(static_cast<std::uint32_t>(leaf.size()));
     }
   }
-  HARMONIA_CHECK_MSG(!leaves.empty(), "batch removed every key from the tree");
+  HARMONIA_CHECK_MSG(!entries.empty(), "batch removed every key from the tree");
 
-  HarmoniaTree rebuilt = HarmoniaTree::from_leaves(std::move(leaves), tree_.fanout());
+  HarmoniaTree rebuilt = HarmoniaTree::build(entries, tree_.fanout(), rebuild_fill_, leaf_sizes);
 
   // Deferred-movement accounting: everything from the first structurally
   // changed leaf onward moves, plus all internal nodes (their prefix-sum
   // entries and separators are regenerated).
-  const std::uint64_t unchanged =
-      static_cast<std::uint64_t>(first_changed) * kpn;
-  stats.moved_slots +=
-      static_cast<std::uint64_t>(rebuilt.num_nodes()) * kpn - std::min<std::uint64_t>(
-          unchanged, static_cast<std::uint64_t>(rebuilt.num_nodes()) * kpn);
+  const std::uint64_t slots = std::uint64_t{rebuilt.num_nodes()} * kpn;
+  stats.moved_slots += slots - std::min<std::uint64_t>(std::uint64_t{first_changed} * kpn, slots);
   stats.rebuilt = true;
 
   tree_ = std::move(rebuilt);

@@ -18,9 +18,7 @@ ServingStack::ServingStack(const TopologySpec& topo,
   // touches the snapshot directory.
   options.validate(topo.shards);
   keys_ = queries::make_tree_keys(1ULL << topo.log2_keys, topo.seed);
-  std::vector<btree::Entry> entries;
-  entries.reserve(keys_.size());
-  for (Key k : keys_) entries.push_back({k, btree::value_for_key(k)});
+  const auto entries = btree::entries_for(keys_);
 
   serve::ServeOptions opts = options;
   ShardedOptions shopts;

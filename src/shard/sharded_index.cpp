@@ -21,10 +21,10 @@ ShardedIndex::ShardedIndex(std::span<const btree::Entry> entries, ShardPlan plan
     HARMONIA_CHECK_MSG(end > begin,
                        "shard " << s << " holds no keys — plan the partition "
                                 << "from the keys (sample_balanced)");
-    btree::BTree builder(options_.index.fanout);
-    builder.bulk_load(entries.subspan(begin, end - begin),
-                      options_.index.fill_factor);
-    adopt_tree(s, HarmoniaTree::from_btree(builder), options_.index);
+    adopt_tree(s,
+               HarmoniaTree::build(entries.subspan(begin, end - begin),
+                                   options_.index.fanout, options_.index.fill_factor),
+               options_.index);
     begin = end;
   }
 }

@@ -7,6 +7,7 @@
 
 #include "btree/btree.hpp"
 #include "common/expect.hpp"
+#include "common/xxhash64.hpp"
 #include "harmonia/tree.hpp"
 #include "image_fixtures.hpp"
 #include "queries/workload.hpp"
@@ -279,6 +280,47 @@ TEST(Serialize, UnknownVersionsThrow) {
     std::stringstream is(bad);
     EXPECT_THROW(HarmoniaTree::load(is), ContractViolation) << "version " << version;
   }
+}
+
+/// A sealed v3 image of one leaf holding keys 1 and 2, at `fanout`.
+std::string single_leaf_image(unsigned fanout) {
+  std::string image;
+  Xxh64 h;
+  const auto put = [&](const auto& v) {
+    image.append(reinterpret_cast<const char*>(&v), sizeof v);
+    h.update(&v, sizeof v);
+  };
+  const std::uint64_t kpn = fanout - 1;
+  put(std::uint32_t{0x484D5254});  // magic "HMRT"
+  put(std::uint32_t{3});           // format version
+  put(fanout);
+  put(std::uint32_t{1});  // num_nodes
+  put(std::uint32_t{0});  // first_leaf
+  put(std::uint64_t{2});  // num_keys
+  put(std::uint64_t{1});  // level_start
+  put(std::uint32_t{0});
+  put(kpn);  // key region
+  for (std::uint64_t s = 0; s < kpn; ++s) put(s < 2 ? Key{s + 1} : kPadKey);
+  put(std::uint64_t{2});  // prefix sums: a leaf's is num_nodes
+  put(std::uint32_t{1});
+  put(std::uint32_t{1});
+  put(kpn);  // value region
+  for (std::uint64_t s = 0; s < kpn; ++s) put(Value{s < 2 ? 10 * (s + 1) : 0});
+  put(0.69);              // extras: fill factor
+  put(std::uint64_t{0});  // no overlay
+  const std::uint64_t trailer = h.digest();
+  image.append(reinterpret_cast<const char*>(&trailer), sizeof trailer);
+  return image;
+}
+
+// Every writer (build, the batch updater's rebuild, BTree) needs a
+// fanout of at least 4. A fanout-3 image used to load and then throw at
+// the first batch that split a leaf, so load rejects it up front.
+TEST(Serialize, RejectsFanoutNoWriterProduces) {
+  std::stringstream ok(single_leaf_image(4));
+  EXPECT_EQ(HarmoniaTree::load(ok).search(2).value(), 20u);
+  std::stringstream bad(single_leaf_image(3));
+  EXPECT_THROW(HarmoniaTree::load(bad), ContractViolation);
 }
 
 TEST(Serialize, RejectsMalformedExtras) {

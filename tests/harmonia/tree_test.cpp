@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "btree/btree.hpp"
 #include "common/expect.hpp"
 #include "common/rng.hpp"
@@ -133,36 +135,79 @@ TEST(HarmoniaTree, RangeWithLimit) {
   EXPECT_EQ(out.size(), 17u);
 }
 
-TEST(HarmoniaTree, FromLeavesRoundTrip) {
-  const auto keys = queries::make_tree_keys(2500, 7);
-  const auto bt = btree::make_tree(keys, 16);
-  const auto orig = HarmoniaTree::from_btree(bt);
-  // Decompose into leaves and rebuild.
-  std::vector<std::vector<btree::Entry>> leaves;
-  for (std::uint32_t l = orig.first_leaf_index(); l < orig.num_nodes(); ++l) {
-    leaves.push_back(orig.leaf_entries(l));
-  }
-  const auto rebuilt = HarmoniaTree::from_leaves(std::move(leaves), 16);
-  rebuilt.validate();
-  EXPECT_EQ(rebuilt.num_keys(), orig.num_keys());
-  for (Key k : keys) ASSERT_EQ(rebuilt.search(k), orig.search(k));
+/// Asserts `got` and `want` are the same tree, region for region.
+void expect_same_regions(const HarmoniaTree& got, const HarmoniaTree& want) {
+  ASSERT_EQ(got.fanout(), want.fanout());
+  ASSERT_EQ(got.num_keys(), want.num_keys());
+  ASSERT_EQ(got.height(), want.height());
+  for (unsigned l = 0; l < want.height(); ++l) ASSERT_EQ(got.level_start(l), want.level_start(l));
+  ASSERT_TRUE(std::ranges::equal(got.key_region(), want.key_region()));
+  ASSERT_TRUE(std::ranges::equal(got.prefix_sum(), want.prefix_sum()));
+  ASSERT_TRUE(std::ranges::equal(got.value_region(), want.value_region()));
 }
 
-TEST(HarmoniaTree, FromLeavesSingleLeaf) {
-  std::vector<std::vector<btree::Entry>> leaves{{{1, 10}, {2, 20}, {3, 30}}};
-  const auto tree = HarmoniaTree::from_leaves(std::move(leaves), 8);
+TEST(HarmoniaTree, BuildRoundTrip) {
+  // One shape rule: HarmoniaTree::build writes what from_btree makes of
+  // BTree::bulk_load, and rebuilding the tree's own unchanged leaves (the
+  // batch updater's rebuild path) reproduces it. The first two cases
+  // pin fills far from 0.69 (0.5 at fanout 8, 1.0 at fanout 16), where a
+  // grouping that ignores the fill changes the node count or the height.
+  struct Case {
+    std::uint64_t keys;
+    unsigned fanout;
+    double fill;
+  };
+  std::vector<Case> cases{{1 << 16, 8, 0.5}, {1 << 16, 16, 1.0}};
+  Xoshiro256 rng(37);
+  for (int i = 0; i < 40; ++i) {
+    cases.push_back({1 + rng.next_below(20000), 4 + static_cast<unsigned>(rng.next_below(125)),
+                     0.5 + 0.5 * rng.next_double()});
+  }
+  for (const auto& c : cases) {
+    SCOPED_TRACE(::testing::Message() << c.keys << " keys, fanout " << c.fanout << ", fill "
+                                      << c.fill);
+    const auto keys = queries::make_tree_keys(c.keys, c.keys + c.fanout);
+    const auto built = HarmoniaTree::build(btree::entries_for(keys), c.fanout, c.fill);
+    built.validate();
+    expect_same_regions(built, HarmoniaTree::from_btree(btree::make_tree(keys, c.fanout, c.fill)));
+
+    std::vector<btree::Entry> leaf_entries;
+    std::vector<std::uint32_t> leaf_sizes;
+    for (std::uint32_t l = built.first_leaf_index(); l < built.num_nodes(); ++l) {
+      const auto leaf = built.leaf_entries(l);
+      leaf_entries.insert(leaf_entries.end(), leaf.begin(), leaf.end());
+      leaf_sizes.push_back(static_cast<std::uint32_t>(leaf.size()));
+    }
+    expect_same_regions(HarmoniaTree::build(leaf_entries, c.fanout, c.fill, leaf_sizes), built);
+  }
+}
+
+TEST(HarmoniaTree, BuildSingleLeaf) {
+  const std::vector<btree::Entry> entries{{1, 10}, {2, 20}, {3, 30}};
+  const auto tree = HarmoniaTree::build(entries, 8);
   tree.validate();
   EXPECT_EQ(tree.height(), 1u);
   EXPECT_EQ(tree.search(2).value(), 20u);
   EXPECT_FALSE(tree.search(4).has_value());
 }
 
-TEST(HarmoniaTree, FromLeavesRejectsBadInput) {
-  EXPECT_THROW(HarmoniaTree::from_leaves({}, 8), ContractViolation);
-  std::vector<std::vector<btree::Entry>> empty_leaf{{}};
-  EXPECT_THROW(HarmoniaTree::from_leaves(std::move(empty_leaf), 8), ContractViolation);
-  std::vector<std::vector<btree::Entry>> unsorted{{{5, 1}}, {{2, 1}}};
-  EXPECT_THROW(HarmoniaTree::from_leaves(std::move(unsorted), 8), ContractViolation);
+TEST(HarmoniaTree, BuildRejectsBadInput) {
+  const std::vector<btree::Entry> entries{{1, 1}, {2, 1}, {5, 1}};
+  EXPECT_THROW(HarmoniaTree::build({}, 8), ContractViolation);
+  EXPECT_THROW(HarmoniaTree::build(entries, 3), ContractViolation);
+  EXPECT_THROW(HarmoniaTree::build(entries, 8, 0.0), ContractViolation);
+  EXPECT_THROW(HarmoniaTree::build(entries, 8, 1.5), ContractViolation);
+  const std::vector<btree::Entry> unsorted{{5, 1}, {2, 1}};
+  EXPECT_THROW(HarmoniaTree::build(unsorted, 8), ContractViolation);
+  const std::vector<btree::Entry> duplicate{{2, 1}, {2, 2}};
+  EXPECT_THROW(HarmoniaTree::build(duplicate, 8), ContractViolation);
+  // Given leaves: none empty, none overfull, and they cover every entry.
+  const std::vector<std::uint32_t> empty_leaf{0, 3};
+  const std::vector<std::uint32_t> overfull{8};
+  const std::vector<std::uint32_t> short_by_one{2};
+  EXPECT_THROW(HarmoniaTree::build(entries, 8, 0.69, empty_leaf), ContractViolation);
+  EXPECT_THROW(HarmoniaTree::build(entries, 8, 0.69, overfull), ContractViolation);
+  EXPECT_THROW(HarmoniaTree::build(entries, 8, 0.69, short_by_one), ContractViolation);
 }
 
 TEST(HarmoniaTree, LeafInplaceUpdate) {

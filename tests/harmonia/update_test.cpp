@@ -263,6 +263,31 @@ TEST(BatchUpdater, ThreadedApplyKeepsPerKeyArrivalOrder) {
   }
 }
 
+TEST(BatchUpdater, RebuildOfUnchangedLeavesKeepsBulkLoadedShape) {
+  // At fill 1.0 a full leaf sends an insert down the coarse path, which
+  // moves the leaf into an auxiliary node; deleting the key again in the
+  // same batch leaves that node with the leaf's own entries. The deferred
+  // rebuild must then reproduce the bulk-loaded tree exactly.
+  const auto keys = queries::make_tree_keys(1 << 14, 5);
+  const HarmoniaTree base = HarmoniaTree::build(btree::entries_for(keys), 16, 1.0);
+  Key key = 0;
+  for (Key m : queries::make_missing_keys(keys, 64, 6)) {
+    if (base.node_key_count(base.find_leaf(m)) == base.keys_per_node()) key = m;
+  }
+  ASSERT_NE(key, 0u) << "no missing key routes to a full leaf";
+  BatchUpdater updater(base, 1.0);
+  const std::vector<UpdateOp> ops{{OpKind::kInsert, key, 1}, {OpKind::kDelete, key, 0}};
+  const UpdateStats stats = updater.apply(ops);
+  ASSERT_TRUE(stats.rebuilt);
+  ASSERT_EQ(stats.aux_nodes, 1u);
+  const HarmoniaTree& got = updater.tree();
+  ASSERT_EQ(got.height(), base.height());
+  for (unsigned l = 0; l < base.height(); ++l) EXPECT_EQ(got.level_start(l), base.level_start(l));
+  EXPECT_TRUE(std::ranges::equal(got.key_region(), base.key_region()));
+  EXPECT_TRUE(std::ranges::equal(got.prefix_sum(), base.prefix_sum()));
+  EXPECT_TRUE(std::ranges::equal(got.value_region(), base.value_region()));
+}
+
 TEST(BatchUpdater, StatsTimingsPopulated) {
   UpdateFixture f;
   std::vector<UpdateOp> ops{{OpKind::kUpdate, f.keys[0], 1}};

@@ -303,9 +303,9 @@ TEST(Reshard, SplitGolden) {
   };
   const Golden cases[] = {
       {serve::EpochMode::kQuiesce, 400, 1, 512, 2, 3, 0x1.0c6f7a0b5ed8dp-12,
-       0x1.1766f42525a3bp-15, 0x1.7ea04ff5f06b1p-9, 12182229272302752846ULL},
+       0x1.170ee8281fdcap-15, 0x1.7e9a21e5becfcp-9, 17418320592695088337ULL},
       {serve::EpochMode::kOverlap, 64, 1, 513, 2, 11, 0x1.0cf5b1c864884p-12,
-       0x1.1766f42525a3bp-15, 0x1.72760223d53a5p-9, 2650181833416213995ULL},
+       0x1.170ee8281fdcap-15, 0x1.7274a1f3e1233p-9, 16116515235693308692ULL},
   };
   for (const Golden& g : cases) {
     SCOPED_TRACE(static_cast<int>(g.mode));

@@ -70,13 +70,8 @@ int cmd_build(int argc, const char* const* argv) {
   const std::uint64_t n = 1ULL << cli.get_uint("size", 18);
   const auto fanout = static_cast<unsigned>(cli.get_uint("fanout", 64));
   const auto keys = queries::make_tree_keys(n, cli.get_uint("seed", 1));
-  std::vector<btree::Entry> entries;
-  entries.reserve(keys.size());
-  for (Key k : keys) entries.push_back({k, btree::value_for_key(k)});
-
-  btree::BTree builder(fanout);
-  builder.bulk_load(entries, cli.get_double("fill", 0.69));
-  const auto tree = HarmoniaTree::from_btree(builder);
+  const auto tree =
+      HarmoniaTree::build(btree::entries_for(keys), fanout, cli.get_double("fill", 0.69));
   const auto out = cli.get_string("out", "harmonia_index.bin");
   save_index(tree, out);
   std::printf("built %llu keys (fanout %u, height %u, %u nodes) -> %s\n",
