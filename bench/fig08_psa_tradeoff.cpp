@@ -33,14 +33,16 @@ int main(int argc, char** argv) {
     struct Variant {
       const char* name;
       PsaMode mode;
+      unsigned bits;  // 64: the complete sort; 0: Equation 2
     };
     double base_total = 0.0;
-    for (const Variant v : {Variant{"Original", PsaMode::kNone},
-                            Variant{"Sorted", PsaMode::kFull},
-                            Variant{"PS", PsaMode::kPartial}}) {
+    for (const Variant v : {Variant{"Original", PsaMode::kNone, 0},
+                            Variant{"Sorted", PsaMode::kPartial, 64},
+                            Variant{"PS", PsaMode::kPartial, 0}}) {
       QueryOptions qopts;
       qopts.psa = v.mode;
-      qopts.auto_ntg = false;  // isolate PSA, as the figure does
+      qopts.psa_override_bits = v.bits;
+      qopts.group_size = 0;  // fanout-based: isolate PSA, as the figure does
       dev.flush_caches();
       const auto r = index.search(qs, qopts);
       const double total = r.total_seconds();

@@ -39,22 +39,22 @@ int main(int argc, char** argv) {
     struct Variant {
       const char* name;
       PsaMode psa;
-      bool ntg;
+      unsigned group_size;
       bool early_exit;
     };
     // The layout-only row runs last so the other rows' device allocations
     // (and so their cache behaviour) are those of a run without it; it is
     // printed right after HB+.
     const std::array<Variant, 4> variants{
-        Variant{"Harmonia tree", PsaMode::kNone, false, true},
-        Variant{"Harmonia tree + PSA", PsaMode::kPartial, false, true},
-        Variant{"Harmonia tree + PSA + NTG", PsaMode::kPartial, true, true},
-        Variant{"Harmonia tree, no early exit", PsaMode::kNone, false, false}};
+        Variant{"Harmonia tree", PsaMode::kNone, 0, true},
+        Variant{"Harmonia tree + PSA", PsaMode::kPartial, 0, true},
+        Variant{"Harmonia tree + PSA + NTG", PsaMode::kPartial, kNtgModel, true},
+        Variant{"Harmonia tree, no early exit", PsaMode::kNone, 0, false}};
     std::array<double, 4> tp{};
     for (std::size_t i = 0; i < variants.size(); ++i) {
       QueryOptions qopts;
       qopts.psa = variants[i].psa;
-      qopts.auto_ntg = variants[i].ntg;
+      qopts.group_size = variants[i].group_size;
       qopts.early_exit = variants[i].early_exit;
       dev_h.flush_caches();
       tp[i] = h_idx.search(qs, qopts).throughput();

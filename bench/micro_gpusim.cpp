@@ -144,11 +144,10 @@ BENCHMARK(BM_WarpGather)
     ->Arg(kScattered)
     ->Arg(kStraddling);
 
-// Launch overhead over near-empty warps (one compute step each). Both
-// sizes are at least kPoolMinWarps (64), so with more than one CPU in the
-// affinity mask this times a pooled launch; run it under `taskset -c 0`
-// to time the launching-thread loop alone. Runs from before the pool
-// took launches of 64-4095 warps timed that loop at these sizes.
+// Launch overhead over near-empty warps (one compute step each). 63
+// warps, below kPoolMinWarps (64), times the launching-thread loop; 64
+// and 1024 time a pooled launch when the affinity mask holds more than
+// one CPU (under `taskset -c 0` they time that loop too).
 void BM_KernelLaunch(benchmark::State& state) {
   auto spec = titan_v();
   spec.num_sms = 8;
@@ -161,7 +160,7 @@ void BM_KernelLaunch(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(warps));
 }
-BENCHMARK(BM_KernelLaunch)->Arg(64)->Arg(1024);
+BENCHMARK(BM_KernelLaunch)->Arg(63)->Arg(64)->Arg(1024);
 
 /// A launch of `warps` warps, each doing 8 rounds of a 32-lane gather of
 /// scattered u64s plus a compute step: how small launches (64 warps, a

@@ -41,8 +41,7 @@ int main(int argc, char** argv) {
   const auto qs =
       queries::make_queries(keys, n, queries::Distribution::kUniform, seed + 1);
 
-  const unsigned eq2 =
-      sort::psa_bits(64, size, dev.spec().line_bytes / sizeof(Key));
+  const unsigned eq2 = psa_equation2_bits(size, dev.spec());
   const double full_sort_cycles =
       sort::gpu_radix_sort_cycles(dev.spec(), n, 64, true);
 
@@ -57,7 +56,6 @@ int main(int argc, char** argv) {
     QueryOptions qopts;
     qopts.psa = bits == 0 ? PsaMode::kNone : PsaMode::kPartial;
     qopts.psa_override_bits = bits;
-    qopts.auto_ntg = false;
     // Narrowed groups pack 4 queries per warp, the configuration whose
     // coalescing the bit count actually affects (§4.1 + §4.2 compose).
     qopts.group_size = 8;

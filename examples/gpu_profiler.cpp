@@ -49,14 +49,14 @@ int main() {
   struct Config {
     const char* name;
     PsaMode psa;
-    bool ntg;
+    unsigned group_size;
   };
-  for (const Config c : {Config{"Harmonia tree", PsaMode::kNone, false},
-                         Config{"Harmonia + PSA", PsaMode::kPartial, false},
-                         Config{"Harmonia + PSA + NTG", PsaMode::kPartial, true}}) {
+  for (const Config c : {Config{"Harmonia tree", PsaMode::kNone, 0},
+                         Config{"Harmonia + PSA", PsaMode::kPartial, 0},
+                         Config{"Harmonia + PSA + NTG", PsaMode::kPartial, kNtgModel}}) {
     QueryOptions qopts;
     qopts.psa = c.psa;
-    qopts.auto_ntg = c.ntg;
+    qopts.group_size = c.group_size;
     dev.flush_caches();
     const auto r = index.search(qs, qopts);
     report(table, c.name, r.search.metrics, r.total_seconds(), qs.size());

@@ -32,8 +32,6 @@ struct Node {
   std::vector<std::unique_ptr<Node>> children;  // internal nodes only
   std::vector<Value> values;                    // leaf nodes only
   Node* next = nullptr;                         // leaf chain
-
-  std::size_t key_count() const { return keys.size(); }
 };
 
 /// A key/value pair returned by range scans.

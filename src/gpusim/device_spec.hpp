@@ -49,10 +49,6 @@ struct DeviceSpec {
   /// Fixed kernel launch overhead (cycles at device clock).
   double launch_overhead_cycles = 8000.0;
 
-  std::uint64_t readonly_cache_total_bytes() const {
-    return readonly_cache_bytes_per_sm;  // per-SM cache; one instance per SM
-  }
-
   /// Sanity-checks the parameters; Device's constructor calls this so a
   /// hand-built spec fails fast instead of mis-simulating.
   void validate() const;

@@ -181,10 +181,17 @@ std::uint32_t descend(gpusim::WarpCtx& w, const Layout& layout, unsigned gs, boo
   return chunk_steps;
 }
 
+/// Delta-overlay lower bound of the first `nq` groups (defined in
+/// search.cpp): the leaders binary-search the sorted patch array in
+/// lockstep, and olo[g] receives the first entry >= group g's target.
+void overlay_lower_bound(gpusim::WarpCtx& w, const DeltaOverlayImage& ov, unsigned gs,
+                         unsigned nq, const WarpGroups& groups,
+                         std::array<std::uint32_t, 32>& olo);
+
 /// Delta-overlay probe of the first `nq` groups (defined in search.cpp):
-/// each leader binary-searches the sorted patch array for its target. A
-/// hit resolves the query: its value, or kNotFound for a tombstone, goes
-/// to `out[g * gs]` (the group's leader lane). Returns the hit groups.
+/// an equality probe at each group's overlay_lower_bound. A hit resolves
+/// the query: its value, or kNotFound for a tombstone, goes to
+/// `out[g * gs]` (the group's leader lane). Returns the hit groups.
 std::uint32_t probe_overlay(gpusim::WarpCtx& w, const DeltaOverlayImage& ov, unsigned gs,
                             unsigned nq, const WarpGroups& groups, std::array<Value, 32>& out);
 

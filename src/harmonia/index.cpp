@@ -60,9 +60,7 @@ HarmoniaIndex::HarmoniaIndex(gpusim::Device& device, HarmoniaTree tree,
       options_(options),
       updater_(std::make_unique<BatchUpdater>(std::move(tree), options.fill_factor)),
       image_(HarmoniaDeviceImage::upload(device, updater_->tree(),
-                                         options.const_budget_bytes)) {
-  if (options_.overlay_capacity > 0) upload_overlay();
-}
+                                         options.const_budget_bytes)) {}
 
 HarmoniaIndex HarmoniaIndex::build(gpusim::Device& device,
                                    std::span<const btree::Entry> entries,
@@ -84,15 +82,14 @@ HarmoniaIndex::QueryResult HarmoniaIndex::search(std::span<const Key> batch,
   result.sort_seconds = plan.sort_seconds(device_.spec());
 
   // NTG: group size from the static-profiling model (§4.2).
-  SearchConfig config;
-  config.early_exit = qopts.early_exit;
-  config.group_size = qopts.group_size;
-  if (qopts.auto_ntg && qopts.group_size == 0) {
+  SearchConfig config{.group_size = qopts.group_size, .early_exit = qopts.early_exit};
+  if (qopts.group_size == kNtgModel) {
     const std::size_t sample =
         std::min<std::size_t>(kNtgProfileSample, plan.queries.size());
-    const NtgChoice choice = choose_group_size(
-        tree(), std::span<const Key>(plan.queries.data(), sample), device_.spec());
-    config.group_size = choice.group_size;
+    config.group_size =
+        choose_group_size(tree(), std::span<const Key>(plan.queries.data(), sample),
+                          device_.spec())
+            .group_size;
   }
   result.group_size_used =
       resolve_group_size(device_.spec(), tree().fanout(), config.group_size);
@@ -128,9 +125,7 @@ HarmoniaIndex::RecommendedKnobs HarmoniaIndex::recommend_query_knobs() const {
   rec.group_size =
       choose_group_size(tree(), std::span<const Key>(sample), device_.spec())
           .group_size;
-  rec.sort_bits = psa_prepare(std::span<const Key>(sample), tree().num_keys(),
-                              device_.spec(), PsaMode::kPartial, 0)
-                      .sorted_bits;
+  rec.sort_bits = psa_equation2_bits(tree().num_keys(), device_.spec());
   return rec;
 }
 
@@ -255,7 +250,7 @@ HarmoniaIndex::PatchResult HarmoniaIndex::patch_update(
           if (t.leaf_insert_inplace(leaf, op.key, op.value)) {
             dirty_key_leaves_.insert(leaf);
             ++result.stats.inserts;
-          } else if (overlay_.size() < options_.overlay_capacity) {
+          } else if (overlay_.size() < overlay_capacity_) {
             // Leaf gaps exhausted: absorb into the overlay.
             overlay_.insert(it, OverlayEntry{op.key, op.value, false});
             overlay_dirty_ = true;
@@ -292,7 +287,7 @@ HarmoniaIndex::PatchResult HarmoniaIndex::patch_update(
             t.leaf_erase_inplace(leaf, op.key);
             dirty_key_leaves_.insert(leaf);
             ++result.stats.deletes;
-          } else if (overlay_.size() < options_.overlay_capacity) {
+          } else if (overlay_.size() < overlay_capacity_) {
             // Erasing would empty the leaf (a merge): tombstone the key
             // instead — it stays in the base region but traversal hides it.
             overlay_.insert(it, OverlayEntry{op.key, Value{0}, true});
@@ -393,7 +388,7 @@ void HarmoniaIndex::set_overlay_capacity(std::size_t capacity) {
   HARMONIA_CHECK_MSG(capacity >= overlay_.size(),
                      "overlay capacity " << capacity << " below current size "
                                          << overlay_.size());
-  options_.overlay_capacity = capacity;
+  overlay_capacity_ = capacity;
   upload_overlay();
 }
 
@@ -441,13 +436,13 @@ void HarmoniaIndex::resync_device() {
 }
 
 void HarmoniaIndex::upload_overlay() {
-  if (options_.overlay_capacity == 0) {
+  if (overlay_capacity_ == 0) {
     image_.overlay = DeltaOverlayImage{};
     return;
   }
   auto& mem = device_.memory();
   DeltaOverlayImage ov;
-  ov.capacity = static_cast<std::uint32_t>(options_.overlay_capacity);
+  ov.capacity = static_cast<std::uint32_t>(overlay_capacity_);
   ov.keys = mem.malloc<Key>(ov.capacity);
   ov.values = mem.malloc<Value>(ov.capacity);
   ov.tombstones = mem.malloc<std::uint8_t>(ov.capacity);

@@ -41,25 +41,24 @@ struct IndexOptions {
   double fill_factor = 0.69;
   /// Cap on constant-memory use for the prefix-sum top levels.
   std::uint64_t const_budget_bytes = 60 << 10;
-  /// Device-side delta-overlay bound (entries). 0 = no overlay: every
-  /// structural op forces a compaction epoch. set_overlay_capacity can
-  /// raise it after construction (the serving layer does).
-  std::size_t overlay_capacity = 0;
 };
 
 /// Queries in NTG's static profile (§4.2: "for example, 1000"): the
 /// head of each batch, or a strided sample of the tree's keys.
 inline constexpr unsigned kNtgProfileSample = 1000;
 
+/// QueryOptions::group_size that picks the group with the NTG model
+/// (§4.2, Equation 4) over the sorted batch's head.
+inline constexpr unsigned kNtgModel = ~0u;
+
 struct QueryOptions {
+  /// kPartial sorts psa_override_bits top bits (0 = Equation 2; 64 is the
+  /// complete sort of §4.1.1); kNone keeps arrival order.
   PsaMode psa = PsaMode::kPartial;
-  /// Pick the thread-group size with the NTG model (§4.2). When false,
-  /// group_size (or the fanout-based default) is used as-is.
-  bool auto_ntg = true;
-  /// Explicit group size (power of two <= warp); 0 = fanout-based.
-  unsigned group_size = 0;
+  /// Lanes per query: kNtgModel, 0 for the fanout-based group, or a
+  /// power of two <= warp.
+  unsigned group_size = kNtgModel;
   bool early_exit = true;
-  /// Force a PSA bit count (0 = Equation 2).
   unsigned psa_override_bits = 0;
 };
 
@@ -218,9 +217,11 @@ class HarmoniaIndex {
   std::size_t overlay_size() const { return overlay_.size(); }
   std::size_t overlay_live_count() const;
   std::size_t overlay_tombstone_count() const { return overlay_.size() - overlay_live_count(); }
-  std::size_t overlay_capacity() const { return options_.overlay_capacity; }
-  /// Sets the overlay bound and (re)allocates the device-side arrays.
-  /// Shrinking below the current overlay size is a contract violation.
+  std::size_t overlay_capacity() const { return overlay_capacity_; }
+  /// Sets the device-side delta-overlay bound (entries) and (re)allocates
+  /// its arrays. Until it is called the bound is 0, no overlay: every
+  /// structural op forces a compaction epoch. Shrinking below the current
+  /// overlay size is a contract violation.
   void set_overlay_capacity(std::size_t capacity);
 
   /// The build half of the double-buffered epoch pipeline
@@ -276,6 +277,7 @@ class HarmoniaIndex {
   /// Host mirror of the delta overlay (authoritative; device arrays are
   /// rewritten from it when dirty).
   std::vector<OverlayEntry> overlay_;
+  std::size_t overlay_capacity_ = 0;
   /// Deferred device writes queued by patch_update: leaves whose key
   /// region changed (keys + values re-upload) vs value-only updates, plus
   /// whether the overlay arrays need a rewrite. Flushed by commit_patch.

@@ -7,6 +7,10 @@
 
 namespace harmonia {
 
+unsigned psa_equation2_bits(std::uint64_t tree_size, const gpusim::DeviceSpec& spec) {
+  return sort::psa_bits(64, tree_size, spec.line_bytes / static_cast<unsigned>(sizeof(Key)));
+}
+
 PsaPlan psa_prepare(std::span<const Key> batch, std::uint64_t tree_size,
                     const gpusim::DeviceSpec& spec, PsaMode mode, unsigned override_bits) {
   // Keys are 64-bit: a larger override would underflow `lo_bit` below and
@@ -15,14 +19,10 @@ PsaPlan psa_prepare(std::span<const Key> batch, std::uint64_t tree_size,
   HARMONIA_CHECK_MSG(override_bits <= 64,
                      "override_bits must lie in [0, 64], got " << override_bits);
   PsaPlan plan;
-  plan.mode = mode;
-  if (mode == PsaMode::kFull && batch.size() >= 2) {
-    plan.sorted_bits = 64;
-  } else if (mode == PsaMode::kPartial && batch.size() >= 2) {
-    const unsigned keys_per_line = spec.line_bytes / static_cast<unsigned>(sizeof(Key));
+  if (mode == PsaMode::kPartial && batch.size() >= 2) {
     // 0 when one line covers the range: the batch then keeps its order.
     plan.sorted_bits =
-        override_bits != 0 ? override_bits : sort::psa_bits(64, tree_size, keys_per_line);
+        override_bits != 0 ? override_bits : psa_equation2_bits(tree_size, spec);
   }
 
   // The sort reads the batch and writes the plan; a sort of no bits is

@@ -21,18 +21,17 @@ namespace harmonia {
 
 enum class PsaMode {
   kNone,     ///< issue queries in arrival order
-  kFull,     ///< completely sorted (the strawman of §4.1.1)
-  kPartial,  ///< top-N bits only (Equation 2) — the PSA of the paper
+  kPartial,  ///< sort the top N bits: Equation 2's N, or a forced count
+             ///< (64 is the complete sort, the strawman of §4.1.1)
 };
 
 struct PsaPlan {
-  PsaMode mode = PsaMode::kNone;
-  /// Queries in issue order (sorted for kFull/kPartial).
+  /// Queries in issue order.
   std::vector<Key> queries;
   /// permutation[i] = original index of queries[i]; used to restore result
   /// order after the kernel.
   std::vector<std::uint64_t> permutation;
-  /// Bits actually sorted (64 for kFull, Equation 2's N for kPartial).
+  /// Bits actually sorted.
   unsigned sorted_bits = 0;
   /// Simulated GPU cycles spent sorting (0 for kNone).
   double sort_cycles = 0.0;
@@ -41,6 +40,10 @@ struct PsaPlan {
     return sort_cycles / (spec.clock_ghz * 1e9);
   }
 };
+
+/// Equation 2 on `spec`: the top bits of 64-bit keys worth sorting for a
+/// tree of `tree_size` keys (T), with K keys per cache line.
+unsigned psa_equation2_bits(std::uint64_t tree_size, const gpusim::DeviceSpec& spec);
 
 /// Builds the issue-order plan for a batch. `tree_size` is the number of
 /// keys in the tree (T of Equation 2). `override_bits` forces a specific

@@ -46,33 +46,20 @@ RangeStats range_batch(gpusim::Device& device, const HarmoniaDeviceImage& image,
     const std::uint32_t node = groups.node[0];
 
     // Delta-overlay cursor (incremental updates): lane 0 binary-searches
-    // the sorted patch array for the first entry >= lo; during the leaf
-    // scan the cursor merges inline — overlay keys interleave in order,
-    // a live entry equal to a base key overrides its value, a tombstone
-    // hides it.
+    // the sorted patch array for the first entry >= lo (the warp is one
+    // group); during the leaf scan the cursor merges inline — overlay
+    // keys interleave in order, a live entry equal to a base key
+    // overrides its value, a tombstone hides it.
     const DeltaOverlayImage& ov = image.overlay;
-    std::uint32_t ocur = 0;
+    std::array<std::uint32_t, 32> olo;
+    overlay_lower_bound(w, ov, warp, 1, groups, olo);
+    std::uint32_t ocur = olo[0];
     const std::uint32_t oend = ov.count;
     Key okey = kPadKey;
     Value oval = 0;
     std::uint8_t otomb = 0;
     bool ohave = false;
     std::array<Key, 32> okeys{};  // zeroed: GCC cannot see the gather fill lane 0
-    if (oend > 0) {
-      std::uint32_t blo = 0;
-      std::uint32_t bhi = oend;
-      while (blo < bhi) {
-        const std::uint32_t mid = (blo + bhi) / 2;
-        w.gather<Key>(row(ov.key_addr(mid), 1), okeys);
-        w.compute(gpusim::lane_bit(0));
-        if (okeys[0] < lo) {
-          blo = mid + 1;
-        } else {
-          bhi = mid;
-        }
-      }
-      ocur = blo;
-    }
     // Leader-lane read of the current patch entry (key gather charged;
     // value + tombstone ride the same access step).
     const auto peek_overlay = [&] {

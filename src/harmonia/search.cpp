@@ -22,16 +22,13 @@ unsigned resolve_group_size(const gpusim::DeviceSpec& spec, unsigned fanout,
   return requested;
 }
 
-std::uint32_t probe_overlay(gpusim::WarpCtx& w, const DeltaOverlayImage& ov, unsigned gs,
-                            unsigned nq, const WarpGroups& groups, std::array<Value, 32>& out) {
+void overlay_lower_bound(gpusim::WarpCtx& w, const DeltaOverlayImage& ov, unsigned gs,
+                         unsigned nq, const WarpGroups& groups,
+                         std::array<std::uint32_t, 32>& olo) {
   // The leaders binary-search in lockstep: one leader-lane gather per
   // probe step, log2(count) steps.
   std::array<gpusim::LaneRow, 32> rows;
   std::array<Key, 32> lane_keys;
-  const auto group_rows = [&](unsigned nr) {
-    return std::span<const gpusim::LaneRow>(rows.data(), nr);
-  };
-  std::array<std::uint32_t, 32> olo;
   std::array<std::uint32_t, 32> ohi;
   for (unsigned g = 0; g < nq; ++g) {
     olo[g] = 0;
@@ -45,8 +42,8 @@ std::uint32_t probe_overlay(gpusim::WarpCtx& w, const DeltaOverlayImage& ov, uns
       mask |= gpusim::lane_bit(g * gs);
       rows[nr++] = {ov.key_addr((olo[g] + ohi[g]) / 2), g * gs, 1};
     }
-    if (mask == 0) break;
-    w.gather<Key>(group_rows(nr), lane_keys);
+    if (mask == 0) return;
+    w.gather<Key>(std::span<const gpusim::LaneRow>(rows.data(), nr), lane_keys);
     w.compute(mask);
     for (unsigned g = 0; g < nq; ++g) {
       if (olo[g] >= ohi[g]) continue;
@@ -58,6 +55,17 @@ std::uint32_t probe_overlay(gpusim::WarpCtx& w, const DeltaOverlayImage& ov, uns
       }
     }
   }
+}
+
+std::uint32_t probe_overlay(gpusim::WarpCtx& w, const DeltaOverlayImage& ov, unsigned gs,
+                            unsigned nq, const WarpGroups& groups, std::array<Value, 32>& out) {
+  std::array<gpusim::LaneRow, 32> rows;
+  std::array<Key, 32> lane_keys;
+  const auto group_rows = [&](unsigned nr) {
+    return std::span<const gpusim::LaneRow>(rows.data(), nr);
+  };
+  std::array<std::uint32_t, 32> olo;
+  overlay_lower_bound(w, ov, gs, nq, groups, olo);
   // Equality probe at the lower bound, then tombstone + value fetch for
   // the hit groups.
   LaneMask probe = 0;

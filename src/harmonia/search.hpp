@@ -38,11 +38,6 @@ struct SearchStats {
   /// (warps * height) this is S, the max-comparison-step term of the NTG
   /// model (Equations 3/4).
   std::uint64_t chunk_steps = 0;
-
-  double avg_steps_per_warp_level(unsigned height) const {
-    if (warps == 0 || height == 0) return 0.0;
-    return static_cast<double>(chunk_steps) / static_cast<double>(warps * height);
-  }
 };
 
 /// Resolves SearchConfig::group_size (handles the 0 = fanout-based case).

@@ -83,12 +83,7 @@ BatchScheduler::Admit BatchScheduler::admit(const Request& r) {
   HARMONIA_CHECK(r.kind != RequestKind::kUpdate);
   Admit result;
   Request q = r;
-  if (q.kind == RequestKind::kScan) {
-    // Clamp the scan cap to the kernel's per-query result bound; n == 0
-    // degenerates to one result (a scan that asks nothing asks the next).
-    q.scan_n = std::min<std::uint32_t>(std::max<std::uint32_t>(q.scan_n, 1),
-                                       config_.max_range_results);
-  }
+  if (q.kind == RequestKind::kScan) q.scan_n = config_.clamp_scan_n(q.scan_n);
   const std::size_t k = kind_index(q.kind);
   const LaneMetrics& m = kind_metrics_[k];
 
@@ -112,7 +107,6 @@ BatchScheduler::Admit BatchScheduler::admit(const Request& r) {
       return result;
     }
     result.evicted = lane(k, *victim_class).pop_back();
-    ++evicted_[*victim_class];
     if (obs_.active() && evicted_metrics_[*victim_class] != nullptr)
       evicted_metrics_[*victim_class]->inc();
   }

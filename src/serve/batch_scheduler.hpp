@@ -23,6 +23,7 @@
 // when the batch's results finish downloading.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <optional>
@@ -54,12 +55,21 @@ struct BatchConfig {
   /// Per-query result cap for the device range kernel (scans clamp their
   /// scan_n to this too).
   unsigned max_range_results = 64;
-  /// Chunking + query options for dispatch. NTG auto-profiling is off by
-  /// default: re-profiling every small online batch would dominate its
-  /// cost; servers pick a group size once (or pin one here).
+  /// Chunking + query options for dispatch. The group size defaults to
+  /// the fanout-based one, not the NTG model: re-profiling every small
+  /// online batch would dominate its cost; servers pick a group size once
+  /// (or pin one here).
   PipelineOptions pipeline{.chunk_size = 1 << 16,
                            .overlap = true,
-                           .query_options = {.auto_ntg = false}};
+                           .query_options = {.group_size = 0}};
+
+  /// A scan's result count as served: n clamped to [1, max_range_results]
+  /// (a scan that asks nothing asks the next key). The scheduler and the
+  /// sharded router both clamp with it, so fan-out span, merge truncation
+  /// and the device agree on one n.
+  std::uint32_t clamp_scan_n(std::uint32_t n) const {
+    return std::min<std::uint32_t>(std::max<std::uint32_t>(n, 1), max_range_results);
+  }
 };
 
 class BatchScheduler {
@@ -120,11 +130,6 @@ class BatchScheduler {
   /// otherwise the lane with the earliest (class-stretched) deadline.
   /// Dispatch starts at max(close_time, device_free). Requires !empty().
   Dispatch dispatch_ready(double close_time, double device_free, unsigned epoch);
-
-  /// Requests shed by QoS eviction, per class.
-  const std::array<std::uint64_t, qos::kNumClasses>& evicted_by_class() const {
-    return evicted_;
-  }
 
   /// Arms the fault path: dispatches on this scheduler consult `injector`
   /// as shard `shard` for slowdown windows and transient failures. A null
@@ -212,7 +217,6 @@ class BatchScheduler {
   qos::WeightedFair wfq_;
   /// kKinds x kNumClasses bounded lanes, kind-major (lane_at).
   std::vector<RequestQueue> lanes_;
-  std::array<std::uint64_t, qos::kNumClasses> evicted_{};
   fault::FaultInjector* injector_ = nullptr;
   unsigned shard_ = 0;
   obs::Observer obs_;

@@ -121,16 +121,11 @@ void ShardedServer::drop(const Request& r, unsigned shard, RequestSource& source
   reject(r, shard_epoch_[shard], shard, note, source, report);
 }
 
-std::uint32_t ShardedServer::clamped_scan_n(const Request& r) const {
-  return std::min<std::uint32_t>(std::max<std::uint32_t>(r.scan_n, 1),
-                                 config_.batch.max_range_results);
-}
-
 std::pair<unsigned, unsigned> ShardedServer::span_of(const Request& r) const {
   const unsigned s0 = index_.plan().shard_of(r.key);
   if (r.kind == RequestKind::kRange) return {s0, index_.plan().shard_of(r.hi)};
   if (r.kind == RequestKind::kScan)
-    return {s0, index_.scan_end_shard(r.key, clamped_scan_n(r))};
+    return {s0, index_.scan_end_shard(r.key, config_.batch.clamp_scan_n(r.scan_n))};
   return {s0, s0};
 }
 
@@ -206,7 +201,7 @@ void ShardedServer::admit_query(const Request& r, double now,
   report.queue_depth.add(static_cast<double>(total_depth()));
 
   Request q = r;
-  if (q.kind == RequestKind::kScan) q.scan_n = clamped_scan_n(q);
+  if (q.kind == RequestKind::kScan) q.scan_n = config_.batch.clamp_scan_n(q.scan_n);
 
   if (q.kind == RequestKind::kRange) HARMONIA_CHECK(q.key <= q.hi);
   const auto [s0, s1] = span_of(q);

@@ -325,9 +325,6 @@ class ShardedServer {
   /// piece lowers the shard's version fence and poisons its merge.
   void handle_evicted(unsigned s, serve::Request victim, double now,
                       serve::RequestSource& source, serve::ServerReport& report);
-  /// A scan's cap, clamped like the scheduler clamps it (so fan-out span,
-  /// merge truncation, and the device all agree on one n).
-  std::uint32_t clamped_scan_n(const serve::Request& r) const;
   /// The first and last shard the request's span touches under the
   /// current plan: the owner for points, the bounds' shards for ranges,
   /// the count-based coverage for scans.

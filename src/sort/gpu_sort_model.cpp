@@ -39,9 +39,4 @@ double gpu_radix_sort_cycles(const gpusim::DeviceSpec& spec, std::uint64_t n,
   return static_cast<double>(passes) * (cycles_per_pass + spec.launch_overhead_cycles);
 }
 
-double gpu_radix_sort_seconds(const gpusim::DeviceSpec& spec, std::uint64_t n,
-                              unsigned num_bits, bool with_payload) {
-  return gpu_radix_sort_cycles(spec, n, num_bits, with_payload) / (spec.clock_ghz * 1e9);
-}
-
 }  // namespace harmonia::sort

@@ -27,7 +27,4 @@ unsigned psa_bits(unsigned key_bits, std::uint64_t tree_size, unsigned keys_per_
 double gpu_radix_sort_cycles(const gpusim::DeviceSpec& spec, std::uint64_t n,
                              unsigned num_bits, bool with_payload = true);
 
-double gpu_radix_sort_seconds(const gpusim::DeviceSpec& spec, std::uint64_t n,
-                              unsigned num_bits, bool with_payload = true);
-
 }  // namespace harmonia::sort

@@ -117,8 +117,8 @@ TEST(DeltaFuzz, DifferentialSingleDevice) {
   IndexOptions opts;
   opts.fanout = 16;
   opts.fill_factor = 0.7;
-  opts.overlay_capacity = 24;
   auto index = HarmoniaIndex::build(dev, entries_for(keys), opts);
+  index.set_overlay_capacity(24);
 
   Oracle oracle = initial_oracle(keys);
   const Key key_span = keys.back() + keys.back() / 10;
@@ -145,7 +145,7 @@ TEST(DeltaFuzz, DifferentialSingleDevice) {
       index.commit_patch();
       ++patch_epochs;
     }
-    ASSERT_LE(index.overlay_size(), opts.overlay_capacity);
+    ASSERT_LE(index.overlay_size(), index.overlay_capacity());
     ASSERT_FALSE(index.patch_pending());
 
     verify_host(index, oracle, rng, key_span);
@@ -232,8 +232,8 @@ TEST(DeltaFuzz, TombstoneResurrectionCycles) {
   IndexOptions opts;
   opts.fanout = 16;
   opts.fill_factor = 1.0;  // full leaves: deletes of singleton keys overlay
-  opts.overlay_capacity = 16;
   auto index = HarmoniaIndex::build(dev, entries_for(keys), opts);
+  index.set_overlay_capacity(16);
 
   Oracle oracle = initial_oracle(keys);
 

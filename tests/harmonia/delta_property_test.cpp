@@ -144,8 +144,8 @@ TEST(DeltaProperty, SortedWithGapsAndPsaConsistentAfterEveryPatch) {
   IndexOptions opts;
   opts.fanout = 16;
   opts.fill_factor = 0.65;
-  opts.overlay_capacity = 16;
   auto index = HarmoniaIndex::build(dev, entries_for(keys), opts);
+  index.set_overlay_capacity(16);
 
   std::map<Key, Value> oracle;
   for (Key k : keys) oracle[k] = btree::value_for_key(k);
@@ -194,8 +194,8 @@ TEST(DeltaProperty, OverlayNeverExceedsBound) {
   IndexOptions opts;
   opts.fanout = 16;
   opts.fill_factor = 1.0;  // no gaps: every fresh insert must overlay
-  opts.overlay_capacity = 4;
   auto index = HarmoniaIndex::build(dev, entries_for(keys), opts);
+  index.set_overlay_capacity(4);
 
   // Fresh keys beyond the bound: the first `capacity` absorb, the rest
   // exhaust; the overlay never exceeds the bound and unabsorbed ops
@@ -212,8 +212,8 @@ TEST(DeltaProperty, OverlayNeverExceedsBound) {
   ASSERT_EQ(batch.size(), 10u);
   const auto pr = index.patch_update(batch);
   EXPECT_TRUE(pr.exhausted);
-  EXPECT_EQ(pr.absorbed, opts.overlay_capacity);
-  EXPECT_EQ(index.overlay_size(), opts.overlay_capacity);
+  EXPECT_EQ(pr.absorbed, 4u);
+  EXPECT_EQ(index.overlay_size(), 4u);
   for (std::size_t i = pr.absorbed; i < batch.size(); ++i) {
     EXPECT_FALSE(index.search_host(batch[i].key).has_value())
         << "unabsorbed op leaked into the index: " << batch[i].key;
@@ -237,8 +237,8 @@ TEST(DeltaProperty, CompactionImageBitIdenticalToDirectApply) {
   IndexOptions opts;
   opts.fanout = 16;
   opts.fill_factor = 0.7;
-  opts.overlay_capacity = 8;
   auto a = HarmoniaIndex::build(dev_a, entries_for(keys), opts);
+  a.set_overlay_capacity(8);
 
   std::map<Key, Value> oracle;
   for (Key k : keys) oracle[k] = btree::value_for_key(k);
@@ -265,6 +265,7 @@ TEST(DeltaProperty, CompactionImageBitIdenticalToDirectApply) {
   auto fold = a.overlay_as_ops();
   fold.insert(fold.end(), rest.begin(), rest.end());
   HarmoniaIndex b(dev_b, HarmoniaTree(a.tree()), opts);
+  b.set_overlay_capacity(8);
   b.update_batch(fold);
 
   a.discard_patch();
@@ -301,8 +302,8 @@ TEST(DeltaProperty, CommitPatchLeavesDeviceByteIdenticalToHost) {
   IndexOptions opts;
   opts.fanout = 16;
   opts.fill_factor = 0.7;
-  opts.overlay_capacity = 12;
   auto index = HarmoniaIndex::build(dev, entries_for(keys), opts);
+  index.set_overlay_capacity(12);
 
   const Key key_span = keys.back() + keys.back() / 10;
   Xoshiro256 rng(91);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <utility>
 
 #include "common/expect.hpp"
 
@@ -30,14 +31,17 @@ TEST(HarmoniaIndex, BuildAndSearchAllPsaModes) {
   auto index = HarmoniaIndex::build(dev, entries_for(keys), {.fanout = 16});
   const auto qs = queries::make_queries(keys, 1000, queries::Distribution::kUniform, 2);
 
-  for (PsaMode mode : {PsaMode::kNone, PsaMode::kFull, PsaMode::kPartial}) {
+  // Arrival order, the complete sort, Equation 2.
+  for (const auto& [mode, bits] : {std::pair{PsaMode::kNone, 0u}, std::pair{PsaMode::kPartial, 64u},
+                                  std::pair{PsaMode::kPartial, 0u}}) {
     QueryOptions qopts;
     qopts.psa = mode;
+    qopts.psa_override_bits = bits;
     const auto result = index.search(qs, qopts);
     ASSERT_EQ(result.values.size(), qs.size());
     for (std::size_t i = 0; i < qs.size(); ++i) {
       ASSERT_EQ(result.values[i], btree::value_for_key(qs[i]))
-          << "mode " << static_cast<int>(mode) << " query " << i;
+          << "mode " << static_cast<int>(mode) << " bits " << bits << " query " << i;
     }
   }
 }
@@ -79,7 +83,6 @@ TEST(HarmoniaIndex, ExplicitGroupSizeRespected) {
   const auto keys = queries::make_tree_keys(1000, 8);
   auto index = HarmoniaIndex::build(dev, entries_for(keys), {.fanout = 16});
   QueryOptions qopts;
-  qopts.auto_ntg = false;
   qopts.group_size = 8;
   const auto result = index.search(queries::make_queries(keys, 100, queries::Distribution::kUniform, 9), qopts);
   EXPECT_EQ(result.group_size_used, 8u);

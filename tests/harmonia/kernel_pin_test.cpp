@@ -102,8 +102,8 @@ void run_fanout(unsigned fanout, std::vector<Row>& rows) {
   for (Key k : keys) entries.push_back({k, btree::value_for_key(k)});
   IndexOptions options;
   options.fanout = fanout;
-  options.overlay_capacity = 256;
   HarmoniaIndex index = HarmoniaIndex::build(dev, entries, options);
+  index.set_overlay_capacity(256);
 
   // 60 inserts into one leaf's key span: more than its gaps hold, so the
   // rest go to the overlay.

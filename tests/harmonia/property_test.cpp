@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <utility>
 
 #include "btree/btree.hpp"
 #include "common/rng.hpp"
@@ -98,7 +99,8 @@ TEST_P(PsaProperties, PartialIsCoarseningOfFull) {
   for (auto& k : batch) k = rng.next() >> 1;
   const auto partial =
       psa_prepare(batch, 1ULL << 23, gpusim::titan_v(), PsaMode::kPartial);
-  const auto full = psa_prepare(batch, 1ULL << 23, gpusim::titan_v(), PsaMode::kFull);
+  const auto full =
+      psa_prepare(batch, 1ULL << 23, gpusim::titan_v(), PsaMode::kPartial, 64);
   const unsigned shift = 64 - partial.sorted_bits;
   for (std::size_t i = 0; i < batch.size(); ++i) {
     ASSERT_EQ(partial.queries[i] >> shift, full.queries[i] >> shift);
@@ -109,15 +111,17 @@ TEST_P(PsaProperties, RestoreAfterAnyModeIsExact) {
   Xoshiro256 rng(GetParam() + 80);
   std::vector<Key> batch(300);
   for (auto& k : batch) k = rng.next() >> 1;
-  for (PsaMode mode : {PsaMode::kNone, PsaMode::kFull, PsaMode::kPartial}) {
-    const auto plan = psa_prepare(batch, 1ULL << 20, gpusim::titan_v(), mode);
+  // Arrival order, the complete sort, Equation 2.
+  for (const auto& [mode, bits] : {std::pair{PsaMode::kNone, 0u}, std::pair{PsaMode::kPartial, 64u},
+                                  std::pair{PsaMode::kPartial, 0u}}) {
+    const auto plan = psa_prepare(batch, 1ULL << 20, gpusim::titan_v(), mode, bits);
     // Simulate a kernel that returns query^1 per issue-order slot.
     std::vector<Value> issue(batch.size());
     for (std::size_t i = 0; i < issue.size(); ++i) issue[i] = plan.queries[i] ^ 1;
     std::vector<Value> restored(batch.size());
     psa_restore(plan, issue, restored);
     for (std::size_t i = 0; i < batch.size(); ++i) {
-      ASSERT_EQ(restored[i], batch[i] ^ 1) << "mode " << static_cast<int>(mode);
+      ASSERT_EQ(restored[i], batch[i] ^ 1) << "mode " << static_cast<int>(mode) << " bits " << bits;
     }
   }
 }

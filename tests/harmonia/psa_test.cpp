@@ -31,7 +31,7 @@ TEST(Psa, NoneKeepsArrivalOrder) {
 
 TEST(Psa, FullSortsCompletely) {
   const auto batch = random_batch(2000, 2);
-  const auto plan = psa_prepare(batch, 1 << 20, gpusim::titan_v(), PsaMode::kFull);
+  const auto plan = psa_prepare(batch, 1 << 20, gpusim::titan_v(), PsaMode::kPartial, 64);
   EXPECT_EQ(plan.sorted_bits, 64u);
   EXPECT_TRUE(std::is_sorted(plan.queries.begin(), plan.queries.end()));
   EXPECT_GT(plan.sort_cycles, 0.0);
@@ -41,6 +41,7 @@ TEST(Psa, PartialUsesEquation2Bits) {
   const auto batch = random_batch(1000, 3);
   const auto plan = psa_prepare(batch, 1ULL << 23, gpusim::titan_v(), PsaMode::kPartial);
   EXPECT_EQ(plan.sorted_bits, 19u);  // §4.1.2 example
+  EXPECT_EQ(psa_equation2_bits(1ULL << 23, gpusim::titan_v()), 19u);
   // Sorted on the top 19 bits: prefixes ascend.
   for (std::size_t i = 1; i < plan.queries.size(); ++i) {
     EXPECT_LE(plan.queries[i - 1] >> 45, plan.queries[i] >> 45);
@@ -51,7 +52,7 @@ TEST(Psa, PartialCheaperThanFull) {
   const auto batch = random_batch(4096, 4);
   const auto spec = gpusim::titan_v();
   const auto partial = psa_prepare(batch, 1ULL << 23, spec, PsaMode::kPartial);
-  const auto full = psa_prepare(batch, 1ULL << 23, spec, PsaMode::kFull);
+  const auto full = psa_prepare(batch, 1ULL << 23, spec, PsaMode::kPartial, 64);
   EXPECT_LT(partial.sort_cycles, full.sort_cycles);
   // ~35% of the full sort (3 of 8 passes).
   EXPECT_NEAR(partial.sort_cycles / full.sort_cycles, 0.375, 0.05);
@@ -99,7 +100,7 @@ TEST(Psa, OverrideBitsBeyondKeyWidthThrows) {
 
 TEST(Psa, RestoreInvertsPermutation) {
   const auto batch = random_batch(777, 6);
-  const auto plan = psa_prepare(batch, 1ULL << 20, gpusim::titan_v(), PsaMode::kFull);
+  const auto plan = psa_prepare(batch, 1ULL << 20, gpusim::titan_v(), PsaMode::kPartial, 64);
   // Results in issue order = the sorted queries themselves; restoring must
   // give each arrival slot its own query back.
   std::vector<Value> restored(batch.size());
@@ -165,11 +166,9 @@ TEST(Psa, PlanMatchesStableSortReference) {
   auto check = [&](const std::vector<Key>& batch, std::uint64_t tree_size, PsaMode mode,
                    unsigned override_bits) {
     const PsaPlan plan = psa_prepare(batch, tree_size, spec, mode, override_bits);
-    const unsigned bits =
-        mode == PsaMode::kNone  ? 0
-        : mode == PsaMode::kFull ? 64
-        : override_bits != 0     ? override_bits
-                                 : sort::psa_bits(64, tree_size, spec.line_bytes / 8);
+    const unsigned bits = mode == PsaMode::kNone ? 0
+                          : override_bits != 0   ? override_bits
+                                                 : sort::psa_bits(64, tree_size, spec.line_bytes / 8);
     const PsaPlan want = reference_plan(batch, bits);
     EXPECT_EQ(plan.sorted_bits, bits);
     EXPECT_EQ(plan.queries, want.queries);
@@ -180,17 +179,17 @@ TEST(Psa, PlanMatchesStableSortReference) {
   for (const Case& c : cases) {
     SCOPED_TRACE(::testing::Message() << c.size << " queries, seed " << c.seed);
     const auto batch = random_batch(c.size, c.seed);
-    for (const PsaMode mode : {PsaMode::kNone, PsaMode::kFull, PsaMode::kPartial}) {
-      check(batch, c.tree_size, mode, 0);
-    }
+    check(batch, c.tree_size, PsaMode::kNone, 0);
+    check(batch, c.tree_size, PsaMode::kPartial, 0);
     check(batch, c.tree_size, PsaMode::kPartial, 5);
+    check(batch, c.tree_size, PsaMode::kPartial, 64);
   }
   // 70000 queries over 300 distinct keys.
   std::vector<Key> dups = random_batch(300, 11);
   Xoshiro256 rng(12);
   while (dups.size() < 70000) dups.push_back(dups[rng.next_below(300)]);
   check(dups, 1 << 22, PsaMode::kPartial, 0);
-  check(dups, 1 << 22, PsaMode::kFull, 0);
+  check(dups, 1 << 22, PsaMode::kPartial, 64);
 }
 
 }  // namespace

@@ -110,6 +110,7 @@ struct ScaleFixture {
   HarmoniaIndex index = HarmoniaIndex::build(dev, entries(), options());
 
   ScaleFixture() {
+    index.set_overlay_capacity(256);
     std::vector<UpdateOp> ops;
     for (std::size_t i = 0; i < fresh.size(); ++i) {
       ops.push_back({OpKind::kInsert, fresh[i], 1000 + i});
@@ -131,7 +132,6 @@ struct ScaleFixture {
     IndexOptions opts;
     opts.fanout = 32;
     opts.fill_factor = 1.0;
-    opts.overlay_capacity = 256;
     return opts;
   }
 };
@@ -163,7 +163,6 @@ TEST(ScaleGolden, PointBatchesWithPsaAndNtg) {
   // Second batch on the warm caches, with 8-lane groups: partial masks,
   // several queries per warp.
   QueryOptions groups;
-  groups.auto_ntg = false;
   groups.group_size = 8;
   const auto b = f.index.search(batch, groups);
   EXPECT_EQ(b.values, a.values);
@@ -202,7 +201,6 @@ TEST(ScaleGolden, MultiBlockSearchLaunch) {
   const auto batch =
       queries::make_queries(f.keys, kMultiBlockQueries, queries::Distribution::kUniform, 13);
   QueryOptions opts;
-  opts.auto_ntg = false;
   opts.group_size = 32;  // one query per warp
   f.dev.trace().enable(1 << 20);
   const auto r = f.index.search(batch, opts);
@@ -248,7 +246,6 @@ TEST(ScaleGolden, MultiBlockNarrowGroupLaunch) {
   const auto batch =
       queries::make_queries(f.keys, kQueries, queries::Distribution::kUniform, 19);
   QueryOptions opts;
-  opts.auto_ntg = false;
   opts.group_size = 1;
   f.dev.trace().enable(1 << 20);
   const auto r = f.index.search(batch, opts);

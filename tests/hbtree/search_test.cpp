@@ -99,7 +99,7 @@ TEST_P(HBChildRuleOnly, MatchesHarmoniaWithoutEarlyExit) {
   qs.insert(qs.end(), missing.begin(), missing.end());
   QueryOptions layout_only;
   layout_only.psa = PsaMode::kNone;
-  layout_only.auto_ntg = false;
+  layout_only.group_size = 0;
   layout_only.early_exit = false;
   const auto h = harmonia.search(qs, layout_only);
   const auto b = hb.search(qs);

@@ -62,10 +62,12 @@ TEST_P(FuzzDifferential, AllImplementationsAgree) {
   qs.insert(qs.end(), missing.begin(), missing.end());
 
   QueryOptions qopts;
-  qopts.psa = static_cast<PsaMode>(rng.next_below(3));
-  qopts.auto_ntg = rng.next_below(2) == 0;
-  if (!qopts.auto_ntg) {
-    qopts.group_size = 1u << rng.next_below(6);  // 1..32
+  // Arrival order, the complete sort or Equation 2.
+  const auto psa = rng.next_below(3);
+  qopts.psa = psa == 0 ? PsaMode::kNone : PsaMode::kPartial;
+  if (psa == 1) qopts.psa_override_bits = 64;
+  if (rng.next_below(2) != 0) {
+    qopts.group_size = 1u << rng.next_below(6);  // 1..32; else the NTG model
   }
   qopts.early_exit = rng.next_below(4) != 0;
 

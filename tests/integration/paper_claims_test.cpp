@@ -40,7 +40,7 @@ TEST(PaperClaims, Fig12GlobalTransactionsDropVsHBTree) {
   Workbench s;
   QueryOptions plain;
   plain.psa = PsaMode::kNone;
-  plain.auto_ntg = false;
+  plain.group_size = 0;
   const auto hr = s.harmonia_idx.search(s.qs, plain);
   const auto br = s.hb_idx.search(s.qs);
   // Harmonia's prefix-sum region lives in constant memory / small caches:
@@ -55,9 +55,7 @@ TEST(PaperClaims, Fig12PsaReducesMemoryDivergenceAndRaisesCoherence) {
   Workbench s;
   QueryOptions no_psa, with_psa;
   no_psa.psa = PsaMode::kNone;
-  no_psa.auto_ntg = false;
   with_psa.psa = PsaMode::kPartial;
-  with_psa.auto_ntg = false;
   // Narrowed groups pack several queries per warp: PSA's within-warp
   // coalescing and cross-warp locality both become visible.
   no_psa.group_size = 8;
@@ -81,7 +79,7 @@ TEST(PaperClaims, Fig13AblationOrdering) {
 
   QueryOptions tree_only;
   tree_only.psa = PsaMode::kNone;
-  tree_only.auto_ntg = false;
+  tree_only.group_size = 0;
   s.dev_h.flush_caches();
   const double harmonia_tree = s.harmonia_idx.search(s.qs, tree_only).throughput();
 
@@ -91,7 +89,7 @@ TEST(PaperClaims, Fig13AblationOrdering) {
   const double psa = s.harmonia_idx.search(s.qs, with_psa).throughput();
 
   QueryOptions full = with_psa;
-  full.auto_ntg = true;
+  full.group_size = kNtgModel;
   s.dev_h.flush_caches();
   const double ntg = s.harmonia_idx.search(s.qs, full).throughput();
 
@@ -120,11 +118,10 @@ TEST(PaperClaims, Fig8FullSortKernelFasterButTotalCanLose) {
   Workbench s;
   QueryOptions none, full, partial;
   none.psa = PsaMode::kNone;
-  none.auto_ntg = false;
-  full.psa = PsaMode::kFull;
-  full.auto_ntg = false;
-  partial.psa = PsaMode::kPartial;
-  partial.auto_ntg = false;
+  none.group_size = 0;
+  full.psa_override_bits = 64;
+  full.group_size = 0;
+  partial.group_size = 0;
 
   s.dev_h.flush_caches();
   const auto r_none = s.harmonia_idx.search(s.qs, none);

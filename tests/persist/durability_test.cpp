@@ -78,13 +78,13 @@ TEST_F(DurabilityTest, SnapshotFileEqualsEncodedImage) {
   IndexOptions opts;
   opts.fanout = 8;
   opts.fill_factor = 1.0;
-  opts.overlay_capacity = 64;
   std::vector<btree::Entry> entries;
   for (Key k : keys) entries.push_back({k, btree::value_for_key(k)});
   gpusim::Device dev(test_spec());
   btree::BTree builder(opts.fanout);
   builder.bulk_load(entries, opts.fill_factor);
   HarmoniaIndex index(dev, HarmoniaTree::from_btree(builder), opts);
+  index.set_overlay_capacity(64);
 
   DurabilityDomain domain(cfg_, 1);
   ShardDurability& dur = *domain.shard(0);

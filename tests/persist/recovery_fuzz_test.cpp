@@ -44,6 +44,7 @@ using queries::OpKind;
 using queries::UpdateOp;
 
 constexpr int kEpochs = 8;
+constexpr std::size_t kOverlayCapacity = 12;
 
 using namespace testing_support;
 
@@ -80,7 +81,6 @@ Scenario make_scenario(std::uint64_t seed) {
   sc.keys = queries::make_tree_keys(n, seed + 1);
   sc.opts.fanout = seed % 2 == 0 ? 8 : 16;
   sc.opts.fill_factor = 0.8;
-  sc.opts.overlay_capacity = 12;
 
   Xoshiro256 rng(seed * 1000003 + 17);
   const Key key_span = sc.keys.back() + sc.keys.back() / 8;
@@ -149,6 +149,7 @@ void run_one(const Scenario& sc, std::uint64_t seed, double crash,
   btree::BTree builder(sc.opts.fanout);
   builder.bulk_load(entries, sc.opts.fill_factor);
   HarmoniaIndex index(dev, HarmoniaTree::from_btree(builder), sc.opts);
+  index.set_overlay_capacity(kOverlayCapacity);
 
   std::vector<MirrorWrite> writes;
   std::uint64_t m_since = 0;
@@ -252,6 +253,7 @@ void run_one(const Scenario& sc, std::uint64_t seed, double crash,
     index2 = std::make_unique<HarmoniaIndex>(dev2, HarmoniaTree::from_btree(rebuild),
                                              sc.opts);
   }
+  index2->set_overlay_capacity(kOverlayCapacity);
   const RecoveryReport rep =
       rm.finish(std::move(mat), *index2, TransferModel{}, sc.keys.size());
 
@@ -367,6 +369,7 @@ TEST(RecoveryFuzz, DeviceImageMatchesOracleAfterRecovery) {
     btree::BTree builder(sc.opts.fanout);
     builder.bulk_load(entries, sc.opts.fill_factor);
     HarmoniaIndex index(dev, HarmoniaTree::from_btree(builder), sc.opts);
+    index.set_overlay_capacity(kOverlayCapacity);
     for (int e = 1; e <= kEpochs; ++e) {
       const auto& batch = sc.batches[static_cast<std::size_t>(e - 1)];
       domain.shard(0)->log_batch(static_cast<std::uint64_t>(e), batch, e);
@@ -391,6 +394,7 @@ TEST(RecoveryFuzz, DeviceImageMatchesOracleAfterRecovery) {
       index2 = std::make_unique<HarmoniaIndex>(
           dev2, HarmoniaTree::from_btree(rebuild), sc.opts);
     }
+    index2->set_overlay_capacity(kOverlayCapacity);
     const RecoveryReport rep =
         rm.finish(std::move(mat), *index2, TransferModel{}, sc.keys.size());
     ASSERT_NO_FATAL_FAILURE(device_sweep(sc, rep.recovered_epoch, *index2))

@@ -65,12 +65,5 @@ TEST(GpuSortModel, PayloadCostsMore) {
             gpu_radix_sort_cycles(spec, 1 << 20, 64, false));
 }
 
-TEST(GpuSortModel, SecondsConsistentWithClock) {
-  const auto spec = gpusim::titan_v();
-  const double cycles = gpu_radix_sort_cycles(spec, 1 << 20, 32);
-  EXPECT_NEAR(gpu_radix_sort_seconds(spec, 1 << 20, 32),
-              cycles / (spec.clock_ghz * 1e9), 1e-15);
-}
-
 }  // namespace
 }  // namespace harmonia::sort

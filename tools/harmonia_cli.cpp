@@ -129,10 +129,10 @@ int cmd_query(int argc, const char* const* argv) {
 
   QueryOptions qopts;
   const std::string psa = cli.get_string("psa", "partial");
-  qopts.psa = psa == "none" ? PsaMode::kNone
-                            : (psa == "full" ? PsaMode::kFull : PsaMode::kPartial);
-  qopts.group_size = static_cast<unsigned>(cli.get_uint("group-size", 0));
-  qopts.auto_ntg = qopts.group_size == 0;
+  qopts.psa = psa == "none" ? PsaMode::kNone : PsaMode::kPartial;
+  if (psa == "full") qopts.psa_override_bits = 64;
+  const auto group_size = static_cast<unsigned>(cli.get_uint("group-size", 0));
+  qopts.group_size = group_size == 0 ? kNtgModel : group_size;
 
   const auto r = index.search(qs, qopts);
   std::size_t hits = 0;
