@@ -47,8 +47,11 @@ TEST(PhaseWorkflow, TenPhasesStayConsistent) {
           queries::make_missing_keys(current, 200, static_cast<std::uint64_t>(phase) + 50);
       qs.insert(qs.end(), missing.begin(), missing.end());
 
+      // Draws cycle arrival order, a complete sort and Equation 2's bits.
+      const int psa = phase / 2 % 3;
       QueryOptions qopts;
-      qopts.psa = static_cast<PsaMode>(phase / 2 % 3);
+      qopts.psa = psa == 0 ? PsaMode::kNone : PsaMode::kPartial;
+      if (psa == 1) qopts.psa_override_bits = 64;
       const auto r = index.search(qs, qopts);
       for (std::size_t i = 0; i < qs.size(); ++i) {
         const auto it = oracle.find(qs[i]);
